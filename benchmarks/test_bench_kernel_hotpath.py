@@ -1,22 +1,20 @@
 """Experiment K — kernel hot-path throughput (steps/sec).
 
-Measures four kernel configurations across small/medium/large Figure 1
-layouts and records the numbers to ``benchmarks/BENCH_kernel.json`` so
-later PRs have a perf trajectory to regress against:
+Measures three steppings across small/medium/large Figure 1 layouts and
+records the numbers to ``benchmarks/BENCH_kernel.json`` so later PRs
+have a perf trajectory to regress against:
 
-* ``legacy`` — ``Kernel.run(incremental=False)``: the from-scratch
-  ``enabled_actions()`` oracle on a saturated WSRegister workload
-  (every writer and reader always has a next operation queued via an
-  ``until`` refill callback).  This is the pre-optimization kernel.
-* ``incremental`` — ``Kernel.run(incremental=True)`` on the same
-  workload: the live enabled-action bookkeeping.
-* ``batched`` — ``Kernel.run_batched()`` on a *deep* WSRegister
-  workload (operations pre-enqueued, no per-step callback): the
-  inlined fast path executing the real Algorithm 2 protocol.
-* ``dispatch`` — ``Kernel.run_batched()`` on the same layout driven by
-  a minimal trigger/await protocol: isolates the kernel's own
-  per-step cost (collect, scheduler choice, trigger, respond,
-  delivery) from protocol work, i.e. the dispatch ceiling.
+* ``legacy`` — ``tests.conftest.reference_run``: the from-scratch
+  ``enabled_actions()`` oracle, one ``execute`` per step, on a *deep*
+  WSRegister workload (operations pre-enqueued, no per-step callback).
+  This is how the pre-optimization kernel stepped; it is timed in the
+  same run so the speedups below are machine-portable ratios.
+* ``run`` — ``Kernel.run()`` on the same workload: the one production
+  loop executing the real Algorithm 2 protocol.
+* ``dispatch`` — ``Kernel.run()`` on the same layout driven by a
+  minimal trigger/await protocol: isolates the kernel's own per-step
+  cost (collect, scheduler choice, trigger, respond, delivery) from
+  protocol work, i.e. the dispatch ceiling.
 
 ``BENCH_KERNEL_SMOKE=1`` shrinks the run (CI smoke mode): the artifact is
 still produced, but only loose sanity ratios are asserted — wall-clock
@@ -28,12 +26,14 @@ import os
 import time
 
 from benchmarks.conftest import emit
+from tests.conftest import reference_run
 
 from repro.analysis.tables import render_table
 from repro.core.layout import RegisterLayout
 from repro.core.ws_register import WSRegisterEmulation
 from repro.sim.client import ClientProtocol
 from repro.sim.ids import ClientId
+from repro.sim.kernel import Kernel
 from repro.sim.objects import OpKind
 from repro.sim.scheduling import RandomScheduler
 from repro.sim.system import build_system
@@ -48,9 +48,9 @@ CONFIGS = [
     ("large", (8, 10, 3)),
 ]
 
-#: ``incremental_steps_per_sec`` for the medium config in the seed
-#: artifact (recorded informationally as ``*_speedup_vs_seed``; the
-#: asserted bars compare runs on the same machine).
+#: steps/sec of the medium config in the seed artifact (recorded
+#: informationally as ``*_speedup_vs_seed``; the asserted bars compare
+#: runs on the same machine).
 SEED_BASELINE_MEDIUM = 62_471
 
 SMOKE = os.environ.get("BENCH_KERNEL_SMOKE", "") not in ("", "0")
@@ -60,8 +60,7 @@ STEPS = 6_000 if SMOKE else 20_000
 REPEATS = 2 if SMOKE else 4
 #: minimum medium-config speedups over ``legacy``: acceptance bars in
 #: full mode, loose noise-tolerant sanity checks in smoke mode.
-MIN_MEDIUM_SPEEDUP = 1.3 if SMOKE else 3.0
-MIN_MEDIUM_BATCHED_SPEEDUP = 1.3 if SMOKE else 4.0
+MIN_MEDIUM_RUN_SPEEDUP = 1.3 if SMOKE else 4.0
 MIN_MEDIUM_DISPATCH_SPEEDUP = 1.3 if SMOKE else 5.0
 
 
@@ -69,39 +68,12 @@ def _best(measure, *args):
     return max(measure(*args) for _ in range(REPEATS))
 
 
-def _steps_per_sec(k, n, f, incremental, seed=7, readers=3):
-    """Throughput of a saturated run: ops are re-enqueued as they finish."""
-    emu = WSRegisterEmulation(k, n, f, scheduler=RandomScheduler(seed))
-    writer_handles = [emu.add_writer(index) for index in range(k)]
-    reader_handles = [emu.add_reader() for _ in range(readers)]
-    value = 0
-
-    def refill(kernel):
-        nonlocal value
-        for writer in writer_handles:
-            if writer.idle and not writer.program:
-                writer.enqueue("write", value)
-                value += 1
-        for reader in reader_handles:
-            if reader.idle and not reader.program:
-                reader.enqueue("read")
-        return False  # never satisfied: run for exactly STEPS steps
-
-    start = time.perf_counter()
-    result = emu.kernel.run(
-        max_steps=STEPS, until=refill, incremental=incremental
-    )
-    elapsed = time.perf_counter() - start
-    assert result.steps == STEPS
-    return result.steps / elapsed
-
-
-def _batched_steps_per_sec(k, n, f, seed=7, readers=3):
-    """Throughput of ``run_batched`` on a deep pre-enqueued workload.
+def _deep_steps_per_sec(k, n, f, stepper, seed=7, readers=3):
+    """Throughput of ``stepper`` on a deep pre-enqueued workload.
 
     The whole program is enqueued up front (enough that no client ever
     drains), so the measurement has no per-step harness callback — it
-    times the batched fast path running the real Algorithm 2 protocol.
+    times the stepping loop running the real Algorithm 2 protocol.
     """
     emu = WSRegisterEmulation(k, n, f, scheduler=RandomScheduler(seed))
     writers = [emu.add_writer(index) for index in range(k)]
@@ -117,7 +89,7 @@ def _batched_steps_per_sec(k, n, f, seed=7, readers=3):
         for reader in readers_h:
             reader.enqueue("read")
     start = time.perf_counter()
-    result = emu.kernel.run_batched(max_steps=STEPS, batch_size=64)
+    result = stepper(emu.kernel, max_steps=STEPS)
     elapsed = time.perf_counter() - start
     assert result.steps == STEPS
     return result.steps / elapsed
@@ -155,7 +127,7 @@ class _DispatchProtocol(ClientProtocol):
 
 
 def _dispatch_steps_per_sec(k, n, f, seed=7, clients=2):
-    """Kernel dispatch ceiling: ``run_batched`` under a minimal protocol.
+    """Kernel dispatch ceiling: ``run`` under a minimal protocol.
 
     Same layout and register fleet as the config's WSRegister runs, but
     the protocol does no quorum bookkeeping — the number isolates what
@@ -172,7 +144,7 @@ def _dispatch_steps_per_sec(k, n, f, seed=7, clients=2):
         )
         runtime.enqueue("pump")
     start = time.perf_counter()
-    result = system.kernel.run_batched(max_steps=STEPS, batch_size=64)
+    result = system.kernel.run(max_steps=STEPS)
     elapsed = time.perf_counter() - start
     assert result.steps == STEPS
     return result.steps / elapsed
@@ -188,20 +160,17 @@ def test_kernel_hotpath_throughput():
         "configs": {},
     }
     for label, (k, n, f) in CONFIGS:
-        legacy = _best(_steps_per_sec, k, n, f, False)
-        fast = _best(_steps_per_sec, k, n, f, True)
-        batched = _best(_batched_steps_per_sec, k, n, f)
+        legacy = _best(_deep_steps_per_sec, k, n, f, reference_run)
+        run = _best(_deep_steps_per_sec, k, n, f, Kernel.run)
         dispatch = _best(_dispatch_steps_per_sec, k, n, f)
         artifact["configs"][label] = {
             "k": k,
             "n": n,
             "f": f,
             "legacy_steps_per_sec": round(legacy),
-            "incremental_steps_per_sec": round(fast),
-            "batched_steps_per_sec": round(batched),
+            "run_steps_per_sec": round(run),
             "dispatch_steps_per_sec": round(dispatch),
-            "speedup": round(fast / legacy, 2),
-            "batched_speedup": round(batched / legacy, 2),
+            "run_speedup": round(run / legacy, 2),
             "dispatch_speedup": round(dispatch / legacy, 2),
         }
         rows.append(
@@ -211,15 +180,14 @@ def test_kernel_hotpath_throughput():
                 n,
                 f,
                 f"{legacy:,.0f}",
-                f"{fast:,.0f}",
-                f"{batched:,.0f}",
+                f"{run:,.0f}",
                 f"{dispatch:,.0f}",
                 f"{dispatch / legacy:.1f}x",
             ]
         )
     medium = artifact["configs"]["medium"]
-    artifact["medium_batched_speedup_vs_seed"] = round(
-        medium["batched_steps_per_sec"] / SEED_BASELINE_MEDIUM, 2
+    artifact["medium_run_speedup_vs_seed"] = round(
+        medium["run_steps_per_sec"] / SEED_BASELINE_MEDIUM, 2
     )
     artifact["medium_dispatch_speedup_vs_seed"] = round(
         medium["dispatch_steps_per_sec"] / SEED_BASELINE_MEDIUM, 2
@@ -235,8 +203,7 @@ def test_kernel_hotpath_throughput():
                 "n",
                 "f",
                 "legacy st/s",
-                "incremental",
-                "batched",
+                "run",
                 "dispatch",
                 "disp/legacy",
             ],
@@ -244,21 +211,16 @@ def test_kernel_hotpath_throughput():
             title=f"Kernel hot path — steps/sec ({artifact['mode']} mode)",
         )
     )
-    assert medium["speedup"] >= MIN_MEDIUM_SPEEDUP, (
-        f"medium-config speedup {medium['speedup']}x below the"
-        f" {MIN_MEDIUM_SPEEDUP}x bar"
-    )
-    assert medium["batched_speedup"] >= MIN_MEDIUM_BATCHED_SPEEDUP, (
-        f"medium-config batched speedup {medium['batched_speedup']}x below"
-        f" the {MIN_MEDIUM_BATCHED_SPEEDUP}x bar"
+    assert medium["run_speedup"] >= MIN_MEDIUM_RUN_SPEEDUP, (
+        f"medium-config run speedup {medium['run_speedup']}x below the"
+        f" {MIN_MEDIUM_RUN_SPEEDUP}x bar"
     )
     assert medium["dispatch_speedup"] >= MIN_MEDIUM_DISPATCH_SPEEDUP, (
         f"medium-config dispatch speedup {medium['dispatch_speedup']}x below"
         f" the {MIN_MEDIUM_DISPATCH_SPEEDUP}x bar"
     )
-    # The optimized paths must never be a pessimization anywhere.
+    # The production loop must never be a pessimization anywhere.
     for label, numbers in artifact["configs"].items():
-        assert numbers["speedup"] >= 1.0, f"{label} config got slower"
-        assert numbers["batched_speedup"] >= 1.0, (
-            f"{label} batched path slower than the legacy oracle"
+        assert numbers["run_speedup"] >= 1.0, (
+            f"{label}: Kernel.run slower than the legacy oracle"
         )

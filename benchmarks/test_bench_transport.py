@@ -126,9 +126,7 @@ def _measure_all():
 def test_transport_throughput():
     with open(KERNEL_ARTIFACT_PATH, "r", encoding="utf-8") as handle:
         recorded = json.load(handle)
-    recorded_medium = recorded["configs"]["medium"][
-        "incremental_steps_per_sec"
-    ]
+    recorded_medium = recorded["configs"]["medium"]["run_steps_per_sec"]
 
     artifact = {
         "benchmark": "transport_seam",

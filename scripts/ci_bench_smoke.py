@@ -7,9 +7,9 @@ artifacts.  Absolute steps/sec and ops/sec are not comparable across
 machines, so only same-process ratios are checked — speedups of one
 implementation over another measured in the same run:
 
-* ``BENCH_kernel.json`` — per-config ``speedup`` / ``batched_speedup``
-  / ``dispatch_speedup`` (incremental, batched and dispatch-table
-  stepping vs the legacy from-scratch loop);
+* ``BENCH_kernel.json`` — per-config ``run_speedup`` /
+  ``dispatch_speedup`` (``Kernel.run`` under Algorithm 2 and under a
+  minimal protocol vs the from-scratch reference stepper);
 * ``BENCH_transport.json`` — ``vs_baseline`` for the ``inproc`` and
   ``lossy-idle`` transports (``lossy-chaos`` does real per-message
   fault work and swings too much on shared runners to gate on);
@@ -78,7 +78,7 @@ def _ratio_metrics(artifact: dict) -> "dict[str, float]":
     name = artifact.get("benchmark", "")
     if name == "kernel_hotpath":
         for config, numbers in artifact["configs"].items():
-            for key in ("speedup", "batched_speedup", "dispatch_speedup"):
+            for key in ("run_speedup", "dispatch_speedup"):
                 metrics[f"{config}.{key}"] = numbers[key]
     elif name == "transport_seam":
         for transport in ("inproc", "lossy-idle"):

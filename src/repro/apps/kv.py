@@ -20,9 +20,8 @@ Clients talk to the store through *sessions*::
 A session carries the writer identity once, instead of every ``put``
 carrying a positional ``writer_index``; any number of sessions may be
 open concurrently (the sharded service in :mod:`repro.apps.shard`
-multiplexes thousands).  The pre-session methods
-``put(key, value, writer_index=...)`` / ``delete(key, writer_index=...)``
-remain as thin deprecated shims.
+multiplexes thousands).  Writes go through a session only; the store's
+own ``get`` / ``keys`` / ``snapshot`` are writer-free reads.
 
 Failures are typed (:mod:`repro.errors`): an out-of-range writer raises
 :class:`~repro.errors.WriterBoundExceeded`, a stalled quorum raises
@@ -33,7 +32,6 @@ key's history through the appropriate consistency checker.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -326,29 +324,7 @@ class ReplicatedKVStore:
         if key in self._keys:
             self._put(key, TOMBSTONE, writer_index)
 
-    # -- deprecated pre-session surface ---------------------------------------
-
-    def put(self, key: str, value: Any, writer_index: int = 0) -> None:
-        """Deprecated: use ``store.session(writer=i).put(key, value)``."""
-        warnings.warn(
-            "ReplicatedKVStore.put(key, value, writer_index=...) is"
-            " deprecated; open a session instead:"
-            " store.session(writer=i).put(key, value)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._put(key, value, writer_index)
-
-    def delete(self, key: str, writer_index: int = 0) -> None:
-        """Deprecated: use ``store.session(writer=i).delete(key)``."""
-        warnings.warn(
-            "ReplicatedKVStore.delete(key, writer_index=...) is"
-            " deprecated; open a session instead:"
-            " store.session(writer=i).delete(key)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._delete(key, writer_index)
+    # -- writer-free reads ------------------------------------------------------
 
     def get(self, key: str, default: Any = None) -> Any:
         """Read ``key`` (writer-free; equivalent to a read-only session)."""

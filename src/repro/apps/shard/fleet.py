@@ -199,10 +199,8 @@ class ShardFleet:
 
     # -- running ------------------------------------------------------------
 
-    def run_to_quiescence(self, max_steps: int = 200_000, batch_size=None):
-        return self.system.run_to_quiescence(
-            max_steps=max_steps, batch_size=batch_size
-        )
+    def run_to_quiescence(self, max_steps: int = 200_000):
+        return self.system.run_to_quiescence(max_steps=max_steps)
 
     def crash_server(self, server_index: int) -> None:
         """One crash event: every slot loses that server at once."""

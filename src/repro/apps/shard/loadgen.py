@@ -65,7 +65,6 @@ def run_loadgen(
     scenarios: "Sequence[Scenario]" = (),
     step_budget: int = 4_000,
     drain_timeout: float = 15.0,
-    batch_size: "Optional[int]" = None,
 ) -> "Dict[str, Any]":
     """Drive Zipfian traffic at ``rate`` ops/s for ``duration`` seconds.
 
@@ -148,9 +147,7 @@ def run_loadgen(
                 pending.pop(token, None)
                 failed_submits += 1
             next_arrival += rng.expovariate(rate)
-        service.step(
-            max_steps_per_shard=step_budget, batch_size=batch_size
-        )
+        service.step(max_steps_per_shard=step_budget)
         _drain()
         now = clock()
         if next_arrival > now and not pending:
@@ -160,7 +157,7 @@ def run_loadgen(
     # Stop admitting; let in-flight operations finish (bounded).
     drain_deadline = clock() + drain_timeout
     while pending and clock() < drain_deadline:
-        service.step(max_steps_per_shard=step_budget, batch_size=batch_size)
+        service.step(max_steps_per_shard=step_budget)
         _drain()
     finished = clock()
     service.set_completion_clock(None)

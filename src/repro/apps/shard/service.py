@@ -238,7 +238,7 @@ class ShardedKVService:
         runtime.enqueue("write", payload, token=token)
         return token
 
-    def step(self, max_steps_per_shard: int = 2_000, batch_size=None) -> int:
+    def step(self, max_steps_per_shard: int = 2_000) -> int:
         """Advance every shard kernel a bounded amount; returns steps run.
 
         The loadgen's pump: bounded so the caller's admission loop keeps
@@ -246,9 +246,7 @@ class ShardedKVService:
         """
         total = 0
         for fleet in self.fleets:
-            result = fleet.run_to_quiescence(
-                max_steps=max_steps_per_shard, batch_size=batch_size
-            )
+            result = fleet.run_to_quiescence(max_steps=max_steps_per_shard)
             total += result.steps
         return total
 

@@ -439,9 +439,7 @@ def cmd_cluster(args) -> int:
             )
             writer.enqueue(write_op, value)
             reader.enqueue(read_op)
-            result = emulation.system.run_to_quiescence(
-                max_steps=100_000, batch_size=args.batch_size
-            )
+            result = emulation.system.run_to_quiescence(max_steps=100_000)
             if not result.satisfied:
                 print(f"cluster run stalled: {result}", file=sys.stderr)
                 return 1
@@ -1159,14 +1157,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="wire codec for the request/response frames; must match the"
         " --codec of any external `repro serve` processes"
         " (default: json)",
-    )
-    p_cluster.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        metavar="K",
-        help="run the kernel through its batched fast path, revalidating"
-        " per K steps instead of every step (default: unbatched)",
     )
     p_cluster.add_argument(
         "--demo",

@@ -18,8 +18,8 @@ express client algorithms as Python generators:
   inputs are their own transitions), and the kernel's incremental
   scheduler relies on it: a blocked client's predicates are re-evaluated
   when the client is next touched, not on every global step.  A predicate
-  reading global state (e.g. the kernel clock) would require
-  ``Kernel.run(..., incremental=False)``.
+  reading global state (e.g. the kernel clock) is outside the model and
+  would go stale between touches.
 * ``upon receiving ... respond`` handlers are expressed by overriding
   :meth:`ClientProtocol.on_response`; they run atomically with the respond
   step (see DESIGN.md, "Modeling choices").

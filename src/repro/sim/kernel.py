@@ -21,8 +21,8 @@ Scheduling is *incremental*: the kernel maintains the enabled client set
 and the respondable pending-op set as live data structures, updated at the
 events that change them (trigger, respond, enqueue, crash, coroutine
 wait/wake) instead of recomputing them from scratch every step.
-:meth:`Kernel.enabled_actions` remains the from-scratch oracle — it is what
-``run(..., incremental=False)`` executes against, and
+:meth:`Kernel.enabled_actions` remains the from-scratch oracle — tests
+step a kernel through it one action at a time, and
 :meth:`Kernel.check_incremental` asserts the two views agree (see
 ``docs/MODEL.md``, "Performance", for the invariants).
 """
@@ -226,8 +226,8 @@ class Kernel:
       enabled actions touches no hash tables at all;
     * ``_respond_actions`` — cached ``RESPOND`` actions of pending ops on
       live objects, kept in ascending op-id order.  Always mutated in
-      place (never rebound) so references hoisted by
-      :meth:`run_batched`'s fast loop stay valid;
+      place (never rebound) so the reference hoisted by :meth:`run`
+      stays valid;
     * ``_veto_cache`` — per-op environment verdicts, valid for one
       :meth:`Environment.veto_epoch` token.
     """
@@ -467,7 +467,7 @@ class Kernel:
         if actions and op_id < next(reversed(actions)):
             # Out-of-order arrival: re-establish ascending op-id order.
             # Mutated in place (clear + update, never rebound) so that
-            # run_batched's hoisted reference stays valid.
+            # run()'s hoisted reference stays valid.
             actions[op_id] = action
             ordered = sorted(actions.items())
             actions.clear()
@@ -582,8 +582,7 @@ class Kernel:
         Deterministically ordered (clients by id, responds by op id) so a
         seeded scheduler yields reproducible runs.  This is the
         from-scratch *oracle*: it rebuilds the set by inspecting every
-        client and pending op, independent of the incremental state, and
-        is what ``run(..., incremental=False)`` executes against.
+        client and pending op, independent of the incremental state.
         """
         actions: "List[Action]" = []
         for client_id in sorted(self.clients):
@@ -623,11 +622,11 @@ class Kernel:
     def _filter_allowed(self, actions: "List[Action]") -> "List[Action]":
         """Drop the RESPOND actions the environment vetoes.
 
-        The single veto-filtering path shared by :meth:`run` (both the
-        incremental and oracle modes) and :meth:`allowed_actions`.  When
-        the environment publishes a :meth:`~Environment.veto_epoch`,
-        per-op verdicts are cached until the epoch changes; the default
-        environment (which never vetoes) short-circuits entirely.
+        The single veto-filtering path shared by :meth:`run` and
+        :meth:`allowed_actions`.  When the environment publishes a
+        :meth:`~Environment.veto_epoch`, per-op verdicts are cached
+        until the epoch changes; the default environment (which never
+        vetoes) short-circuits entirely.
         """
         env = self.environment
         if type(env).allows is Environment.allows:
@@ -714,24 +713,37 @@ class Kernel:
         self,
         max_steps: int = 100_000,
         until: Optional[Callable[["Kernel"], bool]] = None,
-        incremental: bool = True,
     ) -> RunResult:
-        """Run under the scheduler/environment.
+        """Run under the scheduler/environment: the one stepping loop.
 
         Stops when ``until(kernel)`` holds, when no action is enabled
         (``"quiescent"``), when every enabled action is vetoed
         (``"blocked"``), or after ``max_steps`` steps.
 
-        ``incremental=False`` selects the from-scratch
-        :meth:`enabled_actions` rebuild on every step (the slow-path
-        oracle); both modes produce identical action sequences for the
-        same seed.
+        The scheduler, environment and transport are read once per call
+        (swap them between calls, not from inside one), which decides
+        the two optional hooks: the veto filter and ``on_stall`` run
+        only when the environment overrides :meth:`Environment.allows`,
+        ``pump`` / ``flush_idle`` only when the transport is ``active``.
+        The structures hoisted here are mutated in place by the event
+        handlers, never rebound, so the locals stay current as crash
+        plans and listeners fire mid-run.  See ``docs/MODEL.md``,
+        "Performance".
         """
-        collect = self._collect_enabled if incremental else self.enabled_actions
-        # Active transports hold in-flight messages that must be pumped
-        # each step; the in-process transport has none, and skipping the
-        # calls keeps its hot path identical to the pre-seam kernel.
+        environment = self.environment
+        vetoing = type(environment).allows is not Environment.allows
         transport = self.transport if self.transport.active else None
+        inproc = self._inproc
+        respond_actions = self._respond_actions
+        veto_cache = self._veto_cache
+        pending = self.pending
+        clients = self.clients
+        choose = self.scheduler.choose
+        recategorize = self._recategorize
+        collect = self._collect_enabled
+        subs_step = self._subs_step
+        subs_respond = self._subs_respond
+        client_kind = ActionKind.CLIENT
         steps = 0
         try:
             while steps < max_steps:
@@ -739,21 +751,64 @@ class Kernel:
                     return RunResult(steps, "until")
                 if transport is not None:
                     transport.pump()
-                enabled = collect()
-                if not enabled:
+                actions = collect()
+                if not actions:
                     if transport is not None and transport.flush_idle():
                         continue  # a delivery landed: re-evaluate
                     return RunResult(steps, "quiescent")
-                allowed = self._filter_allowed(enabled)
-                if not allowed:
-                    if self.environment.on_stall(self):
-                        allowed = self._filter_allowed(collect())
-                    if not allowed:
-                        if transport is not None and transport.flush_idle():
-                            continue  # an in-flight delivery may unblock
-                        return RunResult(steps, "blocked")
-                action = self.scheduler.choose(allowed, self)
-                self.execute(action)
+                if vetoing:
+                    actions = self._filter_allowed(actions)
+                    if not actions:
+                        if environment.on_stall(self):
+                            actions = self._filter_allowed(collect())
+                        if not actions:
+                            if transport is not None and transport.flush_idle():
+                                continue  # an in-flight delivery may unblock
+                            return RunResult(steps, "blocked")
+                action = choose(actions, self)
+                # Inlined execute().
+                time = self.time = self.time + 1
+                if action.kind is client_kind:
+                    runtime = clients[action.client_id]
+                    try:
+                        runtime.step()
+                    finally:
+                        recategorize(runtime)
+                else:
+                    op_id = action.op_id
+                    op = pending.get(op_id)
+                    if op is None:
+                        raise ValueError(f"{op_id} is not pending")
+                    obj = op.obj
+                    if obj is None:
+                        obj = self.object_map.object(op.object_id)
+                    if obj.crashed:
+                        raise RuntimeError(f"respond on crashed object: {op}")
+                    if inproc:
+                        # Inlined _respond().  Support was checked at
+                        # trigger and crash just above, so the wrapper
+                        # re-checks in BaseObject.apply are redundant.
+                        op.result = obj._apply(op)
+                        op.respond_time = time
+                        del pending[op_id]
+                        respond_actions.pop(op_id, None)
+                        if veto_cache:
+                            veto_cache.pop(op_id, None)
+                        if subs_respond:
+                            event = RespondEvent(time, op)
+                            for emit in subs_respond:
+                                emit(event)
+                        # Inlined InProcTransport.send_response ->
+                        # deliver(), which explains the dirty mark.
+                        client = clients.get(op.client_id)
+                        if client is not None:
+                            client.deliver_response(op)
+                            client._poll_dirty = True
+                    else:
+                        self._respond(op)
+                if subs_step:
+                    for emit in subs_step:
+                        emit(time)
                 steps += 1
             if until is not None and until(self):
                 return RunResult(steps, "until")
@@ -768,195 +823,12 @@ class Kernel:
         until: Optional[Callable[["Kernel"], bool]] = None,
         batch_size: int = 64,
     ) -> RunResult:
-        """Run under the scheduler/environment, amortizing loop overhead.
+        """:meth:`run` under its old name; the size is accepted, unused.
 
-        Observationally identical to :meth:`run` with
-        ``incremental=True``: the scheduler sees the same allowed-action
-        lists in the same order on every step, so the chosen action
-        sequence — and with it histories, traces, and the golden
-        transport fingerprints — is byte-for-byte unchanged.  What
-        changes is the bookkeeping *around* each step: the loop
-        re-validates its fast-path preconditions (the default
-        all-allowing :class:`Environment`, the in-process transport)
-        once per ``batch_size`` steps instead of on every step, hoists
-        the incremental structures and bound methods into locals, and
-        inlines action execution — including the in-process response
-        delivery — removing several layers of per-step dispatch.
-
-        The scheduler is still consulted once per action.  Handing it K
-        actions at a time would change which run is chosen (each choice
-        both consumes seeded randomness and determines the next enabled
-        set) and would move fairness and the adversary semantics out of
-        per-action choice; batching therefore amortizes collection and
-        dispatch, never decisions.  See ``docs/MODEL.md``, "Performance".
-
-        Configurations the fast path does not cover (a vetoing
-        environment, an active transport with in-flight messages) fall
-        back — per batch, so mid-run swaps surface within ``batch_size``
-        steps — to a loop that replicates :meth:`run` step for step.
+        There is one stepping loop.  The name survives only because
+        ``benchmarks/e2e/probes.py`` — frozen with the benchmark — calls it.
         """
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        from repro.net.transport import InProcTransport
-
-        steps = 0
-        try:
-            while steps < max_steps:
-                budget = max_steps - steps
-                if budget > batch_size:
-                    budget = batch_size
-                if (
-                    type(self.environment).allows is Environment.allows
-                    and type(self.transport) is InProcTransport
-                ):
-                    taken, reason = self._batch_fast(budget, until)
-                else:
-                    taken, reason = self._batch_general(budget, until)
-                steps += taken
-                if reason is not None:
-                    return RunResult(steps, reason)
-            if until is not None and until(self):
-                return RunResult(steps, "until")
-            return RunResult(steps, "max_steps")
-        finally:
-            global _TOTAL_STEPS
-            _TOTAL_STEPS += steps
-
-    def _batch_fast(self, budget: int, until) -> "tuple[int, Optional[str]]":
-        """Up to ``budget`` steps of the inlined fast path.
-
-        Preconditions (checked by :meth:`run_batched` before every
-        batch): the default environment (nothing is ever vetoed, so
-        ``"blocked"`` is unreachable and the veto filter is the
-        identity) and the in-process transport (no pump / flush_idle, a
-        request arrives inside ``trigger``, a response delivers inside
-        the respond step).  Every structure hoisted here is mutated in
-        place by the kernel's event handlers, never rebound, so the
-        locals stay current as crash plans and listeners fire mid-batch.
-
-        Returns ``(steps_taken, reason)`` with ``reason`` None while the
-        budget is exhausted without terminating.
-        """
-        from repro.sim.scheduling import RandomScheduler
-
-        candidates = self._candidates
-        respond_actions = self._respond_actions
-        veto_cache = self._veto_cache
-        pending = self.pending
-        clients = self.clients
-        scheduler = self.scheduler
-        choose = scheduler.choose
-        # The random scheduler's choice is one seeded index — hoisting
-        # the bound ``_randbelow`` skips the ``choose`` frame per step
-        # while consuming the identical random stream.
-        pick = (
-            scheduler._pick if type(scheduler) is RandomScheduler else None
-        )
-        recategorize = self._recategorize
-        subs_step = self._subs_step
-        subs_respond = self._subs_respond
-        client_kind = ActionKind.CLIENT
-        enabled_category = SCHED_ENABLED
-        n = 0
-        while n < budget:
-            if until is not None and until(self):
-                return n, "until"
-            actions = []
-            append = actions.append
-            for runtime in candidates:
-                if runtime._category == enabled_category:
-                    append(runtime.action)
-                else:  # polling: blocked on wait predicates
-                    if runtime._poll_dirty:
-                        runtime._poll_cache = runtime._poll_now()
-                        runtime._poll_dirty = False
-                    if runtime._poll_cache:
-                        append(runtime.action)
-            if respond_actions:
-                actions += respond_actions.values()
-            if not actions:
-                return n, "quiescent"
-            if pick is not None:
-                action = actions[pick(len(actions))]
-            else:
-                action = choose(actions, self)
-            time = self.time = self.time + 1
-            if action.kind is client_kind:
-                runtime = clients[action.client_id]
-                try:
-                    runtime.step()
-                finally:
-                    recategorize(runtime)
-            else:
-                op_id = action.op_id
-                op = pending.get(op_id)
-                if op is None:
-                    raise ValueError(f"{op_id} is not pending")
-                obj = op.obj
-                if obj is None:
-                    obj = self.object_map.object(op.object_id)
-                if obj.crashed:
-                    raise RuntimeError(f"respond on crashed object: {op}")
-                # Support was checked at trigger and crash just above, so
-                # the wrapper re-checks in BaseObject.apply are redundant.
-                op.result = obj._apply(op)
-                op.respond_time = time
-                del pending[op_id]
-                respond_actions.pop(op_id, None)
-                if veto_cache:
-                    veto_cache.pop(op_id, None)
-                if subs_respond:
-                    event = RespondEvent(time, op)
-                    for emit in subs_respond:
-                        emit(event)
-                # Inlined InProcTransport.send_response -> deliver.
-                # Delivery can't change the category (see deliver()),
-                # only the predicates: mark them dirty and move on.
-                client = clients.get(op.client_id)
-                if client is not None:
-                    client.deliver_response(op)
-                    client._poll_dirty = True
-            if subs_step:
-                for emit in subs_step:
-                    emit(time)
-            n += 1
-        return n, None
-
-    def _batch_general(
-        self, budget: int, until
-    ) -> "tuple[int, Optional[str]]":
-        """Up to ``budget`` steps replicating :meth:`run` exactly.
-
-        The fallback for configurations the fast path does not cover
-        (vetoing environments, active transports); each iteration is the
-        body of :meth:`run`'s incremental loop, so behavior — including
-        pump ordering, stall handling, and idle flushes — is identical.
-        """
-        collect = self._collect_enabled
-        transport = self.transport if self.transport.active else None
-        n = 0
-        while n < budget:
-            if until is not None and until(self):
-                return n, "until"
-            if transport is not None:
-                transport.pump()
-            enabled = collect()
-            if not enabled:
-                if transport is not None and transport.flush_idle():
-                    continue  # a delivery landed: re-evaluate
-                return n, "quiescent"
-            allowed = self._filter_allowed(enabled)
-            if not allowed:
-                if self.environment.on_stall(self):
-                    allowed = self._filter_allowed(collect())
-                if not allowed:
-                    if transport is not None and transport.flush_idle():
-                        continue  # an in-flight delivery may unblock
-                    return n, "blocked"
-            action = self.scheduler.choose(allowed, self)
-            self.execute(action)
-            n += 1
-        return n, None
+        return self.run(max_steps=max_steps, until=until)
 
     # -- queries used by analysis/adversaries ---------------------------------
 

@@ -38,25 +38,15 @@ class SimSystem:
     def run(self, max_steps: int = 100_000, until=None):
         return self.kernel.run(max_steps=max_steps, until=until)
 
-    def run_to_quiescence(
-        self, max_steps: int = 100_000, batch_size: "Optional[int]" = None
-    ):
+    def run_to_quiescence(self, max_steps: int = 100_000):
         """Run until no high-level operation is in flight and no client has
         queued work (pending low-level ops may remain — they are covering).
-
-        ``batch_size`` routes through :meth:`Kernel.run_batched` (same
-        chosen action sequence, amortized per-step bookkeeping); ``None``
-        keeps the plain incremental loop.
         """
         def _idle(kernel: Kernel) -> bool:
             return all(
                 c.idle and not c.program for c in kernel.clients.values()
             )
 
-        if batch_size is not None:
-            return self.kernel.run_batched(
-                max_steps=max_steps, until=_idle, batch_size=batch_size
-            )
         return self.kernel.run(max_steps=max_steps, until=_idle)
 
     @property

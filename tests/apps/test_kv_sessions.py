@@ -2,12 +2,10 @@
 
 Covers the redesigned client surface: session lifecycle, concurrent
 sessions on one store, writer-bound enforcement, read-only sessions,
-the deprecated ``writer_index`` shim, and :class:`KVConfig`'s eager
-validation / cache-key duties.
+and :class:`KVConfig`'s eager validation / cache-key duties.
 """
 
 import pickle
-import warnings
 
 import pytest
 
@@ -108,30 +106,6 @@ class TestWriterBound:
                 reader.put("alpha", 2)
             with pytest.raises(WriterBoundExceeded):
                 reader.delete("alpha")
-
-
-class TestDeprecatedShim:
-    def test_put_with_writer_index_warns_and_works(self):
-        store = ReplicatedKVStore(substrate="register", n=3, f=1, k_writers=3)
-        with pytest.warns(DeprecationWarning, match="session"):
-            store.put("alpha", 1, writer_index=2)
-        assert store.get("alpha") == 1
-
-    def test_delete_with_writer_index_warns_and_works(self):
-        store = ReplicatedKVStore(substrate="max-register", n=3, f=1)
-        with store.session(writer=0) as s:
-            s.put("alpha", 1)
-        with pytest.warns(DeprecationWarning, match="session"):
-            store.delete("alpha")
-        assert store.get("alpha") is None
-
-    def test_session_path_does_not_warn(self):
-        store = ReplicatedKVStore(substrate="max-register", n=3, f=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            with store.session(writer=0) as s:
-                s.put("alpha", 1)
-                s.delete("alpha")
 
 
 class TestQuorumFailureTyped:

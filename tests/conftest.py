@@ -3,7 +3,9 @@
 ``drive_sequential`` runs a list of (runtime, op, args) invocations one at
 a time to quiescence — producing write-sequential histories — and returns
 the history.  ``ToyProtocol`` is a minimal single-object client used by
-the kernel-level tests.
+the kernel-level tests.  ``reference_run`` is :meth:`Kernel.run` spelled
+out with public, from-scratch calls — what the differential tests and
+the kernel bench hold the production loop against.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import pytest
 
 from repro.sim.client import ClientProtocol
 from repro.sim.ids import ObjectId
+from repro.sim.kernel import RunResult
 from repro.sim.objects import OpKind
 
 
@@ -35,6 +38,31 @@ class ToyProtocol(ClientProtocol):
 
     def on_response(self, ctx, op):
         self.results[op.op_id] = op.result
+
+
+def reference_run(kernel, max_steps=100_000, until=None):
+    """``Kernel.run`` rebuilt from the oracle: no incremental state, no
+    hoisting, no inlining — every step re-derives everything."""
+    transport = kernel.transport
+    steps = 0
+    while steps < max_steps:
+        if until is not None and until(kernel):
+            return RunResult(steps, "until")
+        transport.pump()
+        allowed = kernel.allowed_actions()
+        if not allowed:
+            reason = "blocked" if kernel.enabled_actions() else "quiescent"
+            if reason == "blocked" and kernel.environment.on_stall(kernel):
+                allowed = kernel.allowed_actions()
+            if not allowed:
+                if transport.flush_idle():
+                    continue
+                return RunResult(steps, reason)
+        kernel.execute(kernel.scheduler.choose(allowed, kernel))
+        steps += 1
+    if until is not None and until(kernel):
+        return RunResult(steps, "until")
+    return RunResult(steps, "max_steps")
 
 
 def drive_sequential(system, invocations, max_steps: int = 200_000):

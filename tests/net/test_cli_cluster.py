@@ -16,7 +16,6 @@ class TestParser:
         assert args.rounds == 2
         assert args.address == []
         assert args.codec == "json"
-        assert args.batch_size is None
         assert not args.demo
 
     def test_serve_defaults(self):
@@ -44,10 +43,8 @@ class TestClusterCommand:
         assert "single-cas over real sockets" in out
         assert "safety check passed" in out
 
-    def test_demo_with_binary_codec_and_batched_kernel(self, capsys):
-        assert main(
-            ["cluster", "--demo", "--codec", "binary", "--batch-size", "16"]
-        ) == 0
+    def test_demo_with_binary_codec(self, capsys):
+        assert main(["cluster", "--demo", "--codec", "binary"]) == 0
         out = capsys.readouterr().out
         assert "abd over real sockets" in out
         assert "safety check passed" in out

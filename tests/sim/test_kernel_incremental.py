@@ -1,94 +1,165 @@
 """Differential and unit tests for the incremental scheduling kernel.
 
-The kernel maintains the enabled-action set incrementally
-(``run(incremental=True)``, the default) with ``enabled_actions()`` kept
-as the from-scratch oracle (``run(incremental=False)``).  The tests here
-prove the two paths are *observationally identical*: driven by the same
-seeded scheduler they choose the exact same action sequence — including
-under an adversarial environment, stalls, and crashes — and the fast-path
-machinery (pre-bound listener dispatch, veto-verdict caching, the O(1)
-round-robin queues) preserves the seed-reproducibility contract.
+``Kernel.run`` is the one production stepping loop: it collects from the
+incrementally maintained enabled-action state, hoists the veto and
+transport hooks once per call and inlines action execution.
+``reference_run`` (``tests/conftest.py``) is the same loop spelled out
+with public, from-scratch calls only.  The differential tests here prove
+the two are *observationally identical*: driven by the same seeded
+scheduler they choose the exact same action sequence and leave
+byte-identical histories and event traces — under a vetoing, stalling
+environment, server and client crashes, and an active lossy transport,
+for every algorithm in the registry.  The unit tests cover the
+fast-path machinery (pre-bound listener dispatch, veto-verdict caching,
+the O(1) round-robin queues).
 """
 
+import hashlib
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tests.conftest import ToyProtocol
+from tests.conftest import ToyProtocol, reference_run
+from tests.properties.test_prop_transport_identical import SCENARIO_TABLE
 
-from repro.core.ws_register import WSRegisterEmulation
+from repro.core.emulation import EmulationSpec
+from repro.net import Delay, FaultPlan, LinkFaults, TransportConfig, chaos_faults
 from repro.sim.chaos import ChaosEnvironment
 from repro.sim.events import EventListener
 from repro.sim.failures import CrashPlan
 from repro.sim.ids import ClientId, ServerId
-from repro.sim.kernel import Action, ActionKind, Environment
+from repro.sim.kernel import Action, ActionKind, Environment, Kernel
 from repro.sim.replay import RecordingScheduler
 from repro.sim.scheduling import RandomScheduler, RoundRobinScheduler
 from repro.sim.system import build_system
-from repro.sim.tracing import TraceRecorder
+from repro.sim.tracing import TraceRecorder, format_entry
+
+# -- differential: Kernel.run vs the from-scratch reference stepper --------
+
+SCHEDULES = ("plain", "chaos", "crash", "lossy")
 
 
-# -- differential: incremental vs from-scratch oracle ---------------------
+def _sha(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _drive_ws(seed, incremental, environment=None, crash_plan=None):
-    """One seeded WSRegister run; returns (script, reason, time, history)."""
-    scheduler = RecordingScheduler(RandomScheduler(seed))
-    emu = WSRegisterEmulation(
-        2, 3, 1, scheduler=scheduler, environment=environment
-    )
+def _fingerprint(run, seed, schedule, algorithm="ws-register"):
+    """(script sha, history sha, trace sha, time) of one seeded scenario.
+
+    ``run(kernel, max_steps=..., until=...)`` does the stepping — either
+    ``Kernel.run`` or ``reference_run``.  Every round is its own call, so
+    the per-call hoisting is redone with clients, pending ops and
+    in-flight messages left over from the previous one.
+    """
+    params, write_op, read_op, value_kind, _ = SCENARIO_TABLE[algorithm]
+    emu = EmulationSpec.make(algorithm, seed=seed, **params).build()
+    kernel = emu.kernel
+    scheduler = kernel.scheduler = RecordingScheduler(kernel.scheduler)
     writers = [emu.add_writer(index) for index in range(2)]
-    reader = emu.add_reader()
-    if crash_plan is not None:
-        crash_plan(writers, reader).install(emu.kernel)
-    for index in range(6):
-        writers[index % 2].enqueue("write", f"v{index}")
-        reader.enqueue("read")
-    live = [*writers, reader]
+    readers = [emu.add_reader() for _ in range(2)]
+    if schedule == "chaos":
+        kernel.environment = ChaosEnvironment(
+            seed=seed + 17, veto_probability=0.4, max_delay=60
+        )
+    elif schedule == "crash":
+        CrashPlan().crash_server_at(25, ServerId(0)).crash_client_at(
+            60, writers[1].client_id
+        ).install(kernel)
+    elif schedule == "lossy":
+        kernel.set_transport(
+            TransportConfig.lossy(
+                chaos_faults(
+                    drop=0.0, duplicate=0.05, reorder=0.3, max_delay=20
+                ),
+                seed=seed + 3,
+            ).build()
+        )
+    recorder = TraceRecorder()
+    kernel.add_listener(recorder)
+    clients = [*writers, *readers]
 
     def done(kernel):
-        return all(c.crashed or (c.idle and not c.program) for c in live)
+        return all(c.crashed or (c.idle and not c.program) for c in clients)
 
-    result = emu.kernel.run(max_steps=20_000, until=done, incremental=incremental)
-    history = [
-        (op.seq, op.name, op.invoke_time, op.return_time, repr(op.result))
-        for op in emu.history.all_ops()
-    ]
-    return scheduler.script, result.reason, emu.kernel.time, history
+    counter = 0
+    for _ in range(3):
+        for writer_index, writer in enumerate(writers):
+            counter += 1
+            if not writer.crashed:
+                writer.enqueue(
+                    write_op,
+                    counter
+                    if value_kind == "int"
+                    else f"w{writer_index}-{counter}",
+                )
+        for reader in readers:
+            reader.enqueue(read_op)
+        result = run(kernel, max_steps=100_000, until=done)
+        assert result.satisfied, (
+            f"{algorithm} seed={seed} schedule={schedule} did not finish"
+            f" its round: {result}"
+        )
+    assert recorder.entries, "the trace recorder saw no events"
+    return (
+        _sha(json.dumps(scheduler.script)),
+        _sha(json.dumps(emu.history.to_dicts(), sort_keys=True)),
+        _sha("\n".join(format_entry(entry) for entry in recorder.entries)),
+        kernel.time,
+    )
+
+
+def _assert_run_matches_reference(seed, schedule, algorithm="ws-register"):
+    assert _fingerprint(Kernel.run, seed, schedule, algorithm) == _fingerprint(
+        reference_run, seed, schedule, algorithm
+    ), f"Kernel.run diverged from the reference stepper ({algorithm})"
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 42, 1234])
 def test_differential_identical_action_sequences(seed):
-    """Old path and new path pick the same actions for the same seed."""
-    assert _drive_ws(seed, incremental=True) == _drive_ws(
-        seed, incremental=False
-    )
+    """The loop and the reference pick the same actions for the same seed."""
+    _assert_run_matches_reference(seed, "plain")
 
 
 @pytest.mark.parametrize("seed", [0, 3, 99])
 def test_differential_under_chaos_environment(seed):
     """Equivalence holds with a vetoing, stalling environment in play."""
-
-    def chaos():
-        return ChaosEnvironment(seed=seed, veto_probability=0.6, max_delay=60)
-
-    assert _drive_ws(seed, True, environment=chaos()) == _drive_ws(
-        seed, False, environment=chaos()
-    )
+    _assert_run_matches_reference(seed, "chaos")
 
 
 @pytest.mark.parametrize("seed", [0, 5, 77])
 def test_differential_with_crashes(seed):
     """Equivalence holds across server and client crashes mid-run."""
+    _assert_run_matches_reference(seed, "crash")
 
-    def plan(writers, reader):
-        return (
-            CrashPlan()
-            .crash_server_at(40, ServerId(0))
-            .crash_client_at(90, writers[1].client_id)
-        )
 
-    assert _drive_ws(seed, True, crash_plan=plan) == _drive_ws(
-        seed, False, crash_plan=plan
-    )
+@pytest.mark.parametrize("seed", [0, 3, 99])
+def test_differential_over_lossy_transport(seed):
+    """Equivalence holds with seeded delay/reorder/duplicate fates in flight."""
+    _assert_run_matches_reference(seed, "lossy")
+
+
+def _registry_matrix():
+    for algorithm, row in sorted(SCENARIO_TABLE.items()):
+        for schedule in SCHEDULES:
+            if schedule != "crash" or row[4]:  # one server: no crash to survive
+                yield algorithm, schedule
+
+
+@pytest.mark.parametrize("algorithm,schedule", list(_registry_matrix()))
+def test_differential_registry_algorithms(algorithm, schedule):
+    _assert_run_matches_reference(123, schedule, algorithm)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    scenario=st.sampled_from(list(_registry_matrix())),
+)
+@settings(max_examples=20, deadline=None)
+def test_differential_random_scenarios(seed, scenario):
+    algorithm, schedule = scenario
+    _assert_run_matches_reference(seed, schedule, algorithm)
 
 
 def test_check_incremental_holds_throughout_a_run():
@@ -259,6 +330,56 @@ def test_vetoed_run_blocks_like_before():
     client.enqueue("write", 1)
     result = system.kernel.run(max_steps=100)
     assert result.reason == "blocked"
+
+
+# -- the hoisted hooks are re-read by every call ----------------------------
+
+
+def test_environment_and_scheduler_swapped_between_runs_are_honoured():
+    """``run`` hoists both per call; the next call must see the swap."""
+    system = build_system(1, [(0, "register", None)])
+    kernel = system.kernel
+    client = system.add_client(ClientId(0), ToyProtocol())
+    client.enqueue("write", 1)
+    assert system.run_to_quiescence().satisfied  # default: no veto hook
+    kernel.environment = _EpochedEnvironment()  # default -> vetoing
+    client.enqueue("write", 2)
+    assert kernel.run(max_steps=100).reason == "blocked"
+    kernel.environment = Environment()  # vetoing -> default
+    recording = kernel.scheduler = RecordingScheduler(RoundRobinScheduler())
+    result = system.run_to_quiescence()
+    assert result.satisfied and result.steps > 0
+    assert len(recording.script) == result.steps  # it made every choice
+
+
+@pytest.mark.parametrize("veto,reason", [(True, "blocked"), (False, "quiescent")])
+def test_active_transport_reason_matches_reference(veto, reason):
+    """In-flight messages are flushed in before the run is declared over.
+
+    Vetoed: the delayed request arrives by ``flush_idle``, its respond is
+    refused, and only then is the stall final.  Not vetoed: request and
+    response legs are both flushed in and the write completes.
+    """
+
+    def build():
+        transport = TransportConfig.lossy(
+            FaultPlan(default=LinkFaults(delay=Delay(5, 5))), seed=5
+        ).build()
+        system = build_system(
+            1,
+            [(0, "register", None)],
+            environment=_EpochedEnvironment() if veto else None,
+            transport=transport,
+        )
+        system.add_client(ClientId(0), ToyProtocol()).enqueue("write", 1)
+        return system.kernel
+
+    kernel = build()
+    result = kernel.run(max_steps=1_000)
+    assert result == reference_run(build(), max_steps=1_000)
+    assert result.reason == reason
+    assert len(kernel.pending) == (1 if veto else 0)
+    assert kernel.transport.stats()["flushes"] > 0
 
 
 # -- round-robin queues: policy and memory bound ---------------------------
