@@ -30,18 +30,19 @@ from repro.apps.shard.config import ShardConfig
 from repro.consistency.register_atomicity import is_register_history_atomic
 from repro.consistency.ws import check_ws_regular
 from repro.core.layout import RegisterLayout
-from repro.core.multi import FilteredHistory, OffsetLayout
+from repro.core.multi import (
+    READER_BASE,
+    SLOT_STRIDE,
+    FilteredHistory,
+    OffsetLayout,
+    SlotHistoryRouter,
+    slot_client_id,
+)
 from repro.sim.client import ClientRuntime
-from repro.sim.ids import ClientId, ObjectId, ServerId
+from repro.sim.ids import ObjectId, ServerId
 from repro.sim.scheduling import RandomScheduler, Scheduler
 from repro.sim.system import Placement, SimSystem, build_system
 from repro.sim.values import bottom_tsval
-
-#: per-slot client-id partitioning (same scheme as core/multi.py):
-#: slot ``s`` owns ids ``[s*100_000, (s+1)*100_000)``; writers at the
-#: bottom, readers from ``+50_000``.
-_SLOT_STRIDE = 100_000
-_READER_BASE = 50_000
 
 
 def shard_placements(
@@ -107,10 +108,9 @@ class ShardFleet:
             transport=transport,
         )
         self.slots = [_Slot(index) for index in range(config.capacity)]
-        for slot in self.slots:
-            # Listeners live exactly as long as the fleet: per-slot
-            # histories must span every run, crash and restart.
-            self.kernel.add_listener(slot.history)  # repro-lint: disable=R005 fleet-lifetime listener
+        SlotHistoryRouter([slot.history for slot in self.slots]).install(
+            self.kernel
+        )
 
     @property
     def kernel(self):
@@ -141,8 +141,8 @@ class ShardFleet:
                 writer_index=writer_index,
                 initial_value=None,
             )
-        client_tag = slot_index * _SLOT_STRIDE + (
-            writer_index if writer_index is not None else _READER_BASE
+        client_tag = slot_index * SLOT_STRIDE + (
+            writer_index if writer_index is not None else READER_BASE
         )
         if cfg.substrate == "max-register":
             from repro.core.abd import ABDClient
@@ -176,7 +176,7 @@ class ShardFleet:
         if runtime is None:
             if self.config.substrate == "register":
                 assert 0 <= writer_index < self.config.k_writers
-            client_id = ClientId(slot_index * _SLOT_STRIDE + writer_index)
+            client_id = slot_client_id(slot_index, writer_index)
             protocol = self._make_protocol(slot_index, writer_index)
             runtime = self.kernel.add_client(client_id, protocol)
             slot.history.admit(client_id)
@@ -188,8 +188,8 @@ class ShardFleet:
         slot = self.slots[slot_index]
         runtime = slot.readers.get(reader_index)
         if runtime is None:
-            client_id = ClientId(
-                slot_index * _SLOT_STRIDE + _READER_BASE + reader_index
+            client_id = slot_client_id(
+                slot_index, READER_BASE + reader_index
             )
             protocol = self._make_protocol(slot_index, None)
             runtime = self.kernel.add_client(client_id, protocol)

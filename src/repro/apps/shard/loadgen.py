@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.shard.service import ShardedKVService
+from repro.errors import ShardCapacityExceeded, StaleShardMap
 from repro.workloads.generators import ZipfKeys
 
 
@@ -141,9 +142,9 @@ def run_loadgen(
                 else:
                     pending[token] = (next_arrival, "put")
                     session.submit_put(key, f"v{token}", token=token)
-            except Exception:
-                # A shard refusing the op (capacity, stale map) is load
-                # the service shed, not generator failure.
+            except (ShardCapacityExceeded, StaleShardMap):
+                # A shard refusing the op is load the service shed, not
+                # generator failure; anything else is a bug and propagates.
                 pending.pop(token, None)
                 failed_submits += 1
             next_arrival += rng.expovariate(rate)

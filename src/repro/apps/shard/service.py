@@ -45,6 +45,11 @@ from repro.errors import (
 TOMBSTONE = "\x00repro:tombstone"
 
 
+class _SyncToken(int):
+    """Completion token of one synchronous call: a type no caller's
+    opaque async token can be mistaken for."""
+
+
 class ShardedKVService:
     """S shards, versioned routing, session handles, typed failures."""
 
@@ -154,13 +159,18 @@ class ShardedKVService:
     def _on_complete(self, token: Any, name: str, result: Any) -> None:
         if token is None:
             return
+        if token.__class__ is _SyncToken:
+            # A synchronous caller is waiting in _sync_op; async tokens
+            # stay queued for drain_completions (the two may interleave).
+            self._results[token] = result
+            return
         stamp = self._clock() if self._clock is not None else None
         self._completions.append((token, name, result, stamp))
 
     # -- synchronous operations ----------------------------------------------
 
     def _sync_op(self, shard_index: int, runtime, name: str, *args) -> Any:
-        token = ("sync", self._sync_counter)
+        token = _SyncToken(self._sync_counter)
         self._sync_counter += 1
         runtime.enqueue(name, *args, token=token)
         result = self.fleets[shard_index].run_to_quiescence()
@@ -168,17 +178,6 @@ class ShardedKVService:
             raise QuorumUnavailable(
                 f"{name} on shard {shard_index} did not complete: {result}"
             )
-        # Harvest sync completions only; async tokens stay queued for
-        # drain_completions (sync and async calls may interleave).
-        kept: "Deque[Tuple[Any, str, Any, Any]]" = deque()
-        while self._completions:
-            item = self._completions.popleft()
-            tok = item[0]
-            if isinstance(tok, tuple) and tok and tok[0] == "sync":
-                self._results[tok] = item[2]
-            else:
-                kept.append(item)
-        self._completions = kept
         return self._results.pop(token)
 
     def _put(self, key: str, value: Any, writer: int) -> None:

@@ -18,24 +18,27 @@ constrained, so in practice this is fast.
 
 from __future__ import annotations
 
-from typing import Any, Hashable, List, Optional, Sequence, Tuple
+from bisect import bisect_left
+from typing import Hashable, List, Optional, Sequence, Tuple
 
 from repro.consistency.specs import SequentialSpec
 from repro.sim.history import HistoryOp
 
 
 def _precedence_masks(ops: "Sequence[HistoryOp]") -> "List[int]":
-    """For each op, a bitmask of the ops that must be linearized before it."""
-    masks = []
-    for op in ops:
-        mask = 0
-        for j, other in enumerate(ops):
-            if other is op:
-                continue
-            if other.precedes(op):
-                mask |= 1 << j
-        masks.append(mask)
-    return masks
+    """For each op, a bitmask of the ops that must be linearized before it.
+
+    Those are the ops that returned before it was invoked: a prefix of
+    the complete ops in return order, found by bisection.
+    """
+    returned = sorted(
+        (op.return_time, j) for j, op in enumerate(ops) if op.complete
+    )
+    times = [time for time, _ in returned]
+    prefixes = [0]
+    for _, j in returned:
+        prefixes.append(prefixes[-1] | 1 << j)
+    return [prefixes[bisect_left(times, op.invoke_time)] for op in ops]
 
 
 def find_linearization(
@@ -58,19 +61,22 @@ def find_linearization(
         if op.complete:
             complete_mask |= 1 << i
 
+    if complete_mask == 0:
+        return []  # nothing complete: every pending op may be omitted
+
     # Memoize failed (done-set, state-key) pairs.
     failed: "set[Tuple[int, Hashable]]" = set()
     order: "List[HistoryOp]" = []
-
-    def search(done: int, state: Any) -> bool:
-        if done & complete_mask == complete_mask:
-            # All complete ops linearized; remaining pending ops may be
-            # omitted, so we are finished.
-            return True
-        key = (done, spec.state_key(state))
-        if key in failed:
-            return False
-        for i in range(n):
+    # Depth-first over an explicit stack, one frame per linearized
+    # operation — a key's history runs to thousands of operations, far
+    # past the interpreter's recursion limit.  A frame is
+    # [done-set, state, memo key, next op index to try].
+    state = spec.initial_state()
+    frames: "List[list]" = [[0, state, (0, spec.state_key(state)), 0]]
+    while frames:
+        frame = frames[-1]
+        done, state, key, start = frame
+        for i in range(start, n):
             bit = 1 << i
             if done & bit:
                 continue
@@ -80,15 +86,24 @@ def find_linearization(
             new_state, result = spec.apply(state, op.name, op.args)
             if op.complete and result != op.result:
                 continue  # observed result contradicts this order
+            new_done = done | bit
+            if new_done & complete_mask == complete_mask:
+                # All complete ops linearized; remaining pending ops may
+                # be omitted, so we are finished.
+                order.append(op)
+                return order
+            new_key = (new_done, spec.state_key(new_state))
+            if new_key in failed:
+                continue
             order.append(op)
-            if search(done | bit, new_state):
-                return True
-            order.pop()
-        failed.add(key)
-        return False
-
-    if search(0, spec.initial_state()):
-        return list(order)
+            frame[3] = i + 1
+            frames.append([new_done, new_state, new_key, 0])
+            break
+        else:
+            failed.add(key)
+            frames.pop()
+            if frames:
+                order.pop()
     return None
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.core.layout import RegisterLayout
+from repro.sim.events import EventListener
 from repro.sim.history import History
 from repro.sim.ids import ClientId, ObjectId, ServerId
 from repro.sim.kernel import Environment
@@ -97,6 +98,47 @@ class _FilteredHistory(History):
 #: clients' operations).  Used by :mod:`repro.apps.shard`.
 FilteredHistory = _FilteredHistory
 
+#: Client-id partitioning of every multi-slot deployment: slot ``s``
+#: (a register here, a key's slot in :mod:`repro.apps.shard`) owns ids
+#: ``[s*SLOT_STRIDE, (s+1)*SLOT_STRIDE)``; writers at the bottom,
+#: readers from ``+READER_BASE``.
+SLOT_STRIDE = 100_000
+READER_BASE = 50_000
+
+
+def slot_client_id(slot: int, offset: int) -> ClientId:
+    """The client id at ``offset`` of ``slot``'s range."""
+    return ClientId(slot * SLOT_STRIDE + offset)
+
+
+class SlotHistoryRouter(EventListener):
+    """Hands each high-level event to the history of the slot that owns
+    the client, found from the id partitioning: one listener per
+    deployment, so recording costs the same however many slots exist.
+
+    The slot's :class:`FilteredHistory` still applies its ``admit``
+    filter; an id outside every slot's range is dropped here.
+    """
+
+    def __init__(self, histories: "List[_FilteredHistory]"):
+        self._histories = histories
+
+    def install(self, kernel) -> None:
+        """Subscribe for the kernel's lifetime: per-slot histories are
+        part of the deployment and must span every run, crash and
+        restart."""
+        kernel.add_listener(self)  # repro-lint: disable=R005 deployment-lifetime listener
+
+    def on_invoke(self, event) -> None:
+        slot = event.client_id.index // SLOT_STRIDE
+        if 0 <= slot < len(self._histories):
+            self._histories[slot].on_invoke(event)
+
+    def on_return(self, event) -> None:
+        slot = event.client_id.index // SLOT_STRIDE
+        if 0 <= slot < len(self._histories):
+            self._histories[slot].on_return(event)
+
 
 class _RegisterView:
     """One register of the deployment, with the emulation interface the
@@ -123,10 +165,6 @@ class _RegisterView:
     def system(self):
         return self.deployment.system
 
-    def _client_id(self, slot: int) -> ClientId:
-        # Partition the client-id space: register i gets ids i*100000+slot.
-        return ClientId(self.index * 100_000 + slot)
-
     def add_writer(self, writer_index: int):
         from repro.core.ws_register import WSRegisterClient
 
@@ -135,7 +173,7 @@ class _RegisterView:
                 f"writer {writer_index} already added to register"
                 f" {self.index}"
             )
-        client_id = self._client_id(writer_index)
+        client_id = slot_client_id(self.index, writer_index)
         protocol = WSRegisterClient(
             self.layout,
             self.object_map,
@@ -150,7 +188,7 @@ class _RegisterView:
     def add_reader(self):
         from repro.core.ws_register import WSRegisterClient
 
-        client_id = self._client_id(50_000 + self._next_reader)
+        client_id = slot_client_id(self.index, READER_BASE + self._next_reader)
         self._next_reader += 1
         protocol = WSRegisterClient(
             self.layout,
@@ -197,8 +235,9 @@ class MultiRegisterDeployment:
             _RegisterView(self, index, self.layouts[index])
             for index in range(m)
         ]
-        for view in self.registers:
-            self.kernel.add_listener(view.history)
+        SlotHistoryRouter(
+            [view.history for view in self.registers]
+        ).install(self.kernel)
 
     @property
     def kernel(self):

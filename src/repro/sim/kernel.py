@@ -229,7 +229,10 @@ class Kernel:
       place (never rebound) so the reference hoisted by :meth:`run`
       stays valid;
     * ``_veto_cache`` — per-op environment verdicts, valid for one
-      :meth:`Environment.veto_epoch` token.
+      :meth:`Environment.veto_epoch` token;
+    * ``_crashed_mid_op`` — how many clients crashed with a high-level
+      operation in flight.  With ``_candidates`` it answers
+      :meth:`clients_quiescent` without visiting a client.
     """
 
     def __init__(
@@ -265,6 +268,8 @@ class Kernel:
         # Incremental enabled-action state: candidate runtimes in
         # ascending client-id order (category/action live on the runtime).
         self._candidates: "List[ClientRuntime]" = []
+        # Clients that crashed with a high-level operation in flight.
+        self._crashed_mid_op = 0
         #: RESPOND actions for pending ops on live objects; insertion is in
         #: ascending op-id order and deletions preserve it, so iteration
         #: order always equals sorted order.
@@ -386,6 +391,10 @@ class Kernel:
         if previous != SCHED_DISABLED:
             if category == SCHED_DISABLED:
                 self._candidates.remove(runtime)
+                if runtime.active_seq is not None:
+                    # Only a crash disables a client mid-operation, and a
+                    # crashed client never rejoins: counted exactly once.
+                    self._crashed_mid_op += 1
             return
         # Joining: insert preserving ascending client-id order.
         candidates = self._candidates
@@ -398,6 +407,24 @@ class Kernel:
             else:
                 hi = mid
         candidates.insert(lo, runtime)
+
+    def clients_settled(self) -> bool:
+        """Every client is crashed, or idle with nothing queued.  O(1).
+
+        No client will step again until something is enqueued; low-level
+        operations may still be pending (they are covering).
+        """
+        return not self._candidates
+
+    def clients_quiescent(self) -> bool:
+        """No high-level operation is in flight or queued.  O(1).
+
+        :meth:`clients_settled`, and no client crashed mid-operation: an
+        operation orphaned by a crash stays in flight forever, so a run
+        waiting on this predicate ends ``"quiescent"`` / ``"blocked"``,
+        never ``"until"``.  Usable directly as ``run(until=...)``.
+        """
+        return not self._candidates and not self._crashed_mid_op
 
     # -- low-level operation lifecycle ------------------------------------------
 
@@ -661,21 +688,39 @@ class Kernel:
         return self._filter_allowed(self.enabled_actions())
 
     def check_incremental(self) -> None:
-        """Assert the incremental action state matches the oracle.
+        """Assert the incremental state matches the from-scratch oracles.
 
         Raises RuntimeError when the incrementally-maintained enabled
         list (including order) diverges from a from-scratch
-        :meth:`enabled_actions` rebuild.  Used by the property tests; safe
-        to call between steps of a run.
+        :meth:`enabled_actions` rebuild, or when :meth:`clients_settled`
+        / :meth:`clients_quiescent` diverge from a scan of every client.
+        Used by the property tests; safe to call between steps of a run.
         """
-        fast = self._collect_enabled()
-        oracle = self.enabled_actions()
-        if fast != oracle:
-            raise RuntimeError(
-                "incremental enabled-action state diverged from the oracle"
-                f" at t={self.time}:\n  incremental: {[str(a) for a in fast]}"
-                f"\n  oracle:      {[str(a) for a in oracle]}"
-            )
+        clients = self.clients.values()
+        views = (
+            (
+                "enabled-action state",
+                [str(a) for a in self._collect_enabled()],
+                [str(a) for a in self.enabled_actions()],
+            ),
+            (
+                "clients_settled()",
+                self.clients_settled(),
+                all(c.crashed or (c.idle and not c.program) for c in clients),
+            ),
+            (
+                "clients_quiescent()",
+                self.clients_quiescent(),
+                all(c.idle and not c.program for c in clients),
+            ),
+        )
+        for name, fast, oracle in views:
+            if fast != oracle:
+                raise RuntimeError(
+                    f"incremental {name} diverged from the oracle"
+                    f" at t={self.time}:\n  incremental: {fast}"
+                    f"\n  oracle:      {oracle}"
+                )
 
     # -- execution ------------------------------------------------------------
 

@@ -42,12 +42,9 @@ class SimSystem:
         """Run until no high-level operation is in flight and no client has
         queued work (pending low-level ops may remain — they are covering).
         """
-        def _idle(kernel: Kernel) -> bool:
-            return all(
-                c.idle and not c.program for c in kernel.clients.values()
-            )
-
-        return self.kernel.run(max_steps=max_steps, until=_idle)
+        return self.kernel.run(
+            max_steps=max_steps, until=Kernel.clients_quiescent
+        )
 
     @property
     def n_servers(self) -> int:

@@ -18,6 +18,7 @@ from repro.analysis.resources import (
     StepMeter,
 )
 from repro.sim.history import History
+from repro.sim.kernel import Kernel
 from repro.workloads.generators import Workload
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -88,12 +89,20 @@ def run_workload(
             index: emulation.add_reader() for index in workload.reader_indices
         }
 
-        # The client set is fixed for the whole workload: build the list once
-        # instead of on every step of every round inside the until-predicate.
+        # A round is done when each of the workload's clients is crashed
+        # or idle with nothing queued.  When they are all of the kernel's
+        # clients that is the kernel's own O(1) read; on a shared kernel
+        # (a register view of a multi-register deployment) the other
+        # registers' clients are not ours to wait for.
         live = list(writers.values()) + list(readers.values())
+        if len(live) == len(kernel.clients):
+            _round_done = Kernel.clients_settled
+        else:
 
-        def _round_done(k) -> bool:
-            return all(c.crashed or (c.idle and not c.program) for c in live)
+            def _round_done(k) -> bool:
+                return all(
+                    c.crashed or (c.idle and not c.program) for c in live
+                )
 
         total_steps = 0
         completed_rounds = 0

@@ -207,6 +207,26 @@ class TestAsyncPath:
         tokens = [tok for tok, _, _, _ in service.drain_completions()]
         assert "t1" in tokens
 
+    def test_interleaved_sync_and_async_completions_stay_apart(self):
+        service = ShardedKVService(service_config(shards=1))
+        s = service.session(writer=0)
+        s.put("hot", "v0")
+        s.submit_put("hot", "v1", token=("sync", 0))  # looks like a sync token
+        s.submit_get("hot", token="r1")
+        s.submit_get("hot", token="r2")
+        # Each sync call drives the one shard to quiescence, completing
+        # the queued async operations on the way.
+        s.put("other", 7)
+        assert s.get("other") == 7
+        s.submit_get("other", token="r3")
+        service.step()
+        done = {tok: result for tok, _, result, _ in service.drain_completions()}
+        # One reader client serves r1 and r2 in order; r3 came later.
+        assert [tok for tok in done if tok != ("sync", 0)] == ["r1", "r2", "r3"]
+        assert done[("sync", 0)] == "ack" and done["r3"] == 7
+        assert {done["r1"], done["r2"]} <= {"v0", "v1"}  # concurrent with v1
+        assert service._results == {}  # every sync result was handed back
+
     def test_completion_clock_stamps(self):
         service = ShardedKVService(service_config())
         ticks = iter(range(100))
@@ -298,6 +318,28 @@ class TestLoadgenSim:
         # f=1 tolerated: the run still completes and audits clean.
         assert report["audit"]["all_ok"]
         assert report["sustained_fraction"] == 1.0
+
+    def test_loadgen_counts_shed_load_but_not_bugs(self, monkeypatch):
+        # One shard with room for 2 of the 8 keys: the rest are refused.
+        service = ShardedKVService(service_config(shards=1, capacity=2))
+        fake = FakeTime()
+        params = dict(
+            clock=fake.clock, sleep=fake.sleep, rate=300.0, duration=0.5,
+            sessions=10, keys=8, read_fraction=0.0, seed=2,
+        )
+        report = run_loadgen(service, **params)
+        assert report["failed_submits"] > 0
+        assert (
+            report["completed_ops"] + report["failed_submits"]
+            == report["offered_ops"]
+        )
+
+        def broken_submit(self, session, kind, key, value=None, token=None):
+            raise TypeError("submit() got its arguments wrong")
+
+        monkeypatch.setattr(ShardedKVService, "submit", broken_submit)
+        with pytest.raises(TypeError, match="arguments wrong"):
+            run_loadgen(ShardedKVService(service_config()), **params)
 
     def test_loadgen_validates_inputs(self):
         service = ShardedKVService(service_config())

@@ -5,7 +5,9 @@ a time to quiescence — producing write-sequential histories — and returns
 the history.  ``ToyProtocol`` is a minimal single-object client used by
 the kernel-level tests.  ``reference_run`` is :meth:`Kernel.run` spelled
 out with public, from-scratch calls — what the differential tests and
-the kernel bench hold the production loop against.
+the kernel bench hold the production loop against; ``reference_settled``
+is the same for ``Kernel.clients_settled``.  ``IncrementalChecker`` runs
+``Kernel.check_incremental`` after every step.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.client import ClientProtocol
+from repro.sim.events import EventListener
 from repro.sim.ids import ObjectId
 from repro.sim.kernel import RunResult
 from repro.sim.objects import OpKind
@@ -63,6 +66,28 @@ def reference_run(kernel, max_steps=100_000, until=None):
     if until is not None and until(kernel):
         return RunResult(steps, "until")
     return RunResult(steps, "max_steps")
+
+
+def reference_settled(kernel):
+    """``Kernel.clients_settled`` from scratch: a scan of every client."""
+    return all(
+        c.crashed or (c.idle and not c.program)
+        for c in kernel.clients.values()
+    )
+
+
+class IncrementalChecker(EventListener):
+    """``check_incremental`` after every kernel step: the enabled list
+    and the O(1) quiescence predicates against their from-scratch
+    oracles."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.checked = 0
+
+    def on_step(self, time: int) -> None:
+        self.kernel.check_incremental()
+        self.checked += 1
 
 
 def drive_sequential(system, invocations, max_steps: int = 200_000):

@@ -7,7 +7,10 @@ checkers on deliberately wide histories and assert they finish — with
 step/op-count shapes that would blow up a memoless search.
 """
 
-from repro.consistency.linearizability import is_linearizable
+from repro.consistency.linearizability import (
+    find_linearization,
+    is_linearizable,
+)
 from repro.consistency.specs import MaxRegisterSpec, RegisterSpec
 from repro.sim.history import HistoryOp
 from repro.sim.ids import ClientId
@@ -90,4 +93,40 @@ class TestWideConcurrentHistories:
             "b0a",
             client=2,
         )
+        assert not is_linearizable(ops, RegisterSpec(None))
+
+
+class TestLongHistories:
+    """One key of a loaded KV service collects thousands of operations;
+    the search keeps one explicit frame per operation, so its depth is
+    not bounded by the interpreter's recursion limit."""
+
+    @staticmethod
+    def _single_key_history(n, stale_at=None):
+        ops, last = [], None
+        for seq in range(n):
+            start = 3 * seq
+            # Each op overlaps the next (returns at start + 4).
+            if seq % 3 == 0:
+                ops.append(
+                    _op(seq, "write", start, start + 2, (seq,), "ack")
+                )
+                last = seq
+            else:
+                result = last - 3 if seq == stale_at else last
+                ops.append(
+                    _op(seq, "read", start, start + 4, (), result, 1 + seq % 2)
+                )
+        return ops
+
+    def test_3000_ops_on_one_key_under_the_default_recursion_limit(self):
+        import sys
+
+        assert sys.getrecursionlimit() <= 1_000
+        ops = self._single_key_history(3_000)
+        order = find_linearization(ops, RegisterSpec(None))
+        assert order is not None and len(order) == 3_000
+
+    def test_one_stale_read_among_3000_ops_is_found(self):
+        ops = self._single_key_history(3_000, stale_at=2_000)
         assert not is_linearizable(ops, RegisterSpec(None))

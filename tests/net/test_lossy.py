@@ -211,7 +211,5 @@ class TestIncrementalParity:
             kernel.check_incremental()
             if result.reason in ("quiescent", "blocked"):
                 break
-        assert all(
-            c.idle and not c.program for c in kernel.clients.values()
-        )
+        assert kernel.clients_quiescent()
         assert_safe("abd", emulation)

@@ -3,7 +3,9 @@
 The kernel's incremental bookkeeping (``_collect_enabled``) must agree
 with a from-scratch ``enabled_actions()`` rebuild — element for element,
 in order — in *every* reachable configuration: after client steps,
-responds, enqueues, crashes, and environment stalls.
+responds, enqueues, crashes, and environment stalls.  So must its O(1)
+quiescence predicates (``clients_settled`` / ``clients_quiescent``)
+with a scan of every client, including after a client crashed mid-write.
 ``Kernel.check_incremental`` raises on any divergence; we install it as a
 step listener so every single configuration of a seeded random run is
 checked, across emulation runs with chaos environments and crash
@@ -13,24 +15,14 @@ schedules drawn by hypothesis.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests.conftest import IncrementalChecker
+
 from repro.core.ws_register import WSRegisterEmulation
 from repro.sim.chaos import ChaosEnvironment
-from repro.sim.events import EventListener
 from repro.sim.failures import CrashPlan
 from repro.sim.ids import ClientId, ServerId
+from repro.sim.kernel import Kernel
 from repro.sim.scheduling import RandomScheduler
-
-
-class _IncrementalChecker(EventListener):
-    """Asserts fast-path == oracle after every kernel step."""
-
-    def __init__(self, kernel):
-        self.kernel = kernel
-        self.checked = 0
-
-    def on_step(self, time: int) -> None:
-        self.kernel.check_incremental()
-        self.checked += 1
 
 
 def _checked_run(seed, k, rounds, chaos, crash_step):
@@ -45,7 +37,7 @@ def _checked_run(seed, k, rounds, chaos, crash_step):
             else None
         ),
     )
-    checker = _IncrementalChecker(emu.kernel)
+    checker = IncrementalChecker(emu.kernel)
     emu.kernel.add_listener(checker)
     writers = [emu.add_writer(index) for index in range(k)]
     reader = emu.add_reader()
@@ -59,12 +51,7 @@ def _checked_run(seed, k, rounds, chaos, crash_step):
     for index in range(rounds):
         writers[index % k].enqueue("write", index)
         reader.enqueue("read")
-    live = [*writers, reader]
-
-    def done(kernel):
-        return all(c.crashed or (c.idle and not c.program) for c in live)
-
-    emu.kernel.run(max_steps=5_000, until=done)
+    emu.kernel.run(max_steps=5_000, until=Kernel.clients_settled)
     assert checker.checked > 0
     emu.kernel.check_incremental()  # and in the terminal configuration
     return checker.checked

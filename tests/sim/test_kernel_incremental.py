@@ -21,7 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import ToyProtocol, reference_run
+from tests.conftest import (
+    IncrementalChecker,
+    ToyProtocol,
+    reference_run,
+    reference_settled,
+)
 from tests.properties.test_prop_transport_identical import SCENARIO_TABLE
 
 from repro.core.emulation import EmulationSpec
@@ -45,13 +50,17 @@ def _sha(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _fingerprint(run, seed, schedule, algorithm="ws-register"):
+def _fingerprint(
+    run, done, seed, schedule, algorithm="ws-register", check_steps=False
+):
     """(script sha, history sha, trace sha, time) of one seeded scenario.
 
-    ``run(kernel, max_steps=..., until=...)`` does the stepping — either
-    ``Kernel.run`` or ``reference_run``.  Every round is its own call, so
-    the per-call hoisting is redone with clients, pending ops and
-    in-flight messages left over from the previous one.
+    ``run(kernel, max_steps=..., until=done)`` does the stepping —
+    ``Kernel.run`` until the kernel's O(1) ``clients_settled``, or
+    ``reference_run`` until the from-scratch ``reference_settled``.
+    Every round is its own call, so the per-call hoisting is redone with
+    clients, pending ops and in-flight messages left over from the
+    previous one.
     """
     params, write_op, read_op, value_kind, _ = SCENARIO_TABLE[algorithm]
     emu = EmulationSpec.make(algorithm, seed=seed, **params).build()
@@ -78,11 +87,9 @@ def _fingerprint(run, seed, schedule, algorithm="ws-register"):
         )
     recorder = TraceRecorder()
     kernel.add_listener(recorder)
-    clients = [*writers, *readers]
-
-    def done(kernel):
-        return all(c.crashed or (c.idle and not c.program) for c in clients)
-
+    checker = IncrementalChecker(kernel)
+    if check_steps:
+        kernel.add_listener(checker)
     counter = 0
     for _ in range(3):
         for writer_index, writer in enumerate(writers):
@@ -102,6 +109,7 @@ def _fingerprint(run, seed, schedule, algorithm="ws-register"):
             f" its round: {result}"
         )
     assert recorder.entries, "the trace recorder saw no events"
+    assert checker.checked == (kernel.time if check_steps else 0)
     return (
         _sha(json.dumps(scheduler.script)),
         _sha(json.dumps(emu.history.to_dicts(), sort_keys=True)),
@@ -111,8 +119,10 @@ def _fingerprint(run, seed, schedule, algorithm="ws-register"):
 
 
 def _assert_run_matches_reference(seed, schedule, algorithm="ws-register"):
-    assert _fingerprint(Kernel.run, seed, schedule, algorithm) == _fingerprint(
-        reference_run, seed, schedule, algorithm
+    assert _fingerprint(
+        Kernel.run, Kernel.clients_settled, seed, schedule, algorithm
+    ) == _fingerprint(
+        reference_run, reference_settled, seed, schedule, algorithm
     ), f"Kernel.run diverged from the reference stepper ({algorithm})"
 
 
@@ -162,21 +172,28 @@ def test_differential_random_scenarios(seed, scenario):
     _assert_run_matches_reference(seed, schedule, algorithm)
 
 
+@pytest.mark.parametrize("algorithm,schedule", list(_registry_matrix()))
+def test_quiescence_predicates_match_the_oracle_every_step(algorithm, schedule):
+    """``clients_settled`` / ``clients_quiescent`` equal a scan of every
+    client after each step, for all 7 algorithms under every schedule
+    (the crash schedule kills a writer, usually mid-write)."""
+    _fingerprint(
+        Kernel.run,
+        Kernel.clients_settled,
+        321,
+        schedule,
+        algorithm,
+        check_steps=True,
+    )
+
+
 def test_check_incremental_holds_throughout_a_run():
     """The oracle-vs-incremental assertion passes at every step."""
     system = build_system(
         1, [(0, "register", None)], scheduler=RandomScheduler(4)
     )
 
-    class Checker(EventListener):
-        def __init__(self):
-            self.checked = 0
-
-        def on_step(self, time):
-            system.kernel.check_incremental()
-            self.checked += 1
-
-    checker = Checker()
+    checker = IncrementalChecker(system.kernel)
     system.kernel.add_listener(checker)
     client = system.add_client(ClientId(0), ToyProtocol())
     client.enqueue("write", 1)
@@ -194,6 +211,63 @@ def test_check_incremental_detects_divergence():
     system.kernel._candidates.clear()
     with pytest.raises(RuntimeError, match="diverged"):
         system.kernel.check_incremental()
+
+
+def test_check_incremental_detects_a_wrong_quiescence_answer():
+    system = build_system(1, [(0, "register", None)])
+    client = system.add_client(ClientId(0), ToyProtocol())
+    client.enqueue("write", 1)
+    system.kernel.force_client_step(client.client_id)  # write in flight
+    system.kernel.crash_client(client.client_id)
+    system.kernel.check_incremental()
+    assert system.kernel.clients_settled()
+    assert not system.kernel.clients_quiescent()
+    system.kernel._crashed_mid_op = 0  # forget the orphaned write
+    with pytest.raises(RuntimeError, match="clients_quiescent"):
+        system.kernel.check_incremental()
+
+
+# -- run_to_quiescence over the O(1) predicate --------------------------------
+
+
+def _two_toy_clients(seed=3):
+    system = build_system(
+        1, [(0, "register", None)], scheduler=RandomScheduler(seed)
+    )
+    first = system.add_client(ClientId(0), ToyProtocol())
+    second = system.add_client(ClientId(1), ToyProtocol())
+    return system, first, second
+
+
+def test_client_crashed_mid_write_never_reads_as_quiescent():
+    """The orphaned write keeps ``active_seq``: the run ends because
+    nothing is enabled, never because the predicate held."""
+    system, writer, other = _two_toy_clients()
+    writer.enqueue("write", 1)
+    other.enqueue("write", 2)
+    system.kernel.force_client_step(writer.client_id)
+    assert not writer.idle
+    system.kernel.crash_client(writer.client_id)
+    result = system.run_to_quiescence()
+    assert result.reason in ("quiescent", "blocked")
+    assert result.satisfied is False
+    assert other.idle and not other.program  # the live client finished
+    # ... and it stays that way on every later call.
+    other.enqueue("read")
+    assert system.run_to_quiescence().satisfied is False
+
+
+def test_idle_client_crash_leaves_quiescence_reachable():
+    system, writer, other = _two_toy_clients()
+    system.kernel.crash_client(writer.client_id)  # idle: nothing orphaned
+    other.enqueue("write", 2)
+    other.enqueue("read")
+    result = system.run_to_quiescence()
+    assert result.reason == "until" and result.satisfied
+    # A queued-but-never-invoked operation dies with its client too.
+    other.enqueue("write", 3)
+    system.kernel.crash_client(other.client_id)
+    assert system.run_to_quiescence().reason == "until"
 
 
 # -- listener pre-binding --------------------------------------------------
