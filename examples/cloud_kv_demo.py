@@ -4,10 +4,12 @@
 The paper's motivation: cloud stores expose different primitives —
 network-attached disks give plain read/write, cloud APIs give conditional
 updates (CAS), richer services give RMW.  This demo runs the library's
-:class:`repro.apps.kv.ReplicatedKVStore` on each substrate with the same
-workload (writes by several writers, crashes, reads, consistency audit)
-and compares the base-object budget — Table 1's separation on a "real"
-workload.
+:class:`repro.apps.kv.ReplicatedKVStore` — the one-shard front of
+:class:`repro.apps.shard.ShardedKVService`: every key on one fleet of
+``n`` servers, provisioned for ``max_keys`` keys — on each substrate with
+the same workload (writes by several writers, crashes, reads, consistency
+audit) and compares the per-key base-object budget: Table 1's separation
+on a "real" workload.
 
 Run:  python examples/cloud_kv_demo.py
 """

@@ -2,18 +2,19 @@
 
 The paper motivates its question with cloud storage services built from
 weak per-server primitives; this subpackage shows the emulations carrying
-two such services end to end:
+such services end to end:
 
-* :mod:`repro.apps.kv` — a replicated key-value store with a pluggable
-  substrate (registers / max-registers / CAS) and per-key consistency
-  auditing.
+* :mod:`repro.apps.shard` — the KV service, and the only KV
+  implementation: keys hash to register fleets on a pluggable substrate
+  (registers / max-registers / CAS) with per-key consistency auditing,
+  served in-process or over sockets, driven by an open-loop Zipfian
+  load generator.
+* :mod:`repro.apps.kv` — ``ReplicatedKVStore``, the one-shard front of
+  that service.
 * :mod:`repro.apps.epoch` — a monotone epoch (configuration version)
   service on the f-tolerant max-register.
 * :mod:`repro.apps.config` — an epoch-guarded configuration store (the
   reconfiguration kernel the paper's citations consume).
-* :mod:`repro.apps.shard` — the sharded KV service: keys hash to
-  independent register fleets, served in-process or over sockets,
-  driven by an open-loop Zipfian load generator.
 """
 
 from repro.apps.config import ConfigService, InstallRaced

@@ -27,6 +27,7 @@ from typing import Any, Tuple
 
 from repro.apps.epoch import EpochService
 from repro.core.abd import ABDEmulation
+from repro.errors import QuorumUnavailable
 from repro.sim.scheduling import RandomScheduler
 
 
@@ -67,7 +68,9 @@ class ConfigService:
     def _drive_store(self, runtime):
         result = self.store.system.run_to_quiescence()
         if not result.satisfied:
-            raise RuntimeError(f"config operation did not complete: {result}")
+            raise QuorumUnavailable(
+                f"config operation did not complete: {result}"
+            )
         return self.store.history.all_ops()[-1].result
 
     # -- operations -----------------------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.ft_maxreg import FTMaxRegister
+from repro.errors import BoundViolation, QuorumUnavailable
 from repro.sim.ids import ClientId
 from repro.sim.kernel import Environment
 from repro.sim.scheduling import Scheduler
@@ -56,7 +57,9 @@ class EpochService:
     def _drive(self, runtime) -> object:
         result = self.register.system.run_to_quiescence()
         if not result.satisfied:
-            raise RuntimeError(f"epoch operation did not complete: {result}")
+            raise QuorumUnavailable(
+                f"epoch operation did not complete: {result}"
+            )
         return self.register.history.all_ops()[-1].result
 
     # -- operations ---------------------------------------------------------
@@ -70,7 +73,7 @@ class EpochService:
     def propose(self, epoch: int, process: int = 0) -> None:
         """Install ``epoch`` if it is ahead of the current one."""
         if epoch < 0:
-            raise ValueError("epochs are non-negative")
+            raise BoundViolation("epochs are non-negative")
         runtime = self._client(process)
         runtime.enqueue("write_max", epoch)
         self._drive(runtime)

@@ -1,13 +1,13 @@
-"""A replicated key-value store over register emulations.
+"""A replicated key-value store: the one-shard front of the KV service.
 
-Each key is one emulated f-tolerant register; the substrate — which base
-object type the servers expose — is pluggable, so the store directly
-inherits Table 1's space economics:
+Each key is one emulated f-tolerant register on one fleet of ``n``
+servers; the substrate — which base object type the servers expose — is
+pluggable, so the store directly inherits Table 1's space economics:
 
-* ``"max-register"`` / ``"cas"``: 2f+1 base objects per key, unbounded
-  writers;
-* ``"register"``: kf + ceil(k/z)(f+1) base objects per key, k fixed
-  writers (the store enforces the writer bound).
+* ``"max-register"`` / ``"cas"``: 2f+1 base objects per key, any number
+  of writer identities;
+* ``"register"``: kf + ceil(k/z)(f+1) base objects per key, ``k_writers``
+  fixed writers.
 
 Clients talk to the store through *sessions*::
 
@@ -17,58 +17,34 @@ Clients talk to the store through *sessions*::
         assert s.get("alpha") == 1
         s.delete("alpha")
 
-A session carries the writer identity once, instead of every ``put``
-carrying a positional ``writer_index``; any number of sessions may be
-open concurrently (the sharded service in :mod:`repro.apps.shard`
-multiplexes thousands).  Writes go through a session only; the store's
-own ``get`` / ``keys`` / ``snapshot`` are writer-free reads.
+There is no protocol logic here: the store is a
+:class:`~repro.apps.shard.service.ShardedKVService` with a single shard
+(``ShardConfig(substrate, n, f, k_writers, capacity=max_keys)``), so
+sessions, routing, the deletion tombstone, crashes and the per-key
+consistency audit are the service's, and ``store.fleet`` is that shard's
+:class:`~repro.apps.shard.fleet.ShardFleet` — one kernel, one schedule,
+one crash event per server.  The fleet is provisioned up front for
+``max_keys`` keys.  Writes go through a session only; the store's own
+``get`` / ``keys`` / ``snapshot`` are writer-free reads.
 
 Failures are typed (:mod:`repro.errors`): an out-of-range writer raises
 :class:`~repro.errors.WriterBoundExceeded`, a stalled quorum raises
-:class:`~repro.errors.QuorumUnavailable`, and a full shared fleet raises
-:class:`~repro.errors.ShardCapacityExceeded`.  ``audit()`` replays every
-key's history through the appropriate consistency checker.
+:class:`~repro.errors.QuorumUnavailable`, and key ``max_keys + 1``
+raises :class:`~repro.errors.ShardCapacityExceeded`.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional
 
-from repro.consistency.register_atomicity import is_register_history_atomic
-from repro.consistency.ws import check_ws_regular
-from repro.core.abd import ABDEmulation
-from repro.core.cas_maxreg import CASABDEmulation
-from repro.core.ws_register import WSRegisterEmulation
-from repro.errors import (
-    BoundViolation,
-    InvalidConfig,
-    QuorumUnavailable,
-    SessionClosed,
-    ShardCapacityExceeded,
-    WriterBoundExceeded,
-)
-from repro.sim.scheduling import RandomScheduler
+from repro.apps.shard.config import ShardConfig, ShardServiceConfig
+from repro.apps.shard.fleet import ShardFleet
+from repro.apps.shard.service import ServiceSession, ShardedKVService
+from repro.errors import InvalidConfig, WriterBoundExceeded
 
-SUBSTRATES = ("register", "max-register", "cas")
-
-
-class _Tombstone:
-    """Sentinel written by :meth:`KVSession.delete`."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<deleted>"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _Tombstone)
-
-    def __hash__(self) -> int:
-        # A fixed constant, not hash("_Tombstone"): str hashing is salted
-        # per process, and the sentinel is a process-wide singleton anyway.
-        return 0x70B5
-
-
-TOMBSTONE = _Tombstone()
+#: The store's sessions are the service's; the name stays exported.
+KVSession = ServiceSession
 
 
 @dataclass(frozen=True)
@@ -80,11 +56,11 @@ class KVConfig:
     the result cache (:meth:`cache_payload`) exactly like
     :class:`~repro.net.config.TransportConfig` does.
 
-    ``shared_fleet=True`` (register substrate only) hosts every key on
-    one physical fleet: a single crash event hits all keys and per-server
-    storage is the sum over keys — the realistic consolidation regime.
-    ``max_keys`` bounds the number of keys provisioned on the shared
-    fleet.
+    ``k_writers`` is the number of writer clients per key (see
+    :class:`~repro.apps.shard.config.ShardConfig`); the store accepts
+    writer identities ``0 .. k_writers-1`` on every substrate.
+    ``max_keys`` is the provisioned capacity: base objects for that many
+    keys exist from construction, and one key more is refused.
     """
 
     substrate: str = "max-register"
@@ -92,7 +68,6 @@ class KVConfig:
     f: int = 2
     k_writers: int = 4
     seed: int = 0
-    shared_fleet: bool = False
     max_keys: int = 16
 
     def __post_init__(self) -> None:
@@ -103,138 +78,44 @@ class KVConfig:
         """Build a config, mirroring ``EmulationSpec.make``'s shape."""
         return cls(substrate=substrate, **params)
 
+    def shard_config(self) -> ShardConfig:
+        """The single shard this store deploys (``max_keys`` slots)."""
+        return ShardConfig(
+            substrate=self.substrate,
+            n=self.n,
+            f=self.f,
+            k_writers=self.k_writers,
+            capacity=self.max_keys,
+        )
+
     def validate(self) -> None:
-        if self.substrate not in SUBSTRATES:
-            raise InvalidConfig(
-                f"substrate must be one of {SUBSTRATES},"
-                f" got {self.substrate!r}"
-            )
-        if self.n < 2 * self.f + 1:
-            raise InvalidConfig(
-                f"n must be at least 2f+1 = {2 * self.f + 1}, got {self.n}"
-            )
-        if self.k_writers <= 0:
-            raise InvalidConfig("k_writers must be positive")
-        if self.shared_fleet and self.substrate != "register":
-            raise InvalidConfig(
-                "shared_fleet deployment is implemented for the register"
-                " substrate"
-            )
-        if self.max_keys <= 0:
-            raise InvalidConfig("max_keys must be positive")
+        """Raise ``InvalidConfig`` unless the shard can be built."""
+        self.shard_config()
 
     def cache_payload(self) -> "Dict[str, Any]":
         """A canonical JSON-able form for result-cache cell keys."""
         return asdict(self)
 
 
-@dataclass
-class _KeyState:
-    emulation: Any
-    writers: "Dict[int, Any]" = field(default_factory=dict)
-    reader: Any = None
-
-
-class KVSession:
-    """One client's handle on a store: a writer identity plus
-    ``put``/``get``/``delete``/``scan``.
-
-    Sessions are context managers; a closed session refuses further
-    operations.  Read-only sessions pass ``writer=None`` — their ``put``
-    and ``delete`` raise :class:`~repro.errors.WriterBoundExceeded`.
-    """
-
-    def __init__(self, store: "ReplicatedKVStore", writer: "Optional[int]"):
-        if writer is not None:
-            store._check_writer(writer)
-        self._store = store
-        self.writer = writer
-        self.closed = False
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def __enter__(self) -> "KVSession":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def close(self) -> None:
-        self.closed = True
-
-    def _check_open(self) -> None:
-        if self.closed:
-            raise SessionClosed("operation on a closed KV session")
-
-    def _writer_index(self) -> int:
-        if self.writer is None:
-            raise WriterBoundExceeded(
-                "read-only session (opened with writer=None) cannot write"
-            )
-        return self.writer
-
-    # -- operations --------------------------------------------------------
-
-    def put(self, key: str, value: Any) -> None:
-        """Write ``value`` to ``key`` as this session's writer."""
-        self._check_open()
-        self._store._put(key, value, self._writer_index())
-
-    def get(self, key: str, default: Any = None) -> Any:
-        """Read ``key``; ``default`` for never-written or deleted keys."""
-        self._check_open()
-        return self._store._get(key, default)
-
-    def delete(self, key: str) -> None:
-        """Delete ``key`` (writes a tombstone; registers cannot shrink).
-
-        Deleting an unknown key is a no-op.
-        """
-        self._check_open()
-        self._store._delete(key, self._writer_index())
-
-    def scan(self, prefix: str = "") -> "Dict[str, Any]":
-        """Read every live key starting with ``prefix`` (sorted).
-
-        Per-key consistent, not an atomic multi-key snapshot — each
-        entry individually satisfies the substrate's condition.
-        """
-        self._check_open()
-        view = {}
-        for key in self._store.keys():
-            if not key.startswith(prefix):
-                continue
-            value = self._store._get(key, None)
-            if value is not None:
-                view[key] = value
-        return view
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "closed" if self.closed else "open"
-        return f"KVSession(writer={self.writer}, {state})"
-
-
 class ReplicatedKVStore:
-    """One emulated register per key, all on the chosen substrate."""
+    """One emulated register per key, all on the chosen substrate and
+    one fleet."""
 
     def __init__(self, config: "Optional[KVConfig]" = None, **overrides):
-        self.config = config or KVConfig(**overrides)
         if overrides and config is not None:
             raise InvalidConfig("pass either a KVConfig or keyword overrides")
-        self._keys: "Dict[str, _KeyState]" = {}
-        self._seed = self.config.seed
-        self._fleet = None
-        self._fleet_next = 0
-        if self.config.shared_fleet:
-            from repro.core.multi import MultiRegisterDeployment
-
-            self._fleet = MultiRegisterDeployment(
-                m=self.config.max_keys,
-                k=self.config.k_writers,
-                n=self.config.n,
-                f=self.config.f,
-                scheduler=RandomScheduler(self.config.seed),
+        self.config = config or KVConfig(**overrides)
+        self._service = ShardedKVService(
+            ShardServiceConfig(
+                shards=(self.config.shard_config(),), seed=self.config.seed
             )
+        )
+        self._reader = self._service.session(writer=None)
+
+    @property
+    def fleet(self) -> ShardFleet:
+        """The one fleet every key lives on."""
+        return self._service.fleets[0]
 
     # -- sessions --------------------------------------------------------------
 
@@ -244,94 +125,21 @@ class ReplicatedKVStore:
         ``writer=None`` opens a read-only session.  Sessions are cheap;
         open as many concurrently as there are clients.
         """
-        return KVSession(self, writer)
-
-    # -- deployment -----------------------------------------------------------
-
-    def _new_emulation(self):
-        cfg = self.config
-        self._seed += 1
-        scheduler = RandomScheduler(self._seed)
-        if cfg.substrate == "register":
-            return WSRegisterEmulation(
-                k=cfg.k_writers, n=cfg.n, f=cfg.f, scheduler=scheduler
-            )
-        if cfg.substrate == "max-register":
-            return ABDEmulation(n=cfg.n, f=cfg.f, scheduler=scheduler)
-        return CASABDEmulation(n=cfg.n, f=cfg.f, scheduler=scheduler)
-
-    def _key_state(self, key: str) -> _KeyState:
-        state = self._keys.get(key)
-        if state is None:
-            if self._fleet is not None:
-                if self._fleet_next >= self.config.max_keys:
-                    raise ShardCapacityExceeded(
-                        f"shared fleet provisioned for"
-                        f" {self.config.max_keys} keys; {key!r} exceeds it"
-                    )
-                emulation = self._fleet.register(self._fleet_next)
-                self._fleet_next += 1
-            else:
-                emulation = self._new_emulation()
-            state = _KeyState(emulation=emulation)
-            state.reader = state.emulation.add_reader()
-            self._keys[key] = state
-        return state
-
-    def _check_writer(self, writer_index: int) -> None:
-        if not 0 <= writer_index < self.config.k_writers:
+        if writer is not None and not 0 <= writer < self.config.k_writers:
             raise WriterBoundExceeded(
-                f"writer index {writer_index} out of range"
+                f"writer index {writer} out of range"
                 f" [0, {self.config.k_writers})"
             )
-
-    def _writer(self, state: _KeyState, writer_index: int):
-        self._check_writer(writer_index)
-        runtime = state.writers.get(writer_index)
-        if runtime is None:
-            runtime = state.emulation.add_writer(writer_index)
-            state.writers[writer_index] = runtime
-        return runtime
-
-    # -- operations (session-internal) -------------------------------------------
-
-    def _put(self, key: str, value: Any, writer_index: int) -> None:
-        state = self._key_state(key)
-        writer = self._writer(state, writer_index)
-        writer.enqueue("write", value)
-        result = state.emulation.system.run_to_quiescence()
-        if not result.satisfied:
-            raise QuorumUnavailable(
-                f"put({key!r}) did not complete: {result}"
-            )
-
-    def _get(self, key: str, default: Any = None) -> Any:
-        state = self._keys.get(key)
-        if state is None:
-            return default
-        state.reader.enqueue("read")
-        result = state.emulation.system.run_to_quiescence()
-        if not result.satisfied:
-            raise QuorumUnavailable(
-                f"get({key!r}) did not complete: {result}"
-            )
-        value = state.emulation.history.reads[-1].result
-        if value is None or value == TOMBSTONE:
-            return default
-        return value
-
-    def _delete(self, key: str, writer_index: int) -> None:
-        if key in self._keys:
-            self._put(key, TOMBSTONE, writer_index)
+        return self._service.session(writer)
 
     # -- writer-free reads ------------------------------------------------------
 
     def get(self, key: str, default: Any = None) -> Any:
         """Read ``key`` (writer-free; equivalent to a read-only session)."""
-        return self._get(key, default)
+        return self._reader.get(key, default)
 
     def keys(self) -> "List[str]":
-        return sorted(self._keys)
+        return self._service.keys()
 
     def snapshot(self) -> "Dict[str, Any]":
         """Read every key once; a per-key-consistent view of the store.
@@ -340,62 +148,27 @@ class ReplicatedKVStore:
         registers); each entry individually satisfies the substrate's
         consistency condition.  Deleted keys are omitted.
         """
-        view = {}
-        for key in self.keys():
-            value = self._get(key)
-            if value is not None:
-                view[key] = value
-        return view
+        return self._reader.scan()
 
     # -- failure injection ---------------------------------------------------------
 
     def crash_server(self, server_index: int) -> None:
-        """Crash server ``server_index``.
-
-        On a shared fleet this is one crash event hitting every key; on
-        per-key deployments the crash is mirrored into each (the store
-        models one fleet either way).
-        """
-        from repro.sim.ids import ServerId
-
-        if not 0 <= server_index < self.config.n:
-            raise BoundViolation(f"server index {server_index} out of range")
-        if self._fleet is not None:
-            self._fleet.crash_server(server_index)
-            return
-        for state in self._keys.values():
-            state.emulation.kernel.crash_server(ServerId(server_index))
+        """Crash server ``server_index``: one crash event hitting every
+        key."""
+        self._service.crash_server(server_index)
 
     # -- accounting and auditing ------------------------------------------------------
 
     @property
     def base_objects(self) -> int:
-        """Total base objects across all keys (Table 1, aggregated)."""
-        return sum(self.base_objects_per_key().values())
+        """Base objects behind the keys in use (Table 1, aggregated);
+        ``fleet.total_objects`` is what the ``max_keys`` provision costs."""
+        return len(self.keys()) * self.fleet.objects_per_slot
 
     def base_objects_per_key(self) -> "Dict[str, int]":
-        if self._fleet is not None:
-            return {
-                key: state.emulation.layout.total_registers
-                for key, state in self._keys.items()
-            }
-        return {
-            key: state.emulation.object_map.n_objects
-            for key, state in self._keys.items()
-        }
+        return dict.fromkeys(self.keys(), self.fleet.objects_per_slot)
 
     def audit(self) -> "Dict[str, bool]":
-        """Check every key's history against its consistency condition.
-
-        The RMW substrates (with read write-back) are atomic; the register
-        substrate guarantees WS-Regularity.  Returns key -> ok.
-        """
-        results = {}
-        for key, state in self._keys.items():
-            history = state.emulation.history
-            if self.config.substrate == "register":
-                ok = not check_ws_regular(history)
-            else:
-                ok = is_register_history_atomic(history)
-            results[key] = ok
-        return results
+        """Check every key's history against its consistency condition
+        (atomicity on max-register / cas, WS-Regularity on register)."""
+        return self._service.audit()

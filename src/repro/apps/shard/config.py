@@ -15,7 +15,7 @@ from repro.errors import InvalidConfig
 
 #: substrates a shard can run on; maps 1:1 to Table 1 rows (register =
 #: Algorithm 2's kf + ceil(k/z)(f+1) economics with a k-writer bound;
-#: max-register / cas = 2f+1 per slot, unbounded writers).
+#: max-register / cas = 2f+1 per slot, any number of writer identities).
 SHARD_SUBSTRATES = ("register", "max-register", "cas")
 
 
@@ -28,6 +28,13 @@ class ShardConfig:
     slot set cannot grow after deployment; keys are assigned to slots
     lazily and a full shard raises
     :class:`~repro.errors.ShardCapacityExceeded`.
+
+    ``k_writers`` is the number of writer clients provisioned per slot,
+    on every substrate.  On ``register`` it is Table 1's ``k`` (it sizes
+    the slot's layout, and a writer identity ``>= k`` raises
+    :class:`~repro.errors.WriterBoundExceeded`); on ``max-register`` /
+    ``cas`` space does not depend on it and writer identities are
+    multiplexed onto the ``k_writers`` clients.
     """
 
     substrate: str = "max-register"
@@ -62,29 +69,21 @@ class ShardConfig:
 
 @dataclass(frozen=True)
 class ShardServiceConfig:
-    """The whole service: a tuple of shards plus client-pool sizing.
+    """The whole service: a tuple of shards and one seed.
 
     Shards may be heterogeneous (different substrates or quorum
     layouts); :meth:`make` builds the common uniform case.  ``seed``
-    derives every shard's scheduler seed; ``writer_pool`` bounds the
-    per-slot client pool that unbounded-writer substrates multiplex
-    sessions onto; ``reader_pool`` is the per-slot reader count.
+    derives every shard's scheduler seed.
     """
 
     shards: "Tuple[ShardConfig, ...]"
     seed: int = 0
-    writer_pool: int = 4
-    reader_pool: int = 2
 
     def __post_init__(self) -> None:
         if not self.shards:
             raise InvalidConfig("need at least one shard")
         if not all(isinstance(s, ShardConfig) for s in self.shards):
             raise InvalidConfig("shards must be ShardConfig instances")
-        if self.writer_pool <= 0:
-            raise InvalidConfig("writer_pool must be positive")
-        if self.reader_pool <= 0:
-            raise InvalidConfig("reader_pool must be positive")
 
     @classmethod
     def make(
@@ -92,20 +91,13 @@ class ShardServiceConfig:
         shards: int = 3,
         substrate: str = "max-register",
         seed: int = 0,
-        writer_pool: int = 4,
-        reader_pool: int = 2,
         **shard_params,
     ) -> "ShardServiceConfig":
         """A uniform service: ``shards`` identical :class:`ShardConfig`."""
         if shards <= 0:
             raise InvalidConfig("need at least one shard")
         shard = ShardConfig.make(substrate=substrate, **shard_params)
-        return cls(
-            shards=(shard,) * shards,
-            seed=seed,
-            writer_pool=writer_pool,
-            reader_pool=reader_pool,
-        )
+        return cls(shards=(shard,) * shards, seed=seed)
 
     @property
     def n_shards(self) -> int:
@@ -115,6 +107,4 @@ class ShardServiceConfig:
         return {
             "shards": [shard.cache_payload() for shard in self.shards],
             "seed": self.seed,
-            "writer_pool": self.writer_pool,
-            "reader_pool": self.reader_pool,
         }

@@ -3,9 +3,10 @@
 A shard provisions ``capacity`` independent emulated registers ("slots")
 over one fleet of ``n`` servers — one kernel, one schedule, one crash
 event per server, with per-slot histories so every slot audits against
-its own consistency condition.  The layout generalises
-:class:`~repro.core.multi.MultiRegisterDeployment` (register substrate)
-to all three Table 1 substrates:
+its own consistency condition, on any of the three Table 1 substrates
+(the register one lays its slots out as
+:class:`~repro.core.multi.MultiRegisterDeployment` does, through the same
+:func:`~repro.core.multi.offset_layouts`):
 
 * ``register`` — each slot is an Algorithm 2 layout shifted into the
   shared object-id space (``kf + ceil(k/z)(f+1)`` registers per slot,
@@ -29,15 +30,16 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.apps.shard.config import ShardConfig
 from repro.consistency.register_atomicity import is_register_history_atomic
 from repro.consistency.ws import check_ws_regular
-from repro.core.layout import RegisterLayout
 from repro.core.multi import (
     READER_BASE,
     SLOT_STRIDE,
     FilteredHistory,
     OffsetLayout,
     SlotHistoryRouter,
+    offset_layouts,
     slot_client_id,
 )
+from repro.errors import BoundViolation
 from repro.sim.client import ClientRuntime
 from repro.sim.ids import ObjectId, ServerId
 from repro.sim.scheduling import RandomScheduler, Scheduler
@@ -56,16 +58,9 @@ def shard_placements(
     ``s*n + i`` on server ``i``).
     """
     if config.substrate == "register":
-        placements: "List[Placement]" = []
-        layouts: "List[OffsetLayout]" = []
-        offset = 0
-        for _ in range(config.capacity):
-            base = RegisterLayout(config.k_writers, config.n, config.f, None)
-            base.validate()
-            layouts.append(OffsetLayout(base, offset))
-            placements.extend(base.placements())
-            offset += base.total_registers
-        return placements, layouts
+        return offset_layouts(
+            config.capacity, config.k_writers, config.n, config.f
+        )
     type_name = "max-register" if config.substrate == "max-register" else "cas"
     v0 = bottom_tsval(None)
     placements = [
@@ -79,13 +74,13 @@ def shard_placements(
 class _Slot:
     """Bookkeeping for one register slot of the shard."""
 
-    __slots__ = ("index", "history", "writers", "readers")
+    __slots__ = ("index", "history", "clients")
 
     def __init__(self, index: int):
         self.index = index
         self.history = FilteredHistory(())
-        self.writers: "Dict[int, ClientRuntime]" = {}
-        self.readers: "Dict[int, ClientRuntime]" = {}
+        #: by offset in the slot's id range (readers from READER_BASE)
+        self.clients: "Dict[int, ClientRuntime]" = {}
 
 
 class ShardFleet:
@@ -145,57 +140,43 @@ class ShardFleet:
             writer_index if writer_index is not None else READER_BASE
         )
         if cfg.substrate == "max-register":
-            from repro.core.abd import ABDClient
-
-            return ABDClient(
-                cfg.n,
-                cfg.f,
-                writer_id=client_tag,
-                object_ids=self._slot_objects(slot_index),
-            )
-        from repro.core.cas_maxreg import CASABDClient
-
-        return CASABDClient(
+            from repro.core.abd import ABDClient as client_class
+        else:
+            from repro.core.cas_maxreg import CASABDClient as client_class
+        return client_class(
             cfg.n,
             cfg.f,
             writer_id=client_tag,
             object_ids=self._slot_objects(slot_index),
         )
 
-    def writer(self, slot_index: int, writer_index: int) -> ClientRuntime:
-        """The slot's writer client ``writer_index`` (created lazily).
-
-        For the register substrate ``writer_index`` must respect the
-        provisioned ``k_writers`` bound — the *caller* (the service's
-        session layer) is responsible for raising
-        :class:`~repro.errors.WriterBoundExceeded` on violations; this
-        layer asserts the invariant.
-        """
+    def _client(
+        self, slot_index: int, offset: int, writer_index: "Optional[int]"
+    ) -> ClientRuntime:
+        """The slot's client at ``offset`` of its id range, created on
+        first use (a reader when ``writer_index`` is None)."""
         slot = self.slots[slot_index]
-        runtime = slot.writers.get(writer_index)
+        runtime = slot.clients.get(offset)
         if runtime is None:
-            if self.config.substrate == "register":
-                assert 0 <= writer_index < self.config.k_writers
-            client_id = slot_client_id(slot_index, writer_index)
+            client_id = slot_client_id(slot_index, offset)
             protocol = self._make_protocol(slot_index, writer_index)
             runtime = self.kernel.add_client(client_id, protocol)
             slot.history.admit(client_id)
-            slot.writers[writer_index] = runtime
+            slot.clients[offset] = runtime
         return runtime
 
+    def writer(self, slot_index: int, writer_index: int) -> ClientRuntime:
+        """The slot's writer client ``writer_index``, one of the
+        ``k_writers`` provisioned.  The *caller* (the service's session
+        layer) raises :class:`~repro.errors.WriterBoundExceeded` on
+        violations; this layer asserts the invariant.
+        """
+        assert 0 <= writer_index < self.config.k_writers
+        return self._client(slot_index, writer_index, writer_index)
+
     def reader(self, slot_index: int, reader_index: int = 0) -> ClientRuntime:
-        """The slot's reader client ``reader_index`` (created lazily)."""
-        slot = self.slots[slot_index]
-        runtime = slot.readers.get(reader_index)
-        if runtime is None:
-            client_id = slot_client_id(
-                slot_index, READER_BASE + reader_index
-            )
-            protocol = self._make_protocol(slot_index, None)
-            runtime = self.kernel.add_client(client_id, protocol)
-            slot.history.admit(client_id)
-            slot.readers[reader_index] = runtime
-        return runtime
+        """The slot's reader client ``reader_index``."""
+        return self._client(slot_index, READER_BASE + reader_index, None)
 
     # -- running ------------------------------------------------------------
 
@@ -204,6 +185,11 @@ class ShardFleet:
 
     def crash_server(self, server_index: int) -> None:
         """One crash event: every slot loses that server at once."""
+        if not 0 <= server_index < self.config.n:
+            raise BoundViolation(
+                f"server index {server_index} out of range"
+                f" [0, {self.config.n})"
+            )
         self.kernel.crash_server(ServerId(server_index))
 
     # -- auditing ------------------------------------------------------------
@@ -219,6 +205,11 @@ class ShardFleet:
     def total_objects(self) -> int:
         """Base objects this shard consumes (Table 1, summed over slots)."""
         return self.object_map.n_objects
+
+    @property
+    def objects_per_slot(self) -> int:
+        """Base objects behind one key: every slot has the same layout."""
+        return self.total_objects // self.config.capacity
 
     def storage_profile(self):
         """Per-server base-object counts (Theorem 7's capacity view)."""

@@ -7,7 +7,8 @@ quorum layout, scheduler stream and (optionally) its own socket
 transport.  Clients interact through :class:`ServiceSession` handles:
 
 * synchronous ``put/get/delete/scan`` — each drives the owning shard to
-  quiescence, the semantics ``ReplicatedKVStore`` always had;
+  quiescence (:class:`~repro.apps.kv.ReplicatedKVStore` is this path on
+  one shard);
 * an asynchronous ``submit``/:meth:`ShardedKVService.drain_completions`
   path — operations are enqueued with opaque tokens and completed by
   stepping the shard kernels, which is how the open-loop load generator
@@ -39,10 +40,13 @@ from repro.errors import (
     WriterBoundExceeded,
 )
 
-#: Deletion sentinel.  A *string* (unlike ``apps.kv.TOMBSTONE``) so it
-#: survives both wire codecs unchanged — shard values cross process
-#: boundaries in socket deployments.
+#: Deletion sentinel (registers cannot shrink, so a delete writes it).
+#: A *string* so it survives both wire codecs unchanged — shard values
+#: cross process boundaries in socket deployments.
 TOMBSTONE = "\x00repro:tombstone"
+
+#: Reader clients per slot; sessions share them by ``session_index``.
+READER_POOL = 2
 
 
 class _SyncToken(int):
@@ -87,14 +91,15 @@ class ShardedKVService:
 
     # -- sessions ------------------------------------------------------------
 
-    def session(self, writer: int = 0) -> "ServiceSession":
-        """Open a session bound to writer identity ``writer``.
+    def session(self, writer: "Optional[int]" = 0) -> "ServiceSession":
+        """Open a session bound to writer identity ``writer``
+        (``None``: read-only — its writes raise ``WriterBoundExceeded``).
 
         Sessions capture the current shard-map version; after a
         :meth:`bump_map` they fail with ``StaleShardMap`` until
         refreshed.  Any number may be open concurrently.
         """
-        if writer < 0:
+        if writer is not None and writer < 0:
             raise WriterBoundExceeded(
                 f"writer identity must be non-negative, got {writer}"
             )
@@ -127,40 +132,68 @@ class ShardedKVService:
             assignment[key] = slot
         return slot
 
-    def _writer_runtime(self, shard_index: int, slot: int, writer: int):
+    def _writer_index(self, shard_index: int, writer: "Optional[int]") -> int:
+        """Which of the slot's ``k_writers`` writer clients serves
+        writer identity ``writer``."""
+        if writer is None:
+            raise WriterBoundExceeded(
+                "read-only session (opened with writer=None) cannot write"
+            )
         shard = self.config.shards[shard_index]
-        if shard.substrate == "register":
-            if writer >= shard.k_writers:
-                raise WriterBoundExceeded(
-                    f"writer {writer} exceeds shard {shard_index}'s"
-                    f" provisioned bound k={shard.k_writers}"
-                    " (register substrate; Table 1's space economics are"
-                    " per provisioned writer)"
-                )
-            writer_index = writer
+        if shard.substrate != "register":
+            # Space does not depend on the writer count: multiplex any
+            # number of identities onto the provisioned clients.
+            return writer % shard.k_writers
+        if writer >= shard.k_writers:
+            raise WriterBoundExceeded(
+                f"writer {writer} exceeds shard {shard_index}'s"
+                f" provisioned bound k={shard.k_writers}"
+                " (register substrate; Table 1's space economics are"
+                " per provisioned writer)"
+            )
+        return writer
+
+    def _enqueue(
+        self,
+        session: "ServiceSession",
+        kind: str,
+        key: str,
+        value: Any,
+        token: Any,
+    ) -> "Optional[int]":
+        """The one key -> shard -> slot -> client decision, shared by the
+        synchronous and asynchronous paths: enqueue ``kind`` on the
+        client that serves it and return the shard to drive, or complete
+        at once (``None``) when the key was never written — no slot, so
+        no quorum round."""
+        shard_index = self.router.shard_of(key)
+        fleet = self.fleets[shard_index]
+        if kind == "get":
+            slot = self._slot_for(shard_index, key, create=False)
+            if slot is None:
+                self._on_complete(token, "read", None)
+                return None
+            runtime = fleet.reader(slot, session.session_index % READER_POOL)
+            name, args = "read", ()
         else:
-            # Unbounded-writer substrates: multiplex sessions onto a
-            # bounded per-slot client pool.
-            writer_index = writer % self.config.writer_pool
-        runtime = self.fleets[shard_index].writer(slot, writer_index)
-        self._attach_hook(runtime)
-        return runtime
-
-    def _reader_runtime(self, shard_index: int, slot: int, session_index: int):
-        reader_index = session_index % self.config.reader_pool
-        runtime = self.fleets[shard_index].reader(slot, reader_index)
-        self._attach_hook(runtime)
-        return runtime
-
-    def _attach_hook(self, runtime) -> None:
+            # Before the slot: a refused writer must not claim one.
+            writer_index = self._writer_index(shard_index, session.writer)
+            slot = self._slot_for(shard_index, key, create=kind == "put")
+            if slot is None:  # delete of an unknown key
+                self._on_complete(token, "write", "ack")
+                return None
+            runtime = fleet.writer(slot, writer_index)
+            name, args = "write", (TOMBSTONE if kind == "delete" else value,)
         if runtime.on_complete is None:
             runtime.on_complete = self._on_complete
+        runtime.enqueue(name, *args, token=token)
+        return shard_index
 
     def _on_complete(self, token: Any, name: str, result: Any) -> None:
         if token is None:
             return
         if token.__class__ is _SyncToken:
-            # A synchronous caller is waiting in _sync_op; async tokens
+            # A synchronous caller is waiting in _sync; async tokens
             # stay queued for drain_completions (the two may interleave).
             self._results[token] = result
             return
@@ -169,38 +202,22 @@ class ShardedKVService:
 
     # -- synchronous operations ----------------------------------------------
 
-    def _sync_op(self, shard_index: int, runtime, name: str, *args) -> Any:
+    def _sync(
+        self, session: "ServiceSession", kind: str, key: str, value: Any = None
+    ) -> Any:
+        """Run one operation to completion: enqueue it, drive the owning
+        shard to quiescence, return what the protocol returned."""
         token = _SyncToken(self._sync_counter)
         self._sync_counter += 1
-        runtime.enqueue(name, *args, token=token)
-        result = self.fleets[shard_index].run_to_quiescence()
-        if not result.satisfied:
-            raise QuorumUnavailable(
-                f"{name} on shard {shard_index} did not complete: {result}"
-            )
+        shard_index = self._enqueue(session, kind, key, value, token)
+        if shard_index is not None:
+            result = self.fleets[shard_index].run_to_quiescence()
+            if not result.satisfied:
+                raise QuorumUnavailable(
+                    f"{kind}({key!r}) on shard {shard_index} did not"
+                    f" complete: {result}"
+                )
         return self._results.pop(token)
-
-    def _put(self, key: str, value: Any, writer: int) -> None:
-        shard_index = self.router.shard_of(key)
-        slot = self._slot_for(shard_index, key, create=True)
-        runtime = self._writer_runtime(shard_index, slot, writer)
-        self._sync_op(shard_index, runtime, "write", value)
-
-    def _get(self, key: str, default: Any, session_index: int) -> Any:
-        shard_index = self.router.shard_of(key)
-        slot = self._slot_for(shard_index, key, create=False)
-        if slot is None:
-            return default
-        runtime = self._reader_runtime(shard_index, slot, session_index)
-        value = self._sync_op(shard_index, runtime, "read")
-        if value is None or value == TOMBSTONE:
-            return default
-        return value
-
-    def _delete(self, key: str, writer: int) -> None:
-        shard_index = self.router.shard_of(key)
-        if self._slot_for(shard_index, key, create=False) is not None:
-            self._put(key, TOMBSTONE, writer)
 
     # -- asynchronous operations (load generation) ---------------------------
 
@@ -216,25 +233,7 @@ class ShardedKVService:
         driving the shard; completion arrives via
         :meth:`drain_completions` once the kernels are stepped."""
         self.router.check_version(session.map_version)
-        shard_index = self.router.shard_of(key)
-        if kind == "get":
-            slot = self._slot_for(shard_index, key, create=False)
-            if slot is None:
-                # Never-written key: complete immediately, no quorum round.
-                self._on_complete(token, "read", None)
-                return token
-            runtime = self._reader_runtime(
-                shard_index, slot, session.session_index
-            )
-            runtime.enqueue("read", token=token)
-            return token
-        slot = self._slot_for(shard_index, key, create=kind == "put")
-        if slot is None:  # delete of an unknown key
-            self._on_complete(token, "write", "ack")
-            return token
-        runtime = self._writer_runtime(shard_index, slot, session.writer)
-        payload = TOMBSTONE if kind == "delete" else value
-        runtime.enqueue("write", payload, token=token)
+        self._enqueue(session, kind, key, value, token)
         return token
 
     def step(self, max_steps_per_shard: int = 2_000) -> int:
@@ -320,15 +319,19 @@ class ShardedKVService:
 
 
 class ServiceSession:
-    """One client's handle on the sharded service.
+    """One client's handle on the service: ``put``/``get``/``delete``/
+    ``scan`` and their ``submit_*`` forms.
 
-    Carries the writer identity and the shard-map version it routed
-    with; context-manager lifecycle like
-    :class:`repro.apps.kv.KVSession`.
+    Carries the writer identity (``None``: read-only) and the shard-map
+    version it routed with.  Sessions are context managers; a closed one
+    refuses further operations with ``SessionClosed``.
     """
 
     def __init__(
-        self, service: ShardedKVService, writer: int, session_index: int
+        self,
+        service: ShardedKVService,
+        writer: "Optional[int]",
+        session_index: int,
     ):
         self._service = service
         self.writer = writer
@@ -357,28 +360,34 @@ class ServiceSession:
     # -- synchronous operations --------------------------------------------
 
     def put(self, key: str, value: Any) -> None:
+        """Write ``value`` to ``key`` as this session's writer."""
         self._check()
-        self._service._put(key, value, self.writer)
+        self._service._sync(self, "put", key, value)
 
     def get(self, key: str, default: Any = None) -> Any:
+        """Read ``key``; ``default`` for never-written or deleted keys."""
         self._check()
-        return self._service._get(key, default, self.session_index)
+        value = self._service._sync(self, "get", key)
+        if value is None or value == TOMBSTONE:
+            return default
+        return value
 
     def delete(self, key: str) -> None:
+        """Delete ``key`` (writes the tombstone); a no-op on an unknown
+        key."""
         self._check()
-        self._service._delete(key, self.writer)
+        self._service._sync(self, "delete", key)
 
     def scan(self, prefix: str = "") -> "Dict[str, Any]":
-        """Read every live key starting with ``prefix`` (per-key
+        """Read every live key starting with ``prefix``, sorted (per-key
         consistent, not an atomic cross-shard snapshot)."""
         self._check()
         view: "Dict[str, Any]" = {}
         for key in self._service.keys():
-            if not key.startswith(prefix):
-                continue
-            value = self._service._get(key, None, self.session_index)
-            if value is not None:
-                view[key] = value
+            if key.startswith(prefix):
+                value = self.get(key)
+                if value is not None:
+                    view[key] = value
         return view
 
     # -- asynchronous operations -------------------------------------------

@@ -23,7 +23,7 @@ The number of writers is unbounded (no dependence on ``k``).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence
 
 from repro.sim.client import ClientProtocol, Context
 from repro.sim.history import History
@@ -67,7 +67,9 @@ class ABDClient(ClientProtocol):
                     f" ids for n={n}"
                 )
             self.object_ids = list(object_ids)
+        #: responses of the quorum round in flight (at most ``n``)
         self._results: "Dict[OpId, Any]" = {}
+        self._round: "FrozenSet[OpId]" = frozenset()
 
     # -- quorum round ------------------------------------------------------
 
@@ -76,11 +78,16 @@ class ABDClient(ClientProtocol):
         ops = [
             ctx.trigger(oid, kind, *args) for oid in self.object_ids
         ]
+        self._round = frozenset(ops)
         needed = self.n - self.f
-        yield lambda: sum(
-            1 for op in ops if op in self._results
-        ) >= needed
-        return [self._results[op] for op in ops if op in self._results]
+        results = self._results
+        yield lambda: len(results) >= needed
+        responses = [results[op] for op in ops if op in results]
+        # The round is over: up to f responses are still in flight and
+        # on_response drops them, so nothing outlives the round.
+        self._round = frozenset()
+        results.clear()
+        return responses
 
     # -- high-level operations ------------------------------------------------
 
@@ -99,7 +106,8 @@ class ABDClient(ClientProtocol):
         return best.val
 
     def on_response(self, ctx: Context, op: LowLevelOp) -> None:
-        self._results[op.op_id] = op.result
+        if op.op_id in self._round:
+            self._results[op.op_id] = op.result
 
 
 class ABDEmulation:

@@ -17,7 +17,7 @@ the minimum server count, independent of the number of writers.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, FrozenSet, Optional
 
 from repro.sim.client import ClientProtocol, Context
 from repro.sim.history import History
@@ -38,13 +38,21 @@ class FTMaxRegisterClient(ClientProtocol):
         self.f = f
         self.initial_value = initial_value
         self.write_back = write_back
+        #: responses of the quorum round in flight (at most ``n``)
         self._results: "Dict[OpId, Any]" = {}
+        self._round: "FrozenSet[OpId]" = frozenset()
 
     def _quorum(self, ctx: Context, kind: OpKind, args: tuple):
         ops = [ctx.trigger(ObjectId(i), kind, *args) for i in range(self.n)]
+        self._round = frozenset(ops)
         needed = self.n - self.f
-        yield lambda: sum(1 for op in ops if op in self._results) >= needed
-        return [self._results[op] for op in ops if op in self._results]
+        results = self._results
+        yield lambda: len(results) >= needed
+        responses = [results[op] for op in ops if op in results]
+        # As in ABDClient._quorum: late responses are dropped on arrival.
+        self._round = frozenset()
+        results.clear()
+        return responses
 
     def op_write_max(self, ctx: Context, value: Any):
         yield from self._quorum(ctx, OpKind.WRITE_MAX, (value,))
@@ -61,7 +69,8 @@ class FTMaxRegisterClient(ClientProtocol):
         return best
 
     def on_response(self, ctx: Context, op: LowLevelOp) -> None:
-        self._results[op.op_id] = op.result
+        if op.op_id in self._round:
+            self._results[op.op_id] = op.result
 
 
 class FTMaxRegister:

@@ -15,9 +15,10 @@ emulations compose without interference — asserted by the test suite.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.layout import RegisterLayout
+from repro.errors import InvalidConfig
 from repro.sim.events import EventListener
 from repro.sim.history import History
 from repro.sim.ids import ClientId, ObjectId, ServerId
@@ -74,8 +75,30 @@ class OffsetLayout:
         return self.base.storage_profile()
 
 
-class _FilteredHistory(History):
-    """A History that records only operations of selected clients."""
+def offset_layouts(
+    m: int, k: int, n: int, f: int, initial_value: Any = None
+) -> "Tuple[List[Placement], List[OffsetLayout]]":
+    """``(placements, layouts)`` of ``m`` Algorithm 2 registers laid end
+    to end in one object-id space: register ``i``'s layout is shifted
+    past the registers of ``0..i-1``.  A pure function of its arguments,
+    so any process rebuilds the same base objects from the same numbers.
+    """
+    placements: "List[Placement]" = []
+    layouts: "List[OffsetLayout]" = []
+    offset = 0
+    for _ in range(m):
+        base = RegisterLayout(k, n, f, initial_value)
+        base.validate()
+        layouts.append(OffsetLayout(base, offset))
+        placements.extend(base.placements())
+        offset += base.total_registers
+    return placements, layouts
+
+
+class FilteredHistory(History):
+    """A History that records only operations of selected clients: the
+    building block of any multi-register deployment (each register
+    audits only its own clients' operations)."""
 
     def __init__(self, client_ids):
         super().__init__()
@@ -92,11 +115,6 @@ class _FilteredHistory(History):
         if event.seq in self.ops:
             super().on_return(event)
 
-
-#: Public alias: per-client-set filtered histories are the building block
-#: of any multi-register deployment (each register audits only its own
-#: clients' operations).  Used by :mod:`repro.apps.shard`.
-FilteredHistory = _FilteredHistory
 
 #: Client-id partitioning of every multi-slot deployment: slot ``s``
 #: (a register here, a key's slot in :mod:`repro.apps.shard`) owns ids
@@ -120,7 +138,7 @@ class SlotHistoryRouter(EventListener):
     filter; an id outside every slot's range is dropped here.
     """
 
-    def __init__(self, histories: "List[_FilteredHistory]"):
+    def __init__(self, histories: "List[FilteredHistory]"):
         self._histories = histories
 
     def install(self, kernel) -> None:
@@ -149,7 +167,7 @@ class _RegisterView:
         self.deployment = deployment
         self.index = index
         self.layout = layout
-        self.history = _FilteredHistory(set())
+        self.history = FilteredHistory(set())
         self._writers: "Dict[int, ClientId]" = {}
         self._next_reader = 0
 
@@ -165,15 +183,10 @@ class _RegisterView:
     def system(self):
         return self.deployment.system
 
-    def add_writer(self, writer_index: int):
+    def _add_client(self, offset: int, writer_index: "Optional[int]"):
         from repro.core.ws_register import WSRegisterClient
 
-        if writer_index in self._writers:
-            raise ValueError(
-                f"writer {writer_index} already added to register"
-                f" {self.index}"
-            )
-        client_id = slot_client_id(self.index, writer_index)
+        client_id = slot_client_id(self.index, offset)
         protocol = WSRegisterClient(
             self.layout,
             self.object_map,
@@ -182,23 +195,22 @@ class _RegisterView:
         )
         runtime = self.kernel.add_client(client_id, protocol)
         self.history.admit(client_id)
-        self._writers[writer_index] = client_id
+        return runtime
+
+    def add_writer(self, writer_index: int):
+        if writer_index in self._writers:
+            raise InvalidConfig(
+                f"writer {writer_index} already added to register"
+                f" {self.index}"
+            )
+        runtime = self._add_client(writer_index, writer_index)
+        self._writers[writer_index] = runtime.client_id
         return runtime
 
     def add_reader(self):
-        from repro.core.ws_register import WSRegisterClient
-
-        client_id = slot_client_id(self.index, READER_BASE + self._next_reader)
+        offset = READER_BASE + self._next_reader
         self._next_reader += 1
-        protocol = WSRegisterClient(
-            self.layout,
-            self.object_map,
-            writer_index=None,
-            initial_value=self.deployment.initial_value,
-        )
-        runtime = self.kernel.add_client(client_id, protocol)
-        self.history.admit(client_id)
-        return runtime
+        return self._add_client(offset, None)
 
 
 class MultiRegisterDeployment:
@@ -215,19 +227,10 @@ class MultiRegisterDeployment:
         environment: "Optional[Environment]" = None,
     ):
         if m <= 0:
-            raise ValueError("need at least one register")
+            raise InvalidConfig("need at least one register")
         self.m = m
         self.initial_value = initial_value
-        base_layouts = [RegisterLayout(k, n, f, initial_value) for _ in range(m)]
-        for layout in base_layouts:
-            layout.validate()
-        placements: "List[Placement]" = []
-        self.layouts: "List[OffsetLayout]" = []
-        offset = 0
-        for layout in base_layouts:
-            self.layouts.append(OffsetLayout(layout, offset))
-            placements.extend(layout.placements())
-            offset += layout.total_registers
+        placements, self.layouts = offset_layouts(m, k, n, f, initial_value)
         self.system: SimSystem = build_system(
             n, placements, scheduler=scheduler, environment=environment
         )

@@ -66,8 +66,8 @@ class InvalidConfig(ReproError, ValueError):
 
     Raised by the eager ``__post_init__``/``validate`` checks of the
     frozen config dataclasses (``KVConfig``, ``ShardConfig``,
-    ``ShardServiceConfig``, …): a bad substrate name, a writer pool of
-    zero, transports that do not match the shard count.  Caller error,
+    ``ShardServiceConfig``, …): a bad substrate name, zero
+    writers, transports that do not match the shard count.  Caller error,
     detected before any simulation state exists.
     """
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.apps.kv import KVConfig, ReplicatedKVStore
+from repro.apps.shard import ShardConfig, ShardedKVService, ShardServiceConfig
 
 
 class TestConfig:
@@ -144,3 +145,44 @@ class TestFaultTolerance:
         store = ReplicatedKVStore(substrate="register", n=5, f=2)
         with pytest.raises(ValueError):
             store.crash_server(9)
+
+
+@pytest.mark.parametrize("substrate", ["register", "max-register", "cas"])
+def test_store_is_the_one_shard_service(substrate):
+    """The same seed and script through ``ReplicatedKVStore`` and through
+    a hand-built one-shard ``ShardedKVService`` give equal per-key
+    histories: the store adds no protocol, schedule or client of its own
+    (this fails the day the store is forked from the service again)."""
+    store = ReplicatedKVStore(
+        substrate=substrate, n=5, f=2, k_writers=2, seed=11, max_keys=3
+    )
+    service = ShardedKVService(
+        ShardServiceConfig(
+            shards=(
+                ShardConfig(
+                    substrate=substrate, n=5, f=2, k_writers=2, capacity=3
+                ),
+            ),
+            seed=11,
+        )
+    )
+    # the store's writer-free reads are one read-only session, opened first
+    fronts = ((store, store), (service, service.session(writer=None)))
+    for front, reads in fronts:
+        first, second = front.session(writer=0), front.session(writer=1)
+        first.put("a", 1)
+        second.put("b", [2])
+        assert reads.get("a") == 1
+        front.crash_server(4)
+        second.put("a", 3)
+        first.delete("b")
+        assert second.get("b") is None
+        assert reads.get("a") == 3
+        assert first.scan() == {"a": 3}
+    assert store.keys() == service.keys() == ["a", "b"]
+    used = slice(0, 2)
+    assert [
+        slot.history.to_dicts() for slot in store.fleet.slots[used]
+    ] == [slot.history.to_dicts() for slot in service.fleets[0].slots[used]]
+    assert store.fleet.kernel.time == service.fleets[0].kernel.time
+    assert store.audit() == service.audit() == {"a": True, "b": True}

@@ -138,7 +138,7 @@ class TestQuorumFailureTyped:
 class TestSharedFleetCapacityTyped:
     def test_full_fleet_raises_shard_capacity(self):
         config = KVConfig.make(
-            "register", n=3, f=1, k_writers=2, shared_fleet=True, max_keys=2
+            "register", n=3, f=1, k_writers=2, max_keys=2
         )
         store = ReplicatedKVStore(config)
         with store.session(writer=0) as s:
@@ -161,8 +161,6 @@ class TestKVConfig:
             KVConfig(n=2, f=1)  # n < 2f+1
         with pytest.raises(ValueError):
             KVConfig(k_writers=0)
-        with pytest.raises(ValueError):
-            KVConfig(substrate="max-register", shared_fleet=True)
         with pytest.raises(ValueError):
             KVConfig(max_keys=0)
 

@@ -1,32 +1,62 @@
-"""Tests for the shared-fleet KV deployment mode."""
+"""The store's one fleet: every key of a ``ReplicatedKVStore`` lives on
+the same ``n`` servers, provisioned up front for ``max_keys`` keys."""
 
 import pytest
 
 from repro.apps.kv import KVConfig, ReplicatedKVStore
+from repro.core import bounds
+from repro.errors import ShardCapacityExceeded
+
+SUBSTRATES = ("register", "max-register", "cas")
+N, F, K = 5, 2, 2
 
 
-def _store(max_keys=4, seed=0):
+def _store(max_keys=4, seed=0, substrate="register"):
     return ReplicatedKVStore(
-        substrate="register",
-        n=5,
-        f=2,
-        k_writers=2,
+        substrate=substrate,
+        n=N,
+        f=F,
+        k_writers=K,
         seed=seed,
-        shared_fleet=True,
         max_keys=max_keys,
     )
 
 
 class TestConfig:
-    def test_shared_requires_register_substrate(self):
-        with pytest.raises(ValueError):
-            KVConfig(substrate="cas", shared_fleet=True).validate()
-
     def test_max_keys_validated(self):
         with pytest.raises(ValueError):
-            KVConfig(
-                substrate="register", shared_fleet=True, max_keys=0
-            ).validate()
+            KVConfig(substrate="register", max_keys=0).validate()
+
+
+@pytest.mark.parametrize("substrate", SUBSTRATES)
+class TestOneFleetOnEverySubstrate:
+    def test_one_crash_event_hits_every_key(self, substrate):
+        store = _store(seed=3, substrate=substrate)
+        store.session().put("a", "x")
+        store.session().put("b", "y")
+        store.crash_server(0)
+        assert len(store.fleet.object_map.crashed_servers) == 1
+        assert store.get("a") == "x"
+        store.session(writer=1).put("b", "y2")
+        assert store.get("b") == "y2"
+        assert all(store.audit().values())
+
+    def test_provisioned_space_is_table1_times_max_keys(self, substrate):
+        store = _store(max_keys=3, substrate=substrate)
+        # Table 1 at n = 2f+1, where lower and upper bound coincide
+        per_key = bounds.table1_row(substrate, K, N, F)["upper"]
+        assert store.fleet.total_objects == 3 * per_key
+        store.session().put("a", 1)
+        assert store.base_objects_per_key() == {"a": per_key}
+        assert store.base_objects == per_key
+
+    def test_key_past_max_keys_is_refused_typed(self, substrate):
+        store = _store(max_keys=2, substrate=substrate)
+        store.session().put("a", 1)
+        store.session().put("b", 2)
+        with pytest.raises(ShardCapacityExceeded):
+            store.session().put("c", 3)
+        assert store.keys() == ["a", "b"]
 
 
 class TestSharedOperations:
@@ -51,8 +81,7 @@ class TestSharedOperations:
         store.session().put("b", "y")
         store.crash_server(0)
         # The shared object map shows exactly one crashed server...
-        fleet = store._fleet
-        assert len(fleet.object_map.crashed_servers) == 1
+        assert len(store.fleet.object_map.crashed_servers) == 1
         # ...and both keys keep working.
         assert store.get("a") == "x"
         store.session(writer=1).put("b", "y2")
@@ -70,7 +99,7 @@ class TestSharedOperations:
 
     def test_fleet_total_provisioned_up_front(self):
         store = _store(max_keys=3)
-        assert store._fleet.total_registers == 3 * 10
+        assert store.fleet.total_objects == 3 * 10
 
     def test_snapshot_and_audit(self):
         store = _store(seed=5)

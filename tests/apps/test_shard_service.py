@@ -154,6 +154,28 @@ class TestTypedFailures:
         with pytest.raises(WriterBoundExceeded):
             service.session(writer=-1)
 
+    def test_read_only_session_refuses_every_write_form(self):
+        service = ShardedKVService(service_config())
+        with service.session(writer=0) as writer:
+            writer.put("alpha", 1)
+        with service.session(writer=None) as reader:
+            assert reader.get("alpha") == 1
+            assert reader.scan() == {"alpha": 1}
+            reader.submit_get("alpha", token="g")
+            for write in (
+                lambda: reader.put("alpha", 2),
+                lambda: reader.delete("alpha"),
+                lambda: reader.submit_put("alpha", 2, token="p"),
+                lambda: reader.submit_delete("alpha", token="d"),
+                lambda: reader.put("never-written", 2),
+            ):
+                with pytest.raises(WriterBoundExceeded):
+                    write()
+        service.step()
+        assert [done[0] for done in service.drain_completions()] == ["g"]
+        # a refused write claims no slot
+        assert service.keys() == ["alpha"]
+
     def test_unbounded_substrates_fold_writers_onto_pool(self):
         service = ShardedKVService(service_config(substrate="max-register"))
         with service.session(writer=10_000) as s:  # any identity works

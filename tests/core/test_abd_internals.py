@@ -96,3 +96,37 @@ class TestStaleResponses:
         client.enqueue("read")
         assert emu.system.run_to_quiescence().satisfied
         assert emu.history.reads[-1].result == "v2"
+
+
+class TestRoundStateIsBounded:
+    """A client holds the responses of the round in flight and nothing
+    else: the up-to-f responses that arrive after a round returned are
+    dropped, not kept for the client's lifetime."""
+
+    def test_500_put_get_pairs_leave_at_most_n_entries(self):
+        from repro.apps.shard import ShardedKVService, ShardServiceConfig
+
+        service = ShardedKVService(
+            ShardServiceConfig.make(shards=1, n=3, f=1, seed=5)
+        )
+        with service.session(writer=0) as session:
+            for index in range(500):
+                session.put("key", index)
+                assert session.get("key") == index
+        slot = service.fleets[0].slots[0]
+        clients = list(slot.clients.values())
+        assert len(clients) == 2
+        for runtime in clients:
+            assert len(runtime.protocol._results) <= 3
+        assert all(service.audit().values())
+
+    def test_late_response_is_ignored(self):
+        """ClientPriorityScheduler runs the client ahead of the last
+        respond, so every round leaves a straggler behind."""
+        emu = ABDEmulation(n=3, f=1, scheduler=ClientPriorityScheduler())
+        client = emu.add_client()
+        for index in range(20):
+            client.enqueue("write", index)
+        assert emu.system.run_to_quiescence().satisfied
+        assert client.protocol._results == {}
+        assert len(emu.history.writes) == 20

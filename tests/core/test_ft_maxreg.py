@@ -114,3 +114,15 @@ class TestAtomicity:
         ]
         assert reads == sorted(reads)
         assert reads[0] == 5
+
+
+class TestRoundStateIsBounded:
+    def test_responses_do_not_outlive_their_round(self):
+        reg = FTMaxRegister(n=3, f=1, scheduler=RandomScheduler(9))
+        client = reg.add_client()
+        for value in range(200):
+            client.enqueue("write_max", value)
+            client.enqueue("read_max")
+        assert reg.system.run_to_quiescence().satisfied
+        assert len(client.protocol._results) <= 3
+        assert reg.history.all_ops()[-1].result == 199

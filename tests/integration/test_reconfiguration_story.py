@@ -1,10 +1,12 @@
 """The full reconfiguration story, end to end.
 
 A narrative integration test composing the whole stack the way a real
-deployment would: a config service fencing epochs, a shared-fleet KV
-store carrying data, crashes mid-story, an install race, and a final
+deployment would: a config service fencing epochs, a KV store carrying
+data on one fleet, crashes mid-story, an install race, and a final
 verification sweep over every piece.
 """
+
+from types import SimpleNamespace
 
 from repro.apps.config import ConfigService, InstallRaced
 from repro.apps.kv import ReplicatedKVStore
@@ -23,7 +25,6 @@ class TestReconfigurationStory:
             f=2,
             k_writers=2,
             seed=31,
-            shared_fleet=True,
             max_keys=4,
         )
         store.session().put("orders", ["o1"])
@@ -67,8 +68,10 @@ class TestReconfigurationStory:
 
         # Epilogue: verify everything that ran.
         assert all(store.audit().values())
-        for state in store._keys.values():
-            report = verify_run(state.emulation, condition="ws-regular")
+        fleet = store.fleet
+        for slot in fleet.slots[: len(store.keys())]:
+            run = SimpleNamespace(history=slot.history, kernel=fleet.kernel)
+            report = verify_run(run, condition="ws-regular")
             assert report.ok, report.details()
         report = verify_run(
             config.store,

@@ -81,3 +81,37 @@ class TestTopLevelSurface:
                 assert getattr(module, name) is not None, (
                     f"{module.__name__}.{name} missing"
                 )
+
+
+class TestKnobCensus:
+    """Every settable value on the KV path, by name.  A new field on one
+    of these configs is a new knob: it shows up in review as an edit to
+    this test, next to the callers that need two different values of it.
+    """
+
+    EXPECTED = {
+        "KVConfig": ("substrate", "n", "f", "k_writers", "seed", "max_keys"),
+        "ShardConfig": ("substrate", "n", "f", "k_writers", "capacity"),
+        "ShardServiceConfig": ("shards", "seed"),
+        "TransportConfig": ("kind", "seed", "plan", "addresses", "codec"),
+    }
+
+    def test_config_fields_are_exactly_the_known_knobs(self):
+        import dataclasses
+
+        from repro.apps.kv import KVConfig
+        from repro.apps.shard import ShardConfig, ShardServiceConfig
+        from repro.net.config import TransportConfig
+
+        census = {
+            config.__name__: tuple(
+                field.name for field in dataclasses.fields(config)
+            )
+            for config in (
+                KVConfig,
+                ShardConfig,
+                ShardServiceConfig,
+                TransportConfig,
+            )
+        }
+        assert census == self.EXPECTED
