@@ -13,9 +13,9 @@ benchmark through the transport seam:
 * ``lossy-idle`` — :class:`~repro.net.lossy.LossyTransport` with an
   empty fault plan: every message goes through the heap/pump machinery
   but nothing is perturbed, isolating the cost of an *active* transport.
-  The neutral-link fast path (no per-message fate stream is seeded when
-  no rule can ever fire) is expected to keep this near the in-proc
-  number, and the bar below enforces it;
+  A server no rule can ever touch compiles to a ``None`` table entry
+  (no fate is drawn for its messages), which is expected to keep this
+  near the in-proc number, and the bar below enforces it;
 * ``lossy-chaos`` — the same machinery with duplicates, reorders and
   delays enabled (no drops: a saturated run must stay live, and dropped
   requests would strand every client).
@@ -59,10 +59,10 @@ STEPS = 6_000 if SMOKE else 20_000
 REPEATS = 2 if SMOKE else 4
 #: the seam's perf contract: configured inproc vs same-process baseline.
 MAX_INPROC_OVERHEAD = 0.15 if SMOKE else 0.05
-#: the neutral-link fast path's contract: an empty-plan lossy run skips
-#: fate-stream seeding entirely, so it must stay near the in-proc
-#: number (it measured ~0.9x when the fast path landed; it was ~0.55x
-#: without it).  Loose in smoke mode — shared runners are noisy.
+#: the idle contract: an empty-plan lossy run draws no fates at all
+#: (every compiled table entry is ``None``), so it must stay near the
+#: in-proc number (~0.9x).  Loose in smoke mode — shared runners are
+#: noisy.
 MIN_LOSSY_IDLE_FRACTION = 0.3 if SMOKE else 0.65
 
 TRANSPORTS = [

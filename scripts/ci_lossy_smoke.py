@@ -5,15 +5,19 @@ partition/heal cycle) on :class:`~repro.net.lossy.LossyTransport` and
 asserts (a) the captured history is linearizable under every seed and
 (b) the run replays byte-identically **across process boundaries**.
 
-The cross-process part is the point: fault fates are derived from
-``hash()`` of an all-int tuple, which is the one tuple shape Python
-hashes identically regardless of the per-process str-hash salt
-(``PYTHONHASHSEED``).  Re-running inside one interpreter would share a
-single salt and could never detect a regression that sneaks a string
-into the hashed key — so the driver execs each measurement in a fresh
-``sys.executable`` child and compares the digests the children print.
-A stable digest here also makes the uploaded ``lossy-smoke.json``
-artifact comparable across CI runs.
+The cross-process part is the point: fault fates are integer
+arithmetic on the message's ``(seed, op id, leg, server)`` key — no
+``hash()``, no ``random`` — so they must not depend on the per-process
+str-hash salt (``PYTHONHASHSEED``).  Re-running inside one interpreter
+would share a single salt and could never detect a regression that
+sneaks a hashed string into the key — so the driver execs each
+measurement in a fresh ``sys.executable`` child and compares the
+digests the children print.  The digests are comparable across CI runs
+for as long as ``FATE_STREAM`` (printed, and stored in the uploaded
+``lossy-smoke.json``) stays the same.
+
+On failure the driver prints the seed and the one command that replays
+it.
 
 Usage::
 
@@ -39,6 +43,7 @@ from repro.net import (
     Reorder,
     TransportConfig,
 )
+from repro.net.faults import FATE_STREAM
 
 SEEDS = (0, 1, 2)
 
@@ -86,6 +91,20 @@ def run_in_subprocess(seed: int) -> dict:
     return json.loads(result.stdout)
 
 
+def check_seed(seed: int) -> dict:
+    """One seed, twice, in two fresh interpreters: must replay."""
+    first = run_in_subprocess(seed)
+    second = run_in_subprocess(seed)
+    assert first["history_sha256"] == second["history_sha256"], (
+        f"seed {seed} did not replay identically across processes:"
+        f" {first['history_sha256']} != {second['history_sha256']}"
+    )
+    assert first["stats"] == second["stats"], (
+        f"seed {seed}: transport counters diverged across processes"
+    )
+    return first
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -102,19 +121,19 @@ def main() -> None:
         print(json.dumps(run_one(args.seed)))
         return
 
-    report = {"plan": repr(PLAN), "seeds": {}}
+    report = {"plan": repr(PLAN), "fate_stream": FATE_STREAM, "seeds": {}}
     totals = {}
+    print(f"lossy smoke: FATE_STREAM={FATE_STREAM}, seeds {SEEDS}")
     for seed in SEEDS:
-        first = run_in_subprocess(seed)
-        second = run_in_subprocess(seed)
-        assert first["history_sha256"] == second["history_sha256"], (
-            f"seed {seed} did not replay identically across processes:"
-            f" {first['history_sha256']} != {second['history_sha256']}"
-        )
-        assert first["stats"] == second["stats"], (
-            f"seed {seed}: transport counters diverged across processes"
-        )
-        report["seeds"][str(seed)] = first
+        print(f"seed {seed} ...", flush=True)
+        try:
+            report["seeds"][str(seed)] = first = check_seed(seed)
+        except (AssertionError, subprocess.CalledProcessError) as error:
+            print(getattr(error, "stderr", None) or error, file=sys.stderr)
+            sys.exit(
+                f"seed {seed} failed (FATE_STREAM={FATE_STREAM}); replay"
+                f" with: python scripts/ci_lossy_smoke.py --seed {seed}"
+            )
         for key, value in first["stats"].items():
             totals[key] = totals.get(key, 0) + value
     assert totals["held_by_partition"] > 0

@@ -365,8 +365,9 @@ class ReplayDeterminismRule(Rule):
         "diverged.  id() is a process address; set/dict iteration order\n"
         "and float accumulation are schedule-dependent.  None of these\n"
         "may flow into fate functions, cache keys, or wire frames.  Use\n"
-        "all-int tuples for hashing, sorted(...) before iterating, and\n"
-        "integer arithmetic for anything that feeds a seed."
+        "integer arithmetic on explicit ints for anything that feeds a\n"
+        "fate or a seed (FaultPlan.fate calls neither hash() nor\n"
+        "random), and sorted(...) before iterating."
     )
 
     SCOPE = (

@@ -527,6 +527,8 @@ class AsyncioTransport(Transport):
         return op.op_id.value in self._arrived
 
     def result_for(self, op) -> Any:
+        # the op is responding: the oracle never asks about it again.
+        self._arrived.discard(op.op_id.value)
         return self._results.pop(op.op_id.value)
 
     def send_response(self, op) -> None:

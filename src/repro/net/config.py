@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from repro.net.faults import FaultPlan
+from repro.net.faults import FATE_STREAM, FaultPlan
 
 #: the transport kinds a config can describe.
 KINDS = ("inproc", "lossy", "asyncio")
@@ -110,5 +110,10 @@ class TransportConfig:
         ``dataclasses.asdict`` recurses into the fault plan's frozen
         dataclasses in field order, so equal configs always produce the
         same payload and any change to any fault parameter changes it.
+        A lossy result also depends on the stream the fates are drawn
+        from, so that kind alone carries its version.
         """
-        return asdict(self)
+        payload = asdict(self)
+        if self.kind == "lossy":
+            payload["fate_stream"] = FATE_STREAM
+        return payload

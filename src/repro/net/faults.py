@@ -1,16 +1,16 @@
 """Composable, deterministic network-fault models.
 
 Every fault decision is a pure function of ``(plan, seed, message)`` —
-no hidden RNG state, no wall clock.  The per-message stream is derived
-the same way :class:`~repro.sim.chaos.ChaosEnvironment` derives its
-veto stream: ``random.Random(hash((seed, op_id, leg, ...)))``, where
-every member of the hashed tuple is an ``int`` — including the leg,
-which is an integer code, never a string — because int-tuple ``hash()``
-is deterministic across processes while str hashing is salted per
-process (``PYTHONHASHSEED``).  Two runs of the same plan with the same
-seed therefore see identical drops, duplicates, delays and
-reorderings, whatever the scheduler does in between and whichever
-process they run in.
+no hidden RNG state, no wall clock, no salted hashing.  Each message
+owns a counter-based stream: its ``(seed, op id, leg, server)`` key is
+folded into one 64-bit word and passed through the splitmix64 finaliser
+(:func:`_mix`) at most twice, and every fault reads its own fixed
+bit-field of those two words.  The arithmetic is plain ``int``, so two
+runs of the same plan with the same seed see identical drops,
+duplicates, delays and reorderings, whatever the scheduler does in
+between, whichever process or interpreter version they run in.
+:data:`FATE_STREAM` names the stream; persisted lossy results are keyed
+by it (:meth:`~repro.net.config.TransportConfig.cache_payload`).
 
 These faults are **out-of-model stressors** with respect to the paper:
 the space bounds assume reliable (if asynchronous) channels, so under a
@@ -29,15 +29,39 @@ jitter plus reordering.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
-#: message-leg codes, used to split the per-message random stream.
-#: Integer codes (not strings): the leg is hashed into the RNG key, and
-#: only an all-int tuple hashes identically across processes.
+from repro.errors import InvalidConfig
+
+#: message-leg codes, folded into the per-message stream key.
 REQUEST = 0
 RESPONSE = 1
+
+#: version of the fate stream below.  Bump it whenever the same
+#: ``(plan, seed, message)`` would draw a different fate, so results
+#: persisted under the old stream are not served as cache hits.
+FATE_STREAM = 2
+
+_MASK = (1 << 64) - 1
+#: odd 64-bit multipliers that spread seed / op id / server over the key
+#: word, and the splitmix64 increment that steps it to the second draw.
+_K_SEED = 0xD1342543DE82EF95
+_K_OP = 0xDA942042E4DD58B5
+_K_SERVER = 0xA0761D6478BD642F
+_GAMMA = 0x9E3779B97F4A7C15
+
+#: bounds of the 32-bit decision fields and 16-bit magnitude fields.
+_TWO_32 = 4294967296.0
+_TWO_16 = 1 << 16
+
+
+def _mix(z: int) -> int:
+    """The splitmix64 finaliser: a bijection on 64-bit words in which
+    every output bit depends on every input bit."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
 
 
 @dataclass(frozen=True)
@@ -50,8 +74,9 @@ class Drop:
         if not 0.0 <= self.probability < 1.0:
             raise ValueError("drop probability must be in [0, 1)")
 
-    def decide(self, rng: "random.Random") -> bool:
-        return self.probability > 0 and rng.random() < self.probability
+    def decide(self, draw: int) -> bool:
+        """``draw`` is a uniform 32-bit integer."""
+        return draw < self.probability * _TWO_32
 
 
 @dataclass(frozen=True)
@@ -67,8 +92,9 @@ class Duplicate:
         if self.offset < 1:
             raise ValueError("duplicate offset must be >= 1")
 
-    def decide(self, rng: "random.Random") -> bool:
-        return self.probability > 0 and rng.random() < self.probability
+    def decide(self, draw: int) -> bool:
+        """``draw`` is a uniform 32-bit integer."""
+        return draw < self.probability * _TWO_32
 
 
 @dataclass(frozen=True)
@@ -81,11 +107,13 @@ class Delay:
     def __post_init__(self):
         if self.low < 0 or self.high < self.low:
             raise ValueError("need 0 <= low <= high")
+        if self.high - self.low >= _TWO_16:
+            raise InvalidConfig("delay range must span < 2**16 ticks")
 
-    def sample(self, rng: "random.Random") -> int:
-        if self.high == 0:
-            return 0
-        return rng.randint(self.low, self.high)
+    def sample(self, draw: int) -> int:
+        """``draw`` is a uniform 16-bit integer, scaled onto the
+        inclusive range."""
+        return self.low + ((draw * (self.high - self.low + 1)) >> 16)
 
 
 @dataclass(frozen=True)
@@ -102,10 +130,14 @@ class Reorder:
             raise ValueError("reorder probability must be in [0, 1)")
         if self.window < 1:
             raise ValueError("reorder window must be >= 1")
+        if self.window > _TWO_16:
+            raise InvalidConfig("reorder window must be <= 2**16 ticks")
 
-    def jitter(self, rng: "random.Random") -> int:
-        if self.probability > 0 and rng.random() < self.probability:
-            return rng.randint(1, self.window)
+    def jitter(self, draw: int) -> int:
+        """``draw`` is a uniform 48-bit integer: the high 32 bits decide,
+        the low 16 pick the extra ticks in ``[1, window]``."""
+        if (draw >> 16) < self.probability * _TWO_32:
+            return 1 + (((draw & 0xFFFF) * self.window) >> 16)
         return 0
 
 
@@ -145,15 +177,12 @@ class LinkFaults:
 
     @property
     def is_neutral(self) -> bool:
-        """True when no rule on this link can ever fire.
-
-        A neutral link's fate is always the trivial
-        :class:`MessageFate` regardless of the random draws, so the
-        lossy transport may skip seeding the per-message stream
-        entirely.  Skipping is observationally safe *because* the
-        streams are stateless — each message's draws are keyed by its
-        own ``(seed, op id, leg, server)`` hash, so not consuming one
-        message's stream can never shift another's.
+        """True when no rule on this link can ever fire, so every
+        message's fate is the trivial :class:`MessageFate` whatever its
+        draws.  Not drawing them is observationally safe *because* the
+        streams are stateless: each message's words are keyed by its own
+        ``(seed, op id, leg, server)``, so skipping one message can
+        never shift another's.
         """
         return (
             self.drop.probability == 0.0
@@ -163,8 +192,7 @@ class LinkFaults:
         )
 
 
-@dataclass(frozen=True)
-class MessageFate:
+class MessageFate(NamedTuple):
     """Everything that will happen to one message, decided at send time."""
 
     dropped: bool = False
@@ -174,6 +202,46 @@ class MessageFate:
     reordered: bool = False
     partitioned: bool = False
     heal_time: "Optional[int]" = None
+
+
+class ServerFaults(NamedTuple):
+    """Everything a plan holds for one server: its link profile and the
+    partition windows to test (any superset of those listing it)."""
+
+    index: int
+    link: "LinkFaults"
+    windows: "Tuple[Partition, ...]"
+
+    def fate(self, seed: int, op_id: int, leg: int, time: int) -> MessageFate:
+        """The fate of one message to or from this server.
+
+        A covering partition wins outright.  Otherwise the message's key
+        yields two mixed words with a fixed field per fault — first:
+        drop (high 32 bits), duplicate (low 32); second: reorder (high
+        48), delay (low 16) — so switching one fault on or off never
+        changes what another draws, for this message or any other.
+        """
+        index, link, windows = self
+        for partition in windows:
+            if partition.covers(time, index):
+                if partition.heal is None:
+                    return MessageFate(dropped=True, partitioned=True)
+                return MessageFate(partitioned=True, heal_time=partition.heal)
+        key = seed * _K_SEED + op_id * _K_OP + index * _K_SERVER + leg
+        first = _mix((key + _GAMMA) & _MASK)
+        if link.drop.decide(first >> 32):
+            return MessageFate(dropped=True)
+        second = _mix((key + 2 * _GAMMA) & _MASK)
+        jitter = link.reorder.jitter(second >> 16)
+        delay = link.delay.sample(second & 0xFFFF) + jitter
+        duplicate = link.duplicate
+        return MessageFate(
+            False,
+            delay,
+            duplicate.decide(first & 0xFFFFFFFF),
+            delay + duplicate.offset,
+            jitter > 0,
+        )
 
 
 @dataclass(frozen=True)
@@ -191,9 +259,7 @@ class FaultPlan:
     partitions: "Tuple[Partition, ...]" = ()
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "per_server", tuple(sorted(self.per_server))
-        )
+        object.__setattr__(self, "per_server", tuple(sorted(self.per_server)))
         object.__setattr__(
             self,
             "partitions",
@@ -206,64 +272,28 @@ class FaultPlan:
                 return faults
         return self.default
 
-    def link_is_neutral(self, server_index: int) -> bool:
-        """True when no fault in the plan can ever touch this server:
-        its link profile is neutral and no partition (at any time) lists
-        it.  Time-independent by construction, so callers may cache the
-        answer per server for the lifetime of the plan."""
-        if any(
-            server_index in partition.servers
-            for partition in self.partitions
-        ):
-            return False
-        return self.link(server_index).is_neutral
-
-    def partition_covering(
-        self, time: int, server_index: int
-    ) -> "Optional[Partition]":
-        for partition in self.partitions:
-            if partition.covers(time, server_index):
-                return partition
-        return None
+    def compiled(self, server_index: int) -> "Optional[ServerFaults]":
+        """The plan as one server sees it — its link profile and only
+        the partitions that list it — or ``None`` when no fault can ever
+        touch that server.  Time-independent, so callers may keep the
+        answer for the lifetime of the plan."""
+        link = self.link(server_index)
+        listing = [p for p in self.partitions if server_index in p.servers]
+        if link.is_neutral and not listing:
+            return None
+        return ServerFaults(server_index, link, tuple(listing))
 
     def fate(
-        self,
-        seed: int,
-        op_id: int,
-        leg: int,
-        server_index: int,
-        time: int,
+        self, seed: int, op_id: int, leg: int, server_index: int, time: int
     ) -> "MessageFate":
-        """Decide, deterministically, what happens to one message.
-
-        The stream is keyed by (seed, op id, leg code) so the two legs
-        of an operation get independent fates, yet replays are exact —
-        the key tuple is all ints, so its hash (and hence every fate)
-        is identical in every process regardless of hash salting.  Fate
-        order matters: partition, drop, delay+reorder, duplicate — each
-        consumes a fixed number of draws so adding a fault never shifts
-        another message's stream.
-        """
-        rng = random.Random(hash((seed, op_id, leg, server_index)))
-        partition = self.partition_covering(time, server_index)
-        if partition is not None:
-            if partition.heal is None:
-                return MessageFate(
-                    dropped=True, partitioned=True, heal_time=None
-                )
-            return MessageFate(partitioned=True, heal_time=partition.heal)
-        link = self.link(server_index)
-        if link.drop.decide(rng):
-            return MessageFate(dropped=True)
-        delay = link.delay.sample(rng)
-        jitter = link.reorder.jitter(rng)
-        duplicated = link.duplicate.decide(rng)
-        return MessageFate(
-            delay=delay + jitter,
-            duplicated=duplicated,
-            duplicate_delay=delay + jitter + link.duplicate.offset,
-            reordered=jitter > 0,
+        """Decide, deterministically, what happens to one message: a
+        pure function of the arguments, identical in every process.  The
+        two legs of an operation, and its copies to different servers,
+        get independent streams (see :meth:`ServerFaults.fate`)."""
+        faults = ServerFaults(
+            server_index, self.link(server_index), self.partitions
         )
+        return faults.fate(seed, op_id, leg, time)
 
 
 def straggler_plan(

@@ -4,14 +4,16 @@
 between clients and servers: every request and response leg gets a
 deterministic :class:`~repro.net.faults.MessageFate` (drop, delay,
 reorder jitter, duplicate, partition hold) decided at send time from
-``hash((seed, op_id, leg_code, server))`` — an all-int tuple, so the
-same seed replays the same fates in any process.  In-flight messages
-sit in
-delivery heaps keyed by (due tick, send sequence); the kernel pumps the
-heaps at the top of every step and, when nothing else is enabled,
-force-flushes the earliest message — so every message that is not
-dropped is *eventually* delivered (the fairness assumption under which
-liveness may be asserted; see docs/MODEL.md).
+the message's ``(seed, op id, leg, server)`` key alone, so the same
+seed replays the same fates in any process.  The plan is resolved once,
+at :meth:`~LossyTransport.bind`, into one entry per server; a send is
+one table lookup, one :meth:`~repro.net.faults.ServerFaults.fate` and one
+heap push, and a server nothing can touch costs the lookup only.  In-flight
+messages sit in delivery heaps keyed by (due tick, send sequence); the
+kernel pumps the heaps at the top of every step and, when nothing else
+is enabled, force-flushes the earliest message — so every message that
+is not dropped is *eventually* delivered (the fairness assumption under
+which liveness may be asserted; see docs/MODEL.md).
 
 Relative to the paper's model these are out-of-model stressors: the
 kernel still executes one action per step and operations still take
@@ -23,16 +25,11 @@ holds for plans that preserve eventual delivery to ``n - f`` servers
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Dict, List, Tuple
+from heapq import heappop, heappush
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.net.faults import REQUEST, RESPONSE, FaultPlan, MessageFate
+from repro.net.faults import REQUEST, RESPONSE, FaultPlan, ServerFaults
 from repro.net.transport import Transport
-
-#: the fate of every message on a neutral link: delivered next pump,
-#: no drops, no copies, no jitter.  One shared instance — the fast path
-#: must not even pay a dataclass construction per message.
-_NEUTRAL_FATE = MessageFate()
 
 #: counter names exposed by :meth:`LossyTransport.stats`.
 COUNTERS = (
@@ -46,6 +43,10 @@ COUNTERS = (
     "reordered",
     "flushes",
 )
+#: the per-leg counters, indexed by leg code (REQUEST, RESPONSE).
+_SENT = ("requests_sent", "responses_sent")
+_DROPPED = ("dropped_requests", "dropped_responses")
+_DUPLICATED = ("duplicate_requests", "duplicate_responses")
 
 
 class LossyTransport(Transport):
@@ -65,124 +66,92 @@ class LossyTransport(Transport):
         self.plan = plan if plan is not None else FaultPlan()
         self.seed = seed
         self._send_seq = 0
-        #: op-id values whose request has been delivered to the server.
+        #: ids of the pending ops whose request has reached the server.
         self._arrived: "set[int]" = set()
         #: in-flight request legs: heap of (due tick, send seq, op).
         self._requests: "List[Tuple[int, int, Any]]" = []
         #: in-flight response legs: heap of (due tick, send seq, op).
         self._responses: "List[Tuple[int, int, Any]]" = []
         self.counters: "Dict[str, int]" = {name: 0 for name in COUNTERS}
-        #: server index -> True when the plan can never touch that link
-        #: (see FaultPlan.link_is_neutral); lazily filled, valid for the
-        #: plan's lifetime because neutrality is time-independent.
-        self._neutral: "Dict[int, bool]" = {}
-        #: the whole plan is inert (no partitions, every link neutral):
-        #: sends can skip fate resolution without even a per-server
-        #: lookup.  The common case for runs that want the active
-        #: transport machinery but no weather, e.g. FaultPlan().
-        self._all_neutral = (
-            not self.plan.partitions
-            and self.plan.default.is_neutral
-            and all(
-                faults.is_neutral for _, faults in self.plan.per_server
-            )
-        )
+        #: object index -> the plan compiled for the server hosting it
+        #: (one shared ServerFaults per server), or None when no fault
+        #: can ever touch that server.  Filled by bind().
+        self._links: "Dict[int, Optional[ServerFaults]]" = {}
+
+    def bind(self, kernel) -> None:
+        super().bind(kernel)
+        object_map = kernel.object_map
+        per_server = {
+            server_id: self.plan.compiled(server_id.index)
+            for server_id in object_map.server_ids
+        }
+        self._links = {
+            object_id.index: per_server[object_map.server_of(object_id)]
+            for object_id in object_map.object_ids
+        }
 
     # -- send side ---------------------------------------------------------
 
-    def _fate(self, op, leg: int):
-        kernel = self._kernel
-        server_index = kernel.object_map.server_of(op.object_id).index
-        # Idle fast path: on a link no rule can ever touch, the fate is
-        # a foregone conclusion — skip seeding the per-message stream
-        # (a Mersenne-Twister construction per send, by far the most
-        # expensive part of a faultless lossy hop).  Stateless streams
-        # make the skip invisible: no other message's draws shift.
-        neutral = self._neutral.get(server_index)
-        if neutral is None:
-            neutral = self._neutral[server_index] = (
-                self.plan.link_is_neutral(server_index)
-            )
-        if neutral:
-            return kernel.time, _NEUTRAL_FATE
-        return kernel.time, self.plan.fate(
-            self.seed, op.op_id.value, leg, server_index, kernel.time
-        )
-
-    def _enqueue(self, queue, op, now: int, fate) -> None:
+    def _send(self, op, leg: int, queue) -> None:
+        counters = self.counters
+        counters[_SENT[leg]] += 1
+        now, seq = self._kernel.time, self._send_seq
+        faults = self._links[op.object_id.index]
+        if faults is None:  # untouched: due at the next pump
+            heappush(queue, (now, seq, op))
+            self._send_seq = seq + 1
+            return
+        fate = faults.fate(self.seed, op.op_id, leg, now)
+        if fate.dropped:
+            counters[_DROPPED[leg]] += 1
+            return
         if fate.partitioned:
-            self.counters["held_by_partition"] += 1
             # held until the partition heals (covers() guarantees
             # heal_time > now here; heal=None was already a drop).
-            heapq.heappush(queue, (fate.heal_time, self._send_seq, op))
-            self._send_seq += 1
-            return
-        if fate.reordered:
-            self.counters["reordered"] += 1
-        heapq.heappush(queue, (now + fate.delay, self._send_seq, op))
-        self._send_seq += 1
+            counters["held_by_partition"] += 1
+            due = fate.heal_time
+        else:
+            if fate.reordered:
+                counters["reordered"] += 1
+            due = now + fate.delay
+        heappush(queue, (due, seq, op))
         if fate.duplicated:
-            heapq.heappush(
-                queue, (now + fate.duplicate_delay, self._send_seq, op)
-            )
-            self._send_seq += 1
+            counters[_DUPLICATED[leg]] += 1
+            seq += 1
+            heappush(queue, (now + fate.duplicate_delay, seq, op))
+        self._send_seq = seq + 1
 
     def send_request(self, op) -> None:
-        self.counters["requests_sent"] += 1
-        if self._all_neutral:
-            # Inert plan: the fate is the trivial one, due immediately.
-            heapq.heappush(
-                self._requests, (self._kernel.time, self._send_seq, op)
-            )
-            self._send_seq += 1
-            return
-        now, fate = self._fate(op, REQUEST)
-        if fate.dropped:
-            self.counters["dropped_requests"] += 1
-            return
-        if fate.duplicated:
-            self.counters["duplicate_requests"] += 1
-        self._enqueue(self._requests, op, now, fate)
+        self._send(op, REQUEST, self._requests)
 
     def send_response(self, op) -> None:
-        self.counters["responses_sent"] += 1
-        if self._all_neutral:
-            heapq.heappush(
-                self._responses, (self._kernel.time, self._send_seq, op)
-            )
-            self._send_seq += 1
-            return
-        now, fate = self._fate(op, RESPONSE)
-        if fate.dropped:
-            self.counters["dropped_responses"] += 1
-            return
-        if fate.duplicated:
-            self.counters["duplicate_responses"] += 1
-        self._enqueue(self._responses, op, now, fate)
+        # the op has responded: the oracle never asks about it again.
+        self._arrived.discard(op.op_id)
+        self._send(op, RESPONSE, self._responses)
 
     # -- oracle ------------------------------------------------------------
 
     def request_arrived(self, op) -> bool:
-        return op.op_id.value in self._arrived
+        return op.op_id in self._arrived
 
     # -- delivery ----------------------------------------------------------
 
     def _deliver_request(self, op) -> None:
-        self._arrived.add(op.op_id.value)
-        # arrive() tolerates duplicates, crashed objects and already-
-        # responded ops, so every queued copy can be handed over as-is.
-        self._kernel.arrive(op.op_id)
-
-    def _deliver_response(self, op) -> None:
-        self._kernel.deliver(op)
+        # A copy that lands after the op responded is stale: recording
+        # it would keep the op in _arrived forever.  arrive() itself
+        # tolerates duplicates and crashed objects.
+        op_id, kernel = op.op_id, self._kernel
+        if op_id in kernel.pending:
+            self._arrived.add(op_id)
+            kernel.arrive(op_id)
 
     def pump(self) -> None:
         now = self._kernel.time
         requests, responses = self._requests, self._responses
         while requests and requests[0][0] <= now:
-            self._deliver_request(heapq.heappop(requests)[2])
+            self._deliver_request(heappop(requests)[2])
         while responses and responses[0][0] <= now:
-            self._deliver_response(heapq.heappop(responses)[2])
+            self._kernel.deliver(heappop(responses)[2])
 
     def flush_idle(self) -> bool:
         """Force the earliest in-flight message through.
@@ -203,9 +172,9 @@ class LossyTransport(Transport):
         if response_head is None or (
             request_head is not None and request_head[:2] <= response_head[:2]
         ):
-            self._deliver_request(heapq.heappop(self._requests)[2])
+            self._deliver_request(heappop(self._requests)[2])
         else:
-            self._deliver_response(heapq.heappop(self._responses)[2])
+            self._kernel.deliver(heappop(self._responses)[2])
         return True
 
     # -- introspection -----------------------------------------------------

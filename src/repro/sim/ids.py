@@ -112,8 +112,9 @@ class OpId(int):
     goes through ``__hash__`` — inheriting the C-level ``int`` hash and
     equality removes that Python call from the hot path.  (The hash of an
     op id equals the hash of its plain value, which also keeps the seeded
-    fault-fate streams of the lossy transport and the chaos environment —
-    both hash tuples containing ``op_id.value`` — byte-identical.)
+    veto stream of the chaos environment — it hashes tuples containing
+    ``op_id.value`` — byte-identical; the lossy transport's fate stream
+    uses the id arithmetically, as the plain ``int`` it is.)
 
     Everything observable is preserved: ``repr``/``str`` match the old
     forms, equality against the *other* id types stays ``False``, and

@@ -123,6 +123,37 @@ class TestTransportKeying:
         built = _cell(transport=TransportConfig.lossy())
         assert cell_key(direct) == cell_key(built)
 
+    def test_only_the_lossy_key_names_the_fate_stream(self, monkeypatch):
+        # a lossy result computed under another fate stream must not be
+        # served as a hit; the other kinds draw no fates, so their keys
+        # (and every entry persisted under them) stay where they were.
+        import dataclasses
+
+        from repro.net import TransportConfig, chaos_faults, config, faults
+
+        configs = {
+            "inproc": TransportConfig.inproc(),
+            "asyncio": TransportConfig.asyncio(codec="binary"),
+            "lossy": TransportConfig.lossy(chaos_faults(), seed=3),
+        }
+        assert config.FATE_STREAM is faults.FATE_STREAM
+
+        def keys():
+            return {
+                kind: cell_key(_cell(transport=transport))
+                for kind, transport in configs.items()
+            }
+
+        before = keys()
+        monkeypatch.setattr(config, "FATE_STREAM", faults.FATE_STREAM + 1)
+        after = keys()
+        assert after["lossy"] != before["lossy"]
+        assert after["inproc"] == before["inproc"]
+        assert after["asyncio"] == before["asyncio"]
+        for kind in ("inproc", "asyncio"):
+            payload = configs[kind].cache_payload()
+            assert payload == dataclasses.asdict(configs[kind])
+
     def test_lossy_sweep_never_serves_an_inproc_hit(self, tmp_path):
         from repro.net import TransportConfig, chaos_faults
 

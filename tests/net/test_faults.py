@@ -1,14 +1,16 @@
 """Fault models: validation, determinism, composition."""
 
-import dataclasses
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
+from repro.errors import InvalidConfig
 from repro.net.faults import (
+    FATE_STREAM,
     REQUEST,
     RESPONSE,
     Delay,
@@ -37,6 +39,14 @@ class TestValidation:
             Delay(5, 2)
         with pytest.raises(ValueError):
             Delay(-1, 2)
+
+    def test_magnitudes_must_fit_their_16_bit_field(self):
+        Delay(10, 10 + 2**16 - 1)  # ok: 2**16 values
+        with pytest.raises(InvalidConfig):
+            Delay(10, 10 + 2**16)
+        Reorder(0.5, window=2**16)  # ok
+        with pytest.raises(InvalidConfig):
+            Reorder(0.5, window=2**16 + 1)
 
     def test_partition_must_heal_after_start(self):
         with pytest.raises(ValueError):
@@ -103,6 +113,125 @@ class TestFateDeterminism:
         assert fate.dropped and fate.partitioned
 
 
+#: the stream, pinned: ((seed, op, leg, server), fate) under
+#: ``chaos_faults(0.2, 0.2, 0.5, 40)`` at time 0.  Pure int arithmetic,
+#: so these hold on every interpreter; a change here is a new stream and
+#: must come with a ``FATE_STREAM`` bump (persisted lossy results are
+#: keyed by it).
+PINNED_STREAM = 2
+PINNED_FATES = (
+    ((0, 0, 0, 0), (False, 29, False, 34, True, False, None)),
+    ((0, 0, 1, 0), (False, 37, False, 42, False, False, None)),
+    ((0, 1, 0, 0), (False, 45, False, 50, True, False, None)),
+    ((0, 1, 0, 1), (False, 15, False, 20, False, False, None)),
+    ((1, 0, 0, 0), (False, 14, False, 19, False, False, None)),
+    ((7, 3, 0, 2), (True, 0, False, 0, False, False, None)),
+    ((7, 3, 1, 2), (False, 38, True, 43, False, False, None)),
+    ((7, 4, 0, 2), (False, 11, True, 16, True, False, None)),
+    ((7, 1000, 0, 0), (False, 49, False, 54, True, False, None)),
+    ((7, 1000, 1, 3), (False, 53, False, 58, True, False, None)),
+    ((42, 1048576, 0, 1), (False, 22, False, 27, False, False, None)),
+    ((42, 1048577, 0, 1), (True, 0, False, 0, False, False, None)),
+    ((2147483648, 5, 1, 4), (False, 15, False, 20, False, False, None)),
+    ((9223372036854775817, 5, 1, 4), (True, 0, False, 0, False, False, None)),
+    ((-3, 17, 0, 0), (True, 0, False, 0, False, False, None)),
+    ((123456789, 987654321, 1, 6), (True, 0, False, 0, False, False, None)),
+)
+
+
+def link(drop=0.0, duplicate=0.0, delay=(0, 0), reorder=0.0, window=10):
+    return LinkFaults(
+        drop=Drop(drop),
+        duplicate=Duplicate(duplicate),
+        delay=Delay(*delay),
+        reorder=Reorder(reorder, window=window),
+    )
+
+
+class TestFateStream:
+    """The counter-based stream itself: pinned bits, honest
+    distributions, one fixed slot per fault."""
+
+    KEYS = 24_000
+
+    def fates(self, faults, seed=5, leg=REQUEST, server=0, keys=KEYS):
+        plan = FaultPlan(default=faults)
+        return [plan.fate(seed, op, leg, server, 0) for op in range(keys)]
+
+    def test_pinned_fates(self):
+        assert FATE_STREAM == PINNED_STREAM
+        plan = chaos_faults(drop=0.2, duplicate=0.2, reorder=0.5, max_delay=40)
+        for (seed, op, leg, server), expected in PINNED_FATES:
+            assert tuple(plan.fate(seed, op, leg, server, 0)) == expected
+
+    def test_decision_rates_match_their_probabilities(self):
+        fates = self.fates(link(drop=0.2, duplicate=0.05, reorder=0.3))
+        alive = [fate for fate in fates if not fate.dropped]
+        assert abs(1 - len(alive) / self.KEYS - 0.2) < 0.01
+        duplicated = sum(fate.duplicated for fate in alive)
+        reordered = sum(fate.reordered for fate in alive)
+        assert abs(duplicated / len(alive) - 0.05) < 0.01
+        assert abs(reordered / len(alive) - 0.3) < 0.01
+
+    def test_delay_covers_its_inclusive_range_evenly(self):
+        fates = self.fates(link(delay=(3, 9)))
+        counts = Counter(fate.delay for fate in fates)
+        assert sorted(counts) == list(range(3, 10))
+        for count in counts.values():
+            assert abs(count / self.KEYS - 1 / 7) < 0.01
+
+    def test_jitter_stays_in_its_window(self):
+        fates = self.fates(link(reorder=0.6, window=6))
+        jitters = Counter(fate.delay for fate in fates if fate.reordered)
+        assert sorted(jitters) == [1, 2, 3, 4, 5, 6]
+        assert all(fate.delay == 0 for fate in fates if not fate.reordered)
+        total = sum(jitters.values())
+        for count in jitters.values():
+            assert abs(count / total - 1 / 6) < 0.015
+
+    def test_probabilities_keep_32_bit_resolution(self):
+        tiny = 2.0 ** -32
+        for fault in (Drop(tiny), Duplicate(tiny)):
+            assert fault.decide(0) and not fault.decide(1)
+        assert Reorder(tiny, window=1).jitter(0xFFFF) == 1
+        assert Reorder(tiny, window=1).jitter(1 << 16) == 0
+        almost = 1 - tiny
+        assert Drop(almost).decide(2**32 - 2)
+        assert not Drop(almost).decide(2**32 - 1)
+        assert not Drop(0.0).decide(0)
+
+    @pytest.mark.parametrize("toggled", ["drop", "duplicate"])
+    def test_each_fault_draws_from_its_own_slot(self, toggled):
+        # switching Drop or Duplicate on must not move the delay or the
+        # jitter of any message that still gets through.
+        base = dict(delay=(0, 30), reorder=0.4, window=12)
+        without = self.fates(link(**base), keys=4000)
+        with_it = self.fates(link(**base, **{toggled: 0.3}), keys=4000)
+        survivors = 0
+        for before, after in zip(without, with_it):
+            if after.dropped:
+                continue
+            survivors += 1
+            assert (after.delay, after.reordered) == (
+                before.delay,
+                before.reordered,
+            )
+        assert 0 < survivors <= 4000
+        assert with_it != without  # the toggled fault did fire
+
+    def test_legs_servers_and_seeds_are_separate_streams(self):
+        faults = link(drop=0.2, duplicate=0.2, delay=(0, 40), reorder=0.5)
+        streams = {
+            (seed, leg, server): tuple(
+                self.fates(faults, seed, leg, server, keys=64)
+            )
+            for seed in (0, 1, 2**40)
+            for leg in (REQUEST, RESPONSE)
+            for server in (0, 1, 5)
+        }
+        assert len(set(streams.values())) == len(streams) == 18
+
+
 #: child program for the cross-process test: same plan, same fate keys,
 #: printed as JSON.  Runs under a pinned, different hash salt — if fate()
 #: ever hashes a str (leg names, say), the salted hash diverges and the
@@ -113,7 +242,7 @@ from repro.net.faults import REQUEST, RESPONSE, chaos_faults
 
 plan = chaos_faults(drop=0.2, duplicate=0.2, reorder=0.5, max_delay=40)
 fates = [
-    dataclasses.astuple(plan.fate(7, op_value, leg, server, 0))
+    tuple(plan.fate(7, op_value, leg, server, 0))
     for op_value in range(100)
     for leg in (REQUEST, RESPONSE)
     for server in (0, 1)
@@ -128,8 +257,7 @@ class TestCrossProcessDeterminism:
     smoke job compares history digests from separate interpreters."""
 
     def test_leg_codes_are_ints(self):
-        # the leg goes into the hashed RNG key; str hashing is salted
-        # per process, so a string here would break cross-process replay.
+        # the leg is folded arithmetically into the stream key.
         assert isinstance(REQUEST, int)
         assert isinstance(RESPONSE, int)
         assert REQUEST != RESPONSE
@@ -149,7 +277,7 @@ class TestCrossProcessDeterminism:
         )
         plan = chaos_faults(drop=0.2, duplicate=0.2, reorder=0.5, max_delay=40)
         parent = [
-            dataclasses.astuple(plan.fate(7, op_value, leg, server, 0))
+            tuple(plan.fate(7, op_value, leg, server, 0))
             for op_value in range(100)
             for leg in (REQUEST, RESPONSE)
             for server in (0, 1)

@@ -7,7 +7,9 @@ liveness (runs completing) is asserted only for plans that preserve
 eventual delivery — no drops, partitions that heal.
 """
 
+import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -19,6 +21,7 @@ from repro.consistency.ws import check_ws_regular
 from repro.core.emulation import EmulationSpec
 from repro.net import (
     Delay,
+    Drop,
     Duplicate,
     FaultPlan,
     LinkFaults,
@@ -27,6 +30,11 @@ from repro.net import (
     TransportConfig,
     chaos_faults,
 )
+from repro.net.faults import REQUEST, RESPONSE
+from repro.net.lossy import LossyTransport
+from repro.sim.ids import ClientId, ObjectId, OpId
+from repro.sim.objects import LowLevelOp, OpKind
+from repro.sim.system import build_system
 
 #: algorithm -> (spec params, write op name, value kind, safety check key)
 SCENARIOS = {
@@ -213,3 +221,131 @@ class TestIncrementalParity:
                 break
         assert kernel.clients_quiescent()
         assert_safe("abd", emulation)
+
+
+class TestCompiledLinkTable:
+    """``bind`` resolves the plan into one entry per server; the send
+    path must decide exactly what ``FaultPlan.fate`` decides."""
+
+    PLAN = FaultPlan(
+        per_server=(
+            (1, LinkFaults(drop=Drop(0.3), delay=Delay(0, 6))),
+            (2, LinkFaults(duplicate=Duplicate(0.4, offset=3),
+                           reorder=Reorder(0.5, window=9))),
+        ),
+        partitions=(
+            Partition(start=10, heal=40, servers=(3,)),
+            Partition(start=20, heal=60, servers=(3, 4)),  # overlaps
+            Partition(start=50, heal=None, servers=(4,)),  # never heals
+        ),
+    )
+    SEED = 21
+
+    def _bound(self, plan):
+        transport = LossyTransport(plan, seed=self.SEED)
+        system = build_system(
+            6, [(i, "register", None) for i in range(6)], transport=transport
+        )
+        return system.kernel, transport
+
+    def test_neutral_servers_compile_to_none(self):
+        _, transport = self._bound(self.PLAN)
+        entries = [transport._links[i] for i in range(6)]
+        assert entries[0] is None and entries[5] is None
+        assert all(entry is not None for entry in entries[1:5])
+        assert entries[3].link.is_neutral  # partitions alone keep it live
+        assert [len(entry.windows) for entry in entries[1:5]] == [0, 0, 2, 2]
+        _, idle = self._bound(FaultPlan())
+        assert set(idle._links.values()) == {None}
+
+    def test_send_path_agrees_with_the_plan_on_a_grid(self):
+        kernel, transport = self._bound(self.PLAN)
+        sent = {REQUEST: "requests_sent", RESPONSE: "responses_sent"}
+        dropped = {REQUEST: "dropped_requests", RESPONSE: "dropped_responses"}
+        doubled = {
+            REQUEST: "duplicate_requests",
+            RESPONSE: "duplicate_responses",
+        }
+        seen = Counter()
+        op_value = 0
+        for server in range(6):
+            for time in range(0, 75):
+                for leg in (REQUEST, RESPONSE):
+                    op_value += 1
+                    op = LowLevelOp(
+                        OpId(op_value), ClientId(0), ObjectId(server),
+                        OpKind.READ, (), time, None, None, None,
+                    )
+                    fate = self.PLAN.fate(
+                        self.SEED, op_value, leg, server, time
+                    )
+                    kernel.time = time
+                    transport.counters = Counter()
+                    first_seq, queue = transport._send_seq, []
+                    transport._send(op, leg, queue)
+
+                    expected, counts = [], Counter({sent[leg]: 1})
+                    if fate.dropped:
+                        counts[dropped[leg]] += 1
+                    elif fate.partitioned:
+                        counts["held_by_partition"] += 1
+                        expected.append((fate.heal_time, first_seq, op))
+                    else:
+                        counts["reordered"] += fate.reordered
+                        expected.append((time + fate.delay, first_seq, op))
+                        if fate.duplicated:
+                            counts[doubled[leg]] += 1
+                            expected.append(
+                                (time + fate.duplicate_delay, first_seq + 1, op)
+                            )
+                    assert sorted(queue) == expected, (server, time, leg)
+                    assert +transport.counters == +counts, (server, time, leg)
+                    seen.update(counts)
+        # the grid really visited every kind of fate
+        for name in (*dropped.values(), *doubled.values(),
+                     "held_by_partition", "reordered"):
+            assert seen[name] > 0, name
+
+    def test_empty_plan_replays_the_parent_idle_path(self):
+        # Pinned at the commit that still had the `_all_neutral` idle
+        # shortcut: an empty plan through the compiled table (every
+        # entry None) must pick the same actions and record the same
+        # history, bit for bit.
+        spec = EmulationSpec.make(
+            "abd", n=3, f=1, seed=4,
+            transport=TransportConfig.lossy(FaultPlan(), seed=9),
+        )
+        emulation = spec.build()
+        scheduler, script = emulation.kernel.scheduler, []
+        choose = scheduler.choose
+
+        def recording_choose(actions, kernel):
+            action = choose(actions, kernel)
+            client = action.client_id
+            script.append((
+                action.kind.name,
+                None if client is None else client.index,
+                None if action.op_id is None else int(action.op_id),
+            ))
+            return action
+
+        scheduler.choose = recording_choose
+        writer, reader = emulation.add_writer(0), emulation.add_reader()
+        for i in range(4):
+            writer.enqueue("write", f"v{i}")
+            reader.enqueue("read")
+            assert emulation.system.run_to_quiescence(100_000).satisfied
+
+        def sha256(payload, **kwargs):
+            blob = json.dumps(payload, **kwargs).encode()
+            return hashlib.sha256(blob).hexdigest()
+
+        assert sha256(script) == (
+            "339c4c1ce46fdd2de590b6c35dc1561cb119082bf61ec9436a4bbc498afd39ea"
+        )
+        assert sha256(emulation.history.to_dicts(), sort_keys=True) == (
+            "3d92dbb03e2590747a21241e080733d38a578be63f12846c7977b798239c8be7"
+        )
+        stats = emulation.kernel.transport.stats()
+        assert (stats["requests_sent"], stats["responses_sent"]) == (48, 47)
+        assert sum(stats.values()) == 95  # nothing else ever counted

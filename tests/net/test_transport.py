@@ -165,3 +165,68 @@ class TestDuplicateResponses:
         system.kernel.deliver(op)  # a duplicated response leg
         assert protocol.deliveries == 1  # handler not re-run
         assert runtime.duplicate_responses == 1
+
+
+class TestArrivedBookkeeping:
+    """``_arrived`` serves the ``enabled_actions`` oracle, which only
+    asks about *pending* ops: a transport must forget an op when it
+    responds (and a late duplicate must not bring it back), or the set
+    grows by one int per low-level operation forever."""
+
+    def _service(self, kind):
+        from repro.apps.shard import ShardedKVService, ShardServiceConfig
+        from repro.net import chaos_faults
+        from repro.net.asyncio_transport import AsyncioTransport
+        from repro.net.lossy import LossyTransport
+
+        if kind == "lossy":
+            # duplicates on both legs: stale copies land after responds
+            plan = chaos_faults(
+                drop=0.0, duplicate=0.3, reorder=0.3, max_delay=6
+            )
+            transport = LossyTransport(plan, seed=3)
+        else:
+            transport = AsyncioTransport(idle_timeout=0.05, codec="binary")
+        config = ShardServiceConfig.make(
+            shards=1, substrate="max-register", n=3, f=1, capacity=8, seed=5
+        )
+        return ShardedKVService(config, transports=[transport])
+
+    @pytest.mark.parametrize("kind", ["lossy", "asyncio"])
+    def test_arrived_never_outgrows_pending(self, kind):
+        service = self._service(kind)
+        try:
+            (fleet,) = service.fleets
+            kernel, transport = fleet.kernel, fleet.transport
+            with service.session(writer=0) as session:
+                for i in range(500):
+                    if i % 2:
+                        assert session.get(f"key-{i % 8 - 1}") == i - 1
+                    else:
+                        session.put(f"key-{i % 8}", i)
+                    assert transport._arrived <= set(kernel.pending)
+            assert len(transport._arrived) <= len(kernel.pending)
+            assert len(kernel.ops) > 2000  # ... out of thousands sent
+            if kind == "lossy":
+                assert transport.counters["duplicate_requests"] > 0
+            assert all(service.audit().values())
+        finally:
+            service.close()
+
+    def test_oracle_still_agrees_under_lossy_duplicates(self):
+        service = self._service("lossy")
+        (fleet,) = service.fleets
+        kernel = fleet.kernel
+        with service.session(writer=0) as session:
+            session.put("key", 0)
+            session.submit_put("key", 1, token="a")
+            session.submit_put("key", 2, token="b")
+            session.submit_get("key", token="c")
+            for _ in range(5_000):
+                result = kernel.run(max_steps=1)
+                kernel.check_incremental()
+                if result.reason in ("quiescent", "blocked"):
+                    break
+        assert kernel.clients_quiescent()
+        tokens = {token for token, *_ in service.drain_completions()}
+        assert tokens == {"a", "b", "c"}
