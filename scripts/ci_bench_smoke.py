@@ -1,9 +1,8 @@
 """CI bench-regression smoke: ratio metrics must not regress >20%.
 
-Runs the perf benchmarks (kernel hot path, transport seam, wire
-codec/pipelining, sharded-KV loadgen) in their smoke modes and compares every
-*machine-portable* metric against the checked-in ``BENCH_*.json``
-artifacts.  Absolute steps/sec and ops/sec are not comparable across
+Runs the perf benchmarks (kernel hot path, transport seam, sharded-KV
+loadgen) in their smoke modes and compares every *machine-portable*
+metric against the checked-in ``BENCH_*.json`` artifacts.  Absolute steps/sec and ops/sec are not comparable across
 machines, so only same-process ratios are checked — speedups of one
 implementation over another measured in the same run:
 
@@ -13,8 +12,6 @@ implementation over another measured in the same run:
 * ``BENCH_transport.json`` — ``vs_baseline`` for the ``inproc`` and
   ``lossy-idle`` transports (``lossy-chaos`` does real per-message
   fault work and swings too much on shared runners to gate on);
-* ``BENCH_wire.json`` — ``vs_per_leg_json`` for the two pipelined
-  entries plus the end-to-end ``emulation`` ratio;
 * ``BENCH_kv.json`` — ``sustained_fraction`` (completed / offered ops
   across the fault gauntlet) and the per-key ``audit.ok_fraction``.
   Both are dimensionless fractions of the same run, recorded at 1.0;
@@ -22,15 +19,11 @@ implementation over another measured in the same run:
 
 A metric fails the gate when the fresh smoke value drops below
 ``(1 - tolerance)`` of the recorded one; faster-than-recorded is never
-an error.  In-process ratios gate at 20%.  The wire bench's ratios
-cross process boundaries — their denominators are a few hundred
-serial localhost RTTs, which jitter far more than 20% on shared CI
-runners — so they gate at 40% (the bench's own smoke-mode assertions
-already enforce absolute minima of 3x pipelining / 1.2x end-to-end on
-top of that).  The benchmarks rewrite their artifact files as they run, so
-the recorded (golden) values are loaded *first* and the files restored
-afterwards — the checked-in numbers always reflect a full-mode run,
-never the smoke run this script triggers.
+an error.  In-process ratios gate at 20%.  The benchmarks rewrite
+their artifact files as they run, so the recorded (golden) values are
+loaded *first* and the files restored afterwards — the checked-in
+numbers always reflect a full-mode run, never the smoke run this script
+triggers.
 
 Usage::
 
@@ -48,8 +41,6 @@ BENCH_DIR = os.path.join(REPO, "benchmarks")
 
 #: dropping >20% below the recorded ratio fails the job (in-process).
 TOLERANCE = 0.20
-#: cross-process RTT denominators jitter more on shared runners.
-WIRE_TOLERANCE = 0.40
 #: the KV fractions are correctness-shaped (recorded at 1.0); a small
 #: allowance covers ops stranded by the bounded drain window on a
 #: heavily loaded runner, nothing more.
@@ -62,9 +53,6 @@ BENCHES = {
     ),
     "test_bench_transport.py": (
         "BENCH_transport.json", "BENCH_TRANSPORT_SMOKE", TOLERANCE
-    ),
-    "test_bench_wire.py": (
-        "BENCH_wire.json", "BENCH_WIRE_SMOKE", WIRE_TOLERANCE
     ),
     "test_bench_kv.py": (
         "BENCH_kv.json", "BENCH_KV_SMOKE", KV_TOLERANCE
@@ -85,14 +73,6 @@ def _ratio_metrics(artifact: dict) -> "dict[str, float]":
             metrics[f"{transport}.vs_baseline"] = (
                 artifact["transports"][transport]["vs_baseline"]
             )
-    elif name == "wire_codec_pipelining":
-        for entry in ("pipelined-json", "pipelined-binary"):
-            metrics[f"wire.{entry}.vs_per_leg_json"] = (
-                artifact["wire"][entry]["vs_per_leg_json"]
-            )
-        metrics["emulation.pipelined-binary.vs_per_leg_json"] = (
-            artifact["emulation"]["pipelined-binary"]["vs_per_leg_json"]
-        )
     elif name == "kv_loadgen":
         metrics["kv.sustained_fraction"] = artifact["sustained_fraction"]
         metrics["kv.audit_ok_fraction"] = artifact["audit"]["ok_fraction"]

@@ -1493,6 +1493,7 @@ def exit_code_for(error) -> int:
         (errors.GridFailed, 14),
         (errors.NoMergeableResults, 15),
         (errors.UnknownExperiment, 16),
+        (errors.TransportUnavailable, 17),
     ):
         if isinstance(error, error_class):
             return code

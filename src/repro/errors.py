@@ -61,6 +61,18 @@ class WireDecodeError(ReproError, ValueError):
     unknown tags, malformed payloads)."""
 
 
+class TransportUnavailable(ReproError, RuntimeError):
+    """The socket transport could not do what it was asked.
+
+    Raised when the asyncio transport's cluster does not come up
+    (listener bind or replica connection refused, start-up deadline
+    passed) and when its replica control plane is misused
+    (``crash_replica`` on externally hosted servers, ``restart_replica``
+    of a replica that is not crashed).  An operation that merely fails
+    to reach a quorum is :class:`QuorumUnavailable`.
+    """
+
+
 class InvalidConfig(ReproError, ValueError):
     """A configuration object was built with inconsistent parameters.
 

@@ -23,6 +23,19 @@ Division of labour with the kernel:
 * the *response leg* is local delivery (the socket round-trip already
   happened on the request leg).
 
+Who runs the event loop: the caller, and nobody else.  The transport
+owns a private loop and no thread, lock or queue.  ``send_request``
+appends the encoded frame to a per-server outbox;
+:meth:`~AsyncioTransport.flush_idle` (the kernel has nothing enabled)
+writes each outbox in one ``write`` and runs the loop until a response
+has been parsed or ``idle_timeout`` expires; ``pump`` hands parsed
+responses to ``kernel.arrive``.  Everything else the loop hosts —
+self-hosted replicas, redial timers after a lost link, stray late
+responses — advances only inside ``start`` / ``flush_idle`` / ``close``
+/ ``crash_replica`` / ``restart_replica``, never while the caller
+computes or sleeps, and the transport cannot be driven from inside
+another running event loop on the same thread (asyncio refuses to nest).
+
 This module is exempt from lint rule R002 (see docs/LINTING.md): it is
 the one place in the tree that legitimately touches wall-clock time —
 socket startup and idle-drain deadlines are physical waits on a real
@@ -34,10 +47,9 @@ step counter.
 from __future__ import annotations
 
 import asyncio
-import queue
-import threading
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro.errors import InvalidConfig, TransportUnavailable, WireDecodeError
 from repro.net.transport import Transport
 from repro.net.wire import get_codec
 from repro.sim.ids import ObjectId, OpId
@@ -68,21 +80,14 @@ def snapshot_placements(object_map) -> "Dict[int, List[ReplicaSpec]]":
     return placements
 
 
-#: responses written between flow-control drains on a pipelined
-#: connection; drains act as back-pressure checkpoints, not flushes —
-#: the event loop pushes written bytes to the socket regardless.
-_DRAIN_EVERY = 64
-
-
 class ReplicaServer:
     """One sim server's base objects, served over codec frames.
 
     Requests are applied to the replicas strictly in arrival order on
     the event loop — the replica is the linearization point for its
     objects, exactly like ``BaseObject.apply`` at the respond step is in
-    simulation.  The connection is pipelined: any number of requests may
-    be in flight, and responses stream back in apply order without a
-    per-frame drain.
+    simulation.  The connection is pipelined: every complete frame of a
+    TCP segment is applied and the answers leave in one ``write``.
     """
 
     def __init__(
@@ -93,6 +98,9 @@ class ReplicaServer:
     ):
         self.server_index = server_index
         self.codec = get_codec(codec) if isinstance(codec, str) else codec
+        # by name: a codec-shaped wrapper (one that times the four
+        # encode/decode calls, say) need not forward the splitter.
+        self.split_frames = get_codec(self.codec.name).split_frames
         self.replicas = {
             object_index: make_object(
                 type_name, ObjectId(object_index), initial_value
@@ -100,47 +108,116 @@ class ReplicaServer:
             for object_index, type_name, initial_value in replicas
         }
         self.requests_served = 0
+        #: transports of the connections accepted and not yet lost.
+        self.connections: "Set[asyncio.BaseTransport]" = set()
 
-    async def handle(self, reader, writer) -> None:
-        codec = self.codec
-        read_frame = codec.read_frame
-        decode_req = codec.decode_request
-        encode_resp = codec.encode_response
-        replicas = self.replicas
+    def connection(self) -> "_ReplicaConnection":
+        """Protocol factory for ``loop.create_server``."""
+        return _ReplicaConnection(self)
+
+    def drop_connections(self) -> None:
+        """Abort every accepted connection (process death, shutdown)."""
+        for transport in list(self.connections):
+            transport.abort()
+
+
+class _ReplicaConnection(asyncio.Protocol):
+    """The replica end of one accepted connection."""
+
+    def __init__(self, server: ReplicaServer):
+        self._server = server
+        self._tail = b""
+        self._transport: Any = None
+
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+        self._server.connections.add(transport)
+
+    def connection_lost(self, exc) -> None:
+        self._server.connections.discard(self._transport)
+
+    def data_received(self, data: bytes) -> None:
+        server = self._server
+        decode = server.codec.decode_request
+        encode = server.codec.encode_response
+        replicas = server.replicas
+        answers = []
+        malformed = False
         try:
-            while True:
-                frame = await read_frame(reader)
-                if frame is None:
-                    break
-                op = decode_req(frame)
+            frames, self._tail = server.split_frames(self._tail + data)
+            for frame in frames:
+                op = decode(frame)
                 result = replicas[op.object_id.index].apply(op)
-                self.requests_served += 1
-                writer.write(encode_resp(op.op_id.value, result))
-                if not self.requests_served % _DRAIN_EVERY:
-                    await writer.drain()
-        finally:
-            writer.close()
+                answers.append(encode(op.op_id.value, result))
+        except WireDecodeError:
+            malformed = True
+        if answers:
+            server.requests_served += len(answers)
+            self._transport.write(b"".join(answers))
+        if malformed:
+            # cut the peer off, after the answers it is owed (close
+            # flushes them first) for the frames that did apply.
+            self._transport.close()
+
+    def pause_writing(self) -> None:
+        # flow control: a peer that stops reading its answers stops
+        # being read, which bounds the answer buffer.
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._transport.resume_reading()
+
+
+class _ReplicaLink(asyncio.Protocol):
+    """The client end of the connection to one replica server."""
+
+    def __init__(self, owner: "AsyncioTransport", server_index: int):
+        self._owner = owner
+        self._server_index = server_index
+        self._tail = b""
+        self.transport: Any = None
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+
+    def connection_lost(self, exc) -> None:
+        self._owner._link_down(self._server_index, self)
+
+    def data_received(self, data: bytes) -> None:
+        owner = self._owner
+        decode = owner.codec.decode_response
+        ready = owner._ready
+        try:
+            frames, self._tail = owner._split_frames(self._tail + data)
+            for frame in frames:
+                ready.append(decode(frame))
+        except WireDecodeError:
+            # the stream cannot be resynchronised: count it and drop the
+            # link (connection_lost redials a fresh one).
+            owner.decode_errors += 1
+            self.transport.close()
+        if ready and owner._waiting:
+            owner._loop.stop()
 
 
 class AsyncioTransport(Transport):
     """Low-level operations over real localhost sockets.
 
-    With empty ``addresses`` the transport spawns one asyncio server per
-    sim server inside a background event-loop thread (single-process
-    cluster, as ``repro cluster`` runs it); with addresses it connects
-    to externally hosted ``repro serve`` processes, one ``host:port``
-    per server index.  The two modes do not mix: the list must name an
-    address for *every* server or be empty — :meth:`bind` rejects a
-    partial list, because an op routed to an unlisted server would have
-    no connection to go out on and the run would stall silently.
+    With empty ``addresses`` the transport hosts one asyncio server per
+    sim server on its own event loop (single-process cluster, as
+    ``repro cluster`` runs it); with addresses it connects to externally
+    hosted ``repro serve`` processes, one ``host:port`` per server
+    index.  The two modes do not mix: the list must name an address for
+    *every* server or be empty — :meth:`bind` rejects a partial list,
+    because an op routed to an unlisted server would have no connection
+    to go out on and the run would stall silently.
+
+    A closed transport can be started again; self-hosted replicas keep
+    their state across it.
     """
 
     active = True
     remote = True
-
-    #: replica-server implementation for self-hosted mode; a seam for
-    #: benchmarks/tests that need variant server behaviour.
-    server_class = ReplicaServer
 
     def __init__(
         self,
@@ -156,26 +233,16 @@ class AsyncioTransport(Transport):
         self.startup_timeout = startup_timeout
         self.idle_timeout = idle_timeout
         self.codec = get_codec(codec) if isinstance(codec, str) else codec
+        self._split_frames = get_codec(self.codec.name).split_frames
         self.ports: "Dict[int, int]" = {}
         self.servers: "Dict[int, ReplicaServer]" = {}
         self._placements: "Dict[int, List[ReplicaSpec]]" = {}
         self._loop: "Optional[asyncio.AbstractEventLoop]" = None
-        self._thread: "Optional[threading.Thread]" = None
-        self._ready = threading.Event()
-        self._startup_error: "Optional[BaseException]" = None
-        #: results coming back from replicas: {"op": int, "result": ...}.
-        self._completions: "queue.Queue" = queue.Queue()
+        self._started = False
+        #: True while flush_idle runs the loop waiting for a response.
+        self._waiting = False
         self._results: "Dict[int, Any]" = {}
         self._arrived: "Set[int]" = set()
-        self._inflight: "Set[int]" = set()
-        self._writers: "Dict[int, asyncio.StreamWriter]" = {}
-        self._asyncio_servers: "Dict[int, Any]" = {}
-        self._started = False
-        self._closing = False
-        #: where each server lives, learned at _open; reconnects dial these.
-        self._endpoints: "Dict[int, Tuple[str, int]]" = {}
-        #: server indices whose connection is currently down (EOF, refused).
-        self._down: "Set[int]" = set()
         #: server indices being blackholed (partition injection): request
         #: frames to them are silently dropped, so no response ever comes
         #: back — the protocol sees an unresponsive server, which is
@@ -183,19 +250,31 @@ class AsyncioTransport(Transport):
         self._blackhole: "frozenset[int]" = frozenset()
         #: frames dropped on down or blackholed links (diagnostics).
         self.dropped_frames = 0
-        #: crashed self-hosted replicas (crash_replica/restart_replica).
-        self._crashed_replicas: "Set[int]" = set()
-        #: server indices with a live redial loop (at most one per link).
-        self._redialing: "Set[int]" = set()
-        #: live background tasks (readers, redialers): asyncio holds
-        #: tasks weakly, so the set keeps them alive until done.
-        self._tasks: "Set[asyncio.Task]" = set()
-        #: first unexpected background-task failure (diagnostics).
+        #: links dropped because a response frame failed to decode.
+        self.decode_errors = 0
+        self._reset_run()
+
+    def _reset_run(self) -> None:
+        """State of one start()..close() run; a restart inherits none."""
+        self._links: "Dict[int, _ReplicaLink]" = {}
+        #: self-hosted listeners; a crashed replica has none.
+        self._listeners: "Dict[int, Any]" = {}
+        #: where each server lives, learned at _open; reconnects dial these.
+        self._endpoints: "Dict[int, Tuple[str, int]]" = {}
+        #: server indices whose connection is currently down (EOF, refused).
+        self._down: "Set[int]" = set()
+        #: the live redial loop of a down link, at most one per server
+        #: (asyncio holds tasks weakly: this keeps them alive).
+        self._redials: "Dict[int, asyncio.Task]" = {}
+        #: first failure of a task or loop callback; flush_idle re-raises.
         self._background_error: "Optional[BaseException]" = None
-        #: frames queued per server index since the last loop flush.
+        #: frames queued per server index since the last idle flush.
         self._outbox: "Dict[int, List[bytes]]" = {}
-        self._outbox_lock = threading.Lock()
-        self._flush_scheduled = False
+        #: decoded responses {"op": int, "result": ...} not yet pumped.
+        self._ready: "List[Dict[str, Any]]" = []
+        #: ops sent (or dropped) and not answered; a restart forgets
+        #: them, for nothing sent on the old links will be answered.
+        self._inflight: "Set[int]" = set()
 
     # -- wiring ------------------------------------------------------------
 
@@ -203,7 +282,7 @@ class AsyncioTransport(Transport):
         super().bind(kernel)
         self._placements = snapshot_placements(kernel.object_map)
         if self.addresses and len(self.addresses) != len(self._placements):
-            raise ValueError(
+            raise InvalidConfig(
                 f"asyncio transport got {len(self.addresses)} address(es)"
                 f" for {len(self._placements)} servers: --address must be"
                 " given once per server index, in order (or not at all,"
@@ -212,161 +291,146 @@ class AsyncioTransport(Transport):
             )
 
     def start(self) -> None:
-        """Bring the event-loop thread and the cluster up (idempotent)."""
+        """Bring the event loop and the cluster up (idempotent).
+
+        Also the way back from :meth:`close`: link state of the previous
+        run is forgotten, self-hosted replicas keep their objects.
+        """
         if self._started:
             return
+        self._reset_run()
         self._started = True
-        self._thread = threading.Thread(
-            target=self._run_loop, name="repro-net-asyncio", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(self.startup_timeout):
-            raise RuntimeError("asyncio transport did not start in time")
-        if self._startup_error is not None:
-            raise RuntimeError(
-                "asyncio transport failed to start"
-            ) from self._startup_error
+        loop = self._loop = asyncio.new_event_loop()
+        loop.set_exception_handler(self._on_loop_error)
+        try:
+            loop.run_until_complete(
+                asyncio.wait_for(self._open(), self.startup_timeout)
+            )
+        except (OSError, ValueError, asyncio.TimeoutError) as error:
+            self.close()
+            raise TransportUnavailable(
+                f"asyncio transport failed to start: {error!r}"
+            ) from error
 
     def close(self) -> None:
-        self._closing = True
-        loop, thread = self._loop, self._thread
-        if loop is not None and thread is not None and thread.is_alive():
-            loop.call_soon_threadsafe(loop.stop)
-            thread.join(timeout=self.startup_timeout)
-        self._loop = None
-        self._thread = None
-        self._started = False
-
-    # -- event-loop thread -------------------------------------------------
-
-    def _run_loop(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            loop.run_until_complete(self._open())
-        except BaseException as error:  # surfaced by start()
-            self._startup_error = error
-            self._ready.set()
-            loop.close()
+        loop = self._loop
+        if loop is None:
             return
-        self._ready.set()
+        self._started = False  # from here on a lost link is not redialed
         try:
-            loop.run_forever()
-        finally:
             loop.run_until_complete(self._shutdown())
+        finally:
             loop.close()
+            self._loop = None
 
-    def _spawn(self, coro) -> "asyncio.Task":
-        """ensure_future with an exception sink (lint rule R008).
-
-        The task set keeps the handle alive (the event loop holds tasks
-        weakly); the done-callback observes failures that escaped the
-        task's own error handling, so a buggy reader or redialer fails
-        loudly instead of dying silently mid-experiment.
-        """
-        task = asyncio.ensure_future(coro)
-        self._tasks.add(task)
-        task.add_done_callback(self._reap_task)
-        return task
+    # -- on the event loop ---------------------------------------------------
 
     def _reap_task(self, task: "asyncio.Task") -> None:
-        self._tasks.discard(task)
-        if task.cancelled():
-            return
-        error = task.exception()
-        if error is not None:
-            if self._background_error is None:
-                self._background_error = error
-            import sys
-            import traceback
+        if not task.cancelled() and task.exception() is not None:
+            self._fail(task.exception())
 
-            print(
-                "repro.net.asyncio_transport: background task failed:",
-                file=sys.stderr,
-            )
-            traceback.print_exception(
-                type(error), error, error.__traceback__, file=sys.stderr
-            )
+    def _on_loop_error(self, loop, context: "Dict[str, Any]") -> None:
+        """Loop exception handler: a protocol callback or timer raised."""
+        error = context.get("exception")
+        if isinstance(error, OSError):
+            return  # a broken socket: connection_lost handles the link
+        self._fail(error or TransportUnavailable(context["message"]))
+
+    def _fail(self, error: BaseException) -> None:
+        if self._background_error is None:
+            self._background_error = error
+        if self._waiting:
+            self._loop.stop()
 
     async def _open(self) -> None:
         if self.addresses:
-            endpoints = []
             for server_index, address in enumerate(self.addresses):
                 host, _, port = address.rpartition(":")
-                endpoints.append((server_index, host or self.host, int(port)))
+                self._endpoints[server_index] = (host or self.host, int(port))
         else:
-            endpoints = []
             for server_index, replicas in self._placements.items():
-                replica_server = self.server_class(
-                    server_index, replicas, codec=self.codec
-                )
-                self.servers[server_index] = replica_server
-                server = await asyncio.start_server(
-                    replica_server.handle, self.host, 0
-                )
-                self._asyncio_servers[server_index] = server
-                port = server.sockets[0].getsockname()[1]
-                self.ports[server_index] = port
-                endpoints.append((server_index, self.host, port))
-        for server_index, host, port in endpoints:
-            self._endpoints[server_index] = (host, port)
-            reader, writer = await asyncio.open_connection(host, port)
-            self._writers[server_index] = writer
-            self._spawn(self._read_responses(server_index, reader))
+                if server_index not in self.servers:
+                    self.servers[server_index] = ReplicaServer(
+                        server_index, replicas, codec=self.codec
+                    )
+                await self._listen(server_index, 0)
+        for server_index in self._endpoints:
+            await self._connect(server_index)
 
-    async def _read_responses(self, server_index: int, reader) -> None:
-        codec = self.codec
-        try:
-            while True:
-                frame = await codec.read_frame(reader)
-                if frame is None:
-                    break
-                self._completions.put(codec.decode_response(frame))
-        except (ConnectionError, OSError, ValueError):
-            pass
-        self._link_down(server_index)
+    async def _listen(self, server_index: int, port: int) -> None:
+        listener = await self._loop.create_server(
+            self.servers[server_index].connection, self.host, port
+        )
+        self._listeners[server_index] = listener
+        port = listener.sockets[0].getsockname()[1]
+        self.ports[server_index] = port
+        self._endpoints[server_index] = (self.host, port)
+
+    async def _connect(self, server_index: int) -> None:
+        host, port = self._endpoints[server_index]
+        _, link = await self._loop.create_connection(
+            lambda: _ReplicaLink(self, server_index), host, port
+        )
+        self._links[server_index] = link
+
+    async def _shutdown(self) -> None:
+        redials = list(self._redials.values())
+        for task in redials:
+            task.cancel()
+        await asyncio.gather(*redials, return_exceptions=True)
+        for link in self._links.values():
+            link.transport.abort()
+        for server_index, listener in self._listeners.items():
+            listener.close()
+            self.servers[server_index].drop_connections()
+            await listener.wait_closed()
+        # aborted transports close their sockets in a call_soon: give
+        # those callbacks the iteration they need before the loop closes.
+        await asyncio.sleep(0)
 
     # -- link supervision ----------------------------------------------------
 
-    def _link_down(self, server_index: int) -> None:
-        """The connection to ``server_index`` broke: mark it down and keep
-        redialing (bounded backoff) until it answers or we shut down.
+    def _link_down(self, server_index: int, link: _ReplicaLink) -> None:
+        """The connection to ``server_index`` broke: mark it down and
+        redial (bounded backoff) until it answers or we shut down.
 
-        Runs on the event-loop thread.  While the link is down, frames to
-        the server are dropped — the quorum protocols tolerate exactly
-        this (an unresponsive server), so the run keeps making progress
-        on the surviving replicas and catches up when the link heals.
+        Meanwhile frames to the server are dropped — an unresponsive
+        server is exactly what the quorum protocols tolerate.  The redial
+        timers advance when the loop runs: inside any call that waits.
         """
-        if self._closing or server_index in self._down:
+        if (
+            not self._started
+            or self._links.get(server_index) is not link
+            or server_index in self._down
+        ):
             return
         self._down.add(server_index)
-        writer = self._writers.get(server_index)
-        if writer is not None:
-            writer.close()
-        if server_index not in self._redialing:
-            self._redialing.add(server_index)
-            self._spawn(self._redial(server_index))
+        self._start_redial(server_index)
+
+    def _start_redial(self, server_index: int) -> None:
+        # the task is kept and its failure observed (lint rule R008):
+        # a buggy redialer fails the run at the next flush_idle.
+        if server_index not in self._redials:
+            task = asyncio.ensure_future(
+                self._redial(server_index), loop=self._loop
+            )
+            self._redials[server_index] = task
+            task.add_done_callback(self._reap_task)
 
     async def _redial(self, server_index: int) -> None:
-        host, port = self._endpoints[server_index]
         backoff = 0.05
         try:
-            while not self._closing:
+            while True:
                 await asyncio.sleep(backoff)
                 backoff = min(backoff * 2, 0.5)
-                if self._closing:
-                    return
                 try:
-                    reader, writer = await asyncio.open_connection(host, port)
-                except (ConnectionError, OSError):
+                    await self._connect(server_index)
+                except OSError:
                     continue
-                self._writers[server_index] = writer
                 self._down.discard(server_index)
-                self._spawn(self._read_responses(server_index, reader))
                 return
         finally:
-            self._redialing.discard(server_index)
+            del self._redials[server_index]
 
     def set_blackhole(self, server_indices) -> None:
         """Partition injection: drop every frame to these servers.
@@ -393,30 +457,22 @@ class AsyncioTransport(Transport):
         the same port.
         """
         if self.addresses:
-            raise RuntimeError(
+            raise TransportUnavailable(
                 "crash_replica controls self-hosted replicas; external"
                 " `repro serve` processes are crashed by killing them"
             )
-        if server_index in self._crashed_replicas:
-            return
-        self._crashed_replicas.add(server_index)
-
-        async def _down() -> None:
-            server = self._asyncio_servers.pop(server_index, None)
-            if server is not None:
-                server.close()
-                await server.wait_closed()
-            # Dropping the listener does not drop the established
-            # connection; close it too so in-flight requests fail like a
-            # real process death, not a graceful drain.
-            writer = self._writers.get(server_index)
-            if writer is not None:
-                writer.close()
-            self._down.add(server_index)
-
-        asyncio.run_coroutine_threadsafe(_down(), self._loop).result(
-            self.startup_timeout
-        )
+        self.start()
+        listener = self._listeners.pop(server_index, None)
+        if listener is None:
+            return  # already crashed
+        self._down.add(server_index)
+        listener.close()
+        # Dropping the listener does not drop the established
+        # connection; kill both ends so in-flight requests fail like a
+        # real process death, not a graceful drain.
+        self.servers[server_index].drop_connections()
+        self._links[server_index].transport.abort()
+        self._loop.run_until_complete(listener.wait_closed())
 
     def restart_replica(self, server_index: int) -> None:
         """Bring a crashed self-hosted replica back on its old port.
@@ -425,103 +481,41 @@ class AsyncioTransport(Transport):
         the supervision loop re-establishes the connection and the
         transport resumes routing to it.
         """
-        if server_index not in self._crashed_replicas:
-            raise RuntimeError(f"replica {server_index} is not crashed")
-
-        async def _up() -> None:
-            replica_server = self.servers[server_index]
-            server = await asyncio.start_server(
-                replica_server.handle,
-                self.host,
-                self.ports[server_index],
-            )
-            self._asyncio_servers[server_index] = server
-            if (
-                server_index in self._down
-                and server_index not in self._redialing
-            ):
-                self._redialing.add(server_index)
-                self._spawn(self._redial(server_index))
-
-        asyncio.run_coroutine_threadsafe(_up(), self._loop).result(
-            self.startup_timeout
+        crashed = self._started and server_index in self.servers
+        if not crashed or server_index in self._listeners:
+            raise TransportUnavailable(f"replica {server_index} is not crashed")
+        self._loop.run_until_complete(
+            self._listen(server_index, self.ports[server_index])
         )
-        self._crashed_replicas.discard(server_index)
-
-    async def _shutdown(self) -> None:
-        # Closing the client-side connections first lets every suspended
-        # coroutine finish on EOF: replica handlers see readline() -> b""
-        # and return, which in turn closes their response streams and ends
-        # the _read_responses tasks.  Cancellation is a last resort only —
-        # cancelling a start_server handler task makes asyncio's stream
-        # protocol log a spurious CancelledError from its done-callback.
-        for writer in self._writers.values():
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-        for server in self._asyncio_servers.values():
-            server.close()
-            await server.wait_closed()
-        tasks = [
-            task
-            for task in asyncio.all_tasks()
-            if task is not asyncio.current_task()
-        ]
-        if tasks:
-            _, pending = await asyncio.wait(tasks, timeout=1.0)
-            for task in pending:
-                task.cancel()
-            await asyncio.gather(*pending, return_exceptions=True)
-
-    def _flush_outbox(self) -> None:
-        # runs on the event-loop thread: ship everything queued since the
-        # last flush, one write per connection regardless of how many
-        # requests the kernel triggered in between.  Frames to down or
-        # blackholed servers are dropped, never buffered: replaying stale
-        # requests after a heal would reorder the request leg, and the
-        # quorum protocols neither need nor expect retransmission.
-        with self._outbox_lock:
-            outbox, self._outbox = self._outbox, {}
-            self._flush_scheduled = False
-        writers = self._writers
-        blackhole = self._blackhole
-        for server_index, frames in outbox.items():
-            if server_index in self._down or server_index in blackhole:
-                self.dropped_frames += len(frames)
-                continue
-            try:
-                writers[server_index].write(
-                    frames[0] if len(frames) == 1 else b"".join(frames)
-                )
-            except (ConnectionError, OSError):
-                self.dropped_frames += len(frames)
-                self._link_down(server_index)
+        self._start_redial(server_index)
 
     # -- transport interface -----------------------------------------------
 
     def send_request(self, op) -> None:
-        """Queue the request leg; frames coalesce per event-loop tick.
-
-        The kernel thread only appends to the outbox — at most one loop
-        wakeup is in flight at a time, so a burst of triggers between
-        loop ticks becomes a single ``writer.write`` per connection
-        (pipelining) instead of one wakeup + write + drain per op.
-        """
+        """Queue the request leg: only an append.  What the kernel
+        triggers between two idle points leaves in one ``write`` per
+        connection (pipelining), from :meth:`flush_idle`."""
         if not self._started:
             self.start()
-        kernel = self._kernel
-        server_index = kernel.object_map.server_of(op.object_id).index
+        server_index = self._kernel.object_map.server_of(op.object_id).index
         self._inflight.add(op.op_id.value)
-        data = self.codec.encode_request(op)
-        with self._outbox_lock:
-            self._outbox.setdefault(server_index, []).append(data)
-            schedule = not self._flush_scheduled
-            if schedule:
-                self._flush_scheduled = True
-        if schedule:
-            self._loop.call_soon_threadsafe(self._flush_outbox)
+        self._outbox.setdefault(server_index, []).append(
+            self.codec.encode_request(op)
+        )
+
+    def _flush_outbox(self) -> None:
+        # Frames to down or blackholed servers are dropped, never
+        # buffered: replaying stale requests after a heal would reorder
+        # the request leg, and the quorum protocols neither need nor
+        # expect retransmission.  A failing write surfaces in
+        # connection_lost, not here.
+        down, blackhole, links = self._down, self._blackhole, self._links
+        for server_index, frames in self._outbox.items():
+            if server_index in down or server_index in blackhole:
+                self.dropped_frames += len(frames)
+            else:
+                links[server_index].transport.write(b"".join(frames))
+        self._outbox.clear()
 
     def request_arrived(self, op) -> bool:
         return op.op_id.value in self._arrived
@@ -538,41 +532,46 @@ class AsyncioTransport(Transport):
 
     # -- progress ----------------------------------------------------------
 
-    def _complete(self, frame: "Dict[str, Any]") -> None:
-        op_value = frame["op"]
-        self._inflight.discard(op_value)
-        self._results[op_value] = frame["result"]
-        self._arrived.add(op_value)
-        self._kernel.arrive(OpId(op_value))
+    def _deliver_ready(self) -> bool:
+        """Hand every parsed response to the kernel; True if any."""
+        ready = self._ready
+        if not ready:
+            return False
+        arrive = self._kernel.arrive
+        for frame in ready:
+            op_value = frame["op"]
+            self._inflight.discard(op_value)
+            self._results[op_value] = frame["result"]
+            self._arrived.add(op_value)
+            arrive(OpId(op_value))
+        ready.clear()
+        return True
 
     def pump(self) -> None:
-        while True:
-            try:
-                frame = self._completions.get_nowait()
-            except queue.Empty:
-                return
-            self._complete(frame)
+        if self._ready:
+            self._deliver_ready()
 
     def flush_idle(self) -> bool:
-        """Nothing is enabled locally: wait (bounded, wall-clock) for the
-        next replica answer.  This is where real-network asynchrony meets
-        the step simulation — the wait is physical, not simulated."""
-        if not self._inflight:
+        """Nothing is enabled locally: write what the kernel triggered
+        and wait (bounded, wall-clock) for the next replica answer.
+        This is where real-network asynchrony meets the step simulation
+        — the wait is physical, not simulated — and the one place the
+        event loop runs during an operation."""
+        if not self._inflight or not self._started:
             return False
-        try:
-            frame = self._completions.get(timeout=self.idle_timeout)
-        except queue.Empty:
-            return False
-        self._complete(frame)
-        # Pipelined runs land answers in bursts: drain whatever else has
-        # already arrived so one wall-clock wait can wake many ops.
-        while True:
+        self._flush_outbox()
+        if not self._ready and self._background_error is None:
+            loop = self._loop
+            deadline = loop.call_later(self.idle_timeout, loop.stop)
+            self._waiting = True
             try:
-                frame = self._completions.get_nowait()
-            except queue.Empty:
-                break
-            self._complete(frame)
-        return True
+                loop.run_forever()
+            finally:
+                self._waiting = False
+                deadline.cancel()
+        if self._background_error is not None:
+            raise self._background_error
+        return self._deliver_ready()  # a burst of answers wakes together
 
     def describe(self) -> "Dict[str, Any]":
         return {
@@ -582,7 +581,26 @@ class AsyncioTransport(Transport):
             "addresses": list(self.addresses),
             "codec": self.codec.name,
             "dropped_frames": self.dropped_frames,
+            "decode_errors": self.decode_errors,
         }
+
+
+def _serve_all(listeners, host: str, announce=print) -> None:
+    """Serve ``(replica server, port, label)`` triples until interrupted."""
+
+    async def _serve() -> None:
+        loop = asyncio.get_running_loop()
+        servers = []
+        for replica_server, port, label in listeners:
+            server = await loop.create_server(
+                replica_server.connection, host, port
+            )
+            bound = server.sockets[0].getsockname()
+            announce(f"serving {label} on {bound[0]}:{bound[1]}")
+            servers.append(server)
+        await asyncio.gather(*(server.serve_forever() for server in servers))
+
+    asyncio.run(_serve())
 
 
 def run_replica_server(
@@ -594,16 +612,8 @@ def run_replica_server(
     codec: Any = "json",
 ) -> None:
     """Host one sim server's replicas until interrupted (``repro serve``)."""
-
-    async def _serve() -> None:
-        replica_server = ReplicaServer(server_index, replicas, codec=codec)
-        server = await asyncio.start_server(replica_server.handle, host, port)
-        bound = server.sockets[0].getsockname()
-        announce(f"serving s{server_index} on {bound[0]}:{bound[1]}")
-        async with server:
-            await server.serve_forever()
-
-    asyncio.run(_serve())
+    replica_server = ReplicaServer(server_index, replicas, codec=codec)
+    _serve_all([(replica_server, port, f"s{server_index}")], host, announce)
 
 
 def run_shard_servers(
@@ -624,23 +634,12 @@ def run_shard_servers(
     each shard's listener port — a restarted process must come back on
     the ports its clients' reconnect loops are dialling.
     """
-
-    async def _serve() -> None:
-        servers = []
-        for shard_index in sorted(shard_replicas):
-            replica_server = ReplicaServer(
-                server_index, shard_replicas[shard_index], codec=codec
-            )
-            port = ports.get(shard_index, 0) if ports else 0
-            server = await asyncio.start_server(
-                replica_server.handle, host, port
-            )
-            bound = server.sockets[0].getsockname()
-            announce(
-                f"serving s{server_index}/shard{shard_index}"
-                f" on {bound[0]}:{bound[1]}"
-            )
-            servers.append(server)
-        await asyncio.gather(*(s.serve_forever() for s in servers))
-
-    asyncio.run(_serve())
+    listeners = [
+        (
+            ReplicaServer(server_index, replicas, codec=codec),
+            ports.get(shard_index, 0) if ports else 0,
+            f"s{server_index}/shard{shard_index}",
+        )
+        for shard_index, replicas in sorted(shard_replicas.items())
+    ]
+    _serve_all(listeners, host, announce)

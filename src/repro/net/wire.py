@@ -18,6 +18,12 @@ kernel and its replica servers:
   delimiters.  See ``docs/API.md`` ("Wire format") for the exact frame
   layout.
 
+Each codec frames its byte stream two ways: ``split_frames`` is the
+synchronous splitter the socket protocols call once per TCP segment
+(every complete frame, plus the truncated tail to prepend to the next
+segment); ``read_frame`` reads one frame from an ``asyncio``
+``StreamReader`` and is what the splitter is tested against.
+
 Both codecs are deliberately closed: an unencodable value is an error,
 not a silent ``str()`` — a protocol that started shipping richer values
 over the wire should extend the codec, not corrupt comparisons.  Both
@@ -40,7 +46,7 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import WireDecodeError
 from repro.sim.ids import ClientId, ObjectId, OpId
@@ -390,6 +396,26 @@ class JsonWireCodec:
         line = await reader.readline()
         return line if line else None
 
+    @staticmethod
+    def split_frames(data: bytes) -> "Tuple[List[bytes], bytes]":
+        """Every complete line of ``data`` (newline kept, as
+        :meth:`read_frame` yields them) and the unterminated tail.
+
+        One cut at the last newline; the caller prepends the tail to the
+        next TCP segment.  A tail above :data:`MAX_FRAME_BYTES` is
+        rejected rather than buffered without bound.
+        """
+        cut = data.rfind(b"\n") + 1
+        if len(data) - cut > MAX_FRAME_BYTES:
+            raise WireDecodeError(
+                f"unterminated line of {len(data) - cut} bytes exceeds"
+                f" the {MAX_FRAME_BYTES}-byte wire limit"
+            )
+        if not cut:
+            return [], data
+        lines = [line + b"\n" for line in data[: cut - 1].split(b"\n")]
+        return lines, data[cut:]
+
 
 class BinaryWireCodec:
     """Length-prefixed struct-packed framing (see module docstring)."""
@@ -425,6 +451,33 @@ class BinaryWireCodec:
                 f" {MAX_FRAME_BYTES}-byte wire limit"
             )
         return await reader.readexactly(length)
+
+    @staticmethod
+    def split_frames(data: bytes) -> "Tuple[List[bytes], bytes]":
+        """Every complete frame's payload in ``data`` (as
+        :meth:`read_frame` yields them) and the truncated tail.
+
+        A walk over the length prefixes, no delimiter scan; the caller
+        prepends the tail to the next TCP segment.  A prefix above
+        :data:`MAX_FRAME_BYTES` is rejected as soon as its four bytes
+        are in, before any of the body is buffered.
+        """
+        frames = []
+        unpack_length = _LEN_STRUCT.unpack_from
+        pos, size = 0, len(data)
+        while size - pos >= 4:
+            (length,) = unpack_length(data, pos)
+            if length > MAX_FRAME_BYTES:
+                raise WireDecodeError(
+                    f"frame of {length} bytes exceeds the"
+                    f" {MAX_FRAME_BYTES}-byte wire limit"
+                )
+            end = pos + 4 + length
+            if end > size:
+                break
+            frames.append(data[pos + 4 : end])
+            pos = end
+        return frames, data[pos:]
 
 
 #: codec registry for configs and the CLI.

@@ -1,5 +1,8 @@
 """AsyncioTransport: unchanged protocols over real localhost sockets."""
 
+import threading
+import time
+
 import pytest
 
 from repro.consistency.linearizability import is_linearizable
@@ -100,7 +103,9 @@ class TestAddressValidation:
             "abd", n=3, f=1, seed=0,
             transport=TransportConfig.asyncio(("127.0.0.1:9999",)),
         )
-        with pytest.raises(ValueError, match="1 address"):
+        from repro.errors import InvalidConfig
+
+        with pytest.raises(InvalidConfig, match="1 address"):
             spec.build()
 
 
@@ -180,5 +185,221 @@ class TestCluster:
     def test_close_is_idempotent_and_restartable_state_is_cleared(self):
         _, transport = run_cluster("abd")
         transport.close()  # second close is a no-op
-        assert transport._thread is None
+        assert transport._loop is None
         assert not transport._started
+
+
+class _AbdCluster:
+    """ABD (n=3, f=1) over self-hosted binary-codec sockets, one writer
+    and one reader, driven a write+read round at a time."""
+
+    def __init__(self, seed, idle_timeout=0.05):
+        spec = EmulationSpec.make(
+            "abd", n=3, f=1, seed=seed,
+            transport=TransportConfig.asyncio(codec="binary"),
+        )
+        self.emulation = spec.build()
+        self.transport = self.emulation.kernel.transport
+        self.transport.idle_timeout = idle_timeout
+        self.writer = self.emulation.add_writer(0)
+        self.reader = self.emulation.add_reader()
+        self.rounds = 0
+
+    def round(self):
+        self.writer.enqueue("write", f"v{self.rounds}")
+        self.reader.enqueue("read")
+        self.rounds += 1
+        result = self.emulation.system.run_to_quiescence(max_steps=50_000)
+        assert result.satisfied, result
+
+    def rounds_until(self, done, what):
+        """Keep the traffic (and with it the event loop) going until
+        ``done()``: redial timers only advance inside operations."""
+        deadline = time.monotonic() + 10
+        while not done():
+            assert time.monotonic() < deadline, what
+            self.round()
+
+
+class TestOneThread:
+    """The event loop runs on the caller's thread, inside the calls."""
+
+    def test_no_thread_is_started_at_any_point(self):
+        before = threading.active_count()
+        cluster = _AbdCluster(seed=2)
+        transport = cluster.transport
+        try:
+            transport.start()
+            assert threading.active_count() == before
+            seen = set()
+            waits = transport.flush_idle
+
+            def flush_idle():  # called from inside the kernel's run loop
+                seen.add(threading.active_count())
+                progressed = waits()
+                seen.add(threading.active_count())
+                return progressed
+
+            transport.flush_idle = flush_idle
+            cluster.round()
+            transport.crash_replica(2)
+            transport.restart_replica(2)
+            seen.add(threading.active_count())
+        finally:
+            transport.close()
+        assert seen == {before}
+        assert threading.active_count() == before
+
+    def test_closed_transport_can_be_reused_and_its_replicas_restarted(self):
+        # close() used to leave _closing set and a stale ready-event
+        # behind: the lazy restart raced its own start-up and the link
+        # supervisor refused to redial for the rest of its life.
+        cluster = _AbdCluster(seed=3)
+        transport = cluster.transport
+        try:
+            cluster.round()
+            transport.close()
+            cluster.round()  # lazy start()
+            assert transport._started
+            transport.crash_replica(2)
+            cluster.round()  # quorum of s0, s1
+            assert transport.dropped_frames > 0
+            transport.restart_replica(2)
+            served = transport.servers[2].requests_served
+            cluster.rounds_until(
+                lambda: transport.servers[2].requests_served > served,
+                "link never redialed",
+            )
+        finally:
+            transport.close()
+        assert is_linearizable(
+            cluster.emulation.history.all_ops(), RegisterSpec(None)
+        )
+
+
+def _count_writes(socket_transport):
+    """Shadow ``write`` on one asyncio socket transport; returns the log."""
+    writes = []
+    inner = socket_transport.write
+
+    def write(data):
+        writes.append(data)
+        inner(data)
+
+    socket_transport.write = write
+    return writes
+
+
+class TestCoalescing:
+    """Everything triggered between two idle points is one write a side."""
+
+    BURST = 7
+
+    def _single_server(self, idle_timeout):
+        spec = EmulationSpec.make(
+            "single-cas", seed=0,
+            transport=TransportConfig.asyncio(codec="binary"),
+        )
+        kernel = spec.build().kernel
+        kernel.transport.idle_timeout = idle_timeout
+        kernel.transport.start()
+        return kernel, kernel.transport
+
+    def _trigger(self, kernel, count):
+        for index in range(count):
+            kernel.trigger(
+                ClientId(0), ObjectId(0), OpKind.CAS, (index, index + 1), None
+            )
+
+    def test_a_burst_is_one_write_each_way(self):
+        kernel, transport = self._single_server(idle_timeout=5.0)
+        try:
+            (server,) = transport.servers.values()
+            # the accepted connection exists once the loop has run: one
+            # warm-up op brings it up before the writes are counted.
+            self._trigger(kernel, 1)
+            assert transport.flush_idle()
+            client_writes = _count_writes(transport._links[0].transport)
+            (accepted,) = server.connections
+            replica_writes = _count_writes(accepted)
+            self._trigger(kernel, self.BURST)
+            assert not client_writes  # only queued so far
+            assert transport.flush_idle()
+            assert len(client_writes) == 1
+            assert len(replica_writes) == 1
+            assert server.requests_served == 1 + self.BURST
+            assert len(transport._arrived) == 1 + self.BURST
+        finally:
+            transport.close()
+
+    def test_blackholed_burst_is_dropped_and_the_idle_wait_times_out(self):
+        kernel, transport = self._single_server(idle_timeout=0.2)
+        try:
+            transport.set_blackhole([0])
+            self._trigger(kernel, self.BURST)
+            start = time.monotonic()
+            assert transport.flush_idle() is False
+            waited = time.monotonic() - start
+            assert 0.15 <= waited < 2.0
+            assert transport.dropped_frames == self.BURST
+            (server,) = transport.servers.values()
+            assert server.requests_served == 0
+        finally:
+            transport.close()
+
+
+class TestFailuresAreLoud:
+    """Nothing on the socket path is swallowed: a malformed response is
+    counted before its link is dropped, and a failure inside the event
+    loop is re-raised to the caller instead of timing out in silence."""
+
+    def test_malformed_response_is_counted_and_the_link_redialed(self):
+        cluster = _AbdCluster(seed=6)
+        transport = cluster.transport
+        try:
+            cluster.round()
+            link = transport._links[1]
+            link.data_received(b"\x00\x00\x00\x01\x7f")  # not a response
+            assert transport.decode_errors == 1
+            assert transport.describe()["decode_errors"] == 1
+            cluster.rounds_until(
+                lambda: transport._links[1] is not link
+                and 1 not in transport._down,
+                "link never redialed",
+            )
+        finally:
+            transport.close()
+
+    def test_flush_idle_reraises_a_failure_inside_the_loop(self):
+        cluster = _AbdCluster(seed=6, idle_timeout=5.0)
+        try:
+            cluster.round()
+            # a replica that cannot apply a request is a bug, not a fault
+            # the protocol tolerates: the run must not wait it out.
+            cluster.transport.servers[0].replicas.clear()
+            start = time.monotonic()
+            with pytest.raises(KeyError):
+                cluster.round()
+            assert time.monotonic() - start < 2.0
+        finally:
+            cluster.transport.close()
+
+    def test_misuse_and_start_up_failure_raise_typed_errors(self):
+        from repro.errors import TransportUnavailable
+
+        transport = _AbdCluster(seed=0).transport
+        try:
+            with pytest.raises(TransportUnavailable):
+                transport.restart_replica(0)  # not crashed
+        finally:
+            transport.close()
+        # nobody listens on port 1: start-up fails, typed and chained
+        spec = EmulationSpec.make(
+            "single-cas", seed=0,
+            transport=TransportConfig.asyncio(("127.0.0.1:1",)),
+        )
+        transport = spec.build().kernel.transport
+        with pytest.raises(TransportUnavailable) as failure:
+            transport.start()
+        assert isinstance(failure.value.__cause__, OSError)
+        assert transport._loop is None  # and nothing is left open

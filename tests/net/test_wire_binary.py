@@ -1,6 +1,6 @@
 """Fuzz/property tests for the binary wire codec.
 
-Three claims, each load-bearing for running real protocols over it:
+Four claims, each load-bearing for running real protocols over it:
 
 * **Round-trip fidelity** — every value shape the protocols can put on
   the wire (unicode strings, raw bytes, arbitrary-precision ints,
@@ -14,6 +14,10 @@ Three claims, each load-bearing for running real protocols over it:
   (every low-level request and response of a full WSRegister run), the
   two codecs decode each other's input to the same operations and the
   same results.
+* **Framing** — the synchronous ``split_frames`` the socket protocols
+  call per TCP segment yields exactly the frames the stream-reading
+  ``read_frame`` yields, in every chunking of the byte stream (both
+  codecs).
 """
 
 import asyncio
@@ -190,6 +194,66 @@ def test_mid_frame_eof_raises():
         _read_all_frames(BinaryWireCodec, frame[: len(frame) - 1])
     with pytest.raises(asyncio.IncompleteReadError):
         _read_all_frames(BinaryWireCodec, frame[:2])  # inside the header
+
+
+def _recorded_stream(codec):
+    """A multi-frame byte string as one connection carries it: requests
+    and responses of mixed sizes, back to back."""
+    values = [0, "v", ("a", 1, None), TSVal(ts=3, wid=1, val="x" * 40), []]
+    frames = []
+    for index, value in enumerate(values):
+        frames.append(codec.encode_request(_request((index, value))))
+        frames.append(codec.encode_response(index, value))
+    return b"".join(frames)
+
+
+def _split_segments(codec, segments):
+    """Feed TCP segments the way the protocols' data_received does."""
+    frames, tail = [], b""
+    for segment in segments:
+        split, tail = codec.split_frames(tail + segment)
+        frames.extend(split)
+    return frames, tail
+
+
+@pytest.mark.parametrize("codec", [BinaryWireCodec, JsonWireCodec])
+class TestSplitFrames:
+    """The synchronous splitter yields exactly what read_frame yields,
+    however TCP cuts the stream into segments."""
+
+    def test_every_chunking_yields_the_read_frame_frames(self, codec):
+        blob = _recorded_stream(codec)
+        expected = _read_all_frames(codec, blob)
+        assert len(expected) == 10
+        chunkings = [[blob], [blob[i : i + 1] for i in range(len(blob))]]
+        chunkings += [
+            [blob[:cut], blob[cut:]] for cut in range(len(blob) + 1)
+        ]
+        for segments in chunkings:
+            assert _split_segments(codec, segments) == (expected, b"")
+
+    def test_truncated_tail_stays_buffered_until_completed(self, codec):
+        blob = _recorded_stream(codec)
+        expected = _read_all_frames(codec, blob)
+        frames, tail = codec.split_frames(blob[:-3])
+        assert frames == expected[:-1]
+        assert tail and blob.endswith(tail + blob[-3:])
+        assert codec.split_frames(tail + blob[-3:]) == (expected[-1:], b"")
+
+    def test_empty_segment_yields_nothing(self, codec):
+        assert codec.split_frames(b"") == ([], b"")
+
+    def test_oversized_frame_rejected_before_its_body_is_buffered(self, codec):
+        good = codec.encode_response(1, "ok")
+        if codec is BinaryWireCodec:
+            # the four prefix bytes are enough: no body has arrived yet
+            oversized = (MAX_FRAME_BYTES + 1).to_bytes(4, "big")
+        else:
+            oversized = b"x" * (MAX_FRAME_BYTES + 1)  # no newline in sight
+        with pytest.raises(ValueError):
+            codec.split_frames(oversized)
+        with pytest.raises(ValueError):
+            codec.split_frames(good + oversized)
 
 
 def test_get_codec():

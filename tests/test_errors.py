@@ -16,6 +16,7 @@ from repro.errors import (
     SessionClosed,
     ShardCapacityExceeded,
     StaleShardMap,
+    TransportUnavailable,
     UnknownExperiment,
     WireDecodeError,
     WriterBoundExceeded,
@@ -39,6 +40,7 @@ class TestHierarchy:
         (GridFailed, RuntimeError),
         (NoMergeableResults, ValueError),
         (UnknownExperiment, ValueError),
+        (TransportUnavailable, RuntimeError),
     ]
 
     @pytest.mark.parametrize("error_class,legacy", CASES)
@@ -67,7 +69,7 @@ class TestExitCodes:
             exit_code_for(error_class("x"))
             for error_class, _ in TestHierarchy.CASES
         ]
-        assert codes == [3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16]
+        assert codes == [3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17]
         assert len(set(codes)) == len(codes)
 
     def test_queue_subclasses_keep_distinct_codes(self):
