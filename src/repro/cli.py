@@ -37,6 +37,7 @@ from typing import List, Optional
 
 from repro.analysis.tables import render_table
 from repro.core import bounds
+from repro.core.emulation import algorithm_names
 from repro.core.layout import RegisterLayout
 from repro.core.lemma1 import Lemma1Runner
 from repro.core.ws_register import WSRegisterEmulation
@@ -380,77 +381,58 @@ def cmd_demo(args) -> int:
     return 0
 
 
-#: algorithm -> (write op, read op, value kind, safety check) for `cluster`.
-_CLUSTER_TABLE = {
-    "ws-register": ("write", "read", "str", "ws"),
-    "abd": ("write", "read", "str", "register"),
-    "cas-abd": ("write", "read", "str", "register"),
-    "replicated-maxreg": ("write", "read", "str", "ws"),
-    "collect-maxreg": ("write_max", "read_max", "int", "maxreg"),
-    "ft-maxreg": ("write_max", "read_max", "int", "maxreg"),
-    "single-cas": ("write_max", "read_max", "int", "maxreg"),
-}
-
-
-def _spec_params(args) -> dict:
-    params = {}
-    for name in ("k", "n", "f"):
-        value = getattr(args, name, None)
-        if value is not None:
-            params[name] = value
-    return params
-
-
-def cmd_cluster(args) -> int:
-    from repro.consistency.linearizability import is_linearizable
-    from repro.consistency.specs import MaxRegisterSpec, RegisterSpec
-    from repro.consistency.ws import check_ws_regular
+def _build_emulation(args, **spec_params):
+    """Build ``args.algorithm`` from ``-k/-n/-f``; ``None``, after a usage
+    message, when the algorithm needs one that was not passed."""
     from repro.core.emulation import EmulationSpec
-    from repro.net import TransportConfig
 
-    if args.demo:
-        args.algorithm, args.n, args.f, args.rounds = "abd", 3, 1, 2
-    write_op, read_op, value_kind, check = _CLUSTER_TABLE[args.algorithm]
     spec = EmulationSpec.make(
-        args.algorithm,
-        seed=args.seed,
-        transport=TransportConfig.asyncio(
-            tuple(args.address), codec=args.codec
-        ),
-        **_spec_params(args),
+        args.algorithm, k=args.k, n=args.n, f=args.f, **spec_params
     )
     try:
-        emulation = spec.build()
+        return spec.build()
     except TypeError as error:
         print(
             f"error: {error} (pass -k/-n/-f as the algorithm requires)",
             file=sys.stderr,
         )
+        return None
+
+
+def cmd_cluster(args) -> int:
+    from repro.net import TransportConfig
+
+    if args.demo:
+        args.algorithm, args.n, args.f, args.rounds = "abd", 3, 1, 2
+    emulation = _build_emulation(
+        args,
+        seed=args.seed,
+        transport=TransportConfig.asyncio(
+            tuple(args.address), codec=args.codec
+        ),
+    )
+    if emulation is None:
         return 2
     transport = emulation.kernel.transport
     try:
         writer = emulation.add_writer(0)
         reader = emulation.add_reader()
         for round_index in range(args.rounds):
+            # Max-registers take ordered values; registers take any.
             value = (
                 round_index + 1
-                if value_kind == "int"
+                if emulation.CONDITION == "max-register-atomic"
                 else f"value-{round_index}"
             )
-            writer.enqueue(write_op, value)
-            reader.enqueue(read_op)
+            writer.enqueue(emulation.WRITE, value)
+            reader.enqueue(emulation.READ)
             result = emulation.system.run_to_quiescence(max_steps=100_000)
             if not result.satisfied:
                 print(f"cluster run stalled: {result}", file=sys.stderr)
                 return 1
         where = transport.describe()
         history = emulation.history
-        if check == "ws":
-            ok = check_ws_regular(history, cross_check=True) == []
-        elif check == "register":
-            ok = is_linearizable(history.all_ops(), RegisterSpec(None))
-        else:
-            ok = is_linearizable(history.all_ops(), MaxRegisterSpec(0))
+        ok = emulation.audit()
     finally:
         transport.close()
     endpoints = where["addresses"] or [
@@ -534,7 +516,6 @@ def _serve_shards(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from repro.core.emulation import EmulationSpec
     from repro.net.asyncio_transport import (
         run_replica_server,
         snapshot_placements,
@@ -542,14 +523,8 @@ def cmd_serve(args) -> int:
 
     if args.shards is not None:
         return _serve_shards(args)
-    spec = EmulationSpec.make(args.algorithm, seed=0, **_spec_params(args))
-    try:
-        emulation = spec.build()
-    except TypeError as error:
-        print(
-            f"error: {error} (pass -k/-n/-f as the algorithm requires)",
-            file=sys.stderr,
-        )
+    emulation = _build_emulation(args, seed=0)
+    if emulation is None:
         return 2
     placements = snapshot_placements(emulation.kernel.object_map)
     if args.server not in placements:
@@ -1130,7 +1105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument(
         "--algorithm",
         default="abd",
-        choices=sorted(_CLUSTER_TABLE),
+        choices=algorithm_names(),
         help="registry algorithm to run (default: abd)",
     )
     p_cluster.add_argument("-k", type=int, default=None, help="writers")
@@ -1172,7 +1147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--algorithm",
         default="abd",
-        choices=sorted(_CLUSTER_TABLE),
+        choices=algorithm_names(),
         help="registry algorithm whose layout to serve (default: abd)",
     )
     p_serve.add_argument("-k", type=int, default=None, help="writers")

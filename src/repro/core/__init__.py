@@ -4,6 +4,9 @@
   1, 2, 3, 5, 6, 7).
 * :mod:`repro.core.layout` — the register-to-server layout of Section 3.3
   (Figure 1) with its quorum system.
+* :mod:`repro.core.emulation` — the ``Emulation`` contract, the one
+  ``Deployment`` shell every algorithm below is deployed through, and
+  the algorithm registry.
 * :mod:`repro.core.ws_register` — Algorithm 2: the wait-free WS-Regular
   k-register from read/write registers (the upper bound).
 * :mod:`repro.core.abd` — multi-writer ABD over per-server max-registers

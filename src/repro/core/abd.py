@@ -25,14 +25,37 @@ from __future__ import annotations
 
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence
 
+from repro.core.emulation import (
+    Deployment,
+    register_algorithm,
+    require_majority,
+)
+from repro.errors import InvalidConfig
 from repro.sim.client import ClientProtocol, Context
-from repro.sim.history import History
 from repro.sim.ids import ClientId, ObjectId, OpId
 from repro.sim.kernel import Environment
 from repro.sim.objects import LowLevelOp, OpKind
 from repro.sim.scheduling import Scheduler
-from repro.sim.system import SimSystem, build_system
 from repro.sim.values import TSVal, bottom_tsval, max_tsval
+
+
+def server_objects(
+    n: int, object_ids: "Optional[Sequence[ObjectId]]"
+) -> "List[ObjectId]":
+    """Which object lives on server ``i``, for the one-object-per-server
+    clients.  The default identity placement serves single-register
+    deployments; multi-register fleets (one kernel hosting many ABD
+    instances) pass each instance its own slice of the shared
+    object-id space.
+    """
+    if object_ids is None:
+        return [ObjectId(i) for i in range(n)]
+    if len(object_ids) != n:
+        raise InvalidConfig(
+            f"need one object per server: got {len(object_ids)}"
+            f" ids for n={n}"
+        )
+    return list(object_ids)
 
 
 class ABDClient(ClientProtocol):
@@ -52,21 +75,7 @@ class ABDClient(ClientProtocol):
         self.writer_id = writer_id
         self.initial_value = initial_value
         self.write_back = write_back
-        # Which object lives on server i.  The default identity placement
-        # serves single-register deployments; multi-register fleets (one
-        # kernel hosting many ABD instances) pass each instance its own
-        # slice of the shared object-id space.
-        if object_ids is None:
-            self.object_ids: "List[ObjectId]" = [
-                ObjectId(i) for i in range(n)
-            ]
-        else:
-            if len(object_ids) != n:
-                raise ValueError(
-                    f"need one object per server: got {len(object_ids)}"
-                    f" ids for n={n}"
-                )
-            self.object_ids = list(object_ids)
+        self.object_ids = server_objects(n, object_ids)
         #: responses of the quorum round in flight (at most ``n``)
         self._results: "Dict[OpId, Any]" = {}
         self._round: "FrozenSet[OpId]" = frozenset()
@@ -110,12 +119,21 @@ class ABDClient(ClientProtocol):
             self._results[op.op_id] = op.result
 
 
-class ABDEmulation:
+@register_algorithm("abd")
+class ABDEmulation(Deployment):
     """A deployed ABD instance: n servers, one max-register each.
 
     ``write_back=True`` yields an atomic register; ``write_back=False``
-    yields a (WS-)regular one with read-only readers.
+    yields a (WS-)regular one with read-only readers.  Resource
+    consumption (``total_objects``) is one base object per server; any
+    client may both read and write, so the writer/reader split only
+    serves the uniform workload-runner interface.
     """
+
+    CLIENT = ABDClient
+    BASE_TYPE = "max-register"
+    CONDITION = "atomic"
+    AUTO_IDS = "next-id"
 
     def __init__(
         self,
@@ -126,58 +144,26 @@ class ABDEmulation:
         scheduler: "Optional[Scheduler]" = None,
         environment: "Optional[Environment]" = None,
     ):
-        if n < 2 * f + 1:
-            raise ValueError(f"ABD requires n >= 2f+1, got n={n}, f={f}")
+        require_majority(n, f)
         self.n = n
         self.f = f
-        self.initial_value = initial_value
         self.write_back = write_back
-        placements = [
-            (i, "max-register", bottom_tsval(initial_value))
-            for i in range(n)
-        ]
-        self.system: SimSystem = build_system(
-            n, placements, scheduler=scheduler, environment=environment
+        if not write_back:
+            self.CONDITION = "ws-regular"
+        v0 = bottom_tsval(initial_value)
+        super().__init__(
+            n,
+            [(i, self.BASE_TYPE, v0) for i in range(n)],
+            initial_value,
+            scheduler,
+            environment,
         )
-        self._next_client = 0
 
-    @property
-    def kernel(self):
-        return self.system.kernel
-
-    @property
-    def history(self) -> History:
-        return self.system.history
-
-    @property
-    def object_map(self):
-        return self.system.object_map
-
-    @property
-    def total_objects(self) -> int:
-        """Resource consumption: one max-register per server."""
-        return self.n
-
-    def add_client(self, client_id: "Optional[ClientId]" = None):
-        """Add a client (any client may both read and write)."""
-        if client_id is None:
-            client_id = ClientId(self._next_client)
-        self._next_client = max(self._next_client, client_id.index) + 1
-        protocol = ABDClient(
+    def make_client(self, writer_index, client_id: ClientId):
+        return self.CLIENT(
             self.n,
             self.f,
             writer_id=client_id.index,
             initial_value=self.initial_value,
             write_back=self.write_back,
         )
-        return self.kernel.add_client(client_id, protocol)
-
-    # ABD supports unboundedly many clients; the writer/reader split below
-    # only serves the uniform workload-runner interface.
-
-    def add_writer(self, writer_index: int):
-        return self.add_client(ClientId(writer_index))
-
-    def add_reader(self):
-        client_id = ClientId(1000 + self._next_client)
-        return self.add_client(client_id)

@@ -124,32 +124,12 @@ class ScriptedWriteBlocker(Environment):
         return op.trigger_time >= threshold
 
 
-class _AblatedEmulation(WSRegisterEmulation):
-    """WSRegisterEmulation deploying an ablated client class."""
-
-    CLIENT_CLS = WSRegisterClient
-
-    def add_writer(self, writer_index, client_id=None):
-        from repro.sim.ids import ClientId
-
-        cid = client_id or ClientId(writer_index)
-        protocol = self.CLIENT_CLS(
-            self.layout,
-            self.object_map,
-            writer_index=writer_index,
-            initial_value=self.initial_value,
-        )
-        runtime = self.kernel.add_client(cid, protocol)
-        self._writers[writer_index] = cid
-        return runtime
+class NoCoverAvoidanceEmulation(WSRegisterEmulation):
+    CLIENT = NoCoverAvoidanceClient
 
 
-class NoCoverAvoidanceEmulation(_AblatedEmulation):
-    CLIENT_CLS = NoCoverAvoidanceClient
-
-
-class SmallQuorumEmulation(_AblatedEmulation):
-    CLIENT_CLS = SmallQuorumClient
+class SmallQuorumEmulation(WSRegisterEmulation):
+    CLIENT = SmallQuorumClient
 
 
 def _run_until_idle(emulation, runtime, max_steps=100_000) -> None:

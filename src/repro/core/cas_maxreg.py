@@ -23,13 +23,13 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.core.abd import ABDEmulation, server_objects
+from repro.core.emulation import Deployment, register_algorithm
 from repro.sim.client import ClientProtocol, Context, TaskHandle
-from repro.sim.history import History
 from repro.sim.ids import ClientId, ObjectId, OpId
 from repro.sim.kernel import Environment
 from repro.sim.objects import LowLevelOp, OpKind
 from repro.sim.scheduling import Scheduler
-from repro.sim.system import SimSystem, build_system
 from repro.sim.values import TSVal, bottom_tsval, max_tsval
 
 
@@ -97,8 +97,21 @@ class CASMaxRegisterClient(ClientProtocol):
         self.ops.record(op)
 
 
-class SingleCASMaxRegister:
-    """A deployed single-CAS max-register (one server, one CAS object)."""
+def _total_iterations(deployment) -> int:
+    """Algorithm 1 loop iterations, summed over the deployment's clients."""
+    return sum(client.iterations for client in deployment.clients)
+
+
+@register_algorithm("single-cas")
+class SingleCASMaxRegister(Deployment):
+    """A deployed single-CAS max-register (one server, one CAS object).
+
+    Writers are unbounded; the writer/reader split only serves the
+    uniform Emulation surface (ops are write_max / read_max).
+    """
+
+    WRITE, READ = "write_max", "read_max"
+    CONDITION = "max-register-atomic"
 
     def __init__(
         self,
@@ -106,46 +119,14 @@ class SingleCASMaxRegister:
         scheduler: "Optional[Scheduler]" = None,
         environment: "Optional[Environment]" = None,
     ):
-        self.initial_value = initial_value
-        self.system: SimSystem = build_system(
-            1,
-            [(0, "cas", initial_value)],
-            scheduler=scheduler,
-            environment=environment,
+        super().__init__(
+            1, [(0, "cas", initial_value)], initial_value, scheduler, environment
         )
-        self._clients: "List[CASMaxRegisterClient]" = []
 
-    @property
-    def kernel(self):
-        return self.system.kernel
+    def make_client(self, writer_index, client_id: ClientId):
+        return CASMaxRegisterClient(ObjectId(0), self.initial_value)
 
-    @property
-    def history(self) -> History:
-        return self.system.history
-
-    @property
-    def object_map(self):
-        return self.system.object_map
-
-    def add_client(self, client_id: "Optional[ClientId]" = None):
-        if client_id is None:
-            client_id = ClientId(len(self._clients))
-        protocol = CASMaxRegisterClient(ObjectId(0), self.initial_value)
-        self._clients.append(protocol)
-        return self.kernel.add_client(client_id, protocol)
-
-    # Writers are unbounded; the writer/reader split below only serves the
-    # uniform Emulation surface (ops are write_max / read_max).
-
-    def add_writer(self, writer_index: int):
-        return self.add_client(ClientId(writer_index))
-
-    def add_reader(self):
-        return self.add_client(ClientId(1000 + len(self._clients)))
-
-    @property
-    def total_iterations(self) -> int:
-        return sum(c.iterations for c in self._clients)
+    total_iterations = property(_total_iterations)
 
 
 class CASABDClient(ClientProtocol):
@@ -172,19 +153,7 @@ class CASABDClient(ClientProtocol):
         self.writer_id = writer_id
         self.v0 = bottom_tsval(initial_value)
         self.write_back = write_back
-        # Identity placement by default; multi-register fleets pass the
-        # instance's slice of the shared object-id space (see ABDClient).
-        if object_ids is None:
-            self.object_ids: "List[ObjectId]" = [
-                ObjectId(i) for i in range(n)
-            ]
-        else:
-            if len(object_ids) != n:
-                raise ValueError(
-                    f"need one object per server: got {len(object_ids)}"
-                    f" ids for n={n}"
-                )
-            self.object_ids = list(object_ids)
+        self.object_ids = server_objects(n, object_ids)
         self.ops = _CASOps()
 
     @property
@@ -235,70 +204,16 @@ class CASABDClient(ClientProtocol):
         self.ops.record(op)
 
 
-class CASABDEmulation:
+@register_algorithm("cas-abd")
+class CASABDEmulation(ABDEmulation):
     """ABD over n servers each storing a single CAS object.
 
     Resource complexity: ``n`` CAS objects (2f+1 at the minimum), the CAS
     row of Table 1.
     """
 
-    def __init__(
-        self,
-        n: int,
-        f: int,
-        initial_value: Any = None,
-        write_back: bool = True,
-        scheduler: "Optional[Scheduler]" = None,
-        environment: "Optional[Environment]" = None,
-    ):
-        if n < 2 * f + 1:
-            raise ValueError(f"ABD requires n >= 2f+1, got n={n}, f={f}")
-        self.n = n
-        self.f = f
-        self.initial_value = initial_value
-        self.write_back = write_back
-        v0 = bottom_tsval(initial_value)
-        placements = [(i, "cas", v0) for i in range(n)]
-        self.system: SimSystem = build_system(
-            n, placements, scheduler=scheduler, environment=environment
-        )
-        self._clients: "List[CASABDClient]" = []
+    CLIENT = CASABDClient
+    BASE_TYPE = "cas"
+    AUTO_IDS = "clients"
 
-    @property
-    def kernel(self):
-        return self.system.kernel
-
-    @property
-    def history(self) -> History:
-        return self.system.history
-
-    @property
-    def object_map(self):
-        return self.system.object_map
-
-    @property
-    def total_objects(self) -> int:
-        return self.n
-
-    @property
-    def total_iterations(self) -> int:
-        return sum(c.iterations for c in self._clients)
-
-    def add_client(self, client_id: "Optional[ClientId]" = None):
-        if client_id is None:
-            client_id = ClientId(len(self._clients))
-        protocol = CASABDClient(
-            self.n,
-            self.f,
-            writer_id=client_id.index,
-            initial_value=self.initial_value,
-            write_back=self.write_back,
-        )
-        self._clients.append(protocol)
-        return self.kernel.add_client(client_id, protocol)
-
-    def add_writer(self, writer_index: int):
-        return self.add_client(ClientId(writer_index))
-
-    def add_reader(self):
-        return self.add_client(ClientId(1000 + len(self._clients)))
+    total_iterations = property(_total_iterations)

@@ -24,13 +24,18 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from repro.core.emulation import (
+    Deployment,
+    register_algorithm,
+    require_majority,
+)
+from repro.core.ws_register import WSRegisterEmulation
+from repro.errors import BoundViolation, WriterBoundExceeded
 from repro.sim.client import ClientProtocol, Context
-from repro.sim.history import History
 from repro.sim.ids import ClientId, ObjectId, OpId, ServerId
-from repro.sim.kernel import Environment
 from repro.sim.objects import LowLevelOp, OpKind
 from repro.sim.scheduling import Scheduler
-from repro.sim.system import Placement, SimSystem, build_system
+from repro.sim.system import Placement
 from repro.sim.values import bottom_tsval
 
 
@@ -79,8 +84,14 @@ class CollectMaxRegisterClient(ClientProtocol):
         self._results[op.op_id] = op.result
 
 
-class CollectMaxRegister:
+@register_algorithm("collect-maxreg")
+class CollectMaxRegister(Deployment):
     """Deployment of the k-register max-register on one reliable server."""
+
+    WRITE, READ = "write_max", "read_max"
+    CONDITION = "max-register-atomic"
+    BOUNDED_WRITERS = True
+    AUTO_IDS = "readers"
 
     def __init__(
         self,
@@ -89,47 +100,21 @@ class CollectMaxRegister:
         scheduler: "Optional[Scheduler]" = None,
     ):
         if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
+            raise BoundViolation(f"k must be positive, got {k}")
         self.k = k
-        self.initial_value = initial_value
-        placements: "List[Placement]" = [
-            (0, "register", initial_value) for _ in range(k)
-        ]
-        self.system: SimSystem = build_system(
-            1, placements, scheduler=scheduler
+        super().__init__(
+            1, [(0, "register", initial_value)] * k, initial_value, scheduler
         )
-        self._next_reader = 0
-
-    @property
-    def kernel(self):
-        return self.system.kernel
-
-    @property
-    def history(self) -> History:
-        return self.system.history
-
-    @property
-    def object_map(self):
-        return self.system.object_map
 
     @property
     def total_registers(self) -> int:
         """Exactly k — matching Theorem 2's lower bound."""
         return self.k
 
-    def add_writer(self, writer_index: int):
-        if not 0 <= writer_index < self.k:
-            raise ValueError(f"writer index {writer_index} out of range")
-        protocol = CollectMaxRegisterClient(
+    def make_client(self, writer_index, client_id: ClientId):
+        return CollectMaxRegisterClient(
             self.k, writer_index, self.initial_value
         )
-        return self.kernel.add_client(ClientId(writer_index), protocol)
-
-    def add_reader(self):
-        client_id = ClientId(self.k + 1000 + self._next_reader)
-        self._next_reader += 1
-        protocol = CollectMaxRegisterClient(self.k, None, self.initial_value)
-        return self.kernel.add_client(client_id, protocol)
 
 
 class PerWriterLayout:
@@ -143,10 +128,9 @@ class PerWriterLayout:
     """
 
     def __init__(self, k: int, n: int, f: int, initial_value: Any = None):
-        if n < 2 * f + 1:
-            raise ValueError(f"need n >= 2f+1, got n={n}, f={f}")
+        require_majority(n, f)
         if k <= 0 or f <= 0:
-            raise ValueError("k and f must be positive")
+            raise BoundViolation("k and f must be positive")
         self.k = k
         self.n = n
         self.f = f
@@ -171,7 +155,9 @@ class PerWriterLayout:
 
     def set_index_for_writer(self, writer_index: int) -> int:
         if not 0 <= writer_index < self.k:
-            raise ValueError(f"writer index {writer_index} out of range")
+            raise WriterBoundExceeded(
+                f"writer index {writer_index} out of range [0, {self.k})"
+            )
         return writer_index
 
     def registers_for_writer(self, writer_index: int) -> "List[ObjectId]":
@@ -208,7 +194,8 @@ class PerWriterLayout:
         assert self.total_registers == self.n * self.k
 
 
-class ReplicatedMaxRegisterEmulation:
+@register_algorithm("replicated-maxreg")
+class ReplicatedMaxRegisterEmulation(WSRegisterEmulation):
     """The ``(2f+1)k``-register emulation for ``n = 2f+1`` (Section 3.2).
 
     Algorithm 2's client over the per-writer column layout: each server
@@ -216,72 +203,8 @@ class ReplicatedMaxRegisterEmulation:
     quorum accesses provide f-tolerance.  WS-Regular and wait-free.
     """
 
-    def __init__(
-        self,
-        k: int,
-        n: int,
-        f: int,
-        initial_value: Any = None,
-        scheduler: "Optional[Scheduler]" = None,
-        environment: "Optional[Environment]" = None,
-    ):
-        # Imported here to avoid a module cycle (ws_register imports layout).
-        from repro.core.ws_register import WSRegisterClient
-
-        self._client_cls = WSRegisterClient
-        self.layout = PerWriterLayout(k, n, f, initial_value)
-        self.layout.validate()
-        self.initial_value = initial_value
-        self.system: SimSystem = build_system(
-            n,
-            self.layout.placements(),
-            scheduler=scheduler,
-            environment=environment,
-        )
-        self._writers: "Dict[int, ClientId]" = {}
-        self._next_reader = 0
-
-    @property
-    def kernel(self):
-        return self.system.kernel
-
-    @property
-    def history(self) -> History:
-        return self.system.history
-
-    @property
-    def object_map(self):
-        return self.system.object_map
+    LAYOUT = PerWriterLayout
 
     @property
     def total_registers(self) -> int:
         return self.layout.total_registers
-
-    def add_writer(self, writer_index: int, client_id: "Optional[ClientId]" = None):
-        if writer_index in self._writers:
-            raise ValueError(f"writer {writer_index} already added")
-        cid = client_id or ClientId(writer_index)
-        protocol = self._client_cls(
-            self.layout,
-            self.object_map,
-            writer_index=writer_index,
-            initial_value=self.initial_value,
-        )
-        runtime = self.kernel.add_client(cid, protocol)
-        self._writers[writer_index] = cid
-        return runtime
-
-    def add_reader(self, client_id: "Optional[ClientId]" = None):
-        if client_id is None:
-            client_id = ClientId(self.layout.k + 1000 + self._next_reader)
-            self._next_reader += 1
-        protocol = self._client_cls(
-            self.layout,
-            self.object_map,
-            writer_index=None,
-            initial_value=self.initial_value,
-        )
-        return self.kernel.add_client(client_id, protocol)
-
-    def writer_client_id(self, writer_index: int) -> ClientId:
-        return self._writers[writer_index]

@@ -19,13 +19,16 @@ from __future__ import annotations
 
 from typing import Any, Dict, FrozenSet, Optional
 
+from repro.core.emulation import (
+    Deployment,
+    register_algorithm,
+    require_majority,
+)
 from repro.sim.client import ClientProtocol, Context
-from repro.sim.history import History
 from repro.sim.ids import ClientId, ObjectId, OpId
 from repro.sim.kernel import Environment
 from repro.sim.objects import LowLevelOp, OpKind
 from repro.sim.scheduling import Scheduler
-from repro.sim.system import SimSystem, build_system
 
 
 class FTMaxRegisterClient(ClientProtocol):
@@ -73,9 +76,15 @@ class FTMaxRegisterClient(ClientProtocol):
             self._results[op.op_id] = op.result
 
 
-class FTMaxRegister:
+@register_algorithm("ft-maxreg")
+class FTMaxRegister(Deployment):
     """A deployed f-tolerant max-register (n servers, one max-register
-    base object each; any number of clients)."""
+    base object each; any number of clients, so the writer/reader split
+    only serves the uniform Emulation surface)."""
+
+    WRITE, READ = "write_max", "read_max"
+    CONDITION = "max-register-atomic"
+    AUTO_IDS = "next-id"
 
     def __init__(
         self,
@@ -86,53 +95,19 @@ class FTMaxRegister:
         scheduler: "Optional[Scheduler]" = None,
         environment: "Optional[Environment]" = None,
     ):
-        if n < 2 * f + 1:
-            raise ValueError(f"need n >= 2f+1, got n={n}, f={f}")
+        require_majority(n, f)
         self.n = n
         self.f = f
-        self.initial_value = initial_value
         self.write_back = write_back
-        placements = [(i, "max-register", initial_value) for i in range(n)]
-        self.system: SimSystem = build_system(
+        super().__init__(
             n,
-            placements,
-            scheduler=scheduler,
-            environment=environment,
-            history=History(write_name="write_max", read_name="read_max"),
+            [(i, "max-register", initial_value) for i in range(n)],
+            initial_value,
+            scheduler,
+            environment,
         )
-        self._next_client = 0
 
-    @property
-    def kernel(self):
-        return self.system.kernel
-
-    @property
-    def history(self) -> History:
-        return self.system.history
-
-    @property
-    def object_map(self):
-        return self.system.object_map
-
-    @property
-    def total_objects(self) -> int:
-        return self.n
-
-    def add_client(self, client_id: "Optional[ClientId]" = None):
-        if client_id is None:
-            client_id = ClientId(self._next_client)
-        self._next_client = max(self._next_client, client_id.index) + 1
-        protocol = FTMaxRegisterClient(
+    def make_client(self, writer_index, client_id: ClientId):
+        return FTMaxRegisterClient(
             self.n, self.f, self.initial_value, self.write_back
         )
-        return self.kernel.add_client(client_id, protocol)
-
-    # Writers are unbounded; the writer/reader split below only serves the
-    # uniform Emulation surface (ops are write_max / read_max).
-
-    def add_writer(self, writer_index: int):
-        return self.add_client(ClientId(writer_index))
-
-    def add_reader(self):
-        client_id = ClientId(1000 + self._next_client)
-        return self.add_client(client_id)

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
 from repro.core import bounds
+from repro.errors import WriterBoundExceeded
 from repro.sim.ids import ObjectId, ServerId
 from repro.sim.system import Placement
 from repro.sim.values import bottom_tsval
@@ -124,7 +125,7 @@ class RegisterLayout:
     def set_index_for_writer(self, writer_index: int) -> int:
         """Writer ``w`` (0-based, < k) writes to set ``floor(w / z)``."""
         if not 0 <= writer_index < self.k:
-            raise ValueError(
+            raise WriterBoundExceeded(
                 f"writer index {writer_index} out of range [0, {self.k})"
             )
         return writer_index // self.z

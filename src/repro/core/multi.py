@@ -3,28 +3,54 @@
 Production stores keep many objects on the same machines: crashes hit
 every object on the server at once, and per-server storage is the *sum*
 over objects — which is what makes Theorem 7's per-server capacity bound
-bite.  :class:`MultiRegisterDeployment` deploys ``m`` independent
-Algorithm 2 registers over a single :class:`~repro.sim.server.ObjectMap`
-and one kernel: one crash event, one schedule, ``m`` consistency-checked
-registers.
+bite.  :class:`SlotFleet` is the one engine for that: ``m`` independent
+emulated registers ("slots") of one of the three Table 1 substrates over
+a single :class:`~repro.sim.server.ObjectMap` and one kernel — one crash
+event, one schedule, ``m`` consistency-checked registers:
 
-Each register keeps its own layout (offset into the shared object-id
-space); its clients' collects scan only its own registers, so the
-emulations compose without interference — asserted by the test suite.
+* ``register`` — each slot is an Algorithm 2 layout shifted into the
+  shared object-id space (``kf + ceil(k/z)(f+1)`` registers per slot,
+  ``k`` writers); its clients' collects scan only its own registers, so
+  the emulations compose without interference — asserted by the test
+  suite;
+* ``max-register`` — each slot is an ABD instance over ``n``
+  max-registers, one per server (2f+1 at the minimum, writers
+  unbounded);
+* ``cas`` — ABD whose per-server max-register is Algorithm 1 over a
+  single CAS object.
+
+Two fronts share it.  :class:`MultiRegisterDeployment` is the engine on
+the register substrate, handing out its slots as ``register(i)`` (a
+:class:`Slot` has the emulation surface the workload runner expects);
+:class:`~repro.apps.shard.fleet.ShardFleet` builds it from a
+``ShardConfig`` for the KV service.  Placements are a pure function of
+the parameters (:func:`slot_placements`), so a replica process in
+another machine image rebuilds byte-identical base objects from the
+same numbers.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.abd import ABDClient
+from repro.core.cas_maxreg import CASABDClient
+from repro.core.emulation import CONDITIONS
 from repro.core.layout import RegisterLayout
-from repro.errors import InvalidConfig
+from repro.core.ws_register import WSRegisterClient
+from repro.errors import BoundViolation, InvalidConfig
+from repro.sim.client import ClientRuntime
 from repro.sim.events import EventListener
 from repro.sim.history import History
 from repro.sim.ids import ClientId, ObjectId, ServerId
 from repro.sim.kernel import Environment
 from repro.sim.scheduling import Scheduler
 from repro.sim.system import Placement, SimSystem, build_system
+from repro.sim.values import bottom_tsval
+
+#: quorum substrate (named after its base-object type) -> the ABD client
+#: that runs over one such object per server
+_QUORUM_CLIENTS = {"max-register": ABDClient, "cas": CASABDClient}
 
 
 class OffsetLayout:
@@ -75,24 +101,32 @@ class OffsetLayout:
         return self.base.storage_profile()
 
 
-def offset_layouts(
-    m: int, k: int, n: int, f: int, initial_value: Any = None
-) -> "Tuple[List[Placement], List[OffsetLayout]]":
-    """``(placements, layouts)`` of ``m`` Algorithm 2 registers laid end
-    to end in one object-id space: register ``i``'s layout is shifted
-    past the registers of ``0..i-1``.  A pure function of its arguments,
-    so any process rebuilds the same base objects from the same numbers.
+def slot_placements(
+    substrate: str, m: int, k: int, n: int, f: int, initial_value: Any = None
+) -> "Tuple[List[Placement], Optional[List[OffsetLayout]]]":
+    """``(placements, layouts)`` of ``m`` slots laid end to end in one
+    object-id space.  On the register substrate slot ``i``'s Algorithm 2
+    layout is shifted past the registers of ``0..i-1`` and ``layouts``
+    lists the shifted views; on the quorum substrates slot ``s`` simply
+    owns object ``s*n + i`` on server ``i`` and ``layouts`` is ``None``.
     """
-    placements: "List[Placement]" = []
-    layouts: "List[OffsetLayout]" = []
-    offset = 0
-    for _ in range(m):
-        base = RegisterLayout(k, n, f, initial_value)
-        base.validate()
-        layouts.append(OffsetLayout(base, offset))
-        placements.extend(base.placements())
-        offset += base.total_registers
-    return placements, layouts
+    if substrate == "register":
+        placements: "List[Placement]" = []
+        layouts: "List[OffsetLayout]" = []
+        offset = 0
+        for _ in range(m):
+            base = RegisterLayout(k, n, f, initial_value)
+            base.validate()
+            layouts.append(OffsetLayout(base, offset))
+            placements.extend(base.placements())
+            offset += base.total_registers
+        return placements, layouts
+    v0 = bottom_tsval(initial_value)
+    return [
+        (server_index, substrate, v0)
+        for _ in range(m)
+        for server_index in range(n)
+    ], None
 
 
 class FilteredHistory(History):
@@ -158,62 +192,142 @@ class SlotHistoryRouter(EventListener):
             self._histories[slot].on_return(event)
 
 
-class _RegisterView:
-    """One register of the deployment, with the emulation interface the
-    workload runner and checkers expect (kernel / object_map / history /
-    add_writer / add_reader)."""
+class Slot:
+    """One emulated register of a fleet, with the emulation surface the
+    workload runner and checkers expect (kernel / object_map / system /
+    history / add_writer / add_reader)."""
 
-    def __init__(self, deployment, index: int, layout: OffsetLayout):
-        self.deployment = deployment
+    def __init__(self, fleet: "SlotFleet", index: int):
+        self.fleet = fleet
         self.index = index
-        self.layout = layout
-        self.history = FilteredHistory(set())
-        self._writers: "Dict[int, ClientId]" = {}
+        self.system = fleet.system
+        self.kernel = fleet.kernel
+        self.object_map = fleet.object_map
+        self.history = FilteredHistory(())
+        #: by offset in the slot's id range (readers from READER_BASE)
+        self.clients: "Dict[int, ClientRuntime]" = {}
         self._next_reader = 0
 
     @property
-    def kernel(self):
-        return self.deployment.kernel
+    def layout(self) -> OffsetLayout:
+        """The slot's shifted Algorithm 2 layout (register substrate)."""
+        return self.fleet.layouts[self.index]
 
-    @property
-    def object_map(self):
-        return self.deployment.object_map
-
-    @property
-    def system(self):
-        return self.deployment.system
-
-    def _add_client(self, offset: int, writer_index: "Optional[int]"):
-        from repro.core.ws_register import WSRegisterClient
-
-        client_id = slot_client_id(self.index, offset)
-        protocol = WSRegisterClient(
-            self.layout,
-            self.object_map,
-            writer_index=writer_index,
-            initial_value=self.deployment.initial_value,
-        )
-        runtime = self.kernel.add_client(client_id, protocol)
-        self.history.admit(client_id)
-        return runtime
-
-    def add_writer(self, writer_index: int):
-        if writer_index in self._writers:
+    def add_writer(self, writer_index: int) -> ClientRuntime:
+        if writer_index in self.clients:
             raise InvalidConfig(
                 f"writer {writer_index} already added to register"
                 f" {self.index}"
             )
-        runtime = self._add_client(writer_index, writer_index)
-        self._writers[writer_index] = runtime.client_id
-        return runtime
+        return self.fleet.client(self.index, writer_index, writer_index)
 
-    def add_reader(self):
+    def add_reader(self) -> ClientRuntime:
         offset = READER_BASE + self._next_reader
         self._next_reader += 1
-        return self._add_client(offset, None)
+        return self.fleet.client(self.index, offset, None)
+
+    def audit(self) -> bool:
+        """Check the slot's history against its substrate's condition."""
+        return CONDITIONS[self.fleet.condition](
+            self.history, self.fleet.initial_value
+        )
 
 
-class MultiRegisterDeployment:
+class SlotFleet:
+    """``m`` emulated registers of one substrate over ``n`` servers."""
+
+    def __init__(
+        self,
+        substrate: str,
+        m: int,
+        k: int,
+        n: int,
+        f: int,
+        initial_value: Any = None,
+        scheduler: "Optional[Scheduler]" = None,
+        environment: "Optional[Environment]" = None,
+        transport: Any = None,
+    ):
+        if m <= 0:
+            raise InvalidConfig("need at least one register")
+        self.substrate = substrate
+        self.m = m
+        self.n = n
+        self.f = f
+        self.initial_value = initial_value
+        #: what every slot audits against: Algorithm 2 is WS-Regular,
+        #: ABD (with write-back) atomic
+        self.condition = "ws-regular" if substrate == "register" else "atomic"
+        placements, self.layouts = slot_placements(
+            substrate, m, k, n, f, initial_value
+        )
+        self.system: SimSystem = build_system(
+            n,
+            placements,
+            scheduler=scheduler,
+            environment=environment,
+            transport=transport,
+        )
+        self.kernel = self.system.kernel
+        self.object_map = self.system.object_map
+        self.slots = [Slot(self, index) for index in range(m)]
+        SlotHistoryRouter([slot.history for slot in self.slots]).install(
+            self.kernel
+        )
+
+    def client(
+        self, slot_index: int, offset: int, writer_index: "Optional[int]"
+    ) -> ClientRuntime:
+        """The slot's client at ``offset`` of its id range, created on
+        first use (a reader when ``writer_index`` is None)."""
+        slot = self.slots[slot_index]
+        runtime = slot.clients.get(offset)
+        if runtime is None:
+            client_id = slot_client_id(slot_index, offset)
+            if self.layouts is not None:
+                protocol = WSRegisterClient(
+                    self.layouts[slot_index],
+                    self.object_map,
+                    writer_index=writer_index,
+                    initial_value=self.initial_value,
+                )
+            else:
+                n = self.n
+                tag = READER_BASE if writer_index is None else writer_index
+                protocol = _QUORUM_CLIENTS[self.substrate](
+                    n,
+                    self.f,
+                    writer_id=slot_index * SLOT_STRIDE + tag,
+                    initial_value=self.initial_value,
+                    object_ids=[
+                        ObjectId(slot_index * n + i) for i in range(n)
+                    ],
+                )
+            runtime = self.kernel.add_client(client_id, protocol)
+            slot.history.admit(client_id)
+            slot.clients[offset] = runtime
+        return runtime
+
+    def crash_server(self, server_index: int) -> None:
+        """One crash event: every slot loses that server at once."""
+        if not 0 <= server_index < self.n:
+            raise BoundViolation(
+                f"server index {server_index} out of range [0, {self.n})"
+            )
+        self.kernel.crash_server(ServerId(server_index))
+
+    @property
+    def total_objects(self) -> int:
+        """Base objects the fleet consumes (Table 1, summed over slots)."""
+        return self.object_map.n_objects
+
+    def storage_profile(self):
+        """Per-server base-object counts, summed over all slots
+        (Theorem 7's capacity view)."""
+        return self.object_map.storage_profile()
+
+
+class MultiRegisterDeployment(SlotFleet):
     """``m`` Algorithm 2 registers on one shared fleet of ``n`` servers."""
 
     def __init__(
@@ -226,41 +340,11 @@ class MultiRegisterDeployment:
         scheduler: "Optional[Scheduler]" = None,
         environment: "Optional[Environment]" = None,
     ):
-        if m <= 0:
-            raise InvalidConfig("need at least one register")
-        self.m = m
-        self.initial_value = initial_value
-        placements, self.layouts = offset_layouts(m, k, n, f, initial_value)
-        self.system: SimSystem = build_system(
-            n, placements, scheduler=scheduler, environment=environment
+        super().__init__(
+            "register", m, k, n, f, initial_value, scheduler, environment
         )
-        self.registers = [
-            _RegisterView(self, index, self.layouts[index])
-            for index in range(m)
-        ]
-        SlotHistoryRouter(
-            [view.history for view in self.registers]
-        ).install(self.kernel)
 
-    @property
-    def kernel(self):
-        return self.system.kernel
+    def register(self, index: int) -> Slot:
+        return self.slots[index]
 
-    @property
-    def object_map(self):
-        return self.system.object_map
-
-    def register(self, index: int) -> _RegisterView:
-        return self.registers[index]
-
-    def crash_server(self, server_index: int) -> None:
-        """One crash event: every register loses that server at once."""
-        self.kernel.crash_server(ServerId(server_index))
-
-    @property
-    def total_registers(self) -> int:
-        return self.object_map.n_objects
-
-    def storage_profile(self):
-        """Per-server storage summed over all m registers."""
-        return self.object_map.storage_profile()
+    total_registers = SlotFleet.total_objects

@@ -22,13 +22,12 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.consistency.ws import WSViolation, check_ws_safe
+from repro.core.emulation import Deployment
 from repro.sim.client import ClientProtocol, Context
-from repro.sim.history import History
 from repro.sim.ids import ClientId, ObjectId, OpId, ServerId
 from repro.sim.kernel import Action, ActionKind, Environment, Kernel
 from repro.sim.objects import LowLevelOp, OpKind
 from repro.sim.scheduling import RoundRobinScheduler
-from repro.sim.system import SimSystem, build_system
 from repro.sim.values import TSVal, bottom_tsval, max_tsval
 
 
@@ -69,40 +68,25 @@ class TwoFQuorumClient(ClientProtocol):
         self._results[op.op_id] = op.result
 
 
-class TwoFQuorumEmulation:
+class TwoFQuorumEmulation(Deployment):
     """Deployment of the unsound 2f-server emulation (negative control)."""
 
     def __init__(self, f: int, initial_value: Any = None, environment=None):
         self.n = 2 * f
         self.f = f
-        self.initial_value = initial_value
-        placements = [
-            (i, "max-register", bottom_tsval(initial_value))
-            for i in range(self.n)
-        ]
-        self.system: SimSystem = build_system(
+        v0 = bottom_tsval(initial_value)
+        super().__init__(
             self.n,
-            placements,
-            scheduler=RoundRobinScheduler(),
-            environment=environment,
+            [(i, "max-register", v0) for i in range(self.n)],
+            initial_value,
+            RoundRobinScheduler(),
+            environment,
         )
-        self._next = 0
 
-    @property
-    def kernel(self) -> Kernel:
-        return self.system.kernel
-
-    @property
-    def history(self) -> History:
-        return self.system.history
-
-    def add_client(self):
-        client_id = ClientId(self._next)
-        self._next += 1
-        protocol = TwoFQuorumClient(
+    def make_client(self, writer_index, client_id: ClientId):
+        return TwoFQuorumClient(
             self.n, self.f, client_id.index, self.initial_value
         )
-        return self.kernel.add_client(client_id, protocol)
 
 
 class _HalfBlocker(Environment):

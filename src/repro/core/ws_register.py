@@ -24,16 +24,15 @@ the property the lower bound shows is unavoidable.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, List, Optional, Set
 
+from repro.core.emulation import Deployment, register_algorithm
 from repro.core.layout import RegisterLayout
 from repro.sim.client import ClientProtocol, Context
-from repro.sim.history import History
 from repro.sim.ids import ClientId, ObjectId, OpId, ServerId
 from repro.sim.kernel import Environment
 from repro.sim.objects import LowLevelOp, OpKind
 from repro.sim.scheduling import Scheduler
-from repro.sim.system import SimSystem, build_system
 from repro.sim.values import TSVal, bottom_tsval
 
 
@@ -144,12 +143,21 @@ class WSRegisterClient(ClientProtocol):
                 self.wr_set.add(register)
 
 
-class WSRegisterEmulation:
+@register_algorithm("ws-register")
+class WSRegisterEmulation(Deployment):
     """A deployed Algorithm 2 instance: layout, servers, kernel, clients.
 
     Resource complexity is ``kf + ceil(k/z)(f+1)`` base registers
     (Theorem 3); ``emulation.layout.total_registers`` exposes the count.
+    Subclasses swap :attr:`LAYOUT` (another register-to-server map with
+    the same interface) or :attr:`CLIENT` (the protocol writers run;
+    readers always run the intact :class:`WSRegisterClient`).
     """
+
+    LAYOUT = RegisterLayout
+    CLIENT = WSRegisterClient
+    BOUNDED_WRITERS = True
+    AUTO_IDS = "readers"
 
     def __init__(
         self,
@@ -160,59 +168,18 @@ class WSRegisterEmulation:
         scheduler: "Optional[Scheduler]" = None,
         environment: "Optional[Environment]" = None,
     ):
-        self.layout = RegisterLayout(k, n, f, initial_value)
+        self.k = k
+        self.layout = self.LAYOUT(k, n, f, initial_value)
         self.layout.validate()
-        self.initial_value = initial_value
-        self.system: SimSystem = build_system(
-            n,
-            self.layout.placements(),
-            scheduler=scheduler,
-            environment=environment,
+        super().__init__(
+            n, self.layout.placements(), initial_value, scheduler, environment
         )
-        self._writers: "Dict[int, ClientId]" = {}
-        self._next_reader = 0
 
-    @property
-    def kernel(self):
-        return self.system.kernel
-
-    @property
-    def history(self) -> History:
-        return self.system.history
-
-    @property
-    def object_map(self):
-        return self.system.object_map
-
-    def add_writer(
-        self, writer_index: int, client_id: "Optional[ClientId]" = None
-    ):
-        """Register writer ``w`` (0-based, < k)."""
-        if writer_index in self._writers:
-            raise ValueError(f"writer {writer_index} already added")
-        cid = client_id or ClientId(writer_index)
-        protocol = WSRegisterClient(
+    def make_client(self, writer_index, client_id: ClientId):
+        client = WSRegisterClient if writer_index is None else self.CLIENT
+        return client(
             self.layout,
             self.object_map,
             writer_index=writer_index,
             initial_value=self.initial_value,
         )
-        runtime = self.kernel.add_client(cid, protocol)
-        self._writers[writer_index] = cid
-        return runtime
-
-    def add_reader(self, client_id: "Optional[ClientId]" = None):
-        """Register a reader (readers are unbounded)."""
-        if client_id is None:
-            client_id = ClientId(self.layout.k + 1000 + self._next_reader)
-            self._next_reader += 1
-        protocol = WSRegisterClient(
-            self.layout,
-            self.object_map,
-            writer_index=None,
-            initial_value=self.initial_value,
-        )
-        return self.kernel.add_client(client_id, protocol)
-
-    def writer_client_id(self, writer_index: int) -> ClientId:
-        return self._writers[writer_index]

@@ -201,7 +201,7 @@ class WallClockRule(Rule):
 
 @register_rule
 class ProtocolConformanceRule(Rule):
-    """R003: registry-registered builders must return full Emulations."""
+    """R003: registry-registered classes must be full Emulations."""
 
     id = "R003"
     title = "algorithm-registry classes implement the Emulation surface"
@@ -212,26 +212,15 @@ class ProtocolConformanceRule(Rule):
         assert module.tree is not None
         for node in ast.walk(module.tree):
             if not isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef)
+                node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
             ):
                 continue
             algorithm = self._registered_name(node)
             if algorithm is None:
                 continue
-            for ret in ast.walk(node):
-                if not isinstance(ret, ast.Return) or ret.value is None:
-                    continue
-                call = ret.value
-                if not (
-                    isinstance(call, ast.Call)
-                    and isinstance(call.func, ast.Name)
-                ):
-                    continue
-                class_name = call.func.id
-                resolved = project.resolve_class(module, class_name)
-                if resolved is None:
-                    continue  # cannot locate the class statically
-                classdef, home = resolved
+            for anchor, class_name, classdef, home in self._registered_classes(
+                node, module, project
+            ):
                 surface = _class_surface(classdef, home, project)
                 if surface is None:
                     continue  # unresolvable base class: inconclusive
@@ -241,15 +230,35 @@ class ProtocolConformanceRule(Rule):
                 if missing:
                     yield self.finding(
                         module,
-                        ret,
+                        anchor,
                         f"class {class_name} registered as algorithm"
                         f" {algorithm!r} is missing Emulation surface:"
                         f" {', '.join(missing)}",
                     )
 
     @staticmethod
+    def _registered_classes(node, module: ModuleInfo, project: ProjectIndex):
+        """``(anchor, name, classdef, home module)`` of every class the
+        decorated ``node`` registers: the class itself, or each class a
+        decorated builder function returns an instance of."""
+        if isinstance(node, ast.ClassDef):
+            yield node, node.name, node, module
+            return
+        for ret in ast.walk(node):
+            if not isinstance(ret, ast.Return) or ret.value is None:
+                continue
+            call = ret.value
+            if not (
+                isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            ):
+                continue
+            resolved = project.resolve_class(module, call.func.id)
+            if resolved is not None:  # else: cannot locate it statically
+                yield (ret, call.func.id) + resolved
+
+    @staticmethod
     def _registered_name(
-        node: "ast.FunctionDef | ast.AsyncFunctionDef",
+        node: "ast.ClassDef | ast.FunctionDef | ast.AsyncFunctionDef",
     ) -> "Optional[str]":
         for decorator in node.decorator_list:
             if not isinstance(decorator, ast.Call):

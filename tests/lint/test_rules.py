@@ -398,11 +398,48 @@ class TestR003:
         )
         assert result.active == []
 
+    def test_decorated_class_missing_surface_fires(self, tmp_path):
+        result = lint_source(
+            tmp_path,
+            _REGISTRY_PRELUDE
+            + textwrap.dedent(
+                """
+                @register_algorithm("partial")
+                class PartialEmulation:
+                    def __init__(self):
+                        self.kernel = None
+                """
+            ),
+            "R003",
+        )
+        assert rules_fired(result) == ["R003"]
+        assert "add_reader" in result.active[0].message
+
+    def test_decorated_class_inheriting_surface_is_clean(self, tmp_path):
+        result = lint_source(
+            tmp_path,
+            _REGISTRY_PRELUDE
+            + _CONFORMING_CLASS
+            + textwrap.dedent(
+                """
+                @register_algorithm("derived")
+                class Derived(GoodEmulation):
+                    pass
+                """
+            ),
+            "R003",
+        )
+        assert result.active == []
+
     def test_real_registry_is_clean(self):
-        # The shipped algorithm registry must satisfy its own protocol.
+        # The shipped algorithm registry must satisfy its own protocol:
+        # the classes register themselves, across repro/core.
+        from pathlib import Path
+
         import repro.core.emulation as emulation_module
 
-        result = lint_paths([emulation_module.__file__], rule_ids=["R003"])
+        core = Path(emulation_module.__file__).parent
+        result = lint_paths([str(core)], rule_ids=["R003"])
         assert result.active == []
 
     def test_suppression_silences(self, tmp_path):

@@ -115,3 +115,70 @@ class TestKnobCensus:
             )
         }
         assert census == self.EXPECTED
+
+
+class TestDeploymentCensus:
+    """The deployment classes keep their constructors, and the decision
+    *how base objects and clients are put on a kernel* lives in exactly
+    two places: the single-register shell and the slot-fleet engine.
+    """
+
+    _ABD = ("n", "f", "initial_value", "write_back", "scheduler", "environment")
+    _WS = ("k", "n", "f", "initial_value", "scheduler", "environment")
+    EXPECTED = {
+        "ABDEmulation": _ABD,
+        "CASABDEmulation": _ABD,
+        "FTMaxRegister": _ABD,
+        "SingleCASMaxRegister": ("initial_value", "scheduler", "environment"),
+        "CollectMaxRegister": ("k", "initial_value", "scheduler"),
+        "WSRegisterEmulation": _WS,
+        "ReplicatedMaxRegisterEmulation": _WS,
+        "NoCoverAvoidanceEmulation": _WS,
+        "SmallQuorumEmulation": _WS,
+        "TwoFQuorumEmulation": ("f", "initial_value", "environment"),
+        "MultiRegisterDeployment": ("m",) + _WS,
+        "ShardFleet": ("config", "seed", "scheduler", "transport"),
+    }
+
+    def test_constructor_parameters_are_unchanged(self):
+        import inspect
+
+        from repro.apps.shard import ShardFleet
+        from repro.core.ablation import (
+            NoCoverAvoidanceEmulation,
+            SmallQuorumEmulation,
+        )
+        from repro.core.theorem5 import TwoFQuorumEmulation
+
+        classes = [
+            repro.ABDEmulation,
+            repro.CASABDEmulation,
+            repro.FTMaxRegister,
+            repro.SingleCASMaxRegister,
+            repro.CollectMaxRegister,
+            repro.WSRegisterEmulation,
+            repro.ReplicatedMaxRegisterEmulation,
+            NoCoverAvoidanceEmulation,
+            SmallQuorumEmulation,
+            TwoFQuorumEmulation,
+            repro.MultiRegisterDeployment,
+            ShardFleet,
+        ]
+        census = {
+            cls.__name__: tuple(inspect.signature(cls).parameters)
+            for cls in classes
+        }
+        assert census == self.EXPECTED
+
+    def test_one_shell_and_one_engine_wire_kernels(self):
+        from pathlib import Path
+
+        package = Path(repro.__file__).parent
+        sites = {"build_system(": [], "kernel.add_client(": []}
+        for layer in ("core", "apps"):
+            for path in sorted((package / layer).rglob("*.py")):
+                text = path.read_text(encoding="utf-8")
+                for needle, found in sites.items():
+                    found += [path.name] * text.count(needle)
+        for needle, found in sites.items():
+            assert found == ["emulation.py", "multi.py"], (needle, found)
