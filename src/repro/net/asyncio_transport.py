@@ -47,6 +47,7 @@ step counter.
 from __future__ import annotations
 
 import asyncio
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import InvalidConfig, TransportUnavailable, WireDecodeError
@@ -533,10 +534,18 @@ class AsyncioTransport(Transport):
     # -- progress ----------------------------------------------------------
 
     def _deliver_ready(self) -> bool:
-        """Hand every parsed response to the kernel; True if any."""
+        """Hand every parsed response to the kernel, in op-id order;
+        True if any.
+
+        Replicas answer in per-server batches, so the ready list
+        interleaves op ids; an arrival below the largest respondable op
+        makes ``Kernel.arrive`` re-sort its respond actions.  Sorting the
+        batch first leaves the kernel in the same (sorted) state.
+        """
         ready = self._ready
         if not ready:
             return False
+        ready.sort(key=itemgetter("op"))
         arrive = self._kernel.arrive
         for frame in ready:
             op_value = frame["op"]

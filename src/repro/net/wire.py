@@ -16,7 +16,12 @@ kernel and its replica servers:
   encode and decode, and the framing supports pipelining: any number of
   frames can sit in one TCP segment and be split without scanning for
   delimiters.  See ``docs/API.md`` ("Wire format") for the exact frame
-  layout.
+  layout.  Every frame of an operation pays the codec once, so the
+  encoder takes the shapes the protocols ship (``str``, ``TSVal``,
+  ``int``, ``tuple``, ``None``) by exact type before its general
+  ``isinstance`` chain and the decoder tests tags in traffic order;
+  ``tests/net/test_wire_oracle.py`` holds both to the plain codec they
+  replaced, byte for byte.
 
 Each codec frames its byte stream two ways: ``split_frames`` is the
 synchronous splitter the socket protocols call once per TCP segment
@@ -27,8 +32,11 @@ segment); ``read_frame`` reads one frame from an ``asyncio``
 Both codecs are deliberately closed: an unencodable value is an error,
 not a silent ``str()`` — a protocol that started shipping richer values
 over the wire should extend the codec, not corrupt comparisons.  Both
-reject malformed input loudly: truncated frames, oversized lengths and
-unknown tags raise instead of yielding partial values.
+reject malformed input loudly and with one exception class: truncated
+frames, trailing bytes, oversized lengths, unknown tags, invalid UTF-8
+and over-deep nesting all raise :class:`~repro.errors.WireDecodeError`
+instead of yielding partial values — the one error the socket
+protocols catch to drop a bad peer without failing the run.
 
 JSON request frame::
 
@@ -44,11 +52,12 @@ pins the cross-codec equivalence on recorded cluster sessions.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import WireDecodeError
+from repro.errors import InvalidConfig, WireDecodeError
 from repro.sim.ids import ClientId, ObjectId, OpId
 from repro.sim.objects import LowLevelOp, OpKind
 from repro.sim.values import TSVal
@@ -118,7 +127,7 @@ def decode_request(line: bytes) -> "LowLevelOp":
             args=tuple(decode_value(frame["args"])),
             trigger_time=0,
         )
-    except (ValueError, KeyError, TypeError, UnicodeDecodeError) as error:
+    except (ValueError, KeyError, TypeError, RecursionError) as error:
         raise WireDecodeError(f"malformed request frame: {error}") from error
 
 
@@ -131,7 +140,7 @@ def decode_response(line: bytes) -> "Dict[str, Any]":
     try:
         frame = json.loads(line.decode("utf-8"))
         return {"op": frame["op"], "result": decode_value(frame["result"])}
-    except (ValueError, KeyError, TypeError, UnicodeDecodeError) as error:
+    except (ValueError, KeyError, TypeError, RecursionError) as error:
         raise WireDecodeError(f"malformed response frame: {error}") from error
 
 
@@ -165,8 +174,10 @@ _FRAME_RESPONSE = 0x02
 
 #: interned op-kind codes (definition order of the enum; both ends of a
 #: connection run this module, so the table is always in agreement).
-_KIND_TO_CODE = {kind: code for code, kind in enumerate(OpKind)}
-_CODE_TO_KIND = {code: kind for kind, code in _KIND_TO_CODE.items()}
+#: Encode looks a kind up by its string value, not by the member:
+#: ``Enum.__hash__`` is a Python-level call.
+_KIND_TO_CODE = {kind.value: code for code, kind in enumerate(OpKind)}
+_CODE_TO_KIND = dict(enumerate(OpKind))
 
 #: refuse frames above this size — a corrupt or hostile length prefix
 #: must not make the reader allocate gigabytes.
@@ -175,9 +186,24 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 _LEN_STRUCT = struct.Struct(">I")
 _F64_STRUCT = struct.Struct(">d")
 
+#: a frame's first five bytes: the length prefix, reserved here and
+#: filled in by :func:`_frame` once the payload is packed, then the
+#: frame kind.  The frame is built in place: one copy, not two.
+_REQUEST_HEAD = bytes((0, 0, 0, 0, _FRAME_REQUEST))
+_RESPONSE_HEAD = bytes((0, 0, 0, 0, _FRAME_RESPONSE))
+
+#: ``ClientId`` / ``ObjectId`` of a decoded request.  Both are immutable
+#: and carry their hash, so requests may share them; the bound keeps a
+#: peer sending ever-new indices from growing the cache.
+_client_id = functools.lru_cache(maxsize=4096)(ClientId)
+_object_id = functools.lru_cache(maxsize=4096)(ObjectId)
+
 
 def _pack_varint(value: int, out: bytearray) -> None:
     """Unsigned LEB128 (7 bits per byte, high bit = continuation)."""
+    if 0 <= value < 0x80:
+        out.append(value)  # one byte: small indices, lengths and counts
+        return
     if value < 0:
         raise ValueError(f"varint cannot encode negative {value}")
     while True:
@@ -191,8 +217,14 @@ def _pack_varint(value: int, out: bytearray) -> None:
 
 
 def _unpack_varint(buf: bytes, pos: int) -> "Tuple[int, int]":
-    result = 0
-    shift = 0
+    if pos >= len(buf):
+        raise WireDecodeError("truncated varint on the wire")
+    byte = buf[pos]
+    if byte < 0x80:
+        return byte, pos + 1
+    result = byte & 0x7F
+    shift = 7
+    pos += 1
     while True:
         if pos >= len(buf):
             raise WireDecodeError("truncated varint on the wire")
@@ -204,8 +236,41 @@ def _unpack_varint(buf: bytes, pos: int) -> "Tuple[int, int]":
         shift += 7
 
 
+def _pack_int(value: int, out: bytearray) -> None:
+    # Zigzag keeps small negatives short and LEB128 carries arbitrary
+    # precision.
+    out.append(_T_INT)
+    _pack_varint((value << 1) if value >= 0 else ((-value << 1) - 1), out)
+
+
 def _pack_value(value: Any, out: bytearray) -> None:
-    if value is None:
+    kind = type(value)
+    # Exact types first, for the shapes the protocols ship; the
+    # isinstance chain below takes bools, subclasses (OpId, named
+    # tuples), floats, bytes, lists and dicts.
+    if kind is str:
+        encoded = value.encode("utf-8")
+        out.append(_T_STR)
+        _pack_varint(len(encoded), out)
+        out += encoded
+    elif kind is TSVal:
+        out.append(_T_TSVAL)
+        ts, wid = value.ts, value.wid
+        if type(ts) is int and type(wid) is int:
+            _pack_int(ts, out)
+            _pack_int(wid, out)
+        else:
+            _pack_value(ts, out)
+            _pack_value(wid, out)
+        _pack_value(value.val, out)
+    elif kind is int:
+        _pack_int(value, out)
+    elif kind is tuple:
+        out.append(_T_TUPLE)
+        _pack_varint(len(value), out)
+        for item in value:
+            _pack_value(item, out)
+    elif value is None:
         out.append(_T_NONE)
     elif value is True:
         out.append(_T_TRUE)
@@ -213,13 +278,8 @@ def _pack_value(value: Any, out: bytearray) -> None:
         out.append(_T_FALSE)
     elif isinstance(value, int):
         # bools are handled above; OpId (an int subclass) encodes as its
-        # plain value.  Zigzag keeps small negatives short and LEB128
-        # carries arbitrary precision.
-        out.append(_T_INT)
-        value = int(value)
-        _pack_varint(
-            (value << 1) if value >= 0 else ((-value << 1) - 1), out
-        )
+        # plain value.
+        _pack_int(int(value), out)
     elif isinstance(value, float):
         out.append(_T_FLOAT)
         out += _F64_STRUCT.pack(value)
@@ -266,34 +326,40 @@ def _unpack_value(buf: bytes, pos: int) -> "Tuple[Any, int]":
         raise WireDecodeError("truncated value on the wire")
     tag = buf[pos]
     pos += 1
-    if tag == _T_NONE:
-        return None, pos
-    if tag == _T_TRUE:
-        return True, pos
-    if tag == _T_FALSE:
-        return False, pos
+    # in traffic order: ABD ships timestamps, ints and strings
+    if tag == _T_TSVAL:
+        ts, pos = _unpack_value(buf, pos)
+        wid, pos = _unpack_value(buf, pos)
+        val, pos = _unpack_value(buf, pos)
+        return TSVal(ts, wid, val), pos
     if tag == _T_INT:
         raw, pos = _unpack_varint(buf, pos)
         return (raw >> 1) if not raw & 1 else -((raw + 1) >> 1), pos
-    if tag == _T_FLOAT:
-        end = pos + 8
-        if end > len(buf):
-            raise WireDecodeError("truncated float on the wire")
-        return _F64_STRUCT.unpack_from(buf, pos)[0], end
     if tag == _T_STR or tag == _T_BYTES:
         length, pos = _unpack_varint(buf, pos)
         end = pos + length
         if end > len(buf):
             raise WireDecodeError("truncated string on the wire")
-        raw = bytes(buf[pos:end])
+        raw = buf[pos:end]
         return (raw.decode("utf-8") if tag == _T_STR else raw), end
-    if tag == _T_LIST or tag == _T_TUPLE:
+    if tag == _T_TUPLE or tag == _T_LIST:
         count, pos = _unpack_varint(buf, pos)
         items = []
         for _ in range(count):
             item, pos = _unpack_value(buf, pos)
             items.append(item)
         return (tuple(items) if tag == _T_TUPLE else items), pos
+    if tag == _T_NONE:
+        return None, pos
+    if tag == _T_TRUE:
+        return True, pos
+    if tag == _T_FALSE:
+        return False, pos
+    if tag == _T_FLOAT:
+        end = pos + 8
+        if end > len(buf):
+            raise WireDecodeError("truncated float on the wire")
+        return _F64_STRUCT.unpack_from(buf, pos)[0], end
     if tag == _T_DICT:
         count, pos = _unpack_varint(buf, pos)
         result: "Dict[str, Any]" = {}
@@ -302,76 +368,84 @@ def _unpack_value(buf: bytes, pos: int) -> "Tuple[Any, int]":
             end = pos + length
             if end > len(buf):
                 raise WireDecodeError("truncated dict key on the wire")
-            key = bytes(buf[pos:end]).decode("utf-8")
+            key = buf[pos:end].decode("utf-8")
             item, pos = _unpack_value(buf, end)
             result[key] = item
         return result, pos
-    if tag == _T_TSVAL:
-        ts, pos = _unpack_value(buf, pos)
-        wid, pos = _unpack_value(buf, pos)
-        val, pos = _unpack_value(buf, pos)
-        return TSVal(ts=ts, wid=wid, val=val), pos
     raise WireDecodeError(f"unknown wire tag 0x{tag:02x}")
 
 
-def _frame(payload: bytearray) -> bytes:
-    if len(payload) > MAX_FRAME_BYTES:
+def _frame(frame: bytearray) -> bytes:
+    """Fill in the reserved length prefix of a packed frame."""
+    size = len(frame) - 4
+    if size > MAX_FRAME_BYTES:
         raise ValueError(
-            f"frame of {len(payload)} bytes exceeds the"
+            f"frame of {size} bytes exceeds the"
             f" {MAX_FRAME_BYTES}-byte wire limit"
         )
-    return _LEN_STRUCT.pack(len(payload)) + bytes(payload)
+    _LEN_STRUCT.pack_into(frame, 0, size)
+    return bytes(frame)
 
 
 def encode_binary_request(op: "LowLevelOp") -> bytes:
-    payload = bytearray((_FRAME_REQUEST,))
-    _pack_varint(int(op.op_id.value), payload)
-    _pack_varint(op.client_id.index, payload)
-    _pack_varint(op.object_id.index, payload)
-    payload.append(_KIND_TO_CODE[op.kind])
-    _pack_value(op.args, payload)
-    return _frame(payload)
+    frame = bytearray(_REQUEST_HEAD)
+    _pack_varint(op.op_id, frame)
+    _pack_varint(op.client_id.index, frame)
+    _pack_varint(op.object_id.index, frame)
+    frame.append(_KIND_TO_CODE[op.kind._value_])
+    _pack_value(op.args, frame)
+    return _frame(frame)
 
 
 def decode_binary_request(payload: bytes) -> "LowLevelOp":
     """Rebuild the operation on the server side (binary framing)."""
+    if type(payload) is not bytes:
+        payload = bytes(payload)  # slices of a bytes value stay bytes
     if not payload or payload[0] != _FRAME_REQUEST:
         raise WireDecodeError("not a binary request frame")
-    op_value, pos = _unpack_varint(payload, 1)
-    client_index, pos = _unpack_varint(payload, pos)
-    object_index, pos = _unpack_varint(payload, pos)
-    if pos >= len(payload):
-        raise WireDecodeError("truncated request frame on the wire")
-    kind = _CODE_TO_KIND.get(payload[pos])
-    if kind is None:
-        raise WireDecodeError(f"unknown op-kind code {payload[pos]}")
-    args, pos = _unpack_value(payload, pos + 1)
+    try:
+        op_value, pos = _unpack_varint(payload, 1)
+        client_index, pos = _unpack_varint(payload, pos)
+        object_index, pos = _unpack_varint(payload, pos)
+        if pos >= len(payload):
+            raise WireDecodeError("truncated request frame on the wire")
+        kind = _CODE_TO_KIND.get(payload[pos])
+        if kind is None:
+            raise WireDecodeError(f"unknown op-kind code {payload[pos]}")
+        args, pos = _unpack_value(payload, pos + 1)
+    except (UnicodeDecodeError, RecursionError) as error:
+        raise WireDecodeError(f"malformed request frame: {error}") from error
     if pos != len(payload):
         raise WireDecodeError(f"{len(payload) - pos} trailing bytes in frame")
     if not isinstance(args, tuple):
         raise WireDecodeError("request args must decode as a tuple")
     return LowLevelOp(
-        op_id=OpId(op_value),
-        client_id=ClientId(client_index),
-        object_id=ObjectId(object_index),
-        kind=kind,
-        args=args,
-        trigger_time=0,
+        OpId(op_value),
+        _client_id(client_index),
+        _object_id(object_index),
+        kind,
+        args,
+        0,  # trigger time: the client-side kernel keeps the timing
     )
 
 
 def encode_binary_response(op_value: int, result: Any) -> bytes:
-    payload = bytearray((_FRAME_RESPONSE,))
-    _pack_varint(int(op_value), payload)
-    _pack_value(result, payload)
-    return _frame(payload)
+    frame = bytearray(_RESPONSE_HEAD)
+    _pack_varint(int(op_value), frame)
+    _pack_value(result, frame)
+    return _frame(frame)
 
 
 def decode_binary_response(payload: bytes) -> "Dict[str, Any]":
+    if type(payload) is not bytes:
+        payload = bytes(payload)
     if not payload or payload[0] != _FRAME_RESPONSE:
         raise WireDecodeError("not a binary response frame")
-    op_value, pos = _unpack_varint(payload, 1)
-    result, pos = _unpack_value(payload, pos)
+    try:
+        op_value, pos = _unpack_varint(payload, 1)
+        result, pos = _unpack_value(payload, pos)
+    except (UnicodeDecodeError, RecursionError) as error:
+        raise WireDecodeError(f"malformed response frame: {error}") from error
     if pos != len(payload):
         raise WireDecodeError(f"{len(payload) - pos} trailing bytes in frame")
     return {"op": op_value, "result": result}
@@ -446,7 +520,7 @@ class BinaryWireCodec:
             raise
         (length,) = _LEN_STRUCT.unpack(header)
         if length > MAX_FRAME_BYTES:
-            raise ValueError(
+            raise WireDecodeError(
                 f"frame of {length} bytes exceeds the"
                 f" {MAX_FRAME_BYTES}-byte wire limit"
             )
@@ -492,6 +566,6 @@ def get_codec(name: str):
     try:
         return CODECS[name]
     except KeyError:
-        raise ValueError(
+        raise InvalidConfig(
             f"unknown wire codec {name!r}; known: {sorted(CODECS)}"
         ) from None

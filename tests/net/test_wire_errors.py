@@ -1,0 +1,149 @@
+"""The decoders' error contract: a bad frame is a ``WireDecodeError``.
+
+The socket protocols catch exactly ``WireDecodeError``: a replica cuts
+the peer off, a client counts ``decode_errors`` and redials.  Anything
+else escaping a decoder reaches the event loop's exception handler and
+fails the whole run, so invalid UTF-8 and over-deep nesting — which
+Python reports as ``UnicodeDecodeError`` / ``RecursionError`` — must
+come out of all four decode entry points wrapped.
+"""
+
+import socket
+import struct
+
+import pytest
+
+from repro.errors import InvalidConfig, WireDecodeError
+from repro.net.wire import (
+    MAX_FRAME_BYTES,
+    BinaryWireCodec,
+    JsonWireCodec,
+    get_codec,
+)
+
+from tests.net.test_asyncio import _AbdCluster
+from tests.net.test_wire_binary import _read_all_frames
+
+DEPTH = 100_000
+
+#: response op 5, a one-byte string that is not UTF-8
+BAD_UTF8_RESPONSE = bytes.fromhex("02 05 05 01 ff")
+#: response op 5, a dict whose one key is not UTF-8
+BAD_UTF8_KEY_RESPONSE = bytes.fromhex("02 05 09 01 01 ff 00")
+#: response op 5, a list nested DEPTH deep
+DEEP_RESPONSE = bytes.fromhex("02 05") + b"\x07\x01" * DEPTH + b"\x00"
+#: request op 7 from client 2 to object 3, write_max, args not UTF-8
+BAD_UTF8_REQUEST = bytes.fromhex("01 07 02 03 03 08 01 05 01 ff")
+#: the same request with its args tuple nested DEPTH deep
+DEEP_REQUEST = bytes.fromhex("01 07 02 03 03") + b"\x08\x01" * DEPTH + b"\x00"
+
+
+def _json_frame(**fields):
+    body = ", ".join(f'"{name}": {value}' for name, value in fields.items())
+    return ("{" + body + "}\n").encode("utf-8")
+
+
+_DEEP_JSON = "[" * DEPTH + "]" * DEPTH
+BAD_FRAMES = [
+    (BinaryWireCodec.decode_response, BAD_UTF8_RESPONSE),
+    (BinaryWireCodec.decode_response, BAD_UTF8_KEY_RESPONSE),
+    (BinaryWireCodec.decode_response, DEEP_RESPONSE),
+    (BinaryWireCodec.decode_request, BAD_UTF8_REQUEST),
+    (BinaryWireCodec.decode_request, DEEP_REQUEST),
+    (JsonWireCodec.decode_response, b'{"op": 1, "result": "\xff"}\n'),
+    (JsonWireCodec.decode_response, _json_frame(op=1, result=_DEEP_JSON)),
+    (
+        JsonWireCodec.decode_request,
+        _json_frame(op=1, client=0, object=0, kind='"write"', args=_DEEP_JSON),
+    ),
+    (
+        JsonWireCodec.decode_request,
+        b'{"op": 1, "client": 0, "object": 0, "kind": "write",'
+        b' "args": ["\xff"]}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "decode, frame",
+    BAD_FRAMES,
+    ids=[
+        "binary-response-utf8",
+        "binary-response-dict-key-utf8",
+        "binary-response-deep",
+        "binary-request-utf8",
+        "binary-request-deep",
+        "json-response-utf8",
+        "json-response-deep",
+        "json-request-deep",
+        "json-request-utf8",
+    ],
+)
+def test_malformed_frames_raise_wire_decode_error(decode, frame):
+    with pytest.raises(WireDecodeError) as failure:
+        decode(frame)
+    assert not isinstance(failure.value, UnicodeDecodeError)
+
+
+def test_typed_raises():
+    huge = struct.pack(">I", MAX_FRAME_BYTES + 1)
+    with pytest.raises(WireDecodeError):
+        _read_all_frames(BinaryWireCodec, huge)
+    with pytest.raises(InvalidConfig):
+        get_codec("msgpack")
+
+
+def _frame(payload):
+    return struct.pack(">I", len(payload)) + payload
+
+
+@pytest.mark.parametrize(
+    "payload", [BAD_UTF8_RESPONSE, DEEP_RESPONSE], ids=["utf8", "deep"]
+)
+def test_a_client_counts_a_bad_response_and_redials(payload):
+    cluster = _AbdCluster(seed=8)
+    transport = cluster.transport
+    try:
+        cluster.round()
+        link = transport._links[1]
+        link.data_received(_frame(payload))
+        assert transport.decode_errors == 1
+        cluster.rounds_until(
+            lambda: transport._links[1] is not link
+            and 1 not in transport._down,
+            "link never redialed",
+        )
+    finally:
+        transport.close()
+
+
+def _closed_by_peer(sock):
+    try:
+        return sock.recv(1) == b""
+    except BlockingIOError:
+        return False
+
+
+@pytest.mark.parametrize(
+    "payload", [BAD_UTF8_REQUEST, DEEP_REQUEST], ids=["utf8", "deep"]
+)
+def test_a_replica_cuts_off_a_peer_sending_a_bad_request(payload):
+    cluster = _AbdCluster(seed=9)
+    transport = cluster.transport
+    try:
+        cluster.round()
+        peer = socket.create_connection(("127.0.0.1", transport.ports[0]))
+        try:
+            peer.sendall(_frame(payload))
+            peer.setblocking(False)
+            # the replica reads the frame inside the next operation that
+            # runs the loop; the run carries on while it drops the peer
+            cluster.rounds_until(
+                lambda: _closed_by_peer(peer), "bad peer never cut off"
+            )
+        finally:
+            peer.close()
+        cluster.round()
+    finally:
+        transport.close()
+    assert transport.decode_errors == 0
