@@ -23,43 +23,30 @@ The number of writers is unbounded (no dependence on ``k``).
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.core.emulation import (
     Deployment,
     register_algorithm,
     require_majority,
 )
-from repro.errors import InvalidConfig
-from repro.sim.client import ClientProtocol, Context
-from repro.sim.ids import ClientId, ObjectId, OpId
+from repro.core.quorums import QuorumClient
+from repro.sim.client import Context
+from repro.sim.ids import ClientId, ObjectId
 from repro.sim.kernel import Environment
-from repro.sim.objects import LowLevelOp, OpKind
+from repro.sim.objects import OpKind
 from repro.sim.scheduling import Scheduler
 from repro.sim.values import TSVal, bottom_tsval, max_tsval
 
 
-def server_objects(
-    n: int, object_ids: "Optional[Sequence[ObjectId]]"
-) -> "List[ObjectId]":
-    """Which object lives on server ``i``, for the one-object-per-server
-    clients.  The default identity placement serves single-register
-    deployments; multi-register fleets (one kernel hosting many ABD
-    instances) pass each instance its own slice of the shared
-    object-id space.
+class ABDClient(QuorumClient):
+    """Client-side ABD state machine (writers and readers alike).
+
+    The one ABD in the library: the CAS substrate overrides only the
+    quorum round (:class:`~repro.core.cas_maxreg.CASABDClient`), and
+    Theorem 5's control runs it unchanged on ``2f`` servers without
+    write-back (:mod:`repro.core.theorem5`).
     """
-    if object_ids is None:
-        return [ObjectId(i) for i in range(n)]
-    if len(object_ids) != n:
-        raise InvalidConfig(
-            f"need one object per server: got {len(object_ids)}"
-            f" ids for n={n}"
-        )
-    return list(object_ids)
-
-
-class ABDClient(ClientProtocol):
-    """Client-side ABD state machine (writers and readers alike)."""
 
     def __init__(
         self,
@@ -70,35 +57,10 @@ class ABDClient(ClientProtocol):
         write_back: bool = True,
         object_ids: "Optional[Sequence[ObjectId]]" = None,
     ):
-        self.n = n
-        self.f = f
+        super().__init__(n, f, object_ids)
         self.writer_id = writer_id
         self.initial_value = initial_value
         self.write_back = write_back
-        self.object_ids = server_objects(n, object_ids)
-        #: responses of the quorum round in flight (at most ``n``)
-        self._results: "Dict[OpId, Any]" = {}
-        self._round: "FrozenSet[OpId]" = frozenset()
-
-    # -- quorum round ------------------------------------------------------
-
-    def _quorum(self, ctx: Context, kind: OpKind, args: tuple):
-        """Trigger ``kind(args)`` on every server's object, await n-f."""
-        ops = [
-            ctx.trigger(oid, kind, *args) for oid in self.object_ids
-        ]
-        self._round = frozenset(ops)
-        needed = self.n - self.f
-        results = self._results
-        yield lambda: len(results) >= needed
-        responses = [results[op] for op in ops if op in results]
-        # The round is over: up to f responses are still in flight and
-        # on_response drops them, so nothing outlives the round.
-        self._round = frozenset()
-        results.clear()
-        return responses
-
-    # -- high-level operations ------------------------------------------------
 
     def op_write(self, ctx: Context, value: Any):
         responses = yield from self._quorum(ctx, OpKind.READ_MAX, ())
@@ -113,10 +75,6 @@ class ABDClient(ClientProtocol):
         if self.write_back:
             yield from self._quorum(ctx, OpKind.WRITE_MAX, (best,))
         return best.val
-
-    def on_response(self, ctx: Context, op: LowLevelOp) -> None:
-        if op.op_id in self._round:
-            self._results[op.op_id] = op.result
 
 
 @register_algorithm("abd")

@@ -24,10 +24,11 @@ mechanisms is not an artifact of the algorithm but of the problem.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Sequence
 
 from repro.consistency.ws import WSViolation, check_ws_safe
 from repro.core.ws_register import WSRegisterClient, WSRegisterEmulation
+from repro.errors import WriterBoundExceeded
 from repro.sim.client import Context
 from repro.sim.ids import ObjectId
 from repro.sim.kernel import Action, ActionKind, Environment, Kernel
@@ -47,7 +48,7 @@ class NoCoverAvoidanceClient(WSRegisterClient):
 
     def op_write(self, ctx: Context, value: Any):
         if self.writer_index is None:
-            raise RuntimeError("read-only client invoked write")
+            raise WriterBoundExceeded("read-only client invoked write")
         collected = yield from self._collect(ctx)
         self.ts_val = TSVal(
             ts=collected.ts + 1, wid=self.writer_index, val=value
@@ -59,7 +60,7 @@ class NoCoverAvoidanceClient(WSRegisterClient):
         for register in registers:
             current_ops.add(ctx.trigger(register, OpKind.WRITE, self.ts_val))
         self._current_write_ops = current_ops
-        quorum = len(registers) - self.layout.f
+        quorum = self._write_quorum(registers)
         yield lambda: len(self.wr_set) >= quorum
         return "ack"
 
@@ -74,22 +75,8 @@ class NoCoverAvoidanceClient(WSRegisterClient):
 class SmallQuorumClient(WSRegisterClient):
     """Algorithm 2 with an insufficient write quorum: |R_j| - (f+1)."""
 
-    def op_write(self, ctx: Context, value: Any):
-        if self.writer_index is None:
-            raise RuntimeError("read-only client invoked write")
-        collected = yield from self._collect(ctx)
-        self.ts_val = TSVal(
-            ts=collected.ts + 1, wid=self.writer_index, val=value
-        )
-        registers = self.layout.registers_for_writer(self.writer_index)
-        self.cover_set = set(registers) - self.wr_set
-        self.wr_set = set()
-        for register in registers:
-            if register not in self.cover_set:
-                ctx.trigger(register, OpKind.WRITE, self.ts_val)
-        quorum = len(registers) - (self.layout.f + 1)  # ablated: one short
-        yield lambda: len(self.wr_set) >= quorum
-        return "ack"
+    def _write_quorum(self, registers: "Sequence[ObjectId]") -> int:
+        return len(registers) - (self.layout.f + 1)  # ablated: one short
 
 
 class ScriptedWriteBlocker(Environment):
@@ -200,13 +187,14 @@ def cover_avoidance_violation() -> "List[WSViolation]":
     return check_ws_safe(emu.history)
 
 
-def small_quorum_violation() -> "List[WSViolation]":
+def small_quorum_run() -> SmallQuorumEmulation:
     """Script the lost-write attack against :class:`SmallQuorumClient`.
 
     k=1, n=3, f=1: the ablated writer awaits only |R_0| - (f+1) = 1
     response.  The adversary lets only the b0 write respond, W1 returns,
     s0 crashes, and the two held writes never land — an isolated read
-    finds no trace of v1 and returns the initial value.
+    finds no trace of v1 and returns the initial value.  Returns the
+    finished deployment.
     """
     env = ScriptedWriteBlocker()
     emu = SmallQuorumEmulation(
@@ -229,7 +217,13 @@ def small_quorum_violation() -> "List[WSViolation]":
     emu.kernel.crash_server(emu.layout.server_of(b0))
     reader.enqueue("read")
     _run_until_idle(emu, reader)
-    return check_ws_safe(emu.history, initial_value="v0")
+    return emu
+
+
+def small_quorum_violation() -> "List[WSViolation]":
+    """The WS-Safety violations of :func:`small_quorum_run` (one: the
+    read returns the initial value after W(v1) completed)."""
+    return check_ws_safe(small_quorum_run().history, initial_value="v0")
 
 
 def baseline_no_violation() -> "List[WSViolation]":

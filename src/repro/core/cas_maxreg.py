@@ -21,34 +21,43 @@ the composition giving the CAS row of Table 1 (2f+1 CAS objects).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Set
 
-from repro.core.abd import ABDEmulation, server_objects
+from repro.core.abd import ABDClient, ABDEmulation
 from repro.core.emulation import Deployment, register_algorithm
-from repro.sim.client import ClientProtocol, Context, TaskHandle
+from repro.sim.client import ClientProtocol, Context
 from repro.sim.ids import ClientId, ObjectId, OpId
 from repro.sim.kernel import Environment
 from repro.sim.objects import LowLevelOp, OpKind
 from repro.sim.scheduling import Scheduler
-from repro.sim.values import TSVal, bottom_tsval, max_tsval
+from repro.sim.values import TSVal, bottom_tsval
 
 
 class _CASOps:
     """Shared plumbing: triggering CAS ops and awaiting their results."""
 
     def __init__(self) -> None:
+        #: the CAS ops a sub-coroutine awaits, and those that responded
+        self._awaited: "Set[OpId]" = set()
         self._results: "Dict[OpId, Any]" = {}
         #: total Algorithm 1 loop iterations (time-complexity metric)
         self.iterations = 0
 
     def record(self, op: LowLevelOp) -> None:
-        if op.kind is OpKind.CAS:
+        if op.op_id in self._awaited:
             self._results[op.op_id] = op.result
+
+    def forget(self) -> None:
+        """Drop what the sub-coroutines of a finished operation awaited."""
+        self._awaited.clear()
+        self._results.clear()
 
     def _cas(self, ctx: Context, obj: ObjectId, exp: Any, new: Any):
         """Trigger one CAS and wait for its response (generator)."""
         op = ctx.trigger(obj, OpKind.CAS, exp, new)
+        self._awaited.add(op)
         yield lambda: op in self._results
+        self._awaited.discard(op)
         return self._results.pop(op)
 
     def write_max(self, ctx: Context, obj: ObjectId, value: Any, v0: Any):
@@ -129,76 +138,52 @@ class SingleCASMaxRegister(Deployment):
     total_iterations = property(_total_iterations)
 
 
-class CASABDClient(ClientProtocol):
+class CASABDClient(ABDClient):
     """ABD client whose per-server primitive is Algorithm 1 over a CAS.
 
-    Each quorum round spawns one sub-coroutine per server running
-    ``write_max``/``read_max`` against that server's CAS object; the round
-    completes when ``n - f`` sub-coroutines finish.  A crashed server's
-    coroutine simply never completes — exactly the failure mode ABD
-    tolerates.
+    Only the quorum round differs from :class:`ABDClient`: it spawns one
+    sub-coroutine per server running ``write_max``/``read_max`` against
+    that server's CAS object, and completes when ``n - f`` of them
+    finish.  A crashed server's coroutine simply never completes —
+    exactly the failure mode ABD tolerates.
     """
 
-    def __init__(
-        self,
-        n: int,
-        f: int,
-        writer_id: int,
-        initial_value: Any = None,
-        write_back: bool = True,
-        object_ids: "Optional[Sequence[ObjectId]]" = None,
-    ):
-        self.n = n
-        self.f = f
-        self.writer_id = writer_id
-        self.v0 = bottom_tsval(initial_value)
-        self.write_back = write_back
-        self.object_ids = server_objects(n, object_ids)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.v0 = bottom_tsval(self.initial_value)
         self.ops = _CASOps()
 
     @property
     def iterations(self) -> int:
         return self.ops.iterations
 
-    # -- per-server emulated max-register rounds ---------------------------
-
-    def _round(self, ctx: Context, write_value: "Optional[TSVal]"):
-        """One quorum round: read-max (write_value None) or write-max."""
-        handles: "List[TaskHandle]" = []
+    def _quorum(self, ctx: Context, kind: OpKind, args: tuple):
+        """One round of emulated ``read-max`` or ``write-max(*args)``."""
         results: "List[TSVal]" = []
 
-        def server_task(server_index: int):
-            obj = self.object_ids[server_index]
-            if write_value is None:
+        def server_task(obj: ObjectId):
+            if kind is OpKind.READ_MAX:
                 value = yield from self.ops.read_max(ctx, obj, self.v0)
                 results.append(value)
             else:
-                yield from self.ops.write_max(
-                    ctx, obj, write_value, self.v0
-                )
+                yield from self.ops.write_max(ctx, obj, *args, self.v0)
 
-        for server_index in range(self.n):
-            handles.append(
-                ctx.spawn(server_task(server_index), name=f"srv-{server_index}")
-            )
+        handles = [
+            ctx.spawn(server_task(obj), name=f"srv-{server_index}")
+            for server_index, obj in enumerate(self.object_ids)
+        ]
         yield ctx.count_done(handles, self.n - self.f)
         return results
 
-    # -- high-level operations ------------------------------------------------
+    def make_operation(self, ctx: Context, name: str, args: tuple):
+        return self._forgetting(super().make_operation(ctx, name, args))
 
-    def op_write(self, ctx: Context, value: Any):
-        responses = yield from self._round(ctx, None)
-        ts = max_tsval(responses).ts + 1
-        tagged = TSVal(ts=ts, wid=self.writer_id, val=value)
-        yield from self._round(ctx, tagged)
-        return "ack"
-
-    def op_read(self, ctx: Context):
-        responses = yield from self._round(ctx, None)
-        best = max_tsval(responses)
-        if self.write_back:
-            yield from self._round(ctx, best)
-        return best.val
+    def _forgetting(self, operation):
+        # The per-server sub-coroutines still running end with the
+        # operation; what they awaited must not outlive it.
+        result = yield from operation
+        self.ops.forget()
+        return result
 
     def on_response(self, ctx: Context, op: LowLevelOp) -> None:
         self.ops.record(op)

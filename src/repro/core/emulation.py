@@ -48,10 +48,7 @@ from typing import (
     runtime_checkable,
 )
 
-from repro.consistency.linearizability import is_linearizable
-from repro.consistency.register_atomicity import is_register_history_atomic
-from repro.consistency.specs import MaxRegisterSpec
-from repro.consistency.ws import check_ws_regular
+from repro.consistency.conditions import CONDITIONS
 from repro.errors import BoundViolation, InvalidConfig, WriterBoundExceeded
 from repro.sim.client import ClientProtocol, ClientRuntime
 from repro.sim.history import History
@@ -91,17 +88,6 @@ class Emulation(Protocol):
     def add_reader(self) -> Any: ...
 
 
-#: consistency condition -> ``checker(history, initial_value) -> bool``.
-#: Shared by :meth:`Deployment.audit` and the per-slot audit of
-#: :mod:`repro.core.multi`.
-CONDITIONS: "Dict[str, Callable[[History, Any], bool]]" = {
-    "ws-regular": lambda history, v0: not check_ws_regular(history, v0),
-    "atomic": is_register_history_atomic,
-    "max-register-atomic": lambda history, v0: is_linearizable(
-        history.all_ops(), MaxRegisterSpec(v0)
-    ),
-}
-
 #: auto-numbering rule -> the next automatic client id of a deployment
 #: (auto-numbered readers add 1000).  The rules differ per algorithm for
 #: no deeper reason than history; the golden histories pin them, so they
@@ -132,7 +118,7 @@ class Deployment:
     #: ``history.reads`` select on)
     WRITE, READ = "write", "read"
     #: the consistency condition the algorithm guarantees (a key of
-    #: :data:`CONDITIONS`)
+    #: :data:`repro.consistency.conditions.CONDITIONS`)
     CONDITION = "ws-regular"
     #: True where the algorithm provisions exactly ``self.k`` writers,
     #: one client each; False where any client may write
@@ -228,7 +214,9 @@ class Deployment:
 
     def audit(self) -> bool:
         """Whether the recorded history satisfies :attr:`CONDITION`."""
-        return CONDITIONS[self.CONDITION](self.history, self.initial_value)
+        return CONDITIONS[self.CONDITION].holds(
+            self.history, self.initial_value
+        )
 
 
 #: algorithm name -> emulation class

@@ -17,45 +17,30 @@ the minimum server count, independent of the number of writers.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Optional
+from typing import Any, Optional
 
 from repro.core.emulation import (
     Deployment,
     register_algorithm,
     require_majority,
 )
-from repro.sim.client import ClientProtocol, Context
-from repro.sim.ids import ClientId, ObjectId, OpId
+from repro.core.quorums import QuorumClient
+from repro.sim.client import Context
+from repro.sim.ids import ClientId
 from repro.sim.kernel import Environment
-from repro.sim.objects import LowLevelOp, OpKind
+from repro.sim.objects import OpKind
 from repro.sim.scheduling import Scheduler
 
 
-class FTMaxRegisterClient(ClientProtocol):
+class FTMaxRegisterClient(QuorumClient):
     """Quorum-replicated max-register client."""
 
     def __init__(
         self, n: int, f: int, initial_value: Any, write_back: bool = True
     ):
-        self.n = n
-        self.f = f
+        super().__init__(n, f)
         self.initial_value = initial_value
         self.write_back = write_back
-        #: responses of the quorum round in flight (at most ``n``)
-        self._results: "Dict[OpId, Any]" = {}
-        self._round: "FrozenSet[OpId]" = frozenset()
-
-    def _quorum(self, ctx: Context, kind: OpKind, args: tuple):
-        ops = [ctx.trigger(ObjectId(i), kind, *args) for i in range(self.n)]
-        self._round = frozenset(ops)
-        needed = self.n - self.f
-        results = self._results
-        yield lambda: len(results) >= needed
-        responses = [results[op] for op in ops if op in results]
-        # As in ABDClient._quorum: late responses are dropped on arrival.
-        self._round = frozenset()
-        results.clear()
-        return responses
 
     def op_write_max(self, ctx: Context, value: Any):
         yield from self._quorum(ctx, OpKind.WRITE_MAX, (value,))
@@ -70,10 +55,6 @@ class FTMaxRegisterClient(ClientProtocol):
         if self.write_back:
             yield from self._quorum(ctx, OpKind.WRITE_MAX, (best,))
         return best
-
-    def on_response(self, ctx: Context, op: LowLevelOp) -> None:
-        if op.op_id in self._round:
-            self._results[op.op_id] = op.result
 
 
 @register_algorithm("ft-maxreg")

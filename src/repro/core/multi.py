@@ -33,9 +33,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.consistency.conditions import CONDITIONS
 from repro.core.abd import ABDClient
 from repro.core.cas_maxreg import CASABDClient
-from repro.core.emulation import CONDITIONS
 from repro.core.layout import RegisterLayout
 from repro.core.ws_register import WSRegisterClient
 from repro.errors import BoundViolation, InvalidConfig
@@ -228,7 +228,7 @@ class Slot:
 
     def audit(self) -> bool:
         """Check the slot's history against its substrate's condition."""
-        return CONDITIONS[self.fleet.condition](
+        return CONDITIONS[self.fleet.condition].holds(
             self.history, self.fleet.initial_value
         )
 

@@ -15,16 +15,85 @@ layout (stated just below Figure 1):
 explicit combinatorial guards) and :func:`verify_quorum_properties`
 checks both properties exhaustively — executable versions of the
 paragraph the paper proves Lemma 7 from.
+
+The quorum substrates (ABD over max-registers or CAS objects, the
+f-tolerant max-register, Theorem 5's 2f-server control) all await
+``n - f`` of ``n`` per-server responses; :class:`QuorumClient` is that
+round, written once.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import FrozenSet, Iterator, List
+from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Sequence
 
 from repro.core import bounds
-from repro.sim.ids import ObjectId, ServerId
+from repro.errors import InvalidConfig
+from repro.sim.client import ClientProtocol, Context
+from repro.sim.ids import ObjectId, OpId, ServerId
+from repro.sim.objects import LowLevelOp, OpKind
+
+
+def server_objects(
+    n: int, object_ids: "Optional[Sequence[ObjectId]]"
+) -> "List[ObjectId]":
+    """Which object lives on server ``i``, for the one-object-per-server
+    clients.  The default identity placement serves single-register
+    deployments; multi-register fleets (one kernel hosting many ABD
+    instances) pass each instance its own slice of the shared
+    object-id space.
+    """
+    if object_ids is None:
+        return [ObjectId(i) for i in range(n)]
+    if len(object_ids) != n:
+        raise InvalidConfig(
+            f"need one object per server: got {len(object_ids)}"
+            f" ids for n={n}"
+        )
+    return list(object_ids)
+
+
+class QuorumClient(ClientProtocol):
+    """A client over one object per server that awaits ``n - f`` of them.
+
+    Subclasses build their operations from :meth:`_quorum`; one that
+    swaps the per-server primitive overrides :meth:`_quorum` (and
+    :meth:`on_response`) with the same signature.
+    """
+
+    def __init__(
+        self,
+        n: int,
+        f: int,
+        object_ids: "Optional[Sequence[ObjectId]]" = None,
+    ):
+        self.n = n
+        self.f = f
+        self.object_ids = server_objects(n, object_ids)
+        #: responses of the quorum round in flight (at most ``n``)
+        self._results: "Dict[OpId, Any]" = {}
+        self._round: "FrozenSet[OpId]" = frozenset()
+
+    def _quorum(self, ctx: Context, kind: OpKind, args: tuple):
+        """Trigger ``kind(args)`` on every server's object, await n-f."""
+        ops = [
+            ctx.trigger(oid, kind, *args) for oid in self.object_ids
+        ]
+        self._round = frozenset(ops)
+        needed = self.n - self.f
+        results = self._results
+        yield lambda: len(results) >= needed
+        responses = [results[op] for op in ops if op in results]
+        # The round is over: up to f responses are still in flight and
+        # on_response drops them, so nothing outlives the round.
+        self._round = frozenset()
+        results.clear()
+        return responses
+
+    def on_response(self, ctx: Context, op: LowLevelOp) -> None:
+        if op.op_id in self._round:
+            self._results[op.op_id] = op.result
 
 
 @dataclass(frozen=True)
@@ -78,7 +147,7 @@ class QuorumSystem:
 
     def _guard(self, count: int) -> None:
         if count > self.MAX_ENUMERATION:
-            raise ValueError(
+            raise InvalidConfig(
                 f"quorum family too large to enumerate ({count});"
                 " use smaller parameters"
             )

@@ -9,9 +9,10 @@ seeing only the other half (its half *looks* crashed, the write's half is
 merely slow), finds nothing.
 
 We cannot quantify over all algorithms, but we can execute the argument
-against the natural candidate: :class:`TwoFQuorumEmulation`, an ABD-style
-emulation on n = 2f servers whose quorums are any f servers (the largest
-quorum an f-tolerant algorithm may await).  :func:`partition_violation`
+against the natural candidate: :class:`TwoFQuorumEmulation`, ABD without
+write-back (:class:`~repro.core.abd.ABDClient` unchanged) on n = 2f
+servers, whose quorums are therefore any f servers (the largest quorum
+an f-tolerant algorithm may await).  :func:`partition_violation`
 scripts the split-brain run and returns the WS-Safety violation the
 checker finds; all correct emulations in this library refuse such
 deployments up front (they validate n >= 2f+1).
@@ -19,53 +20,15 @@ deployments up front (they validate n >= 2f+1).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, List, Optional
 
 from repro.consistency.ws import WSViolation, check_ws_safe
+from repro.core.abd import ABDClient
 from repro.core.emulation import Deployment
-from repro.sim.client import ClientProtocol, Context
-from repro.sim.ids import ClientId, ObjectId, OpId, ServerId
+from repro.sim.ids import ClientId, ServerId
 from repro.sim.kernel import Action, ActionKind, Environment, Kernel
-from repro.sim.objects import LowLevelOp, OpKind
 from repro.sim.scheduling import RoundRobinScheduler
-from repro.sim.values import TSVal, bottom_tsval, max_tsval
-
-
-class TwoFQuorumClient(ClientProtocol):
-    """ABD with f-server quorums on n = 2f servers (deliberately unsound).
-
-    This is the *best* an f-tolerant algorithm could do on 2f servers: it
-    may never wait for more than n - f = f responses, else a legal crash
-    pattern blocks it forever.
-    """
-
-    def __init__(self, n: int, f: int, writer_id: int, initial_value: Any):
-        self.n = n
-        self.f = f
-        self.writer_id = writer_id
-        self.initial_value = initial_value
-        self._results: "Dict[OpId, Any]" = {}
-
-    def _quorum(self, ctx: Context, kind: OpKind, args: tuple):
-        ops = [ctx.trigger(ObjectId(i), kind, *args) for i in range(self.n)]
-        needed = self.n - self.f  # = f: non-intersecting quorums
-        yield lambda: sum(1 for op in ops if op in self._results) >= needed
-        return [self._results[op] for op in ops if op in self._results]
-
-    def op_write(self, ctx: Context, value: Any):
-        responses = yield from self._quorum(ctx, OpKind.READ_MAX, ())
-        ts = max_tsval(responses).ts + 1
-        yield from self._quorum(
-            ctx, OpKind.WRITE_MAX, (TSVal(ts, self.writer_id, value),)
-        )
-        return "ack"
-
-    def op_read(self, ctx: Context):
-        responses = yield from self._quorum(ctx, OpKind.READ_MAX, ())
-        return max_tsval(responses).val
-
-    def on_response(self, ctx: Context, op: LowLevelOp) -> None:
-        self._results[op.op_id] = op.result
+from repro.sim.values import bottom_tsval
 
 
 class TwoFQuorumEmulation(Deployment):
@@ -84,8 +47,15 @@ class TwoFQuorumEmulation(Deployment):
         )
 
     def make_client(self, writer_index, client_id: ClientId):
-        return TwoFQuorumClient(
-            self.n, self.f, client_id.index, self.initial_value
+        # The best an f-tolerant algorithm could do on 2f servers: it may
+        # never wait for more than n - f = f responses, else a legal
+        # crash pattern blocks it forever.
+        return ABDClient(
+            self.n,
+            self.f,
+            writer_id=client_id.index,
+            initial_value=self.initial_value,
+            write_back=False,
         )
 
 
@@ -124,13 +94,13 @@ class _HalfBlocker(Environment):
         return server not in self.blocked
 
 
-def partition_violation(f: int = 1) -> "List[WSViolation]":
+def partition_run(f: int = 1) -> TwoFQuorumEmulation:
     """Script the split-brain run on n = 2f servers.
 
     Phase 1: servers {f..2f-1} are slow; the writer completes W(v1) using
     only the first half.  Phase 2: the halves swap roles; an isolated
     reader completes using only the second half — which never saw v1 —
-    and returns the initial value.  WS-Safety is violated.
+    and returns the initial value.  Returns the finished deployment.
     """
     first_half = {ServerId(i) for i in range(f)}
     second_half = {ServerId(i) for i in range(f, 2 * f)}
@@ -153,5 +123,10 @@ def partition_violation(f: int = 1) -> "List[WSViolation]":
         max_steps=100_000, until=lambda k: reader.idle and not reader.program
     )
     assert result.satisfied, "read should finish on the other half"
+    return emu
 
-    return check_ws_safe(emu.history, initial_value="v0")
+
+def partition_violation(f: int = 1) -> "List[WSViolation]":
+    """The WS-Safety violations of :func:`partition_run` (one: the
+    reader returns the initial value after W(v1) completed)."""
+    return check_ws_safe(partition_run(f).history, initial_value="v0")

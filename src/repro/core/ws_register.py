@@ -24,10 +24,11 @@ the property the lower bound shows is unavoidable.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Set
+from typing import Any, List, Optional, Sequence, Set
 
 from repro.core.emulation import Deployment, register_algorithm
 from repro.core.layout import RegisterLayout
+from repro.errors import WriterBoundExceeded
 from repro.sim.client import ClientProtocol, Context
 from repro.sim.ids import ClientId, ObjectId, OpId, ServerId
 from repro.sim.kernel import Environment
@@ -74,7 +75,7 @@ class WSRegisterClient(ClientProtocol):
     def op_write(self, ctx: Context, value: Any):
         """Lines 1-12."""
         if self.writer_index is None:
-            raise RuntimeError("read-only client invoked write")
+            raise WriterBoundExceeded("read-only client invoked write")
         collected = yield from self._collect(ctx)  # line 2
         self.ts_val = TSVal(  # lines 3-4
             ts=collected.ts + 1, wid=self.writer_index, val=value
@@ -87,9 +88,13 @@ class WSRegisterClient(ClientProtocol):
         for register in registers:  # lines 8-10
             if register not in self.cover_set:
                 ctx.trigger(register, OpKind.WRITE, self.ts_val)
-        quorum = len(registers) - self.layout.f
+        quorum = self._write_quorum(registers)
         yield lambda: len(self.wr_set) >= quorum  # line 11
         return "ack"  # line 12
+
+    def _write_quorum(self, registers: "Sequence[ObjectId]") -> int:
+        """Line 11's quorum: ``|R_j| - f`` write responses."""
+        return len(registers) - self.layout.f
 
     def op_read(self, ctx: Context):
         """Lines 17-19."""

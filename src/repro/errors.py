@@ -19,12 +19,14 @@ class ReproError(Exception):
     """Root of every typed failure raised by repro's service layers."""
 
 
-class WriterBoundExceeded(ReproError, ValueError):
+class WriterBoundExceeded(ReproError, ValueError, RuntimeError):
     """A write used a writer identity outside the provisioned bound.
 
     The register substrate provisions ``k`` writers per register
     (Table 1's ``kf + ceil(k/z)(f+1)`` economics are *per writer*);
     naming writer ``i >= k`` is a caller error, not a transient fault.
+    A reader (no writer identity at all) invoking ``write`` is the same
+    error; those sites raised ``RuntimeError`` before, hence that base.
     """
 
 

@@ -5,7 +5,9 @@
 1. **Well-formedness** — each client's high-level projection is
    sequential (Appendix A.1).
 2. **The consistency condition** — one of ``"atomic"``, ``"ws-regular"``,
-   ``"ws-safe"``, ``"mw-weak"``, ``"mw-strong"``.
+   ``"ws-safe"``, ``"mw-weak"``, ``"mw-strong"``,
+   ``"max-register-atomic"`` (the keys of
+   :data:`repro.consistency.conditions.CONDITIONS`, re-exported here).
 3. **Substrate self-audit** — every base object's low-level projection is
    linearizable (skippable; capped by projection size).
 
@@ -21,22 +23,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.analysis.baseobject_audit import audit_base_objects
-from repro.consistency.mw_regularity import (
-    check_mw_regular_strong,
-    check_mw_regular_weak,
-)
-from repro.consistency.register_atomicity import is_register_history_atomic
+from repro.consistency.conditions import CONDITIONS
 from repro.consistency.schedule import is_well_formed
-from repro.consistency.ws import check_ws_regular, check_ws_safe
-
-CONDITIONS = (
-    "atomic",
-    "ws-regular",
-    "ws-safe",
-    "mw-weak",
-    "mw-strong",
-    "max-register-atomic",
-)
+from repro.errors import InvalidConfig
 
 
 @dataclass
@@ -69,45 +58,18 @@ def verify_run(
 ) -> VerificationReport:
     """Run all applicable checks over a finished emulation run."""
     if condition not in CONDITIONS:
-        raise ValueError(
-            f"condition must be one of {CONDITIONS}, got {condition!r}"
+        raise InvalidConfig(
+            f"condition must be one of {tuple(CONDITIONS)}, got {condition!r}"
         )
     history = emulation.history
     report = VerificationReport(condition=condition)
 
     report.checks["well-formed schedule"] = is_well_formed(history)
 
-    if condition == "atomic":
-        ok = is_register_history_atomic(history, initial_value=initial_value)
-        report.checks["atomicity (linearizability)"] = ok
-    elif condition == "ws-regular":
-        violations = check_ws_regular(history, initial_value=initial_value)
-        report.checks["WS-Regularity"] = not violations
-        report.violations.extend(str(v) for v in violations)
-    elif condition == "ws-safe":
-        violations = check_ws_safe(history, initial_value=initial_value)
-        report.checks["WS-Safety"] = not violations
-        report.violations.extend(str(v) for v in violations)
-    elif condition == "mw-weak":
-        violations = check_mw_regular_weak(
-            history, initial_value=initial_value
-        )
-        report.checks["MW-Weak regularity"] = not violations
-        report.violations.extend(str(v) for v in violations)
-    elif condition == "mw-strong":
-        violations = check_mw_regular_strong(
-            history, initial_value=initial_value
-        )
-        report.checks["MW-Strong regularity"] = not violations
-        report.violations.extend(str(v) for v in violations)
-    else:  # max-register-atomic
-        from repro.consistency.linearizability import is_linearizable
-        from repro.consistency.specs import MaxRegisterSpec
-
-        ok = is_linearizable(
-            list(history.all_ops()), MaxRegisterSpec(initial_value)
-        )
-        report.checks["max-register atomicity"] = ok
+    spec = CONDITIONS[condition]
+    violations = spec.find(history, initial_value)
+    report.checks[spec.label] = not violations
+    report.violations.extend(str(v) for v in violations)
 
     if audit_substrate:
         verdicts = audit_base_objects(

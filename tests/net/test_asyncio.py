@@ -191,9 +191,14 @@ class TestCluster:
 
 class _AbdCluster:
     """ABD (n=3, f=1) over self-hosted binary-codec sockets, one writer
-    and one reader, driven a write+read round at a time."""
+    and one reader, driven a write+read round at a time.
 
-    def __init__(self, seed, idle_timeout=0.05):
+    Every round reaches a quorum, so a passing run never waits the idle
+    timeout out; it only bounds how long a round may go without a reply.
+    Keep it well above a scheduling or GC pause of the test process: a
+    short one turns such a pause into a round that ends "quiescent"."""
+
+    def __init__(self, seed, idle_timeout=5.0):
         spec = EmulationSpec.make(
             "abd", n=3, f=1, seed=seed,
             transport=TransportConfig.asyncio(codec="binary"),

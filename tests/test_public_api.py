@@ -182,3 +182,54 @@ class TestDeploymentCensus:
                     found += [path.name] * text.count(needle)
         for needle, found in sites.items():
             assert found == ["emulation.py", "multi.py"], (needle, found)
+
+
+class TestProtocolCensus:
+    """The ABD protocol, its ``n - f`` quorum round and Algorithm 2's
+    write are each written once; the variants override one method."""
+
+    @staticmethod
+    def _core_sources():
+        from pathlib import Path
+
+        core = Path(repro.__file__).parent / "core"
+        return {
+            path.name: path.read_text(encoding="utf-8")
+            for path in sorted(core.rglob("*.py"))
+        }
+
+    def test_one_quorum_round_per_primitive(self):
+        # QuorumClient's message round and CASABDClient's Algorithm 1 one.
+        sources = self._core_sources()
+        rounds = [
+            name
+            for name, text in sources.items()
+            for needle in ("def _quorum(", "def _round(")
+            for _ in range(text.count(needle))
+        ]
+        assert rounds == ["cas_maxreg.py", "quorums.py"]
+
+    def test_one_abd_client(self):
+        import ast
+
+        abd_clients = []
+        for name, text in self._core_sources().items():
+            for node in ast.walk(ast.parse(text)):
+                if not isinstance(node, ast.ClassDef):
+                    continue
+                methods = {
+                    item.name: item
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                }
+                if {"op_write", "op_read"} <= set(methods) and (
+                    "max_tsval" in ast.unparse(methods["op_write"])
+                ):
+                    abd_clients.append(node.name)
+        assert abd_clients == ["ABDClient"]
+
+    def test_one_ablated_write(self):
+        # SmallQuorumClient overrides only the line-11 quorum size.
+        ablation = self._core_sources()["ablation.py"]
+        assert ablation.count("def op_write(") == 1
+        assert ablation.count("def _write_quorum(") == 1
