@@ -25,7 +25,6 @@ import json
 import os
 import time
 
-from benchmarks.conftest import emit
 from tests.conftest import reference_run
 
 from repro.analysis.tables import render_table
@@ -195,7 +194,7 @@ def test_kernel_hotpath_throughput():
     with open(ARTIFACT_PATH, "w", encoding="utf-8") as handle:
         json.dump(artifact, handle, indent=2)
         handle.write("\n")
-    emit(
+    print(
         render_table(
             [
                 "config",

@@ -33,8 +33,6 @@ sessions) but keeps the same topology and gauntlet.
 import json
 import os
 
-from benchmarks.conftest import emit
-
 from repro.analysis.tables import render_table
 from repro.cli import main as repro_main
 
@@ -90,7 +88,7 @@ class TestShardedKVLoad:
         latency = report["latency_ms"]
         assert 0 < latency["p50"] <= latency["p95"] <= latency["p99"]
 
-        emit(
+        print(
             render_table(
                 ["metric", "value"],
                 [

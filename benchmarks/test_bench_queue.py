@@ -18,8 +18,6 @@ import json
 import os
 import time
 
-from benchmarks.conftest import emit
-
 from repro.analysis.tables import render_table
 from repro.exec import run_experiment_grid
 
@@ -52,7 +50,7 @@ def test_queue_overhead_vs_direct_engine(tmp_path):
         ["queue", cells, queued_report.total_steps, f"{queued_secs:.3f}",
          f"{1000.0 * overhead / cells:.1f}"],
     ]
-    emit(
+    print(
         render_table(
             ["path", "cells", "kernel steps", "seconds",
              "overhead ms/cell"],

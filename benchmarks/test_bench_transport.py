@@ -38,8 +38,6 @@ import json
 import os
 import time
 
-from benchmarks.conftest import emit
-
 from repro.analysis.tables import render_table
 from repro.core.ws_register import WSRegisterEmulation
 from repro.net import FaultPlan, TransportConfig, chaos_faults
@@ -154,7 +152,7 @@ def test_transport_throughput():
     with open(ARTIFACT_PATH, "w", encoding="utf-8") as handle:
         json.dump(artifact, handle, indent=2)
         handle.write("\n")
-    emit(
+    print(
         render_table(
             ["transport", "steps/sec", "vs baseline"],
             rows,

@@ -7,9 +7,12 @@ is a content hash over everything that determines the result:
 * experiment id,
 * normalized keyword arguments (sorted, JSON-canonical),
 * the replicate seed,
-* a *code version* — a hash of the experiment function's source plus the
-  package version, so editing an experiment silently invalidates its old
-  entries instead of serving stale tables.
+* a *code version* — a hash of the experiment function's source, every
+  ``*.py`` source of the ``repro`` package and the package version, so
+  editing an experiment *or any library code it calls* silently
+  invalidates old entries instead of serving stale tables.  The
+  function's own source stays in the hash because experiments loaded
+  with ``--import-module`` live outside the package.
 
 The cache is process-safe for our access pattern (the grid engine reads
 and writes only from the parent process; writes go through a temp file +
@@ -20,6 +23,7 @@ store counters for the CLI summary.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import inspect
 import json
@@ -35,8 +39,28 @@ CACHE_FORMAT = 1
 _CODE_VERSIONS: "Dict[str, str]" = {}
 
 
+@functools.lru_cache(maxsize=None)
+def package_source_digest() -> str:
+    """sha256 over the ``repro`` package's ``*.py`` files (once per process).
+
+    Files are fed in sorted relative-path order, each as its path and its
+    bytes, so the digest names the checkout's library code exactly.
+    """
+    import repro
+
+    root = Path(repro.__file__).parent
+    digest = hashlib.sha256()
+    for relative in sorted(
+        path.relative_to(root).as_posix() for path in root.rglob("*.py")
+    ):
+        digest.update(relative.encode("utf-8") + b"\0")
+        digest.update((root / relative).read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
 def experiment_code_version(experiment_id: str) -> str:
-    """Hash of the experiment's source + package version (memoized)."""
+    """Hash of the experiment's source, the package sources and the
+    package version (memoized)."""
     cached = _CODE_VERSIONS.get(experiment_id)
     if cached is not None:
         return cached
@@ -49,7 +73,8 @@ def experiment_code_version(experiment_id: str) -> str:
     except (OSError, TypeError):  # dynamically defined experiment
         source = repr(fn)
     digest = hashlib.sha256(
-        f"{repro.__version__}|{CACHE_FORMAT}|{source}".encode("utf-8")
+        f"{repro.__version__}|{CACHE_FORMAT}|{package_source_digest()}"
+        f"|{source}".encode("utf-8")
     ).hexdigest()
     _CODE_VERSIONS[experiment_id] = digest
     return digest

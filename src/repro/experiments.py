@@ -2,13 +2,17 @@
 
 Each experiment function rebuilds one table/figure of the paper and
 returns an :class:`ExperimentResult` (title, headers, rows) that renders
-to the paper-shaped ASCII table.  The benchmark harness times these
-callables and asserts their qualitative claims; the CLI exposes them as
-``python -m repro experiment <id>``; downstream users can call them
-directly.
+to the paper-shaped ASCII table.  This registry is the only code that
+regenerates a paper artifact: the CLI exposes it as ``python -m repro
+experiment <id>`` (``--all`` for every table), the result cache and the
+queue run the same callables, and ``tests/test_experiments.py::
+TestPaperClaims`` asserts each table's qualitative claims at the
+defaults.  Downstream users can call them directly.
 
 Registry ids: ``T1``, ``T1-sweep``, ``F1``, ``L1``, ``TH1``, ``TH2``,
-``TH5``, ``TH6``, ``TH7``, ``TH8``, ``B1``, ``ABL``.
+``TH5``, ``TH6``, ``TH7``, ``TH8``, ``B1``, ``SEP``, ``OQ``, ``ABL``,
+and four deterministic cost tables beside the paper: ``OPS``, ``MIX``,
+``MULTI``, ``SIM``.
 """
 
 from __future__ import annotations
@@ -526,7 +530,11 @@ def open_question_probe(
     k: int = 2, n: int = 5, f: int = 2, samples: int = 10, seed: int = 0
 ) -> ExperimentResult:
     """Probe the open tightness question: Algorithm 2 under concurrent
-    writes vs the stronger [34] regularity conditions."""
+    writes vs the stronger [34] regularity conditions.
+
+    Each sample runs two rounds; in each, all k writers write
+    concurrently while both readers read.
+    """
     from repro.consistency.mw_regularity import (
         check_mw_regular_strong,
         check_mw_regular_weak,
@@ -539,11 +547,12 @@ def open_question_probe(
         )
         writers = [emu.add_writer(i) for i in range(k)]
         readers = [emu.add_reader() for _ in range(2)]
-        for index, writer in enumerate(writers):
-            writer.enqueue("write", f"w{index}")
-        for reader in readers:
-            reader.enqueue("read")
-        assert emu.system.run_to_quiescence(max_steps=500_000).satisfied
+        for round_index in range(2):
+            for index, writer in enumerate(writers):
+                writer.enqueue("write", f"r{round_index}w{index}")
+            for reader in readers:
+                reader.enqueue("read")
+            assert emu.system.run_to_quiescence(max_steps=500_000).satisfied
         if check_mw_regular_weak(emu.history):
             weak += 1
         if check_mw_regular_strong(emu.history):
@@ -608,4 +617,199 @@ def ablations(
         "Ablations — Algorithm 2 mechanisms under the covering adversary",
         ["variant", "outcome", "detail"],
         rows,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Operation costs beside the paper (deterministic step and object counts)
+
+
+def _substrates(k: int, n: int, f: int, seed: int):
+    """The three Table 1 substrates at (k, n, f): label -> factory."""
+    from repro.core.abd import ABDEmulation
+    from repro.core.cas_maxreg import CASABDEmulation
+
+    return {
+        "max-register (ABD)": lambda: ABDEmulation(
+            n=n, f=f, scheduler=RandomScheduler(seed)
+        ),
+        "cas (ABD over Alg. 1)": lambda: CASABDEmulation(
+            n=n, f=f, scheduler=RandomScheduler(seed)
+        ),
+        "register (Alg. 2)": lambda: WSRegisterEmulation(
+            k=k, n=n, f=f, scheduler=RandomScheduler(seed)
+        ),
+    }
+
+
+def _workload_costs(emulation, workload) -> "List[Any]":
+    """[objects used, mean triggers/op, mean steps/op, max covered]."""
+    from repro.workloads.runner import run_workload
+
+    report = run_workload(emulation, workload)
+    assert report.completed_rounds == len(workload.rounds)
+    return [
+        report.resource_consumption,
+        round(report.steps.mean_triggers(), 1),
+        round(report.steps.mean_duration(), 1),
+        report.max_covered,
+    ]
+
+
+@experiment("OPS")
+def operation_costs(
+    k: int = 2, n: int = 5, f: int = 2, seed: int = 0
+) -> ExperimentResult:
+    """Per-operation cost of each substrate on one write-sequential
+    workload: the time side of Table 1's space column."""
+    from repro.workloads.generators import write_sequential_workload
+
+    workload = write_sequential_workload(
+        k=k, writes_per_writer=2, reads_between=1, n_readers=1
+    )
+    rows = [
+        [name, *_workload_costs(factory(), workload)]
+        for name, factory in _substrates(k, n, f, seed).items()
+    ]
+    return ExperimentResult(
+        "OPS",
+        f"Operation costs across substrates (k={k}, n={n}, f={f})",
+        [
+            "substrate",
+            "objects used",
+            "mean triggers/op",
+            "mean steps/op",
+            "max covered",
+        ],
+        rows,
+        seed=seed,
+    )
+
+
+@experiment("MIX")
+def workload_mix(
+    k: int = 2, n: int = 5, f: int = 2, seed: int = 0
+) -> ExperimentResult:
+    """A write-heavy and a read-heavy mix on each substrate."""
+    from repro.workloads.generators import (
+        read_heavy_workload,
+        write_sequential_workload,
+    )
+
+    mixes = {
+        "write-heavy": write_sequential_workload(
+            k=k, writes_per_writer=3, reads_between=0, n_readers=1
+        ),
+        "read-heavy": read_heavy_workload(
+            k=k, n_writes=2, reads_per_write=4, n_readers=1
+        ),
+    }
+    substrates = _substrates(k, n, f, seed)
+    rows = [
+        [name, mix, *_workload_costs(factory(), workload)[:3]]
+        for mix, workload in mixes.items()
+        for name, factory in substrates.items()
+    ]
+    return ExperimentResult(
+        "MIX",
+        f"Workload mixes across substrates (k={k}, n={n}, f={f})",
+        ["substrate", "mix", "objects used", "triggers/op", "steps/op"],
+        rows,
+        seed=seed,
+    )
+
+
+@experiment("MULTI")
+def consolidation(
+    m_values: "Sequence[int]" = (1, 2, 4, 8),
+    k: int = 2,
+    n: int = 5,
+    f: int = 2,
+    seed: int = 0,
+) -> ExperimentResult:
+    """m registers sharing one fleet: the per-server storage ledger that
+    Theorem 7's capacity parameter constrains."""
+    from repro.core.multi import MultiRegisterDeployment
+
+    rows = []
+    for m in m_values:
+        deployment = MultiRegisterDeployment(
+            m=m, k=k, n=n, f=f, scheduler=RandomScheduler(seed)
+        )
+        views = [deployment.register(i) for i in range(m)]
+        writers = [view.add_writer(0) for view in views]
+        readers = [view.add_reader() for view in views]
+        for index, writer in enumerate(writers):
+            writer.enqueue("write", f"v{index}")
+        assert deployment.system.run_to_quiescence(
+            max_steps=2_000_000
+        ).satisfied
+        for reader in readers:
+            reader.enqueue("read")
+        assert deployment.system.run_to_quiescence(
+            max_steps=2_000_000
+        ).satisfied
+        rows.append(
+            [
+                m,
+                deployment.total_registers,
+                max(deployment.storage_profile().values()),
+                deployment.kernel.time,
+            ]
+        )
+    return ExperimentResult(
+        "MULTI",
+        (
+            f"Consolidation — m registers sharing n={n} servers"
+            f" (k={k}, f={f};"
+            f" {bounds.register_upper_bound(k, n, f)} base registers each)"
+        ),
+        ["registers m", "base registers", "max/server", "steps (1 op each)"],
+        rows,
+        seed=seed,
+    )
+
+
+@experiment("SIM")
+def simulator_scaling(
+    configs: "Sequence[Sequence[int]]" = (
+        (1, 3, 1),
+        (2, 5, 2),
+        (4, 7, 2),
+        (6, 9, 2),
+        (8, 17, 2),
+    ),
+    ops: int = 4,
+    seed: int = 0,
+) -> ExperimentResult:
+    """Kernel steps per high-level operation as Algorithm 2 grows: the
+    collects scan every register, so the cost follows Table 1's space."""
+    rows = []
+    for k, n, f in configs:
+        emu = WSRegisterEmulation(
+            k=k, n=n, f=f, scheduler=RandomScheduler(seed)
+        )
+        writer = emu.add_writer(0)
+        reader = emu.add_reader()
+        for index in range(ops):
+            writer.enqueue("write", f"v{index}")
+            reader.enqueue("read")
+        assert emu.system.run_to_quiescence(max_steps=2_000_000).satisfied
+        steps = emu.kernel.time
+        rows.append(
+            [
+                k,
+                n,
+                f,
+                emu.layout.total_registers,
+                steps,
+                round(steps / (2 * ops), 1),
+            ]
+        )
+    return ExperimentResult(
+        "SIM",
+        "Simulator scaling — kernel steps vs deployment size",
+        ["k", "n", "f", "registers", "total steps", "steps/op"],
+        rows,
+        seed=seed,
     )

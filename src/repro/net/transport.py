@@ -135,16 +135,10 @@ class InProcTransport(Transport):
     remote = False
 
     def send_request(self, op: "LowLevelOp") -> None:
-        # Called from Kernel.trigger with the freshly-created op, whose
-        # object is cached on it — the guards of the general arrive()
-        # path hold vacuously, so take the append-only shortcut.
-        obj = op.obj
-        if obj is None:  # defensive: an op this kernel did not trigger
-            kernel = self._kernel
-            if not kernel.object_map.object(op.object_id).crashed:
-                kernel.arrive(op.op_id)
-        elif not obj.crashed:
-            self._kernel.arrive_fresh(op)
+        # Kernel.trigger inlines this leg for the plain type, so only a
+        # subclass gets here.  arrive() drops a request to a crashed
+        # object: a dead server swallows it.
+        self._kernel.arrive(op.op_id)
 
     def request_arrived(self, op: "LowLevelOp") -> bool:
         return True

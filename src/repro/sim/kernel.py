@@ -250,9 +250,10 @@ class Kernel:
             transport = InProcTransport()
         self.transport = transport
         transport.bind(self)
-        # With the plain in-process transport the request leg is a no-op
-        # wrapper around arrive_fresh; trigger() inlines it when this
-        # flag is set (kept current by set_transport).
+        # With the plain in-process transport both message legs are
+        # immediate, so trigger() and run() inline them when this flag is
+        # set; any other transport, a subclass included, goes through
+        # send_request / _respond (kept current by set_transport).
         self._inproc = type(transport) is InProcTransport
         self.time = 0
         # Direct alias of the object map's id->object table (mutated in
@@ -451,10 +452,10 @@ class Kernel:
         self.pending[op_id] = op
         # The request leg belongs to the transport: the op becomes
         # respondable when (and if) the transport delivers it via
-        # arrive().  For the plain in-process transport that leg is
-        # arrive_fresh() behind two calls — inlined here (matching
-        # InProcTransport.send_request exactly: a crashed object
-        # silently swallows the request).
+        # arrive().  For the plain in-process transport that leg is an
+        # immediate arrive(), inlined here: the op is pending, not a
+        # duplicate and has the largest id yet (so appending keeps the
+        # order), and a crashed object silently swallows the request.
         if self._inproc:
             if not obj.crashed:
                 self._respond_actions[op_id] = Action(
@@ -501,19 +502,6 @@ class Kernel:
             actions.update(ordered)
         else:
             actions[op_id] = action
-
-    def arrive_fresh(self, op: LowLevelOp) -> None:
-        """In-order arrival of an op this kernel just triggered.
-
-        Transport-facing shortcut for :meth:`arrive` taken by the
-        in-process transport from inside :meth:`trigger`: the op is
-        known to be pending, not a duplicate, its id is the largest ever
-        issued (so sorted order is preserved by appending), and its
-        object is known live (checked by the caller) — every guard in
-        :meth:`arrive` would pass vacuously.
-        """
-        op_id = op.op_id
-        self._respond_actions[op_id] = Action(ActionKind.RESPOND, op_id=op_id)
 
     def _respond(self, op: LowLevelOp) -> None:
         transport = self.transport

@@ -95,6 +95,15 @@ class TestRegisterBounds:
                         >= k * f + f + 1
                     )
 
+    def test_floor_is_attained(self):
+        """Theorem 1's kf + f + 1 is the minimum over n, not just a floor."""
+        for k in (1, 2, 4, 8):
+            for f in (1, 2, 3):
+                assert min(
+                    bounds.register_lower_bound(k, n, f)
+                    for n in range(2 * f + 1, 4 * k * f + 8)
+                ) == k * f + f + 1
+
     def test_gap_is_small_and_nonnegative(self):
         for k in range(1, 12):
             for f in range(1, 4):
@@ -210,6 +219,15 @@ class TestOtherTheorems:
     def test_theorem7_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
             bounds.servers_needed_bounded_storage(1, 1, 0)
+
+    def test_theorem7_matches_lemma1_accounting(self):
+        """The frontier follows from Lemma 1: kf covered registers fit on
+        the n - (f+1) servers outside F, each holding at most m."""
+        for k in range(1, 10):
+            for f in (1, 2, 3):
+                for m in range(1, 3 * k):
+                    n = bounds.servers_needed_bounded_storage(k, f, m)
+                    assert (n - (f + 1)) * m >= k * f, (k, f, m)
 
     def test_theorem7_consistent_with_theorem1(self):
         """If every server stores <= m registers, Theorem 1's total must be

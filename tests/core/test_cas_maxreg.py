@@ -71,6 +71,19 @@ class TestSingleCASMaxRegister:
         # i.e. one loop iteration plus the confirming iteration.
         assert mreg.total_iterations <= 2 * 5
 
+    def test_contended_writes_take_an_iteration_each(self):
+        """Appendix B under contention: 16 writes by 4 interleaved
+        clients take at least one loop iteration per write."""
+        mreg = SingleCASMaxRegister(
+            initial_value=0, scheduler=RandomScheduler(3)
+        )
+        clients = [mreg.add_client() for _ in range(4)]
+        for index, client in enumerate(clients):
+            for step in range(4):
+                client.enqueue("write_max", 1 + index + 4 * step)
+        assert mreg.system.run_to_quiescence(max_steps=2_000_000).satisfied
+        assert mreg.total_iterations >= 16
+
     def test_read_max_single_cas(self):
         mreg = SingleCASMaxRegister(initial_value=0)
         client = mreg.add_client()

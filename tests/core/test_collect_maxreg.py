@@ -25,6 +25,21 @@ class TestCollectMaxRegister:
             assert mreg.total_registers == k
             assert mreg.total_registers == bounds.k_max_register_lower_bound(k)
 
+    def test_monotone_updates_trigger_at_most_two_ops_each(self):
+        """Appendix B's comparison: the collect construction's write-max
+        does constant work per update, unlike Algorithm 1's loop."""
+        for n_updates in (1, 2, 4, 8, 16, 32):
+            mreg = CollectMaxRegister(
+                k=4, initial_value=0, scheduler=RandomScheduler(0)
+            )
+            writer = mreg.add_writer(0)
+            for value in range(1, n_updates + 1):
+                writer.enqueue("write_max", value)
+            assert mreg.system.run_to_quiescence(
+                max_steps=2_000_000
+            ).satisfied
+            assert len(mreg.kernel.ops) <= 2 * n_updates
+
     def test_write_then_read(self):
         mreg = CollectMaxRegister(k=3, scheduler=RandomScheduler(0))
         writer = mreg.add_writer(1)
@@ -48,6 +63,22 @@ class TestCollectMaxRegister:
             ],
         )
         assert mreg.history.all_ops()[-1].result == 9
+
+    def test_read_max_after_every_writer_wrote(self):
+        """Theorem 2's construction, exercised at the k of its table."""
+        for k in (1, 2, 4, 8, 16):
+            mreg = CollectMaxRegister(
+                k=k, initial_value=0, scheduler=RandomScheduler(1)
+            )
+            writers = [mreg.add_writer(i) for i in range(k)]
+            reader = mreg.add_reader()
+            values = [(i * 7) % (3 * k) + 1 for i in range(k)]
+            for writer, value in zip(writers, values):
+                writer.enqueue("write_max", value)
+            assert mreg.system.run_to_quiescence(max_steps=500_000).satisfied
+            reader.enqueue("read_max")
+            assert mreg.system.run_to_quiescence(max_steps=500_000).satisfied
+            assert mreg.history.all_ops()[-1].result == max(values)
 
     def test_smaller_write_is_noop(self):
         mreg = CollectMaxRegister(k=2, scheduler=RandomScheduler(2))

@@ -57,6 +57,19 @@ class TestLayoutProperties:
         layout = RegisterLayout(k, n, f)
         layout.validate()
 
+    def test_sweep_totals_and_balance(self):
+        """27 (k, n, f) points: valid, Theorem 3's total, and no server
+        loaded past one over the balanced share."""
+        for f in (1, 2, 3):
+            for k in (1, 3, 6):
+                for n in (2 * f + 1, 2 * f + 3, 4 * f + 2):
+                    layout = RegisterLayout(k, n, f)
+                    layout.validate()
+                    total = layout.total_registers
+                    assert total == bounds.register_upper_bound(k, n, f)
+                    loads = layout.storage_profile().values()
+                    assert max(loads) <= -(-total // n) + 1, (k, n, f)
+
     def test_sets_disjoint(self):
         layout = RegisterLayout(4, 7, 2)
         seen = set()

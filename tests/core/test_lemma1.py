@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import bounds
+from repro.core.abd import ABDEmulation
 from repro.core.collect_maxreg import ReplicatedMaxRegisterEmulation
 from repro.core.lemma1 import Lemma1Runner
 from repro.core.ws_register import WSRegisterEmulation
@@ -76,6 +77,34 @@ class TestAgainstAlgorithm2:
         runner = Lemma1Runner(_ws_factory(k, n, f), k=k, f=f)
         reports = runner.run()
         assert all(r.triggered_fresh_servers > 2 * f for r in reports)
+
+    def test_minimum_servers_pin_k_registers_per_server(self):
+        """At n = 2f+1 the construction covers k registers on every
+        server it covers at all (the Theorem 6 regime)."""
+        k, f = 3, 2
+        runner = Lemma1Runner(_ws_factory(k, 2 * f + 1, f), k=k, f=f)
+        reports = runner.run()
+        runner.assert_all_claims()
+        final = reports[-1].per_server_covered
+        assert final and all(count >= k for count in final.values())
+
+
+class TestAgainstMaxRegisterSubstrate:
+    def test_claim_a_fails_once_i_f_exceeds_n(self):
+        """Ad_i cannot force covering growth on ABD's max-registers: the
+        covered count stays at most n, so claim (a) (>= i*f) fails."""
+        k, f = 6, 2
+        n = 2 * f + 1
+
+        def factory(scheduler):
+            return ABDEmulation(n=n, f=f, scheduler=scheduler)
+
+        # Lemma 2's invariants presuppose fresh objects to cover, which
+        # the n max-registers run out of: the inline checker is off.
+        runner = Lemma1Runner(factory, k=k, f=f, check_lemma2=False)
+        reports = runner.run()
+        assert any(not r.claim_a for r in reports)
+        assert all(r.claim_a for r in reports if r.index * f <= n)
 
 
 class TestAgainstReplicatedMaxRegister:

@@ -1,7 +1,13 @@
 """Persistent result cache: keying, hit/miss/refresh semantics."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
+import repro
 from repro.exec.cache import ResultCache, cell_key, experiment_code_version
 from repro.exec.engine import CACHED, OK, execute_cell
 from repro.exec.grid import Cell
@@ -30,6 +36,43 @@ class TestKeys:
         version = experiment_code_version("TH2")
         assert version == experiment_code_version("TH2")
         int(version, 16)  # sha256 hex
+
+
+class TestLibraryEdits:
+    def test_editing_library_code_invalidates_cached_tables(self, tmp_path):
+        """T1's function is untouched, but a library function it calls
+        changes: the cached table must not be served again."""
+        src = tmp_path / "src"
+        shutil.copytree(
+            Path(repro.__file__).parent,
+            src / "repro",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+
+        def register_upper_bound():
+            out = subprocess.run(
+                [sys.executable, "-m", "repro", "experiment", "T1",
+                 "--cache-dir", str(tmp_path / "cache")],
+                cwd=tmp_path, env=env, capture_output=True, text=True,
+                check=True,
+            ).stdout
+            row = next(
+                line for line in out.splitlines()
+                if line.startswith("register ")
+            )
+            return int(row.split("|")[2])
+
+        assert register_upper_bound() == 14
+        bounds = src / "repro" / "core" / "bounds.py"
+        text = bounds.read_text()
+        edited = text.replace(
+            '"upper": register_upper_bound(k, n, f),',
+            '"upper": register_upper_bound(k, n, f) + 100,',
+        )
+        assert edited != text
+        bounds.write_text(edited)
+        assert register_upper_bound() == 114
 
 
 class TestCacheSemantics:

@@ -51,6 +51,12 @@ class TestSerialParallelEquivalence:
         assert merged.render() == serial.render()
         assert merged.seed == 1
 
+    def test_parallel_simulates_the_same_steps(self):
+        kwargs = {"update_counts": (4, 8, 16)}  # B1 simulates every cell
+        _, serial = run_experiment_grid("B1", kwargs, jobs=1)
+        _, parallel = run_experiment_grid("B1", kwargs, jobs=2)
+        assert parallel.total_steps == serial.total_steps > 0
+
     def test_outcomes_in_cell_order_not_completion_order(self):
         cells = expand_experiment("T1-sweep", SWEEP_KWARGS)
         report = run_cells(cells, jobs=4)

@@ -30,7 +30,14 @@ from tests.conftest import (
 from tests.properties.test_prop_transport_identical import SCENARIO_TABLE
 
 from repro.core.emulation import EmulationSpec
-from repro.net import Delay, FaultPlan, LinkFaults, TransportConfig, chaos_faults
+from repro.net import (
+    Delay,
+    FaultPlan,
+    InProcTransport,
+    LinkFaults,
+    TransportConfig,
+    chaos_faults,
+)
 from repro.sim.chaos import ChaosEnvironment
 from repro.sim.events import EventListener
 from repro.sim.failures import CrashPlan
@@ -170,6 +177,45 @@ def test_differential_registry_algorithms(algorithm, schedule):
 def test_differential_random_scenarios(seed, scenario):
     algorithm, schedule = scenario
     _assert_run_matches_reference(seed, schedule, algorithm)
+
+
+class _InProcSubclass(InProcTransport):
+    """Not the plain type, so the kernel inlines neither leg: every
+    request goes through ``send_request`` and every respond through
+    ``_respond``."""
+
+    def __init__(self):
+        super().__init__()
+        self.requests = 0
+
+    def send_request(self, op):
+        self.requests += 1
+        super().send_request(op)
+
+
+@pytest.mark.parametrize("schedule", ["plain", "chaos", "crash"])
+def test_inproc_subclass_matches_the_inlined_transport(schedule):
+    """The non-inlined in-process path gives the same script, history
+    and trace as the inlined one and as the reference stepper."""
+    swapped = []
+
+    def run_over_subclass(kernel, **kwargs):
+        if not swapped:  # first round: nothing triggered yet
+            swapped.append(_InProcSubclass())
+            kernel.set_transport(swapped[0])
+        return Kernel.run(kernel, **kwargs)
+
+    seed = 11
+    via_subclass = _fingerprint(
+        run_over_subclass, Kernel.clients_settled, seed, schedule
+    )
+    assert swapped[0].requests > 0
+    assert via_subclass == _fingerprint(
+        Kernel.run, Kernel.clients_settled, seed, schedule
+    )
+    assert via_subclass == _fingerprint(
+        reference_run, reference_settled, seed, schedule
+    )
 
 
 @pytest.mark.parametrize("algorithm,schedule", list(_registry_matrix()))
