@@ -69,9 +69,12 @@ def run_loadgen(
 ) -> "Dict[str, Any]":
     """Drive Zipfian traffic at ``rate`` ops/s for ``duration`` seconds.
 
-    Returns the ``BENCH_kv.json``-shaped report: offered vs completed
-    throughput, p50/p95/p99 latency, the scenario log, and the per-key
-    consistency audit.
+    Returns the report dict: ``benchmark`` (``"kv_loadgen"``),
+    ``params``, ``offered_ops`` / ``completed_ops`` / ``incomplete_ops``
+    / ``failed_submits``, ``sustained_fraction``, ``throughput_ops_s``,
+    ``wall_seconds``, ``latency_ms`` (mean, p50, p95, p99, max), the
+    ``scenarios`` log and the per-key consistency ``audit`` (keys, ok,
+    ok_fraction, all_ok).
     """
     if rate <= 0 or duration <= 0:
         raise ValueError("rate and duration must be positive")

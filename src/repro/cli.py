@@ -697,36 +697,40 @@ def cmd_loadgen(args) -> int:
     transports = None
     procs = {}
     ports_by_server = {}
-    if args.transport in ("asyncio", "spawn"):
-        from repro.net.asyncio_transport import AsyncioTransport
-
-        if args.transport == "spawn":
-            for server_index in range(n):
-                proc, announced = _spawn_shard_node(args, server_index)
-                procs[server_index] = proc
-                ports_by_server[server_index] = {
-                    shard: port for shard, (_, port) in announced.items()
-                }
-            transports = [
-                AsyncioTransport(
-                    addresses=tuple(
-                        f"127.0.0.1:{ports_by_server[i][shard_index]}"
-                        for i in range(n)
-                    ),
-                    idle_timeout=args.idle_timeout,
-                    codec=args.codec,
-                )
-                for shard_index in range(args.shards)
-            ]
-        else:
-            transports = [
-                AsyncioTransport(
-                    idle_timeout=args.idle_timeout, codec=args.codec
-                )
-                for _ in range(args.shards)
-            ]
-    service = ShardedKVService(config, transports=transports)
+    service = None
     try:
+        # Spawning and construction sit inside the ``try``: a serve
+        # process that never announces, or a constructor that raises,
+        # must not leave the already started processes running.
+        if args.transport in ("asyncio", "spawn"):
+            from repro.net.asyncio_transport import AsyncioTransport
+
+            if args.transport == "spawn":
+                for server_index in range(n):
+                    proc, announced = _spawn_shard_node(args, server_index)
+                    procs[server_index] = proc
+                    ports_by_server[server_index] = {
+                        shard: port for shard, (_, port) in announced.items()
+                    }
+                transports = [
+                    AsyncioTransport(
+                        addresses=tuple(
+                            f"127.0.0.1:{ports_by_server[i][shard_index]}"
+                            for i in range(n)
+                        ),
+                        idle_timeout=args.idle_timeout,
+                        codec=args.codec,
+                    )
+                    for shard_index in range(args.shards)
+                ]
+            else:
+                transports = [
+                    AsyncioTransport(
+                        idle_timeout=args.idle_timeout, codec=args.codec
+                    )
+                    for _ in range(args.shards)
+                ]
+        service = ShardedKVService(config, transports=transports)
         scenarios = _loadgen_scenarios(args, service, procs, ports_by_server)
         report = run_loadgen(
             service,
@@ -743,7 +747,8 @@ def cmd_loadgen(args) -> int:
             drain_timeout=args.drain_timeout,
         )
     finally:
-        service.close()
+        if service is not None:
+            service.close()
         for proc in procs.values():
             if proc.poll() is None:
                 proc.terminate()

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Optional, Tuple
 
+from repro.errors import InvalidConfig
 from repro.net.faults import FATE_STREAM, FaultPlan
 
 #: the transport kinds a config can describe.
@@ -40,21 +41,21 @@ class TransportConfig:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(
+            raise InvalidConfig(
                 f"unknown transport kind {self.kind!r}; known: {KINDS}"
             )
         if self.plan is not None and self.kind != "lossy":
-            raise ValueError("a fault plan only applies to the lossy kind")
+            raise InvalidConfig("a fault plan only applies to the lossy kind")
         if self.addresses and self.kind != "asyncio":
-            raise ValueError("addresses only apply to the asyncio kind")
+            raise InvalidConfig("addresses only apply to the asyncio kind")
         from repro.net.wire import CODECS
 
         if self.codec not in CODECS:
-            raise ValueError(
+            raise InvalidConfig(
                 f"unknown wire codec {self.codec!r}; known: {sorted(CODECS)}"
             )
         if self.codec != "json" and self.kind != "asyncio":
-            raise ValueError(
+            raise InvalidConfig(
                 "a wire codec only applies to the asyncio kind (the"
                 " in-proc and lossy transports never serialize)"
             )

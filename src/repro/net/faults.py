@@ -72,7 +72,7 @@ class Drop:
 
     def __post_init__(self):
         if not 0.0 <= self.probability < 1.0:
-            raise ValueError("drop probability must be in [0, 1)")
+            raise InvalidConfig("drop probability must be in [0, 1)")
 
     def decide(self, draw: int) -> bool:
         """``draw`` is a uniform 32-bit integer."""
@@ -88,9 +88,9 @@ class Duplicate:
 
     def __post_init__(self):
         if not 0.0 <= self.probability < 1.0:
-            raise ValueError("duplicate probability must be in [0, 1)")
+            raise InvalidConfig("duplicate probability must be in [0, 1)")
         if self.offset < 1:
-            raise ValueError("duplicate offset must be >= 1")
+            raise InvalidConfig("duplicate offset must be >= 1")
 
     def decide(self, draw: int) -> bool:
         """``draw`` is a uniform 32-bit integer."""
@@ -106,7 +106,7 @@ class Delay:
 
     def __post_init__(self):
         if self.low < 0 or self.high < self.low:
-            raise ValueError("need 0 <= low <= high")
+            raise InvalidConfig("need 0 <= low <= high")
         if self.high - self.low >= _TWO_16:
             raise InvalidConfig("delay range must span < 2**16 ticks")
 
@@ -127,9 +127,9 @@ class Reorder:
 
     def __post_init__(self):
         if not 0.0 <= self.probability < 1.0:
-            raise ValueError("reorder probability must be in [0, 1)")
+            raise InvalidConfig("reorder probability must be in [0, 1)")
         if self.window < 1:
-            raise ValueError("reorder window must be >= 1")
+            raise InvalidConfig("reorder window must be >= 1")
         if self.window > _TWO_16:
             raise InvalidConfig("reorder window must be <= 2**16 ticks")
 
@@ -153,9 +153,9 @@ class Partition:
 
     def __post_init__(self):
         if self.start < 0:
-            raise ValueError("partition start must be non-negative")
+            raise InvalidConfig("partition start must be non-negative")
         if self.heal is not None and self.heal <= self.start:
-            raise ValueError("partition must heal strictly after it starts")
+            raise InvalidConfig("partition must heal strictly after it starts")
         object.__setattr__(self, "servers", tuple(sorted(set(self.servers))))
 
     def covers(self, time: int, server_index: int) -> bool:

@@ -149,3 +149,88 @@ class TestLoadgenCLI:
         )
         assert code == 2
         assert "2f+2" in capsys.readouterr().err
+
+    def test_spawn_gauntlet_one_shard(self, tmp_path, capsys):
+        from repro.cli import main
+
+        # One `repro serve` process per replica, real sockets, SIGKILL
+        # and restart on the old ports, all mid-traffic.
+        out = tmp_path / "spawn.json"
+        code = main(
+            [
+                "loadgen",
+                "--transport", "spawn",
+                "--codec", "binary",
+                "--scenario", "gauntlet",
+                "--shards", "1",
+                "-n", "4",
+                "-f", "1",
+                "--rate", "100",
+                "--duration", "2",
+                "--sessions", "40",
+                "--keys", "16",
+                "--seed", "7",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0, capsys.readouterr().err
+        report = json.loads(out.read_text())
+        assert report["transport"] == "spawn"
+        assert [s["name"] for s in report["scenarios"]] == [
+            "partition", "heal", "crash", "restart",
+        ]
+        assert report["audit"]["all_ok"], report["audit"]
+        assert report["sustained_fraction"] >= 0.99
+        latency = report["latency_ms"]
+        assert 0 < latency["p50"] <= latency["p95"] <= latency["p99"]
+
+    @pytest.mark.parametrize(
+        "failing, exit_code, spawned",
+        [("third serve process", 4, 2), ("service", 8, 4)],
+    )
+    def test_spawn_failure_terminates_started_serve_processes(
+        self, monkeypatch, capsys, failing, exit_code, spawned
+    ):
+        import repro.apps.shard
+        import repro.cli
+        from repro.errors import InvalidConfig, QuorumUnavailable
+
+        class FakeProc:
+            terminated = False
+
+            def poll(self):
+                return 0 if self.terminated else None
+
+            def terminate(self):
+                self.terminated = True
+
+            def wait(self):
+                return 0
+
+        started = []
+
+        def spawn(args, server_index, ports=None):
+            if failing == "third serve process" and server_index == 2:
+                raise QuorumUnavailable("serve process exited early")
+            started.append(FakeProc())
+            return started[-1], {0: ("127.0.0.1", 40000 + server_index)}
+
+        def service(config, transports=None):
+            raise InvalidConfig("service constructor failed")
+
+        monkeypatch.setattr(repro.cli, "_spawn_shard_node", spawn)
+        if failing == "service":
+            monkeypatch.setattr(repro.apps.shard, "ShardedKVService", service)
+        code = repro.cli.main(
+            [
+                "loadgen",
+                "--transport", "spawn",
+                "--shards", "1",
+                "-n", "4",
+                "-f", "1",
+                "--duration", "0.2",
+            ]
+        )
+        assert code == exit_code
+        assert len(started) == spawned
+        assert all(proc.terminated for proc in started)

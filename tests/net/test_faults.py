@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 
 from repro.errors import InvalidConfig
+from repro.net.config import TransportConfig
 from repro.net.faults import (
     FATE_STREAM,
     REQUEST,
@@ -52,6 +53,46 @@ class TestValidation:
         with pytest.raises(ValueError):
             Partition(start=10, heal=10, servers=(0,))
         Partition(start=10, heal=11, servers=(0,))  # ok
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Drop(1.0), "drop probability"),
+            (lambda: Duplicate(-0.1), "duplicate probability"),
+            (lambda: Duplicate(0.1, offset=0), "duplicate offset"),
+            (lambda: Delay(5, 2), "low <= high"),
+            (lambda: Reorder(1.5), "reorder probability"),
+            (lambda: Reorder(0.5, window=0), "reorder window must be >= 1"),
+            (
+                lambda: Partition(start=-1, heal=None, servers=(0,)),
+                "non-negative",
+            ),
+            (
+                lambda: Partition(start=10, heal=10, servers=(0,)),
+                "heal strictly after",
+            ),
+            (lambda: TransportConfig(kind="pigeon"), "unknown transport"),
+            (
+                lambda: TransportConfig(kind="inproc", plan=FaultPlan()),
+                "fault plan",
+            ),
+            (
+                lambda: TransportConfig(kind="lossy", addresses=("h:1",)),
+                "addresses",
+            ),
+            (
+                lambda: TransportConfig(kind="asyncio", codec="morse"),
+                "unknown wire codec",
+            ),
+            (
+                lambda: TransportConfig(kind="lossy", codec="binary"),
+                "never serialize",
+            ),
+        ],
+    )
+    def test_bad_argument_raises_invalid_config(self, build, message):
+        with pytest.raises(InvalidConfig, match=message):
+            build()
 
     def test_partition_servers_are_normalized(self):
         partition = Partition(start=0, heal=None, servers=(2, 0, 2))

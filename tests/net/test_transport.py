@@ -46,6 +46,9 @@ class TestDefaultWiring:
     def test_config_roundtrip_builds_inproc(self):
         transport = TransportConfig.inproc().build()
         assert isinstance(transport, InProcTransport)
+        # An active in-proc transport would make the run loop pump every
+        # step: the configured path must cost what the default one does.
+        assert not transport.active
         system, runtime = _toy_system(transport=transport)
         runtime.enqueue("write", "v")
         runtime.enqueue("read")
