@@ -1,9 +1,14 @@
-"""CI lossy-transport smoke: safety + cross-process reproducibility.
+"""CI lossy-transport smoke: safety, cross-process reproducibility, and
+a pinned fate stream.
 
 Runs a small seeded fault-injection scenario (drops + reorder + one
 partition/heal cycle) on :class:`~repro.net.lossy.LossyTransport` and
-asserts (a) the captured history is linearizable under every seed and
-(b) the run replays byte-identically **across process boundaries**.
+asserts (a) the captured history is linearizable under every seed, (b)
+the run replays byte-identically **across process boundaries**, and (c)
+each seed's history digest and transport counters equal the values
+pinned in :data:`PINNED` for ``FATE_STREAM`` 2 — so a change that moves
+the fate stream fails here even when every process agrees with every
+other.  Such a change must bump ``FATE_STREAM`` and re-record the pins.
 
 The cross-process part is the point: fault fates are integer
 arithmetic on the message's ``(seed, op id, leg, server)`` key — no
@@ -12,9 +17,8 @@ str-hash salt (``PYTHONHASHSEED``).  Re-running inside one interpreter
 would share a single salt and could never detect a regression that
 sneaks a hashed string into the key — so the driver execs each
 measurement in a fresh ``sys.executable`` child and compares the
-digests the children print.  The digests are comparable across CI runs
-for as long as ``FATE_STREAM`` (printed, and stored in the uploaded
-``lossy-smoke.json``) stays the same.
+digests the children print.  ``FATE_STREAM`` is printed and stored in
+the uploaded ``lossy-smoke.json``.
 
 On failure the driver prints the seed and the one command that replays
 it.
@@ -46,6 +50,39 @@ from repro.net import (
 from repro.net.faults import FATE_STREAM
 
 SEEDS = (0, 1, 2)
+
+#: the fate stream the pins below were recorded under.
+PINNED_STREAM = 2
+#: seed -> (history sha256, transport counters) of :func:`run_one`.
+PINNED = {
+    0: (
+        "d9c68b3a477648f3c359acbc30bb8fca72d8cc369b9ea5462b93262cb7b48c63",
+        dict(
+            requests_sent=36, responses_sent=33, dropped_requests=2,
+            dropped_responses=0, duplicate_requests=0,
+            duplicate_responses=0, held_by_partition=18, reordered=13,
+            flushes=63, in_flight=3,
+        ),
+    ),
+    1: (
+        "b9d7b9325d21d359ee1573e17c87fc46f325d5165f71b1eee5ed70a662309c1b",
+        dict(
+            requests_sent=36, responses_sent=33, dropped_requests=3,
+            dropped_responses=2, duplicate_requests=0,
+            duplicate_responses=0, held_by_partition=18, reordered=16,
+            flushes=60, in_flight=0,
+        ),
+    ),
+    2: (
+        "b3f100950af2ab0e1bc207424d3e166a66b6638885b6f1a34680fe8c2430bf8b",
+        dict(
+            requests_sent=21, responses_sent=20, dropped_requests=1,
+            dropped_responses=3, duplicate_requests=0,
+            duplicate_responses=0, held_by_partition=10, reordered=10,
+            flushes=33, in_flight=0,
+        ),
+    ),
+}
 
 PLAN = FaultPlan(
     default=LinkFaults(
@@ -92,7 +129,8 @@ def run_in_subprocess(seed: int) -> dict:
 
 
 def check_seed(seed: int) -> dict:
-    """One seed, twice, in two fresh interpreters: must replay."""
+    """One seed, twice, in two fresh interpreters: must replay, and
+    must match its pin."""
     first = run_in_subprocess(seed)
     second = run_in_subprocess(seed)
     assert first["history_sha256"] == second["history_sha256"], (
@@ -101,6 +139,17 @@ def check_seed(seed: int) -> dict:
     )
     assert first["stats"] == second["stats"], (
         f"seed {seed}: transport counters diverged across processes"
+    )
+    assert FATE_STREAM == PINNED_STREAM, (
+        f"FATE_STREAM is {FATE_STREAM} but the pins were recorded under"
+        f" {PINNED_STREAM}: re-record PINNED"
+    )
+    digest, stats = PINNED[seed]
+    assert first["history_sha256"] == digest, (
+        f"seed {seed}: history {first['history_sha256']} != pinned {digest}"
+    )
+    assert first["stats"] == stats, (
+        f"seed {seed}: transport counters {first['stats']} != pinned {stats}"
     )
     return first
 

@@ -37,6 +37,7 @@ from repro.errors import (
     QuorumUnavailable,
     SessionClosed,
     ShardCapacityExceeded,
+    TransportUnavailable,
     WriterBoundExceeded,
 )
 
@@ -298,18 +299,36 @@ class ShardedKVService:
         for fleet in self.fleets:
             fleet.crash_server(server_index)
 
+    def _blackholes(self) -> "List[Callable[[Any], None]]":
+        """Every shard transport's ``set_blackhole``, or
+        :class:`~repro.errors.TransportUnavailable` naming the first shard
+        whose transport has none (only socket transports can blackhole)."""
+        setters = []
+        for shard_index, fleet in enumerate(self.fleets):
+            set_blackhole = getattr(fleet.transport, "set_blackhole", None)
+            if set_blackhole is None:
+                raise TransportUnavailable(
+                    f"shard {shard_index} runs over"
+                    f" {type(fleet.transport).__name__}, which cannot"
+                    " blackhole servers; partitions need a socket transport"
+                )
+            setters.append(set_blackhole)
+        return setters
+
     def partition(self, server_indices) -> None:
-        """Blackhole the given servers on every shard's socket transport."""
-        for fleet in self.fleets:
-            transport = fleet.transport
-            if transport is not None and hasattr(transport, "set_blackhole"):
-                transport.set_blackhole(server_indices)
+        """Blackhole the given servers on every shard's socket transport.
+
+        Raises :class:`~repro.errors.TransportUnavailable`, before any
+        shard is touched, if some shard's transport cannot blackhole.
+        """
+        for set_blackhole in self._blackholes():
+            set_blackhole(server_indices)
 
     def heal(self) -> None:
-        for fleet in self.fleets:
-            transport = fleet.transport
-            if transport is not None and hasattr(transport, "heal"):
-                transport.heal()
+        """Clear the partition on every shard (same refusal as
+        :meth:`partition`)."""
+        for set_blackhole in self._blackholes():
+            set_blackhole(())
 
     def close(self) -> None:
         for fleet in self.fleets:

@@ -679,6 +679,16 @@ def cmd_loadgen(args) -> int:
 
     n = args.n if args.n is not None else 3
     f = args.f if args.f is not None else 1
+    if args.transport == "sim" and args.scenario == "gauntlet":
+        # The gauntlet blackholes and crashes socket replicas; in-process
+        # shards have neither a blackhole nor a replica to crash.
+        print(
+            "error: the gauntlet scenario partitions and crashes socket"
+            " replicas; run it with --transport asyncio or --transport"
+            " spawn, or use --scenario none",
+            file=sys.stderr,
+        )
+        return 2
     if args.transport == "spawn" and args.scenario == "gauntlet":
         # A SIGKILLed serve process restarts with empty replicas —
         # amnesia consumes failure budget beyond the f crash-stop

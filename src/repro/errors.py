@@ -70,8 +70,10 @@ class TransportUnavailable(ReproError, RuntimeError):
     (listener bind or replica connection refused, start-up deadline
     passed) and when its replica control plane is misused
     (``crash_replica`` on externally hosted servers, ``restart_replica``
-    of a replica that is not crashed).  An operation that merely fails
-    to reach a quorum is :class:`QuorumUnavailable`.
+    of a replica that is not crashed), and by the sharded service's
+    ``partition`` / ``heal`` for a shard whose transport cannot
+    blackhole servers.  An operation that merely fails to reach a quorum
+    is :class:`QuorumUnavailable`.
     """
 
 

@@ -381,6 +381,8 @@ class ReplayDeterminismRule(Rule):
     #: call names that consume replay-relevant values.
     SINKS = {
         "fate",
+        "draw_fate",
+        "compiled",
         "cache_key",
         "encode_request",
         "encode_response",

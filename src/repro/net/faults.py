@@ -4,13 +4,23 @@ Every fault decision is a pure function of ``(plan, seed, message)`` —
 no hidden RNG state, no wall clock, no salted hashing.  Each message
 owns a counter-based stream: its ``(seed, op id, leg, server)`` key is
 folded into one 64-bit word and passed through the splitmix64 finaliser
-(:func:`_mix`) at most twice, and every fault reads its own fixed
-bit-field of those two words.  The arithmetic is plain ``int``, so two
-runs of the same plan with the same seed see identical drops,
-duplicates, delays and reorderings, whatever the scheduler does in
-between, whichever process or interpreter version they run in.
-:data:`FATE_STREAM` names the stream; persisted lossy results are keyed
-by it (:meth:`~repro.net.config.TransportConfig.cache_payload`).
+at most twice, and every fault reads its own fixed bit-field of those
+two words.  The arithmetic is plain ``int``, so two runs of the same
+plan with the same seed see identical drops, duplicates, delays and
+reorderings, whatever the scheduler does in between, whichever process
+or interpreter version they run in.  :data:`FATE_STREAM` names the
+stream; persisted lossy results are keyed by it
+(:meth:`~repro.net.config.TransportConfig.cache_payload`).
+
+The fault dataclasses are the plan's readable form.  A plan is drawn
+from only after :meth:`FaultPlan.compiled` has resolved it, per server
+and transport seed, into a :class:`ServerFaults` tuple of plain
+integers — probabilities as 32-bit thresholds, the delay range as a low
+and a span, partitions as ``(start, heal)`` windows, the seed and
+server folded into the key's base word.  :func:`draw_fate` is the one
+function that turns such a tuple and a message into its
+:class:`MessageFate`; :meth:`FaultPlan.fate` and
+:class:`~repro.net.lossy.LossyTransport` both call it.
 
 These faults are **out-of-model stressors** with respect to the paper:
 the space bounds assume reliable (if asynchronous) channels, so under a
@@ -29,6 +39,7 @@ jitter plus reordering.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Tuple
 
@@ -50,18 +61,11 @@ _K_SEED = 0xD1342543DE82EF95
 _K_OP = 0xDA942042E4DD58B5
 _K_SERVER = 0xA0761D6478BD642F
 _GAMMA = 0x9E3779B97F4A7C15
+_GAMMA2 = 2 * _GAMMA
 
 #: bounds of the 32-bit decision fields and 16-bit magnitude fields.
 _TWO_32 = 4294967296.0
 _TWO_16 = 1 << 16
-
-
-def _mix(z: int) -> int:
-    """The splitmix64 finaliser: a bijection on 64-bit words in which
-    every output bit depends on every input bit."""
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return z ^ (z >> 31)
 
 
 @dataclass(frozen=True)
@@ -109,11 +113,6 @@ class Delay:
             raise InvalidConfig("need 0 <= low <= high")
         if self.high - self.low >= _TWO_16:
             raise InvalidConfig("delay range must span < 2**16 ticks")
-
-    def sample(self, draw: int) -> int:
-        """``draw`` is a uniform 16-bit integer, scaled onto the
-        inclusive range."""
-        return self.low + ((draw * (self.high - self.low + 1)) >> 16)
 
 
 @dataclass(frozen=True)
@@ -204,44 +203,93 @@ class MessageFate(NamedTuple):
     heal_time: "Optional[int]" = None
 
 
+#: the fates that draw nothing: a partition that never heals, and a drop.
+_LOST = MessageFate(dropped=True, partitioned=True)
+_DROPPED = MessageFate(dropped=True)
+_new = tuple.__new__
+
+
 class ServerFaults(NamedTuple):
-    """Everything a plan holds for one server: its link profile and the
-    partition windows to test (any superset of those listing it)."""
+    """One server's share of a plan, resolved for one transport seed into
+    the plain integers :func:`draw_fate` reads.
 
-    index: int
+    ``link`` is the profile the integers came from.  ``windows`` are the
+    ``(start, heal)`` pairs of the partitions listing the server, in plan
+    order; ``base`` is the seed's and the server's part of every message
+    key, ``(seed * _K_SEED + server_index * _K_SERVER) & _MASK``.  A
+    probability ``p`` becomes the 32-bit threshold ``ceil(p * 2**32)``:
+    an integer draw is below one exactly when it is below the other.
+    ``span`` is the number of delay values, ``high - low + 1``.
+    """
+
     link: "LinkFaults"
-    windows: "Tuple[Partition, ...]"
+    windows: "Tuple[Tuple[int, Optional[int]], ...]"
+    base: int
+    drop: int
+    duplicate: int
+    offset: int
+    low: int
+    span: int
+    reorder: int
+    window: int
 
-    def fate(self, seed: int, op_id: int, leg: int, time: int) -> MessageFate:
-        """The fate of one message to or from this server.
 
-        A covering partition wins outright.  Otherwise the message's key
-        yields two mixed words with a fixed field per fault — first:
-        drop (high 32 bits), duplicate (low 32); second: reorder (high
-        48), delay (low 16) — so switching one fault on or off never
-        changes what another draws, for this message or any other.
-        """
-        index, link, windows = self
-        for partition in windows:
-            if partition.covers(time, index):
-                if partition.heal is None:
-                    return MessageFate(dropped=True, partitioned=True)
-                return MessageFate(partitioned=True, heal_time=partition.heal)
-        key = seed * _K_SEED + op_id * _K_OP + index * _K_SERVER + leg
-        first = _mix((key + _GAMMA) & _MASK)
-        if link.drop.decide(first >> 32):
-            return MessageFate(dropped=True)
-        second = _mix((key + 2 * _GAMMA) & _MASK)
-        jitter = link.reorder.jitter(second >> 16)
-        delay = link.delay.sample(second & 0xFFFF) + jitter
-        duplicate = link.duplicate
-        return MessageFate(
+def _threshold(probability: float) -> int:
+    return math.ceil(probability * _TWO_32)
+
+
+def draw_fate(
+    faults: "ServerFaults", op_id: int, leg: int, time: int
+) -> "MessageFate":
+    """The fate of one message to or from the server ``faults`` describes:
+    the one fate function, behind both :meth:`FaultPlan.fate` and
+    :class:`~repro.net.lossy.LossyTransport`.
+
+    A covering partition wins outright.  Otherwise the message's key
+    ``base + op_id * _K_OP + leg`` is stepped once or twice by
+    ``_GAMMA`` and each step passed through the splitmix64 finaliser (a
+    bijection on 64-bit words in which every output bit depends on every
+    input bit; inlined twice below).  Every fault reads its own fixed
+    bit-field — first word: drop (high 32 bits), duplicate (low 32);
+    second word: reorder decision (high 32), reorder ticks in ``[1,
+    window]`` (next 16), delay (low 16) — so switching one fault on or
+    off never changes what another draws, for this message or any other.
+    """
+    _, windows, base, drop, duplicate, offset, low, span, reorder, window = (
+        faults
+    )
+    for start, heal in windows:
+        if start <= time and (heal is None or time < heal):
+            if heal is None:
+                return _LOST
+            return _new(MessageFate, (False, 0, False, 0, False, True, heal))
+    key = base + op_id * _K_OP + leg
+    z = (key + _GAMMA) & _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    first = z ^ (z >> 31)
+    if first >> 32 < drop:
+        return _DROPPED
+    z = (key + _GAMMA2) & _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    second = z ^ (z >> 31)
+    delay = low + (((second & 0xFFFF) * span) >> 16)
+    reordered = second >> 32 < reorder
+    if reordered:
+        delay += 1 + ((((second >> 16) & 0xFFFF) * window) >> 16)
+    return _new(
+        MessageFate,
+        (
             False,
             delay,
-            duplicate.decide(first & 0xFFFFFFFF),
-            delay + duplicate.offset,
-            jitter > 0,
-        )
+            first & 0xFFFFFFFF < duplicate,
+            delay + offset,
+            reordered,
+            False,
+            None,
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -272,16 +320,38 @@ class FaultPlan:
                 return faults
         return self.default
 
-    def compiled(self, server_index: int) -> "Optional[ServerFaults]":
-        """The plan as one server sees it — its link profile and only
-        the partitions that list it — or ``None`` when no fault can ever
-        touch that server.  Time-independent, so callers may keep the
-        answer for the lifetime of the plan."""
+    def _resolve(self, server_index: int, seed: int) -> "ServerFaults":
         link = self.link(server_index)
-        listing = [p for p in self.partitions if server_index in p.servers]
-        if link.is_neutral and not listing:
+        delay = link.delay
+        return ServerFaults(
+            link,
+            tuple(
+                (p.start, p.heal)
+                for p in self.partitions
+                if server_index in p.servers
+            ),
+            (seed * _K_SEED + server_index * _K_SERVER) & _MASK,
+            _threshold(link.drop.probability),
+            _threshold(link.duplicate.probability),
+            link.duplicate.offset,
+            delay.low,
+            delay.high - delay.low + 1,
+            _threshold(link.reorder.probability),
+            link.reorder.window,
+        )
+
+    def compiled(
+        self, server_index: int, seed: int
+    ) -> "Optional[ServerFaults]":
+        """The plan as one server sees it under one transport seed — its
+        :class:`ServerFaults`, whose ``windows`` hold only the partitions
+        that list it — or ``None`` when no fault can ever touch that
+        server.  Time-independent, so callers may keep the answer for the
+        lifetime of the plan."""
+        faults = self._resolve(server_index, seed)
+        if faults.link.is_neutral and not faults.windows:
             return None
-        return ServerFaults(server_index, link, tuple(listing))
+        return faults
 
     def fate(
         self, seed: int, op_id: int, leg: int, server_index: int, time: int
@@ -289,11 +359,8 @@ class FaultPlan:
         """Decide, deterministically, what happens to one message: a
         pure function of the arguments, identical in every process.  The
         two legs of an operation, and its copies to different servers,
-        get independent streams (see :meth:`ServerFaults.fate`)."""
-        faults = ServerFaults(
-            server_index, self.link(server_index), self.partitions
-        )
-        return faults.fate(seed, op_id, leg, time)
+        get independent streams (see :func:`draw_fate`)."""
+        return draw_fate(self._resolve(server_index, seed), op_id, leg, time)
 
 
 def straggler_plan(

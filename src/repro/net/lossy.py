@@ -6,9 +6,14 @@ deterministic :class:`~repro.net.faults.MessageFate` (drop, delay,
 reorder jitter, duplicate, partition hold) decided at send time from
 the message's ``(seed, op id, leg, server)`` key alone, so the same
 seed replays the same fates in any process.  The plan is resolved once,
-at :meth:`~LossyTransport.bind`, into one entry per server; a send is
-one table lookup, one :meth:`~repro.net.faults.ServerFaults.fate` and one
-heap push, and a server nothing can touch costs the lookup only.  In-flight
+at :meth:`~LossyTransport.bind`, into one entry per server — the
+:class:`~repro.net.faults.ServerFaults` integers of
+:meth:`~repro.net.faults.FaultPlan.compiled`, with this transport's seed
+already folded into the key — so a send is one table lookup, one call of
+:func:`~repro.net.faults.draw_fate` (the function
+:meth:`~repro.net.faults.FaultPlan.fate` calls too, so the two cannot
+draw different fates) and one heap push, and a server nothing can touch
+costs the lookup only.  In-flight
 messages sit in delivery heaps keyed by (due tick, send sequence); the
 kernel pumps the heaps at the top of every step and, when nothing else
 is enabled, force-flushes the earliest message — so every message that
@@ -28,7 +33,13 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.net.faults import REQUEST, RESPONSE, FaultPlan, ServerFaults
+from repro.net.faults import (
+    REQUEST,
+    RESPONSE,
+    FaultPlan,
+    ServerFaults,
+    draw_fate,
+)
 from repro.net.transport import Transport
 
 #: counter names exposed by :meth:`LossyTransport.stats`.
@@ -74,15 +85,15 @@ class LossyTransport(Transport):
         self._responses: "List[Tuple[int, int, Any]]" = []
         self.counters: "Dict[str, int]" = {name: 0 for name in COUNTERS}
         #: object index -> the plan compiled for the server hosting it
-        #: (one shared ServerFaults per server), or None when no fault
-        #: can ever touch that server.  Filled by bind().
+        #: and this seed (one shared ServerFaults per server), or None
+        #: when no fault can ever touch that server.  Filled by bind().
         self._links: "Dict[int, Optional[ServerFaults]]" = {}
 
     def bind(self, kernel) -> None:
         super().bind(kernel)
         object_map = kernel.object_map
         per_server = {
-            server_id: self.plan.compiled(server_id.index)
+            server_id: self.plan.compiled(server_id.index, self.seed)
             for server_id in object_map.server_ids
         }
         self._links = {
@@ -101,24 +112,31 @@ class LossyTransport(Transport):
             heappush(queue, (now, seq, op))
             self._send_seq = seq + 1
             return
-        fate = faults.fate(self.seed, op.op_id, leg, now)
-        if fate.dropped:
+        (
+            dropped,
+            delay,
+            duplicated,
+            duplicate_delay,
+            reordered,
+            partitioned,
+            heal_time,
+        ) = draw_fate(faults, op.op_id, leg, now)
+        if dropped:
             counters[_DROPPED[leg]] += 1
             return
-        if fate.partitioned:
-            # held until the partition heals (covers() guarantees
+        if partitioned:
+            # held until the partition heals (the window covers now, so
             # heal_time > now here; heal=None was already a drop).
             counters["held_by_partition"] += 1
-            due = fate.heal_time
+            heappush(queue, (heal_time, seq, op))
         else:
-            if fate.reordered:
+            if reordered:
                 counters["reordered"] += 1
-            due = now + fate.delay
-        heappush(queue, (due, seq, op))
-        if fate.duplicated:
-            counters[_DUPLICATED[leg]] += 1
-            seq += 1
-            heappush(queue, (now + fate.duplicate_delay, seq, op))
+            heappush(queue, (now + delay, seq, op))
+            if duplicated:
+                counters[_DUPLICATED[leg]] += 1
+                seq += 1
+                heappush(queue, (now + duplicate_delay, seq, op))
         self._send_seq = seq + 1
 
     def send_request(self, op) -> None:

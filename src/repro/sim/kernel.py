@@ -253,7 +253,7 @@ class Kernel:
         # With the plain in-process transport both message legs are
         # immediate, so trigger() and run() inline them when this flag is
         # set; any other transport, a subclass included, goes through
-        # send_request / _respond (kept current by set_transport).
+        # send_request / send_response (kept current by set_transport).
         self._inproc = type(transport) is InProcTransport
         self.time = 0
         # Direct alias of the object map's id->object table (mutated in
@@ -758,6 +758,12 @@ class Kernel:
         the two optional hooks: the veto filter and ``on_stall`` run
         only when the environment overrides :meth:`Environment.allows`,
         ``pump`` / ``flush_idle`` only when the transport is ``active``.
+        Action execution is :meth:`execute` inlined.  A respond on any
+        transport that is not ``remote`` applies the op to its local
+        object and does :meth:`_respond`'s bookkeeping here, then hands
+        the response leg to ``transport.send_response`` — or, for the
+        plain in-process transport, delivers it inline; remote
+        transports go through :meth:`_respond`, as :meth:`execute` does.
         The structures hoisted here are mutated in place by the event
         handlers, never rebound, so the locals stay current as crash
         plans and listeners fire mid-run.  See ``docs/MODEL.md``,
@@ -766,6 +772,8 @@ class Kernel:
         environment = self.environment
         vetoing = type(environment).allows is not Environment.allows
         transport = self.transport if self.transport.active else None
+        remote = self.transport.remote
+        send_response = self.transport.send_response
         inproc = self._inproc
         respond_actions = self._respond_actions
         veto_cache = self._veto_cache
@@ -817,10 +825,13 @@ class Kernel:
                         obj = self.object_map.object(op.object_id)
                     if obj.crashed:
                         raise RuntimeError(f"respond on crashed object: {op}")
-                    if inproc:
-                        # Inlined _respond().  Support was checked at
-                        # trigger and crash just above, so the wrapper
-                        # re-checks in BaseObject.apply are redundant.
+                    if remote:
+                        self._respond(op)
+                    else:
+                        # Inlined _respond() for every local transport.
+                        # Support was checked at trigger and crash just
+                        # above, so the wrapper re-checks in
+                        # BaseObject.apply are redundant.
                         op.result = obj._apply(op)
                         op.respond_time = time
                         del pending[op_id]
@@ -831,14 +842,15 @@ class Kernel:
                             event = RespondEvent(time, op)
                             for emit in subs_respond:
                                 emit(event)
-                        # Inlined InProcTransport.send_response ->
-                        # deliver(), which explains the dirty mark.
-                        client = clients.get(op.client_id)
-                        if client is not None:
-                            client.deliver_response(op)
-                            client._poll_dirty = True
-                    else:
-                        self._respond(op)
+                        if inproc:
+                            # Inlined InProcTransport.send_response ->
+                            # deliver(), which explains the dirty mark.
+                            client = clients.get(op.client_id)
+                            if client is not None:
+                                client.deliver_response(op)
+                                client._poll_dirty = True
+                        else:
+                            send_response(op)
                 if subs_step:
                     for emit in subs_step:
                         emit(time)

@@ -21,8 +21,10 @@ from repro.apps.shard import (
 from repro.errors import (
     ShardCapacityExceeded,
     StaleShardMap,
+    TransportUnavailable,
     WriterBoundExceeded,
 )
+from repro.net import InProcTransport, TransportConfig, chaos_faults
 
 
 def service_config(**overrides):
@@ -203,6 +205,54 @@ class TestTypedFailures:
     def test_transport_count_must_match_shards(self):
         with pytest.raises(ValueError):
             ShardedKVService(service_config(shards=3), transports=[None])
+
+
+class _Blackholing(InProcTransport):
+    """In-process delivery that records the partitions asked of it."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def set_blackhole(self, server_indices):
+        self.calls.append(frozenset(server_indices))
+
+
+class TestPartitionControl:
+    """``partition`` / ``heal`` act on every shard or on none."""
+
+    @pytest.mark.parametrize("transport", ["inproc", "lossy"])
+    def test_transports_that_cannot_blackhole_are_refused(self, transport):
+        if transport == "inproc":
+            transports = None
+        else:
+            transports = [
+                TransportConfig.lossy(chaos_faults(), seed=i).build()
+                for i in range(3)
+            ]
+        service = ShardedKVService(service_config(), transports=transports)
+        for control in (lambda: service.partition({1}), service.heal):
+            with pytest.raises(TransportUnavailable, match="shard 0"):
+                control()
+        # the service still serves: nothing was half-partitioned
+        with service.session(writer=0) as s:
+            s.put("alpha", 1)
+            assert s.get("alpha") == 1
+
+    def test_one_incapable_shard_blocks_every_shard(self):
+        capable = [_Blackholing(), None, _Blackholing()]
+        service = ShardedKVService(service_config(), transports=capable)
+        with pytest.raises(TransportUnavailable, match="shard 1"):
+            service.partition({2})
+        assert capable[0].calls == capable[2].calls == []
+
+    def test_capable_shards_blackhole_and_heal(self):
+        capable = [_Blackholing() for _ in range(3)]
+        service = ShardedKVService(service_config(), transports=capable)
+        service.partition({1, 2})
+        service.heal()
+        for transport in capable:
+            assert transport.calls == [frozenset({1, 2}), frozenset()]
 
 
 class TestAsyncPath:

@@ -150,6 +150,24 @@ class TestLoadgenCLI:
         assert code == 2
         assert "2f+2" in capsys.readouterr().err
 
+    def test_sim_gauntlet_is_refused_up_front(self, capsys):
+        from repro.cli import main
+
+        # In-process shards can neither blackhole nor crash a replica:
+        # refuse before building the service, as the 2f+2 guard does.
+        code = main(
+            [
+                "loadgen",
+                "--transport", "sim",
+                "--scenario", "gauntlet",
+                "--duration", "0.2",
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "asyncio" in captured.err and "spawn" in captured.err
+        assert "blackholed" not in captured.out + captured.err
+
     def test_spawn_gauntlet_one_shard(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -8,6 +8,8 @@ str-hash bug — the shape that silently broke cross-process replay and
 motivated the rule.
 """
 
+import pytest
+
 from tests.lint.test_rules import lint_source, rules_fired
 
 # -- R007: event-loop discipline ---------------------------------------------
@@ -399,6 +401,31 @@ class TestR009:
         assert any(
             "float accumulation" in item.message for item in result.active
         )
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "plan.compiled(index, seed)",
+            "draw_fate(plan.compiled(index, 0), seed, 0, 0)",
+        ],
+    )
+    def test_salted_seed_into_the_compiled_fate_path_fires(
+        self, tmp_path, call
+    ):
+        result = lint_source(
+            tmp_path,
+            f"""
+            from repro.net.faults import draw_fate
+
+            def bind(plan, index, name):
+                seed = hash(str(name))
+                return {call}
+            """,
+            "R009",
+        )
+        assert any(
+            "flows into" in item.message for item in result.active
+        ), [item.message for item in result.active]
 
     def test_suppression_silences(self, tmp_path):
         result = lint_source(

@@ -8,8 +8,8 @@ with public, from-scratch calls only.  The differential tests here prove
 the two are *observationally identical*: driven by the same seeded
 scheduler they choose the exact same action sequence and leave
 byte-identical histories and event traces — under a vetoing, stalling
-environment, server and client crashes, and an active lossy transport,
-for every algorithm in the registry.  The unit tests cover the
+environment, server and client crashes, an active lossy transport, and
+all of these at once, for every algorithm in the registry.  The unit tests cover the
 fast-path machinery (pre-bound listener dispatch, veto-verdict caching,
 the O(1) round-robin queues).
 """
@@ -50,7 +50,25 @@ from repro.sim.tracing import TraceRecorder, format_entry
 
 # -- differential: Kernel.run vs the from-scratch reference stepper --------
 
-SCHEDULES = ("plain", "chaos", "crash", "lossy")
+SCHEDULES = ("plain", "chaos", "crash", "lossy", "combined")
+#: the schedules that crash server 0 (one-server algorithms skip them).
+CRASHING = ("crash", "combined")
+
+
+class _EpochedChaos(ChaosEnvironment):
+    """Chaos whose verdicts the kernel caches for one step: they depend
+    only on the time and on the operations released by a stall, so
+    ``(time, stalls)`` is a valid veto epoch."""
+
+    def veto_epoch(self, kernel):
+        return (kernel.time, self.stalls)
+
+
+def _lossy(seed):
+    return TransportConfig.lossy(
+        chaos_faults(drop=0.0, duplicate=0.05, reorder=0.3, max_delay=20),
+        seed=seed + 3,
+    ).build()
 
 
 def _sha(text):
@@ -84,14 +102,15 @@ def _fingerprint(
             60, writers[1].client_id
         ).install(kernel)
     elif schedule == "lossy":
-        kernel.set_transport(
-            TransportConfig.lossy(
-                chaos_faults(
-                    drop=0.0, duplicate=0.05, reorder=0.3, max_delay=20
-                ),
-                seed=seed + 3,
-            ).build()
+        kernel.set_transport(_lossy(seed))
+    elif schedule == "combined":
+        # every respond takes the inlined local-transport branch with a
+        # veto cache to prune and a respond subscriber (the recorder).
+        kernel.set_transport(_lossy(seed))
+        kernel.environment = _EpochedChaos(
+            seed=seed + 17, veto_probability=0.4, max_delay=60
         )
+        CrashPlan().crash_server_at(25, ServerId(0)).install(kernel)
     recorder = TraceRecorder()
     kernel.add_listener(recorder)
     checker = IncrementalChecker(kernel)
@@ -157,10 +176,17 @@ def test_differential_over_lossy_transport(seed):
     _assert_run_matches_reference(seed, "lossy")
 
 
+@pytest.mark.parametrize("seed", [0, 8, 31])
+def test_differential_combined_schedule(seed):
+    """Lossy delivery, cached chaos vetoes, a server crash mid-run and a
+    respond subscriber, all in one run."""
+    _assert_run_matches_reference(seed, "combined")
+
+
 def _registry_matrix():
     for algorithm, row in sorted(SCENARIO_TABLE.items()):
         for schedule in SCHEDULES:
-            if schedule != "crash" or row[4]:  # one server: no crash to survive
+            if schedule not in CRASHING or row[4]:  # one server: no crash
                 yield algorithm, schedule
 
 
@@ -180,9 +206,9 @@ def test_differential_random_scenarios(seed, scenario):
 
 
 class _InProcSubclass(InProcTransport):
-    """Not the plain type, so the kernel inlines neither leg: every
-    request goes through ``send_request`` and every respond through
-    ``_respond``."""
+    """Not the plain type, so the kernel inlines neither message leg:
+    every request goes through ``send_request`` and every response
+    through ``send_response``."""
 
     def __init__(self):
         super().__init__()
