@@ -1484,6 +1484,7 @@ def exit_code_for(error) -> int:
         (errors.NoMergeableResults, 15),
         (errors.UnknownExperiment, 16),
         (errors.TransportUnavailable, 17),
+        (errors.ModelViolation, 18),
     ):
         if isinstance(error, error_class):
             return code

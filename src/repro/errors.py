@@ -166,3 +166,16 @@ class UnknownExperiment(ReproError, ValueError):
     function-name aliases) that resolve to nothing; the message lists
     the registered ids.
     """
+
+
+class ModelViolation(ReproError, ValueError, RuntimeError):
+    """An action the step model (Appendix A.4) forbids was attempted.
+
+    Raised by the simulation kernel and the base objects: a respond on
+    an operation that is not pending or on a crashed object, an apply on
+    a crashed object, an op kind the object does not support, a
+    transport swapped in after operations were triggered, and
+    incremental scheduling state that diverged from its from-scratch
+    oracle.  These sites raised ``ValueError`` or ``RuntimeError``
+    before, hence both bases.
+    """

@@ -605,8 +605,9 @@ class TypedErrorRule(Rule):
         "(outside a bound's domain), WriterBoundExceeded (writer id >=\n"
         "k), WireDecodeError (malformed frames) for caller errors;\n"
         "QuorumUnavailable, StaleShardMap, ShardCapacityExceeded,\n"
-        "SessionClosed for environmental failures.  New failure modes\n"
-        "get a new subclass in repro/errors.py."
+        "SessionClosed for environmental failures; ModelViolation for\n"
+        "an action the simulation's step model forbids.  New failure\n"
+        "modes get a new subclass in repro/errors.py."
     )
 
     #: the hierarchy itself and its tests may raise anything.

@@ -122,12 +122,41 @@ class ReplicaServer:
             transport.abort()
 
 
-class _ReplicaConnection(asyncio.Protocol):
+#: bytes one ``recv_into`` may fill; a longer frame spans several reads
+#: and waits in the protocol's tail until it is complete.
+_RECV_BUFFER_BYTES = 64 * 1024
+
+
+class _BufferedReader(asyncio.BufferedProtocol):
+    """Reads its connection into one buffer, reused for every read.
+
+    A plain ``asyncio.Protocol`` gets a fresh ``bytes`` per read, and
+    the selector loop allocates ``max_size`` (256 KiB) for each ``recv``
+    before shrinking it; on glibc that allocation made the heap shrink
+    and grow back on every read, a minor page fault storm
+    (``scripts/count_recv_faults.py`` counts them).  Here each read
+    lands in the same buffer, and the subclass's ``data_received``
+    parses a view of the bytes just read, after the incomplete frame
+    the previous read left in ``_tail``.
+    """
+
+    def __init__(self) -> None:
+        self._buffer = memoryview(bytearray(_RECV_BUFFER_BYTES))
+        self._tail = b""
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.data_received(self._buffer[:nbytes])
+
+
+class _ReplicaConnection(_BufferedReader):
     """The replica end of one accepted connection."""
 
     def __init__(self, server: ReplicaServer):
+        super().__init__()
         self._server = server
-        self._tail = b""
         self._transport: Any = None
 
     def connection_made(self, transport) -> None:
@@ -137,7 +166,7 @@ class _ReplicaConnection(asyncio.Protocol):
     def connection_lost(self, exc) -> None:
         self._server.connections.discard(self._transport)
 
-    def data_received(self, data: bytes) -> None:
+    def data_received(self, data: "bytes | memoryview") -> None:
         server = self._server
         decode = server.codec.decode_request
         encode = server.codec.encode_response
@@ -148,8 +177,13 @@ class _ReplicaConnection(asyncio.Protocol):
             frames, self._tail = server.split_frames(self._tail + data)
             for frame in frames:
                 op = decode(frame)
-                result = replicas[op.object_id.index].apply(op)
-                answers.append(encode(op.op_id.value, result))
+                replica = replicas.get(op.object_id.index)
+                if replica is None or op.kind not in replica.SUPPORTED:
+                    # well framed, but not a request this replica can
+                    # apply: the peer is as broken as one sending junk.
+                    malformed = True
+                    break
+                answers.append(encode(op.op_id.value, replica.apply(op)))
         except WireDecodeError:
             malformed = True
         if answers:
@@ -169,13 +203,13 @@ class _ReplicaConnection(asyncio.Protocol):
         self._transport.resume_reading()
 
 
-class _ReplicaLink(asyncio.Protocol):
+class _ReplicaLink(_BufferedReader):
     """The client end of the connection to one replica server."""
 
     def __init__(self, owner: "AsyncioTransport", server_index: int):
+        super().__init__()
         self._owner = owner
         self._server_index = server_index
-        self._tail = b""
         self.transport: Any = None
 
     def connection_made(self, transport) -> None:
@@ -184,7 +218,7 @@ class _ReplicaLink(asyncio.Protocol):
     def connection_lost(self, exc) -> None:
         self._owner._link_down(self._server_index, self)
 
-    def data_received(self, data: bytes) -> None:
+    def data_received(self, data: "bytes | memoryview") -> None:
         owner = self._owner
         decode = owner.codec.decode_response
         ready = owner._ready

@@ -37,7 +37,7 @@ from repro.sim.events import (
     ReturnEvent,
     TriggerEvent,
 )
-from repro.sim.kernel import Action, ActionKind, Environment, Kernel
+from repro.sim.kernel import Action, ActionKind, Environment, Kernel, OpLog
 from repro.sim.scheduling import (
     ClientPriorityScheduler,
     RandomScheduler,
@@ -84,6 +84,7 @@ __all__ = [
     "ObjectMap",
     "OpId",
     "OpKind",
+    "OpLog",
     "RandomScheduler",
     "RecordingScheduler",
     "ReplayDivergence",

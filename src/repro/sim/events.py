@@ -4,35 +4,38 @@ The kernel publishes an event for every action it executes.  Listeners
 (history recorders, covering trackers, resource meters) subscribe via
 :class:`EventListener`; all hooks default to no-ops so listeners implement
 only what they need.
+
+The records are ``NamedTuple``s: the kernel builds one per hooked event,
+and a named tuple is one ``tuple.__new__`` where a frozen dataclass's
+``__init__`` calls ``object.__setattr__`` once per field.  Fields are
+read-only.  Equality is the tuple's, so two records with equal fields
+compare equal even when their kinds differ (a ``TriggerEvent`` and a
+``RespondEvent`` of the same op at the same time).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from repro.sim.ids import ClientId, ServerId
 from repro.sim.objects import LowLevelOp
 
 
-@dataclass(frozen=True)
-class TriggerEvent:
+class TriggerEvent(NamedTuple):
     """A low-level operation was triggered on a base object."""
 
     time: int
     op: LowLevelOp
 
 
-@dataclass(frozen=True)
-class RespondEvent:
+class RespondEvent(NamedTuple):
     """A low-level operation responded (and took effect)."""
 
     time: int
     op: LowLevelOp
 
 
-@dataclass(frozen=True)
-class InvokeEvent:
+class InvokeEvent(NamedTuple):
     """A high-level (emulated) operation was invoked by a client."""
 
     time: int
@@ -42,8 +45,7 @@ class InvokeEvent:
     args: tuple
 
 
-@dataclass(frozen=True)
-class ReturnEvent:
+class ReturnEvent(NamedTuple):
     """A high-level (emulated) operation returned to its client."""
 
     time: int
@@ -53,8 +55,7 @@ class ReturnEvent:
     result: Any
 
 
-@dataclass(frozen=True)
-class CrashEvent:
+class CrashEvent(NamedTuple):
     """A server or client crashed."""
 
     time: int

@@ -29,10 +29,12 @@ step a kernel through it one action at a time, and
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
+from repro.errors import InvalidConfig, ModelViolation
 from repro.sim.client import (
     SCHED_DISABLED,
     SCHED_ENABLED,
@@ -172,6 +174,37 @@ class Environment:
         return False
 
 
+class OpLog(Mapping):
+    """Every low-level operation a kernel triggered, keyed by op id.
+
+    A read-only ``Mapping[OpId, LowLevelOp]`` over a list: op ids are
+    dense from 0 in trigger order, so an op's id is its list index and
+    a trigger appends instead of inserting into a hash table.  Iteration,
+    ``keys()``, ``values()`` and ``items()`` run in op-id order.  Any key
+    that is not a triggered op id (unknown, negative, not an ``int``)
+    raises ``KeyError``, as a dict would.
+    """
+
+    __slots__ = ("_ops",)
+
+    def __init__(self) -> None:
+        self._ops: "List[LowLevelOp]" = []
+
+    def __getitem__(self, op_id: Any) -> LowLevelOp:
+        if isinstance(op_id, int) and op_id >= 0:
+            try:
+                return self._ops[op_id]
+            except IndexError:
+                pass
+        raise KeyError(op_id)
+
+    def __iter__(self) -> "Iterator[OpId]":
+        return (op.op_id for op in self._ops)
+
+    def __len__(self) -> int:
+        return len(self._ops)
+
+
 @dataclass
 class RunResult:
     """Outcome of :meth:`Kernel.run`."""
@@ -261,10 +294,11 @@ class Kernel:
         # every low-level op, so the lookup skips a method call.
         self._objects = object_map._objects
         self.clients: "Dict[ClientId, ClientRuntime]" = {}
-        self.ops: "Dict[OpId, LowLevelOp]" = {}
+        self.ops = OpLog()
+        # trigger() appends here directly (op id == list index).
+        self._op_list = self.ops._ops
         self.pending: "Dict[OpId, LowLevelOp]" = {}
         self.listeners: "List[EventListener]" = []
-        self._next_op = 0
         self._next_seq = 0
         # Incremental enabled-action state: candidate runtimes in
         # ascending client-id order (category/action live on the runtime).
@@ -298,7 +332,7 @@ class Kernel:
         in-flight messages, so it is refused once anything was triggered.
         """
         if self.ops:
-            raise RuntimeError(
+            raise ModelViolation(
                 "set_transport after operations were triggered; the"
                 " transport must be in place before the run starts"
             )
@@ -312,7 +346,7 @@ class Kernel:
         self, client_id: ClientId, protocol: ClientProtocol
     ) -> ClientRuntime:
         if client_id in self.clients:
-            raise ValueError(f"duplicate client {client_id}")
+            raise InvalidConfig(f"duplicate client {client_id}")
         runtime = ClientRuntime(client_id, protocol)
         runtime.attach(self)
         self.clients[client_id] = runtime
@@ -441,14 +475,14 @@ class Kernel:
         obj = self._objects[object_id]
         if kind not in obj.SUPPORTED:
             obj.check_supported(kind)  # raises with the precise message
-        op_id = OpId(self._next_op)
-        self._next_op += 1
+        log = self._op_list
+        op_id = OpId(len(log))  # ids are dense: the id is the log index
         op = LowLevelOp(
             op_id, client_id, object_id, kind, args, self.time, None, None,
             highlevel_seq,
         )
         op.obj = obj  # cache the kernel-local object for the respond step
-        self.ops[op_id] = op
+        log.append(op)
         self.pending[op_id] = op
         # The request leg belongs to the transport: the op becomes
         # respondable when (and if) the transport delivers it via
@@ -459,7 +493,7 @@ class Kernel:
         if self._inproc:
             if not obj.crashed:
                 self._respond_actions[op_id] = Action(
-                    ActionKind.RESPOND, op_id=op_id
+                    ActionKind.RESPOND, None, op_id
                 )
         else:
             self.transport.send_request(op)
@@ -491,7 +525,7 @@ class Kernel:
             obj = self.object_map.object(op.object_id)
         if obj.crashed:
             return  # arrived at a dead server: never respondable
-        action = Action(ActionKind.RESPOND, op_id=op_id)
+        action = Action(ActionKind.RESPOND, None, op_id)
         if actions and op_id < next(reversed(actions)):
             # Out-of-order arrival: re-establish ascending op-id order.
             # Mutated in place (clear + update, never rebound) so that
@@ -678,7 +712,7 @@ class Kernel:
     def check_incremental(self) -> None:
         """Assert the incremental state matches the from-scratch oracles.
 
-        Raises RuntimeError when the incrementally-maintained enabled
+        Raises ModelViolation when the incrementally-maintained enabled
         list (including order) diverges from a from-scratch
         :meth:`enabled_actions` rebuild, or when :meth:`clients_settled`
         / :meth:`clients_quiescent` diverge from a scan of every client.
@@ -704,7 +738,7 @@ class Kernel:
         )
         for name, fast, oracle in views:
             if fast != oracle:
-                raise RuntimeError(
+                raise ModelViolation(
                     f"incremental {name} diverged from the oracle"
                     f" at t={self.time}:\n  incremental: {fast}"
                     f"\n  oracle:      {oracle}"
@@ -724,12 +758,12 @@ class Kernel:
         else:
             op = self.pending.get(action.op_id)
             if op is None:
-                raise ValueError(f"{action.op_id} is not pending")
+                raise ModelViolation(f"{action.op_id} is not pending")
             obj = op.obj
             if obj is None:
                 obj = self.object_map.object(op.object_id)
             if obj.crashed:
-                raise RuntimeError(f"respond on crashed object: {op}")
+                raise ModelViolation(f"respond on crashed object: {op}")
             self._respond(op)
         for emit in self._subs_step:
             emit(self.time)
@@ -819,12 +853,12 @@ class Kernel:
                     op_id = action.op_id
                     op = pending.get(op_id)
                     if op is None:
-                        raise ValueError(f"{op_id} is not pending")
+                        raise ModelViolation(f"{op_id} is not pending")
                     obj = op.obj
                     if obj is None:
                         obj = self.object_map.object(op.object_id)
                     if obj.crashed:
-                        raise RuntimeError(f"respond on crashed object: {op}")
+                        raise ModelViolation(f"respond on crashed object: {op}")
                     if remote:
                         self._respond(op)
                     else:

@@ -18,8 +18,9 @@ object history and keeps the simulation deterministic given a schedule.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Any, Optional
+from typing import Any, Optional, Tuple
 
+from repro.errors import InvalidConfig, ModelViolation
 from repro.sim.ids import ClientId, ObjectId, OpId
 
 
@@ -116,10 +117,12 @@ class BaseObject:
 
     Subclasses define :attr:`SUPPORTED` (the op kinds they accept) and
     :meth:`_apply`, which mutates state and returns the result at respond
-    time.
+    time.  ``SUPPORTED`` is a tuple: ``kind in SUPPORTED`` runs on every
+    trigger, and tuple containment matches the enum member by identity
+    where a set would first call ``Enum.__hash__``.
     """
 
-    SUPPORTED: "frozenset[OpKind]" = frozenset()
+    SUPPORTED: "Tuple[OpKind, ...]" = ()
     TYPE_NAME = "base"
 
     def __init__(self, object_id: ObjectId, initial_value: Any = None):
@@ -133,7 +136,7 @@ class BaseObject:
 
     def check_supported(self, kind: OpKind) -> None:
         if not self.supports(kind):
-            raise ValueError(
+            raise ModelViolation(
                 f"{type(self).__name__} {self.object_id} does not support"
                 f" {kind.value!r}"
             )
@@ -142,7 +145,7 @@ class BaseObject:
         """Linearize ``op`` now (at its respond step) and return the result."""
         self.check_supported(op.kind)
         if self.crashed:
-            raise RuntimeError(
+            raise ModelViolation(
                 f"applying {op} to crashed object {self.object_id}"
             )
         return self._apply(op)
@@ -169,7 +172,7 @@ class AtomicRegister(BaseObject):
     2 stores :class:`~repro.sim.values.TSVal` pairs in these registers.
     """
 
-    SUPPORTED = frozenset({OpKind.READ, OpKind.WRITE})
+    SUPPORTED = (OpKind.READ, OpKind.WRITE)
     TYPE_NAME = "register"
 
     def _apply(self, op: LowLevelOp) -> Any:
@@ -191,7 +194,7 @@ class MaxRegister(BaseObject):
     :class:`~repro.sim.values.TSVal`.
     """
 
-    SUPPORTED = frozenset({OpKind.READ_MAX, OpKind.WRITE_MAX})
+    SUPPORTED = (OpKind.READ_MAX, OpKind.WRITE_MAX)
     TYPE_NAME = "max-register"
 
     def _apply(self, op: LowLevelOp) -> Any:
@@ -212,7 +215,7 @@ class CASObject(BaseObject):
     read when the caller only inspects the return value.
     """
 
-    SUPPORTED = frozenset({OpKind.CAS})
+    SUPPORTED = (OpKind.CAS,)
     TYPE_NAME = "cas"
 
     def _apply(self, op: LowLevelOp) -> Any:
@@ -242,5 +245,7 @@ def make_object(
     try:
         cls = _OBJECT_TYPES[type_name]
     except KeyError:
-        raise ValueError(f"unknown base object type {type_name!r}") from None
+        raise InvalidConfig(
+            f"unknown base object type {type_name!r}"
+        ) from None
     return cls(object_id, initial_value)

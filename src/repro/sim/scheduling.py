@@ -30,20 +30,30 @@ class Scheduler:
 class RandomScheduler(Scheduler):
     """Seeded uniform random choice among allowed actions.
 
-    ``choose`` indexes with ``Random._randbelow`` directly — for a
-    positive int bound this is exactly what ``randrange`` reduces to
-    (identical consumption of the seeded stream, so recorded schedules
-    and golden fingerprints are unchanged), minus ``randrange``'s
-    argument normalization on every step.
+    ``choose`` draws the index the way ``Random._randbelow`` does, inline:
+    ``n.bit_length()`` bits from ``getrandbits``, redrawn until below
+    ``n`` (``Random._randbelow_with_getrandbits`` on every supported
+    Python).  For a positive bound that is exactly what ``randrange``
+    reduces to, so the seeded stream is consumed identically and
+    recorded schedules and golden fingerprints are unchanged, without
+    ``_randbelow``'s frame on every step.  The generator is looked up
+    on each call rather than cached as a bound builtin method, which
+    ``copy.deepcopy`` would share between a forked kernel and its
+    origin.
     """
 
     def __init__(self, seed: int = 0):
         self.seed = seed
         self._rng = random.Random(seed)
-        self._pick = self._rng._randbelow
 
     def choose(self, actions: "List[Action]", kernel) -> Action:
-        return actions[self._pick(len(actions))]
+        n = len(actions)
+        k = n.bit_length()
+        rng = self._rng
+        r = rng.getrandbits(k)
+        while r >= n:
+            r = rng.getrandbits(k)
+        return actions[r]
 
 
 class RoundRobinScheduler(Scheduler):

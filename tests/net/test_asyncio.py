@@ -353,6 +353,64 @@ class TestCoalescing:
             transport.close()
 
 
+class TestReceiveBuffer:
+    """Both ends of a connection read into one buffer they reuse."""
+
+    def test_every_read_lands_in_the_same_buffer(self):
+        cluster = _AbdCluster(seed=5)
+        transport = cluster.transport
+        try:
+            cluster.round()  # every connection is up
+            link = transport._links[0]
+            (accepted,) = transport.servers[0].connections
+            handed_out = {"link": [], "replica": []}
+            for side, protocol in (
+                ("link", link),
+                ("replica", accepted.get_protocol()),
+            ):
+                get_buffer = protocol.get_buffer
+
+                def recording(sizehint, get_buffer=get_buffer, side=side):
+                    buffer = get_buffer(sizehint)
+                    handed_out[side].append(buffer)
+                    return buffer
+
+                protocol.get_buffer = recording
+            for _ in range(4):
+                cluster.round()
+        finally:
+            transport.close()
+        for side, buffers in handed_out.items():
+            assert len(buffers) >= 4, side
+            assert all(buffer is buffers[0] for buffer in buffers), side
+        assert handed_out["link"][0] is not handed_out["replica"][0]
+
+    @pytest.mark.parametrize("codec", ["json", "binary"])
+    def test_a_frame_larger_than_the_buffer_round_trips(self, codec):
+        from repro.net.asyncio_transport import _RECV_BUFFER_BYTES
+
+        value = "x" * (200 * 1024)
+        assert len(value) > _RECV_BUFFER_BYTES
+        spec = EmulationSpec.make(
+            "abd", n=3, f=1, seed=1,
+            transport=TransportConfig.asyncio(codec=codec),
+        )
+        emulation = spec.build()
+        transport = emulation.kernel.transport
+        try:
+            writer = emulation.add_writer(0)
+            reader = emulation.add_reader()
+            writer.enqueue("write", value)
+            assert emulation.system.run_to_quiescence().satisfied
+            reader.enqueue("read")
+            assert emulation.system.run_to_quiescence().satisfied
+        finally:
+            transport.close()
+        (read,) = emulation.history.reads
+        assert read.result == value
+        assert transport.decode_errors == 0
+
+
 class TestFailuresAreLoud:
     """Nothing on the socket path is swallowed: a malformed response is
     counted before its link is dropped, and a failure inside the event
@@ -377,13 +435,23 @@ class TestFailuresAreLoud:
 
     def test_flush_idle_reraises_a_failure_inside_the_loop(self):
         cluster = _AbdCluster(seed=6, idle_timeout=5.0)
+
+        class ReplicaBug(Exception):
+            pass
+
+        def apply(op):
+            raise ReplicaBug(op)
+
         try:
             cluster.round()
-            # a replica that cannot apply a request is a bug, not a fault
-            # the protocol tolerates: the run must not wait it out.
-            cluster.transport.servers[0].replicas.clear()
+            # a replica whose apply raises is a bug, not a fault the
+            # protocol tolerates: the run must not wait it out.  (A
+            # request the replica cannot apply is the peer's fault; see
+            # tests/net/test_wire_errors.py.)
+            for replica in cluster.transport.servers[0].replicas.values():
+                replica.apply = apply
             start = time.monotonic()
-            with pytest.raises(KeyError):
+            with pytest.raises(ReplicaBug):
                 cluster.round()
             assert time.monotonic() - start < 2.0
         finally:

@@ -20,6 +20,8 @@ from repro.net.wire import (
     JsonWireCodec,
     get_codec,
 )
+from repro.sim.ids import ClientId, ObjectId, OpId
+from repro.sim.objects import LowLevelOp, OpKind
 
 from tests.net.test_asyncio import _AbdCluster
 from tests.net.test_wire_binary import _read_all_frames
@@ -146,4 +148,61 @@ def test_a_replica_cuts_off_a_peer_sending_a_bad_request(payload):
         cluster.round()
     finally:
         transport.close()
+    assert transport.decode_errors == 0
+
+
+def _request(op, object_index, kind, args):
+    return BinaryWireCodec.encode_request(
+        LowLevelOp(OpId(op), ClientId(7), ObjectId(object_index), kind, args, 0)
+    )
+
+
+def _read_until_closed(sock, received):
+    """Append what ``sock`` has to ``received``; True once at EOF."""
+    try:
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return True
+            received += chunk
+    except BlockingIOError:
+        return False
+
+
+@pytest.mark.parametrize("case", ["unknown-object", "unsupported-kind"])
+def test_a_replica_cuts_off_a_peer_whose_request_it_cannot_apply(case):
+    """A well-framed request the replica cannot apply (an object it does
+    not host, a ``cas`` on a max-register) is the peer's fault: the
+    replica answers the frames before it, cuts the peer off and the run
+    carries on."""
+    cluster = _AbdCluster(seed=10)
+    transport = cluster.transport
+    received = bytearray()
+    try:
+        cluster.round()
+        (hosted,) = transport.servers[0].replicas
+        if case == "unknown-object":
+            bad = _request(1001, 99, OpKind.READ_MAX, ())
+        else:
+            bad = _request(1001, hosted, OpKind.CAS, (None, 1))
+        peer = socket.create_connection(("127.0.0.1", transport.ports[0]))
+        try:
+            peer.sendall(
+                _request(1000, hosted, OpKind.READ_MAX, ())
+                + bad
+                + _request(1002, hosted, OpKind.READ_MAX, ())
+            )
+            peer.setblocking(False)
+            cluster.rounds_until(
+                lambda: _read_until_closed(peer, received),
+                "peer never cut off",
+            )
+        finally:
+            peer.close()
+        cluster.round()
+    finally:
+        transport.close()
+    frames, tail = BinaryWireCodec.split_frames(bytes(received))
+    answered = [BinaryWireCodec.decode_response(frame)["op"] for frame in frames]
+    assert answered == [1000] and tail == b""
     assert transport.decode_errors == 0

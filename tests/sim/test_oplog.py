@@ -1,0 +1,111 @@
+"""``Kernel.ops``: the log of every triggered op, a read-only mapping."""
+
+from collections.abc import Mapping
+
+import pytest
+
+from repro.core.emulation import EmulationSpec
+from repro.sim.events import EventListener
+from repro.sim.forking import fork_kernel
+from repro.sim.ids import ClientId, ObjectId, OpId, ServerId
+from repro.sim.kernel import OpLog
+from repro.sim.objects import OpKind
+from repro.sim.scheduling import RandomScheduler
+from repro.sim.system import build_system
+
+
+class _Triggers(EventListener):
+    def __init__(self):
+        self.ops = []
+
+    def on_trigger(self, event):
+        self.ops.append(event.op)
+
+
+def _abd_run_with_a_crash():
+    """ABD (n=3, f=1), server 2 crashed after the first round: the
+    requests of later rounds to it are swallowed, never respondable."""
+    emulation = EmulationSpec.make("abd", n=3, f=1, seed=4).build()
+    kernel = emulation.kernel
+    triggers = _Triggers()
+    kernel.add_listener(triggers)
+    writer, reader = emulation.add_writer(0), emulation.add_reader()
+    for round_index in range(4):
+        if round_index == 1:
+            kernel.crash_server(ServerId(2))
+        writer.enqueue("write", round_index)
+        reader.enqueue("read")
+        assert emulation.system.run_to_quiescence().satisfied
+    return kernel, triggers.ops
+
+
+class TestOpLog:
+    def test_len_counts_every_trigger_including_swallowed_requests(self):
+        kernel, triggered = _abd_run_with_a_crash()
+        swallowed = [
+            op
+            for op in triggered
+            if kernel.object_map.object(op.object_id).crashed and op.pending
+        ]
+        assert len(swallowed) >= 6, "the crashed server swallowed too little"
+        assert len(kernel.ops) == len(triggered)
+        assert kernel.stats()["ops_triggered"] == len(triggered)
+
+    def test_each_op_is_found_under_its_own_id(self):
+        kernel, triggered = _abd_run_with_a_crash()
+        for op in triggered:
+            assert kernel.ops[op.op_id] is op
+            assert kernel.ops[int(op.op_id)] is op
+            assert op.op_id in kernel.ops
+
+    def test_iteration_and_views_run_in_op_id_order(self):
+        kernel, triggered = _abd_run_with_a_crash()
+        ids = [OpId(index) for index in range(len(triggered))]
+        assert list(kernel.ops) == ids
+        assert list(kernel.ops.keys()) == ids
+        assert [op.op_id for op in kernel.ops.values()] == ids
+        assert list(kernel.ops.values()) == triggered
+        assert list(kernel.ops.items()) == list(zip(ids, triggered))
+
+    @pytest.mark.parametrize(
+        "key", [10**6, -1, -2, "0", 0.0, None, ObjectId(0), ClientId(0)]
+    )
+    def test_a_key_that_is_no_op_id_raises_key_error(self, key):
+        kernel, _ = _abd_run_with_a_crash()
+        with pytest.raises(KeyError):
+            kernel.ops[key]
+        assert key not in kernel.ops
+        assert kernel.ops.get(key) is None
+
+    def test_items_cannot_be_assigned_or_deleted(self):
+        kernel, triggered = _abd_run_with_a_crash()
+        with pytest.raises(TypeError):
+            kernel.ops[OpId(0)] = triggered[1]
+        with pytest.raises(TypeError):
+            del kernel.ops[OpId(0)]
+        with pytest.raises(AttributeError):
+            kernel.ops.extra = 1
+        assert kernel.ops[OpId(0)] is triggered[0]
+
+    def test_a_forked_kernel_logs_its_own_triggers(self):
+        kernel, triggered = _abd_run_with_a_crash()
+        fork = fork_kernel(kernel)
+        op = fork.trigger(
+            ClientId(0), ObjectId(0), OpKind.READ_MAX, (), None
+        )
+        assert op.op_id == OpId(len(triggered))
+        assert fork.ops[op.op_id] is op and len(fork.ops) == len(triggered) + 1
+        assert len(kernel.ops) == len(triggered)
+
+    def test_is_an_empty_mapping_before_any_trigger(self):
+        kernel = build_system(
+            1, [(0, "register", None)], scheduler=RandomScheduler(0)
+        ).kernel
+        assert isinstance(kernel.ops, OpLog)
+        assert isinstance(kernel.ops, Mapping)
+        assert not kernel.ops and len(kernel.ops) == 0
+        with pytest.raises(KeyError):
+            kernel.ops[0]
+        op = kernel.trigger(ClientId(0), ObjectId(0), OpKind.WRITE, (1,), None)
+        assert op.op_id == OpId(0)
+        assert dict(kernel.ops) == {OpId(0): op}

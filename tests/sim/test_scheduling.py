@@ -1,5 +1,10 @@
 """Tests for scheduler policies (determinism, fairness)."""
 
+import copy
+import random
+
+import pytest
+
 from tests.conftest import ToyProtocol
 
 from repro.sim.ids import ClientId
@@ -47,6 +52,37 @@ class TestRandomScheduler:
             ]
 
         assert run(3) == run(3)
+
+
+#: bounds 1..300, and each side of every power of two up to 2**20: the
+#: bit count changes there, and 2**k is where a (n - 1).bit_length()
+#: draw would part from n.bit_length().
+_BOUNDS = sorted(
+    set(range(1, 301))
+    | {2**k + d for k in range(1, 21) for d in (-1, 0, 1)}
+)
+
+
+class TestInlineDraw:
+    """``choose`` consumes the seeded stream exactly as ``_randbelow``."""
+
+    @pytest.mark.parametrize("seed", [0, 11, 29, 2**40 + 3])
+    def test_picks_the_index_randbelow_picks(self, seed):
+        scheduler = RandomScheduler(seed)
+        reference = random.Random(seed)
+        for n in _BOUNDS:
+            expected = [reference._randbelow(n) for _ in range(3)]
+            picked = [scheduler.choose(range(n), None) for _ in range(3)]
+            assert picked == expected, f"n={n}"
+
+    def test_a_deep_copy_draws_on_its_own_generator(self):
+        # fork_kernel deep-copies the scheduler: the copy must not share
+        # (and advance) the original's generator.
+        original = RandomScheduler(5)
+        fork = copy.deepcopy(original)
+        actions = list(range(1000))
+        fork_picks = [fork.choose(actions, None) for _ in range(10)]
+        assert [original.choose(actions, None) for _ in range(10)] == fork_picks
 
 
 class TestRoundRobinScheduler:

@@ -9,6 +9,7 @@ from repro.errors import (
     CodeVersionMismatch,
     GridFailed,
     InvalidConfig,
+    ModelViolation,
     NoMergeableResults,
     QueueError,
     QuorumUnavailable,
@@ -21,6 +22,14 @@ from repro.errors import (
     WireDecodeError,
     WriterBoundExceeded,
 )
+from repro.net.transport import InProcTransport
+from repro.sim.ids import ClientId, ObjectId, OpId, ServerId
+from repro.sim.kernel import Action, ActionKind
+from repro.sim.objects import LowLevelOp, OpKind, make_object
+from repro.sim.scheduling import RandomScheduler
+from repro.sim.system import build_system
+
+from tests.conftest import ToyProtocol
 
 
 class TestHierarchy:
@@ -41,6 +50,7 @@ class TestHierarchy:
         (NoMergeableResults, ValueError),
         (UnknownExperiment, ValueError),
         (TransportUnavailable, RuntimeError),
+        (ModelViolation, ValueError),
     ]
 
     @pytest.mark.parametrize("error_class,legacy", CASES)
@@ -69,7 +79,9 @@ class TestExitCodes:
             exit_code_for(error_class("x"))
             for error_class, _ in TestHierarchy.CASES
         ]
-        assert codes == [3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17]
+        assert codes == [
+            3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18
+        ]
         assert len(set(codes)) == len(codes)
 
     def test_queue_subclasses_keep_distinct_codes(self):
@@ -129,3 +141,125 @@ class TestExitCodes:
             session.get("k")
         with pytest.raises(RuntimeError):  # legacy shape still works
             session.put("k", "v")
+
+
+# -- the simulation kernel's and base objects' raise sites -------------------
+
+
+def _kernel():
+    """Registers b0 on s0 and b1 on s1, in-process delivery."""
+    placements = [(0, "register", None), (1, "register", None)]
+    return build_system(2, placements, scheduler=RandomScheduler(0)).kernel
+
+
+def _write(kernel, object_index=0):
+    return kernel.trigger(
+        ClientId(0), ObjectId(object_index), OpKind.WRITE, (1,), None
+    )
+
+
+def _respond(op_id):
+    return Action(ActionKind.RESPOND, None, op_id)
+
+
+class _Picks:
+    """A scheduler that picks ``action`` whatever is enabled."""
+
+    def __init__(self, action):
+        self.action = action
+
+    def choose(self, actions, kernel):
+        return self.action
+
+
+def _duplicate_client():
+    kernel = _kernel()
+    kernel.add_client(ClientId(0), ToyProtocol())
+    kernel.add_client(ClientId(0), ToyProtocol())
+
+
+def _unknown_object_type():
+    make_object("abacus", ObjectId(0))
+
+
+def _execute_not_pending():
+    _kernel().execute(_respond(OpId(5)))
+
+
+def _run_not_pending():
+    kernel = _kernel()
+    _write(kernel)
+    kernel.scheduler = _Picks(_respond(OpId(5)))
+    kernel.run(max_steps=1)
+
+
+def _execute_on_crashed_object():
+    kernel = _kernel()
+    op = _write(kernel, 1)
+    kernel.crash_server(ServerId(1))
+    kernel.execute(_respond(op.op_id))
+
+
+def _run_on_crashed_object():
+    kernel = _kernel()
+    op = _write(kernel, 1)
+    _write(kernel, 0)  # keeps a respond enabled after the crash
+    kernel.crash_server(ServerId(1))
+    kernel.scheduler = _Picks(_respond(op.op_id))
+    kernel.run(max_steps=1)
+
+
+def _apply_on_crashed_object():
+    register = make_object("register", ObjectId(0))
+    register.crashed = True
+    register.apply(
+        LowLevelOp(OpId(0), ClientId(0), ObjectId(0), OpKind.READ, (), 0)
+    )
+
+
+def _unsupported_op_kind():
+    _kernel().trigger(ClientId(0), ObjectId(0), OpKind.CAS, (None, 1), None)
+
+
+def _transport_swapped_after_triggers():
+    kernel = _kernel()
+    _write(kernel)
+    kernel.set_transport(InProcTransport())
+
+
+def _incremental_state_diverged():
+    kernel = _kernel()
+    _write(kernel)
+    kernel._respond_actions.clear()  # the respond vanishes from the fast view
+    kernel.check_incremental()
+
+
+class TestSimulationRaiseSites:
+    """Every raise site of ``sim/kernel.py`` and ``sim/objects.py`` is
+    typed, and still the builtin it raised before."""
+
+    SITES = [
+        (_duplicate_client, InvalidConfig, ValueError),
+        (_unknown_object_type, InvalidConfig, ValueError),
+        (_execute_not_pending, ModelViolation, ValueError),
+        (_run_not_pending, ModelViolation, ValueError),
+        (_execute_on_crashed_object, ModelViolation, RuntimeError),
+        (_run_on_crashed_object, ModelViolation, RuntimeError),
+        (_apply_on_crashed_object, ModelViolation, RuntimeError),
+        (_unsupported_op_kind, ModelViolation, ValueError),
+        (_transport_swapped_after_triggers, ModelViolation, RuntimeError),
+        (_incremental_state_diverged, ModelViolation, RuntimeError),
+    ]
+
+    @pytest.mark.parametrize(
+        "site, error_class, legacy",
+        SITES,
+        ids=[site.__name__.lstrip("_") for site, _, _ in SITES],
+    )
+    def test_site_raises_typed(self, site, error_class, legacy):
+        with pytest.raises(error_class) as failure:
+            site()
+        assert isinstance(failure.value, legacy)
+        assert exit_code_for(failure.value) == (
+            8 if error_class is InvalidConfig else 18
+        )

@@ -117,6 +117,54 @@ class TestKnobCensus:
         assert census == self.EXPECTED
 
 
+class TestEventRecordCensus:
+    """The kernel's five event records: named tuples whose fields, field
+    order and defaults are pinned here.  Listeners read them by name,
+    tests build them positionally, so a moved or renamed field is an API
+    change that shows up as an edit to this test."""
+
+    EXPECTED = {
+        "TriggerEvent": (("time", "op"), {}),
+        "RespondEvent": (("time", "op"), {}),
+        "InvokeEvent": (("time", "client_id", "seq", "name", "args"), {}),
+        "ReturnEvent": (("time", "client_id", "seq", "name", "result"), {}),
+        "CrashEvent": (
+            ("time", "server_id", "client_id"),
+            {"server_id": None, "client_id": None},
+        ),
+    }
+
+    @staticmethod
+    def _records():
+        from repro.sim import events
+
+        return [getattr(events, name) for name in TestEventRecordCensus.EXPECTED]
+
+    def test_fields_order_and_defaults(self):
+        census = {
+            record.__name__: (record._fields, record._field_defaults)
+            for record in self._records()
+        }
+        assert census == self.EXPECTED
+        assert all(issubclass(record, tuple) for record in self._records())
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED))
+    def test_records_are_read_only(self, name):
+        from repro.sim import events
+
+        record = getattr(events, name)
+        fields, defaults = self.EXPECTED[name]
+        event = record(*range(len(fields) - len(defaults)))
+        for field in fields:
+            with pytest.raises(AttributeError):
+                setattr(event, field, -1)
+        with pytest.raises(AttributeError):
+            event.extra = -1
+        assert tuple(event) == tuple(range(len(fields) - len(defaults))) + (
+            None,
+        ) * len(defaults)
+
+
 class TestDeploymentCensus:
     """The deployment classes keep their constructors, and the decision
     *how base objects and clients are put on a kernel* lives in exactly
