@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Any, List
 
 from repro.consistency.linearizability import is_linearizable
-from repro.consistency.specs import RegisterSpec
+from repro.consistency.specs import RegisterSpec, hashable_key
 from repro.sim.history import History, HistoryOp
 
 
@@ -61,16 +61,9 @@ def is_register_history_atomic(
     writes = _ordered_writes(history)
     values = [w.args[0] for w in writes]
 
-    def key(value: Any):
-        # Unhashable payloads (lists, dicts) are keyed by repr so the
-        # fast path still works for them.
-        try:
-            hash(value)
-            return value
-        except TypeError:
-            return ("__unhashable__", repr(value))
-
-    value_keys = [key(v) for v in values]
+    # Unhashable payloads (lists, dicts) are keyed by repr so the fast
+    # path still works for them.
+    value_keys = [hashable_key(v) for v in values]
     if len(set(value_keys)) != len(value_keys):
         # Duplicate write values: results no longer identify writes; use
         # the exact search instead.
@@ -78,7 +71,7 @@ def is_register_history_atomic(
             list(history.all_ops()), RegisterSpec(initial_value)
         )
 
-    if key(initial_value) in value_keys:
+    if hashable_key(initial_value) in value_keys:
         # A read returning this value is ambiguous (initial or written);
         # decide exactly instead.
         return is_linearizable(
@@ -94,7 +87,7 @@ def is_register_history_atomic(
     # check its window and monotonicity along read precedence.
     assigned: "List[tuple[HistoryOp, int]]" = []
     for read in reads:
-        result_key = key(read.result)
+        result_key = hashable_key(read.result)
         if read.result == initial_value:
             index = -1
         elif result_key in value_to_index:

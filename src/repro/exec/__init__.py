@@ -11,11 +11,14 @@ parallel, resumable, cached grid runner:
   cell under ``.repro_cache/``, keyed by a content hash of experiment
   id + normalized kwargs + seed + code version, with hit/miss/store
   accounting.
-* :mod:`repro.exec.engine` — :func:`execute_cell` (the single-cell
-  path everything routes through), :func:`run_cells` (serial loop or
+* :mod:`repro.exec.engine` — one cell path for every executor:
+  :func:`~repro.exec.engine.run_cell` runs and measures a cell,
+  :func:`run_cell_payload` turns an ``Exception`` into a failed payload
+  (``KeyboardInterrupt`` / ``SystemExit`` propagate), and one archive
+  format and one payload -> :class:`CellOutcome` conversion serve the
+  cache, the pool and the queue; :func:`run_cells` (serial loop or
   crash-tolerant ``ProcessPoolExecutor`` fan-out with streamed per-cell
-  progress), :func:`merge_results` and :func:`run_experiment_grid`
-  (whose ``backend="queue"`` routes the grid through the shared table).
+  progress), :func:`merge_results` and :func:`run_experiment_grid`.
 * :mod:`repro.exec.queue` — the distributed experiment queue: a shared
   experiment table (:class:`SqliteQueue` behind the
   :class:`~repro.exec.queue.QueueBackend` protocol) that any number of
@@ -31,7 +34,6 @@ from repro.exec.cache import ResultCache, cell_key, experiment_code_version
 from repro.exec.engine import (
     CellOutcome,
     EngineReport,
-    execute_cell,
     merge_results,
     run_cell_payload,
     run_cells,
@@ -46,7 +48,6 @@ from repro.exec.queue import (
     enqueue_cells,
     export_queue,
     render_export,
-    run_cells_via_queue,
 )
 
 __all__ = [
@@ -61,7 +62,6 @@ __all__ = [
     "SqliteQueue",
     "cell_key",
     "enqueue_cells",
-    "execute_cell",
     "expand_experiment",
     "experiment_code_version",
     "export_queue",
@@ -69,6 +69,5 @@ __all__ = [
     "render_export",
     "run_cell_payload",
     "run_cells",
-    "run_cells_via_queue",
     "run_experiment_grid",
 ]

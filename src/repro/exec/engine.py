@@ -1,22 +1,30 @@
 """The grid engine: run experiment cells serially or on a process pool.
 
-Execution paths:
+Every executor runs a cell the same way:
 
-* :func:`execute_cell` — run one cell in-process, consulting an optional
-  :class:`~repro.exec.cache.ResultCache` first.  This is the exact code
-  pool workers run, and also what :func:`repro.experiments.run_experiment`
-  routes through, so every entry point executes experiments identically.
-* :func:`run_cells` — run many cells.  ``jobs <= 1`` loops in-process;
-  ``jobs > 1`` fans the cache misses out to a ``ProcessPoolExecutor``,
-  streams per-cell progress (simulated steps, steps/sec, wall-clock) as
-  futures complete, and survives worker crashes: when the pool breaks,
-  the unfinished cells are re-run one-per-fresh-pool so the crashing
-  cell is identified and marked failed while innocent bystanders still
-  complete.
-* :func:`run_experiment_grid` — expand + run + merge for one experiment
-  (the CLI's path): shardable sweeps fan out across their axis and the
-  per-cell row blocks are concatenated back in axis order, making the
-  parallel table byte-identical to the serial one.
+* :func:`run_cell` — run and measure one cell in-process; the only code
+  that calls a registered experiment.
+  :func:`repro.experiments.run_experiment` calls it directly, so its
+  exceptions reach the caller unchanged.
+* :func:`run_cell_payload` — the one failure rule: an ``Exception``
+  becomes a failed plain-data payload carrying its traceback.
+  ``KeyboardInterrupt`` and ``SystemExit`` are not cell failures; they
+  propagate.  Serial :func:`run_cells`, its fork pool and
+  :class:`~repro.exec.queue.QueueWorker` all run cells through it.
+* :func:`cell_archive` / :func:`outcome_from_payload` — the one archive
+  format (what the :class:`~repro.exec.cache.ResultCache` and the queue
+  table store) and the one payload -> :class:`CellOutcome` conversion.
+
+:func:`run_cells` runs many cells: ``jobs <= 1`` loops in-process;
+``jobs > 1`` fans the cache misses out to a ``ProcessPoolExecutor``,
+streams per-cell progress (simulated steps, steps/sec, wall-clock) as
+futures complete, and survives worker crashes: when the pool breaks,
+the unfinished cells are re-run one-per-fresh-pool so the crashing cell
+is identified and marked failed while innocent bystanders still
+complete.  :func:`run_experiment_grid` — expand + run + merge for one
+experiment (the CLI's path): shardable sweeps fan out across their axis
+and the per-cell row blocks are concatenated back in axis order, making
+the parallel table byte-identical to the serial one.
 
 Everything crossing the process boundary is plain data: cells are frozen
 dataclasses of primitives and results travel as ``to_dict()`` payloads
@@ -32,7 +40,17 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.exec.cache import ResultCache
 from repro.exec.grid import Cell, expand_experiment
@@ -123,29 +141,14 @@ def _call_experiment(cell: Cell):
     return fn(**kwargs)
 
 
-def execute_cell(
-    cell: Cell,
-    cache: "Optional[ResultCache]" = None,
-    refresh: bool = False,
-) -> CellOutcome:
-    """Run one cell in-process; raises whatever the experiment raises.
+def run_cell(cell: Cell) -> "Tuple[Any, int, float]":
+    """Run one cell in-process: ``(result, kernel steps, wall seconds)``.
 
-    With a cache: a fresh entry short-circuits the run entirely (zero
-    kernel steps simulated); misses — or ``refresh=True`` — run the
-    experiment and persist the result.
+    Raises whatever the experiment raises.  A replicate seed the
+    experiment did not record itself is filled into ``result.seed``.
     """
     from repro.sim.kernel import steps_simulated
 
-    if cache is not None and not refresh:
-        payload = cache.load(cell)
-        if payload is not None:
-            from repro.experiments import ExperimentResult
-
-            return CellOutcome(
-                cell,
-                CACHED,
-                result=ExperimentResult.from_dict(payload["result"]),
-            )
     start = time.perf_counter()
     steps_before = steps_simulated()
     result = _call_experiment(cell)
@@ -153,64 +156,74 @@ def execute_cell(
     elapsed = time.perf_counter() - start
     if result.seed is None and cell.seed is not None:
         result.seed = cell.seed
-    if cache is not None:
-        cache.store(
-            cell,
-            {
-                "result": result.to_dict(),
-                "steps": steps,
-                "elapsed": elapsed,
-                "cell": cell.describe(),
-            },
-        )
-    return CellOutcome(cell, OK, result=result, steps=steps, elapsed=elapsed)
+    return result, steps, elapsed
 
 
 def run_cell_payload(cell: Cell) -> "Dict[str, Any]":
-    """Run a cell, return a plain-data payload (never raises normally).
+    """Run a cell, return a plain-data payload.
 
-    The body both pool workers and queue workers execute: ordinary
-    exceptions are caught and shipped back as tracebacks; only a process
-    death (crash, ``os._exit``) surfaces to the parent as a broken pool.
+    An ``Exception`` comes back as ``{"ok": False, "error": traceback}``
+    so the grid goes on.  Anything else (``KeyboardInterrupt``,
+    ``SystemExit``) propagates: Ctrl-C stops a serial run, a pool run
+    and a queue worker alike, and a queue row it interrupts stays
+    claimed until ``repro queue reset --stale`` reopens it.  Only a
+    process death surfaces to a pool's parent, as a broken pool.
     """
-    from repro.sim.kernel import steps_simulated
-
     start = time.perf_counter()
-    steps_before = steps_simulated()
     try:
-        result = _call_experiment(cell)
-    except BaseException:  # noqa: BLE001 — shipped to the parent verbatim
+        result, steps, elapsed = run_cell(cell)
+    except Exception:  # noqa: BLE001 — shipped to the caller verbatim
         return {
             "ok": False,
             "error": traceback.format_exc(),
             "elapsed": time.perf_counter() - start,
         }
-    if result.seed is None and cell.seed is not None:
-        result.seed = cell.seed
     return {
         "ok": True,
         "result": result.to_dict(),
-        "steps": steps_simulated() - steps_before,
-        "elapsed": time.perf_counter() - start,
+        "steps": steps,
+        "elapsed": elapsed,
     }
 
 
-def _outcome_from_payload(cell: Cell, payload: "Dict[str, Any]") -> CellOutcome:
+def cached_payload(
+    cache: "Optional[ResultCache]", cell: Cell, refresh: bool
+) -> "Optional[Dict[str, Any]]":
+    """A fresh cache entry for ``cell`` as a zero-step payload, or ``None``."""
+    if cache is None or refresh:
+        return None
+    archive = cache.load(cell)
+    if archive is None:
+        return None
+    return {"ok": True, "result": archive["result"], "steps": 0, "elapsed": 0.0}
+
+
+def cell_archive(cell: Cell, payload: "Dict[str, Any]") -> "Dict[str, Any]":
+    """The archived form of a successful payload (cache entry, queue row)."""
+    return {
+        "result": payload["result"],
+        "steps": payload["steps"],
+        "elapsed": payload["elapsed"],
+        "cell": cell.describe(),
+    }
+
+
+def outcome_from_payload(
+    cell: Cell, payload: "Dict[str, Any]", cached: bool = False
+) -> CellOutcome:
+    """The :class:`CellOutcome` a payload stands for."""
     from repro.experiments import ExperimentResult
 
     if not payload["ok"]:
         return CellOutcome(
-            cell,
-            FAILED,
-            error=payload["error"],
-            elapsed=payload.get("elapsed", 0.0),
+            cell, FAILED, error=payload["error"], elapsed=payload["elapsed"]
         )
     return CellOutcome(
         cell,
-        OK,
+        CACHED if cached else OK,
         result=ExperimentResult.from_dict(payload["result"]),
-        steps=payload.get("steps", 0),
-        elapsed=payload.get("elapsed", 0.0),
+        steps=payload["steps"],
+        elapsed=payload["elapsed"],
     )
 
 
@@ -227,42 +240,29 @@ def run_cells(
     emit = progress or (lambda message: None)
     outcomes: "Dict[int, CellOutcome]" = {}
 
+    def settle(
+        index: int, payload: "Dict[str, Any]", cached: bool = False
+    ) -> None:
+        cell = cells[index]
+        outcomes[index] = outcome_from_payload(cell, payload, cached)
+        if cache is not None and payload["ok"] and not cached:
+            cache.store(cell, cell_archive(cell, payload))
+        emit(outcomes[index].describe())
+
     # Serve what we can from the cache up front (hits skip the pool).
     pending: "List[int]" = []
     for index, cell in enumerate(cells):
-        if cache is not None and not refresh:
-            payload = cache.load(cell)
-            if payload is not None:
-                from repro.experiments import ExperimentResult
-
-                outcomes[index] = CellOutcome(
-                    cell,
-                    CACHED,
-                    result=ExperimentResult.from_dict(payload["result"]),
-                )
-                emit(outcomes[index].describe())
-                continue
-        pending.append(index)
+        hit = cached_payload(cache, cell, refresh)
+        if hit is not None:
+            settle(index, hit, cached=True)
+        else:
+            pending.append(index)
 
     if jobs <= 1:
         for index in pending:
-            outcomes[index] = _run_inline(cells[index], cache)
-            emit(outcomes[index].describe())
+            settle(index, run_cell_payload(cells[index]))
     else:
-        _run_pool(cells, pending, jobs, outcomes, emit)
-        if cache is not None:
-            for index in pending:
-                outcome = outcomes[index]
-                if outcome.status == OK:
-                    cache.store(
-                        outcome.cell,
-                        {
-                            "result": outcome.result.to_dict(),
-                            "steps": outcome.steps,
-                            "elapsed": outcome.elapsed,
-                            "cell": outcome.cell.describe(),
-                        },
-                    )
+        _run_pool(cells, pending, jobs, settle)
 
     report = EngineReport(
         outcomes=[outcomes[i] for i in range(len(cells))],
@@ -274,28 +274,14 @@ def run_cells(
     return report
 
 
-def _run_inline(cell: Cell, cache: "Optional[ResultCache]") -> CellOutcome:
-    start = time.perf_counter()
-    try:
-        # refresh already resolved by the caller: a pending cell was a miss.
-        return execute_cell(cell, cache=cache, refresh=True)
-    except Exception:  # noqa: BLE001 — grid mode marks and continues
-        return CellOutcome(
-            cell,
-            FAILED,
-            error=traceback.format_exc(),
-            elapsed=time.perf_counter() - start,
-        )
-
-
 def _run_pool(
     cells: "Sequence[Cell]",
     pending: "List[int]",
     jobs: int,
-    outcomes: "Dict[int, CellOutcome]",
-    emit: "Callable[[str], None]",
+    settle: "Callable[[int, Dict[str, Any]], None]",
 ) -> None:
     """Fan ``pending`` out to a pool; isolate survivors of a pool break."""
+    settled: "Set[int]" = set()
     unfinished: "List[int]" = []
     try:
         with ProcessPoolExecutor(
@@ -311,32 +297,29 @@ def _run_pool(
                 except BrokenProcessPool:
                     unfinished.append(index)
                     continue
-                outcomes[index] = _outcome_from_payload(cells[index], payload)
-                emit(outcomes[index].describe())
+                settle(index, payload)
+                settled.add(index)
     except BrokenProcessPool:
-        unfinished = [i for i in pending if i not in outcomes]
+        unfinished = [i for i in pending if i not in settled]
 
     # A worker died mid-run and took the pool with it.  Every unfinished
     # cell gets one isolated single-worker pool: the innocent ones finish
     # normally, the crashing one breaks only its own pool and is marked
     # failed — the grid completes either way.
     for index in sorted(set(unfinished)):
-        cell = cells[index]
         start = time.perf_counter()
         try:
             with ProcessPoolExecutor(
                 max_workers=1, mp_context=_MP_CONTEXT
             ) as solo:
-                payload = solo.submit(run_cell_payload, cell).result()
-            outcomes[index] = _outcome_from_payload(cell, payload)
+                payload = solo.submit(run_cell_payload, cells[index]).result()
         except BrokenProcessPool:
-            outcomes[index] = CellOutcome(
-                cell,
-                FAILED,
-                error="worker process crashed (pool broken)",
-                elapsed=time.perf_counter() - start,
-            )
-        emit(outcomes[index].describe())
+            payload = {
+                "ok": False,
+                "error": "worker process crashed (pool broken)",
+                "elapsed": time.perf_counter() - start,
+            }
+        settle(index, payload)
 
 
 def merge_results(results: "Sequence[Any]"):
@@ -374,43 +357,21 @@ def run_experiment_grid(
     cache: "Optional[ResultCache]" = None,
     refresh: bool = False,
     progress: "Optional[Callable[[str], None]]" = None,
-    backend: str = "local",
-    queue_path: "Optional[Any]" = None,
 ):
     """Expand one experiment into cells, run them, merge the shards.
 
     Returns ``(merged ExperimentResult, EngineReport)``.  Raises
     :class:`~repro.errors.GridFailed` (a ``RuntimeError``) if every
     cell failed; partial failures merge the surviving shards and are
-    visible in the report.
-
-    ``backend`` picks the execution substrate: ``"local"`` is the
-    serial/``jobs`` pool path above; ``"queue"`` enqueues the cells
-    into a shared experiment table (``queue_path``, an
-    :class:`~repro.exec.queue.SqliteQueue` file — a private temporary
-    one when omitted) and drains it with an in-process
-    :class:`~repro.exec.queue.QueueWorker`.  All three routes produce
+    visible in the report.  Serial and ``jobs`` runs produce
     byte-identical merged tables.
     """
-    from repro.errors import GridFailed, InvalidConfig, NoMergeableResults
+    from repro.errors import GridFailed, NoMergeableResults
 
     cells = expand_experiment(experiment_id, kwargs, seed)
-    if backend == "local":
-        report = run_cells(
-            cells, jobs=jobs, cache=cache, refresh=refresh, progress=progress
-        )
-    elif backend == "queue":
-        report = _run_cells_queued(
-            cells,
-            queue_path=queue_path,
-            cache=cache,
-            refresh=refresh,
-            progress=progress,
-        )
-    else:
-        raise InvalidConfig(
-            f"unknown grid backend {backend!r}; known: local, queue"
-        )
+    report = run_cells(
+        cells, jobs=jobs, cache=cache, refresh=refresh, progress=progress
+    )
     try:
         merged = merge_results(report.results())
     except NoMergeableResults:
@@ -421,39 +382,3 @@ def run_experiment_grid(
             f"every cell of {experiment_id!r} failed:\n{errors}"
         ) from None
     return merged, report
-
-
-def _run_cells_queued(
-    cells: "Sequence[Cell]",
-    queue_path: "Optional[Any]" = None,
-    cache: "Optional[ResultCache]" = None,
-    refresh: bool = False,
-    progress: "Optional[Callable[[str], None]]" = None,
-) -> EngineReport:
-    """Drain ``cells`` through a shared experiment table."""
-    import tempfile
-
-    from repro.exec.queue import SqliteQueue, run_cells_via_queue
-
-    if queue_path is None:
-        # A private single-run table: exercises the full queue protocol
-        # (enqueue, CAS claims, write-back) with no shared path needed.
-        with tempfile.TemporaryDirectory(prefix="repro-queue-") as tmp:
-            backend = SqliteQueue(f"{tmp}/queue.sqlite")
-            try:
-                return run_cells_via_queue(
-                    cells,
-                    backend,
-                    cache=cache,
-                    refresh=refresh,
-                    progress=progress,
-                )
-            finally:
-                backend.close()
-    backend = SqliteQueue(queue_path)
-    try:
-        return run_cells_via_queue(
-            cells, backend, cache=cache, refresh=refresh, progress=progress
-        )
-    finally:
-        backend.close()

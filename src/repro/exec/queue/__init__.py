@@ -22,8 +22,11 @@ it (py_experimenter's model, adapted to our content-addressed cells):
   ``--export`` flag of local runs) and a pandas bridge.
 
 The CLI face is ``repro queue create|work|status|reset|export``;
-programmatically, ``run_experiment_grid(..., backend="queue")`` routes
-a grid through a queue and returns the identical merged table.
+programmatically, :func:`enqueue_cells` + :meth:`QueueWorker.run` +
+:func:`export_queue` drain a grid into the table the serial engine
+renders.  A worker runs each cell through the engine's
+:func:`~repro.exec.engine.run_cell_payload`, so cells fail, archive and
+report exactly as they do in ``repro experiment``.
 """
 
 from repro.exec.queue.backend import (
@@ -53,7 +56,6 @@ from repro.exec.queue.worker import (
     WorkerReport,
     default_worker_id,
     enqueue_cells,
-    run_cells_via_queue,
 )
 
 __all__ = [
@@ -78,6 +80,5 @@ __all__ = [
     "render_export",
     "render_latex",
     "render_markdown",
-    "run_cells_via_queue",
     "to_dataframe",
 ]

@@ -32,10 +32,16 @@ import socket
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.errors import CellClaimLost, CodeVersionMismatch, QueueError
-from repro.exec.cache import ResultCache, cell_key, experiment_code_version
+from repro.exec.cache import ResultCache, experiment_code_version
+from repro.exec.engine import (
+    cached_payload,
+    cell_archive,
+    outcome_from_payload,
+    run_cell_payload,
+)
 from repro.exec.grid import Cell
 from repro.exec.queue.backend import (
     DONE,
@@ -188,21 +194,9 @@ class QueueWorker:
             )
 
     def _execute(self, row: QueueCell, report: WorkerReport) -> None:
-        from repro.exec.engine import CACHED, OK, run_cell_payload
-
         cell = row.cell()
-        payload: "Optional[dict]" = None
-        from_cache = False
-        if self.cache is not None and not self.refresh:
-            archived = self.cache.load(cell)
-            if archived is not None:
-                payload = {
-                    "ok": True,
-                    "result": archived["result"],
-                    "steps": 0,
-                    "elapsed": 0.0,
-                }
-                from_cache = True
+        payload = cached_payload(self.cache, cell, self.refresh)
+        cached = payload is not None
         if payload is None:
             heartbeat = _Heartbeat(
                 self.backend,
@@ -217,30 +211,19 @@ class QueueWorker:
             finally:
                 heartbeat.stop()
         try:
-            self._write_back(row, cell, payload, from_cache)
+            self._write_back(row, cell, payload, cached)
         except CellClaimLost as error:
             report.lost += 1
             self._emit(f"{cell.describe()}: {error}")
             return
-        if payload["ok"]:
-            report.done += 1
-            report.steps += payload.get("steps", 0)
-            if from_cache:
-                report.cache_hits += 1
-            status, error_text = (CACHED if from_cache else OK), None
-        else:
+        outcome = outcome_from_payload(cell, payload, cached)
+        if outcome.status == FAILED:
             report.failed += 1
-            status, error_text = FAILED, payload["error"]
-        from repro.exec.engine import CellOutcome
-
-        outcome = CellOutcome(
-            cell,
-            status,
-            result=self._result_of(payload),
-            error=error_text,
-            steps=payload.get("steps", 0),
-            elapsed=payload.get("elapsed", 0.0),
-        )
+        else:
+            report.done += 1
+            report.steps += outcome.steps
+            if cached:
+                report.cache_hits += 1
         report.outcomes[row.cell_id] = outcome
         self._emit(outcome.describe())
 
@@ -248,29 +231,24 @@ class QueueWorker:
         self,
         row: QueueCell,
         cell: Cell,
-        payload: dict,
-        from_cache: bool,
+        payload: "Dict[str, Any]",
+        cached: bool,
     ) -> None:
         """CAS the outcome into the table; mirror successes into the
         local cache so this box replays the cell with zero steps."""
         now = self.clock()
         if payload["ok"]:
-            archive = {
-                "result": payload["result"],
-                "steps": payload.get("steps", 0),
-                "elapsed": payload.get("elapsed", 0.0),
-                "cell": cell.describe(),
-            }
+            archive = cell_archive(cell, payload)
             self.backend.write_back(
                 row.cell_id,
                 self.worker_id,
                 DONE,
                 now,
                 result_json=json.dumps(archive, sort_keys=True),
-                steps=payload.get("steps", 0),
-                elapsed=payload.get("elapsed", 0.0),
+                steps=payload["steps"],
+                elapsed=payload["elapsed"],
             )
-            if self.cache is not None and not from_cache:
+            if self.cache is not None and not cached:
                 self.cache.store(cell, archive)
         else:
             self.backend.write_back(
@@ -279,19 +257,12 @@ class QueueWorker:
                 FAILED,
                 now,
                 error=payload["error"],
-                elapsed=payload.get("elapsed", 0.0),
+                elapsed=payload["elapsed"],
             )
-
-    def _result_of(self, payload: dict):
-        if not payload["ok"]:
-            return None
-        from repro.experiments import ExperimentResult
-
-        return ExperimentResult.from_dict(payload["result"])
 
 
 # ---------------------------------------------------------------------------
-# Enqueue + in-process drain (the engine's backend="queue" path)
+# Enqueue
 
 
 def enqueue_cells(
@@ -317,89 +288,3 @@ def enqueue_cells(
         seen.add(row.cell_id)
         rows.append(row)
     return backend.enqueue(rows)
-
-
-def run_cells_via_queue(
-    cells: "Sequence[Cell]",
-    backend: QueueBackend,
-    cache: "Optional[ResultCache]" = None,
-    refresh: bool = False,
-    progress: "Optional[Callable[[str], None]]" = None,
-    worker: "Optional[QueueWorker]" = None,
-    poll: float = 0.2,
-    drain_timeout: "Optional[float]" = None,
-):
-    """Enqueue ``cells``, drain the queue in-process, report like
-    :func:`repro.exec.engine.run_cells`.
-
-    Cells another worker already finished come back ``cached`` (their
-    archived result is read straight off the table); cells claimed by a
-    *live* foreign worker are waited on until the queue drains (bounded
-    by ``drain_timeout``).  The outcome list is in input-cell order, so
-    the merged table is byte-identical to the serial engine's.
-    """
-    from repro.exec.engine import CACHED, CellOutcome, EngineReport
-    from repro.experiments import ExperimentResult
-
-    started = time.perf_counter()
-    enqueue_cells(backend, cells)
-    if worker is None:
-        worker = QueueWorker(
-            backend, cache=cache, refresh=refresh, progress=progress
-        )
-    report = worker.run()
-
-    deadline = (
-        None if drain_timeout is None else time.monotonic() + drain_timeout
-    )
-    while not backend.drained():
-        if deadline is not None and time.monotonic() > deadline:
-            raise QueueError(
-                "queue did not drain within the timeout; another worker"
-                " holds a claim (reset stale claims with"
-                " `repro queue reset --stale`)"
-            )
-        time.sleep(poll)
-        extra = worker.run()  # stale resets may have reopened rows
-        for key, outcome in extra.outcomes.items():
-            report.outcomes.setdefault(key, outcome)
-
-    by_id = {row.cell_id: row for row in backend.rows()}
-    outcomes: "List[CellOutcome]" = []
-    for cell in cells:
-        key = cell_key(cell, experiment_code_version(cell.experiment_id))
-        ours = report.outcomes.get(key)
-        if ours is not None:
-            outcomes.append(ours)  # type: ignore[arg-type]
-            continue
-        row = by_id.get(key)
-        if row is None:
-            raise QueueError(
-                f"cell {cell.describe()} vanished from the queue"
-            )
-        archive = row.result_payload()
-        if row.status == DONE and archive is not None:
-            outcomes.append(
-                CellOutcome(
-                    cell,
-                    CACHED,
-                    result=ExperimentResult.from_dict(archive["result"]),
-                    steps=0,
-                    elapsed=0.0,
-                )
-            )
-        else:
-            outcomes.append(
-                CellOutcome(
-                    cell,
-                    FAILED,
-                    error=row.error or f"cell ended {row.status}",
-                    elapsed=row.elapsed,
-                )
-            )
-    return EngineReport(
-        outcomes=outcomes,
-        elapsed=time.perf_counter() - started,
-        cache_hits=cache.hits if cache is not None else 0,
-        cache_misses=cache.misses if cache is not None else 0,
-    )

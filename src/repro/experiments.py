@@ -135,16 +135,16 @@ def get_experiment(experiment_id: str) -> "Callable[..., ExperimentResult]":
 def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:
     """Run one experiment through the execution engine (serial, uncached).
 
-    This is the single-cell path of :mod:`repro.exec` — the same code the
-    parallel grid engine runs in its workers — so library calls, the CLI
-    and pool workers all execute experiments identically.  Exceptions
+    This is the single-cell runner of :mod:`repro.exec` — the same code
+    serial grids, pool workers and queue workers run — so library calls,
+    the CLI and every worker execute experiments identically.  Exceptions
     (unknown ids, violated claims) propagate to the caller unchanged.
     """
-    from repro.exec.engine import execute_cell
+    from repro.exec.engine import run_cell
     from repro.exec.grid import Cell
 
-    outcome = execute_cell(Cell.make(experiment_id, kwargs))
-    return outcome.result
+    result, _, _ = run_cell(Cell.make(experiment_id, kwargs))
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Set
 
+from repro.errors import InvalidConfig
 from repro.sim.ids import ObjectId, ServerId
 from repro.sim.objects import BaseObject
 
@@ -25,7 +26,7 @@ class Server:
 
     def host(self, object_id: ObjectId) -> None:
         if object_id in self.object_ids:
-            raise ValueError(f"{object_id} already hosted on {self.server_id}")
+            raise InvalidConfig(f"{object_id} already hosted on {self.server_id}")
         self.object_ids.append(object_id)
 
     @property
@@ -56,16 +57,16 @@ class ObjectMap:
 
     def add_server(self, server_id: ServerId) -> Server:
         if server_id in self._servers:
-            raise ValueError(f"duplicate server {server_id}")
+            raise InvalidConfig(f"duplicate server {server_id}")
         server = Server(server_id)
         self._servers[server_id] = server
         return server
 
     def add_object(self, obj: BaseObject, server_id: ServerId) -> None:
         if obj.object_id in self._objects:
-            raise ValueError(f"duplicate object {obj.object_id}")
+            raise InvalidConfig(f"duplicate object {obj.object_id}")
         if server_id not in self._servers:
-            raise ValueError(f"unknown server {server_id}")
+            raise InvalidConfig(f"unknown server {server_id}")
         self._objects[obj.object_id] = obj
         self._delta[obj.object_id] = server_id
         self._servers[server_id].host(obj.object_id)

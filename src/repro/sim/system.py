@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence, Tuple
 
+from repro.errors import InvalidConfig
 from repro.sim.client import ClientProtocol, ClientRuntime
 from repro.sim.history import History
 from repro.sim.ids import ClientId, ObjectId, ServerId
@@ -71,13 +72,13 @@ def build_system(
     selects direct in-process delivery).
     """
     if n_servers <= 0:
-        raise ValueError("need at least one server")
+        raise InvalidConfig("need at least one server")
     object_map = ObjectMap()
     for index in range(n_servers):
         object_map.add_server(ServerId(index))
     for object_index, (server_index, type_name, initial) in enumerate(placements):
         if not 0 <= server_index < n_servers:
-            raise ValueError(
+            raise InvalidConfig(
                 f"placement {object_index}: server {server_index} out of range"
             )
         obj = make_object(type_name, ObjectId(object_index), initial)

@@ -9,12 +9,17 @@ from pathlib import Path
 
 import repro
 from repro.exec.cache import ResultCache, cell_key, experiment_code_version
-from repro.exec.engine import CACHED, OK, execute_cell
+from repro.exec.engine import CACHED, OK, run_cells
 from repro.exec.grid import Cell
 
 
 def _cell(**kwargs):
     return Cell.make("TH2", {"k_values": (2,), **kwargs})
+
+
+def _run(cell, cache, refresh=False):
+    (outcome,) = run_cells([cell], cache=cache, refresh=refresh).outcomes
+    return outcome
 
 
 class TestKeys:
@@ -82,12 +87,12 @@ class TestCacheSemantics:
         assert cache.load(cell) is None
         assert (cache.hits, cache.misses) == (0, 1)
 
-        outcome = execute_cell(cell, cache=cache)
+        outcome = _run(cell, cache)
         assert outcome.status == OK
         assert cache.stores == 1
         assert len(cache) == 1
 
-        hit = execute_cell(cell, cache=cache)
+        hit = _run(cell, cache)
         assert hit.status == CACHED
         assert hit.steps == 0
         assert cache.hits == 1
@@ -96,8 +101,8 @@ class TestCacheSemantics:
     def test_refresh_recomputes_and_overwrites(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         cell = _cell()
-        execute_cell(cell, cache=cache)
-        refreshed = execute_cell(cell, cache=cache, refresh=True)
+        _run(cell, cache)
+        refreshed = _run(cell, cache, refresh=True)
         assert refreshed.status == OK  # ran again, did not serve the entry
         assert cache.stores == 2
         assert len(cache) == 1  # overwrote, not duplicated
@@ -105,7 +110,7 @@ class TestCacheSemantics:
     def test_entries_are_valid_json_with_result(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         cell = _cell()
-        execute_cell(cell, cache=cache)
+        _run(cell, cache)
         (path,) = (tmp_path / "cache").glob("*/*.json")
         payload = json.loads(path.read_text())
         assert payload["result"]["experiment_id"] == "TH2"
@@ -121,7 +126,7 @@ class TestCacheSemantics:
 
     def test_clear(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        execute_cell(_cell(), cache=cache)
+        _run(_cell(), cache)
         assert cache.clear() == 1
         assert len(cache) == 0
 

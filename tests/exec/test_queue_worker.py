@@ -1,20 +1,22 @@
 """Queue workers: claim/execute/write-back, caching, versions, races."""
 
 import threading
+import time
 
 import pytest
 
 from repro.errors import CodeVersionMismatch, QueueError
-from repro.exec import ResultCache, run_experiment_grid
-from repro.exec.cache import experiment_code_version
+from repro.exec import ResultCache, run_cells, run_experiment_grid
 from repro.exec.engine import CACHED, FAILED, OK
 from repro.exec.grid import Cell, expand_experiment
 from repro.exec.queue import (
+    CLAIMED,
     DONE,
+    OPEN,
     QueueWorker,
     SqliteQueue,
     enqueue_cells,
-    run_cells_via_queue,
+    export_queue,
 )
 from repro.experiments import ExperimentResult, experiment, run_experiment
 
@@ -179,49 +181,72 @@ class TestConcurrentWorkers:
 
 
 class TestEngineBackend:
-    def test_queue_backend_matches_serial_table(self, tmp_path):
+    """The queue runs the engine's cell path: same table, same steps,
+    same failure rule."""
+
+    def test_queue_backend_matches_serial_table(self, queue):
         # B1 simulates (TH1 is closed form), so the kernel steps can be
         # compared: the queue adds bookkeeping, not simulation.
         grid = {"update_counts": (4, 8)}
         serial = run_experiment("B1", **grid)
-        _, local = run_experiment_grid("B1", grid, backend="local")
-        merged, report = run_experiment_grid(
-            "B1", grid, backend="queue",
-            queue_path=tmp_path / "grid.db",
-        )
-        assert not report.failed
-        assert merged.render() == serial.render()
-        assert [o.status for o in report.outcomes] == [OK] * 2
-        assert report.total_steps == local.total_steps > 0
-
-    def test_queue_backend_defaults_to_a_temp_file(self):
-        serial = run_experiment("TH1", **SWEEP)
-        merged, report = run_experiment_grid("TH1", SWEEP, backend="queue")
-        assert merged.render() == serial.render()
-
-    def test_unknown_backend_rejected(self):
-        from repro.errors import InvalidConfig
-
-        with pytest.raises(InvalidConfig):
-            run_experiment_grid("TH1", SWEEP, backend="carrier-pigeon")
-
-    def test_foreign_done_rows_come_back_cached(self, queue):
-        cells = _cells()
-        enqueue_cells(queue, cells)
-        QueueWorker(queue, worker_id="other-box").run()
-        # A second participant joins after the drain: every outcome is
-        # served from the table, nothing executes.
-        report = run_cells_via_queue(cells, queue)
-        assert [o.status for o in report.outcomes] == [CACHED] * len(cells)
-        assert report.total_steps == 0
+        _, local = run_experiment_grid("B1", grid)
+        enqueue_cells(queue, expand_experiment("B1", grid))
+        report = QueueWorker(queue, worker_id="w1").run()
+        assert report.failed == 0 and report.lost == 0
+        assert [o.status for o in report.outcomes.values()] == [OK] * 2
+        assert report.steps == local.total_steps > 0
+        assert export_queue(queue) == serial.render()
 
     def test_failed_rows_surface_in_the_report(self, queue):
         cells = [Cell.make("Q-RAISE")] + _cells()[:1]
         enqueue_cells(queue, cells)
-        report = run_cells_via_queue(cells, queue)
-        assert [o.status for o in report.outcomes][0] == FAILED
-        assert "deliberate failure" in report.outcomes[0].error
-        assert report.outcomes[1].status == OK
+        report = QueueWorker(queue, worker_id="w1").run()
+        failed, ok = report.outcomes.values()
+        assert failed.status == FAILED
+        assert "deliberate failure" in failed.error
+        assert ok.status == OK
+
+
+class TestInterrupt:
+    """Ctrl-C inside a cell is not a cell failure on any path."""
+
+    @pytest.fixture(autouse=True)
+    def _interrupting_experiment(self):
+        from repro.experiments import _REGISTRY
+
+        @experiment("Q-INTERRUPT")
+        def _interrupt() -> ExperimentResult:
+            raise KeyboardInterrupt
+
+        yield
+        _REGISTRY.pop("Q-INTERRUPT", None)
+
+    def test_worker_propagates_and_leaves_the_row_claimed(
+        self, queue, tmp_path
+    ):
+        from repro.cli import main
+
+        enqueue_cells(queue, [Cell.make("Q-INTERRUPT")] + _cells()[:1])
+        # The worker's clock runs a minute behind: its claim's heartbeat
+        # has expired by the time `reset --stale` looks at it.
+        worker = QueueWorker(
+            queue, worker_id="w1", clock=lambda: time.time() - 60
+        )
+        with pytest.raises(KeyboardInterrupt):
+            worker.run()
+        interrupted, untouched = queue.rows()
+        assert (interrupted.status, interrupted.owner) == (CLAIMED, "w1")
+        assert interrupted.error is None
+        assert untouched.status == OPEN  # the worker claimed nothing more
+        assert main(
+            ["queue", "reset", "--db", str(tmp_path / "q.db"), "--stale"]
+        ) == 0
+        assert queue.get(interrupted.cell_id).status == OPEN
+
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "pool"])
+    def test_run_cells_propagates(self, jobs):
+        with pytest.raises(KeyboardInterrupt):
+            run_cells([Cell.make("Q-INTERRUPT")] + _cells()[:1], jobs=jobs)
 
 
 class TestCLI:

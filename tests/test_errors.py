@@ -27,6 +27,7 @@ from repro.sim.ids import ClientId, ObjectId, OpId, ServerId
 from repro.sim.kernel import Action, ActionKind
 from repro.sim.objects import LowLevelOp, OpKind, make_object
 from repro.sim.scheduling import RandomScheduler
+from repro.sim.server import ObjectMap, Server
 from repro.sim.system import build_system
 
 from tests.conftest import ToyProtocol
@@ -234,9 +235,39 @@ def _incremental_state_diverged():
     kernel.check_incremental()
 
 
+def _object_hosted_twice():
+    Server(ServerId(0), [ObjectId(0)]).host(ObjectId(0))
+
+
+def _duplicate_server():
+    object_map = ObjectMap()
+    object_map.add_server(ServerId(0))
+    object_map.add_server(ServerId(0))
+
+
+def _duplicate_object():
+    object_map = ObjectMap()
+    object_map.add_server(ServerId(0))
+    object_map.add_object(make_object("register", ObjectId(0)), ServerId(0))
+    object_map.add_object(make_object("register", ObjectId(0)), ServerId(0))
+
+
+def _object_on_unknown_server():
+    ObjectMap().add_object(make_object("register", ObjectId(0)), ServerId(3))
+
+
+def _system_without_servers():
+    build_system(0, [])
+
+
+def _placement_out_of_range():
+    build_system(2, [(2, "register", None)])
+
+
 class TestSimulationRaiseSites:
-    """Every raise site of ``sim/kernel.py`` and ``sim/objects.py`` is
-    typed, and still the builtin it raised before."""
+    """Every raise site of ``sim/kernel.py``, ``sim/objects.py``,
+    ``sim/server.py`` and ``sim/system.py`` is typed, and still the
+    builtin it raised before."""
 
     SITES = [
         (_duplicate_client, InvalidConfig, ValueError),
@@ -249,6 +280,12 @@ class TestSimulationRaiseSites:
         (_unsupported_op_kind, ModelViolation, ValueError),
         (_transport_swapped_after_triggers, ModelViolation, RuntimeError),
         (_incremental_state_diverged, ModelViolation, RuntimeError),
+        (_object_hosted_twice, InvalidConfig, ValueError),
+        (_duplicate_server, InvalidConfig, ValueError),
+        (_duplicate_object, InvalidConfig, ValueError),
+        (_object_on_unknown_server, InvalidConfig, ValueError),
+        (_system_without_servers, InvalidConfig, ValueError),
+        (_placement_out_of_range, InvalidConfig, ValueError),
     ]
 
     @pytest.mark.parametrize(

@@ -117,6 +117,46 @@ class TestKnobCensus:
         assert census == self.EXPECTED
 
 
+class TestEngineKnobCensus:
+    """Every parameter of the experiment engine's entry points, by name.
+    A new engine knob (a backend switch, a queue path, a drain timeout)
+    shows up in review as an edit to this test."""
+
+    EXPECTED = {
+        "run_cells": ("cells", "jobs", "cache", "refresh", "progress"),
+        "run_experiment_grid": (
+            "experiment_id",
+            "kwargs",
+            "seed",
+            "jobs",
+            "cache",
+            "refresh",
+            "progress",
+        ),
+        "QueueWorker": (
+            "backend",
+            "worker_id",
+            "cache",
+            "refresh",
+            "ttl",
+            "check_version",
+            "progress",
+            "clock",
+        ),
+    }
+
+    def test_engine_parameters_are_exactly_the_known_knobs(self):
+        import inspect
+
+        from repro.exec import QueueWorker, run_cells, run_experiment_grid
+
+        census = {
+            entry.__name__: tuple(inspect.signature(entry).parameters)
+            for entry in (run_cells, run_experiment_grid, QueueWorker)
+        }
+        assert census == self.EXPECTED
+
+
 class TestEventRecordCensus:
     """The kernel's five event records: named tuples whose fields, field
     order and defaults are pinned here.  Listeners read them by name,
