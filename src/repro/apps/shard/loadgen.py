@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.shard.service import ShardedKVService
-from repro.errors import ShardCapacityExceeded, StaleShardMap
+from repro.errors import InvalidConfig, ShardCapacityExceeded, StaleShardMap
 from repro.workloads.generators import ZipfKeys
 
 
@@ -77,9 +77,9 @@ def run_loadgen(
     ok_fraction, all_ok).
     """
     if rate <= 0 or duration <= 0:
-        raise ValueError("rate and duration must be positive")
+        raise InvalidConfig("rate and duration must be positive")
     if sessions <= 0:
-        raise ValueError("need at least one session")
+        raise InvalidConfig("need at least one session")
     rng = random.Random(seed)
     sampler = ZipfKeys(keys, s=zipf_s, seed=seed + 1)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import zlib
 from typing import List
 
-from repro.errors import StaleShardMap
+from repro.errors import InvalidConfig, StaleShardMap
 
 
 def stable_key_hash(key: str) -> int:
@@ -30,7 +30,7 @@ class ShardRouter:
 
     def __init__(self, n_shards: int):
         if n_shards <= 0:
-            raise ValueError("need at least one shard")
+            raise InvalidConfig("need at least one shard")
         self.n_shards = n_shards
         self.version = 1
 

@@ -259,12 +259,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_lint(args) -> int:
-    import os
-
     from repro.lint import (
-        Baseline,
-        collect_files,
-        git_changed_files,
         lint_paths,
         render_explain,
         render_json,
@@ -279,68 +274,11 @@ def cmd_lint(args) -> int:
     if args.explain:
         print(render_explain(args.explain))
         return 0
-    baseline = None
-    if not args.no_baseline and not args.write_baseline:
-        if os.path.exists(args.baseline):
-            baseline = Baseline.load(args.baseline)
-        elif args.baseline != "lint-baseline.json":
-            print(
-                f"error: baseline file not found: {args.baseline}",
-                file=sys.stderr,
-            )
-            return 2
-    paths = args.paths or ["src"]
-    if args.changed:
-        changed = git_changed_files()
-        if changed is None:
-            print(
-                "warning: --changed needs a git work tree; linting"
-                " everything",
-                file=sys.stderr,
-            )
-        else:
-            try:
-                selected = [
-                    path
-                    for path in collect_files(paths)
-                    if path.resolve() in changed
-                ]
-            except FileNotFoundError as error:
-                print(f"error: {error}", file=sys.stderr)
-                return 2
-            if not selected:
-                print("repro lint: no changed files under the given paths")
-                return 0
-            paths = selected
     try:
-        result = lint_paths(paths, baseline=baseline, jobs=args.jobs)
+        result = lint_paths(args.paths or ["src"])
     except FileNotFoundError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if args.write_baseline:
-        Baseline.from_findings(result.active).save(args.baseline)
-        print(
-            f"wrote {len(result.active)} entr(y/ies) to {args.baseline};"
-            " replace the placeholder reasons before committing",
-            file=sys.stderr,
-        )
-        return 0
-    if args.prune_baseline:
-        if baseline is None:
-            print(
-                "error: --prune-baseline needs a baseline file",
-                file=sys.stderr,
-            )
-            return 2
-        pruned = baseline.pruned(result.stale_baseline)
-        dropped = len(baseline.entries) - len(pruned.entries)
-        pruned.save(args.baseline)
-        print(
-            f"pruned {dropped} stale entr(y/ies) from {args.baseline}"
-            f" ({len(pruned.entries)} remain)",
-            file=sys.stderr,
-        )
-        result.stale_baseline = []
     if args.json:
         payload = render_json(result)
         if args.json == "-":
@@ -349,8 +287,7 @@ def cmd_lint(args) -> int:
             with open(args.json, "w", encoding="utf-8") as handle:
                 handle.write(payload + "\n")
     if args.format == "sarif":
-        reasons = baseline.reasons() if baseline is not None else None
-        print(render_sarif(result, baseline_reasons=reasons))
+        print(render_sarif(result))
     elif args.format == "json":
         if args.json != "-":
             print(render_json(result))
@@ -358,7 +295,7 @@ def cmd_lint(args) -> int:
         text = render_text(result, verbose=args.verbose)
         if args.json != "-":
             print(text)
-    return 0 if result.ok and not result.stale_baseline else 1
+    return 0 if result.ok else 1
 
 
 def cmd_demo(args) -> int:
@@ -1061,43 +998,9 @@ def build_parser() -> argparse.ArgumentParser:
         " annotations)",
     )
     p_lint.add_argument(
-        "--changed",
-        action="store_true",
-        help="lint only files changed vs HEAD (staged, unstaged,"
-        " untracked)",
-    )
-    p_lint.add_argument(
-        "--jobs",
-        type=int,
-        default=0,
-        metavar="N",
-        help="analyze files across N worker processes (0 = sequential)",
-    )
-    p_lint.add_argument(
         "--explain",
         metavar="RULE",
         help="print one rule's rationale and fix guidance (e.g. R010)",
-    )
-    p_lint.add_argument(
-        "--prune-baseline",
-        action="store_true",
-        help="drop stale entries from the baseline file and rewrite it",
-    )
-    p_lint.add_argument(
-        "--baseline",
-        default="lint-baseline.json",
-        metavar="PATH",
-        help="baseline file of grandfathered findings",
-    )
-    p_lint.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline file entirely",
-    )
-    p_lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="grandfather every current finding into the baseline file",
     )
     p_lint.add_argument(
         "--list-rules", action="store_true", help="print the rule catalog"
@@ -1105,7 +1008,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument(
         "--verbose",
         action="store_true",
-        help="also show suppressed and baselined findings",
+        help="also show suppressed findings",
     )
     p_lint.set_defaults(fn=cmd_lint)
 
@@ -1463,32 +1366,12 @@ def exit_code_for(error) -> int:
     """Distinct exit code per typed failure (see :mod:`repro.errors`).
 
     Scripts driving ``repro cluster``/``serve``/``loadgen`` can branch
-    on the class of failure without parsing stderr.
+    on the class of failure without parsing stderr.  The code is the
+    error class's ``exit_code``; anything else exits 2.
     """
-    from repro import errors
+    from repro.errors import ReproError
 
-    for error_class, code in (
-        (errors.WriterBoundExceeded, 3),
-        (errors.QuorumUnavailable, 4),
-        (errors.StaleShardMap, 5),
-        (errors.ShardCapacityExceeded, 6),
-        (errors.WireDecodeError, 7),
-        (errors.InvalidConfig, 8),
-        (errors.BoundViolation, 9),
-        (errors.SessionClosed, 10),
-        # subclasses precede QueueError so they keep distinct codes.
-        (errors.CellClaimLost, 12),
-        (errors.CodeVersionMismatch, 13),
-        (errors.QueueError, 11),
-        (errors.GridFailed, 14),
-        (errors.NoMergeableResults, 15),
-        (errors.UnknownExperiment, 16),
-        (errors.TransportUnavailable, 17),
-        (errors.ModelViolation, 18),
-    ):
-        if isinstance(error, error_class):
-            return code
-    return 2
+    return error.exit_code if isinstance(error, ReproError) else 2
 
 
 def main(argv: "Optional[List[str]]" = None) -> int:

@@ -29,6 +29,7 @@ from typing import Any, List, Sequence
 from repro.consistency.linearizability import is_linearizable
 from repro.consistency.specs import RegisterSpec
 from repro.consistency.ws import WSViolation
+from repro.errors import InvalidConfig
 from repro.sim.history import History, HistoryOp
 
 
@@ -148,7 +149,7 @@ def check_mw_regular_strong(
     """
     writes = history.writes
     if len(writes) > max_writes:
-        raise ValueError(
+        raise InvalidConfig(
             f"history has {len(writes)} writes; raise max_writes"
             f" (exponential search) to check it"
         )

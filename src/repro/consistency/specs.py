@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Any, Hashable, Tuple
 
+from repro.errors import ModelViolation
+
 
 def hashable_key(value: Any) -> Hashable:
     """A hashable stand-in for ``value`` (repr for unhashable payloads)."""
@@ -53,7 +55,7 @@ class RegisterSpec(SequentialSpec):
             return value, "ack"
         if name == "read":
             return state, state
-        raise ValueError(f"register spec: unknown operation {name!r}")
+        raise ModelViolation(f"register spec: unknown operation {name!r}")
 
 
 class MaxRegisterSpec(SequentialSpec):
@@ -76,7 +78,7 @@ class MaxRegisterSpec(SequentialSpec):
             return new_state, "ok"
         if name == "read_max":
             return state, state
-        raise ValueError(f"max-register spec: unknown operation {name!r}")
+        raise ModelViolation(f"max-register spec: unknown operation {name!r}")
 
 
 class CASSpec(SequentialSpec):
@@ -94,4 +96,4 @@ class CASSpec(SequentialSpec):
             if state == expected:
                 return new_value, state
             return state, state
-        raise ValueError(f"CAS spec: unknown operation {name!r}")
+        raise ModelViolation(f"CAS spec: unknown operation {name!r}")

@@ -59,7 +59,7 @@ class CollectMaxRegisterClient(ClientProtocol):
 
     def op_write_max(self, ctx: Context, value: Any):
         if self.writer_index is None:
-            raise RuntimeError("read-only client invoked write_max")
+            raise WriterBoundExceeded("read-only client invoked write_max")
         if value <= self._local_max:
             return "ok"
         self._local_max = value

@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Set
 
+from repro.errors import InvalidConfig, ModelViolation
 from repro.sim.events import (
     EventListener,
     RespondEvent,
@@ -93,7 +94,7 @@ class CoveringTracker(EventListener):
     ) -> PhaseState:
         """Begin phase ``i`` at time ``t_{i-1}`` with protected set F."""
         if len(F) != self.f + 1:
-            raise ValueError(
+            raise InvalidConfig(
                 f"|F| must be f+1 = {self.f + 1}, got {len(F)}"
             )
         self.phase = PhaseState(
@@ -110,7 +111,7 @@ class CoveringTracker(EventListener):
 
     def end_phase(self) -> PhaseState:
         if self.phase is None:
-            raise RuntimeError("no active phase")
+            raise ModelViolation("no active phase")
         finished, self.phase = self.phase, None
         self.version += 1
         return finished

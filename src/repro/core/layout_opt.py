@@ -21,6 +21,7 @@ from typing import Optional
 
 from repro.core import bounds
 from repro.core.layout import RegisterLayout
+from repro.errors import InvalidConfig, LayoutSearchExhausted
 
 
 @dataclass(frozen=True)
@@ -60,15 +61,16 @@ def capacitated_layout(
 ) -> CapacitatedPlan:
     """Smallest Algorithm 2 deployment respecting a per-server capacity.
 
-    Raises ``ValueError`` for non-positive parameters and
-    ``RuntimeError`` if no deployment fits within ``max_servers`` (cannot
-    happen for sane inputs: with ``n >= kf + f + 1`` the balanced layout
-    stores at most one register per server... and capacity >= 1).
+    Raises ``InvalidConfig`` for non-positive parameters and
+    ``LayoutSearchExhausted`` if no deployment fits within
+    ``max_servers`` (cannot happen for sane inputs: with ``n >= kf + f +
+    1`` the balanced layout stores at most one register per server...
+    and capacity >= 1).
     """
     if k <= 0 or f <= 0:
-        raise ValueError("k and f must be positive")
+        raise InvalidConfig("k and f must be positive")
     if capacity <= 0:
-        raise ValueError("capacity must be positive")
+        raise InvalidConfig("capacity must be positive")
     floor_n = max(
         bounds.min_servers(f),
         bounds.servers_needed_bounded_storage(k, f, capacity),
@@ -89,7 +91,7 @@ def capacitated_layout(
                 layout=layout,
             )
         n += 1
-    raise RuntimeError(
+    raise LayoutSearchExhausted(
         f"no capacitated layout within {max_servers} servers for"
         f" k={k}, f={f}, capacity={capacity}"
     )

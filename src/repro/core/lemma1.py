@@ -40,6 +40,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.core.adversary import AdversaryAdi
 from repro.core.covering import CoveringTracker
+from repro.errors import InvalidConfig
 from repro.sim.events import EventListener
 from repro.sim.ids import ServerId
 from repro.sim.scheduling import RoundRobinScheduler
@@ -62,16 +63,6 @@ class PhaseReport:
     claim_c: bool
     claim_d: bool
     claim_e: bool
-
-    @property
-    def all_claims(self) -> bool:
-        return (
-            self.claim_a
-            and self.claim_b
-            and self.claim_c
-            and self.claim_d
-            and self.claim_e
-        )
 
 
 class _Lemma2Checker(EventListener):
@@ -114,18 +105,20 @@ class Lemma1Runner:
         if F is None:
             F = {ServerId(i) for i in range(f + 1)}
         if len(F) != f + 1:
-            raise ValueError(f"|F| must be f+1, got {len(F)}")
+            raise InvalidConfig(f"|F| must be f+1, got {len(F)}")
         if not F <= set(self.emulation.object_map.server_ids):
-            raise ValueError("F must be a subset of the servers")
+            raise InvalidConfig("F must be a subset of the servers")
         self.F = F
         self.max_steps_per_phase = max_steps_per_phase
         self.tracker = CoveringTracker(self.emulation.object_map, f)
+        # repro-lint: disable=R005 CoveringTracker must observe every phase of the Lemma 1 run; the emulation is single-use and dies with the runner, so the subscription is lifetime-scoped by design
         self.emulation.kernel.add_listener(self.tracker)
         self.adversary = AdversaryAdi(self.tracker)
         self.emulation.kernel.environment = self.adversary
         self.checker: "Optional[_Lemma2Checker]" = None
         if check_lemma2:
             self.checker = _Lemma2Checker(self.tracker)
+            # repro-lint: disable=R005 the Lemma 2 checker audits the whole adversarial run; same single-use lifetime as the tracker above
             self.emulation.kernel.add_listener(self.checker)
         self.reports: "List[PhaseReport]" = []
 
@@ -194,7 +187,7 @@ class Lemma1Runner:
         if values is None:
             values = [f"v{i}" for i in range(1, self.k + 1)]
         if len(values) != self.k:
-            raise ValueError(f"need {self.k} values, got {len(values)}")
+            raise InvalidConfig(f"need {self.k} values, got {len(values)}")
         for index, value in enumerate(values, start=1):
             self.run_phase(index, value)
         return self.reports

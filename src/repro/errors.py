@@ -1,9 +1,11 @@
-"""Typed error hierarchy for the service-facing layers.
+"""Typed error hierarchy for the whole package.
 
-Every failure the KV/service/net paths can signal derives from
-:class:`ReproError`, so callers can catch one root and branch on type,
-and the CLI can map each failure class to a distinct exit code
-(see :func:`repro.cli.exit_code_for`).
+Every failure the package signals derives from :class:`ReproError`, so
+callers can catch one root and branch on type.  Each class carries its
+CLI exit code as the ``exit_code`` class attribute
+(:func:`repro.cli.exit_code_for` reads it); a subclass without its own
+code inherits its parent's, and ``ReproError`` itself exits 2 like any
+usage error.
 
 Each concrete error *also* subclasses the builtin its call site
 historically raised (``ValueError`` for caller mistakes,
@@ -16,7 +18,9 @@ from __future__ import annotations
 
 
 class ReproError(Exception):
-    """Root of every typed failure raised by repro's service layers."""
+    """Root of every typed failure raised by the package."""
+
+    exit_code = 2
 
 
 class WriterBoundExceeded(ReproError, ValueError, RuntimeError):
@@ -29,6 +33,8 @@ class WriterBoundExceeded(ReproError, ValueError, RuntimeError):
     error; those sites raised ``RuntimeError`` before, hence that base.
     """
 
+    exit_code = 3
+
 
 class QuorumUnavailable(ReproError, RuntimeError):
     """An operation could not reach its quorum and did not complete.
@@ -37,6 +43,8 @@ class QuorumUnavailable(ReproError, RuntimeError):
     ``f`` servers are crashed or unreachable, or the transport cannot
     deliver enough responses for the protocol to return.
     """
+
+    exit_code = 4
 
 
 class StaleShardMap(ReproError, RuntimeError):
@@ -48,6 +56,8 @@ class StaleShardMap(ReproError, RuntimeError):
     silently routed by a stale map.
     """
 
+    exit_code = 5
+
 
 class ShardCapacityExceeded(ReproError, RuntimeError):
     """A shard's pre-provisioned register slots are all assigned.
@@ -57,10 +67,14 @@ class ShardCapacityExceeded(ReproError, RuntimeError):
     snapshot); a new key arriving at a full shard cannot be placed.
     """
 
+    exit_code = 6
+
 
 class WireDecodeError(ReproError, ValueError):
     """A wire frame failed to decode (truncation, trailing bytes,
     unknown tags, malformed payloads)."""
+
+    exit_code = 7
 
 
 class TransportUnavailable(ReproError, RuntimeError):
@@ -76,16 +90,24 @@ class TransportUnavailable(ReproError, RuntimeError):
     is :class:`QuorumUnavailable`.
     """
 
+    exit_code = 17
+
 
 class InvalidConfig(ReproError, ValueError):
-    """A configuration object was built with inconsistent parameters.
+    """A caller passed parameters that are inconsistent or out of range.
 
     Raised by the eager ``__post_init__``/``validate`` checks of the
     frozen config dataclasses (``KVConfig``, ``ShardConfig``,
     ``ShardServiceConfig``, …): a bad substrate name, zero
-    writers, transports that do not match the shard count.  Caller error,
-    detected before any simulation state exists.
+    writers, transports that do not match the shard count.  Also raised
+    by every constructor or function that rejects its arguments: a
+    non-positive load-generator rate, a Zipf exponent below zero, a
+    non-positive scheduler weight, an unknown trace kind, a value too
+    large for one wire frame.  Caller error, detected before any
+    simulation state changes.
     """
+
+    exit_code = 8
 
 
 class BoundViolation(ReproError, ValueError):
@@ -97,6 +119,8 @@ class BoundViolation(ReproError, ValueError):
     a caller error, not a property of the emulation.
     """
 
+    exit_code = 9
+
 
 class SessionClosed(ReproError, RuntimeError):
     """An operation was attempted on a closed session handle.
@@ -105,6 +129,8 @@ class SessionClosed(ReproError, RuntimeError):
     context managers; using one after ``close()`` is a lifecycle bug in
     the caller, distinct from any transient quorum failure.
     """
+
+    exit_code = 10
 
 
 class QueueError(ReproError, RuntimeError):
@@ -116,6 +142,8 @@ class QueueError(ReproError, RuntimeError):
     this, so ``except QueueError`` catches the whole family.
     """
 
+    exit_code = 11
+
 
 class CellClaimLost(QueueError):
     """A worker's claim on a cell disappeared before write-back.
@@ -125,6 +153,8 @@ class CellClaimLost(QueueError):
     worker was still executing.  The worker's result is discarded; the
     queue's copy is whatever the current owner writes.
     """
+
+    exit_code = 12
 
 
 class CodeVersionMismatch(QueueError):
@@ -138,6 +168,8 @@ class CodeVersionMismatch(QueueError):
     locally.
     """
 
+    exit_code = 13
+
 
 class GridFailed(ReproError, RuntimeError):
     """Every cell of an experiment grid failed.
@@ -147,6 +179,8 @@ class GridFailed(ReproError, RuntimeError):
     the message.  Partial failures do *not* raise — they merge the
     survivors and surface in the engine report.
     """
+
+    exit_code = 14
 
 
 class NoMergeableResults(ReproError, ValueError):
@@ -158,6 +192,8 @@ class NoMergeableResults(ReproError, ValueError):
     :class:`GridFailed`.
     """
 
+    exit_code = 15
+
 
 class UnknownExperiment(ReproError, ValueError):
     """An experiment id is not in the registry.
@@ -166,6 +202,8 @@ class UnknownExperiment(ReproError, ValueError):
     function-name aliases) that resolve to nothing; the message lists
     the registered ids.
     """
+
+    exit_code = 16
 
 
 class ModelViolation(ReproError, ValueError, RuntimeError):
@@ -176,6 +214,25 @@ class ModelViolation(ReproError, ValueError, RuntimeError):
     a crashed object, an op kind the object does not support, a
     transport swapped in after operations were triggered, and
     incremental scheduling state that diverged from its from-scratch
-    oracle.  These sites raised ``ValueError`` or ``RuntimeError``
-    before, hence both bases.
+    oracle.  Raised by the client runtime for a step of a crashed
+    client, a step with no runnable task, a ``spawn`` outside a
+    high-level operation and an unknown high-level operation; by the
+    sequential specs for an unknown operation; and by the covering
+    tracker for ``end_phase`` with no active phase.  These sites raised
+    ``ValueError`` or ``RuntimeError`` before, hence both bases.
     """
+
+    exit_code = 18
+
+
+class LayoutSearchExhausted(ReproError, RuntimeError):
+    """No capacitated layout fits within the search's server cap.
+
+    Raised by :func:`repro.core.layout_opt.capacitated_layout` when no
+    server count up to ``max_servers`` keeps every server at or below
+    ``capacity`` registers.  With ``max_servers >= kf + f + 1`` this
+    cannot happen, so it means the caller capped the search too low.
+    The site raised ``RuntimeError`` before, hence that base.
+    """
+
+    exit_code = 19

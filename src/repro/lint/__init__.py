@@ -6,13 +6,13 @@ seed (R001/R002/R006), Emulation-protocol conformance (R003), the
 paper's base-object access discipline (R004), listener hygiene (R005),
 and the dataflow-aware v2 families — event-loop discipline (R007),
 fire-and-forget tasks (R008), replay-determinism taint (R009), and
-typed-error discipline (R010).  See ``docs/LINTING.md`` for the
-catalog, the suppression syntax, and the baseline workflow, and ``repro
-lint --help`` for the CLI (``--format sarif``, ``--changed``,
-``--jobs``, ``--explain``, ``--prune-baseline``).
+typed-error discipline (R010).  A deliberate finding is silenced in
+place by a ``# repro-lint: disable=R00x <reason>`` directive, the one
+suppression mechanism.  See ``docs/LINTING.md`` for the catalog and the
+suppression syntax, and ``repro lint --help`` for the CLI
+(``--format sarif``, ``--explain``, ``--list-rules``).
 """
 
-from repro.lint.baseline import Baseline, BaselineEntry
 from repro.lint.engine import (
     RULES,
     Finding,
@@ -21,7 +21,6 @@ from repro.lint.engine import (
     ProjectIndex,
     Rule,
     collect_files,
-    git_changed_files,
     lint_paths,
     load_module,
     register_rule,
@@ -39,8 +38,6 @@ from repro.lint.rules_flow import (  # noqa: F401 — registers R007-R010
 from repro.lint.sarif import render_sarif, sarif_payload, validate_sarif
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
     "EMULATION_SURFACE",
     "Finding",
     "LintResult",
@@ -50,7 +47,6 @@ __all__ = [
     "Rule",
     "collect_files",
     "functions_with_enclosing",
-    "git_changed_files",
     "lint_paths",
     "load_module",
     "register_rule",

@@ -9,26 +9,26 @@ module is the rule-agnostic machinery:
 * :class:`Finding` — one diagnostic, with a content *fingerprint* that
   survives line-number shifts (it hashes the rule id, the module's
   package-relative path and the normalized source line, not the line
-  number), so baselines do not rot on unrelated edits;
+  number), so code-scanning alerts keep their identity across
+  unrelated edits;
 * :class:`ModuleInfo` / :class:`ProjectIndex` — parsed modules plus
   cross-module name resolution (rules like R003 follow ``from x import
   Y`` chains to the class definition);
 * :class:`Suppressions` — per-line ``# repro-lint: disable=R00x
-  <reason>`` directives (on the flagged line or the line above);
+  <reason>`` directives (on the flagged line or the line above), the
+  one way to silence a finding;
 * :class:`Rule` and the rule registry — rules self-register via
   :func:`register_rule`; the concrete rules live in
   :mod:`repro.lint.rules`;
-* :func:`lint_paths` — collect, check, suppress, baseline.
+* :func:`lint_paths` — collect, check, suppress.
 """
 
 from __future__ import annotations
 
 import ast
 import hashlib
-import multiprocessing
 import re
-import subprocess
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import (
     Dict,
@@ -41,17 +41,11 @@ from typing import (
     Tuple,
 )
 
+from repro.errors import InvalidConfig
+
 #: rule id for files the parser rejects (not a registered rule: a file
 #: that does not parse cannot be checked, which is itself a finding).
 PARSE_ERROR = "R000"
-
-_MP_CONTEXT: "Optional[multiprocessing.context.BaseContext]"
-try:
-    # Fork keeps workers identical to the parent (registered rules and
-    # all) and skips re-import; same pattern as repro.exec.engine.
-    _MP_CONTEXT = multiprocessing.get_context("fork")
-except ValueError:  # pragma: no cover — non-POSIX platforms
-    _MP_CONTEXT = None
 
 _DIRECTIVE = re.compile(
     r"#\s*repro-lint:\s*disable=(?P<ids>[A-Z]\d{3}(?:\s*,\s*[A-Z]\d{3})*)"
@@ -70,6 +64,7 @@ class Finding:
     col: int
     message: str
     fingerprint: str = ""
+    reason: str = ""  # the silencing directive's reason (suppressed only)
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
@@ -83,6 +78,7 @@ class Finding:
             "col": self.col,
             "message": self.message,
             "fingerprint": self.fingerprint,
+            "reason": self.reason,
         }
 
 
@@ -105,12 +101,16 @@ class Suppressions:
             ids = {part.strip() for part in match.group("ids").split(",")}
             self.by_line[number] = (ids, match.group("reason"))
 
-    def matches(self, rule: str, line: int) -> bool:
+    def reason_for(self, rule: str, line: int) -> "Optional[str]":
+        """The reason of the directive silencing ``rule`` at ``line``.
+
+        ``None`` when no directive matches; ``""`` for a reasonless one.
+        """
         for candidate in (line, line - 1):
             entry = self.by_line.get(candidate)
             if entry is not None and rule in entry[0]:
-                return True
-        return False
+                return entry[1] or ""
+        return None
 
     def reasonless(self) -> "List[int]":
         """Line numbers of directives that carry no reason string."""
@@ -318,7 +318,7 @@ def register_rule(cls: type) -> type:
     """Class decorator: instantiate and register a :class:`Rule`."""
     rule = cls()
     if rule.id in RULES:
-        raise ValueError(f"duplicate rule id {rule.id}")
+        raise InvalidConfig(f"duplicate rule id {rule.id}")
     RULES[rule.id] = rule
     return cls
 
@@ -387,8 +387,6 @@ class LintResult:
     findings: "List[Finding]"  # every finding, pre-suppression
     active: "List[Finding]"  # findings that fail the run
     suppressed: "List[Finding]"  # silenced by inline directives
-    baselined: "List[Finding]"  # silenced by the baseline file
-    stale_baseline: "List[Dict[str, str]]"  # baseline entries that no longer match
     files: int = 0
 
     @property
@@ -438,13 +436,11 @@ def run_rules(
         occurrence = occurrences.get(key, 0)
         occurrences[key] = occurrence + 1
         stamped.append(
-            Finding(
-                **{
-                    **item.to_dict(),
-                    "fingerprint": fingerprint(
-                        item.relpath, item.rule, text, occurrence
-                    ),
-                }
+            replace(
+                item,
+                fingerprint=fingerprint(
+                    item.relpath, item.rule, text, occurrence
+                ),
             )
         )
     return stamped
@@ -459,130 +455,30 @@ def _split_suppressed(
     suppressed: "List[Finding]" = []
     for item in findings:
         module = by_display.get(item.path)
-        if module is not None and module.suppressions.matches(
-            item.rule, item.line
-        ):
-            suppressed.append(item)
-        else:
+        reason = (
+            module.suppressions.reason_for(item.rule, item.line)
+            if module is not None
+            else None
+        )
+        if reason is None:
             unsuppressed.append(item)
+        else:
+            suppressed.append(replace(item, reason=reason))
     return unsuppressed, suppressed
-
-
-def _analyze_chunk(
-    payload: "Tuple[Tuple[str, ...], Optional[Tuple[str, ...]]]",
-) -> "Tuple[List[Finding], List[Finding], List[Finding]]":
-    """Worker body for parallel lint: one chunk of whole files.
-
-    Fingerprint occurrence counters and suppression lookups are both
-    per-file, so any whole-file partition of the input produces the
-    same findings as a sequential run.
-    """
-    file_strs, rule_ids = payload
-    modules = [load_module(Path(item)) for item in file_strs]
-    findings = run_rules(
-        modules, list(rule_ids) if rule_ids is not None else None
-    )
-    unsuppressed, suppressed = _split_suppressed(modules, findings)
-    return findings, unsuppressed, suppressed
-
-
-def _FINDING_ORDER(item: Finding) -> "Tuple[str, int, int, str]":
-    return (item.relpath, item.line, item.col, item.rule)
 
 
 def lint_paths(
     paths: "Iterable[Path | str]",
-    baseline: "Optional[object]" = None,
     rule_ids: "Optional[Iterable[str]]" = None,
-    jobs: int = 0,
 ) -> LintResult:
-    """Lint files/directories; apply suppressions, then the baseline.
-
-    ``jobs > 1`` fans whole files out across a fork-context process
-    pool (``repro lint --jobs``); output order and fingerprints are
-    identical to a sequential run.  Falls back to sequential when fork
-    is unavailable or the pool breaks.
-    """
+    """Lint files/directories; split findings by inline suppressions."""
     files = collect_files(paths)
-    rule_list = list(rule_ids) if rule_ids is not None else None
-    findings: "Optional[List[Finding]]" = None
-    active: "List[Finding]" = []
-    suppressed: "List[Finding]" = []
-    if jobs > 1 and _MP_CONTEXT is not None and len(files) > 1:
-        workers = min(jobs, len(files))
-        chunks = [
-            tuple(str(path) for path in files[index::workers])
-            for index in range(workers)
-        ]
-        tasks = [
-            (chunk, tuple(rule_list) if rule_list is not None else None)
-            for chunk in chunks
-            if chunk
-        ]
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(
-                max_workers=len(tasks), mp_context=_MP_CONTEXT
-            ) as pool:
-                parts = list(pool.map(_analyze_chunk, tasks))
-        except Exception:  # pragma: no cover — broken pool, fall back
-            parts = None
-        if parts is not None:
-            findings = sorted(
-                (item for part in parts for item in part[0]),
-                key=_FINDING_ORDER,
-            )
-            active = sorted(
-                (item for part in parts for item in part[1]),
-                key=_FINDING_ORDER,
-            )
-            suppressed = sorted(
-                (item for part in parts for item in part[2]),
-                key=_FINDING_ORDER,
-            )
-    if findings is None:
-        modules = [load_module(path) for path in files]
-        findings = run_rules(modules, rule_list)
-        active, suppressed = _split_suppressed(modules, findings)
-    baselined: "List[Finding]" = []
-    stale: "List[Dict[str, str]]" = []
-    if baseline is not None:
-        active, baselined, stale = baseline.partition(active)
+    modules = [load_module(path) for path in files]
+    findings = run_rules(modules, rule_ids)
+    active, suppressed = _split_suppressed(modules, findings)
     return LintResult(
         findings=findings,
         active=active,
         suppressed=suppressed,
-        baselined=baselined,
-        stale_baseline=stale,
         files=len(files),
     )
-
-
-def git_changed_files(cwd: "Path | str" = ".") -> "Optional[Set[Path]]":
-    """Files changed relative to HEAD (staged, unstaged, untracked).
-
-    Returns resolved absolute paths, or None when ``git`` is missing or
-    the directory is not a work tree — callers fall back to a full run.
-    """
-    commands = (
-        ["git", "diff", "--name-only", "HEAD"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    )
-    changed: "Set[Path]" = set()
-    for command in commands:
-        try:
-            proc = subprocess.run(
-                command,
-                cwd=str(cwd),
-                capture_output=True,
-                text=True,
-                timeout=30,
-                check=True,
-            )
-        except (OSError, subprocess.SubprocessError):
-            return None
-        for line in proc.stdout.splitlines():
-            if line.strip():
-                changed.add((Path(cwd) / line.strip()).resolve())
-    return changed

@@ -15,21 +15,10 @@ def render_text(result: LintResult, verbose: bool = False) -> str:
         lines.extend(
             f"{item.render()} [suppressed]" for item in result.suppressed
         )
-        lines.extend(
-            f"{item.render()} [baselined]" for item in result.baselined
-        )
-    for entry in result.stale_baseline:
-        lines.append(
-            f"stale baseline entry: {entry['rule']} {entry['path']}"
-            f" ({entry['fingerprint']}) — finding no longer exists;"
-            " remove it from the baseline"
-        )
     lines.append(
         f"repro lint: {result.files} file(s),"
         f" {len(result.active)} finding(s)"
-        f" ({len(result.suppressed)} suppressed,"
-        f" {len(result.baselined)} baselined,"
-        f" {len(result.stale_baseline)} stale baseline)"
+        f" ({len(result.suppressed)} suppressed)"
     )
     return "\n".join(lines)
 
@@ -39,14 +28,10 @@ def render_json(result: LintResult) -> str:
     payload: "Dict[str, Any]" = {
         "findings": [item.to_dict() for item in result.active],
         "suppressed": [item.to_dict() for item in result.suppressed],
-        "baselined": [item.to_dict() for item in result.baselined],
-        "stale_baseline": result.stale_baseline,
         "summary": {
             "files": result.files,
             "active": len(result.active),
             "suppressed": len(result.suppressed),
-            "baselined": len(result.baselined),
-            "stale_baseline": len(result.stale_baseline),
             "ok": result.ok,
         },
     }

@@ -25,7 +25,7 @@ the rules err toward silence rather than noise.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.dataflow import (
     FunctionNode,
@@ -597,17 +597,18 @@ class TypedErrorRule(Rule):
     explain = (
         "repro.errors defines one class per failure mode, each also\n"
         "subclassing the builtin it historically raised, so `except\n"
-        "ValueError` keeps working while the CLI maps every class to a\n"
-        "distinct exit code (repro.cli.exit_code_for) and sweep tooling\n"
-        "can triage failures mechanically.  A bare `raise ValueError`\n"
-        "collapses that taxonomy.  Pick the class that matches the\n"
-        "failure: InvalidConfig (bad config parameters), BoundViolation\n"
-        "(outside a bound's domain), WriterBoundExceeded (writer id >=\n"
-        "k), WireDecodeError (malformed frames) for caller errors;\n"
-        "QuorumUnavailable, StaleShardMap, ShardCapacityExceeded,\n"
+        "ValueError` keeps working while every class carries a distinct\n"
+        "CLI exit code (its `exit_code`, read by repro.cli.exit_code_for)\n"
+        "and sweep tooling can triage failures mechanically.  A bare\n"
+        "`raise ValueError` collapses that taxonomy.  Pick the class\n"
+        "that matches the failure: InvalidConfig (bad parameters),\n"
+        "BoundViolation (outside a bound's domain), WriterBoundExceeded\n"
+        "(writer id >= k), WireDecodeError (malformed frames) for caller\n"
+        "errors; QuorumUnavailable, StaleShardMap, ShardCapacityExceeded,\n"
         "SessionClosed for environmental failures; ModelViolation for\n"
         "an action the simulation's step model forbids.  New failure\n"
-        "modes get a new subclass in repro/errors.py."
+        "modes get a new subclass, with its own exit_code, in\n"
+        "repro/errors.py.  An R010 finding is fixed, never suppressed."
     )
 
     #: the hierarchy itself and its tests may raise anything.

@@ -4,22 +4,21 @@ SARIF (Static Analysis Results Interchange Format) is the format CI
 platforms ingest for PR annotations: GitHub's ``upload-sarif`` action
 turns each ``result`` into an inline diff annotation at its
 ``physicalLocation``.  This module renders a :class:`~repro.lint.engine.
-LintResult` as one SARIF run and validates the output — against the
-relevant slice of the official schema via ``jsonschema`` when that
-package is importable, and via structural checks otherwise, so the
-``lint-self`` CI smoke needs no network access.
+LintResult` as one SARIF run and validates the output against the slice
+of the official schema the lint output exercises, with plain structural
+checks, so the ``lint-self`` CI smoke needs neither network access nor
+a schema library.
 
-Suppressed and baselined findings are included with a ``suppressions``
-array (kind ``inSource`` for ``# repro-lint: disable=`` directives,
-kind ``external`` for baseline entries, carrying the baseline reason as
-the justification); SARIF consumers hide suppressed results but keep
+Suppressed findings are included with a ``suppressions`` array (kind
+``inSource``, carrying the ``# repro-lint: disable=`` directive's reason
+as the justification); SARIF consumers hide suppressed results but keep
 them auditable.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence, Set
 
 from repro.lint.engine import RULES, Finding, LintResult
 
@@ -29,146 +28,9 @@ SARIF_SCHEMA_URI = (
     "Schemata/sarif-schema-2.1.0.json"
 )
 
-#: the slice of the SARIF 2.1.0 schema the lint output exercises.
-#: Field names and requiredness mirror the official schema; keeping it
-#: inline lets CI validate without fetching the 300 kB original.
-SARIF_MINI_SCHEMA: "Dict[str, Any]" = {
-    "type": "object",
-    "required": ["version", "runs"],
-    "properties": {
-        "version": {"const": SARIF_VERSION},
-        "$schema": {"type": "string"},
-        "runs": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["tool", "results"],
-                "properties": {
-                    "tool": {
-                        "type": "object",
-                        "required": ["driver"],
-                        "properties": {
-                            "driver": {
-                                "type": "object",
-                                "required": ["name"],
-                                "properties": {
-                                    "name": {"type": "string"},
-                                    "version": {"type": "string"},
-                                    "informationUri": {"type": "string"},
-                                    "rules": {
-                                        "type": "array",
-                                        "items": {
-                                            "type": "object",
-                                            "required": ["id"],
-                                            "properties": {
-                                                "id": {"type": "string"},
-                                                "name": {"type": "string"},
-                                                "shortDescription": {
-                                                    "type": "object",
-                                                    "required": ["text"],
-                                                },
-                                                "fullDescription": {
-                                                    "type": "object",
-                                                    "required": ["text"],
-                                                },
-                                                "defaultConfiguration": {
-                                                    "type": "object"
-                                                },
-                                            },
-                                        },
-                                    },
-                                },
-                            }
-                        },
-                    },
-                    "results": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["message", "ruleId"],
-                            "properties": {
-                                "ruleId": {"type": "string"},
-                                "ruleIndex": {
-                                    "type": "integer",
-                                    "minimum": 0,
-                                },
-                                "level": {
-                                    "enum": [
-                                        "none",
-                                        "note",
-                                        "warning",
-                                        "error",
-                                    ]
-                                },
-                                "message": {
-                                    "type": "object",
-                                    "required": ["text"],
-                                    "properties": {
-                                        "text": {"type": "string"}
-                                    },
-                                },
-                                "locations": {
-                                    "type": "array",
-                                    "items": {
-                                        "type": "object",
-                                        "properties": {
-                                            "physicalLocation": {
-                                                "type": "object",
-                                                "properties": {
-                                                    "artifactLocation": {
-                                                        "type": "object",
-                                                        "required": ["uri"],
-                                                    },
-                                                    "region": {
-                                                        "type": "object",
-                                                        "properties": {
-                                                            "startLine": {
-                                                                "type": "integer",
-                                                                "minimum": 1,
-                                                            },
-                                                            "startColumn": {
-                                                                "type": "integer",
-                                                                "minimum": 1,
-                                                            },
-                                                        },
-                                                    },
-                                                },
-                                            }
-                                        },
-                                    },
-                                },
-                                "partialFingerprints": {
-                                    "type": "object",
-                                    "additionalProperties": {
-                                        "type": "string"
-                                    },
-                                },
-                                "suppressions": {
-                                    "type": "array",
-                                    "items": {
-                                        "type": "object",
-                                        "required": ["kind"],
-                                        "properties": {
-                                            "kind": {
-                                                "enum": [
-                                                    "inSource",
-                                                    "external",
-                                                ]
-                                            },
-                                            "justification": {
-                                                "type": "string"
-                                            },
-                                        },
-                                    },
-                                },
-                            },
-                        },
-                    },
-                },
-            },
-        },
-    },
-}
+#: the schema's enums for ``result.level`` and ``suppression.kind``.
+LEVELS = ("none", "note", "warning", "error")
+SUPPRESSION_KINDS = ("inSource", "external")
 
 
 def _artifact_uri(finding: Finding) -> str:
@@ -205,20 +67,13 @@ def _result(
 
 
 def sarif_payload(
-    result: LintResult,
-    tool_version: str = "0",
-    baseline_reasons: "Optional[Dict[str, str]]" = None,
+    result: LintResult, tool_version: str = "0"
 ) -> "Dict[str, Any]":
-    """The SARIF log for one lint run, as a plain dict.
-
-    ``baseline_reasons`` maps fingerprints to baseline reason strings so
-    baselined results carry their justification.
-    """
+    """The SARIF log for one lint run, as a plain dict."""
     # importing the rule modules populates the registry for the catalog
     import repro.lint.rules  # noqa: F401
     import repro.lint.rules_flow  # noqa: F401
 
-    reasons = baseline_reasons or {}
     rules: "List[Dict[str, Any]]" = []
     rule_index: "Dict[str, int]" = {}
     for rule_id, rule in sorted(RULES.items()):
@@ -239,14 +94,9 @@ def sarif_payload(
     for finding in result.active:
         results.append(_result(finding, rule_index))
     for finding in result.suppressed:
-        results.append(
-            _result(finding, rule_index, suppression={"kind": "inSource"})
-        )
-    for finding in result.baselined:
-        suppression = {"kind": "external"}
-        reason = reasons.get(finding.fingerprint)
-        if reason:
-            suppression["justification"] = reason
+        suppression = {"kind": "inSource"}
+        if finding.reason:
+            suppression["justification"] = finding.reason
         results.append(_result(finding, rule_index, suppression=suppression))
     return {
         "$schema": SARIF_SCHEMA_URI,
@@ -269,75 +119,150 @@ def sarif_payload(
     }
 
 
-def render_sarif(
-    result: LintResult,
-    tool_version: str = "0",
-    baseline_reasons: "Optional[Dict[str, str]]" = None,
-) -> str:
+def render_sarif(result: LintResult, tool_version: str = "0") -> str:
     """The SARIF log as a JSON string (stable key order)."""
     return json.dumps(
-        sarif_payload(result, tool_version, baseline_reasons),
-        indent=2,
-        sort_keys=True,
+        sarif_payload(result, tool_version), indent=2, sort_keys=True
     )
 
 
-def _structural_errors(payload: "Dict[str, Any]") -> "List[str]":
-    """Hand-rolled checks mirroring :data:`SARIF_MINI_SCHEMA`."""
-    errors: "List[str]" = []
-    if payload.get("version") != SARIF_VERSION:
-        errors.append(f"version must be {SARIF_VERSION!r}")
-    runs = payload.get("runs")
-    if not isinstance(runs, list) or not runs:
-        return errors + ["runs must be a non-empty array"]
-    for run in runs:
-        driver = run.get("tool", {}).get("driver", {})
-        if not driver.get("name"):
-            errors.append("tool.driver.name is required")
-        known = {rule.get("id") for rule in driver.get("rules", [])}
-        for item in run.get("results", []):
-            if not item.get("ruleId"):
-                errors.append("result.ruleId is required")
-            elif known and item["ruleId"] not in known:
-                errors.append(
-                    f"result.ruleId {item['ruleId']!r} not in driver.rules"
-                )
-            if "text" not in item.get("message", {}):
-                errors.append("result.message.text is required")
-            for location in item.get("locations", []):
-                physical = location.get("physicalLocation", {})
-                if "uri" not in physical.get("artifactLocation", {}):
-                    errors.append("artifactLocation.uri is required")
-                region = physical.get("region", {})
-                for key in ("startLine", "startColumn"):
-                    value = region.get(key)
-                    if value is not None and (
-                        not isinstance(value, int) or value < 1
-                    ):
-                        errors.append(f"region.{key} must be a 1-based int")
-    return errors
+def _object(
+    value: Any, where: str, required: "Sequence[str]", errors: "List[str]"
+) -> "Dict[str, Any]":
+    """``value`` when it is an object (``{}`` otherwise); checks keys."""
+    if not isinstance(value, dict):
+        errors.append(f"{where} must be an object")
+        return {}
+    for key in required:
+        if key not in value:
+            errors.append(f"{where}.{key} is required")
+    return value
+
+
+def _array(
+    node: "Dict[str, Any]", key: str, where: str, errors: "List[str]"
+) -> "List[Any]":
+    """``node[key]`` when it is an array (``[]`` when absent or not)."""
+    value = node.get(key, [])
+    if not isinstance(value, list):
+        errors.append(f"{where}.{key} must be an array")
+        return []
+    return value
+
+
+def _strings(
+    node: "Dict[str, Any]",
+    keys: "Sequence[str]",
+    where: str,
+    errors: "List[str]",
+) -> None:
+    for key in keys:
+        if key in node and not isinstance(node[key], str):
+            errors.append(f"{where}.{key} must be a string")
+
+
+def _int_at_least(
+    node: "Dict[str, Any]",
+    key: str,
+    minimum: int,
+    where: str,
+    errors: "List[str]",
+) -> None:
+    if key not in node:
+        return
+    value = node[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        errors.append(f"{where}.{key} must be an integer >= {minimum}")
+
+
+def _enum(
+    node: "Dict[str, Any]",
+    key: str,
+    allowed: "Sequence[str]",
+    where: str,
+    errors: "List[str]",
+) -> None:
+    if key in node and node[key] not in allowed:
+        errors.append(f"{where}.{key} must be one of {', '.join(allowed)}")
+
+
+def _rule_errors(rule: Any, errors: "List[str]") -> "Optional[str]":
+    """Check one ``driver.rules`` entry; returns its id."""
+    rule = _object(rule, "rule", ("id",), errors)
+    _strings(rule, ("id", "name"), "rule", errors)
+    for key in ("shortDescription", "fullDescription"):
+        if key in rule:
+            _object(rule[key], f"rule.{key}", ("text",), errors)
+    if "defaultConfiguration" in rule:
+        _object(rule["defaultConfiguration"], "rule.config", (), errors)
+    rule_id = rule.get("id")
+    return rule_id if isinstance(rule_id, str) else None
+
+
+def _location_errors(location: Any, errors: "List[str]") -> None:
+    location = _object(location, "location", (), errors)
+    physical = _object(
+        location.get("physicalLocation", {}), "physicalLocation", (), errors
+    )
+    if "artifactLocation" in physical:
+        _object(
+            physical["artifactLocation"], "artifactLocation", ("uri",), errors
+        )
+    region = _object(physical.get("region", {}), "region", (), errors)
+    for key in ("startLine", "startColumn"):
+        _int_at_least(region, key, 1, "region", errors)
+
+
+def _result_errors(
+    item: Any, known: "Set[Optional[str]]", errors: "List[str]"
+) -> None:
+    """Check one ``run.results`` entry against the schema and the catalog."""
+    item = _object(item, "result", ("message", "ruleId"), errors)
+    _strings(item, ("ruleId",), "result", errors)
+    rule_id = item.get("ruleId")
+    if known and isinstance(rule_id, str) and rule_id not in known:
+        errors.append(f"result.ruleId {rule_id!r} not in driver.rules")
+    _int_at_least(item, "ruleIndex", 0, "result", errors)
+    _enum(item, "level", LEVELS, "result", errors)
+    if "message" in item:
+        message = _object(item["message"], "result.message", ("text",), errors)
+        _strings(message, ("text",), "result.message", errors)
+    for location in _array(item, "locations", "result", errors):
+        _location_errors(location, errors)
+    prints = _object(
+        item.get("partialFingerprints", {}), "partialFingerprints", (), errors
+    )
+    _strings(prints, tuple(prints), "partialFingerprints", errors)
+    for suppression in _array(item, "suppressions", "result", errors):
+        suppression = _object(suppression, "suppression", ("kind",), errors)
+        _enum(suppression, "kind", SUPPRESSION_KINDS, "suppression", errors)
+        _strings(suppression, ("justification",), "suppression", errors)
 
 
 def validate_sarif(payload: "Dict[str, Any]") -> "List[str]":
     """Validation errors for a SARIF log (empty list = valid).
 
-    Prefers ``jsonschema`` against :data:`SARIF_MINI_SCHEMA`; falls back
-    to the structural checks when jsonschema is unavailable.
+    Checks every constraint of the schema slice the lint output
+    exercises — required fields, types, the ``level`` and suppression
+    ``kind`` enums, 1-based line/column ints, ``ruleIndex >= 0``, string
+    fingerprints — plus one no schema can state: each result's
+    ``ruleId`` is in the run's rule catalog.
     """
-    try:
-        import jsonschema
-    except ImportError:  # pragma: no cover — jsonschema ships in CI
-        return _structural_errors(payload)
-    validator = jsonschema.Draft202012Validator(SARIF_MINI_SCHEMA)
-    errors = [
-        f"{'/'.join(str(part) for part in error.absolute_path)}:"
-        f" {error.message}"
-        for error in validator.iter_errors(payload)
-    ]
-    # the mini-schema cannot express cross-references; keep the
-    # structural ruleId-in-catalog check on top
-    return errors + [
-        message
-        for message in _structural_errors(payload)
-        if "not in driver.rules" in message
-    ]
+    errors: "List[str]" = []
+    log = _object(payload, "log", ("version", "runs"), errors)
+    if "version" in log and log["version"] != SARIF_VERSION:
+        errors.append(f"version must be {SARIF_VERSION!r}")
+    _strings(log, ("$schema",), "log", errors)
+    runs = log.get("runs")
+    if not isinstance(runs, list) or not runs:
+        return errors + ["runs must be a non-empty array"]
+    for run in runs:
+        run = _object(run, "run", ("tool", "results"), errors)
+        tool = _object(run.get("tool", {}), "tool", ("driver",), errors)
+        driver = _object(tool.get("driver", {}), "driver", ("name",), errors)
+        _strings(driver, ("name", "version", "informationUri"), "driver", errors)
+        rules = _array(driver, "rules", "driver", errors)
+        known = {_rule_errors(rule, errors) for rule in rules}
+        for item in _array(run, "results", "run", errors):
+            _result_errors(item, known, errors)
+    return errors

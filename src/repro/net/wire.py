@@ -205,7 +205,7 @@ def _pack_varint(value: int, out: bytearray) -> None:
         out.append(value)  # one byte: small indices, lengths and counts
         return
     if value < 0:
-        raise ValueError(f"varint cannot encode negative {value}")
+        raise InvalidConfig(f"varint cannot encode negative {value}")
     while True:
         byte = value & 0x7F
         value >>= 7
@@ -379,7 +379,7 @@ def _frame(frame: bytearray) -> bytes:
     """Fill in the reserved length prefix of a packed frame."""
     size = len(frame) - 4
     if size > MAX_FRAME_BYTES:
-        raise ValueError(
+        raise InvalidConfig(
             f"frame of {size} bytes exceeds the"
             f" {MAX_FRAME_BYTES}-byte wire limit"
         )

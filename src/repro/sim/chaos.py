@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 
+from repro.errors import InvalidConfig
 from repro.sim.kernel import Action, ActionKind, Environment, Kernel
 
 
@@ -43,9 +44,9 @@ class ChaosEnvironment(Environment):
         max_delay: int = 200,
     ):
         if not 0.0 <= veto_probability < 1.0:
-            raise ValueError("veto_probability must be in [0, 1)")
+            raise InvalidConfig("veto_probability must be in [0, 1)")
         if max_delay < 0:
-            raise ValueError("max_delay must be non-negative")
+            raise InvalidConfig("max_delay must be non-negative")
         self.seed = seed
         self.veto_probability = veto_probability
         self.max_delay = max_delay

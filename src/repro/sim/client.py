@@ -38,6 +38,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
 
+from repro.errors import ModelViolation
 from repro.sim.ids import ClientId, ObjectId, OpId
 from repro.sim.objects import LowLevelOp, OpKind
 
@@ -106,7 +107,7 @@ class ClientProtocol:
     ) -> ClientCoroutine:
         method = getattr(self, f"op_{name}", None)
         if method is None:
-            raise ValueError(
+            raise ModelViolation(
                 f"{type(self).__name__} has no high-level operation {name!r}"
             )
         return method(ctx, *args)
@@ -137,8 +138,8 @@ class Context:
 
     def trigger(self, object_id: ObjectId, kind: OpKind, *args: Any) -> OpId:
         """Trigger a low-level operation; returns immediately."""
-        # Inlined ClientRuntime.trigger — one call frame per low-level
-        # op is measurable on protocol-heavy runs.
+        # Straight to the kernel: one call frame per low-level op is
+        # measurable on protocol-heavy runs.
         runtime = self._runtime
         op = runtime._kernel.trigger(
             runtime.client_id, object_id, kind, args, runtime.active_seq
@@ -303,7 +304,7 @@ class ClientRuntime:
     def step(self) -> None:
         """Execute one client step: start the next op, or advance one task."""
         if self.crashed:
-            raise RuntimeError(f"step on crashed client {self.client_id}")
+            raise ModelViolation(f"step on crashed client {self.client_id}")
         if self.active_seq is None:  # idle
             self._start_next_operation()
             return
@@ -326,7 +327,7 @@ class ClientRuntime:
                         )
                     task.waiting = yielded
                     return
-        raise RuntimeError(f"no runnable task on {self.client_id}")
+        raise ModelViolation(f"no runnable task on {self.client_id}")
 
     def _start_next_operation(self) -> None:
         name, args, token = self.program.popleft()
@@ -342,12 +343,6 @@ class ClientRuntime:
         # (up to its first wait), so triggers issued unconditionally at the
         # start of an operation happen atomically with the invocation.
         self._advance(task)
-
-    def _next_runnable(self) -> Optional[_Task]:
-        for task in self.tasks:
-            if task.runnable:
-                return task
-        return None
 
     def _advance(self, task: _Task) -> None:
         task.waiting = None
@@ -382,16 +377,9 @@ class ClientRuntime:
 
     # -- low-level operations ------------------------------------------------
 
-    def trigger(self, object_id: ObjectId, kind: OpKind, args: tuple) -> OpId:
-        op = self._kernel.trigger(
-            self.client_id, object_id, kind, args, self.active_seq
-        )
-        self.pending_ops.add(op.op_id)
-        return op.op_id
-
     def spawn(self, coroutine: ClientCoroutine, name: str) -> TaskHandle:
         if self.active_seq is None:  # idle
-            raise RuntimeError("spawn outside a high-level operation")
+            raise ModelViolation("spawn outside a high-level operation")
         handle = TaskHandle(name=name)
         self.tasks.append(_Task(coroutine, handle))
         # A fresh task is runnable (waiting is None), so a client parked

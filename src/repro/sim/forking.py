@@ -19,6 +19,7 @@ from __future__ import annotations
 import copy
 from typing import List
 
+from repro.errors import InvalidConfig
 from repro.sim.kernel import Kernel
 
 
@@ -55,6 +56,6 @@ def fork_kernel(kernel: Kernel) -> Kernel:
 def fork_many(kernel: Kernel, count: int) -> "List[Kernel]":
     """``count`` independent futures of the same configuration."""
     if count < 1:
-        raise ValueError("count must be at least 1")
+        raise InvalidConfig("count must be at least 1")
     assert_forkable(kernel)
     return [copy.deepcopy(kernel) for _ in range(count)]

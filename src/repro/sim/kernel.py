@@ -911,12 +911,6 @@ class Kernel:
 
     # -- queries used by analysis/adversaries ---------------------------------
 
-    def pending_ops_on(self, object_id: ObjectId) -> "List[LowLevelOp]":
-        return [op for op in self.pending.values() if op.object_id == object_id]
-
-    def pending_mutators(self) -> "List[LowLevelOp]":
-        return [op for op in self.pending.values() if op.is_mutator]
-
     def client(self, client_id: ClientId) -> ClientRuntime:
         return self.clients[client_id]
 

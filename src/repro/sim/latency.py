@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Optional
 
+from repro.errors import InvalidConfig
 from repro.sim.ids import ClientId, ServerId
 from repro.sim.kernel import Action, ActionKind
 from repro.sim.scheduling import Scheduler
@@ -51,7 +52,7 @@ class WeightedScheduler(Scheduler):
             self.client_weights.values()
         ):
             if weight <= 0:
-                raise ValueError("weights must be positive (fairness)")
+                raise InvalidConfig("weights must be positive (fairness)")
 
     def _weight(self, action: Action, kernel) -> float:
         if action.kind is ActionKind.CLIENT:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+from repro.errors import InvalidConfig
 from repro.sim.ids import ClientId, OpId
 from repro.sim.kernel import Action, ActionKind
 from repro.sim.scheduling import Scheduler
@@ -36,7 +37,7 @@ def materialize(descriptor: ActionDescriptor) -> Action:
         return Action(ActionKind.CLIENT, client_id=ClientId(value))
     if kind == "respond":
         return Action(ActionKind.RESPOND, op_id=OpId(value))
-    raise ValueError(f"unknown action descriptor {descriptor!r}")
+    raise InvalidConfig(f"unknown action descriptor {descriptor!r}")
 
 
 class RecordingScheduler(Scheduler):

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional
 
+from repro.errors import InvalidConfig
 from repro.sim.events import (
     CrashEvent,
     EventListener,
@@ -57,7 +58,7 @@ class TraceRecorder(EventListener):
         if kinds is not None:
             unknown = set(kinds) - set(_HOOK_BY_KIND)
             if unknown:
-                raise ValueError(f"unknown event kinds: {sorted(unknown)}")
+                raise InvalidConfig(f"unknown event kinds: {sorted(unknown)}")
             for kind, hook in _HOOK_BY_KIND.items():
                 if kind not in kinds:
                     # An instance attribute bound to the base no-op: the

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.errors import InvalidConfig
+
 
 @dataclass(frozen=True)
 class TSVal:
@@ -75,7 +77,7 @@ def bottom_tsval(initial_value: Any = None) -> TSVal:
 def max_tsval(values: "list[TSVal]") -> TSVal:
     """Return the largest :class:`TSVal` of a non-empty list."""
     if not values:
-        raise ValueError("max_tsval of an empty list")
+        raise InvalidConfig("max_tsval of an empty list")
     best = values[0]
     for candidate in values[1:]:
         if candidate > best:

@@ -17,6 +17,8 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
+from repro.errors import InvalidConfig
+
 
 @dataclass(frozen=True)
 class Invocation:
@@ -181,9 +183,9 @@ class ZipfKeys:
 
     def __init__(self, universe: int, s: float = 1.1, seed: int = 0):
         if universe <= 0:
-            raise ValueError("need at least one key")
+            raise InvalidConfig("need at least one key")
         if s < 0:
-            raise ValueError("Zipf exponent must be non-negative")
+            raise InvalidConfig("Zipf exponent must be non-negative")
         self.universe = universe
         self.s = s
         self._rng = random.Random(seed)

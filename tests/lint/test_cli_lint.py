@@ -1,19 +1,9 @@
-"""The ``repro lint`` CLI: exit codes, JSON output, baseline flags."""
+"""The ``repro lint`` CLI: exit codes, JSON and SARIF output."""
 
 import json
 import textwrap
 
-import pytest
-
 from repro.cli import main
-
-
-@pytest.fixture(autouse=True)
-def _run_from_tmp(tmp_path, monkeypatch):
-    # The default baseline path is CWD-relative; run each test from its
-    # temp dir so the repository's own lint-baseline.json stays out of
-    # the picture (its entries are all stale for a one-file fixture run).
-    monkeypatch.chdir(tmp_path)
 
 CLEAN = """
 def add(a, b):
@@ -49,14 +39,6 @@ class TestExitCodes:
     def test_missing_path_exits_two(self, tmp_path, capsys):
         assert main(["lint", str(tmp_path / "nope.py")]) == 2
         assert "error" in capsys.readouterr().err
-
-    def test_missing_explicit_baseline_exits_two(self, tmp_path, capsys):
-        path = write(tmp_path, CLEAN)
-        code = main(
-            ["lint", str(path), "--baseline", str(tmp_path / "absent.json")]
-        )
-        assert code == 2
-        assert "baseline file not found" in capsys.readouterr().err
 
 
 class TestOutput:
@@ -95,111 +77,6 @@ class TestOutput:
         assert "[suppressed]" in capsys.readouterr().out
 
 
-class TestBaselineFlags:
-    def test_write_then_lint_against_baseline(self, tmp_path, capsys):
-        path = write(tmp_path, DIRTY)
-        baseline = tmp_path / "baseline.json"
-        assert (
-            main(
-                [
-                    "lint",
-                    str(path),
-                    "--write-baseline",
-                    "--baseline",
-                    str(baseline),
-                ]
-            )
-            == 0
-        )
-        assert baseline.is_file()
-        assert (
-            main(["lint", str(path), "--baseline", str(baseline)]) == 0
-        )
-        assert "1 baselined" in capsys.readouterr().out
-
-    def test_stale_baseline_fails(self, tmp_path, capsys):
-        path = write(tmp_path, DIRTY)
-        baseline = tmp_path / "baseline.json"
-        main(
-            ["lint", str(path), "--write-baseline", "--baseline", str(baseline)]
-        )
-        write(tmp_path, CLEAN)  # the finding is fixed; the entry rots
-        assert (
-            main(["lint", str(path), "--baseline", str(baseline)]) == 1
-        )
-        assert "stale baseline entry" in capsys.readouterr().out
-
-    def test_no_baseline_ignores_file(self, tmp_path, capsys):
-        path = write(tmp_path, DIRTY)
-        baseline = tmp_path / "baseline.json"
-        main(
-            ["lint", str(path), "--write-baseline", "--baseline", str(baseline)]
-        )
-        code = main(
-            [
-                "lint",
-                str(path),
-                "--no-baseline",
-                "--baseline",
-                str(baseline),
-            ]
-        )
-        assert code == 1
-        capsys.readouterr()
-
-    def test_prune_baseline_drops_stale_entries(self, tmp_path, capsys):
-        path = write(tmp_path, DIRTY)
-        baseline = tmp_path / "baseline.json"
-        main(
-            ["lint", str(path), "--write-baseline", "--baseline", str(baseline)]
-        )
-        write(tmp_path, CLEAN)  # fix the finding; the entry goes stale
-        code = main(
-            [
-                "lint",
-                str(path),
-                "--baseline",
-                str(baseline),
-                "--prune-baseline",
-            ]
-        )
-        assert code == 0
-        assert "pruned 1 stale" in capsys.readouterr().err
-        payload = json.loads(baseline.read_text(encoding="utf-8"))
-        assert payload["entries"] == []
-        # next run is clean against the pruned baseline
-        assert main(["lint", str(path), "--baseline", str(baseline)]) == 0
-        capsys.readouterr()
-
-    def test_prune_baseline_keeps_live_entries(self, tmp_path, capsys):
-        path = write(tmp_path, DIRTY)
-        baseline = tmp_path / "baseline.json"
-        main(
-            ["lint", str(path), "--write-baseline", "--baseline", str(baseline)]
-        )
-        code = main(
-            [
-                "lint",
-                str(path),
-                "--baseline",
-                str(baseline),
-                "--prune-baseline",
-            ]
-        )
-        assert code == 0
-        assert "pruned 0 stale" in capsys.readouterr().err
-        payload = json.loads(baseline.read_text(encoding="utf-8"))
-        assert len(payload["entries"]) == 1
-
-    def test_prune_baseline_without_baseline_exits_two(
-        self, tmp_path, capsys
-    ):
-        path = write(tmp_path, CLEAN)
-        code = main(["lint", str(path), "--no-baseline", "--prune-baseline"])
-        assert code == 2
-        assert "needs a baseline" in capsys.readouterr().err
-
-
 class TestSarifFormat:
     def test_sarif_to_stdout_validates(self, tmp_path, capsys):
         from repro.lint import validate_sarif
@@ -233,67 +110,3 @@ class TestExplainFlag:
     def test_explain_unknown_rule(self, capsys):
         assert main(["lint", "--explain", "R999"]) == 0
         assert "unknown rule" in capsys.readouterr().out
-
-
-class TestJobsFlag:
-    def test_parallel_matches_sequential(self, tmp_path, capsys):
-        for index in range(4):
-            write(tmp_path, DIRTY, name=f"mod_{index}.py")
-        write(tmp_path, CLEAN, name="clean.py")
-        assert main(["lint", str(tmp_path)]) == 1
-        sequential = capsys.readouterr().out
-        assert main(["lint", str(tmp_path), "--jobs", "3"]) == 1
-        parallel = capsys.readouterr().out
-        assert parallel == sequential
-        assert sequential.count("R001") == 4
-
-
-class TestChangedFlag:
-    def _git(self, tmp_path, *argv):
-        import subprocess
-
-        subprocess.run(
-            ["git", *argv],
-            cwd=tmp_path,
-            check=True,
-            capture_output=True,
-            env={
-                "GIT_AUTHOR_NAME": "t",
-                "GIT_AUTHOR_EMAIL": "t@example.invalid",
-                "GIT_COMMITTER_NAME": "t",
-                "GIT_COMMITTER_EMAIL": "t@example.invalid",
-                "PATH": __import__("os").environ["PATH"],
-                "HOME": str(tmp_path),
-            },
-        )
-
-    def test_changed_lints_only_dirty_files(self, tmp_path, capsys):
-        committed = write(tmp_path, DIRTY, name="committed.py")
-        self._git(tmp_path, "init", "-q")
-        self._git(tmp_path, "add", ".")
-        self._git(tmp_path, "commit", "-qm", "seed")
-        write(tmp_path, DIRTY, name="fresh.py")
-        assert main(["lint", str(tmp_path), "--changed"]) == 1
-        out = capsys.readouterr().out
-        assert "fresh.py" in out
-        assert "committed.py" not in out
-        assert committed.is_file()
-
-    def test_changed_with_nothing_dirty_is_clean(self, tmp_path, capsys):
-        write(tmp_path, DIRTY, name="committed.py")
-        self._git(tmp_path, "init", "-q")
-        self._git(tmp_path, "add", ".")
-        self._git(tmp_path, "commit", "-qm", "seed")
-        assert main(["lint", str(tmp_path), "--changed"]) == 0
-        assert "no changed files" in capsys.readouterr().out
-
-    def test_changed_outside_git_falls_back(self, tmp_path, capsys):
-        write(tmp_path, DIRTY)
-        code = main(["lint", str(tmp_path / "fixture.py"), "--changed"])
-        captured = capsys.readouterr()
-        if "needs a git work tree" in captured.err:
-            assert code == 1  # fell back to a full run
-        else:
-            # the temp dir sits inside some enclosing repo: the fixture
-            # is untracked there, so it is linted as changed
-            assert code in (0, 1)

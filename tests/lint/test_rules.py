@@ -703,7 +703,7 @@ class TestR005:
 
     def test_module_level_subscription_is_ignored(self, tmp_path):
         # Only subscriptions inside functions are checked; deployment
-        # wiring at class/module construction time is the baseline's job.
+        # wiring at class/module construction time is out of scope.
         result = lint_source(
             tmp_path,
             """

@@ -1,15 +1,12 @@
-"""SARIF 2.1.0 rendering and validation (``--format sarif``)."""
+"""SARIF 2.1.0 rendering and validation (``--format sarif``), and the
+content fingerprints each result carries."""
 
 import json
 import textwrap
 
-from repro.lint import (
-    Baseline,
-    lint_paths,
-    render_sarif,
-    sarif_payload,
-    validate_sarif,
-)
+import pytest
+
+from repro.lint import lint_paths, render_sarif, sarif_payload, validate_sarif
 from repro.lint.sarif import SARIF_VERSION
 
 DIRTY = """
@@ -24,11 +21,17 @@ import random
 value = random.random()  # repro-lint: disable=R001 fixture reason
 """
 
+LEAK = """
+def leaky(kernel, meter):
+    kernel.add_listener(meter)
+    kernel.run(max_steps=100)
+"""
 
-def _lint(tmp_path, source, baseline=None, name="fixture.py"):
+
+def _lint(tmp_path, source, name="fixture.py", rule_ids=None):
     path = tmp_path / name
     path.write_text(textwrap.dedent(source), encoding="utf-8")
-    return lint_paths([path], baseline=baseline)
+    return lint_paths([path], rule_ids=rule_ids)
 
 
 class TestRendering:
@@ -81,22 +84,20 @@ class TestRendering:
         result = _lint(tmp_path, SUPPRESSED)
         payload = sarif_payload(result)
         (item,) = payload["runs"][0]["results"]
-        assert item["suppressions"] == [{"kind": "inSource"}]
+        assert item["suppressions"][0]["kind"] == "inSource"
 
-    def test_baselined_marked_external_with_justification(self, tmp_path):
-        first = _lint(tmp_path, DIRTY)
-        baseline = Baseline.from_findings(first.active)
-        baseline.entries[0].reason = "legacy fixture, tracked in #42"
-        result = _lint(tmp_path, DIRTY, baseline=baseline)
-        payload = sarif_payload(
-            result, baseline_reasons=baseline.reasons()
-        )
+    def test_inline_suppression_carries_justification(self, tmp_path):
+        payload = sarif_payload(_lint(tmp_path, SUPPRESSED))
         (item,) = payload["runs"][0]["results"]
-        assert item["suppressions"][0]["kind"] == "external"
-        assert (
-            item["suppressions"][0]["justification"]
-            == "legacy fixture, tracked in #42"
-        )
+        assert item["suppressions"] == [
+            {"kind": "inSource", "justification": "fixture reason"}
+        ]
+
+    def test_reasonless_directive_has_no_justification(self, tmp_path):
+        source = SUPPRESSED.replace(" fixture reason", "")
+        payload = sarif_payload(_lint(tmp_path, source))
+        (item,) = payload["runs"][0]["results"]
+        assert item["suppressions"] == [{"kind": "inSource"}]
 
 
 class TestValidation:
@@ -127,12 +128,83 @@ class TestValidation:
             for message in validate_sarif(payload)
         )
 
-    def test_structural_fallback_matches_jsonschema(self, tmp_path):
-        from repro.lint.sarif import _structural_errors
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("level", "fatal"),
+            ("ruleIndex", -1),
+            ("ruleIndex", "0"),
+            ("ruleId", 1),
+            ("message", "text"),
+            ("locations", {}),
+            ("partialFingerprints", {"reproLint/v1": 7}),
+            ("suppressions", [{"kind": "baseline"}]),
+            ("suppressions", [{"justification": "no kind"}]),
+            ("suppressions", [{"kind": "inSource", "justification": 1}]),
+        ],
+    )
+    def test_bad_result_field_rejected(self, tmp_path, field, value):
+        payload = sarif_payload(_lint(tmp_path, DIRTY))
+        payload["runs"][0]["results"][0][field] = value
+        assert validate_sarif(payload)
 
-        good = sarif_payload(_lint(tmp_path, DIRTY))
-        assert _structural_errors(good) == []
-        bad = sarif_payload(_lint(tmp_path, DIRTY))
-        bad["version"] = "1.0.0"
-        del bad["runs"][0]["results"][0]["message"]
-        assert len(_structural_errors(bad)) >= 2
+    @pytest.mark.parametrize(
+        "key, value", [("startLine", 0), ("startColumn", True)]
+    )
+    def test_region_must_be_one_based_int(self, tmp_path, key, value):
+        payload = sarif_payload(_lint(tmp_path, DIRTY))
+        location = payload["runs"][0]["results"][0]["locations"][0]
+        location["physicalLocation"]["region"][key] = value
+        assert validate_sarif(payload)
+
+    def test_missing_required_fields_rejected(self, tmp_path):
+        payload = sarif_payload(_lint(tmp_path, DIRTY))
+        run = payload["runs"][0]
+        del run["tool"]["driver"]["name"]
+        del run["tool"]["driver"]["rules"][0]["id"]
+        location = run["results"][0]["locations"][0]["physicalLocation"]
+        del location["artifactLocation"]["uri"]
+        errors = validate_sarif(payload)
+        for needle in ("driver.name", "rule.id", "artifactLocation.uri"):
+            assert any(needle in message for message in errors), needle
+
+
+class TestFingerprints:
+    """A fingerprint hashes the rule id, the package-relative path and
+    the normalized source line — not the line number — so a result keeps
+    its code-scanning identity across edits that merely shift code."""
+
+    def test_stable_across_line_shifts(self, tmp_path):
+        before = _lint(tmp_path, LEAK, rule_ids=["R005"])
+        after = _lint(
+            tmp_path, "# a new comment\n\n\n" + LEAK, rule_ids=["R005"]
+        )
+        (first,) = before.active
+        (second,) = after.active
+        assert first.line != second.line
+        assert first.fingerprint == second.fingerprint
+
+    def test_changes_when_line_changes(self, tmp_path):
+        before = _lint(tmp_path, LEAK, rule_ids=["R005"])
+        after = _lint(
+            tmp_path,
+            LEAK.replace("(meter)", "(other_meter)"),
+            rule_ids=["R005"],
+        )
+        assert before.active[0].fingerprint != after.active[0].fingerprint
+
+    def test_identical_lines_get_distinct_fingerprints(self, tmp_path):
+        result = _lint(
+            tmp_path,
+            """
+            def one(kernel, meter):
+                kernel.add_listener(meter)
+
+            def two(kernel, meter):
+                kernel.add_listener(meter)
+            """,
+            rule_ids=["R005"],
+        )
+        assert len(result.active) == 2
+        fingerprints = {item.fingerprint for item in result.active}
+        assert len(fingerprints) == 2

@@ -1,31 +1,29 @@
 """The repository must pass its own linter.
 
-``repro lint src/`` with the checked-in baseline is a CI gate; this test
-is the same gate runnable locally, plus the hygiene conditions that keep
-the gate honest: no reasonless suppression directives, no placeholder
-reasons in the baseline, and no baseline rot.
+``repro lint src/`` is a CI gate; this test is the same gate runnable
+locally, plus the hygiene conditions that keep the gate honest: every
+suppression directive carries a reason, and no R010 finding is
+silenced — every raise site uses a ``repro.errors`` class.
 """
 
 from pathlib import Path
 
-from repro.lint import Baseline, collect_files, lint_paths, load_module
-from repro.lint.baseline import PLACEHOLDER_REASON
+from repro.lint import collect_files, lint_paths, load_module
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src"
-BASELINE = REPO_ROOT / "lint-baseline.json"
 
 
 def test_src_is_lint_clean():
-    baseline = Baseline.load(BASELINE) if BASELINE.is_file() else None
-    result = lint_paths([SRC], baseline=baseline)
+    result = lint_paths([SRC])
     assert result.files > 0
     rendered = "\n".join(item.render() for item in result.active)
     assert result.active == [], f"lint findings in src/:\n{rendered}"
-    assert result.stale_baseline == [], (
-        "stale baseline entries (fixed findings still grandfathered):"
-        f" {result.stale_baseline}"
-    )
+
+
+def test_no_typed_error_finding_is_suppressed():
+    result = lint_paths([SRC], rule_ids=["R010"])
+    assert result.findings == [], [item.render() for item in result.findings]
 
 
 def test_every_suppression_has_a_reason():
@@ -37,19 +35,6 @@ def test_every_suppression_has_a_reason():
     assert offenders == [], (
         "repro-lint directives without a reason string: " + ", ".join(offenders)
     )
-
-
-def test_baseline_reasons_are_real():
-    if not BASELINE.is_file():
-        return
-    baseline = Baseline.load(BASELINE)
-    assert baseline.entries, "an empty baseline file should be deleted"
-    for entry in baseline.entries:
-        assert entry.reason, f"baseline entry {entry.fingerprint} lacks a reason"
-        assert entry.reason != PLACEHOLDER_REASON, (
-            f"baseline entry {entry.fingerprint} still carries the"
-            " --write-baseline placeholder; justify or fix it"
-        )
 
 
 def test_parse_clean():

@@ -109,6 +109,17 @@ class TestCommands:
         assert "error:" in err
         assert "Theorem 5" in err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--rate", "0"), ("--sessions", "0"), ("--keys", "0"), ("--zipf", "-1")],
+    )
+    def test_loadgen_parameter_mistakes_exit_invalid_config(
+        self, capsys, flag, value
+    ):
+        argv = ["loadgen", "--transport", "sim", "--shards", "1", flag, value]
+        assert main(argv) == 8  # InvalidConfig
+        assert "error:" in capsys.readouterr().err
+
 
 class TestEngineFlags:
     SWEEP = ["sweep", "-k", "2", "-f", "1"]

@@ -9,6 +9,7 @@ from repro.errors import (
     CodeVersionMismatch,
     GridFailed,
     InvalidConfig,
+    LayoutSearchExhausted,
     ModelViolation,
     NoMergeableResults,
     QueueError,
@@ -52,6 +53,7 @@ class TestHierarchy:
         (UnknownExperiment, ValueError),
         (TransportUnavailable, RuntimeError),
         (ModelViolation, ValueError),
+        (LayoutSearchExhausted, RuntimeError),
     ]
 
     @pytest.mark.parametrize("error_class,legacy", CASES)
@@ -74,20 +76,54 @@ class TestHierarchy:
             raise QuorumUnavailable("quorum gone")
 
 
+#: every class's CLI exit code; ReproError itself is a generic usage error.
+EXIT_CODES = {
+    ReproError: 2,
+    WriterBoundExceeded: 3,
+    QuorumUnavailable: 4,
+    StaleShardMap: 5,
+    ShardCapacityExceeded: 6,
+    WireDecodeError: 7,
+    InvalidConfig: 8,
+    BoundViolation: 9,
+    SessionClosed: 10,
+    QueueError: 11,
+    CellClaimLost: 12,
+    CodeVersionMismatch: 13,
+    GridFailed: 14,
+    NoMergeableResults: 15,
+    UnknownExperiment: 16,
+    TransportUnavailable: 17,
+    ModelViolation: 18,
+    LayoutSearchExhausted: 19,
+}
+
+
 class TestExitCodes:
+    def test_full_class_to_code_map(self):
+        import repro.errors
+
+        classes = {
+            value
+            for value in vars(repro.errors).values()
+            if isinstance(value, type) and issubclass(value, ReproError)
+        }
+        assert classes == set(EXIT_CODES)
+        assert {
+            error_class: exit_code_for(error_class("x"))
+            for error_class in classes
+        } == EXIT_CODES
+
     def test_each_class_gets_a_distinct_code(self):
         codes = [
             exit_code_for(error_class("x"))
             for error_class, _ in TestHierarchy.CASES
         ]
-        assert codes == [
-            3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18
-        ]
         assert len(set(codes)) == len(codes)
 
     def test_queue_subclasses_keep_distinct_codes(self):
-        # isinstance ordering: the claim-protocol subclasses must not
-        # collapse into the generic QueueError code.
+        # The claim-protocol subclasses override the exit_code they
+        # would otherwise inherit from QueueError.
         assert exit_code_for(CellClaimLost("x")) == 12
         assert exit_code_for(CodeVersionMismatch("x")) == 13
         assert exit_code_for(QueueError("x")) == 11
@@ -264,10 +300,230 @@ def _placement_out_of_range():
     build_system(2, [(2, "register", None)])
 
 
+# -- the raise sites R010 used to grandfather ----------------------------------
+
+
+def _loadgen(**params):
+    from repro.apps.shard import ShardedKVService, ShardServiceConfig, run_loadgen
+
+    service = ShardedKVService(ShardServiceConfig.make(shards=1))
+    run_loadgen(service, clock=lambda: 0.0, sleep=lambda _: None, **params)
+
+
+def _loadgen_zero_rate():
+    _loadgen(rate=0)
+
+
+def _loadgen_zero_sessions():
+    _loadgen(sessions=0)
+
+
+def _router_without_shards():
+    from repro.apps.shard.router import ShardRouter
+
+    ShardRouter(0)
+
+
+def _one_write_history():
+    from repro.core.ws_register import WSRegisterEmulation
+
+    emu = WSRegisterEmulation(k=1, n=3, f=1, scheduler=RandomScheduler(0))
+    emu.add_writer(0).enqueue("write", "v")
+    emu.kernel.run()
+    return emu
+
+
+def _mw_regularity_over_write_budget():
+    from repro.consistency.mw_regularity import check_mw_regular_strong
+
+    check_mw_regular_strong(_one_write_history().history, max_writes=0)
+
+
+def _spec(name):
+    from repro.consistency import specs
+
+    getattr(specs, name)(None).apply(None, "increment", ())
+
+
+def _register_spec_unknown_op():
+    _spec("RegisterSpec")
+
+
+def _max_register_spec_unknown_op():
+    _spec("MaxRegisterSpec")
+
+
+def _cas_spec_unknown_op():
+    _spec("CASSpec")
+
+
+def _reader_write_max():
+    from repro.core.collect_maxreg import CollectMaxRegister
+
+    emu = CollectMaxRegister(k=2)
+    emu.add_reader().enqueue("write_max", 5)
+    emu.kernel.run()
+
+
+def _tracker():
+    from repro.core.covering import CoveringTracker
+
+    return CoveringTracker(_one_write_history().object_map, f=1)
+
+
+def _covering_phase_wrong_F():
+    _tracker().start_phase(1, {ServerId(0)}, 0)
+
+
+def _covering_end_without_phase():
+    _tracker().end_phase()
+
+
+def _layout(*args, **kwargs):
+    from repro.core.layout_opt import capacitated_layout
+
+    capacitated_layout(*args, **kwargs)
+
+
+def _layout_zero_writers():
+    _layout(0, 1, 1)
+
+
+def _layout_zero_capacity():
+    _layout(1, 1, 0)
+
+
+def _layout_search_capped():
+    _layout(5, 2, 1, max_servers=3)
+
+
+def _lemma1_runner(F=None):
+    from repro.core.lemma1 import Lemma1Runner
+    from repro.core.ws_register import WSRegisterEmulation
+
+    def factory(scheduler):
+        return WSRegisterEmulation(k=2, n=5, f=1, scheduler=scheduler)
+
+    return Lemma1Runner(factory, k=2, f=1, F=F)
+
+
+def _lemma1_F_wrong_size():
+    _lemma1_runner(F={ServerId(0)})
+
+
+def _lemma1_F_outside_servers():
+    _lemma1_runner(F={ServerId(0), ServerId(99)})
+
+
+def _lemma1_wrong_value_count():
+    _lemma1_runner().run(values=["only one"])
+
+
+def _duplicate_lint_rule():
+    from repro.lint import RULES, register_rule
+
+    register_rule(type(RULES["R001"]))
+
+
+def _negative_varint():
+    from repro.net.wire import _pack_varint
+
+    _pack_varint(-1, bytearray())
+
+
+def _oversized_frame():
+    from repro.net.wire import MAX_FRAME_BYTES, _frame
+
+    _frame(bytearray(4 + MAX_FRAME_BYTES + 1))
+
+
+def _chaos(**params):
+    from repro.sim.chaos import ChaosEnvironment
+
+    ChaosEnvironment(**params)
+
+
+def _chaos_certain_veto():
+    _chaos(veto_probability=1.0)
+
+
+def _chaos_negative_delay():
+    _chaos(max_delay=-1)
+
+
+def _unknown_high_level_op():
+    ToyProtocol().make_operation(None, "increment", ())
+
+
+def _runtime():
+    from repro.sim.client import ClientRuntime
+
+    return ClientRuntime(ClientId(0), ToyProtocol())
+
+
+def _step_crashed_client():
+    runtime = _runtime()
+    runtime.crash()
+    runtime.step()
+
+
+def _step_without_runnable_task():
+    runtime = _runtime()
+    runtime.active_seq = 0  # an operation in flight, but no task left
+    runtime.step()
+
+
+def _spawn_outside_operation():
+    _runtime().spawn(iter(()), "orphan")
+
+
+def _fork_none():
+    from repro.sim.forking import fork_many
+
+    fork_many(_kernel(), 0)
+
+
+def _non_positive_weight():
+    from repro.sim.latency import WeightedScheduler
+
+    WeightedScheduler(server_weights={ServerId(0): 0})
+
+
+def _unknown_action_descriptor():
+    from repro.sim.replay import materialize
+
+    materialize(("teleport", 0))
+
+
+def _unknown_trace_kind():
+    from repro.sim.tracing import TraceRecorder
+
+    TraceRecorder(kinds={"teleport"})
+
+
+def _max_of_no_tsvals():
+    from repro.sim.values import max_tsval
+
+    max_tsval([])
+
+
+def _zipf_without_keys():
+    from repro.workloads.generators import ZipfKeys
+
+    ZipfKeys(0)
+
+
+def _zipf_negative_exponent():
+    from repro.workloads.generators import ZipfKeys
+
+    ZipfKeys(10, s=-1)
+
+
 class TestSimulationRaiseSites:
     """Every raise site of ``sim/kernel.py``, ``sim/objects.py``,
-    ``sim/server.py`` and ``sim/system.py`` is typed, and still the
-    builtin it raised before."""
+    ``sim/server.py`` and ``sim/system.py`` is typed, and so is every
+    site R010 once grandfathered; each is still the builtin it raised
+    before."""
 
     SITES = [
         (_duplicate_client, InvalidConfig, ValueError),
@@ -286,6 +542,38 @@ class TestSimulationRaiseSites:
         (_object_on_unknown_server, InvalidConfig, ValueError),
         (_system_without_servers, InvalidConfig, ValueError),
         (_placement_out_of_range, InvalidConfig, ValueError),
+        (_loadgen_zero_rate, InvalidConfig, ValueError),
+        (_loadgen_zero_sessions, InvalidConfig, ValueError),
+        (_router_without_shards, InvalidConfig, ValueError),
+        (_mw_regularity_over_write_budget, InvalidConfig, ValueError),
+        (_register_spec_unknown_op, ModelViolation, ValueError),
+        (_max_register_spec_unknown_op, ModelViolation, ValueError),
+        (_cas_spec_unknown_op, ModelViolation, ValueError),
+        (_reader_write_max, WriterBoundExceeded, RuntimeError),
+        (_covering_phase_wrong_F, InvalidConfig, ValueError),
+        (_covering_end_without_phase, ModelViolation, RuntimeError),
+        (_layout_zero_writers, InvalidConfig, ValueError),
+        (_layout_zero_capacity, InvalidConfig, ValueError),
+        (_layout_search_capped, LayoutSearchExhausted, RuntimeError),
+        (_lemma1_F_wrong_size, InvalidConfig, ValueError),
+        (_lemma1_F_outside_servers, InvalidConfig, ValueError),
+        (_lemma1_wrong_value_count, InvalidConfig, ValueError),
+        (_duplicate_lint_rule, InvalidConfig, ValueError),
+        (_negative_varint, InvalidConfig, ValueError),
+        (_oversized_frame, InvalidConfig, ValueError),
+        (_chaos_certain_veto, InvalidConfig, ValueError),
+        (_chaos_negative_delay, InvalidConfig, ValueError),
+        (_unknown_high_level_op, ModelViolation, ValueError),
+        (_step_crashed_client, ModelViolation, RuntimeError),
+        (_step_without_runnable_task, ModelViolation, RuntimeError),
+        (_spawn_outside_operation, ModelViolation, RuntimeError),
+        (_fork_none, InvalidConfig, ValueError),
+        (_non_positive_weight, InvalidConfig, ValueError),
+        (_unknown_action_descriptor, InvalidConfig, ValueError),
+        (_unknown_trace_kind, InvalidConfig, ValueError),
+        (_max_of_no_tsvals, InvalidConfig, ValueError),
+        (_zipf_without_keys, InvalidConfig, ValueError),
+        (_zipf_negative_exponent, InvalidConfig, ValueError),
     ]
 
     @pytest.mark.parametrize(
@@ -296,7 +584,6 @@ class TestSimulationRaiseSites:
     def test_site_raises_typed(self, site, error_class, legacy):
         with pytest.raises(error_class) as failure:
             site()
+        assert type(failure.value) is error_class
         assert isinstance(failure.value, legacy)
-        assert exit_code_for(failure.value) == (
-            8 if error_class is InvalidConfig else 18
-        )
+        assert exit_code_for(failure.value) == EXIT_CODES[error_class]

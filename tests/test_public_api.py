@@ -157,6 +157,52 @@ class TestEngineKnobCensus:
         assert census == self.EXPECTED
 
 
+class TestLintSurfaceCensus:
+    """``repro lint``'s options and ``lint_paths``' parameters, by name.
+    One run (no worker pool), one file selection (the given paths) and
+    one suppression mechanism (inline directives): a new lint knob shows
+    up in review as an edit to this test."""
+
+    OPTIONS = (
+        "-h",
+        "--help",
+        "--json",
+        "--format",
+        "--explain",
+        "--list-rules",
+        "--verbose",
+    )
+
+    def test_lint_options_are_exactly_the_known_knobs(self):
+        from repro.cli import build_parser
+
+        (commands,) = [
+            action
+            for action in build_parser()._actions
+            if action.dest == "command"
+        ]
+        lint = commands.choices["lint"]
+        options = tuple(
+            option
+            for action in lint._actions
+            for option in action.option_strings
+        )
+        positionals = [
+            action.dest for action in lint._actions if not action.option_strings
+        ]
+        assert options == self.OPTIONS
+        assert positionals == ["paths"]
+
+    def test_lint_paths_parameters(self):
+        import inspect
+
+        from repro.lint import lint_paths
+
+        parameters = inspect.signature(lint_paths).parameters
+        assert tuple(parameters) == ("paths", "rule_ids")
+        assert parameters["rule_ids"].default is None
+
+
 class TestEventRecordCensus:
     """The kernel's five event records: named tuples whose fields, field
     order and defaults are pinned here.  Listeners read them by name,
