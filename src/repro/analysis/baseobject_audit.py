@@ -32,16 +32,7 @@ from repro.sim.objects import (
     BaseObject,
     CASObject,
     MaxRegister,
-    OpKind,
 )
-
-_OP_NAMES = {
-    OpKind.READ: "read",
-    OpKind.WRITE: "write",
-    OpKind.READ_MAX: "read_max",
-    OpKind.WRITE_MAX: "write_max",
-    OpKind.CAS: "cas",
-}
 
 
 def spec_for(obj: BaseObject) -> SequentialSpec:
@@ -66,7 +57,7 @@ def object_projection(kernel: Kernel, object_id: ObjectId) -> "List[HistoryOp]":
             HistoryOp(
                 seq=op.op_id.value,
                 client_id=op.client_id,
-                name=_OP_NAMES[op.kind],
+                name=op.kind.value,
                 args=op.args,
                 invoke_time=op.trigger_time,
                 return_time=op.respond_time,

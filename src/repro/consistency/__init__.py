@@ -4,8 +4,10 @@
   types (register, max-register, CAS).
 * :mod:`repro.consistency.linearizability` — a general linearizability
   (atomicity) checker for small histories.
-* :mod:`repro.consistency.ws` — exact checkers for Write-Sequential
-  Regularity (WS-Regular) and Write-Sequential Safety (WS-Safe).
+* :mod:`repro.consistency.ws` — the read window (the writes a read may
+  return) and the exact WS-Regular / WS-Safe checkers built on it.
+* :mod:`repro.consistency.mw_regularity` — MW-Weak (the same window)
+  and MW-Strong (a search over write orders).
 * :mod:`repro.consistency.register_atomicity` — a fast register-specific
   atomicity test for histories with distinct write values.
 """

@@ -13,22 +13,24 @@ implements the two ends of the [34] spectrum over arbitrary histories:
   consistent with their real-time order, works for every read
   simultaneously.
 
-Facts the test-suite checks empirically: atomicity implies MW-Strong
-implies MW-Weak; on write-sequential histories both collapse to the
-paper's WS-Regularity (the write order is forced); ABD without read
-write-back satisfies MW-Weak on concurrent-write histories.
+MW-Weak is WS-Regularity's read window
+(:class:`repro.consistency.ws.ReadWindows`) without the
+write-sequentiality precondition: the window never used it, so MW-Weak
+is exact and takes O(log n) per read.  MW-Strong is an exact search
+over write orders (exponential worst case), meant for the small
+histories the simulator produces.
 
-Both checkers are exact searches (exponential worst case) intended for
-the small histories the simulator produces.
+Facts the test-suite checks: atomicity implies MW-Strong implies
+MW-Weak; on write-sequential histories both collapse to the paper's
+WS-Regularity (the write order is forced); ABD without read write-back
+satisfies MW-Weak on concurrent-write histories.
 """
 
 from __future__ import annotations
 
 from typing import Any, List, Sequence
 
-from repro.consistency.linearizability import is_linearizable
-from repro.consistency.specs import RegisterSpec
-from repro.consistency.ws import WSViolation
+from repro.consistency.ws import ReadWindows, WSViolation
 from repro.errors import InvalidConfig
 from repro.sim.history import History, HistoryOp
 
@@ -44,17 +46,12 @@ def check_mw_regular_weak(
 
     Each read is checked independently against the full write set (the
     literal per-read generalization of Lamport regularity to multiple
-    writers).
+    writers), through its read window.
     """
-    writes = history.writes
-    spec = RegisterSpec(initial_value)
-    violations = []
-    for read in _complete_reads(history):
-        if not is_linearizable(writes + [read], spec):
-            violations.append(
-                WSViolation(read, allowed=[], condition="MW-Weak")
-            )
-    return violations
+    return [
+        WSViolation(read, allowed=[], condition="MW-Weak")
+        for read in ReadWindows(history, initial_value).violators()
+    ]
 
 
 def _write_orders(writes: "Sequence[HistoryOp]"):
@@ -103,16 +100,16 @@ def classify_history(
 ) -> str:
     """The strongest condition a register history satisfies.
 
-    Returns one of ``"atomic"``, ``"mw-strong"``, ``"mw-weak"``,
-    ``"ws-regular"`` (write-sequential histories only), ``"ws-safe"``
-    or ``"none"`` — in that order of strength.  Useful for triaging a
+    Returns one of ``"atomic"``, ``"mw-strong"``, ``"mw-weak"`` (which
+    is WS-Regularity on write-sequential histories), ``"ws-safe"`` or
+    ``"none"`` — in that order of strength.  Useful for triaging a
     failing emulation: the classification names exactly how far its
     guarantees degraded.
     """
     from repro.consistency.register_atomicity import (
         is_register_history_atomic,
     )
-    from repro.consistency.ws import check_ws_regular, check_ws_safe
+    from repro.consistency.ws import check_ws_safe
 
     if is_register_history_atomic(history, initial_value=initial_value):
         return "atomic"
@@ -122,10 +119,6 @@ def classify_history(
         return "mw-strong"
     if not check_mw_regular_weak(history, initial_value=initial_value):
         return "mw-weak"
-    if history.is_write_sequential() and not check_ws_regular(
-        history, initial_value=initial_value
-    ):
-        return "ws-regular"
     if not check_ws_safe(history, initial_value=initial_value):
         return "ws-safe"
     return "none"

@@ -8,8 +8,9 @@ form; this module supplies the paper's notation over it —
 * the per-client projection ``sigma|i`` and subset projection
   ``sigma|X``,
 * well-formedness ("each sigma|i is sequential"),
-* write-sequential and write-only predicates (already on History, re-
-  exported here for the notation's sake),
+* sequential schedules (:func:`is_sequential`, the one neighbour check
+  behind ``History.is_write_sequential``, re-exported here for the
+  notation's sake),
 
 plus an event-sequence view (:func:`to_event_sequence`) that renders a
 history as the literal alternating invoke/response sequence, which the
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence
 
-from repro.sim.history import History, HistoryOp
+from repro.sim.history import History, HistoryOp, is_sequential
 from repro.sim.ids import ClientId
 
 
@@ -51,15 +52,6 @@ def project_ops(
     """``sigma|X``: the subsequence of the operations in ``X``."""
     wanted = {op.seq for op in subset}
     return [op for op in history.all_ops() if op.seq in wanted]
-
-
-def is_sequential(operations: "Sequence[HistoryOp]") -> bool:
-    """No two operations are concurrent (a sequential schedule)."""
-    ordered = sorted(operations, key=lambda op: op.invoke_time)
-    for first, second in zip(ordered, ordered[1:]):
-        if not first.precedes(second):
-            return False
-    return True
 
 
 def is_well_formed(history: History) -> bool:

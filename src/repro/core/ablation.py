@@ -128,6 +128,22 @@ def _run_until_idle(emulation, runtime, max_steps=100_000) -> None:
         raise AssertionError(f"operation did not finish: {result}")
 
 
+def _release_stale_writes(emulation, register) -> None:
+    """Respond the writes pending on ``register``, newest first, so the
+    oldest value lands last (Assumption 1: effect at respond)."""
+    stale = sorted(
+        (
+            op
+            for op in emulation.kernel.pending.values()
+            if op.object_id == register and op.is_mutator
+        ),
+        key=lambda op: op.trigger_time,
+        reverse=True,
+    )
+    for op in stale:
+        emulation.kernel.force_respond(op.op_id)
+
+
 def cover_avoidance_violation() -> "List[WSViolation]":
     """Script the revert attack against :class:`NoCoverAvoidanceClient`.
 
@@ -165,19 +181,7 @@ def cover_avoidance_violation() -> "List[WSViolation]":
     writer.enqueue("write", "v3")
     _run_until_idle(emu, writer)
 
-    # Release the stale covering writes on b2, newest first, so the
-    # oldest value lands last (Assumption 1: effect at respond).
-    stale = sorted(
-        (
-            op
-            for op in emu.kernel.pending.values()
-            if op.object_id == b2 and op.is_mutator
-        ),
-        key=lambda op: op.trigger_time,
-        reverse=True,
-    )
-    for op in stale:
-        emu.kernel.force_respond(op.op_id)
+    _release_stale_writes(emu, b2)
     assert emu.object_map.object(b2).value.val == "v1", "revert failed"
 
     # One crash (within f), then an isolated read.
@@ -268,17 +272,7 @@ def baseline_no_violation() -> "List[WSViolation]":
     # Release the stale covering write on b2 (it carries v1; there is no
     # newer value on b2 to revert).  Algorithm 2's respond handler
     # immediately retriggers the current value onto b2 (lines 30-32).
-    stale = sorted(
-        (
-            op
-            for op in emu.kernel.pending.values()
-            if op.object_id == b2 and op.is_mutator
-        ),
-        key=lambda op: op.trigger_time,
-        reverse=True,
-    )
-    for op in stale:
-        emu.kernel.force_respond(op.op_id)
+    _release_stale_writes(emu, b2)
 
     emu.kernel.crash_server(emu.layout.server_of(b0))
     reader.enqueue("read")

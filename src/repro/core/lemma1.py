@@ -111,14 +111,14 @@ class Lemma1Runner:
         self.F = F
         self.max_steps_per_phase = max_steps_per_phase
         self.tracker = CoveringTracker(self.emulation.object_map, f)
-        # repro-lint: disable=R005 CoveringTracker must observe every phase of the Lemma 1 run; the emulation is single-use and dies with the runner, so the subscription is lifetime-scoped by design
+        # repro-lint: disable=R005 the tracker sees every phase of this single-use run
         self.emulation.kernel.add_listener(self.tracker)
         self.adversary = AdversaryAdi(self.tracker)
         self.emulation.kernel.environment = self.adversary
         self.checker: "Optional[_Lemma2Checker]" = None
         if check_lemma2:
             self.checker = _Lemma2Checker(self.tracker)
-            # repro-lint: disable=R005 the Lemma 2 checker audits the whole adversarial run; same single-use lifetime as the tracker above
+            # repro-lint: disable=R005 Lemma 2 checker audits the whole run, as above
             self.emulation.kernel.add_listener(self.checker)
         self.reports: "List[PhaseReport]" = []
 

@@ -179,7 +179,8 @@ class SlotHistoryRouter(EventListener):
         """Subscribe for the kernel's lifetime: per-slot histories are
         part of the deployment and must span every run, crash and
         restart."""
-        kernel.add_listener(self)  # repro-lint: disable=R005 deployment-lifetime listener
+        # repro-lint: disable=R005 deployment-lifetime listener
+        kernel.add_listener(self)
 
     def on_invoke(self, event) -> None:
         slot = event.client_id.index // SLOT_STRIDE

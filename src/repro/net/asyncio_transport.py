@@ -477,10 +477,6 @@ class AsyncioTransport(Transport):
         """
         self._blackhole = frozenset(server_indices)
 
-    def heal(self) -> None:
-        """Clear any injected partition."""
-        self._blackhole = frozenset()
-
     # -- self-hosted replica crash/restart ----------------------------------
 
     def crash_replica(self, server_index: int) -> None:
@@ -639,7 +635,7 @@ def _serve_all(listeners, host: str, announce=print) -> None:
                 replica_server.connection, host, port
             )
             bound = server.sockets[0].getsockname()
-            # repro-lint: disable=R007 announce prints one bootstrap line (the bound port) before the server begins accepting traffic; no request is in flight on the loop yet, so the write cannot stall protocol work — converting the serve entry points to an async logging seam is deliberate future work, not a quick fix
+            # repro-lint: disable=R007 one bootstrap line, printed before any traffic
             announce(f"serving {label} on {bound[0]}:{bound[1]}")
             servers.append(server)
         await asyncio.gather(*(server.serve_forever() for server in servers))

@@ -63,7 +63,7 @@ class CrashPlan(EventListener):
 
     def install(self, kernel) -> "CrashPlan":
         self._kernel = kernel
-        # repro-lint: disable=R005 CrashPlan.install deliberately subscribes for the kernel's lifetime; a crash schedule that detaches early would silently stop firing
+        # repro-lint: disable=R005 a crash plan that detaches early stops firing
         kernel.add_listener(self)
         return self
 

@@ -8,7 +8,7 @@ arguments and results.  The consistency checkers consume histories.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.sim.events import EventListener, InvokeEvent, ReturnEvent
 from repro.sim.ids import ClientId
@@ -48,6 +48,14 @@ class HistoryOp:
             else f"[{self.invoke_time},pending]"
         )
         return f"{self.name}{self.args}->{self.result!r} by {self.client_id} {span}"
+
+
+def is_sequential(operations: "Iterable[HistoryOp]") -> bool:
+    """No two operations are concurrent (a sequential schedule).  Only
+    neighbours in invocation order need checking: precedence is
+    transitive."""
+    ordered = sorted(operations, key=lambda op: op.invoke_time)
+    return all(a.precedes(b) for a, b in zip(ordered, ordered[1:]))
 
 
 class History(EventListener):
@@ -97,12 +105,7 @@ class History(EventListener):
 
     def is_write_sequential(self) -> bool:
         """True iff no two writes are concurrent (the WS in WS-Safety)."""
-        writes = self.writes
-        for i, first in enumerate(writes):
-            for second in writes[i + 1 :]:
-                if first.concurrent_with(second):
-                    return False
-        return True
+        return is_sequential(self.writes)
 
     def is_write_only(self) -> bool:
         return not self.reads

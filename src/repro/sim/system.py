@@ -91,6 +91,6 @@ def build_system(
     )
     # Note: an empty History is falsy (len == 0), so test against None.
     recorder = history if history is not None else History()
-    # repro-lint: disable=R005 the History recorder is the system's linearizability witness and must observe every event from deployment to teardown
+    # repro-lint: disable=R005 the History witness sees every event until teardown
     kernel.add_listener(recorder)
     return SimSystem(object_map=object_map, kernel=kernel, history=recorder)

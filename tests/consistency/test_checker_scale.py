@@ -11,8 +11,11 @@ from repro.consistency.linearizability import (
     find_linearization,
     is_linearizable,
 )
+from repro.consistency.mw_regularity import check_mw_regular_weak
+from repro.consistency.register_atomicity import is_register_history_atomic
 from repro.consistency.specs import MaxRegisterSpec, RegisterSpec
-from repro.sim.history import HistoryOp
+from repro.consistency.ws import check_ws_regular, check_ws_safe
+from repro.sim.history import History, HistoryOp
 from repro.sim.ids import ClientId
 
 
@@ -99,7 +102,8 @@ class TestWideConcurrentHistories:
 class TestLongHistories:
     """One key of a loaded KV service collects thousands of operations;
     the search keeps one explicit frame per operation, so its depth is
-    not bounded by the interpreter's recursion limit."""
+    not bounded by the interpreter's recursion limit, and the read-window
+    checkers sort the writes once rather than once per read."""
 
     @staticmethod
     def _single_key_history(n, stale_at=None):
@@ -130,3 +134,22 @@ class TestLongHistories:
     def test_one_stale_read_among_3000_ops_is_found(self):
         ops = self._single_key_history(3_000, stale_at=2_000)
         assert not is_linearizable(ops, RegisterSpec(None))
+
+    def test_window_checkers_on_20000_ops(self):
+        def history(**kwargs):
+            recorded = History()
+            for op in self._single_key_history(20_000, **kwargs):
+                recorded.ops[op.seq] = op
+            return recorded
+
+        clean = history()
+        assert clean.is_write_sequential()
+        assert check_ws_safe(clean) == []
+        assert check_ws_regular(clean) == []
+        assert check_mw_regular_weak(clean) == []
+        assert is_register_history_atomic(clean)
+        # Read 10,000 returns a superseded value, and no write overlaps it.
+        stale = history(stale_at=10_000)
+        for check in (check_ws_safe, check_ws_regular, check_mw_regular_weak):
+            assert [v.read.seq for v in check(stale)] == [10_000]
+        assert not is_register_history_atomic(stale)

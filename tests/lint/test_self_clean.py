@@ -2,8 +2,9 @@
 
 ``repro lint src/`` is a CI gate; this test is the same gate runnable
 locally, plus the hygiene conditions that keep the gate honest: every
-suppression directive carries a reason, and no R010 finding is
-silenced — every raise site uses a ``repro.errors`` class.
+suppression directive carries a reason short enough for ruff's 88
+columns, and no R010 finding is silenced — every raise site uses a
+``repro.errors`` class.
 """
 
 from pathlib import Path
@@ -34,6 +35,20 @@ def test_every_suppression_has_a_reason():
             offenders.append(f"{path}:{line}")
     assert offenders == [], (
         "repro-lint directives without a reason string: " + ", ".join(offenders)
+    )
+
+
+def test_every_directive_line_fits_ruff_line_length():
+    """CI's ``ruff check src`` enforces E501 at 88 columns; a reason
+    must be short enough to keep its directive line under it."""
+    offenders = []
+    for path in collect_files([SRC]):
+        module = load_module(path)
+        for line in module.suppressions.by_line:
+            if len(module.lines[line - 1]) > 88:
+                offenders.append(f"{path}:{line}")
+    assert offenders == [], "directive lines over 88 columns: " + ", ".join(
+        offenders
     )
 
 
