@@ -6,7 +6,9 @@ realizes atomicity constructively — operations take effect at their
 respond step — but that is a *claim about the implementation*, so this
 module re-derives it empirically: it projects the low-level operation
 record of a finished run onto each base object (the paper's ``r|b``) and
-runs the generic linearizability checker over every projection.
+runs the generic linearizability checker over every projection.  The
+kernel must record its ops (``kernel.ops.record()``; every
+``Deployment`` does): one that kept only its pending ops is refused.
 
 Used by the property-based test suite as a meta-validation of the
 substrate: if the kernel ever mis-applied an operation, the audit — not
@@ -46,14 +48,21 @@ def spec_for(obj: BaseObject) -> SequentialSpec:
     raise TypeError(f"no spec for base object type {type(obj).__name__}")
 
 
-def object_projection(kernel: Kernel, object_id: ObjectId) -> "List[HistoryOp]":
-    """The run's projection ``r|b``: this object's low-level operations as
-    history records (trigger = invoke, respond = return)."""
-    projection = []
+def object_projections(kernel: Kernel) -> "Dict[ObjectId, List[HistoryOp]]":
+    """Every base object's projection ``r|b``: its low-level operations as
+    history records (trigger = invoke, respond = return), in one pass
+    over the kernel's op log.
+
+    Raises :class:`~repro.errors.ModelViolation` when the log does not
+    record (``OpLog`` refuses to be read): a kernel that kept only its
+    pending ops has no run to audit, and an empty projection would pass
+    vacuously.
+    """
+    projections: "Dict[ObjectId, List[HistoryOp]]" = {
+        obj.object_id: [] for obj in kernel.object_map.objects
+    }
     for op in kernel.ops.values():
-        if op.object_id != object_id:
-            continue
-        projection.append(
+        projections[op.object_id].append(
             HistoryOp(
                 seq=op.op_id.value,
                 client_id=op.client_id,
@@ -64,7 +73,12 @@ def object_projection(kernel: Kernel, object_id: ObjectId) -> "List[HistoryOp]":
                 result=op.result,
             )
         )
-    return projection
+    return projections
+
+
+def object_projection(kernel: Kernel, object_id: ObjectId) -> "List[HistoryOp]":
+    """One object's projection ``r|b`` (see :func:`object_projections`)."""
+    return object_projections(kernel).get(object_id, [])
 
 
 def audit_base_objects(
@@ -74,11 +88,14 @@ def audit_base_objects(
 
     ``max_ops_per_object`` skips projections too large for the exact
     checker (returns True for them — they are not *checked*, not known
-    bad; pass None to force checking everything).
+    bad; pass None to force checking everything).  Raises
+    :class:`~repro.errors.ModelViolation` on a kernel that does not
+    record its ops.
     """
+    projections = object_projections(kernel)
     verdicts: "Dict[ObjectId, bool]" = {}
     for obj in kernel.object_map.objects:
-        projection = object_projection(kernel, obj.object_id)
+        projection = projections[obj.object_id]
         if (
             max_ops_per_object is not None
             and len(projection) > max_ops_per_object

@@ -144,6 +144,9 @@ class Deployment:
             history=History(write_name=self.WRITE, read_name=self.READ),
         )
         self.kernel = self.system.kernel
+        # A deployment is an analysis object: verify_run, the lower-bound
+        # constructions and the substrate audit read every op of its run.
+        self.kernel.ops.record()
         self.history: History = self.system.history
         self.object_map = self.system.object_map
         #: the protocol object of every client added, in order

@@ -35,6 +35,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.consistency.conditions import CONDITIONS
 from repro.core.abd import ABDClient
+from repro.core.bounds import table1_row
 from repro.core.cas_maxreg import CASABDClient
 from repro.core.layout import RegisterLayout
 from repro.core.ws_register import WSRegisterClient
@@ -262,6 +263,16 @@ class SlotFleet:
         placements, self.layouts = slot_placements(
             substrate, m, k, n, f, initial_value
         )
+        # Table 1 as a runtime check: no slot may use fewer base objects
+        # than the lower bound allows.  The upper bound is not checked:
+        # the quorum substrates place one object per server, n >= 2f+1.
+        per_slot = len(placements) // m
+        lower = table1_row(substrate, k, n, f)["lower"]
+        if per_slot < lower:
+            raise BoundViolation(
+                f"{per_slot} {substrate} object(s) per slot at k={k}, n={n},"
+                f" f={f}: below Table 1's lower bound of {lower}"
+            )
         self.system: SimSystem = build_system(
             n,
             placements,
@@ -344,6 +355,9 @@ class MultiRegisterDeployment(SlotFleet):
         super().__init__(
             "register", m, k, n, f, initial_value, scheduler, environment
         )
+        # An analysis object, like a Deployment: its run's ops are read
+        # back afterwards (a KV service fleet keeps only pending ops).
+        self.kernel.ops.record()
 
     def register(self, index: int) -> Slot:
         return self.slots[index]

@@ -14,9 +14,10 @@ from repro.sim.events import EventListener, InvokeEvent, ReturnEvent
 from repro.sim.ids import ClientId
 
 
-@dataclass
+@dataclass(slots=True)
 class HistoryOp:
-    """One high-level operation in a history."""
+    """One high-level operation in a history (slotted: no ``__dict__``,
+    as a long run keeps one per high-level op in every history)."""
 
     seq: int
     client_id: ClientId

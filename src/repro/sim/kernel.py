@@ -175,34 +175,68 @@ class Environment:
 
 
 class OpLog(Mapping):
-    """Every low-level operation a kernel triggered, keyed by op id.
+    """The low-level operations a kernel triggered, keyed by op id.
 
-    A read-only ``Mapping[OpId, LowLevelOp]`` over a list: op ids are
-    dense from 0 in trigger order, so an op's id is its list index and
-    a trigger appends instead of inserting into a hash table.  Iteration,
-    ``keys()``, ``values()`` and ``items()`` run in op-id order.  Any key
-    that is not a triggered op id (unknown, negative, not an ``int``)
-    raises ``KeyError``, as a dict would.
+    ``len()`` is the number of ops triggered: op ids are dense from 0 in
+    trigger order, and the next trigger takes id ``len(log)``.  The ops
+    themselves are kept only once :meth:`record` was called, before the
+    first trigger; otherwise the kernel holds only the pending ones
+    (``Kernel.pending``) and a finished op is freed as soon as its
+    client is done with it.
+
+    A recording log is a read-only ``Mapping[OpId, LowLevelOp]`` over a
+    list (an op's id is its list index).  Iteration, ``keys()``,
+    ``values()`` and ``items()`` run in op-id order.  Any key that is not
+    a triggered op id (unknown, negative, not an ``int``) raises
+    ``KeyError``, as a dict would.  On a log that does not record, every
+    lookup and iteration raises ``ModelViolation``: an empty answer
+    would let an audit over it pass vacuously.
     """
 
-    __slots__ = ("_ops",)
+    __slots__ = ("_ops", "_count")
 
     def __init__(self) -> None:
-        self._ops: "List[LowLevelOp]" = []
+        #: the triggered ops in id order, or None while not recording
+        self._ops: "Optional[List[LowLevelOp]]" = None
+        self._count = 0
+
+    def record(self) -> None:
+        """Keep every op the kernel triggers: the whole run, so it is
+        refused once anything was triggered."""
+        if self._count:
+            raise ModelViolation(
+                "OpLog.record after operations were triggered; recording"
+                " must start before the run does"
+            )
+        self._ops = []
+
+    @property
+    def recording(self) -> bool:
+        return self._ops is not None
+
+    def _recorded(self) -> "List[LowLevelOp]":
+        ops = self._ops
+        if ops is None:
+            raise ModelViolation(
+                "this kernel's op log does not record: it keeps only the"
+                " pending ops (call kernel.ops.record() before the run)"
+            )
+        return ops
 
     def __getitem__(self, op_id: Any) -> LowLevelOp:
+        ops = self._recorded()
         if isinstance(op_id, int) and op_id >= 0:
             try:
-                return self._ops[op_id]
+                return ops[op_id]
             except IndexError:
                 pass
         raise KeyError(op_id)
 
     def __iter__(self) -> "Iterator[OpId]":
-        return (op.op_id for op in self._ops)
+        return (op.op_id for op in self._recorded())
 
     def __len__(self) -> int:
-        return len(self._ops)
+        return self._count
 
 
 @dataclass
@@ -295,8 +329,6 @@ class Kernel:
         self._objects = object_map._objects
         self.clients: "Dict[ClientId, ClientRuntime]" = {}
         self.ops = OpLog()
-        # trigger() appends here directly (op id == list index).
-        self._op_list = self.ops._ops
         self.pending: "Dict[OpId, LowLevelOp]" = {}
         self.listeners: "List[EventListener]" = []
         self._next_seq = 0
@@ -475,14 +507,17 @@ class Kernel:
         obj = self._objects[object_id]
         if kind not in obj.SUPPORTED:
             obj.check_supported(kind)  # raises with the precise message
-        log = self._op_list
-        op_id = OpId(len(log))  # ids are dense: the id is the log index
+        log = self.ops
+        count = log._count
+        op_id = OpId(count)  # ids are dense: the id is the trigger count
+        log._count = count + 1
         op = LowLevelOp(
             op_id, client_id, object_id, kind, args, self.time, None, None,
             highlevel_seq,
         )
         op.obj = obj  # cache the kernel-local object for the respond step
-        log.append(op)
+        if log._ops is not None:
+            log._ops.append(op)
         self.pending[op_id] = op
         # The request leg belongs to the transport: the op becomes
         # respondable when (and if) the transport delivers it via

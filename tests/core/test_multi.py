@@ -4,8 +4,10 @@ import pytest
 
 from repro.consistency.ws import check_ws_regular
 from repro.core import bounds
-from repro.core.multi import MultiRegisterDeployment, OffsetLayout
+from repro.core import multi
+from repro.core.multi import MultiRegisterDeployment, OffsetLayout, SlotFleet
 from repro.core.layout import RegisterLayout
+from repro.errors import BoundViolation
 from repro.sim.ids import ObjectId, ServerId
 from repro.sim.scheduling import RandomScheduler
 
@@ -181,3 +183,48 @@ class TestSharedFailures:
         assert deployment.system.run_to_quiescence().satisfied
         for i, view in enumerate(views):
             assert view.history.reads[-1].result == f"before{i}"
+
+
+class TestTable1AtBuild:
+    """A fleet is refused when a slot would hold fewer base objects than
+    Table 1's lower bound; the upper bound is not checked."""
+
+    @pytest.mark.parametrize(
+        "substrate,k,n,f",
+        [
+            ("register", 2, 5, 2),
+            ("register", 5, 6, 2),
+            ("max-register", 3, 3, 1),
+            ("cas", 1, 7, 2),
+        ],
+    )
+    def test_every_substrate_builds_at_or_above_the_lower_bound(
+        self, substrate, k, n, f
+    ):
+        fleet = SlotFleet(substrate, 2, k, n, f)
+        per_slot = fleet.total_objects // 2
+        assert per_slot >= bounds.table1_row(substrate, k, n, f)["lower"]
+
+    def test_a_quorum_slot_below_2f_plus_1_is_refused(self):
+        with pytest.raises(BoundViolation, match="lower bound of 3"):
+            SlotFleet("max-register", 1, 1, 2, 1)
+
+    def test_a_register_layout_below_the_lower_bound_is_refused(
+        self, monkeypatch
+    ):
+        real = multi.slot_placements
+
+        def one_register_short(*args):
+            placements, layouts = real(*args)
+            return placements[:-1], layouts
+
+        monkeypatch.setattr(multi, "slot_placements", one_register_short)
+        with pytest.raises(BoundViolation, match="below Table 1"):
+            SlotFleet("register", 1, 2, 5, 2)
+
+    def test_the_upper_bound_is_not_enforced(self):
+        # n = 7 > 2f+1: seven max-registers per slot, above the row's 5
+        fleet = SlotFleet("max-register", 1, 1, 7, 2)
+        assert fleet.total_objects == 7 > bounds.table1_row(
+            "max-register", 1, 7, 2
+        )["upper"]

@@ -27,6 +27,9 @@ class TestReconfigurationStory:
             seed=31,
             max_keys=4,
         )
+        # The epilogue audits the substrate, which reads every op: a
+        # KV store's kernel keeps only its pending ops unless asked.
+        store.fleet.kernel.ops.record()
         store.session().put("orders", ["o1"])
         store.session(writer=1).put("users", {"u1": "ada"})
         assert config.fetch() == (0, {"members": 5, "version": 1})

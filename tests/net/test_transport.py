@@ -159,6 +159,7 @@ class TestDuplicateResponses:
 
         protocol = CountingProtocol()
         system = build_system(1, [(0, "register", None)])
+        system.kernel.ops.record()
         runtime = system.add_client(ClientId(0), protocol)
         runtime.enqueue("write", "v")
         assert system.run_to_quiescence().satisfied

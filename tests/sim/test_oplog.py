@@ -1,10 +1,12 @@
-"""``Kernel.ops``: the log of every triggered op, a read-only mapping."""
+"""``Kernel.ops``: the triggered-op count, and on a recording kernel the
+log of every triggered op as a read-only mapping."""
 
 from collections.abc import Mapping
 
 import pytest
 
 from repro.core.emulation import EmulationSpec
+from repro.errors import ModelViolation
 from repro.sim.events import EventListener
 from repro.sim.forking import fork_kernel
 from repro.sim.ids import ClientId, ObjectId, OpId, ServerId
@@ -24,9 +26,11 @@ class _Triggers(EventListener):
 
 def _abd_run_with_a_crash():
     """ABD (n=3, f=1), server 2 crashed after the first round: the
-    requests of later rounds to it are swallowed, never respondable."""
+    requests of later rounds to it are swallowed, never respondable.
+    A deployment's kernel records its ops."""
     emulation = EmulationSpec.make("abd", n=3, f=1, seed=4).build()
     kernel = emulation.kernel
+    assert kernel.ops.recording
     triggers = _Triggers()
     kernel.add_listener(triggers)
     writer, reader = emulation.add_writer(0), emulation.add_reader()
@@ -37,6 +41,16 @@ def _abd_run_with_a_crash():
         reader.enqueue("read")
         assert emulation.system.run_to_quiescence().satisfied
     return kernel, triggers.ops
+
+
+def _bare_kernel():
+    return build_system(
+        1, [(0, "register", None)], scheduler=RandomScheduler(0)
+    ).kernel
+
+
+def _write(kernel):
+    return kernel.trigger(ClientId(0), ObjectId(0), OpKind.WRITE, (1,), None)
 
 
 class TestOpLog:
@@ -98,9 +112,8 @@ class TestOpLog:
         assert len(kernel.ops) == len(triggered)
 
     def test_is_an_empty_mapping_before_any_trigger(self):
-        kernel = build_system(
-            1, [(0, "register", None)], scheduler=RandomScheduler(0)
-        ).kernel
+        kernel = _bare_kernel()
+        kernel.ops.record()
         assert isinstance(kernel.ops, OpLog)
         assert isinstance(kernel.ops, Mapping)
         assert not kernel.ops and len(kernel.ops) == 0
@@ -109,3 +122,42 @@ class TestOpLog:
         op = kernel.trigger(ClientId(0), ObjectId(0), OpKind.WRITE, (1,), None)
         assert op.op_id == OpId(0)
         assert dict(kernel.ops) == {OpId(0): op}
+
+
+class TestUnrecordedLog:
+    """A kernel records only when asked: otherwise it counts triggers and
+    keeps the pending ops, and the log refuses to be read."""
+
+    def test_len_counts_triggers_and_ids_stay_dense(self):
+        kernel = _bare_kernel()
+        assert not kernel.ops.recording
+        ops = [_write(kernel) for _ in range(3)]
+        assert [op.op_id for op in ops] == [OpId(0), OpId(1), OpId(2)]
+        assert len(kernel.ops) == 3 and kernel.ops
+        assert kernel.stats()["ops_triggered"] == 3
+        assert set(kernel.pending) == {OpId(0), OpId(1), OpId(2)}
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda log: log[0],
+            lambda log: 0 in log,
+            lambda log: log.get(0),
+            lambda log: list(log),
+            lambda log: list(log.values()),
+            lambda log: dict(log),
+        ],
+        ids=["getitem", "contains", "get", "iter", "values", "dict"],
+    )
+    def test_lookup_and_iteration_raise_model_violation(self, read):
+        kernel = _bare_kernel()
+        _write(kernel)
+        with pytest.raises(ModelViolation, match="does not record"):
+            read(kernel.ops)
+
+    def test_record_is_refused_once_anything_was_triggered(self):
+        kernel = _bare_kernel()
+        _write(kernel)
+        with pytest.raises(ModelViolation, match="record after operations"):
+            kernel.ops.record()
+        assert not kernel.ops.recording

@@ -81,6 +81,7 @@ class TestWritesLandAtRespond:
         )
 
         system = _system()
+        system.kernel.ops.record()  # the audit reads the run's every op
         clients = [
             system.add_client(ClientId(i), ToyProtocol()) for i in range(3)
         ]
