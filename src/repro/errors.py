@@ -72,9 +72,17 @@ class ShardCapacityExceeded(ReproError, RuntimeError):
 
 class WireDecodeError(ReproError, ValueError):
     """A wire frame failed to decode (truncation, trailing bytes,
-    unknown tags, malformed payloads)."""
+    unknown tags, malformed payloads).
+
+    Raised by a segment decoder (``decode_requests`` /
+    ``decode_responses`` of a wire codec), ``decoded`` holds what the
+    frames before the bad one decoded to: the socket protocols still
+    apply or deliver those before they drop the peer.
+    """
 
     exit_code = 7
+    #: the items a segment decoder decoded before the bad frame.
+    decoded: "tuple | list" = ()
 
 
 class TransportUnavailable(ReproError, RuntimeError):

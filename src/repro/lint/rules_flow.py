@@ -386,6 +386,8 @@ class ReplayDeterminismRule(Rule):
         "cache_key",
         "encode_request",
         "encode_response",
+        "encode_requests",
+        "encode_responses",
         "encode_frame",
         "Random",
     }

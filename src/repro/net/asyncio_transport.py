@@ -25,11 +25,14 @@ Division of labour with the kernel:
 
 Who runs the event loop: the caller, and nobody else.  The transport
 owns a private loop and no thread, lock or queue.  ``send_request``
-appends the encoded frame to a per-server outbox;
+appends the op to a per-server outbox;
 :meth:`~AsyncioTransport.flush_idle` (the kernel has nothing enabled)
-writes each outbox in one ``write`` and runs the loop until a response
-has been parsed or ``idle_timeout`` expires; ``pump`` hands parsed
-responses to ``kernel.arrive``.  Everything else the loop hosts —
+encodes each outbox as one segment, writes it in one ``write`` and runs
+the loop until a response has been parsed or ``idle_timeout`` expires;
+``pump`` hands parsed responses to ``kernel.arrive``.  Both ends code a
+segment per call (an outbox, a TCP read, the answers to one read) with
+the segment functions of the codec registered under the codec's name,
+so a codec-shaped wrapper passed in sees none of those frames.  Everything else the loop hosts —
 self-hosted replicas, redial timers after a lost link, stray late
 responses — advances only inside ``start`` / ``flush_idle`` / ``close``
 / ``crash_replica`` / ``restart_replica``, never while the caller
@@ -99,9 +102,10 @@ class ReplicaServer:
     ):
         self.server_index = server_index
         self.codec = get_codec(codec) if isinstance(codec, str) else codec
-        # by name: a codec-shaped wrapper (one that times the four
-        # encode/decode calls, say) need not forward the splitter.
-        self.split_frames = get_codec(self.codec.name).split_frames
+        # by name: a codec-shaped wrapper (one that times the per-frame
+        # calls, say) is accepted, but the frames pass the segment
+        # functions of the codec registered under its name.
+        self.wire = get_codec(self.codec.name)
         self.replicas = {
             object_index: make_object(
                 type_name, ObjectId(object_index), initial_value
@@ -168,27 +172,25 @@ class _ReplicaConnection(_BufferedReader):
 
     def data_received(self, data: "bytes | memoryview") -> None:
         server = self._server
-        decode = server.codec.decode_request
-        encode = server.codec.encode_response
-        replicas = server.replicas
-        answers = []
         malformed = False
         try:
-            frames, self._tail = server.split_frames(self._tail + data)
-            for frame in frames:
-                op = decode(frame)
-                replica = replicas.get(op.object_id.index)
-                if replica is None or op.kind not in replica.SUPPORTED:
-                    # well framed, but not a request this replica can
-                    # apply: the peer is as broken as one sending junk.
-                    malformed = True
-                    break
-                answers.append(encode(op.op_id.value, replica.apply(op)))
-        except WireDecodeError:
-            malformed = True
+            ops, self._tail = server.wire.decode_requests(self._tail + data)
+        except WireDecodeError as error:
+            # the frames before the bad one are still owed their answers
+            ops, malformed = error.decoded, True
+        replicas = server.replicas
+        answers = []
+        for op in ops:
+            replica = replicas.get(op.object_id.index)
+            if replica is None or op.kind not in replica.SUPPORTED:
+                # well framed, but not a request this replica can
+                # apply: the peer is as broken as one sending junk.
+                malformed = True
+                break
+            answers.append((op.op_id, replica.apply(op)))
         if answers:
             server.requests_served += len(answers)
-            self._transport.write(b"".join(answers))
+            self._transport.write(server.wire.encode_responses(answers))
         if malformed:
             # cut the peer off, after the answers it is owed (close
             # flushes them first) for the frames that did apply.
@@ -220,17 +222,18 @@ class _ReplicaLink(_BufferedReader):
 
     def data_received(self, data: "bytes | memoryview") -> None:
         owner = self._owner
-        decode = owner.codec.decode_response
         ready = owner._ready
         try:
-            frames, self._tail = owner._split_frames(self._tail + data)
-            for frame in frames:
-                ready.append(decode(frame))
-        except WireDecodeError:
-            # the stream cannot be resynchronised: count it and drop the
-            # link (connection_lost redials a fresh one).
+            pairs, self._tail = owner._wire.decode_responses(self._tail + data)
+        except WireDecodeError as error:
+            # the answers before the bad frame still arrive; the stream
+            # cannot be resynchronised: count it and drop the link
+            # (connection_lost redials a fresh one).
+            ready += error.decoded
             owner.decode_errors += 1
             self.transport.close()
+        else:
+            ready += pairs
         if ready and owner._waiting:
             owner._loop.stop()
 
@@ -268,7 +271,8 @@ class AsyncioTransport(Transport):
         self.startup_timeout = startup_timeout
         self.idle_timeout = idle_timeout
         self.codec = get_codec(codec) if isinstance(codec, str) else codec
-        self._split_frames = get_codec(self.codec.name).split_frames
+        # the segment functions, resolved by name as ReplicaServer does
+        self._wire = get_codec(self.codec.name)
         self.ports: "Dict[int, int]" = {}
         self.servers: "Dict[int, ReplicaServer]" = {}
         self._placements: "Dict[int, List[ReplicaSpec]]" = {}
@@ -276,8 +280,9 @@ class AsyncioTransport(Transport):
         self._started = False
         #: True while flush_idle runs the loop waiting for a response.
         self._waiting = False
+        #: results of the ops that arrived and have not responded: the
+        #: ``request_arrived`` oracle is membership here.
         self._results: "Dict[int, Any]" = {}
-        self._arrived: "Set[int]" = set()
         #: server indices being blackholed (partition injection): request
         #: frames to them are silently dropped, so no response ever comes
         #: back — the protocol sees an unresponsive server, which is
@@ -303,10 +308,10 @@ class AsyncioTransport(Transport):
         self._redials: "Dict[int, asyncio.Task]" = {}
         #: first failure of a task or loop callback; flush_idle re-raises.
         self._background_error: "Optional[BaseException]" = None
-        #: frames queued per server index since the last idle flush.
-        self._outbox: "Dict[int, List[bytes]]" = {}
-        #: decoded responses {"op": int, "result": ...} not yet pumped.
-        self._ready: "List[Dict[str, Any]]" = []
+        #: requests queued per server index since the last idle flush.
+        self._outbox: "Dict[int, List[Any]]" = {}
+        #: decoded (op, result) responses not yet pumped.
+        self._ready: "List[Tuple[int, Any]]" = []
         #: ops sent (or dropped) and not answered; a restart forgets
         #: them, for nothing sent on the old links will be answered.
         self._inflight: "Set[int]" = set()
@@ -524,15 +529,14 @@ class AsyncioTransport(Transport):
 
     def send_request(self, op) -> None:
         """Queue the request leg: only an append.  What the kernel
-        triggers between two idle points leaves in one ``write`` per
-        connection (pipelining), from :meth:`flush_idle`."""
+        triggers between two idle points is encoded as one segment and
+        leaves in one ``write`` per connection (pipelining), from
+        :meth:`flush_idle`."""
         if not self._started:
             self.start()
         server_index = self._kernel.object_map.server_of(op.object_id).index
         self._inflight.add(op.op_id.value)
-        self._outbox.setdefault(server_index, []).append(
-            self.codec.encode_request(op)
-        )
+        self._outbox.setdefault(server_index, []).append(op)
 
     def _flush_outbox(self) -> None:
         # Frames to down or blackholed servers are dropped, never
@@ -540,21 +544,24 @@ class AsyncioTransport(Transport):
         # the request leg, and the quorum protocols neither need nor
         # expect retransmission.  A failing write surfaces in
         # connection_lost, not here.
+        # The outbox is taken before anything is encoded: an unencodable
+        # request raises here once, and no segment is written twice.
         down, blackhole, links = self._down, self._blackhole, self._links
-        for server_index, frames in self._outbox.items():
+        outbox, self._outbox = self._outbox, {}
+        for server_index, ops in outbox.items():
             if server_index in down or server_index in blackhole:
-                self.dropped_frames += len(frames)
+                self.dropped_frames += len(ops)
             else:
-                links[server_index].transport.write(b"".join(frames))
-        self._outbox.clear()
+                links[server_index].transport.write(
+                    self._wire.encode_requests(ops)
+                )
 
     def request_arrived(self, op) -> bool:
-        return op.op_id.value in self._arrived
+        return op.op_id in self._results
 
     def result_for(self, op) -> Any:
         # the op is responding: the oracle never asks about it again.
-        self._arrived.discard(op.op_id.value)
-        return self._results.pop(op.op_id.value)
+        return self._results.pop(op.op_id)
 
     def send_response(self, op) -> None:
         # the socket round-trip already happened on the request leg;
@@ -575,13 +582,12 @@ class AsyncioTransport(Transport):
         ready = self._ready
         if not ready:
             return False
-        ready.sort(key=itemgetter("op"))
+        ready.sort(key=itemgetter(0))
+        inflight, results = self._inflight, self._results
         arrive = self._kernel.arrive
-        for frame in ready:
-            op_value = frame["op"]
-            self._inflight.discard(op_value)
-            self._results[op_value] = frame["result"]
-            self._arrived.add(op_value)
+        for op_value, result in ready:
+            inflight.discard(op_value)
+            results[op_value] = result
             arrive(OpId(op_value))
         ready.clear()
         return True

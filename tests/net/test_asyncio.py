@@ -311,10 +311,12 @@ class TestCoalescing:
         return kernel, kernel.transport
 
     def _trigger(self, kernel, count):
-        for index in range(count):
+        return [
             kernel.trigger(
                 ClientId(0), ObjectId(0), OpKind.CAS, (index, index + 1), None
             )
+            for index in range(count)
+        ]
 
     def test_a_burst_is_one_write_each_way(self):
         kernel, transport = self._single_server(idle_timeout=5.0)
@@ -322,18 +324,19 @@ class TestCoalescing:
             (server,) = transport.servers.values()
             # the accepted connection exists once the loop has run: one
             # warm-up op brings it up before the writes are counted.
-            self._trigger(kernel, 1)
+            warm_up = self._trigger(kernel, 1)
             assert transport.flush_idle()
             client_writes = _count_writes(transport._links[0].transport)
             (accepted,) = server.connections
             replica_writes = _count_writes(accepted)
-            self._trigger(kernel, self.BURST)
+            burst = self._trigger(kernel, self.BURST)
             assert not client_writes  # only queued so far
+            assert not any(map(transport.request_arrived, burst))
             assert transport.flush_idle()
             assert len(client_writes) == 1
             assert len(replica_writes) == 1
             assert server.requests_served == 1 + self.BURST
-            assert len(transport._arrived) == 1 + self.BURST
+            assert all(map(transport.request_arrived, warm_up + burst))
         finally:
             transport.close()
 
@@ -456,6 +459,32 @@ class TestFailuresAreLoud:
             assert time.monotonic() - start < 2.0
         finally:
             cluster.transport.close()
+
+    def test_an_unencodable_request_raises_once_and_nothing_is_resent(self):
+        cluster = _AbdCluster(seed=6)
+        transport = cluster.transport
+        kernel = cluster.emulation.kernel
+        try:
+            cluster.round()
+            writes = _count_writes(transport._links[0].transport)
+            # server 0's segment is encoded and written before server 1's
+            # fails to encode
+            good = kernel.trigger(
+                ClientId(0), ObjectId(0), OpKind.READ_MAX, (), None
+            )
+            kernel.trigger(
+                ClientId(0), ObjectId(1), OpKind.WRITE_MAX, (object(),), None
+            )
+            with pytest.raises(TypeError):
+                transport.flush_idle()
+            assert len(writes) == 1
+            deadline = time.monotonic() + 5
+            while not transport.request_arrived(good):
+                assert time.monotonic() < deadline, "no answer to server 0"
+                transport.flush_idle()  # raises nothing: the outbox is gone
+            assert len(writes) == 1
+        finally:
+            transport.close()
 
     def test_misuse_and_start_up_failure_raise_typed_errors(self):
         from repro.errors import TransportUnavailable

@@ -16,6 +16,7 @@ from repro.apps.shard.service import ShardedKVService
 from repro.core.emulation import EmulationSpec
 from repro.net import TransportConfig
 from repro.net.asyncio_transport import AsyncioTransport
+from repro.net.wire import BinaryWireCodec
 from repro.sim.ids import ClientId, ObjectId
 from repro.sim.objects import OpKind
 
@@ -42,12 +43,16 @@ def _triggered(count):
 
 
 def _answers(ops, seed):
-    """The parsed answers to ``ops``, in a shuffled order."""
-    frames = [
-        {"op": int(op.op_id), "result": index} for index, op in enumerate(ops)
-    ]
-    random.Random(seed).shuffle(frames)
-    return frames
+    """The ``(op, result)`` answers to ``ops``, in a shuffled order."""
+    answers = [(int(op.op_id), index) for index, op in enumerate(ops)]
+    random.Random(seed).shuffle(answers)
+    return answers
+
+
+def _receive(transport, answers):
+    """``answers`` reach the client end of the replica link as one TCP
+    segment, the way a replica's batched write arrives."""
+    transport._links[0].data_received(BinaryWireCodec.encode_responses(answers))
 
 
 def _respond_state(kernel):
@@ -85,12 +90,13 @@ class TestBatchOrder:
         try:
             resorts = _count_resorts(kernel)
             answers = _answers(ops, seed=1)
-            assert [a["op"] for a in answers] != sorted(a["op"] for a in answers)
-            transport._ready.extend(answers)
+            assert [op for op, _ in answers] != sorted(op for op, _ in answers)
+            _receive(transport, answers)
+            assert not any(map(transport.request_arrived, ops))
             transport.pump()
             assert list(kernel._respond_actions) == [op.op_id for op in ops]
             assert resorts[0] == 0
-            assert not transport._ready
+            assert all(map(transport.request_arrived, ops))
         finally:
             transport.close()
 
@@ -98,14 +104,16 @@ class TestBatchOrder:
         batched, batched_transport, batched_ops = _triggered(BATCH)
         single, single_transport, single_ops = _triggered(BATCH)
         try:
-            batched_transport._ready.extend(_answers(batched_ops, seed=2))
+            _receive(batched_transport, _answers(batched_ops, seed=2))
             batched_transport.pump()
             for answer in _answers(single_ops, seed=2):
-                single_transport._ready.append(answer)
+                _receive(single_transport, [answer])
                 single_transport.pump()
             assert _respond_state(batched) == _respond_state(single)
-            assert batched_transport._results == single_transport._results
-            assert batched_transport._arrived == single_transport._arrived
+            assert [
+                batched_transport.result_for(op) for op in batched_ops
+            ] == [single_transport.result_for(op) for op in single_ops]
+            assert not any(map(batched_transport.request_arrived, batched_ops))
         finally:
             batched_transport.close()
             single_transport.close()

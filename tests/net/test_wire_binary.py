@@ -14,10 +14,10 @@ Four claims, each load-bearing for running real protocols over it:
   (every low-level request and response of a full WSRegister run), the
   two codecs decode each other's input to the same operations and the
   same results.
-* **Framing** — the synchronous ``split_frames`` the socket protocols
-  call per TCP segment yields exactly the frames the stream-reading
-  ``read_frame`` yields, in every chunking of the byte stream (both
-  codecs).
+* **Framing** — the segment decoders the socket protocols call per TCP
+  segment (``decode_requests`` / ``decode_responses``) yield exactly
+  what the stream-reading ``read_frame`` plus the per-frame decoder
+  yield, in every chunking of the byte stream (both codecs, both legs).
 """
 
 import asyncio
@@ -196,64 +196,97 @@ def test_mid_frame_eof_raises():
         _read_all_frames(BinaryWireCodec, frame[:2])  # inside the header
 
 
-def _recorded_stream(codec):
-    """A multi-frame byte string as one connection carries it: requests
-    and responses of mixed sizes, back to back."""
+def _fields(op):
+    return (op.op_id, op.client_id, op.object_id, op.kind, op.args)
+
+
+def _leg(codec, leg):
+    """One leg of a recorded connection: its byte stream (five frames of
+    mixed sizes, back to back), its segment decoder (ops compared by
+    their fields) and what ``read_frame`` plus the per-frame decoder
+    make of the stream."""
     values = [0, "v", ("a", 1, None), TSVal(ts=3, wid=1, val="x" * 40), []]
-    frames = []
-    for index, value in enumerate(values):
-        frames.append(codec.encode_request(_request((index, value))))
-        frames.append(codec.encode_response(index, value))
-    return b"".join(frames)
+    if leg == "request":
+        blob = b"".join(
+            codec.encode_request(_request((index, value)))
+            for index, value in enumerate(values)
+        )
+
+        def decode(data):
+            ops, tail = codec.decode_requests(data)
+            return [_fields(op) for op in ops], tail
+
+        expected = [
+            _fields(codec.decode_request(frame))
+            for frame in _read_all_frames(codec, blob)
+        ]
+    else:
+        blob = b"".join(
+            codec.encode_response(index, value)
+            for index, value in enumerate(values)
+        )
+        decode = codec.decode_responses
+        expected = [
+            (response["op"], response["result"])
+            for response in map(
+                codec.decode_response, _read_all_frames(codec, blob)
+            )
+        ]
+    return blob, decode, expected
 
 
-def _split_segments(codec, segments):
+def _decode_segments(decode, segments):
     """Feed TCP segments the way the protocols' data_received does."""
-    frames, tail = [], b""
+    items, tail = [], b""
     for segment in segments:
-        split, tail = codec.split_frames(tail + segment)
-        frames.extend(split)
-    return frames, tail
+        decoded, tail = decode(tail + segment)
+        items.extend(decoded)
+    return items, tail
 
 
 @pytest.mark.parametrize("codec", [BinaryWireCodec, JsonWireCodec])
 class TestSplitFrames:
-    """The synchronous splitter yields exactly what read_frame yields,
-    however TCP cuts the stream into segments."""
+    """On either leg, the segment decoder yields exactly what read_frame
+    and the per-frame decoder yield, however TCP cuts the stream into
+    segments."""
+
+    LEGS = ("request", "response")
 
     def test_every_chunking_yields_the_read_frame_frames(self, codec):
-        blob = _recorded_stream(codec)
-        expected = _read_all_frames(codec, blob)
-        assert len(expected) == 10
-        chunkings = [[blob], [blob[i : i + 1] for i in range(len(blob))]]
-        chunkings += [
-            [blob[:cut], blob[cut:]] for cut in range(len(blob) + 1)
-        ]
-        for segments in chunkings:
-            assert _split_segments(codec, segments) == (expected, b"")
+        for leg in self.LEGS:
+            blob, decode, expected = _leg(codec, leg)
+            assert len(expected) == 5
+            chunkings = [[blob], [blob[i : i + 1] for i in range(len(blob))]]
+            chunkings += [
+                [blob[:cut], blob[cut:]] for cut in range(len(blob) + 1)
+            ]
+            for segments in chunkings:
+                assert _decode_segments(decode, segments) == (expected, b"")
 
     def test_truncated_tail_stays_buffered_until_completed(self, codec):
-        blob = _recorded_stream(codec)
-        expected = _read_all_frames(codec, blob)
-        frames, tail = codec.split_frames(blob[:-3])
-        assert frames == expected[:-1]
-        assert tail and blob.endswith(tail + blob[-3:])
-        assert codec.split_frames(tail + blob[-3:]) == (expected[-1:], b"")
+        for leg in self.LEGS:
+            blob, decode, expected = _leg(codec, leg)
+            items, tail = decode(blob[:-3])
+            assert items == expected[:-1]
+            assert tail and blob.endswith(tail + blob[-3:])
+            assert decode(tail + blob[-3:]) == (expected[-1:], b"")
 
     def test_empty_segment_yields_nothing(self, codec):
-        assert codec.split_frames(b"") == ([], b"")
+        for leg in self.LEGS:
+            assert _leg(codec, leg)[1](b"") == ([], b"")
 
     def test_oversized_frame_rejected_before_its_body_is_buffered(self, codec):
-        good = codec.encode_response(1, "ok")
         if codec is BinaryWireCodec:
             # the four prefix bytes are enough: no body has arrived yet
             oversized = (MAX_FRAME_BYTES + 1).to_bytes(4, "big")
         else:
             oversized = b"x" * (MAX_FRAME_BYTES + 1)  # no newline in sight
-        with pytest.raises(ValueError):
-            codec.split_frames(oversized)
-        with pytest.raises(ValueError):
-            codec.split_frames(good + oversized)
+        for leg in self.LEGS:
+            blob, decode, _ = _leg(codec, leg)
+            with pytest.raises(ValueError):
+                decode(oversized)
+            with pytest.raises(ValueError):
+                decode(blob + oversized)
 
 
 def test_get_codec():

@@ -202,7 +202,86 @@ def test_a_replica_cuts_off_a_peer_whose_request_it_cannot_apply(case):
         cluster.round()
     finally:
         transport.close()
-    frames, tail = BinaryWireCodec.split_frames(bytes(received))
-    answered = [BinaryWireCodec.decode_response(frame)["op"] for frame in frames]
+    answers, tail = BinaryWireCodec.decode_responses(bytes(received))
+    answered = [op for op, _ in answers]
     assert answered == [1000] and tail == b""
     assert transport.decode_errors == 0
+
+
+def test_a_replica_answers_what_precedes_an_undecodable_frame():
+    """Good, undecodable, good in one TCP segment: the first request is
+    applied and answered, the peer is cut off, and the third request is
+    neither applied nor answered."""
+    cluster = _AbdCluster(seed=11)
+    transport = cluster.transport
+    received = bytearray()
+    try:
+        cluster.round()
+        server = transport.servers[0]
+        (hosted,) = server.replicas
+        replica = server.replicas[hosted]
+        applied = []
+        apply = replica.apply
+
+        def recording_apply(op):
+            if op.client_id == ClientId(7):
+                applied.append(int(op.op_id))
+            return apply(op)
+
+        replica.apply = recording_apply
+        peer = socket.create_connection(("127.0.0.1", transport.ports[0]))
+        try:
+            peer.sendall(
+                _request(1000, hosted, OpKind.READ_MAX, ())
+                + _frame(BAD_UTF8_REQUEST)
+                + _request(1002, hosted, OpKind.READ_MAX, ())
+            )
+            peer.setblocking(False)
+            cluster.rounds_until(
+                lambda: _read_until_closed(peer, received),
+                "peer never cut off",
+            )
+        finally:
+            peer.close()
+        cluster.round()
+    finally:
+        transport.close()
+    answers, tail = BinaryWireCodec.decode_responses(bytes(received))
+    answered = [op for op, _ in answers]
+    assert answered == [1000] and tail == b""
+    assert applied == [1000]
+    assert transport.decode_errors == 0
+
+
+def test_a_client_delivers_the_response_before_a_malformed_one():
+    """A good response and a malformed one in one TCP segment: the good
+    one still reaches ``kernel.arrive``; then the link is dropped,
+    counted and redialed."""
+    cluster = _AbdCluster(seed=12)
+    transport = cluster.transport
+    kernel = cluster.emulation.kernel
+    try:
+        cluster.round()
+        arrived = []
+        arrive = kernel.arrive
+
+        def recording_arrive(op_id):
+            arrived.append(int(op_id))
+            arrive(op_id)
+
+        kernel.arrive = recording_arrive
+        link = transport._links[1]
+        link.data_received(
+            BinaryWireCodec.encode_response(10**6, "ok")
+            + _frame(BAD_UTF8_RESPONSE)
+        )
+        assert transport.decode_errors == 1
+        transport.pump()
+        assert arrived == [10**6]
+        cluster.rounds_until(
+            lambda: transport._links[1] is not link
+            and 1 not in transport._down,
+            "link never redialed",
+        )
+    finally:
+        transport.close()

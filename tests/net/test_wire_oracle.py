@@ -13,6 +13,7 @@ the production codec wraps both as ``WireDecodeError``.
 
 import struct
 from collections import namedtuple
+from typing import Any, Callable, NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -20,10 +21,17 @@ from hypothesis import strategies as st
 
 from repro.errors import WireDecodeError
 from repro.net.wire import (
+    MAX_FRAME_BYTES,
+    BinaryWireCodec,
+    JsonWireCodec,
     decode_binary_request,
     decode_binary_response,
+    decode_request,
+    decode_response,
     encode_binary_request,
     encode_binary_response,
+    encode_request,
+    encode_response,
 )
 from repro.sim.ids import ClientId, ObjectId, OpId
 from repro.sim.objects import LowLevelOp, OpKind
@@ -246,3 +254,176 @@ KV_SOCK_READ_FRAMES = [
 )
 def test_kv_sock_read_frames_are_pinned(encode, expected):
     assert encode().hex() == expected
+
+
+# -- segments ------------------------------------------------------------------
+#
+# The socket path codes a whole outbox flush or TCP read per call.  Its
+# segment functions must produce exactly the concatenated reference
+# frames and decode any cut of them, carried tail and all, to what the
+# reference decodes frame by frame.
+
+
+def _json_values():
+    """:func:`_values` without ``bytes``, which the JSON codec rejects."""
+    leaves = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.floats(allow_nan=False),
+        st.text(),
+    )
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(st.text(max_size=8), children, max_size=4),
+            st.builds(TSVal, ts=st.integers(), wid=st.integers(), val=children),
+        ),
+        max_leaves=12,
+    )
+
+
+#: the ``TSVal`` shapes the protocols ship, with large timestamps and
+#: negative writer ids (the bottom value's ``wid`` is -1).
+_SHIPPED_TSVALS = st.builds(
+    TSVal,
+    ts=st.integers(min_value=0, max_value=2**70),
+    wid=st.integers(min_value=-(2**40), max_value=2**40),
+    val=st.one_of(st.none(), st.text(max_size=40)),
+)
+_IDS = st.integers(min_value=0, max_value=2**70)
+
+
+class _Segments(NamedTuple):
+    """One codec's segment functions and the per-frame reference."""
+
+    codec: Any
+    encode_request: Callable
+    decode_request: Callable
+    encode_response: Callable
+    decode_response: Callable
+    #: a reference frame as its per-frame decoder takes it
+    payload: Callable
+    values: Callable
+
+
+_SEGMENTS = {
+    "binary": _Segments(
+        BinaryWireCodec,
+        reference.encode_binary_request,
+        reference.decode_binary_request,
+        reference.encode_binary_response,
+        reference.decode_binary_response,
+        lambda frame: frame[4:],
+        _values,
+    ),
+    "json": _Segments(
+        JsonWireCodec,
+        encode_request,
+        decode_request,
+        encode_response,
+        decode_response,
+        lambda frame: frame,
+        _json_values,
+    ),
+}
+
+
+def _args(values):
+    return st.one_of(
+        st.just(()),
+        st.tuples(_SHIPPED_TSVALS),
+        st.tuples(_SHIPPED_TSVALS, _SHIPPED_TSVALS),
+        st.lists(values, max_size=3).map(tuple),
+    )
+
+
+def _ops(values):
+    return st.lists(
+        st.builds(
+            _request,
+            _args(values),
+            st.sampled_from(list(OpKind)),
+            _IDS,
+            _IDS,
+            _IDS,
+        ),
+        max_size=6,
+    )
+
+
+def _pairs(values):
+    result = st.one_of(
+        _SHIPPED_TSVALS, st.sampled_from(["ok", "ack"]), st.none(), values
+    )
+    return st.lists(st.tuples(_IDS, result), max_size=6)
+
+
+def _fed(decode, blob, cuts):
+    """``blob`` cut at ``cuts`` and fed read by read, the tail of each
+    decode prepended to the next piece: every item, and the last tail."""
+    edges = [0, *sorted(cut % (len(blob) + 1) for cut in cuts), len(blob)]
+    items, tail = [], b""
+    for start, end in zip(edges, edges[1:]):
+        decoded, tail = decode(tail + blob[start:end])
+        items.extend(decoded)
+    return items, tail
+
+
+_CUTS = st.lists(st.integers(min_value=0), max_size=8)
+
+
+@pytest.mark.parametrize("name", sorted(_SEGMENTS))
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_request_segments_match_the_reference_frames(name, data):
+    segments = _SEGMENTS[name]
+    ops = data.draw(_ops(segments.values()))
+    frames = [segments.encode_request(op) for op in ops]
+    blob = b"".join(frames)
+    assert segments.codec.encode_requests(ops) == blob
+    decoded, tail = _fed(segments.codec.decode_requests, blob, data.draw(_CUTS))
+    assert tail == b""
+    expected = [segments.decode_request(segments.payload(f)) for f in frames]
+    assert len(decoded) == len(expected)
+    assert all(map(_same_op, decoded, expected))
+
+
+@pytest.mark.parametrize("name", sorted(_SEGMENTS))
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_response_segments_match_the_reference_frames(name, data):
+    segments = _SEGMENTS[name]
+    pairs = data.draw(_pairs(segments.values()))
+    frames = [segments.encode_response(op, result) for op, result in pairs]
+    blob = b"".join(frames)
+    assert segments.codec.encode_responses(pairs) == blob
+    decoded, tail = _fed(segments.codec.decode_responses, blob, data.draw(_CUTS))
+    assert tail == b""
+    expected = [segments.decode_response(segments.payload(f)) for f in frames]
+    assert len(decoded) == len(expected)
+    for (op, result), frame in zip(decoded, expected):
+        assert _same(op, frame["op"]) and _same(result, frame["result"])
+
+
+@pytest.mark.parametrize(
+    "decode",
+    [BinaryWireCodec.decode_requests, BinaryWireCodec.decode_responses],
+    ids=["requests", "responses"],
+)
+def test_an_oversized_length_prefix_fails_before_its_body(decode):
+    """The four prefix bytes are enough to refuse the read: nothing of
+    the body is waited for, and the read's earlier frames are refused
+    with it, as the length-prefix walk always did."""
+    good = (
+        encode_binary_request(_request(()))
+        if decode is BinaryWireCodec.decode_requests
+        else encode_binary_response(1, "ok")
+    )
+    oversized = struct.pack(">I", MAX_FRAME_BYTES + 1)
+    for data in (oversized, good + oversized, good + oversized + b"\x01"):
+        with pytest.raises(WireDecodeError) as failure:
+            decode(data)
+        assert not failure.value.decoded
