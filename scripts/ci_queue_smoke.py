@@ -53,7 +53,7 @@ def main() -> int:
     workers = [
         subprocess.Popen(
             [sys.executable, "-m", "repro", "queue", "work", "--db", db,
-             "--worker-id", name, "--no-cache"],
+             "--worker-id", name],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,

@@ -55,7 +55,7 @@ from repro.apps.shard import (
     run_loadgen,
 )
 from repro.errors import ReproError
-from repro.exec import Cell, Grid, ResultCache, run_experiment_grid
+from repro.exec import Cell, Grid, run_experiment_grid
 from repro.experiments import ExperimentResult, run_experiment
 from repro.verify import VerificationReport, verify_run
 from repro.workloads import run_workload, write_sequential_workload
@@ -85,7 +85,6 @@ __all__ = [
     "ReplicatedKVStore",
     "ReplicatedMaxRegisterEmulation",
     "ReproError",
-    "ResultCache",
     "ShardConfig",
     "ShardServiceConfig",
     "ShardedKVService",

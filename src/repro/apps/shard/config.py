@@ -3,7 +3,7 @@
 Mirrors :class:`~repro.net.config.TransportConfig`: eager validation in
 ``__post_init__``, classmethod constructors, and a ``cache_payload()``
 canonical form so shard configs can key the experiment engine's
-:class:`~repro.exec.ResultCache` and travel through pickled specs.
+:func:`~repro.exec.cell_key` and travel through pickled specs.
 """
 
 from __future__ import annotations

@@ -20,12 +20,13 @@ Commands:
 * ``demo``                    — a quick write/read/crash walkthrough.
 
 ``experiment``, ``sweep`` and ``ablate`` route through the parallel
-experiment engine (:mod:`repro.exec`): ``--jobs N`` fans independent
-cells out to worker processes, results persist in a content-addressed
-cache under ``--cache-dir`` (default ``.repro_cache/``), and repeated
-invocations complete from cache without simulating a single kernel step.
-Tables print to stdout; per-cell progress and the
-``engine: cells=... hits=... misses=...`` summary go to stderr, so
+experiment engine (:mod:`repro.exec`): their cells are enqueued into
+the cell table ``<--cache-dir>/cells.sqlite`` (default
+``.repro_cache/``), the same table ``repro queue`` works on, so its DONE
+rows are the result cache and repeated invocations complete without
+simulating a single kernel step; ``--jobs N`` drains the rest with N
+forked queue workers.  Tables print to stdout; per-cell progress and
+the ``engine: cells=... hits=... misses=...`` summary go to stderr, so
 stdout stays byte-identical between serial, parallel and cached runs.
 """
 
@@ -42,7 +43,6 @@ from repro.core.layout import RegisterLayout
 from repro.core.lemma1 import Lemma1Runner
 from repro.core.ws_register import WSRegisterEmulation
 from repro.exec import (
-    ResultCache,
     expand_experiment,
     merge_results,
     run_cells,
@@ -108,8 +108,9 @@ def _add_export_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _engine_cache(args) -> "Optional[ResultCache]":
-    return None if args.no_cache else ResultCache(args.cache_dir)
+def _engine_cache(args) -> "Optional[str]":
+    """The cell table's directory; ``--no-cache`` gets a throwaway one."""
+    return None if args.no_cache else args.cache_dir
 
 
 def _progress(message: str) -> None:
@@ -220,7 +221,7 @@ def cmd_experiment(args) -> int:
     ids = list_experiments() if args.all else [args.id]
 
     # One engine pass over every cell of every requested experiment: the
-    # whole batch shares the pool, the cache and a single summary line.
+    # whole batch shares the workers, the cell table and one summary line.
     cells = []
     spans = []
     for experiment_id in ids:
@@ -791,8 +792,6 @@ def cmd_queue_work(args) -> int:
         worker = QueueWorker(
             backend,
             worker_id=args.worker_id,
-            cache=_engine_cache(args),
-            refresh=args.refresh,
             ttl=args.ttl,
             check_version=not args.no_version_check,
             progress=_progress,
@@ -1289,22 +1288,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-version-check",
         action="store_true",
         help="execute cells enqueued under a different code fingerprint",
-    )
-    q_work.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the local result cache entirely",
-    )
-    q_work.add_argument(
-        "--refresh",
-        action="store_true",
-        help="recompute claimed cells even when cached locally",
-    )
-    q_work.add_argument(
-        "--cache-dir",
-        default=".repro_cache",
-        metavar="PATH",
-        help="local result cache root (default: .repro_cache)",
     )
     _add_import_module(q_work)
     q_work.set_defaults(fn=cmd_queue_work)

@@ -172,8 +172,7 @@ class CodeVersionMismatch(QueueError):
     (:func:`repro.exec.cache.experiment_code_version`) they were
     enqueued with; a worker whose checkout fingerprints differently
     must not execute them — its results would be silently incomparable,
-    exactly the staleness the ResultCache's versioned keys prevent
-    locally.
+    exactly the staleness the versioned cell keys prevent locally.
     """
 
     exit_code = 13

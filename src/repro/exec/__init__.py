@@ -1,36 +1,36 @@
 """The parallel experiment engine.
 
 Turns the experiment registry (:mod:`repro.experiments`) into a
-parallel, resumable, cached grid runner:
+parallel, resumable, cached grid runner with one result store and one
+executor:
 
 * :mod:`repro.exec.grid` — :class:`Cell` / :class:`Grid`: expand a
   parameter space (including replicate seeds) into independent,
   picklable work units; :func:`expand_experiment` shards registered
   sweep experiments along their declared axis.
-* :mod:`repro.exec.cache` — :class:`ResultCache`: one JSON file per
-  cell under ``.repro_cache/``, keyed by a content hash of experiment
-  id + normalized kwargs + seed + code version, with hit/miss/store
-  accounting.
-* :mod:`repro.exec.engine` — one cell path for every executor:
+* :mod:`repro.exec.cache` — :func:`cell_key`: the content hash of
+  experiment id + normalized kwargs + seed + code version that keys a
+  cell's row.
+* :mod:`repro.exec.queue` — the experiment table
+  (:class:`SqliteQueue`), the only result store: one row per cell with
+  its inputs, status, result and error, drained by
+  :class:`QueueWorker` claim/execute/write-back loops on any number of
+  machines, plus the ``table|csv|md|latex`` result exporter.
+* :mod:`repro.exec.engine` — one cell path for every run:
   :func:`~repro.exec.engine.run_cell` runs and measures a cell,
   :func:`run_cell_payload` turns an ``Exception`` into a failed payload
-  (``KeyboardInterrupt`` / ``SystemExit`` propagate), and one archive
-  format and one payload -> :class:`CellOutcome` conversion serve the
-  cache, the pool and the queue; :func:`run_cells` (serial loop or
-  crash-tolerant ``ProcessPoolExecutor`` fan-out with streamed per-cell
-  progress), :func:`merge_results` and :func:`run_experiment_grid`.
-* :mod:`repro.exec.queue` — the distributed experiment queue: a shared
-  experiment table (:class:`SqliteQueue` behind the
-  :class:`~repro.exec.queue.QueueBackend` protocol) that any number of
-  workers on any machine drain with atomic claim/execute/write-back
-  loops, plus the ``table|csv|md|latex`` result exporter.
+  (``KeyboardInterrupt`` / ``SystemExit`` propagate);
+  :func:`run_cells` enqueues cells into a local table (the cache: a
+  DONE row is a hit) and drains it with one in-process worker or
+  ``jobs`` forked ones; :func:`merge_results` and
+  :func:`run_experiment_grid`.
 
 The CLI flags ``--jobs`` / ``--no-cache`` / ``--refresh`` /
 ``--cache-dir`` / ``--export`` on ``repro experiment|sweep|ablate`` and
 the ``repro queue`` command family are thin wrappers over this package.
 """
 
-from repro.exec.cache import ResultCache, cell_key, experiment_code_version
+from repro.exec.cache import cell_key, experiment_code_version
 from repro.exec.engine import (
     CellOutcome,
     EngineReport,
@@ -41,7 +41,6 @@ from repro.exec.engine import (
 )
 from repro.exec.grid import Cell, Grid, expand_experiment
 from repro.exec.queue import (
-    QueueBackend,
     QueueCell,
     QueueWorker,
     SqliteQueue,
@@ -55,10 +54,8 @@ __all__ = [
     "CellOutcome",
     "EngineReport",
     "Grid",
-    "QueueBackend",
     "QueueCell",
     "QueueWorker",
-    "ResultCache",
     "SqliteQueue",
     "cell_key",
     "enqueue_cells",

@@ -1,8 +1,9 @@
-"""Persistent result cache for experiment cells.
+"""The result-cache key of an experiment cell.
 
-Results live as one JSON file per cell under ``.repro_cache/`` (or any
-root you pass), sharded by the first two hex digits of the key.  The key
-is a content hash over everything that determines the result:
+Results live in the cell table (:class:`~repro.exec.queue.SqliteQueue`,
+``<--cache-dir>/cells.sqlite`` for local runs), one row per cell keyed
+by :func:`cell_key`: a content hash over everything that determines the
+result:
 
 * experiment id,
 * normalized keyword arguments (sorted, JSON-canonical),
@@ -14,10 +15,9 @@ is a content hash over everything that determines the result:
   function's own source stays in the hash because experiments loaded
   with ``--import-module`` live outside the package.
 
-The cache is process-safe for our access pattern (the grid engine reads
-and writes only from the parent process; writes go through a temp file +
-``os.replace`` so readers never see a torn entry) and keeps hit/miss/
-store counters for the CLI summary.
+Because the code version is in the key, rows of an older checkout stay
+in the table but are never served, and the ``.repro_cache/*/*.json``
+files of the former one-file-per-cell cache are ignored.
 """
 
 from __future__ import annotations
@@ -27,13 +27,12 @@ import functools
 import hashlib
 import inspect
 import json
-import os
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional
 
 from repro.exec.grid import Cell
 
-#: bump to invalidate every existing cache entry on format changes.
+#: bump to invalidate every existing cache key on format changes.
 CACHE_FORMAT = 1
 
 _CODE_VERSIONS: "Dict[str, str]" = {}
@@ -110,54 +109,3 @@ def cell_key(cell: Cell, code_version: "Optional[str]" = None) -> str:
     }
     blob = json.dumps(identity, sort_keys=True, default=_canonical_param)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-class ResultCache:
-    """JSON-file result cache keyed by :func:`cell_key`."""
-
-    def __init__(self, root: "Union[os.PathLike, str]" = ".repro_cache"):
-        self.root = Path(root)
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-
-    def path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
-
-    def load(self, cell: Cell) -> "Optional[Dict[str, Any]]":
-        """The archived payload for ``cell``, or ``None`` (counts hit/miss)."""
-        path = self.path(cell_key(cell))
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return payload
-
-    def store(self, cell: Cell, payload: "Dict[str, Any]") -> Path:
-        """Atomically persist ``payload`` for ``cell``."""
-        path = self.path(cell_key(cell))
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-        os.replace(tmp, path)
-        self.stores += 1
-        return path
-
-    def clear(self) -> int:
-        """Delete every entry under the root; returns the count removed."""
-        removed = 0
-        if not self.root.exists():
-            return removed
-        for entry in self.root.glob("*/*.json"):
-            entry.unlink()
-            removed += 1
-        return removed
-
-    def __len__(self) -> int:
-        if not self.root.exists():
-            return 0
-        return sum(1 for _ in self.root.glob("*/*.json"))

@@ -1,6 +1,6 @@
-"""The grid engine: run experiment cells serially or on a process pool.
+"""The grid engine: run experiment cells through the cell table.
 
-Every executor runs a cell the same way:
+Every cell runs the same way:
 
 * :func:`run_cell` — run and measure one cell in-process; the only code
   that calls a registered experiment.
@@ -9,22 +9,23 @@ Every executor runs a cell the same way:
 * :func:`run_cell_payload` — the one failure rule: an ``Exception``
   becomes a failed plain-data payload carrying its traceback.
   ``KeyboardInterrupt`` and ``SystemExit`` are not cell failures; they
-  propagate.  Serial :func:`run_cells`, its fork pool and
-  :class:`~repro.exec.queue.QueueWorker` all run cells through it.
+  propagate.  :class:`~repro.exec.queue.QueueWorker`, the only
+  executor, runs every cell through it.
 * :func:`cell_archive` / :func:`outcome_from_payload` — the one archive
-  format (what the :class:`~repro.exec.cache.ResultCache` and the queue
-  table store) and the one payload -> :class:`CellOutcome` conversion.
+  format (what a DONE row of the cell table stores) and the one
+  payload -> :class:`CellOutcome` conversion.
 
-:func:`run_cells` runs many cells: ``jobs <= 1`` loops in-process;
-``jobs > 1`` fans the cache misses out to a ``ProcessPoolExecutor``,
-streams per-cell progress (simulated steps, steps/sec, wall-clock) as
-futures complete, and survives worker crashes: when the pool breaks,
-the unfinished cells are re-run one-per-fresh-pool so the crashing cell
-is identified and marked failed while innocent bystanders still
-complete.  :func:`run_experiment_grid` — expand + run + merge for one
-experiment (the CLI's path): shardable sweeps fan out across their axis
-and the per-cell row blocks are concatenated back in axis order, making
-the parallel table byte-identical to the serial one.
+:func:`run_cells` runs many cells through one cell table
+(:class:`~repro.exec.queue.SqliteQueue`), which is also the result
+cache: a DONE row with a cell's key is a hit, and the rest are drained
+by one in-process worker (``jobs <= 1``) or ``jobs`` forked ones.  A
+forked worker that dies mid-cell has its row marked failed and is
+replaced while open rows remain, so the grid completes and no
+bystander runs twice.
+:func:`run_experiment_grid` — expand + run + merge for one experiment
+(the CLI's path): shardable sweeps fan out across their axis and the
+per-cell row blocks are concatenated back in axis order, making the
+parallel table byte-identical to the serial one.
 
 Everything crossing the process boundary is plain data: cells are frozen
 dataclasses of primitives and results travel as ``to_dict()`` payloads
@@ -34,34 +35,43 @@ dataclasses of primitives and results travel as ``to_dict()`` payloads
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
+import multiprocessing.connection
+import os
+import sys
+import tempfile
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Mapping,
     Optional,
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
-from repro.exec.cache import ResultCache
+from repro.exec.cache import cell_key
 from repro.exec.grid import Cell, expand_experiment
 
-_MP_CONTEXT: "Optional[multiprocessing.context.BaseContext]"
-try:
-    # Fork keeps workers identical to the parent (same registry state,
-    # including experiments registered at runtime) and skips re-import.
-    _MP_CONTEXT = multiprocessing.get_context("fork")
-except ValueError:  # pragma: no cover — non-POSIX platforms
-    _MP_CONTEXT = None
+if TYPE_CHECKING:  # pragma: no cover — typing only
+    from repro.exec.queue import QueueCell, SqliteQueue
+
+#: the cell table's file under a cache directory.
+CELLS_FILE = "cells.sqlite"
+
+#: how a forked worker reports that a cell raised ``KeyboardInterrupt``
+#: or ``SystemExit`` (the parent raises it again).
+_INTERRUPTED, _EXITED = 130, 131
 
 #: outcome states a cell can end in.
 OK, CACHED, FAILED = "ok", "cached", "failed"
@@ -164,10 +174,10 @@ def run_cell_payload(cell: Cell) -> "Dict[str, Any]":
 
     An ``Exception`` comes back as ``{"ok": False, "error": traceback}``
     so the grid goes on.  Anything else (``KeyboardInterrupt``,
-    ``SystemExit``) propagates: Ctrl-C stops a serial run, a pool run
-    and a queue worker alike, and a queue row it interrupts stays
-    claimed until ``repro queue reset --stale`` reopens it.  Only a
-    process death surfaces to a pool's parent, as a broken pool.
+    ``SystemExit``) propagates: Ctrl-C stops a queue worker, in-process
+    or forked, and the row it interrupts stays claimed until
+    ``repro queue reset --stale`` reopens it (or, in a local run, until
+    :func:`run_cells` reopens it on its way out).
     """
     start = time.perf_counter()
     try:
@@ -186,20 +196,8 @@ def run_cell_payload(cell: Cell) -> "Dict[str, Any]":
     }
 
 
-def cached_payload(
-    cache: "Optional[ResultCache]", cell: Cell, refresh: bool
-) -> "Optional[Dict[str, Any]]":
-    """A fresh cache entry for ``cell`` as a zero-step payload, or ``None``."""
-    if cache is None or refresh:
-        return None
-    archive = cache.load(cell)
-    if archive is None:
-        return None
-    return {"ok": True, "result": archive["result"], "steps": 0, "elapsed": 0.0}
-
-
 def cell_archive(cell: Cell, payload: "Dict[str, Any]") -> "Dict[str, Any]":
-    """The archived form of a successful payload (cache entry, queue row)."""
+    """The archived form of a successful payload (a DONE row)."""
     return {
         "result": payload["result"],
         "steps": payload["steps"],
@@ -208,9 +206,7 @@ def cell_archive(cell: Cell, payload: "Dict[str, Any]") -> "Dict[str, Any]":
     }
 
 
-def outcome_from_payload(
-    cell: Cell, payload: "Dict[str, Any]", cached: bool = False
-) -> CellOutcome:
+def outcome_from_payload(cell: Cell, payload: "Dict[str, Any]") -> CellOutcome:
     """The :class:`CellOutcome` a payload stands for."""
     from repro.experiments import ExperimentResult
 
@@ -220,106 +216,211 @@ def outcome_from_payload(
         )
     return CellOutcome(
         cell,
-        CACHED if cached else OK,
+        OK,
         result=ExperimentResult.from_dict(payload["result"]),
         steps=payload["steps"],
         elapsed=payload["elapsed"],
     )
 
 
+def _row_outcome(cell: Cell, row: "QueueCell", cached: bool) -> CellOutcome:
+    """The outcome a finished row stands for; a hit simulated nothing."""
+    archive = row.result_payload()
+    if archive is None:
+        return CellOutcome(cell, FAILED, error=row.error, elapsed=row.elapsed)
+    outcome = outcome_from_payload(cell, {"ok": True, **archive})
+    if cached:
+        return replace(outcome, status=CACHED, steps=0, elapsed=0.0)
+    return outcome
+
+
 def run_cells(
     cells: "Sequence[Cell]",
     jobs: int = 1,
-    cache: "Optional[ResultCache]" = None,
+    cache: "Optional[Union[str, os.PathLike]]" = None,
     refresh: bool = False,
     progress: "Optional[Callable[[str], None]]" = None,
 ) -> EngineReport:
-    """Run every cell; outcomes come back in input order regardless of
-    completion order, so downstream merging is deterministic."""
+    """Run every cell through the cell table in the ``cache`` directory.
+
+    ``cache=None`` uses a throwaway table in a temporary directory.  A
+    DONE row with a cell's key is a cache hit; ``refresh`` reopens this
+    run's DONE rows instead, and FAILED rows always run again.  Outcomes
+    come back in input order regardless of completion order, so
+    downstream merging is deterministic; each cell's progress line and
+    the summary go to ``progress`` once the table is drained.  Raises
+    :class:`~repro.errors.InvalidConfig` if a cell's params do not
+    survive a JSON round trip.
+    """
+    from repro.exec.queue import DONE, FAILED as ROW_FAILED, enqueue_cells
+
     started = time.perf_counter()
     emit = progress or (lambda message: None)
-    outcomes: "Dict[int, CellOutcome]" = {}
-
-    def settle(
-        index: int, payload: "Dict[str, Any]", cached: bool = False
-    ) -> None:
-        cell = cells[index]
-        outcomes[index] = outcome_from_payload(cell, payload, cached)
-        if cache is not None and payload["ok"] and not cached:
-            cache.store(cell, cell_archive(cell, payload))
-        emit(outcomes[index].describe())
-
-    # Serve what we can from the cache up front (hits skip the pool).
-    pending: "List[int]" = []
-    for index, cell in enumerate(cells):
-        hit = cached_payload(cache, cell, refresh)
-        if hit is not None:
-            settle(index, hit, cached=True)
-        else:
-            pending.append(index)
-
-    if jobs <= 1:
-        for index in pending:
-            settle(index, run_cell_payload(cells[index]))
-    else:
-        _run_pool(cells, pending, jobs, settle)
-
+    with _cell_table(cache) as table:
+        enqueue_cells(table, cells)
+        ids = [cell_key(cell) for cell in cells]
+        before = table.lookup(ids).items()
+        hits = set() if refresh else {i for i, row in before if row.status == DONE}
+        table.reset(
+            cell_ids=[
+                i
+                for i, row in before
+                if row.status in (DONE, ROW_FAILED) and i not in hits
+            ]
+        )
+        owners = _drain(table, ids, jobs)
+        rows = table.lookup(ids)
     report = EngineReport(
-        outcomes=[outcomes[i] for i in range(len(cells))],
+        outcomes=[
+            _row_outcome(cell, rows[cell_id], cell_id in hits)
+            for cell, cell_id in zip(cells, ids)
+        ],
         elapsed=time.perf_counter() - started,
-        cache_hits=cache.hits if cache is not None else 0,
-        cache_misses=cache.misses if cache is not None else 0,
+        cache_hits=sum(cell_id in hits for cell_id in ids),
+        cache_misses=sum(
+            cell_id not in hits and rows[cell_id].owner in owners
+            for cell_id in ids
+        ),
     )
+    for outcome in report.outcomes:
+        emit(outcome.describe())
     emit(report.summary())
     return report
 
 
-def _run_pool(
-    cells: "Sequence[Cell]",
-    pending: "List[int]",
-    jobs: int,
-    settle: "Callable[[int, Dict[str, Any]], None]",
-) -> None:
-    """Fan ``pending`` out to a pool; isolate survivors of a pool break."""
-    settled: "Set[int]" = set()
-    unfinished: "List[int]" = []
-    try:
-        with ProcessPoolExecutor(
-            max_workers=jobs, mp_context=_MP_CONTEXT
-        ) as pool:
-            futures = {
-                pool.submit(run_cell_payload, cells[index]): index for index in pending
-            }
-            for future in as_completed(futures):
-                index = futures[future]
-                try:
-                    payload = future.result()
-                except BrokenProcessPool:
-                    unfinished.append(index)
-                    continue
-                settle(index, payload)
-                settled.add(index)
-    except BrokenProcessPool:
-        unfinished = [i for i in pending if i not in settled]
+@contextlib.contextmanager
+def _cell_table(
+    cache: "Optional[Union[str, os.PathLike]]",
+) -> "Iterator[SqliteQueue]":
+    """The cell table under ``cache``, or a throwaway one."""
+    from repro.exec.queue import SqliteQueue
 
-    # A worker died mid-run and took the pool with it.  Every unfinished
-    # cell gets one isolated single-worker pool: the innocent ones finish
-    # normally, the crashing one breaks only its own pool and is marked
-    # failed — the grid completes either way.
-    for index in sorted(set(unfinished)):
-        start = time.perf_counter()
-        try:
-            with ProcessPoolExecutor(
-                max_workers=1, mp_context=_MP_CONTEXT
-            ) as solo:
-                payload = solo.submit(run_cell_payload, cells[index]).result()
-        except BrokenProcessPool:
-            payload = {
-                "ok": False,
-                "error": "worker process crashed (pool broken)",
-                "elapsed": time.perf_counter() - start,
-            }
-        settle(index, payload)
+    with contextlib.ExitStack() as stack:
+        root = cache
+        if root is None:
+            root = stack.enter_context(tempfile.TemporaryDirectory())
+        table = SqliteQueue(Path(root) / CELLS_FILE)
+        stack.callback(table.close)
+        yield table
+
+
+def _drain(table: "SqliteQueue", ids: "List[str]", jobs: int) -> "Set[str]":
+    """Work this run's rows until each is DONE or FAILED; returns the
+    ids of the workers this run started.
+
+    Rows another process holds are waited for, and reopened once their
+    heartbeat is stale, as ``repro queue reset --stale`` does.  If the
+    run is interrupted, its own workers' claims are reopened on the way
+    out, so it leaves no claimed row behind.
+    """
+    from repro.exec.queue import CLAIMED, OPEN, QueueWorker
+    from repro.exec.queue.worker import HEARTBEAT_TTL, default_worker_id
+
+    owners: "Set[str]" = set()
+    try:
+        while True:
+            if jobs <= 1:
+                owners.add(default_worker_id())
+                QueueWorker(table).run(cell_ids=ids)
+            else:
+                _fork_workers(table, ids, jobs, owners)
+            busy = {row.status for row in table.lookup(ids).values()}
+            busy &= {OPEN, CLAIMED}
+            if not busy:
+                return owners
+            if busy == {CLAIMED} and not table.reset(
+                stale_before=time.time() - HEARTBEAT_TTL
+            ):
+                time.sleep(1.0)
+    except BaseException:
+        table.reset(
+            cell_ids=[
+                row.cell_id
+                for row in table.lookup(ids).values()
+                if row.status == CLAIMED and row.owner in owners
+            ]
+        )
+        raise
+
+
+def _fork_workers(
+    table: "SqliteQueue", ids: "List[str]", jobs: int, owners: "Set[str]"
+) -> None:
+    """Drain this run's OPEN rows with up to ``jobs`` forked workers.
+
+    A worker that dies holding a claim gets that row marked failed and,
+    while OPEN rows remain, a replacement.  A cell's
+    ``KeyboardInterrupt`` / ``SystemExit`` in a worker is raised here.
+    Every worker is reaped (killed, if still running) before returning.
+    """
+    from repro.errors import QueueError
+    from repro.exec.queue import CLAIMED, FAILED as ROW_FAILED, OPEN
+    from repro.exec.queue.worker import default_worker_id
+
+    # Fork keeps workers identical to the parent (same registry state,
+    # including experiments registered at runtime) and skips re-import;
+    # the parent runs no worker thread of its own while it forks.
+    context = multiprocessing.get_context("fork")
+    children: "Dict[Any, Tuple[Any, str]]" = {}
+
+    def open_rows() -> int:
+        return sum(row.status == OPEN for row in table.lookup(ids).values())
+
+    def fork() -> None:
+        worker_id = f"{default_worker_id()}-{len(owners)}"
+        owners.add(worker_id)
+        child = context.Process(
+            target=_work, args=(str(table.path), worker_id, ids)
+        )
+        child.start()
+        children[child.sentinel] = (child, worker_id)
+
+    try:
+        for _ in range(min(jobs, open_rows())):
+            fork()
+        while children:
+            for sentinel in multiprocessing.connection.wait(list(children)):
+                child, worker_id = children.pop(sentinel)
+                child.join()
+                if child.exitcode == _INTERRUPTED:
+                    raise KeyboardInterrupt
+                if child.exitcode == _EXITED:
+                    raise SystemExit(f"a cell exited worker {worker_id}")
+                if child.exitcode == 0:
+                    continue
+                crashed = f"worker process crashed (exit code {child.exitcode})"
+                held = [
+                    row.cell_id
+                    for row in table.lookup(ids).values()
+                    if row.status == CLAIMED and row.owner == worker_id
+                ]
+                if not held:  # died outside any cell: do not respawn
+                    raise QueueError(f"{worker_id}: {crashed} outside any cell")
+                for cell_id in held:
+                    table.write_back(
+                        cell_id, worker_id, ROW_FAILED, time.time(), error=crashed
+                    )
+                if open_rows():
+                    fork()
+    finally:
+        for child, _ in children.values():
+            child.kill()
+            child.join()
+
+
+def _work(path: str, worker_id: str, ids: "List[str]") -> None:
+    """A forked worker: its own connection, since none crosses a fork."""
+    from repro.exec.queue import QueueWorker, SqliteQueue
+
+    table = SqliteQueue(path)
+    try:
+        QueueWorker(table, worker_id=worker_id).run(cell_ids=ids)
+    except KeyboardInterrupt:
+        sys.exit(_INTERRUPTED)
+    except SystemExit:
+        sys.exit(_EXITED)
+    finally:
+        table.close()
 
 
 def merge_results(results: "Sequence[Any]"):
@@ -354,7 +455,7 @@ def run_experiment_grid(
     kwargs: "Optional[Mapping[str, Any]]" = None,
     seed: "Optional[int]" = None,
     jobs: int = 1,
-    cache: "Optional[ResultCache]" = None,
+    cache: "Optional[Union[str, os.PathLike]]" = None,
     refresh: bool = False,
     progress: "Optional[Callable[[str], None]]" = None,
 ):

@@ -2,8 +2,8 @@
 
 A :class:`Cell` is one independent experiment invocation — experiment id,
 keyword arguments, and an optional scheduler seed.  Cells are immutable,
-hashable and picklable, so they can key the on-disk result cache and
-cross process boundaries to pool workers.
+hashable and picklable; each one keys a row of the cell table, from
+which a queue worker rebuilds it.
 
 A :class:`Grid` is a cartesian parameter space over one experiment: base
 kwargs shared by every cell, named axes (kwarg name -> sequence of

@@ -1,22 +1,25 @@
-"""The distributed experiment queue: shared-table sweeps.
+"""The experiment table: the one result store and the one executor.
 
-PR 2's engine parallelizes one box; this package parallelizes *boxes*.
-A grid is enqueued once into a shared experiment table — one row per
-:class:`~repro.exec.grid.Cell`, identified by the same content-hash key
-the local :class:`~repro.exec.cache.ResultCache` uses — and any number
-of workers on any machine run a claim/execute/write-back loop against
-it (py_experimenter's model, adapted to our content-addressed cells):
+A grid is enqueued into an experiment table — one row per
+:class:`~repro.exec.grid.Cell` holding its inputs, status, result and
+error, keyed by the cell's content hash
+(:func:`~repro.exec.cache.cell_key`) — and any number of workers on any
+machine run a claim/execute/write-back loop against it
+(py_experimenter's model, adapted to our content-addressed cells).  The
+same table is the local result cache: ``repro experiment|sweep|ablate``
+enqueue into ``<--cache-dir>/cells.sqlite``, serve its DONE rows as
+hits and drain the rest with ``--jobs`` workers
+(:func:`repro.exec.engine.run_cells`).
 
 * :mod:`repro.exec.queue.backend` — the row model
-  (:class:`QueueCell`, ``open|claimed|done|failed``) and the
-  :class:`QueueBackend` protocol every store implements.
-* :mod:`repro.exec.queue.sqlite` — :class:`SqliteQueue`: the
-  shared-file deployment story (atomic CAS claims over one database
-  file on a shared path).
+  (:class:`QueueCell`, ``open|claimed|done|failed``).
+* :mod:`repro.exec.queue.sqlite` — :class:`SqliteQueue`: the table
+  over one database file (atomic CAS claims, on a shared path for a
+  distributed sweep).
 * :mod:`repro.exec.queue.worker` — :class:`QueueWorker`: the loop,
   with heartbeat renewal, code-version refusal
-  (:class:`~repro.errors.CodeVersionMismatch`), stolen-claim detection
-  (:class:`~repro.errors.CellClaimLost`) and local-cache write-through.
+  (:class:`~repro.errors.CodeVersionMismatch`) and stolen-claim
+  detection (:class:`~repro.errors.CellClaimLost`).
 * :mod:`repro.exec.queue.export` — per-experiment merge in enqueue
   order plus ``table|csv|md|latex`` renderers (also backing the
   ``--export`` flag of local runs) and a pandas bridge.
@@ -35,7 +38,6 @@ from repro.exec.queue.backend import (
     FAILED,
     OPEN,
     STATUSES,
-    QueueBackend,
     QueueCell,
     QueueStatus,
     cell_to_row,
@@ -65,7 +67,6 @@ __all__ = [
     "FAILED",
     "OPEN",
     "STATUSES",
-    "QueueBackend",
     "QueueCell",
     "QueueStatus",
     "QueueWorker",

@@ -1,11 +1,11 @@
-"""The shared experiment table: row model and backend protocol.
+"""The shared experiment table's row model.
 
-A queue is a table with one row per :class:`~repro.exec.grid.Cell`.
-Rows are identified by the cell's content hash — the *same* key the
-local :class:`~repro.exec.cache.ResultCache` uses — so a finished
-distributed sweep doubles as a portable result archive, and a worker
-that already holds a cell's result locally can write it back without
-re-running anything.
+A queue is a table with one row per :class:`~repro.exec.grid.Cell`,
+holding its inputs, status, result and error.  Rows are identified by
+the cell's content hash (:func:`~repro.exec.cache.cell_key`), so the
+table is also the result cache: a local ``repro experiment`` run serves
+a DONE row with the same key instead of re-running the cell, and a
+finished distributed sweep doubles as a portable result archive.
 
 The row lifecycle is ``open -> claimed -> done | failed``; ``reset``
 moves ``failed`` rows (and ``claimed`` rows whose owner stopped
@@ -15,16 +15,14 @@ so two workers racing for one cell resolve to exactly one winner and a
 worker whose claim was stolen by a reset cannot overwrite the thief's
 result — it gets :class:`~repro.errors.CellClaimLost` instead.
 
-:class:`QueueBackend` is the seam other stores plug into (MySQL /
-postgres later); :class:`~repro.exec.queue.sqlite.SqliteQueue` is the
-shared-file implementation everything ships with.
+:class:`~repro.exec.queue.sqlite.SqliteQueue` stores the rows.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional
 
 from repro.exec.grid import Cell
 
@@ -39,7 +37,7 @@ STATUSES = (OPEN, CLAIMED, DONE, FAILED)
 class QueueCell:
     """One row of the shared experiment table."""
 
-    cell_id: str  # content hash == the ResultCache key
+    cell_id: str  # content hash: cell_key(cell, code_version)
     index: int  # enqueue position: the deterministic merge order
     experiment_id: str
     params_json: str  # JSON object of the cell's kwargs (no seed)
@@ -68,7 +66,7 @@ class QueueCell:
         )
 
     def result_payload(self) -> "Optional[Dict[str, Any]]":
-        """The archived result payload (cache-shaped), if DONE."""
+        """The archived result payload (``cell_archive`` form), if DONE."""
         if self.result_json is None:
             return None
         payload: "Dict[str, Any]" = json.loads(self.result_json)
@@ -142,103 +140,3 @@ class QueueStatus:
             f" stale={self.stale}"
             f" experiments={','.join(self.experiments) or '-'}"
         )
-
-
-class QueueBackend:
-    """Protocol of the shared experiment table.
-
-    Implementations must make :meth:`try_claim` and :meth:`write_back`
-    atomic compare-and-swap transitions (one conditional ``UPDATE``),
-    because they are the only thing standing between two workers and a
-    double-executed cell.  Reads may be stale; CAS failures are the
-    truth.
-
-    This is a plain base class rather than ``typing.Protocol`` so the
-    shared helpers (:meth:`drained`) ride along; backends override the
-    primitives.
-    """
-
-    def enqueue(self, rows: "Sequence[QueueCell]") -> int:
-        """Insert rows, ignoring cell_ids already present; count added."""
-        raise NotImplementedError
-
-    def next_open(self, limit: int = 1) -> "List[QueueCell]":
-        """Up to ``limit`` OPEN rows in index order (claim candidates)."""
-        raise NotImplementedError
-
-    def try_claim(self, cell_id: str, owner: str, now: float) -> bool:
-        """CAS ``open -> claimed`` for ``owner``; False if lost the race."""
-        raise NotImplementedError
-
-    def renew_heartbeat(self, cell_id: str, owner: str, now: float) -> bool:
-        """Refresh the claim heartbeat; False if the claim is gone."""
-        raise NotImplementedError
-
-    def write_back(
-        self,
-        cell_id: str,
-        owner: str,
-        status: str,
-        now: float,
-        result_json: "Optional[str]" = None,
-        error: "Optional[str]" = None,
-        steps: int = 0,
-        elapsed: float = 0.0,
-    ) -> None:
-        """CAS ``claimed -> done|failed``; raises
-        :class:`~repro.errors.CellClaimLost` if the claim was stolen."""
-        raise NotImplementedError
-
-    def reset(
-        self,
-        stale_before: "Optional[float]" = None,
-        failed: bool = False,
-        cell_ids: "Optional[Sequence[str]]" = None,
-    ) -> "List[str]":
-        """Reopen rows; returns the cell_ids transitioned back to OPEN.
-
-        ``stale_before`` reopens CLAIMED rows whose heartbeat is older
-        than the cutoff (dead workers); ``failed`` reopens FAILED rows;
-        ``cell_ids`` reopens those exact rows whatever their state
-        (except OPEN, which is a no-op).
-        """
-        raise NotImplementedError
-
-    def rows(self, status: "Optional[str]" = None) -> "List[QueueCell]":
-        """Every row (optionally filtered), in index order."""
-        raise NotImplementedError
-
-    def get(self, cell_id: str) -> "Optional[QueueCell]":
-        raise NotImplementedError
-
-    def status(self, now: float, ttl: float) -> QueueStatus:
-        """Aggregate counts; ``ttl`` defines heartbeat staleness."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release the underlying store handle."""
-
-    # -- shared helpers -------------------------------------------------
-
-    def drained(self) -> bool:
-        """True when no row is OPEN or CLAIMED (the grid is finished)."""
-        counts = {}
-        for row in self.rows():
-            counts[row.status] = counts.get(row.status, 0) + 1
-        return counts.get(OPEN, 0) == 0 and counts.get(CLAIMED, 0) == 0
-
-
-def reopened(row: QueueCell) -> QueueCell:
-    """The OPEN version of a row (what reset writes back)."""
-    return replace(
-        row,
-        status=OPEN,
-        owner=None,
-        heartbeat=None,
-        claimed_at=None,
-        finished_at=None,
-        steps=0,
-        elapsed=0.0,
-        result_json=None,
-        error=None,
-    )

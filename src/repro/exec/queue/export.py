@@ -21,7 +21,8 @@ import io
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.errors import QueueError
-from repro.exec.queue.backend import CLAIMED, DONE, OPEN, QueueBackend
+from repro.exec.queue.backend import CLAIMED, DONE, OPEN
+from repro.exec.queue.sqlite import SqliteQueue
 
 if TYPE_CHECKING:  # pragma: no cover — typing only
     from repro.experiments import ExperimentResult
@@ -146,7 +147,7 @@ def to_dataframe(result: "ExperimentResult") -> Any:
 
 
 def merged_queue_results(
-    backend: QueueBackend, partial: bool = False
+    backend: SqliteQueue, partial: bool = False
 ) -> "List[ExperimentResult]":
     """Merge a drained queue back into per-experiment result tables.
 
@@ -187,7 +188,7 @@ def merged_queue_results(
 
 
 def export_queue(
-    backend: QueueBackend, fmt: str = "table", partial: bool = False
+    backend: SqliteQueue, fmt: str = "table", partial: bool = False
 ) -> str:
     """Every experiment in the queue, rendered in ``fmt`` (tables are
     separated by a blank line, matching ``repro experiment --all``)."""

@@ -1,10 +1,12 @@
-"""SQLite implementation of the shared experiment table.
+"""The experiment table over one SQLite file.
 
 One database file on a shared path (NFS mount, shared volume, or just a
 local directory for single-box multi-process runs) is the whole
 deployment story: every worker opens the same file, and SQLite's
 file-level locking plus single-statement ``UPDATE ... WHERE status=?``
-transitions give us the atomic claims the protocol demands.
+transitions give us the atomic claims the protocol demands.  The same
+table under ``<--cache-dir>/cells.sqlite`` is the local result cache of
+``repro experiment|sweep|ablate``.
 
 Concurrency notes:
 
@@ -18,16 +20,21 @@ Concurrency notes:
   refuse WAL, and rollback journaling is still correct there.
 * One connection may be shared across threads (the worker's heartbeat
   thread renews through the same handle): an internal lock serializes
-  statements.
+  statements.  No connection crosses a ``fork``: a forked worker opens
+  its own.
+* Reads ask for the rows they need: :meth:`lookup` and the
+  ``cell_ids`` filter of :meth:`next_open` pass a batch of ids as one
+  JSON array; only :meth:`rows` (status, export) reads every row.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import sqlite3
 import threading
 from pathlib import Path
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import CellClaimLost, QueueError
 from repro.exec.queue.backend import (
@@ -36,7 +43,6 @@ from repro.exec.queue.backend import (
     FAILED,
     OPEN,
     STATUSES,
-    QueueBackend,
     QueueCell,
     QueueStatus,
 )
@@ -79,28 +85,22 @@ _COLUMNS = (
 
 
 def _row_to_cell(row: "Tuple[Any, ...]") -> QueueCell:
-    return QueueCell(
-        cell_id=row[0],
-        index=row[1],
-        experiment_id=row[2],
-        params_json=row[3],
-        seed=row[4],
-        code_version=row[5],
-        status=row[6],
-        owner=row[7],
-        heartbeat=row[8],
-        claimed_at=row[9],
-        finished_at=row[10],
-        attempts=row[11],
-        steps=row[12],
-        elapsed=row[13],
-        result_json=row[14],
-        error=row[15],
-    )
+    # _COLUMNS lists the QueueCell fields in declaration order.
+    return QueueCell(*row)
 
 
-class SqliteQueue(QueueBackend):
-    """The shared experiment table over one SQLite file."""
+#: restricts a query to a batch of ids passed as one JSON array.
+_IN_IDS = "cell_id IN (SELECT value FROM json_each(?))"
+
+
+class SqliteQueue:
+    """The shared experiment table over one SQLite file.
+
+    :meth:`try_claim` and :meth:`write_back` are atomic compare-and-swap
+    transitions (one conditional ``UPDATE``), because they are the only
+    thing standing between two workers and a double-executed cell.
+    Reads may be stale; CAS failures are the truth.
+    """
 
     def __init__(
         self,
@@ -145,10 +145,19 @@ class SqliteQueue(QueueBackend):
     # -- primitives -----------------------------------------------------
 
     def enqueue(self, rows: "Sequence[QueueCell]") -> int:
+        """Insert rows, ignoring cell_ids already present; count added.
+
+        Each row's ``index`` is its position in the batch; it is stored
+        past the table's current tail, so a table fed several grids
+        exports each one's cells in its own enqueue order.
+        """
         added = 0
         with self._lock:
             self._conn.execute("BEGIN IMMEDIATE")
             try:
+                (base,) = self._conn.execute(
+                    "SELECT COALESCE(MAX(cell_index) + 1, 0) FROM cells"
+                ).fetchone()
                 for row in rows:
                     cursor = self._conn.execute(
                         "INSERT OR IGNORE INTO cells"
@@ -157,7 +166,7 @@ class SqliteQueue(QueueBackend):
                         " VALUES (?, ?, ?, ?, ?, ?, ?)",
                         (
                             row.cell_id,
-                            row.index,
+                            base + row.index,
                             row.experiment_id,
                             row.params_json,
                             row.seed,
@@ -172,16 +181,24 @@ class SqliteQueue(QueueBackend):
                 raise
         return added
 
-    def next_open(self, limit: int = 1) -> "List[QueueCell]":
+    def next_open(
+        self, limit: int = 1, cell_ids: "Optional[Sequence[str]]" = None
+    ) -> "List[QueueCell]":
+        """Up to ``limit`` OPEN rows in index order (claim candidates),
+        only among ``cell_ids`` when given."""
+        query = f"SELECT {_COLUMNS} FROM cells WHERE status = ?"
+        args: "Tuple[Any, ...]" = (OPEN,)
+        if cell_ids is not None:
+            query += f" AND {_IN_IDS}"
+            args += (json.dumps(list(cell_ids)),)
         with self._lock:
             cursor = self._conn.execute(
-                f"SELECT {_COLUMNS} FROM cells WHERE status = ?"
-                " ORDER BY cell_index LIMIT ?",
-                (OPEN, limit),
+                query + " ORDER BY cell_index LIMIT ?", args + (limit,)
             )
             return [_row_to_cell(row) for row in cursor.fetchall()]
 
     def try_claim(self, cell_id: str, owner: str, now: float) -> bool:
+        """CAS ``open -> claimed`` for ``owner``; False if lost the race."""
         with self._lock:
             cursor = self._conn.execute(
                 "UPDATE cells SET status = ?, owner = ?, heartbeat = ?,"
@@ -192,6 +209,7 @@ class SqliteQueue(QueueBackend):
             return cursor.rowcount == 1
 
     def renew_heartbeat(self, cell_id: str, owner: str, now: float) -> bool:
+        """Refresh the claim heartbeat; False if the claim is gone."""
         with self._lock:
             cursor = self._conn.execute(
                 "UPDATE cells SET heartbeat = ?"
@@ -211,6 +229,8 @@ class SqliteQueue(QueueBackend):
         steps: int = 0,
         elapsed: float = 0.0,
     ) -> None:
+        """CAS ``claimed -> done|failed``; raises
+        :class:`~repro.errors.CellClaimLost` if the claim was stolen."""
         if status not in (DONE, FAILED):
             raise QueueError(
                 f"write_back targets 'done' or 'failed', not {status!r}"
@@ -252,6 +272,13 @@ class SqliteQueue(QueueBackend):
         failed: bool = False,
         cell_ids: "Optional[Sequence[str]]" = None,
     ) -> "List[str]":
+        """Reopen rows; returns the cell_ids transitioned back to OPEN.
+
+        ``stale_before`` reopens CLAIMED rows whose heartbeat is older
+        than the cutoff (dead workers); ``failed`` reopens FAILED rows;
+        ``cell_ids`` reopens those exact rows whatever their state
+        (except OPEN, which is a no-op).
+        """
         reopened: "List[str]" = []
         with self._lock:
             self._conn.execute("BEGIN IMMEDIATE")
@@ -298,6 +325,7 @@ class SqliteQueue(QueueBackend):
     # -- reads ----------------------------------------------------------
 
     def rows(self, status: "Optional[str]" = None) -> "List[QueueCell]":
+        """Every row (optionally filtered), in index order."""
         query = f"SELECT {_COLUMNS} FROM cells"
         args: "Tuple[Any, ...]" = ()
         if status is not None:
@@ -308,16 +336,24 @@ class SqliteQueue(QueueBackend):
             cursor = self._conn.execute(query, args)
             return [_row_to_cell(row) for row in cursor.fetchall()]
 
-    def get(self, cell_id: str) -> "Optional[QueueCell]":
+    def lookup(self, cell_ids: "Sequence[str]") -> "Dict[str, QueueCell]":
+        """The rows with these ids, by id (absent ids are left out)."""
         with self._lock:
             cursor = self._conn.execute(
-                f"SELECT {_COLUMNS} FROM cells WHERE cell_id = ?",
-                (cell_id,),
+                f"SELECT {_COLUMNS} FROM cells WHERE {_IN_IDS}",
+                (json.dumps(list(cell_ids)),),
             )
-            row = cursor.fetchone()
-        return _row_to_cell(row) if row is not None else None
+            return {row[0]: _row_to_cell(row) for row in cursor.fetchall()}
+
+    def get(self, cell_id: str) -> "Optional[QueueCell]":
+        return self.lookup([cell_id]).get(cell_id)
+
+    def drained(self) -> bool:
+        """True when no row is OPEN or CLAIMED (the grid is finished)."""
+        return self.status(now=0.0, ttl=0.0).remaining == 0
 
     def status(self, now: float, ttl: float) -> QueueStatus:
+        """Aggregate counts; ``ttl`` defines heartbeat staleness."""
         with self._lock:
             counts = dict(
                 self._conn.execute(
@@ -343,5 +379,6 @@ class SqliteQueue(QueueBackend):
         )
 
     def close(self) -> None:
+        """Release the database handle."""
         with self._lock:
             self._conn.close()

@@ -9,18 +9,18 @@ through the same backend handle, so a live worker on a slow cell is
 distinguishable from a dead one — ``repro queue reset --stale`` only
 reopens claims whose heartbeat actually expired.
 
-Workers carry the local :class:`~repro.exec.cache.ResultCache` both
-ways: a cell whose result is already cached locally is written back
-without simulating a step, and every executed result is stored locally
-on write-back — after a distributed sweep finishes, *each* worker's
-cache replays its share with zero kernel steps, and any box that runs
-``repro queue export`` holds the full table.
+The worker is the only executor of cells: ``repro queue work`` runs
+one, and a local ``repro experiment|sweep|ablate`` runs one in-process
+(``--jobs 1``) or forks ``--jobs N`` of them on its cell table
+(:func:`repro.exec.engine.run_cells`).  A table drained by workers is a
+result cache: ``--cache-dir D`` serves the DONE rows of
+``D/cells.sqlite`` with zero kernel steps.
 
 Version safety: every row records the exec-engine code fingerprint it
 was enqueued under (:func:`~repro.exec.cache.experiment_code_version`).
 A worker whose checkout fingerprints differently refuses to claim the
 row with :class:`~repro.errors.CodeVersionMismatch` — the distributed
-mirror of the cache's versioned keys, so a stale worker can never write
+mirror of the versioned cell keys, so a stale worker can never write
 a stale result into a fresh table.
 """
 
@@ -35,25 +35,22 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.errors import CellClaimLost, CodeVersionMismatch, QueueError
-from repro.exec.cache import ResultCache, experiment_code_version
+from repro.exec.cache import experiment_code_version
 from repro.exec.engine import (
-    cached_payload,
     cell_archive,
     outcome_from_payload,
     run_cell_payload,
 )
 from repro.exec.grid import Cell
-from repro.exec.queue.backend import (
-    DONE,
-    FAILED,
-    QueueBackend,
-    QueueCell,
-    cell_to_row,
-)
+from repro.exec.queue.backend import DONE, FAILED, QueueCell, cell_to_row
+from repro.exec.queue.sqlite import SqliteQueue
 
 #: how many OPEN rows a worker reads per claim attempt; losing a CAS
 #: race falls through to the next candidate instead of re-querying.
 CLAIM_BATCH = 8
+
+#: seconds a claim may go without a heartbeat before it counts as stale.
+HEARTBEAT_TTL = 30.0
 
 
 def default_worker_id() -> str:
@@ -70,7 +67,6 @@ class WorkerReport:
     done: int = 0
     failed: int = 0
     lost: int = 0  # claims stolen before write-back (results discarded)
-    cache_hits: int = 0  # cells served from the local ResultCache
     steps: int = 0
     elapsed: float = 0.0
     outcomes: "Dict[str, object]" = field(default_factory=dict)
@@ -79,7 +75,7 @@ class WorkerReport:
         return (
             f"worker {self.worker_id}: claimed={self.claimed}"
             f" done={self.done} failed={self.failed} lost={self.lost}"
-            f" cache_hits={self.cache_hits} steps={self.steps}"
+            f" steps={self.steps}"
             f" elapsed={self.elapsed:.2f}s"
         )
 
@@ -89,7 +85,7 @@ class _Heartbeat(threading.Thread):
 
     def __init__(
         self,
-        backend: QueueBackend,
+        backend: SqliteQueue,
         cell_id: str,
         owner: str,
         interval: float,
@@ -128,11 +124,9 @@ class QueueWorker:
 
     def __init__(
         self,
-        backend: QueueBackend,
+        backend: SqliteQueue,
         worker_id: "Optional[str]" = None,
-        cache: "Optional[ResultCache]" = None,
-        refresh: bool = False,
-        ttl: float = 30.0,
+        ttl: float = HEARTBEAT_TTL,
         check_version: bool = True,
         progress: "Optional[Callable[[str], None]]" = None,
         clock: "Callable[[], float]" = time.time,
@@ -141,8 +135,6 @@ class QueueWorker:
             raise QueueError(f"heartbeat ttl must be positive, got {ttl}")
         self.backend = backend
         self.worker_id = worker_id or default_worker_id()
-        self.cache = cache
-        self.refresh = refresh
         self.ttl = ttl
         self.check_version = check_version
         self.clock = clock
@@ -150,13 +142,21 @@ class QueueWorker:
 
     # -- the loop -------------------------------------------------------
 
-    def run(self, max_cells: "Optional[int]" = None) -> WorkerReport:
+    def run(
+        self,
+        max_cells: "Optional[int]" = None,
+        cell_ids: "Optional[Sequence[str]]" = None,
+    ) -> WorkerReport:
         """Claim and execute cells until the queue has no OPEN rows
-        (or ``max_cells`` cells were claimed); returns the tally."""
+        (or ``max_cells`` cells were claimed); returns the tally.
+
+        ``cell_ids`` limits the claims to those rows: a local run works
+        only its own cells of a table that keeps every run's rows.
+        """
         report = WorkerReport(worker_id=self.worker_id)
         started = time.perf_counter()
         while max_cells is None or report.claimed < max_cells:
-            row = self._claim_one()
+            row = self._claim_one(cell_ids)
             if row is None:
                 break
             report.claimed += 1
@@ -165,10 +165,12 @@ class QueueWorker:
         self._emit(report.summary())
         return report
 
-    def _claim_one(self) -> "Optional[QueueCell]":
+    def _claim_one(
+        self, cell_ids: "Optional[Sequence[str]]"
+    ) -> "Optional[QueueCell]":
         """Win one OPEN row, or None when none remain."""
         while True:
-            candidates = self.backend.next_open(limit=CLAIM_BATCH)
+            candidates = self.backend.next_open(CLAIM_BATCH, cell_ids)
             if not candidates:
                 return None
             for row in candidates:
@@ -195,67 +197,55 @@ class QueueWorker:
 
     def _execute(self, row: QueueCell, report: WorkerReport) -> None:
         cell = row.cell()
-        payload = cached_payload(self.cache, cell, self.refresh)
-        cached = payload is not None
-        if payload is None:
-            heartbeat = _Heartbeat(
-                self.backend,
-                row.cell_id,
-                self.worker_id,
-                interval=max(self.ttl / 4.0, 0.05),
-                clock=self.clock,
-            )
-            heartbeat.start()
-            try:
-                payload = run_cell_payload(cell)
-            finally:
-                heartbeat.stop()
+        heartbeat = _Heartbeat(
+            self.backend,
+            row.cell_id,
+            self.worker_id,
+            interval=max(self.ttl / 4.0, 0.05),
+            clock=self.clock,
+        )
+        heartbeat.start()
         try:
-            self._write_back(row, cell, payload, cached)
+            payload = run_cell_payload(cell)
+        finally:
+            heartbeat.stop()
+        try:
+            self._write_back(row, cell, payload)
         except CellClaimLost as error:
             report.lost += 1
             self._emit(f"{cell.describe()}: {error}")
             return
-        outcome = outcome_from_payload(cell, payload, cached)
+        outcome = outcome_from_payload(cell, payload)
         if outcome.status == FAILED:
             report.failed += 1
         else:
             report.done += 1
             report.steps += outcome.steps
-            if cached:
-                report.cache_hits += 1
         report.outcomes[row.cell_id] = outcome
         self._emit(outcome.describe())
 
     def _write_back(
-        self,
-        row: QueueCell,
-        cell: Cell,
-        payload: "Dict[str, Any]",
-        cached: bool,
+        self, row: QueueCell, cell: Cell, payload: "Dict[str, Any]"
     ) -> None:
-        """CAS the outcome into the table; mirror successes into the
-        local cache so this box replays the cell with zero steps."""
-        now = self.clock()
+        """CAS the outcome into the table."""
         if payload["ok"]:
-            archive = cell_archive(cell, payload)
             self.backend.write_back(
                 row.cell_id,
                 self.worker_id,
                 DONE,
-                now,
-                result_json=json.dumps(archive, sort_keys=True),
+                self.clock(),
+                result_json=json.dumps(
+                    cell_archive(cell, payload), sort_keys=True
+                ),
                 steps=payload["steps"],
                 elapsed=payload["elapsed"],
             )
-            if self.cache is not None and not cached:
-                self.cache.store(cell, archive)
         else:
             self.backend.write_back(
                 row.cell_id,
                 self.worker_id,
                 FAILED,
-                now,
+                self.clock(),
                 error=payload["error"],
                 elapsed=payload["elapsed"],
             )
@@ -265,26 +255,18 @@ class QueueWorker:
 # Enqueue
 
 
-def enqueue_cells(
-    backend: QueueBackend, cells: "Sequence[Cell]"
-) -> int:
+def enqueue_cells(backend: SqliteQueue, cells: "Sequence[Cell]") -> int:
     """Append ``cells`` as OPEN rows (idempotent: present ids are kept).
 
     Rows are numbered after the existing tail, so a queue fed several
-    grids exports each one's cells in its own enqueue order.
+    grids exports each one's cells in its own enqueue order.  Raises
+    :class:`~repro.errors.InvalidConfig` before adding anything if a
+    cell's params do not survive a JSON round trip.
     """
-    existing = backend.rows()
-    base = (max(row.index for row in existing) + 1) if existing else 0
-    rows = []
-    seen = {row.cell_id for row in existing}
-    for cell in cells:
-        row = cell_to_row(
-            cell,
-            base + len(rows),
-            experiment_code_version(cell.experiment_id),
+    rows = [
+        cell_to_row(
+            cell, index, experiment_code_version(cell.experiment_id)
         )
-        if row.cell_id in seen:
-            continue
-        seen.add(row.cell_id)
-        rows.append(row)
+        for index, cell in enumerate(cells)
+    ]
     return backend.enqueue(rows)

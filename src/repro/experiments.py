@@ -136,8 +136,8 @@ def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:
     """Run one experiment through the execution engine (serial, uncached).
 
     This is the single-cell runner of :mod:`repro.exec` — the same code
-    serial grids, pool workers and queue workers run — so library calls,
-    the CLI and every worker execute experiments identically.  Exceptions
+    every queue worker runs — so library calls, the CLI and every worker
+    execute experiments identically.  Exceptions
     (unknown ids, violated claims) propagate to the caller unchanged.
     """
     from repro.exec.engine import run_cell

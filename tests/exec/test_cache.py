@@ -1,4 +1,4 @@
-"""Persistent result cache: keying, hit/miss/refresh semantics."""
+"""The result cache is the cell table: keying, hit/miss/refresh semantics."""
 
 import json
 import os
@@ -7,10 +7,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import repro
-from repro.exec.cache import ResultCache, cell_key, experiment_code_version
-from repro.exec.engine import CACHED, OK, run_cells
+from repro.errors import InvalidConfig
+from repro.exec.cache import cell_key, experiment_code_version
+from repro.exec.engine import CACHED, CELLS_FILE, FAILED, OK, run_cells
 from repro.exec.grid import Cell
+from repro.exec.queue import DONE, SqliteQueue
+from repro.experiments import ExperimentResult, experiment
 
 
 def _cell(**kwargs):
@@ -18,8 +23,17 @@ def _cell(**kwargs):
 
 
 def _run(cell, cache, refresh=False):
-    (outcome,) = run_cells([cell], cache=cache, refresh=refresh).outcomes
-    return outcome
+    report = run_cells([cell], cache=cache, refresh=refresh)
+    (outcome,) = report.outcomes
+    return outcome, report
+
+
+def _rows(cache):
+    table = SqliteQueue(cache / CELLS_FILE)
+    try:
+        return table.rows()
+    finally:
+        table.close()
 
 
 class TestKeys:
@@ -82,53 +96,63 @@ class TestLibraryEdits:
 
 class TestCacheSemantics:
     def test_miss_then_store_then_hit(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = tmp_path / "cache"
         cell = _cell()
-        assert cache.load(cell) is None
-        assert (cache.hits, cache.misses) == (0, 1)
-
-        outcome = _run(cell, cache)
+        outcome, report = _run(cell, cache)
         assert outcome.status == OK
-        assert cache.stores == 1
-        assert len(cache) == 1
+        assert (report.cache_hits, report.cache_misses) == (0, 1)
+        (row,) = _rows(cache)
+        assert (row.cell_id, row.status) == (cell_key(cell), DONE)
 
-        hit = _run(cell, cache)
+        hit, report = _run(cell, cache)
         assert hit.status == CACHED
         assert hit.steps == 0
-        assert cache.hits == 1
+        assert (report.cache_hits, report.cache_misses) == (1, 0)
         assert hit.result.render() == outcome.result.render()
 
     def test_refresh_recomputes_and_overwrites(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = tmp_path / "cache"
         cell = _cell()
         _run(cell, cache)
-        refreshed = _run(cell, cache, refresh=True)
-        assert refreshed.status == OK  # ran again, did not serve the entry
-        assert cache.stores == 2
-        assert len(cache) == 1  # overwrote, not duplicated
+        refreshed, report = _run(cell, cache, refresh=True)
+        assert refreshed.status == OK  # ran again, did not serve the row
+        assert (report.cache_hits, report.cache_misses) == (0, 1)
+        (row,) = _rows(cache)  # overwrote, not duplicated
+        assert (row.status, row.attempts) == (DONE, 2)
 
     def test_entries_are_valid_json_with_result(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        cell = _cell()
-        _run(cell, cache)
-        (path,) = (tmp_path / "cache").glob("*/*.json")
-        payload = json.loads(path.read_text())
+        cache = tmp_path / "cache"
+        _run(_cell(), cache)
+        (row,) = _rows(cache)
+        payload = json.loads(row.result_json)
         assert payload["result"]["experiment_id"] == "TH2"
         assert "steps" in payload and "elapsed" in payload
+        assert list(cache.iterdir()) == [cache / CELLS_FILE]
 
-    def test_corrupt_entry_counts_as_miss(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        cell = _cell()
-        path = cache.store(cell, {"result": {}})
-        path.write_text("{not json")
-        assert cache.load(cell) is None
-        assert cache.misses == 1
+    def test_failed_row_counts_as_miss(self, tmp_path):
+        from repro.experiments import _REGISTRY
 
-    def test_clear(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        _run(_cell(), cache)
-        assert cache.clear() == 1
-        assert len(cache) == 0
+        flaky = tmp_path / "fail-once"
+        flaky.write_text("")
+
+        @experiment("X-FLAKY")
+        def _flaky() -> ExperimentResult:
+            if flaky.exists():
+                flaky.unlink()
+                raise RuntimeError("first run fails")
+            return ExperimentResult("X-FLAKY", "flaky", ["ok"], [[1]])
+
+        try:
+            cache = tmp_path / "cache"
+            failed, _ = _run(Cell.make("X-FLAKY"), cache)
+            assert failed.status == FAILED
+            rerun, report = _run(Cell.make("X-FLAKY"), cache)
+        finally:
+            _REGISTRY.pop("X-FLAKY", None)
+        assert rerun.status == OK  # a FAILED row is rerun, never served
+        assert (report.cache_hits, report.cache_misses) == (0, 1)
+        (row,) = _rows(cache)
+        assert (row.status, row.attempts, row.error) == (DONE, 2, None)
 
 
 class TestTransportKeying:
@@ -202,15 +226,14 @@ class TestTransportKeying:
             payload = configs[kind].cache_payload()
             assert payload == dataclasses.asdict(configs[kind])
 
-    def test_lossy_sweep_never_serves_an_inproc_hit(self, tmp_path):
+    def test_non_json_cell_is_refused(self, tmp_path):
+        # A transport config keys a cell but does not survive the JSON
+        # round trip a table row needs: the run refuses it up front.
         from repro.net import TransportConfig, chaos_faults
-
-        cache = ResultCache(tmp_path / "cache")
-        inproc_cell = _cell(transport=TransportConfig.inproc())
-        cache.store(inproc_cell, {"payload": "inproc run"})
 
         lossy_cell = _cell(
             transport=TransportConfig.lossy(chaos_faults(), seed=3)
         )
-        assert cache.load(lossy_cell) is None  # miss, not a stale hit
-        assert cache.load(inproc_cell) == {"payload": "inproc run"}
+        with pytest.raises(InvalidConfig):
+            run_cells([lossy_cell], cache=tmp_path / "cache")
+        assert _rows(tmp_path / "cache") == []

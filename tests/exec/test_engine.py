@@ -4,9 +4,10 @@ import os
 
 import pytest
 
-from repro.exec import ResultCache, run_cells, run_experiment_grid
-from repro.exec.engine import CACHED, FAILED, OK, merge_results
+from repro.exec import cell_key, run_cells, run_experiment_grid
+from repro.exec.engine import CACHED, CELLS_FILE, FAILED, OK, merge_results
 from repro.exec.grid import Cell, expand_experiment
+from repro.exec.queue import SqliteQueue
 from repro.experiments import ExperimentResult, experiment, run_experiment
 
 SWEEP_KWARGS = {"n": 5, "f": 2, "k_max": 3}
@@ -16,7 +17,7 @@ SWEEP_KWARGS = {"n": 5, "f": 2, "k_max": 3}
 def _fault_experiments():
     """Register fault-injection experiments, cleaning the registry after
     (other tests pin the exact registry contents).  The engine's forked
-    pool workers inherit the live registry, so these run in workers too."""
+    queue workers inherit the live registry, so these run in workers too."""
     from repro.experiments import _REGISTRY
 
     @experiment("X-CRASH")
@@ -64,17 +65,27 @@ class TestSerialParallelEquivalence:
 
 
 class TestCrashSurvival:
-    def test_worker_crash_marks_cell_failed_and_grid_continues(self):
+    def test_worker_crash_marks_cell_failed_and_grid_continues(
+        self, tmp_path
+    ):
         cells = [
             Cell.make("T1-sweep", {"n": 5, "f": 2, "k_values": [1]}),
             Cell.make("X-CRASH", {"hard": True}),
             Cell.make("T1-sweep", {"n": 5, "f": 2, "k_values": [2]}),
             Cell.make("TH2", {"k_values": [2]}),
         ]
-        report = run_cells(cells, jobs=2)
+        report = run_cells(cells, jobs=2, cache=tmp_path)
         statuses = [o.status for o in report.outcomes]
         assert statuses == [OK, FAILED, OK, OK]
         assert report.outcomes[1].error is not None
+        # Every bystander ran exactly once: no re-run after the crash.
+        table = SqliteQueue(tmp_path / CELLS_FILE)
+        try:
+            rows = table.lookup([cell_key(cell) for cell in cells])
+        finally:
+            table.close()
+        bystanders = [cells[0], cells[2], cells[3]]
+        assert [rows[cell_key(cell)].attempts for cell in bystanders] == [1] * 3
 
     def test_worker_exception_ships_traceback(self):
         report = run_cells([Cell.make("X-RAISE")], jobs=2)
@@ -98,37 +109,57 @@ class TestCrashSurvival:
 class TestCacheIntegration:
     def test_second_run_all_hits_zero_steps(self, tmp_path):
         kwargs = {"k": 2, "n": 5, "f": 2}  # T1 actually simulates
-        first = ResultCache(tmp_path / "cache")
-        merged1, report1 = run_experiment_grid("T1", kwargs, cache=first)
+        cache = tmp_path / "cache"
+        merged1, report1 = run_experiment_grid("T1", kwargs, cache=cache)
         assert report1.cache_misses == 1 and report1.total_steps > 0
 
-        second = ResultCache(tmp_path / "cache")
-        merged2, report2 = run_experiment_grid("T1", kwargs, cache=second)
+        merged2, report2 = run_experiment_grid("T1", kwargs, cache=cache)
         assert report2.cache_hits == 1 and report2.cache_misses == 0
         assert report2.total_steps == 0  # nothing simulated at all
         assert [o.status for o in report2.outcomes] == [CACHED]
         assert merged2.render() == merged1.render()
 
     def test_parallel_run_populates_cache_for_serial(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = tmp_path / "cache"
         run_experiment_grid("T1-sweep", SWEEP_KWARGS, jobs=3, cache=cache)
-        again = ResultCache(tmp_path / "cache")
-        _, report = run_experiment_grid("T1-sweep", SWEEP_KWARGS, cache=again)
+        _, report = run_experiment_grid("T1-sweep", SWEEP_KWARGS, cache=cache)
         assert report.cache_hits == 3
 
     def test_refresh_bypasses_entries(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = tmp_path / "cache"
         run_experiment_grid("T1", {"k": 2, "n": 5, "f": 2}, cache=cache)
         _, report = run_experiment_grid(
             "T1", {"k": 2, "n": 5, "f": 2}, cache=cache, refresh=True
         )
         assert report.total_steps > 0  # recomputed despite a fresh entry
 
+    def test_a_run_reads_only_its_own_rows(self, tmp_path, monkeypatch):
+        # The local table keeps every run's rows; enqueueing, draining
+        # and serving hits must ask for rows by key, never scan them all.
+        def scan(self, status=None):
+            raise AssertionError("full-table read")
+
+        cache = tmp_path / "cache"
+        run_experiment_grid("T1-sweep", SWEEP_KWARGS, cache=cache)
+        monkeypatch.setattr(SqliteQueue, "rows", scan)
+        for jobs in (1, 2):
+            _, report = run_experiment_grid(
+                "TH2", {"k_values": (1, 2)}, jobs=jobs, cache=cache
+            )
+            assert not report.failed
+        table = SqliteQueue(cache / CELLS_FILE)
+        try:
+            assert table.drained()
+        finally:
+            table.close()
+
     def test_failed_cells_are_not_cached(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = tmp_path / "cache"
         report = run_cells([Cell.make("X-RAISE")], jobs=1, cache=cache)
         assert report.outcomes[0].status == FAILED
-        assert len(cache) == 0
+        again = run_cells([Cell.make("X-RAISE")], jobs=1, cache=cache)
+        assert again.outcomes[0].status == FAILED
+        assert (again.cache_hits, again.cache_misses) == (0, 1)
 
 
 class TestMergeAndProgress:

@@ -83,7 +83,7 @@ def test_sigkilled_worker_cell_is_reset_and_finished_once(tmp_path):
     # Worker 1 claims the first cell (workers claim one at a time) and
     # blocks inside it; SIGKILL it mid-execution.
     worker1 = _repro(
-        ["queue", "work", *common, "--worker-id", "w1", "--no-cache",
+        ["queue", "work", *common, "--worker-id", "w1",
          "--ttl", "0.5"],
         tmp_path,
     )
@@ -128,7 +128,7 @@ def test_sigkilled_worker_cell_is_reset_and_finished_once(tmp_path):
     # Unblock executions and let a second worker drain the queue.
     (tmp_path / "release").write_text("go")
     worker2 = _repro(
-        ["queue", "work", *common, "--worker-id", "w2", "--no-cache",
+        ["queue", "work", *common, "--worker-id", "w2",
          "--ttl", "5"],
         tmp_path,
     )

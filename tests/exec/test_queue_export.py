@@ -176,7 +176,7 @@ class TestCLIExportFlags:
         db = str(tmp_path / "q.db")
         main(["queue", "create", "--db", db, "TH1",
               "--params", '{"k": 3, "f": 1}'])
-        main(["queue", "work", "--db", db, "--no-cache"])
+        main(["queue", "work", "--db", db])
         capsys.readouterr()
         for fmt in ("table", "csv", "md", "latex"):
             assert main(["sweep", "-k", "3", "-f", "1", "--no-cache",
@@ -192,7 +192,7 @@ class TestCLIExportFlags:
         db = str(tmp_path / "q.db")
         main(["queue", "create", "--db", db, "TH1",
               "--params", '{"k": 3, "f": 1}'])
-        main(["queue", "work", "--db", db, "--no-cache"])
+        main(["queue", "work", "--db", db])
         target = tmp_path / "table.md"
         assert main(["queue", "export", "--db", db, "--export", "md",
                      "--out", str(target)]) == 0

@@ -6,8 +6,8 @@ import time
 import pytest
 
 from repro.errors import CodeVersionMismatch, QueueError
-from repro.exec import ResultCache, run_cells, run_experiment_grid
-from repro.exec.engine import CACHED, FAILED, OK
+from repro.exec import run_cells, run_experiment_grid
+from repro.exec.engine import CELLS_FILE, FAILED, OK
 from repro.exec.grid import Cell, expand_experiment
 from repro.exec.queue import (
     CLAIMED,
@@ -80,33 +80,25 @@ class TestSingleWorker:
 
 
 class TestCacheIntegration:
-    def test_write_back_populates_the_local_cache(self, queue, tmp_path):
-        cells = _cells()
-        enqueue_cells(queue, cells)
-        cache = ResultCache(tmp_path / "cache")
-        QueueWorker(queue, worker_id="w1", cache=cache).run()
-        assert len(cache) == len(cells)
-        # A local grid run over the same cells now replays from cache.
-        replay = ResultCache(tmp_path / "cache")
-        _, report = run_experiment_grid("TH1", SWEEP, cache=replay)
-        assert report.cache_hits == len(cells)
-        assert report.total_steps == 0
+    def test_write_back_populates_the_local_cache(self, tmp_path, capsys):
+        # The table a worker drains is the local result cache: a sweep
+        # over the same cells is all hits and simulates nothing.
+        from repro.cli import main
 
-    def test_cached_cells_write_back_without_executing(
-        self, queue, tmp_path
-    ):
-        cells = _cells()
-        cache = ResultCache(tmp_path / "cache")
-        run_experiment_grid("TH1", SWEEP, cache=cache)  # warm locally
-        enqueue_cells(queue, cells)
-        report = QueueWorker(
-            queue, worker_id="w1", cache=ResultCache(tmp_path / "cache")
-        ).run()
-        assert report.cache_hits == len(cells)
-        assert report.steps == 0
-        assert all(row.status == DONE for row in queue.rows())
-        statuses = {o.status for o in report.outcomes.values()}
-        assert statuses == {CACHED}
+        cache = tmp_path / "cache"
+        db = str(cache / CELLS_FILE)
+        assert main(
+            ["queue", "create", "--db", db, "TH1",
+             "--params", '{"k": 3, "f": 1}']
+        ) == 0
+        assert main(["queue", "work", "--db", db]) == 0
+        capsys.readouterr()
+        assert main(
+            ["sweep", "-k", "3", "-f", "1", "--cache-dir", str(cache)]
+        ) == 0
+        summary = capsys.readouterr().err.splitlines()[-1]
+        assert summary.startswith("engine: cells=5 hits=5 misses=0")
+        assert "steps=0" in summary
 
 
 class TestVersionGuard:
@@ -248,6 +240,36 @@ class TestInterrupt:
         with pytest.raises(KeyboardInterrupt):
             run_cells([Cell.make("Q-INTERRUPT")] + _cells()[:1], jobs=jobs)
 
+    def test_interrupted_local_run_reopens_its_claims(self, tmp_path):
+        from repro.experiments import _REGISTRY
+
+        armed = tmp_path / "interrupt-once"
+        armed.write_text("")
+
+        @experiment("Q-INTERRUPT-ONCE")
+        def _interrupt_once() -> ExperimentResult:
+            if armed.exists():
+                armed.unlink()
+                raise KeyboardInterrupt
+            return ExperimentResult("Q-INTERRUPT-ONCE", "t", ["ok"], [[1]])
+
+        cells = [Cell.make("Q-INTERRUPT-ONCE")] + _cells()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_cells(cells, jobs=2, cache=tmp_path)
+            table = SqliteQueue(tmp_path / CELLS_FILE)
+            try:
+                assert table.rows(status=CLAIMED) == []
+            finally:
+                table.close()
+            # The rerun needs no stale-claim wait (the ttl is 30 s).
+            started = time.monotonic()
+            report = run_cells(cells, jobs=2, cache=tmp_path)
+            assert time.monotonic() - started < 15
+        finally:
+            _REGISTRY.pop("Q-INTERRUPT-ONCE", None)
+        assert not report.failed
+
 
 class TestCLI:
     def test_create_work_status_roundtrip(self, tmp_path, capsys):
@@ -260,10 +282,7 @@ class TestCLI:
         ) == 0
         out = capsys.readouterr().out
         assert "enqueued 5 new cell(s)" in out
-        assert main(
-            ["queue", "work", "--db", db,
-             "--cache-dir", str(tmp_path / "cache")]
-        ) == 0
+        assert main(["queue", "work", "--db", db]) == 0
         assert main(["queue", "status", "--db", db]) == 0
         out = capsys.readouterr().out
         assert "done=5" in out

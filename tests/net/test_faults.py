@@ -294,8 +294,8 @@ print(json.dumps(fates))
 
 class TestCrossProcessDeterminism:
     """Fate streams must replay in *other* processes, not just this one:
-    the ResultCache persists lossy results across sessions and the CI
-    smoke job compares history digests from separate interpreters."""
+    the CI smoke job compares history digests from separate
+    interpreters."""
 
     def test_leg_codes_are_ints(self):
         # the leg is folded arithmetically into the stream key.

@@ -165,6 +165,7 @@ class TestEngineFlags:
             if line.startswith("engine:")
         ][-1]
         assert "hits=0" in summary and "steps=0" not in summary
+        assert "misses=1" in summary
 
     def test_experiment_jobs_and_cache_summary(self, capsys, tmp_path):
         cache = ["--cache-dir", str(tmp_path / "c")]

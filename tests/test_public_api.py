@@ -29,7 +29,6 @@ class TestTopLevelSurface:
         "ReplicatedKVStore",
         "ReplicatedMaxRegisterEmulation",
         "ReproError",
-        "ResultCache",
         "ShardConfig",
         "ShardServiceConfig",
         "ShardedKVService",
@@ -136,8 +135,6 @@ class TestEngineKnobCensus:
         "QueueWorker": (
             "backend",
             "worker_id",
-            "cache",
-            "refresh",
             "ttl",
             "check_version",
             "progress",
