@@ -7,7 +7,7 @@ rebuild the whole table with ``sorted()``.  This drives the two
 32-deep closed loop and counts those arrivals:
 
 * ``sock``  — max-register ABD, n = 4, f = 1, one shard over
-  self-hosted ``AsyncioTransport`` sockets, binary codec (the shape of
+  self-hosted ``AsyncioTransport`` sockets (the shape of
   ``kv_sock_read``);
 * ``lossy`` — CAS substrate, n = 4, f = 1, three shards over
   ``LossyTransport`` with delay, reorder, duplicates and 20% drops on
@@ -53,7 +53,7 @@ PLAN = FaultPlan(
 def _service(transport: str, seed: int) -> ShardedKVService:
     if transport == "sock":
         shards = (ShardConfig(n=4, f=1, capacity=KEYS),)
-        transports = [AsyncioTransport(codec="binary", idle_timeout=1.0)]
+        transports = [AsyncioTransport(idle_timeout=1.0)]
     else:
         shards = tuple(
             ShardConfig(substrate="cas", n=4, f=1, capacity=KEYS)

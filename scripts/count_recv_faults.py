@@ -9,7 +9,7 @@ into one buffer they reuse instead.  This drives the shape of
 operation:
 
 * max-register ABD, n = 4, f = 1, one shard over self-hosted
-  ``AsyncioTransport`` sockets, binary codec;
+  ``AsyncioTransport`` sockets;
 * a saturated phase first (4,000 mixed puts and gets, 32 deep, so the
   heap has grown to its working size), then
 * ``--ops`` async gets, one in flight at a time, with the process's
@@ -49,7 +49,7 @@ def measure(ops: int, seed: int) -> dict:
         ShardServiceConfig(
             shards=(ShardConfig(n=4, f=1, capacity=KEYS),), seed=seed
         ),
-        transports=[AsyncioTransport(codec="binary", idle_timeout=1.0)],
+        transports=[AsyncioTransport(idle_timeout=1.0)],
     )
     rng = random.Random(seed)
     keys = [f"key-{index}" for index in range(KEYS)]

@@ -1,16 +1,16 @@
 """The wire codec's share of ``kv_sock_read``'s saturated window.
 
 The socket transport codes whole segments (one outbox flush, one TCP
-read) through the segment functions of the codec registered under its
-codec's name, so the harness's ``--trace`` run, whose
+read) with the binary segment functions of ``repro.net.wire``, which it
+imports by name, so the harness's ``--trace`` run, whose
 ``spans.TracedCodec`` wraps only the per-frame calls, no longer sees
 socket-path frames: codec time counts under ``net.transport``.  This
 restores the split.  It runs the workload in this process through the
 harness's own worker (``benchmarks.e2e.worker.run``: one warm-up epoch,
 then ``--epochs`` measured ones, untraced), which builds and drives the
 service through ``benchmarks.e2e.workloads``.  The harness files are not
-edited: for this process only, the registered binary codec's four
-segment functions are replaced by timed wrappers, and
+edited: for this process only, the four segment functions the transport
+module calls are replaced by timed wrappers, and
 ``_KVEpoch.closed_slice`` (the body of every ``sat`` slice) by one that
 marks the window.  Codec calls outside a ``sat`` slice (set-up,
 unloaded, open-loop load) are not counted.
@@ -38,15 +38,15 @@ sys.path.insert(0, str(ROOT))
 
 from benchmarks.e2e import worker, workloads  # noqa: E402
 
-from repro.net.wire import get_codec  # noqa: E402
+from repro.net import asyncio_transport  # noqa: E402
 
-#: the one workload whose sat slices run the binary codec.
+#: the one workload whose sat slices run the codec.
 WORKLOAD = "kv_sock_read"
 SEGMENT_FUNCTIONS = (
-    "encode_requests",
-    "decode_requests",
-    "encode_responses",
-    "decode_responses",
+    "encode_binary_requests",
+    "decode_binary_requests",
+    "encode_binary_responses",
+    "decode_binary_responses",
 )
 
 
@@ -90,12 +90,13 @@ class _Window:
 
 
 def measure(seed: int, epochs: int) -> dict:
-    codec = get_codec("binary")
     window = _Window()
-    originals = {name: getattr(codec, name) for name in SEGMENT_FUNCTIONS}
+    originals = {
+        name: getattr(asyncio_transport, name) for name in SEGMENT_FUNCTIONS
+    }
     closed_slice = workloads._KVEpoch.closed_slice
     for name, function in originals.items():
-        setattr(codec, name, staticmethod(window.codec(name, function)))
+        setattr(asyncio_transport, name, window.codec(name, function))
     workloads._KVEpoch.closed_slice = window.slice(closed_slice)
     args = argparse.Namespace(
         workload=WORKLOAD, seed=seed, epochs=epochs, trace=0, spans=0, smoke=0
@@ -105,7 +106,7 @@ def measure(seed: int, epochs: int) -> dict:
     finally:
         workloads._KVEpoch.closed_slice = closed_slice
         for name, function in originals.items():
-            setattr(codec, name, staticmethod(function))
+            setattr(asyncio_transport, name, function)
     if not result["correct"]:
         raise SystemExit(f"wire_share: checks failed: {result['checks_failed']}")
     codec_s = sum(window.seconds.values())

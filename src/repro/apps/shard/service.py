@@ -42,7 +42,7 @@ from repro.errors import (
 )
 
 #: Deletion sentinel (registers cannot shrink, so a delete writes it).
-#: A *string* so it survives both wire codecs unchanged — shard values
+#: A *string* so it crosses the wire format unchanged — shard values
 #: cross process boundaries in socket deployments.
 TOMBSTONE = "\x00repro:tombstone"
 

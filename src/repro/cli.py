@@ -345,9 +345,7 @@ def cmd_cluster(args) -> int:
     emulation = _build_emulation(
         args,
         seed=args.seed,
-        transport=TransportConfig.asyncio(
-            tuple(args.address), codec=args.codec
-        ),
+        transport=TransportConfig.asyncio(tuple(args.address)),
     )
     if emulation is None:
         return 2
@@ -446,7 +444,6 @@ def _serve_shards(args) -> int:
             shard_replicas,
             host=args.host,
             ports=ports,
-            codec=args.codec,
         )
     except KeyboardInterrupt:
         pass
@@ -478,7 +475,6 @@ def cmd_serve(args) -> int:
             placements[args.server],
             host=args.host,
             port=args.port,
-            codec=args.codec,
         )
     except KeyboardInterrupt:
         pass
@@ -515,8 +511,6 @@ def _spawn_shard_node(args, server_index: int, ports=None):
         str(args.capacity),
         "--server",
         str(server_index),
-        "--codec",
-        args.codec,
     ]
     if ports:
         command += [
@@ -667,15 +661,12 @@ def cmd_loadgen(args) -> int:
                             for i in range(n)
                         ),
                         idle_timeout=args.idle_timeout,
-                        codec=args.codec,
                     )
                     for shard_index in range(args.shards)
                 ]
             else:
                 transports = [
-                    AsyncioTransport(
-                        idle_timeout=args.idle_timeout, codec=args.codec
-                    )
+                    AsyncioTransport(idle_timeout=args.idle_timeout)
                     for _ in range(args.shards)
                 ]
         service = ShardedKVService(config, transports=transports)
@@ -702,7 +693,6 @@ def cmd_loadgen(args) -> int:
                 proc.terminate()
                 proc.wait()
     report["transport"] = args.transport
-    report["codec"] = args.codec if args.transport != "sim" else None
     payload = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -1043,14 +1033,6 @@ def build_parser() -> argparse.ArgumentParser:
         " default: self-host every server)",
     )
     p_cluster.add_argument(
-        "--codec",
-        default="json",
-        choices=("json", "binary"),
-        help="wire codec for the request/response frames; must match the"
-        " --codec of any external `repro serve` processes"
-        " (default: json)",
-    )
-    p_cluster.add_argument(
         "--demo",
         action="store_true",
         help="self-hosted ABD n=3 f=1 demo (overrides the other flags)",
@@ -1084,13 +1066,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--port", type=int, default=0, help="bind port (default: ephemeral)"
-    )
-    p_serve.add_argument(
-        "--codec",
-        default="json",
-        choices=("json", "binary"),
-        help="wire codec to speak; must match the cluster's --codec"
-        " (default: json)",
     )
     p_serve.add_argument(
         "--shards",
@@ -1192,12 +1167,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sim: in-process kernels; asyncio: self-hosted localhost"
         " sockets; spawn: real `repro serve` subprocesses, one per"
         " server (default: sim)",
-    )
-    p_loadgen.add_argument(
-        "--codec",
-        default="json",
-        choices=("json", "binary"),
-        help="wire codec for socket transports (default: json)",
     )
     p_loadgen.add_argument(
         "--scenario",

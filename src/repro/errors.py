@@ -74,10 +74,11 @@ class WireDecodeError(ReproError, ValueError):
     """A wire frame failed to decode (truncation, trailing bytes,
     unknown tags, malformed payloads).
 
-    Raised by a segment decoder (``decode_requests`` /
-    ``decode_responses`` of a wire codec), ``decoded`` holds what the
-    frames before the bad one decoded to: the socket protocols still
-    apply or deliver those before they drop the peer.
+    Raised by a segment decoder of ``repro.net.wire``
+    (``decode_binary_requests`` / ``decode_binary_responses``),
+    ``decoded`` holds what the frames before the bad one decoded to: the
+    socket protocols still apply or deliver those before they drop the
+    peer.
     """
 
     exit_code = 7

@@ -388,6 +388,10 @@ class ReplayDeterminismRule(Rule):
         "encode_response",
         "encode_requests",
         "encode_responses",
+        "encode_binary_request",
+        "encode_binary_response",
+        "encode_binary_requests",
+        "encode_binary_responses",
         "encode_frame",
         "Random",
     }

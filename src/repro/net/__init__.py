@@ -37,16 +37,14 @@ from repro.net.faults import (
 )
 from repro.net.lossy import LossyTransport
 from repro.net.config import TransportConfig
-from repro.net.wire import BinaryWireCodec, JsonWireCodec, get_codec
+from repro.net.wire import BinaryWireCodec
 
 __all__ = [
     "Transport",
     "InProcTransport",
     "LossyTransport",
     "TransportConfig",
-    "JsonWireCodec",
     "BinaryWireCodec",
-    "get_codec",
     "FaultPlan",
     "LinkFaults",
     "Drop",

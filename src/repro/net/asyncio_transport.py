@@ -31,8 +31,8 @@ encodes each outbox as one segment, writes it in one ``write`` and runs
 the loop until a response has been parsed or ``idle_timeout`` expires;
 ``pump`` hands parsed responses to ``kernel.arrive``.  Both ends code a
 segment per call (an outbox, a TCP read, the answers to one read) with
-the segment functions of the codec registered under the codec's name,
-so a codec-shaped wrapper passed in sees none of those frames.  Everything else the loop hosts —
+the binary segment functions of :mod:`repro.net.wire`, the one wire
+format.  Everything else the loop hosts —
 self-hosted replicas, redial timers after a lost link, stray late
 responses — advances only inside ``start`` / ``flush_idle`` / ``close``
 / ``crash_replica`` / ``restart_replica``, never while the caller
@@ -55,7 +55,12 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import InvalidConfig, TransportUnavailable, WireDecodeError
 from repro.net.transport import Transport
-from repro.net.wire import get_codec
+from repro.net.wire import (
+    decode_binary_requests,
+    decode_binary_responses,
+    encode_binary_requests,
+    encode_binary_responses,
+)
 from repro.sim.ids import ObjectId, OpId
 from repro.sim.objects import make_object
 
@@ -85,7 +90,7 @@ def snapshot_placements(object_map) -> "Dict[int, List[ReplicaSpec]]":
 
 
 class ReplicaServer:
-    """One sim server's base objects, served over codec frames.
+    """One sim server's base objects, served over binary frames.
 
     Requests are applied to the replicas strictly in arrival order on
     the event loop — the replica is the linearization point for its
@@ -94,18 +99,8 @@ class ReplicaServer:
     TCP segment is applied and the answers leave in one ``write``.
     """
 
-    def __init__(
-        self,
-        server_index: int,
-        replicas: "List[ReplicaSpec]",
-        codec: Any = "json",
-    ):
+    def __init__(self, server_index: int, replicas: "List[ReplicaSpec]"):
         self.server_index = server_index
-        self.codec = get_codec(codec) if isinstance(codec, str) else codec
-        # by name: a codec-shaped wrapper (one that times the per-frame
-        # calls, say) is accepted, but the frames pass the segment
-        # functions of the codec registered under its name.
-        self.wire = get_codec(self.codec.name)
         self.replicas = {
             object_index: make_object(
                 type_name, ObjectId(object_index), initial_value
@@ -174,7 +169,7 @@ class _ReplicaConnection(_BufferedReader):
         server = self._server
         malformed = False
         try:
-            ops, self._tail = server.wire.decode_requests(self._tail + data)
+            ops, self._tail = decode_binary_requests(self._tail + data)
         except WireDecodeError as error:
             # the frames before the bad one are still owed their answers
             ops, malformed = error.decoded, True
@@ -190,7 +185,7 @@ class _ReplicaConnection(_BufferedReader):
             answers.append((op.op_id, replica.apply(op)))
         if answers:
             server.requests_served += len(answers)
-            self._transport.write(server.wire.encode_responses(answers))
+            self._transport.write(encode_binary_responses(answers))
         if malformed:
             # cut the peer off, after the answers it is owed (close
             # flushes them first) for the frames that did apply.
@@ -224,7 +219,7 @@ class _ReplicaLink(_BufferedReader):
         owner = self._owner
         ready = owner._ready
         try:
-            pairs, self._tail = owner._wire.decode_responses(self._tail + data)
+            pairs, self._tail = decode_binary_responses(self._tail + data)
         except WireDecodeError as error:
             # the answers before the bad frame still arrive; the stream
             # cannot be resynchronised: count it and drop the link
@@ -252,6 +247,11 @@ class AsyncioTransport(Transport):
 
     A closed transport can be started again; self-hosted replicas keep
     their state across it.
+
+    ``codec`` exists for the end-to-end benchmark harness
+    (``benchmarks/e2e``), its only caller: it must be ``"binary"`` or an
+    object whose ``name`` is ``"binary"`` (the harness's traced
+    wrapper), and changes nothing, for binary is the only wire format.
     """
 
     active = True
@@ -263,16 +263,17 @@ class AsyncioTransport(Transport):
         host: str = "127.0.0.1",
         startup_timeout: float = 10.0,
         idle_timeout: float = 5.0,
-        codec: Any = "json",
+        codec: Any = "binary",
     ):
+        if getattr(codec, "name", codec) != "binary":
+            raise InvalidConfig(
+                f"the wire format is binary; cannot speak codec {codec!r}"
+            )
         super().__init__()
         self.addresses = tuple(addresses)
         self.host = host
         self.startup_timeout = startup_timeout
         self.idle_timeout = idle_timeout
-        self.codec = get_codec(codec) if isinstance(codec, str) else codec
-        # the segment functions, resolved by name as ReplicaServer does
-        self._wire = get_codec(self.codec.name)
         self.ports: "Dict[int, int]" = {}
         self.servers: "Dict[int, ReplicaServer]" = {}
         self._placements: "Dict[int, List[ReplicaSpec]]" = {}
@@ -390,9 +391,7 @@ class AsyncioTransport(Transport):
         else:
             for server_index, replicas in self._placements.items():
                 if server_index not in self.servers:
-                    self.servers[server_index] = ReplicaServer(
-                        server_index, replicas, codec=self.codec
-                    )
+                    self.servers[server_index] = ReplicaServer(server_index, replicas)
                 await self._listen(server_index, 0)
         for server_index in self._endpoints:
             await self._connect(server_index)
@@ -552,9 +551,7 @@ class AsyncioTransport(Transport):
             if server_index in down or server_index in blackhole:
                 self.dropped_frames += len(ops)
             else:
-                links[server_index].transport.write(
-                    self._wire.encode_requests(ops)
-                )
+                links[server_index].transport.write(encode_binary_requests(ops))
 
     def request_arrived(self, op) -> bool:
         return op.op_id in self._results
@@ -624,7 +621,6 @@ class AsyncioTransport(Transport):
             "host": self.host,
             "ports": dict(self.ports),
             "addresses": list(self.addresses),
-            "codec": self.codec.name,
             "dropped_frames": self.dropped_frames,
             "decode_errors": self.decode_errors,
         }
@@ -655,10 +651,9 @@ def run_replica_server(
     host: str = "127.0.0.1",
     port: int = 0,
     announce=print,
-    codec: Any = "json",
 ) -> None:
     """Host one sim server's replicas until interrupted (``repro serve``)."""
-    replica_server = ReplicaServer(server_index, replicas, codec=codec)
+    replica_server = ReplicaServer(server_index, replicas)
     _serve_all([(replica_server, port, f"s{server_index}")], host, announce)
 
 
@@ -668,7 +663,6 @@ def run_shard_servers(
     host: str = "127.0.0.1",
     ports: "Optional[Dict[int, int]]" = None,
     announce=print,
-    codec: Any = "json",
 ) -> None:
     """Host sim server ``server_index`` of *every* shard in one process.
 
@@ -682,7 +676,7 @@ def run_shard_servers(
     """
     listeners = [
         (
-            ReplicaServer(server_index, replicas, codec=codec),
+            ReplicaServer(server_index, replicas),
             ports.get(shard_index, 0) if ports else 0,
             f"s{server_index}/shard{shard_index}",
         )

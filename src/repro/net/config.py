@@ -25,19 +25,17 @@ class TransportConfig:
     """A frozen, hashable, picklable recipe for one transport.
 
     ``kind`` selects the implementation; ``seed`` and ``plan`` only
-    apply to ``"lossy"``; ``addresses`` and ``codec`` only apply to
-    ``"asyncio"`` (empty addresses mean the transport spawns its own
-    localhost servers, as ``repro cluster`` does; non-empty lists one
-    ``host:port`` per server index for ``repro serve``-hosted processes;
-    ``codec`` names the wire codec, ``"json"`` or ``"binary"``, and must
-    match what the servers speak).
+    apply to ``"lossy"``; ``addresses`` only applies to ``"asyncio"``
+    (empty addresses mean the transport spawns its own localhost
+    servers, as ``repro cluster`` does; non-empty lists one
+    ``host:port`` per server index for ``repro serve``-hosted
+    processes).
     """
 
     kind: str = "inproc"
     seed: int = 0
     plan: "Optional[FaultPlan]" = None
     addresses: "Tuple[str, ...]" = ()
-    codec: str = "json"
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -48,17 +46,6 @@ class TransportConfig:
             raise InvalidConfig("a fault plan only applies to the lossy kind")
         if self.addresses and self.kind != "asyncio":
             raise InvalidConfig("addresses only apply to the asyncio kind")
-        from repro.net.wire import CODECS
-
-        if self.codec not in CODECS:
-            raise InvalidConfig(
-                f"unknown wire codec {self.codec!r}; known: {sorted(CODECS)}"
-            )
-        if self.codec != "json" and self.kind != "asyncio":
-            raise InvalidConfig(
-                "a wire codec only applies to the asyncio kind (the"
-                " in-proc and lossy transports never serialize)"
-            )
         if self.kind == "lossy" and self.plan is None:
             # Normalize: a bare lossy config means "no faults", which is
             # exactly FaultPlan().  Filling it in here keeps directly
@@ -80,10 +67,8 @@ class TransportConfig:
         return cls(kind="lossy", seed=seed, plan=plan)
 
     @classmethod
-    def asyncio(
-        cls, addresses: "Tuple[str, ...]" = (), codec: str = "json"
-    ) -> "TransportConfig":
-        return cls(kind="asyncio", addresses=tuple(addresses), codec=codec)
+    def asyncio(cls, addresses: "Tuple[str, ...]" = ()) -> "TransportConfig":
+        return cls(kind="asyncio", addresses=tuple(addresses))
 
     # -- realization -------------------------------------------------------
 
@@ -101,7 +86,7 @@ class TransportConfig:
         # sockets, wall-clock deadlines) and only loads when asked for.
         from repro.net.asyncio_transport import AsyncioTransport
 
-        return AsyncioTransport(addresses=self.addresses, codec=self.codec)
+        return AsyncioTransport(addresses=self.addresses)
 
     # -- cache keying ------------------------------------------------------
 

@@ -1,65 +1,51 @@
-"""Wire codecs for the asyncio transport.
+"""The wire format of the asyncio transport.
 
-Two interchangeable codecs ship the request/response legs between a
-kernel and its replica servers:
+Requests and responses cross a socket as length-prefixed
+struct-packed frames with one-byte interned type tags and msgpack-style
+value encoding (LEB128 varints, zigzag signed ints of arbitrary
+precision, UTF-8 strings, raw bytes, recursive containers).  The framing
+supports pipelining: any number of frames can sit in one TCP segment and
+be split without scanning for delimiters.  See ``docs/API.md`` ("Wire
+format") for the exact frame layout.  ``tests/net/test_wire_oracle.py``
+holds it to the plain codec it replaced, byte for byte.
 
-* :class:`JsonWireCodec` — newline-delimited JSON with tagged encodings
-  for the two non-JSON value shapes the protocols put into base objects:
-  tuples (argument lists must round-trip as tuples — ``LowLevelOp.args``
-  is one, and CAS compares ``==`` on whatever it is handed) and
-  :class:`~repro.sim.values.TSVal` timestamps.  Human-readable; one
-  frame per line.
-* :class:`BinaryWireCodec` — length-prefixed struct-packed frames with
-  one-byte interned type tags and msgpack-style value encoding
-  (LEB128 varints, zigzag signed ints of arbitrary precision, UTF-8
-  strings, raw bytes, recursive containers).  Several times cheaper to
-  encode and decode, and the framing supports pipelining: any number of
-  frames can sit in one TCP segment and be split without scanning for
-  delimiters.  See ``docs/API.md`` ("Wire format") for the exact frame
-  layout.  ``tests/net/test_wire_oracle.py`` holds it to the plain
-  codec it replaced, byte for byte.
-
-Each codec codes frames at two grains.  The segment functions are what
-the socket path calls, once per outbox flush or TCP read:
-``encode_requests(ops)`` and ``encode_responses(pairs)`` return every
-frame back to back; ``decode_requests(data)`` and
-``decode_responses(data)`` return every complete frame of ``data``
-decoded (ops, or ``(op, result)`` pairs) and the truncated tail to
-prepend to the next read.  The binary ones are one loop over the frames
-that packs and parses the shapes the registry protocols ship (args
-``()``, ``(TSVal,)``, ``(TSVal, TSVal)``; results ``TSVal``, ``"ok"`` /
+Frames are coded at two grains.  The segment functions are what the
+socket path calls, once per outbox flush or TCP read:
+``encode_binary_requests(ops)`` and ``encode_binary_responses(pairs)``
+return every frame back to back; ``decode_binary_requests(data)`` and
+``decode_binary_responses(data)`` return every complete frame of
+``data`` decoded (ops, or ``(op, result)`` pairs) and the truncated tail
+to prepend to the next read.  Each is one loop over the frames that
+packs and parses the shapes the registry protocols ship (args ``()``,
+``(TSVal,)``, ``(TSVal, TSVal)``; results ``TSVal``, ``"ok"`` /
 ``"ack"``, ``None``) inline, and hands any other value to the general
 tagged packer and parser; both decoders share one walk over the length
 prefixes (``_decode_frames``).  On a malformed frame they
 raise :class:`~repro.errors.WireDecodeError` with ``decoded`` set to the
 frames before it, which the socket protocols still apply or deliver;
 an oversized length prefix refuses the whole read.  The per-frame
-functions (``encode_request`` / ``decode_request`` /
-``encode_response`` / ``decode_response``) are the one-frame case of
-the same code.
+functions (``encode_binary_request`` / ``decode_binary_request`` /
+``encode_binary_response`` / ``decode_binary_response``) are the
+one-frame case of the same code.
 
-Each codec also reads one frame from an ``asyncio`` ``StreamReader``
-(``read_frame``); the segment decoders are tested against it.
+:class:`BinaryWireCodec` bundles the eight functions with
+``read_frame``, which reads one frame from an ``asyncio``
+``StreamReader``; the segment decoders are tested against it.
 
-Both codecs are deliberately closed: an unencodable value is an error,
+The format is deliberately closed: an unencodable value is an error,
 not a silent ``str()`` — a protocol that started shipping richer values
-over the wire should extend the codec, not corrupt comparisons.  Both
-reject malformed input loudly and with one exception class: truncated
-frames, trailing bytes, oversized lengths, unknown tags, invalid UTF-8
-and over-deep nesting all raise :class:`~repro.errors.WireDecodeError`
-instead of yielding partial values — the one error the socket
-protocols catch to drop a bad peer without failing the run.
+over the wire should extend the format, not corrupt comparisons.
+Malformed input is rejected loudly and with one exception class:
+truncated frames, trailing bytes, oversized lengths, unknown tags,
+invalid UTF-8 and over-deep nesting all raise
+:class:`~repro.errors.WireDecodeError` instead of yielding partial
+values — the one error the socket protocols catch to drop a bad peer
+without failing the run.
 
-JSON request frame::
-
-    {"op": 7, "client": 0, "object": 2, "kind": "write", "args": [...]}
-
-JSON response frame::
-
-    {"op": 7, "result": ...}
-
-Binary frames carry the same fields; ``tests/net/test_wire_binary.py``
-pins the cross-codec equivalence on recorded cluster sessions.
+The lookup of a codec by name at the end of this module, and
+:class:`JsonEncodeReference`, the JSON frames the sockets once spoke
+(encode only, kept as a cost reference), serve the end-to-end benchmark
+harness (``benchmarks/e2e``) and nothing else.
 """
 
 from __future__ import annotations
@@ -74,146 +60,8 @@ from repro.sim.ids import ClientId, ObjectId, OpId
 from repro.sim.objects import LowLevelOp, OpKind
 from repro.sim.values import TSVal
 
-_TSVAL_TAG = "__tsval__"
-_TUPLE_TAG = "__tuple__"
 
-
-def encode_value(value: Any) -> Any:
-    """Encode one value into JSON-safe form (recursive, tagged)."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, TSVal):
-        return {_TSVAL_TAG: [value.ts, value.wid, encode_value(value.val)]}
-    if isinstance(value, tuple):
-        return {_TUPLE_TAG: [encode_value(item) for item in value]}
-    if isinstance(value, list):
-        return [encode_value(item) for item in value]
-    if isinstance(value, dict):
-        encoded = {}
-        for key, item in sorted(value.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"non-string dict key on the wire: {key!r}")
-            encoded[key] = encode_value(item)
-        return encoded
-    raise TypeError(f"cannot encode {type(value).__name__} for the wire")
-
-
-def decode_value(value: Any) -> Any:
-    """Invert :func:`encode_value`."""
-    if isinstance(value, dict):
-        if _TSVAL_TAG in value:
-            ts, wid, val = value[_TSVAL_TAG]
-            return TSVal(ts=ts, wid=wid, val=decode_value(val))
-        if _TUPLE_TAG in value:
-            return tuple(decode_value(item) for item in value[_TUPLE_TAG])
-        return {key: decode_value(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [decode_value(item) for item in value]
-    return value
-
-
-def encode_request(op: "LowLevelOp") -> bytes:
-    frame = {
-        "op": int(op.op_id.value),
-        "client": op.client_id.index,
-        "object": op.object_id.index,
-        "kind": op.kind.value,
-        "args": encode_value(list(op.args)),
-    }
-    return (json.dumps(frame, sort_keys=True) + "\n").encode("utf-8")
-
-
-def decode_request(line: bytes) -> "LowLevelOp":
-    """Rebuild the operation on the server side.
-
-    ``trigger_time`` is not meaningful across the wire and is set to 0;
-    the authoritative timing lives in the client-side kernel.
-    """
-    try:
-        frame = json.loads(line.decode("utf-8"))
-        return LowLevelOp(
-            op_id=OpId(frame["op"]),
-            client_id=ClientId(frame["client"]),
-            object_id=ObjectId(frame["object"]),
-            kind=OpKind(frame["kind"]),
-            args=tuple(decode_value(frame["args"])),
-            trigger_time=0,
-        )
-    except (ValueError, KeyError, TypeError, RecursionError) as error:
-        raise WireDecodeError(f"malformed request frame: {error}") from error
-
-
-def encode_response(op_value: int, result: Any) -> bytes:
-    frame = {"op": int(op_value), "result": encode_value(result)}
-    return (json.dumps(frame, sort_keys=True) + "\n").encode("utf-8")
-
-
-def decode_response(line: bytes) -> "Dict[str, Any]":
-    try:
-        frame = json.loads(line.decode("utf-8"))
-        return {"op": frame["op"], "result": decode_value(frame["result"])}
-    except (ValueError, KeyError, TypeError, RecursionError) as error:
-        raise WireDecodeError(f"malformed response frame: {error}") from error
-
-
-def _split_lines(data: bytes) -> "Tuple[List[bytes], bytes]":
-    """Every complete line of ``data`` (newline kept, as
-    :meth:`JsonWireCodec.read_frame` yields them) and the unterminated
-    tail.
-
-    One cut at the last newline; the caller prepends the tail to the
-    next TCP segment.  A tail above :data:`MAX_FRAME_BYTES` is rejected
-    rather than buffered without bound.
-    """
-    cut = data.rfind(b"\n") + 1
-    if len(data) - cut > MAX_FRAME_BYTES:
-        raise WireDecodeError(
-            f"unterminated line of {len(data) - cut} bytes exceeds"
-            f" the {MAX_FRAME_BYTES}-byte wire limit"
-        )
-    if not cut:
-        return [], data
-    lines = [line + b"\n" for line in data[: cut - 1].split(b"\n")]
-    return lines, data[cut:]
-
-
-def encode_requests(ops: "Iterable[LowLevelOp]") -> bytes:
-    return b"".join([encode_request(op) for op in ops])
-
-
-def decode_requests(data: bytes) -> "Tuple[List[LowLevelOp], bytes]":
-    """Every complete line of ``data`` decoded, and the unterminated
-    tail; a bad line raises with ``decoded`` set to the ops before it."""
-    lines, tail = _split_lines(bytes(data))
-    ops: "List[LowLevelOp]" = []
-    try:
-        for line in lines:
-            ops.append(decode_request(line))
-    except WireDecodeError as error:
-        error.decoded = ops
-        raise
-    return ops, tail
-
-
-def encode_responses(pairs: "Iterable[Tuple[int, Any]]") -> bytes:
-    return b"".join([encode_response(op, result) for op, result in pairs])
-
-
-def decode_responses(data: bytes) -> "Tuple[List[Tuple[int, Any]], bytes]":
-    """:func:`decode_requests` for responses, as ``(op, result)`` pairs."""
-    lines, tail = _split_lines(bytes(data))
-    pairs: "List[Tuple[int, Any]]" = []
-    try:
-        for line in lines:
-            frame = decode_response(line)
-            pairs.append((frame["op"], frame["result"]))
-    except WireDecodeError as error:
-        error.decoded = pairs
-        raise
-    return pairs, tail
-
-
-# -- binary codec ------------------------------------------------------------
+# -- binary codec -----------------------------------------------------------
 #
 # Frame:   u32 big-endian payload length | payload.
 # Payload: frame-kind byte (0x01 request / 0x02 response) | body.
@@ -224,7 +72,7 @@ def decode_responses(data: bytes) -> "Tuple[List[Tuple[int, Any]], bytes]":
 # Values are a one-byte type tag followed by the tag-specific encoding;
 # varints are unsigned LEB128, signed ints ride zigzag-mapped LEB128
 # (arbitrary precision — Python ints never truncate).  Dicts are sorted
-# by key, mirroring the JSON codec's canonical form.
+# by key, a canonical form.
 
 _T_NONE = 0x00
 _T_TRUE = 0x01
@@ -502,7 +350,7 @@ def _unpack_value(buf: bytes, pos: int) -> "Tuple[Any, int]":
     raise WireDecodeError(f"unknown wire tag 0x{tag:02x}")
 
 
-# -- binary segments ---------------------------------------------------------
+# -- binary segments --------------------------------------------------------
 #
 # The socket path codes one segment per call: every frame of one outbox
 # flush, or every complete frame of one TCP read.  Each segment function
@@ -752,28 +600,7 @@ def decode_binary_response(payload: bytes) -> "Dict[str, Any]":
     return {"op": op_value, "result": result}
 
 
-# -- codec objects -----------------------------------------------------------
-
-
-class JsonWireCodec:
-    """Newline-delimited JSON framing (the original codec)."""
-
-    name = "json"
-
-    encode_request = staticmethod(encode_request)
-    decode_request = staticmethod(decode_request)
-    encode_response = staticmethod(encode_response)
-    decode_response = staticmethod(decode_response)
-    encode_requests = staticmethod(encode_requests)
-    decode_requests = staticmethod(decode_requests)
-    encode_responses = staticmethod(encode_responses)
-    decode_responses = staticmethod(decode_responses)
-
-    @staticmethod
-    async def read_frame(reader) -> "Optional[bytes]":
-        """One frame's bytes, or ``None`` on a clean EOF."""
-        line = await reader.readline()
-        return line if line else None
+# -- the codec object -------------------------------------------------------
 
 
 class BinaryWireCodec:
@@ -813,18 +640,70 @@ class BinaryWireCodec:
         return await reader.readexactly(length)
 
 
-#: codec registry for configs and the CLI.
-CODECS = {
-    JsonWireCodec.name: JsonWireCodec,
-    BinaryWireCodec.name: BinaryWireCodec,
-}
+# -- the benchmark harness's surface ----------------------------------------
+
+_TSVAL_TAG = "__tsval__"
+_TUPLE_TAG = "__tuple__"
+
+
+def _json_value(value: Any) -> Any:
+    """One value in JSON-safe form (recursive, tagged)."""
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, TSVal):
+        return {_TSVAL_TAG: [value.ts, value.wid, _json_value(value.val)]}
+    if isinstance(value, tuple):
+        return {_TUPLE_TAG: [_json_value(item) for item in value]}
+    if isinstance(value, list):
+        return [_json_value(item) for item in value]
+    if isinstance(value, dict):
+        encoded = {}
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"non-string dict key on the wire: {key!r}")
+            encoded[key] = _json_value(item)
+        return encoded
+    raise TypeError(f"cannot encode {type(value).__name__} for the wire")
+
+
+class JsonEncodeReference:
+    """Newline-delimited JSON frames, encode only: a cost reference.
+
+    The frames the sockets spoke before the binary format, byte for
+    byte.  The end-to-end benchmark harness (``benchmarks/e2e``) is the
+    only caller: it times them next to :class:`BinaryWireCodec` as
+    ``net.wire.json_encode_us_per_frame``.  Nothing decodes them.
+    """
+
+    name = "json"
+
+    @staticmethod
+    def encode_request(op: "LowLevelOp") -> bytes:
+        frame = {
+            "op": int(op.op_id.value),
+            "client": op.client_id.index,
+            "object": op.object_id.index,
+            "kind": op.kind.value,
+            "args": _json_value(list(op.args)),
+        }
+        return (json.dumps(frame, sort_keys=True) + "\n").encode("utf-8")
+
+    @staticmethod
+    def encode_response(op_value: int, result: Any) -> bytes:
+        frame = {"op": int(op_value), "result": _json_value(result)}
+        return (json.dumps(frame, sort_keys=True) + "\n").encode("utf-8")
 
 
 def get_codec(name: str):
-    """Look up a codec by name (``"json"`` or ``"binary"``)."""
-    try:
-        return CODECS[name]
-    except KeyError:
-        raise InvalidConfig(
-            f"unknown wire codec {name!r}; known: {sorted(CODECS)}"
-        ) from None
+    """:class:`BinaryWireCodec` for ``"binary"``,
+    :class:`JsonEncodeReference` for ``"json"``.
+
+    The end-to-end benchmark harness (``benchmarks/e2e``) is the only
+    caller; the socket path calls the binary segment functions directly.
+    """
+    for codec in (BinaryWireCodec, JsonEncodeReference):
+        if codec.name == name:
+            return codec
+    raise InvalidConfig(
+        f"unknown wire codec {name!r}; known: ['binary', 'json']"
+    )

@@ -60,7 +60,7 @@ def _transport(kind):
             partitions=(Partition(2_000, 6_000, (3,)),),
         )
         return LossyTransport(plan, seed=3)
-    return AsyncioTransport(codec="binary", idle_timeout=1.0)
+    return AsyncioTransport(idle_timeout=1.0)
 
 
 def _service(kind):

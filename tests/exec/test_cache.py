@@ -205,7 +205,7 @@ class TestTransportKeying:
 
         configs = {
             "inproc": TransportConfig.inproc(),
-            "asyncio": TransportConfig.asyncio(codec="binary"),
+            "asyncio": TransportConfig.asyncio(),
             "lossy": TransportConfig.lossy(chaos_faults(), seed=3),
         }
         assert config.FATE_STREAM is faults.FATE_STREAM

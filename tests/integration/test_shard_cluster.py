@@ -178,7 +178,6 @@ class TestLoadgenCLI:
             [
                 "loadgen",
                 "--transport", "spawn",
-                "--codec", "binary",
                 "--scenario", "gauntlet",
                 "--shards", "1",
                 "-n", "4",

@@ -13,12 +13,10 @@ from repro.core.emulation import EmulationSpec
 from repro.net import TransportConfig
 from repro.net.asyncio_transport import AsyncioTransport, snapshot_placements
 from repro.net.wire import (
-    decode_request,
-    decode_response,
-    decode_value,
-    encode_request,
-    encode_response,
-    encode_value,
+    decode_binary_requests,
+    decode_binary_responses,
+    encode_binary_request,
+    encode_binary_response,
 )
 from repro.sim.ids import ClientId, ObjectId, OpId
 from repro.sim.objects import LowLevelOp, OpKind
@@ -44,17 +42,16 @@ class TestWireCodec:
         ],
     )
     def test_value_roundtrip(self, value):
-        decoded = decode_value(encode_value(value))
+        frame = encode_binary_response(0, value)
+        ((_, decoded),), tail = decode_binary_responses(frame)
+        assert tail == b""
         assert decoded == value
         assert type(decoded) is type(value)
 
     def test_codec_is_closed(self):
-        with pytest.raises(TypeError):
-            encode_value({1, 2})
-        with pytest.raises(TypeError):
-            encode_value(object())
-        with pytest.raises(TypeError):
-            encode_value({0: "non-string key"})
+        for value in ({1, 2}, object(), {0: "non-string key"}):
+            with pytest.raises(TypeError):
+                encode_binary_response(0, value)
 
     def test_request_roundtrip(self):
         op = LowLevelOp(
@@ -65,9 +62,8 @@ class TestWireCodec:
             args=(TSVal(ts=1, wid=0, val="v"),),
             trigger_time=99,
         )
-        frame = encode_request(op)
-        assert frame.endswith(b"\n")
-        decoded = decode_request(frame)
+        (decoded,), tail = decode_binary_requests(encode_binary_request(op))
+        assert tail == b""
         assert decoded.op_id == op.op_id
         assert decoded.client_id == op.client_id
         assert decoded.object_id == op.object_id
@@ -76,10 +72,11 @@ class TestWireCodec:
         assert decoded.trigger_time == 0  # timing stays client-side
 
     def test_response_roundtrip(self):
-        frame = encode_response(11, TSVal(ts=2, wid=1, val=(1, 2)))
-        decoded = decode_response(frame)
-        assert decoded["op"] == 11
-        assert decoded["result"] == TSVal(ts=2, wid=1, val=(1, 2))
+        frame = encode_binary_response(11, TSVal(ts=2, wid=1, val=(1, 2)))
+        assert decode_binary_responses(frame) == (
+            [(11, TSVal(ts=2, wid=1, val=(1, 2)))],
+            b"",
+        )
 
 
 class TestPlacementSnapshot:
@@ -109,12 +106,12 @@ class TestAddressValidation:
             spec.build()
 
 
-def run_cluster(algorithm, seed=0, rounds=2, codec="json"):
+def run_cluster(algorithm, seed=0, rounds=2):
     params, write_op, read_op, value_kind, _ = SCENARIOS[algorithm]
     spec = EmulationSpec.make(
         algorithm,
         seed=seed,
-        transport=TransportConfig.asyncio(codec=codec),
+        transport=TransportConfig.asyncio(),
         **params,
     )
     emulation = spec.build()
@@ -142,11 +139,14 @@ def run_cluster(algorithm, seed=0, rounds=2, codec="json"):
 
 
 class TestCluster:
-    @pytest.mark.parametrize("codec", ["json", "binary"])
-    @pytest.mark.parametrize("algorithm", sorted(SCENARIOS))
-    def test_every_algorithm_runs_over_sockets(self, algorithm, codec):
-        emulation, transport = run_cluster(algorithm, codec=codec)
-        assert transport.codec.name == codec
+    # the ids name the wire format the runs speak
+    @pytest.mark.parametrize(
+        "algorithm",
+        sorted(SCENARIOS),
+        ids=[f"{name}-binary" for name in sorted(SCENARIOS)],
+    )
+    def test_every_algorithm_runs_over_sockets(self, algorithm):
+        emulation, transport = run_cluster(algorithm)
         check = SCENARIOS[algorithm][4]
         history = emulation.history
         if check == "ws":
@@ -190,7 +190,7 @@ class TestCluster:
 
 
 class _AbdCluster:
-    """ABD (n=3, f=1) over self-hosted binary-codec sockets, one writer
+    """ABD (n=3, f=1) over self-hosted sockets, one writer
     and one reader, driven a write+read round at a time.
 
     Every round reaches a quorum, so a passing run never waits the idle
@@ -201,7 +201,7 @@ class _AbdCluster:
     def __init__(self, seed, idle_timeout=5.0):
         spec = EmulationSpec.make(
             "abd", n=3, f=1, seed=seed,
-            transport=TransportConfig.asyncio(codec="binary"),
+            transport=TransportConfig.asyncio(),
         )
         self.emulation = spec.build()
         self.transport = self.emulation.kernel.transport
@@ -303,7 +303,7 @@ class TestCoalescing:
     def _single_server(self, idle_timeout):
         spec = EmulationSpec.make(
             "single-cas", seed=0,
-            transport=TransportConfig.asyncio(codec="binary"),
+            transport=TransportConfig.asyncio(),
         )
         kernel = spec.build().kernel
         kernel.transport.idle_timeout = idle_timeout
@@ -388,15 +388,14 @@ class TestReceiveBuffer:
             assert all(buffer is buffers[0] for buffer in buffers), side
         assert handed_out["link"][0] is not handed_out["replica"][0]
 
-    @pytest.mark.parametrize("codec", ["json", "binary"])
-    def test_a_frame_larger_than_the_buffer_round_trips(self, codec):
+    def test_a_frame_larger_than_the_buffer_round_trips(self):
         from repro.net.asyncio_transport import _RECV_BUFFER_BYTES
 
         value = "x" * (200 * 1024)
         assert len(value) > _RECV_BUFFER_BYTES
         spec = EmulationSpec.make(
             "abd", n=3, f=1, seed=1,
-            transport=TransportConfig.asyncio(codec=codec),
+            transport=TransportConfig.asyncio(),
         )
         emulation = spec.build()
         transport = emulation.kernel.transport

@@ -1,10 +1,11 @@
 """`repro cluster` / `repro serve`: the socket backend from the CLI."""
 
 import socket
+import struct
 import threading
 
 from repro.cli import build_parser, main
-from repro.net.wire import decode_response, encode_request
+from repro.net.wire import decode_binary_response, encode_binary_request
 from repro.sim.ids import ClientId, ObjectId, OpId
 from repro.sim.objects import LowLevelOp, OpKind
 
@@ -15,19 +16,11 @@ class TestParser:
         assert args.algorithm == "abd"
         assert args.rounds == 2
         assert args.address == []
-        assert args.codec == "json"
         assert not args.demo
 
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert (args.server, args.host, args.port) == (0, "127.0.0.1", 0)
-        assert args.codec == "json"
-
-    def test_codec_choices(self):
-        args = build_parser().parse_args(["cluster", "--codec", "binary"])
-        assert args.codec == "binary"
-        args = build_parser().parse_args(["serve", "--codec", "binary"])
-        assert args.codec == "binary"
 
 
 class TestClusterCommand:
@@ -41,12 +34,6 @@ class TestClusterCommand:
         assert main(["cluster", "--algorithm", "single-cas"]) == 0
         out = capsys.readouterr().out
         assert "single-cas over real sockets" in out
-        assert "safety check passed" in out
-
-    def test_demo_with_binary_codec(self, capsys):
-        assert main(["cluster", "--demo", "--codec", "binary"]) == 0
-        out = capsys.readouterr().out
-        assert "abd over real sockets" in out
         assert "safety check passed" in out
 
     def test_serve_rejects_unknown_server_index(self, capsys):
@@ -98,12 +85,17 @@ class TestExternallyHostedReplica:
                 trigger_time=0,
             )
 
+        def answer(reader):
+            # a frame is a 4-byte big-endian length, then the payload
+            (length,) = struct.unpack(">I", reader.read(4))
+            return decode_binary_response(reader.read(length))
+
         with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
             reader = conn.makefile("rb")
-            conn.sendall(encode_request(cas(0, 0, 5)))
-            first = decode_response(reader.readline())
-            conn.sendall(encode_request(cas(1, 5, 9)))
-            second = decode_response(reader.readline())
+            conn.sendall(encode_binary_request(cas(0, 0, 5)))
+            first = answer(reader)
+            conn.sendall(encode_binary_request(cas(1, 5, 9)))
+            second = answer(reader)
         # CAS returns the previous value: 0 initially, then the 5 the
         # first swap installed — the replica really holds state.
         assert first == {"op": 0, "result": 0}

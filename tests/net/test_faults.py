@@ -80,14 +80,6 @@ class TestValidation:
                 lambda: TransportConfig(kind="lossy", addresses=("h:1",)),
                 "addresses",
             ),
-            (
-                lambda: TransportConfig(kind="asyncio", codec="morse"),
-                "unknown wire codec",
-            ),
-            (
-                lambda: TransportConfig(kind="lossy", codec="binary"),
-                "never serialize",
-            ),
         ],
     )
     def test_bad_argument_raises_invalid_config(self, build, message):

@@ -30,7 +30,7 @@ def _triggered(count):
     CAS ops triggered; their requests are queued, never flushed."""
     spec = EmulationSpec.make(
         "single-cas", seed=0,
-        transport=TransportConfig.asyncio(codec="binary"),
+        transport=TransportConfig.asyncio(),
     )
     kernel = spec.build().kernel
     ops = [
@@ -125,7 +125,7 @@ def test_closed_loop_over_binary_sockets_never_resorts():
     from-scratch oracles, no arrival below a pending respond action,
     every key's history audited."""
     depth, total, keys = 32, 400, [f"key-{index}" for index in range(16)]
-    transport = AsyncioTransport(codec="binary", idle_timeout=1.0)
+    transport = AsyncioTransport(idle_timeout=1.0)
     service = ShardedKVService(
         ShardServiceConfig(
             shards=(ShardConfig(n=4, f=1, capacity=len(keys)),), seed=3

@@ -198,7 +198,7 @@ class TestArrivedBookkeeping:
             )
             transport = LossyTransport(plan, seed=3)
         else:
-            transport = AsyncioTransport(idle_timeout=0.05, codec="binary")
+            transport = AsyncioTransport(idle_timeout=0.05)
         config = ShardServiceConfig.make(
             shards=1, substrate="max-register", n=3, f=1, capacity=8, seed=5
         )

@@ -1,8 +1,8 @@
-"""One seeded KV workload, four transports, one contract.
+"""One seeded KV workload, three transports, one contract.
 
 The same closed-loop key-value traffic runs over the in-process
 transport, a fault-free :class:`~repro.net.lossy.LossyTransport`, and
-real asyncio sockets with each wire codec, on the max-register and the
+real asyncio sockets speaking binary frames, on the max-register and the
 CAS substrates.  Whatever carries the frames, every per-key history
 audits, every get returns a value that was written to its key, and
 max-register ABD pays exactly its two rounds over ``n = 4`` base
@@ -26,8 +26,7 @@ SESSIONS = 6
 TRANSPORTS = {
     "inproc": lambda: None,
     "lossy-neutral": lambda: LossyTransport(FaultPlan(), seed=3),
-    "asyncio-json": lambda: AsyncioTransport(codec="json", idle_timeout=1.0),
-    "asyncio-binary": lambda: AsyncioTransport(codec="binary", idle_timeout=1.0),
+    "asyncio-binary": lambda: AsyncioTransport(idle_timeout=1.0),
 }
 
 

@@ -1,6 +1,6 @@
-"""Fuzz/property tests for the binary wire codec.
+"""Fuzz/property tests for the binary wire codec, the one wire format.
 
-Four claims, each load-bearing for running real protocols over it:
+Three claims, each load-bearing for running real protocols over it:
 
 * **Round-trip fidelity** — every value shape the protocols can put on
   the wire (unicode strings, raw bytes, arbitrary-precision ints,
@@ -10,14 +10,10 @@ Four claims, each load-bearing for running real protocols over it:
 * **Loud rejection** — truncated payloads, trailing garbage, unknown
   tags and oversized length prefixes raise; no prefix of a valid frame
   decodes to a partial value.
-* **JSON↔binary equivalence** — on a recorded seeded cluster session
-  (every low-level request and response of a full WSRegister run), the
-  two codecs decode each other's input to the same operations and the
-  same results.
 * **Framing** — the segment decoders the socket protocols call per TCP
   segment (``decode_requests`` / ``decode_responses``) yield exactly
   what the stream-reading ``read_frame`` plus the per-frame decoder
-  yield, in every chunking of the byte stream (both codecs, both legs).
+  yield, in every chunking of the byte stream (both legs).
 """
 
 import asyncio
@@ -29,12 +25,10 @@ from hypothesis import strategies as st
 from repro.net.wire import (
     MAX_FRAME_BYTES,
     BinaryWireCodec,
-    JsonWireCodec,
     decode_binary_request,
     decode_binary_response,
     encode_binary_request,
     encode_binary_response,
-    get_codec,
 )
 from repro.sim.ids import ClientId, ObjectId, OpId
 from repro.sim.objects import LowLevelOp, OpKind
@@ -46,7 +40,7 @@ def _values(max_leaves=20):
 
     Floats exclude NaN (NaN != NaN breaks round-trip equality, and no
     protocol value is ever NaN); dict keys are strings, the only key
-    type either codec accepts.
+    type the codec accepts.
     """
     leaves = st.one_of(
         st.none(),
@@ -170,16 +164,16 @@ def _read_all_frames(codec, data):
 
 
 def test_framing_splits_pipelined_stream():
-    """Many frames in one byte blob split exactly, for both codecs."""
+    """Many frames in one byte blob split exactly."""
     ops = [_request((index, f"v{index}")) for index in range(5)]
-    for codec in (BinaryWireCodec, JsonWireCodec):
-        blob = b"".join(codec.encode_request(op) for op in ops)
-        frames = _read_all_frames(codec, blob)
-        assert len(frames) == len(ops)
-        # read_frame hands back exactly what decode_request expects:
-        # the line for json, the length-stripped payload for binary.
-        for frame, op in zip(frames, ops):
-            assert codec.decode_request(frame).args == op.args
+    codec = BinaryWireCodec
+    blob = b"".join(codec.encode_request(op) for op in ops)
+    frames = _read_all_frames(codec, blob)
+    assert len(frames) == len(ops)
+    # read_frame hands back exactly what decode_request expects: the
+    # length-stripped payload.
+    for frame, op in zip(frames, ops):
+        assert codec.decode_request(frame).args == op.args
 
 
 def test_oversized_length_prefix_rejected_before_allocation():
@@ -244,7 +238,7 @@ def _decode_segments(decode, segments):
     return items, tail
 
 
-@pytest.mark.parametrize("codec", [BinaryWireCodec, JsonWireCodec])
+@pytest.mark.parametrize("codec", [BinaryWireCodec])
 class TestSplitFrames:
     """On either leg, the segment decoder yields exactly what read_frame
     and the per-frame decoder yield, however TCP cuts the stream into
@@ -276,60 +270,11 @@ class TestSplitFrames:
             assert _leg(codec, leg)[1](b"") == ([], b"")
 
     def test_oversized_frame_rejected_before_its_body_is_buffered(self, codec):
-        if codec is BinaryWireCodec:
-            # the four prefix bytes are enough: no body has arrived yet
-            oversized = (MAX_FRAME_BYTES + 1).to_bytes(4, "big")
-        else:
-            oversized = b"x" * (MAX_FRAME_BYTES + 1)  # no newline in sight
+        # the four prefix bytes are enough: no body has arrived yet
+        oversized = (MAX_FRAME_BYTES + 1).to_bytes(4, "big")
         for leg in self.LEGS:
             blob, decode, _ = _leg(codec, leg)
             with pytest.raises(ValueError):
                 decode(oversized)
             with pytest.raises(ValueError):
                 decode(blob + oversized)
-
-
-def test_get_codec():
-    assert get_codec("json") is JsonWireCodec
-    assert get_codec("binary") is BinaryWireCodec
-    with pytest.raises(ValueError):
-        get_codec("msgpack")
-
-
-def test_codecs_agree_on_recorded_cluster_session():
-    """Golden equivalence: one seeded WSRegister run, every leg, both
-    codecs decode to the same operations and results."""
-    from repro.core.ws_register import WSRegisterEmulation
-    from repro.sim.scheduling import RandomScheduler
-
-    emu = WSRegisterEmulation(2, 5, 2, scheduler=RandomScheduler(42))
-    writers = [emu.add_writer(index) for index in range(2)]
-    reader = emu.add_reader()
-    for round_index in range(3):
-        for writer in writers:
-            writer.enqueue("write", f"value-{round_index}")
-        reader.enqueue("read")
-    result = emu.system.run_to_quiescence()
-    assert result.satisfied
-    ops = list(emu.kernel.ops.values())
-    assert len(ops) > 20, "session too small to be a meaningful golden"
-    for op in ops:
-        via_json = JsonWireCodec.decode_request(
-            JsonWireCodec.encode_request(op)
-        )
-        via_binary = BinaryWireCodec.decode_request(
-            BinaryWireCodec.encode_request(op)[4:]
-        )
-        for field in ("op_id", "client_id", "object_id", "kind", "args"):
-            assert getattr(via_json, field) == getattr(op, field)
-            assert getattr(via_binary, field) == getattr(op, field)
-        if op.respond_time is None:
-            continue  # covering op: never responded, no result leg
-        json_response = JsonWireCodec.decode_response(
-            JsonWireCodec.encode_response(op.op_id.value, op.result)
-        )
-        binary_response = BinaryWireCodec.decode_response(
-            BinaryWireCodec.encode_response(op.op_id.value, op.result)[4:]
-        )
-        assert json_response == binary_response
-        assert json_response["result"] == op.result

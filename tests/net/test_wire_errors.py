@@ -13,13 +13,8 @@ import struct
 
 import pytest
 
-from repro.errors import InvalidConfig, WireDecodeError
-from repro.net.wire import (
-    MAX_FRAME_BYTES,
-    BinaryWireCodec,
-    JsonWireCodec,
-    get_codec,
-)
+from repro.errors import WireDecodeError
+from repro.net.wire import MAX_FRAME_BYTES, BinaryWireCodec
 from repro.sim.ids import ClientId, ObjectId, OpId
 from repro.sim.objects import LowLevelOp, OpKind
 
@@ -40,29 +35,12 @@ BAD_UTF8_REQUEST = bytes.fromhex("01 07 02 03 03 08 01 05 01 ff")
 DEEP_REQUEST = bytes.fromhex("01 07 02 03 03") + b"\x08\x01" * DEPTH + b"\x00"
 
 
-def _json_frame(**fields):
-    body = ", ".join(f'"{name}": {value}' for name, value in fields.items())
-    return ("{" + body + "}\n").encode("utf-8")
-
-
-_DEEP_JSON = "[" * DEPTH + "]" * DEPTH
 BAD_FRAMES = [
     (BinaryWireCodec.decode_response, BAD_UTF8_RESPONSE),
     (BinaryWireCodec.decode_response, BAD_UTF8_KEY_RESPONSE),
     (BinaryWireCodec.decode_response, DEEP_RESPONSE),
     (BinaryWireCodec.decode_request, BAD_UTF8_REQUEST),
     (BinaryWireCodec.decode_request, DEEP_REQUEST),
-    (JsonWireCodec.decode_response, b'{"op": 1, "result": "\xff"}\n'),
-    (JsonWireCodec.decode_response, _json_frame(op=1, result=_DEEP_JSON)),
-    (
-        JsonWireCodec.decode_request,
-        _json_frame(op=1, client=0, object=0, kind='"write"', args=_DEEP_JSON),
-    ),
-    (
-        JsonWireCodec.decode_request,
-        b'{"op": 1, "client": 0, "object": 0, "kind": "write",'
-        b' "args": ["\xff"]}\n',
-    ),
 ]
 
 
@@ -75,10 +53,6 @@ BAD_FRAMES = [
         "binary-response-deep",
         "binary-request-utf8",
         "binary-request-deep",
-        "json-response-utf8",
-        "json-response-deep",
-        "json-request-deep",
-        "json-request-utf8",
     ],
 )
 def test_malformed_frames_raise_wire_decode_error(decode, frame):
@@ -91,8 +65,6 @@ def test_typed_raises():
     huge = struct.pack(">I", MAX_FRAME_BYTES + 1)
     with pytest.raises(WireDecodeError):
         _read_all_frames(BinaryWireCodec, huge)
-    with pytest.raises(InvalidConfig):
-        get_codec("msgpack")
 
 
 def _frame(payload):

@@ -23,15 +23,10 @@ from repro.errors import WireDecodeError
 from repro.net.wire import (
     MAX_FRAME_BYTES,
     BinaryWireCodec,
-    JsonWireCodec,
     decode_binary_request,
     decode_binary_response,
-    decode_request,
-    decode_response,
     encode_binary_request,
     encode_binary_response,
-    encode_request,
-    encode_response,
 )
 from repro.sim.ids import ClientId, ObjectId, OpId
 from repro.sim.objects import LowLevelOp, OpKind
@@ -264,27 +259,6 @@ def test_kv_sock_read_frames_are_pinned(encode, expected):
 # reference decodes frame by frame.
 
 
-def _json_values():
-    """:func:`_values` without ``bytes``, which the JSON codec rejects."""
-    leaves = st.one_of(
-        st.none(),
-        st.booleans(),
-        st.integers(),
-        st.floats(allow_nan=False),
-        st.text(),
-    )
-    return st.recursive(
-        leaves,
-        lambda children: st.one_of(
-            st.lists(children, max_size=4),
-            st.lists(children, max_size=4).map(tuple),
-            st.dictionaries(st.text(max_size=8), children, max_size=4),
-            st.builds(TSVal, ts=st.integers(), wid=st.integers(), val=children),
-        ),
-        max_leaves=12,
-    )
-
-
 #: the ``TSVal`` shapes the protocols ship, with large timestamps and
 #: negative writer ids (the bottom value's ``wid`` is -1).
 _SHIPPED_TSVALS = st.builds(
@@ -318,15 +292,6 @@ _SEGMENTS = {
         reference.decode_binary_response,
         lambda frame: frame[4:],
         _values,
-    ),
-    "json": _Segments(
-        JsonWireCodec,
-        encode_request,
-        decode_request,
-        encode_response,
-        decode_response,
-        lambda frame: frame,
-        _json_values,
     ),
 }
 

@@ -146,10 +146,8 @@ class TestExitCodes:
         assert exit_code_for(ValueError("x")) == 2
 
     def test_wire_decode_paths_raise_typed(self):
-        from repro.net.wire import decode_binary_request, decode_request
+        from repro.net.wire import decode_binary_request
 
-        with pytest.raises(WireDecodeError):
-            decode_request(b"not json\n")
         with pytest.raises(WireDecodeError):
             decode_binary_request(b"\x00garbage")
 

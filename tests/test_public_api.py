@@ -92,7 +92,7 @@ class TestKnobCensus:
         "KVConfig": ("substrate", "n", "f", "k_writers", "seed", "max_keys"),
         "ShardConfig": ("substrate", "n", "f", "k_writers", "capacity"),
         "ShardServiceConfig": ("shards", "seed"),
-        "TransportConfig": ("kind", "seed", "plan", "addresses", "codec"),
+        "TransportConfig": ("kind", "seed", "plan", "addresses"),
     }
 
     def test_config_fields_are_exactly_the_known_knobs(self):
