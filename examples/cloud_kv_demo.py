@@ -4,21 +4,20 @@
 The paper's motivation: cloud stores expose different primitives —
 network-attached disks give plain read/write, cloud APIs give conditional
 updates (CAS), richer services give RMW.  This demo runs the library's
-:class:`repro.apps.kv.ReplicatedKVStore` — the one-shard front of
-:class:`repro.apps.shard.ShardedKVService`: every key on one fleet of
-``n`` servers, provisioned for ``max_keys`` keys — on each substrate with
-the same workload (writes by several writers, crashes, reads, consistency
-audit) and compares the per-key base-object budget: Table 1's separation
-on a "real" workload.
+KV service, :class:`repro.apps.shard.ShardedKVService`, with one shard —
+every key on one fleet of ``n`` servers, provisioned for ``capacity``
+keys — on each substrate with the same workload (writes by several
+writers, crashes, reads, consistency audit) and compares the per-key
+base-object budget: Table 1's separation on a "real" workload.
 
 Run:  python examples/cloud_kv_demo.py
 """
 
 from repro.analysis.tables import render_table
-from repro.apps.kv import ReplicatedKVStore
+from repro.apps.shard import ShardedKVService, ShardServiceConfig
 
 
-def exercise(store: ReplicatedKVStore) -> None:
+def exercise(store: ShardedKVService) -> None:
     with store.session(writer=0) as alice:
         alice.put("user:1", "ada")
         alice.put("user:1", "ada lovelace")
@@ -30,7 +29,7 @@ def exercise(store: ReplicatedKVStore) -> None:
     store.crash_server(0)           # f = 2 crashes: the store keeps going
     store.crash_server(3)
 
-    with store.session() as reader:     # read-only session: no writer slot
+    with store.session(writer=None) as reader:  # read-only: no writer slot
         assert reader.get("user:1") == "ada lovelace"
         assert reader.get("user:2") == "grace"
         assert reader.get("cart:9") == ["book"]
@@ -46,15 +45,21 @@ def main() -> None:
     n, f, k = 5, 2, 3
     rows = []
     for substrate in ("max-register", "cas", "register"):
-        store = ReplicatedKVStore(substrate=substrate, n=n, f=f, k_writers=k)
+        store = ShardedKVService(
+            ShardServiceConfig.make(
+                shards=1, substrate=substrate, n=n, f=f, k_writers=k,
+                capacity=16,
+            )
+        )
         exercise(store)
-        per_key = store.base_objects_per_key()
+        keys = store.keys()
+        per_key = store.fleets[0].objects_per_slot
         rows.append(
             [
                 substrate,
-                len(store.keys()),
-                store.base_objects,
-                per_key[store.keys()[0]],
+                len(keys),
+                len(keys) * per_key,
+                per_key,
                 "atomic" if substrate != "register" else "WS-Regular",
             ]
         )

@@ -47,7 +47,6 @@ from repro.consistency import (
 )
 from repro.apps.config import ConfigService, InstallRaced
 from repro.apps.epoch import EpochService
-from repro.apps.kv import KVConfig, KVSession, ReplicatedKVStore
 from repro.apps.shard import (
     ShardConfig,
     ShardedKVService,
@@ -77,12 +76,9 @@ __all__ = [
     "FTMaxRegister",
     "Grid",
     "InstallRaced",
-    "KVConfig",
-    "KVSession",
     "Lemma1Runner",
     "MultiRegisterDeployment",
     "RegisterLayout",
-    "ReplicatedKVStore",
     "ReplicatedMaxRegisterEmulation",
     "ReproError",
     "ShardConfig",

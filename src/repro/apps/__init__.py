@@ -4,13 +4,12 @@ The paper motivates its question with cloud storage services built from
 weak per-server primitives; this subpackage shows the emulations carrying
 such services end to end:
 
-* :mod:`repro.apps.shard` — the KV service, and the only KV
-  implementation: keys hash to register fleets on a pluggable substrate
-  (registers / max-registers / CAS) with per-key consistency auditing,
-  served in-process or over sockets, driven by an open-loop Zipfian
-  load generator.
-* :mod:`repro.apps.kv` — ``ReplicatedKVStore``, the one-shard front of
-  that service.
+* :mod:`repro.apps.shard` — the KV service and the only KV API
+  (``ShardedKVService``; one shard is the single-fleet store): keys hash
+  to register fleets on a pluggable substrate (registers /
+  max-registers / CAS) with per-key consistency auditing, served
+  in-process or over sockets, driven by an open-loop Zipfian load
+  generator.
 * :mod:`repro.apps.epoch` — a monotone epoch (configuration version)
   service on the f-tolerant max-register.
 * :mod:`repro.apps.config` — an epoch-guarded configuration store (the
@@ -19,7 +18,6 @@ such services end to end:
 
 from repro.apps.config import ConfigService, InstallRaced
 from repro.apps.epoch import EpochService
-from repro.apps.kv import KVConfig, KVSession, ReplicatedKVStore
 from repro.apps.shard import (
     ShardConfig,
     ShardedKVService,
@@ -33,9 +31,6 @@ __all__ = [
     "ConfigService",
     "EpochService",
     "InstallRaced",
-    "KVConfig",
-    "KVSession",
-    "ReplicatedKVStore",
     "ShardConfig",
     "ShardFleet",
     "ShardRouter",

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.shard.service import ShardedKVService
-from repro.errors import InvalidConfig, ShardCapacityExceeded, StaleShardMap
+from repro.errors import InvalidConfig, ShardCapacityExceeded
 from repro.workloads.generators import ZipfKeys
 
 
@@ -145,7 +145,7 @@ def run_loadgen(
                 else:
                     pending[token] = (next_arrival, "put")
                     session.submit_put(key, f"v{token}", token=token)
-            except (ShardCapacityExceeded, StaleShardMap):
+            except ShardCapacityExceeded:
                 # A shard refusing the op is load the service shed, not
                 # generator failure; anything else is a bug and propagates.
                 pending.pop(token, None)

@@ -1,15 +1,11 @@
-"""Key routing: stable hash of key → shard, behind a versioned map.
+"""Key routing: stable hash of key → shard.
 
 The hash is CRC-32 of the UTF-8 key — *stable* across processes and
 Python releases, unlike the builtin ``hash`` (salted per process by
 ``PYTHONHASHSEED``): a load generator in one process and replica
-servers in others must agree on the placement of every key.
-
-The map is versioned like production shard directories: sessions
-capture the version they routed with, and a service-side bump (e.g. a
-re-shard or re-addressing after recovery) makes stale sessions fail
-loudly with :class:`~repro.errors.StaleShardMap` instead of silently
-writing through an outdated placement.
+servers in others must agree on the placement of every key.  The
+placement is fixed for the service's lifetime: shards are provisioned
+up front and never re-split, so the map carries no version.
 """
 
 from __future__ import annotations
@@ -17,7 +13,7 @@ from __future__ import annotations
 import zlib
 from typing import List
 
-from repro.errors import InvalidConfig, StaleShardMap
+from repro.errors import InvalidConfig
 
 
 def stable_key_hash(key: str) -> int:
@@ -26,30 +22,15 @@ def stable_key_hash(key: str) -> int:
 
 
 class ShardRouter:
-    """Versioned key → shard map over ``n_shards`` shards."""
+    """Fixed key → shard map over ``n_shards`` shards."""
 
     def __init__(self, n_shards: int):
         if n_shards <= 0:
             raise InvalidConfig("need at least one shard")
         self.n_shards = n_shards
-        self.version = 1
 
     def shard_of(self, key: str) -> int:
         return stable_key_hash(key) % self.n_shards
-
-    def bump(self) -> int:
-        """Advance the map version (placement unchanged; clients holding
-        the old version must refresh before their next operation)."""
-        self.version += 1
-        return self.version
-
-    def check_version(self, held_version: int) -> None:
-        """Raise :class:`StaleShardMap` if ``held_version`` is outdated."""
-        if held_version != self.version:
-            raise StaleShardMap(
-                f"session routed with shard-map v{held_version}, service"
-                f" is at v{self.version}; call session.refresh()"
-            )
 
     def partition_keys(self, keys: "List[str]") -> "List[List[str]]":
         """Group ``keys`` by shard (diagnostics / balance reporting)."""

@@ -7,8 +7,8 @@ quorum layout, scheduler stream and (optionally) its own socket
 transport.  Clients interact through :class:`ServiceSession` handles:
 
 * synchronous ``put/get/delete/scan`` — each drives the owning shard to
-  quiescence (:class:`~repro.apps.kv.ReplicatedKVStore` is this path on
-  one shard);
+  quiescence (on a one-shard service this is the whole store: every key
+  on one fleet of ``n`` servers);
 * an asynchronous ``submit``/:meth:`ShardedKVService.drain_completions`
   path — operations are enqueued with opaque tokens and completed by
   stepping the shard kernels, which is how the open-loop load generator
@@ -19,9 +19,9 @@ Failures are typed: unknown writers raise
 :class:`~repro.errors.WriterBoundExceeded` (register substrate's ``k``
 bound, per shard), stalled quorums raise
 :class:`~repro.errors.QuorumUnavailable`, full shards raise
-:class:`~repro.errors.ShardCapacityExceeded`, and operations routed
-with an outdated shard map raise :class:`~repro.errors.StaleShardMap`
-until the session refreshes.
+:class:`~repro.errors.ShardCapacityExceeded`, and an operation kind
+other than ``put`` / ``get`` / ``delete`` raises
+:class:`~repro.errors.InvalidConfig`.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class _SyncToken(int):
 
 
 class ShardedKVService:
-    """S shards, versioned routing, session handles, typed failures."""
+    """S shards, hash routing, session handles, typed failures."""
 
     def __init__(
         self,
@@ -96,9 +96,7 @@ class ShardedKVService:
         """Open a session bound to writer identity ``writer``
         (``None``: read-only — its writes raise ``WriterBoundExceeded``).
 
-        Sessions capture the current shard-map version; after a
-        :meth:`bump_map` they fail with ``StaleShardMap`` until
-        refreshed.  Any number may be open concurrently.
+        Any number may be open concurrently.
         """
         if writer is not None and writer < 0:
             raise WriterBoundExceeded(
@@ -177,7 +175,12 @@ class ShardedKVService:
             runtime = fleet.reader(slot, session.session_index % READER_POOL)
             name, args = "read", ()
         else:
-            # Before the slot: a refused writer must not claim one.
+            # Before the slot: a refused write must not claim one.
+            if kind != "put" and kind != "delete":
+                raise InvalidConfig(
+                    f"unknown operation kind {kind!r}: expected"
+                    " put|get|delete"
+                )
             writer_index = self._writer_index(shard_index, session.writer)
             slot = self._slot_for(shard_index, key, create=kind == "put")
             if slot is None:  # delete of an unknown key
@@ -230,10 +233,10 @@ class ShardedKVService:
         value: Any = None,
         token: Any = None,
     ) -> Any:
-        """Enqueue ``kind`` (``"put"``/``"get"``/``"delete"``) without
+        """Enqueue ``kind`` (``"put"``/``"get"``/``"delete"``; any other
+        kind raises :class:`~repro.errors.InvalidConfig`) without
         driving the shard; completion arrives via
         :meth:`drain_completions` once the kernels are stepped."""
-        self.router.check_version(session.map_version)
         self._enqueue(session, kind, key, value, token)
         return token
 
@@ -278,20 +281,7 @@ class ShardedKVService:
                 results[key] = fleet.audit_slot(slot)
         return results
 
-    def describe(self) -> "Dict[str, Any]":
-        return {
-            "shards": self.config.n_shards,
-            "map_version": self.router.version,
-            "keys": len(self.keys()),
-            "base_objects": [f.total_objects for f in self.fleets],
-            "substrates": [s.substrate for s in self.config.shards],
-        }
-
     # -- control plane ---------------------------------------------------------
-
-    def bump_map(self) -> int:
-        """Advance the shard-map version; open sessions must refresh."""
-        return self.router.bump()
 
     def crash_server(self, server_index: int) -> None:
         """Crash sim server ``server_index`` in every shard (one node of
@@ -341,9 +331,9 @@ class ServiceSession:
     """One client's handle on the service: ``put``/``get``/``delete``/
     ``scan`` and their ``submit_*`` forms.
 
-    Carries the writer identity (``None``: read-only) and the shard-map
-    version it routed with.  Sessions are context managers; a closed one
-    refuses further operations with ``SessionClosed``.
+    Carries the writer identity (``None``: read-only).  Sessions are
+    context managers; a closed one refuses further operations with
+    ``SessionClosed``.
     """
 
     def __init__(
@@ -355,7 +345,6 @@ class ServiceSession:
         self._service = service
         self.writer = writer
         self.session_index = session_index
-        self.map_version = service.router.version
         self.closed = False
 
     def __enter__(self) -> "ServiceSession":
@@ -367,14 +356,9 @@ class ServiceSession:
     def close(self) -> None:
         self.closed = True
 
-    def refresh(self) -> None:
-        """Re-capture the service's current shard map."""
-        self.map_version = self._service.router.version
-
     def _check(self) -> None:
         if self.closed:
             raise SessionClosed("operation on a closed service session")
-        self._service.router.check_version(self.map_version)
 
     # -- synchronous operations --------------------------------------------
 
@@ -425,7 +409,4 @@ class ServiceSession:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self.closed else "open"
-        return (
-            f"ServiceSession(writer={self.writer},"
-            f" v{self.map_version}, {state})"
-        )
+        return f"ServiceSession(writer={self.writer}, {state})"

@@ -47,18 +47,6 @@ class QuorumUnavailable(ReproError, RuntimeError):
     exit_code = 4
 
 
-class StaleShardMap(ReproError, RuntimeError):
-    """A session holds an outdated shard map.
-
-    The sharded service versions its key→shard placement; a session
-    opened against version ``v`` that performs an operation after the
-    service moved to ``v' > v`` is told to refresh instead of being
-    silently routed by a stale map.
-    """
-
-    exit_code = 5
-
-
 class ShardCapacityExceeded(ReproError, RuntimeError):
     """A shard's pre-provisioned register slots are all assigned.
 
@@ -106,13 +94,14 @@ class InvalidConfig(ReproError, ValueError):
     """A caller passed parameters that are inconsistent or out of range.
 
     Raised by the eager ``__post_init__``/``validate`` checks of the
-    frozen config dataclasses (``KVConfig``, ``ShardConfig``,
-    ``ShardServiceConfig``, …): a bad substrate name, zero
-    writers, transports that do not match the shard count.  Also raised
+    frozen config dataclasses (``ShardConfig``, ``ShardServiceConfig``,
+    ``TransportConfig``, …): a bad substrate name, zero writers,
+    transports that do not match the shard count.  Also raised
     by every constructor or function that rejects its arguments: a
     non-positive load-generator rate, a Zipf exponent below zero, a
     non-positive scheduler weight, an unknown trace kind, a value too
-    large for one wire frame.  Caller error, detected before any
+    large for one wire frame, a KV operation kind other than ``put`` /
+    ``get`` / ``delete``.  Caller error, detected before any
     simulation state changes.
     """
 
@@ -134,7 +123,7 @@ class BoundViolation(ReproError, ValueError):
 class SessionClosed(ReproError, RuntimeError):
     """An operation was attempted on a closed session handle.
 
-    Session handles (``KVSession``, ``ServiceSession``) are single-use
+    Session handles (``ServiceSession``) are single-use
     context managers; using one after ``close()`` is a lifecycle bug in
     the caller, distinct from any transient quorum failure.
     """

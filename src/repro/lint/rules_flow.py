@@ -610,9 +610,9 @@ class TypedErrorRule(Rule):
         "that matches the failure: InvalidConfig (bad parameters),\n"
         "BoundViolation (outside a bound's domain), WriterBoundExceeded\n"
         "(writer id >= k), WireDecodeError (malformed frames) for caller\n"
-        "errors; QuorumUnavailable, StaleShardMap, ShardCapacityExceeded,\n"
-        "SessionClosed for environmental failures; ModelViolation for\n"
-        "an action the simulation's step model forbids.  New failure\n"
+        "errors; QuorumUnavailable, ShardCapacityExceeded, SessionClosed,\n"
+        "TransportUnavailable for environmental failures; ModelViolation\n"
+        "for an action the simulation's step model forbids.  New failure\n"
         "modes get a new subclass, with its own exit_code, in\n"
         "repro/errors.py.  An R010 finding is fixed, never suppressed."
     )
@@ -626,8 +626,8 @@ class TypedErrorRule(Rule):
             " WireDecodeError"
         ),
         "RuntimeError": (
-            "QuorumUnavailable, StaleShardMap, ShardCapacityExceeded, or"
-            " SessionClosed"
+            "QuorumUnavailable, ShardCapacityExceeded, SessionClosed, or"
+            " TransportUnavailable"
         ),
     }
 

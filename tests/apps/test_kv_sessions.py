@@ -1,15 +1,12 @@
-"""The session API of :class:`repro.apps.kv.ReplicatedKVStore`.
+"""The session API of the one-shard KV store (``ShardedKVService``).
 
-Covers the redesigned client surface: session lifecycle, concurrent
-sessions on one store, writer-bound enforcement, read-only sessions,
-and :class:`KVConfig`'s eager validation / cache-key duties.
+Covers the client surface: session lifecycle, concurrent sessions on one
+store, writer-bound enforcement, read-only sessions and typed failures.
 """
-
-import pickle
 
 import pytest
 
-from repro.apps.kv import KVConfig, KVSession, ReplicatedKVStore
+from repro.apps.shard import ServiceSession
 from repro.errors import (
     QuorumUnavailable,
     ReproError,
@@ -17,10 +14,12 @@ from repro.errors import (
     WriterBoundExceeded,
 )
 
+from tests.conftest import one_shard_service
+
 
 class TestSessionLifecycle:
     def test_session_put_get_delete(self):
-        store = ReplicatedKVStore(substrate="max-register", n=3, f=1)
+        store = one_shard_service("max-register", n=3, f=1)
         with store.session(writer=0) as s:
             s.put("alpha", 1)
             assert s.get("alpha") == 1
@@ -29,14 +28,14 @@ class TestSessionLifecycle:
             assert s.get("alpha", default="gone") == "gone"
 
     def test_session_is_context_manager(self):
-        store = ReplicatedKVStore(substrate="max-register", n=3, f=1)
+        store = one_shard_service("max-register", n=3, f=1)
         with store.session() as s:
-            assert isinstance(s, KVSession)
+            assert isinstance(s, ServiceSession)
             assert not s.closed
         assert s.closed
 
     def test_closed_session_refuses_operations(self):
-        store = ReplicatedKVStore(substrate="max-register", n=3, f=1)
+        store = one_shard_service("max-register", n=3, f=1)
         s = store.session(writer=0)
         s.put("alpha", 1)
         s.close()
@@ -50,7 +49,7 @@ class TestSessionLifecycle:
             s.scan()
 
     def test_scan_filters_by_prefix(self):
-        store = ReplicatedKVStore(substrate="max-register", n=3, f=1)
+        store = one_shard_service("max-register", n=3, f=1)
         with store.session(writer=0) as s:
             s.put("user:1", "ada")
             s.put("user:2", "grace")
@@ -61,43 +60,46 @@ class TestSessionLifecycle:
 
 class TestConcurrentSessions:
     def test_many_sessions_one_store(self):
-        store = ReplicatedKVStore(substrate="register", n=3, f=1, k_writers=4)
+        store = one_shard_service("register", n=3, f=1, k_writers=4)
         sessions = [store.session(writer=i) for i in range(4)]
         for i, s in enumerate(sessions):
             s.put(f"key-{i}", f"v{i}")
         # Sessions see each other's writes immediately.
-        with store.session() as reader:
+        with store.session(writer=None) as reader:
             for i in range(4):
                 assert reader.get(f"key-{i}") == f"v{i}"
         for s in sessions:
             s.close()
 
     def test_interleaved_writers_same_key_audit(self):
-        store = ReplicatedKVStore(substrate="max-register", n=5, f=2)
+        store = one_shard_service("max-register", n=5, f=2)
         a = store.session(writer=0)
         b = store.session(writer=1)
         for round_index in range(3):
             a.put("shared", f"a{round_index}")
             b.put("shared", f"b{round_index}")
-        assert store.get("shared") == "b2"
+        assert store.session(writer=None).get("shared") == "b2"
         assert all(store.audit().values())
 
 
 class TestWriterBound:
-    def test_out_of_range_writer_rejected_at_open(self):
-        store = ReplicatedKVStore(substrate="register", n=3, f=1, k_writers=2)
-        with pytest.raises(WriterBoundExceeded):
-            store.session(writer=2)
+    def test_out_of_range_writer_rejected(self):
+        """A negative identity is refused at open; one past the register
+        bound at its first write, before it claims a slot."""
+        store = one_shard_service("register", n=3, f=1, k_writers=2)
         with pytest.raises(WriterBoundExceeded):
             store.session(writer=-1)
+        with pytest.raises(WriterBoundExceeded):
+            store.session(writer=2).put("alpha", 1)
+        assert store.keys() == []
 
     def test_bound_error_is_still_a_value_error(self):
-        store = ReplicatedKVStore(substrate="register", n=3, f=1, k_writers=2)
+        store = one_shard_service("register", n=3, f=1, k_writers=2)
         with pytest.raises(ValueError):
-            store.session(writer=99)
+            store.session(writer=99).put("alpha", 1)
 
     def test_read_only_session_cannot_write(self):
-        store = ReplicatedKVStore(substrate="max-register", n=3, f=1)
+        store = one_shard_service("max-register", n=3, f=1)
         with store.session(writer=0) as s:
             s.put("alpha", 1)
         with store.session(writer=None) as reader:
@@ -110,7 +112,7 @@ class TestWriterBound:
 
 class TestQuorumFailureTyped:
     def test_too_many_crashes_raises_quorum_unavailable(self):
-        store = ReplicatedKVStore(substrate="max-register", n=3, f=1)
+        store = one_shard_service("max-register", n=3, f=1)
         with store.session(writer=0) as s:
             s.put("alpha", 1)
             store.crash_server(0)
@@ -119,14 +121,14 @@ class TestQuorumFailureTyped:
                 s.put("alpha", 2)
 
     def test_quorum_error_is_runtime_error_and_repro_error(self):
-        store = ReplicatedKVStore(substrate="max-register", n=3, f=1)
+        store = one_shard_service("max-register", n=3, f=1)
         with store.session(writer=0) as s:
             s.put("alpha", 1)
             store.crash_server(0)
             store.crash_server(1)
             with pytest.raises(RuntimeError):
                 s.get("alpha")
-            store2 = ReplicatedKVStore(substrate="max-register", n=3, f=1)
+            store2 = one_shard_service("max-register", n=3, f=1)
             with store2.session(writer=0) as s2:
                 s2.put("alpha", 1)
                 store2.crash_server(0)
@@ -137,51 +139,11 @@ class TestQuorumFailureTyped:
 
 class TestSharedFleetCapacityTyped:
     def test_full_fleet_raises_shard_capacity(self):
-        config = KVConfig.make(
-            "register", n=3, f=1, k_writers=2, max_keys=2
+        store = one_shard_service(
+            "register", n=3, f=1, k_writers=2, capacity=2
         )
-        store = ReplicatedKVStore(config)
         with store.session(writer=0) as s:
             s.put("a", 1)
             s.put("b", 2)
             with pytest.raises(ShardCapacityExceeded):
                 s.put("c", 3)
-
-
-class TestKVConfig:
-    def test_make_classmethod(self):
-        config = KVConfig.make("cas", n=5, f=2)
-        assert config.substrate == "cas"
-        assert (config.n, config.f) == (5, 2)
-
-    def test_validation_is_eager(self):
-        with pytest.raises(ValueError):
-            KVConfig(substrate="bogus")
-        with pytest.raises(ValueError):
-            KVConfig(n=2, f=1)  # n < 2f+1
-        with pytest.raises(ValueError):
-            KVConfig(k_writers=0)
-        with pytest.raises(ValueError):
-            KVConfig(max_keys=0)
-
-    def test_frozen(self):
-        config = KVConfig()
-        with pytest.raises(Exception):
-            config.n = 99
-
-    def test_picklable_and_hashable(self):
-        config = KVConfig.make("register", n=3, f=1, k_writers=2)
-        clone = pickle.loads(pickle.dumps(config))
-        assert clone == config
-        assert hash(clone) == hash(config)
-
-    def test_cache_payload_round_trips_json(self):
-        import json
-
-        payload = KVConfig.make("max-register", n=5, f=2).cache_payload()
-        assert json.loads(json.dumps(payload, sort_keys=True)) == payload
-        assert payload["substrate"] == "max-register"
-
-    def test_store_rejects_config_plus_overrides(self):
-        with pytest.raises(ValueError):
-            ReplicatedKVStore(KVConfig(), n=3)

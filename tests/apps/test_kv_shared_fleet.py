@@ -1,31 +1,36 @@
-"""The store's one fleet: every key of a ``ReplicatedKVStore`` lives on
-the same ``n`` servers, provisioned up front for ``max_keys`` keys."""
+"""The store's one fleet: every key of a one-shard ``ShardedKVService``
+lives on the same ``n`` servers, provisioned up front for ``capacity``
+keys."""
 
 import pytest
 
-from repro.apps.kv import KVConfig, ReplicatedKVStore
+from repro.apps.shard import ShardServiceConfig
 from repro.core import bounds
 from repro.errors import ShardCapacityExceeded
+
+from tests.conftest import one_shard_service
 
 SUBSTRATES = ("register", "max-register", "cas")
 N, F, K = 5, 2, 2
 
 
-def _store(max_keys=4, seed=0, substrate="register"):
-    return ReplicatedKVStore(
-        substrate=substrate,
-        n=N,
-        f=F,
-        k_writers=K,
-        seed=seed,
-        max_keys=max_keys,
+def _store(capacity=4, seed=0, substrate="register"):
+    return one_shard_service(
+        substrate, n=N, f=F, k_writers=K, capacity=capacity, seed=seed
     )
+
+
+def _base_objects(store):
+    """Base objects behind the keys in use (Table 1, aggregated)."""
+    return len(store.keys()) * store.fleets[0].objects_per_slot
 
 
 class TestConfig:
     def test_max_keys_validated(self):
         with pytest.raises(ValueError):
-            KVConfig(substrate="register", max_keys=0).validate()
+            ShardServiceConfig.make(
+                shards=1, substrate="register", capacity=0
+            )
 
 
 @pytest.mark.parametrize("substrate", SUBSTRATES)
@@ -35,23 +40,23 @@ class TestOneFleetOnEverySubstrate:
         store.session().put("a", "x")
         store.session().put("b", "y")
         store.crash_server(0)
-        assert len(store.fleet.object_map.crashed_servers) == 1
-        assert store.get("a") == "x"
+        assert len(store.fleets[0].object_map.crashed_servers) == 1
+        assert store.session(writer=None).get("a") == "x"
         store.session(writer=1).put("b", "y2")
-        assert store.get("b") == "y2"
+        assert store.session(writer=None).get("b") == "y2"
         assert all(store.audit().values())
 
     def test_provisioned_space_is_table1_times_max_keys(self, substrate):
-        store = _store(max_keys=3, substrate=substrate)
+        store = _store(capacity=3, substrate=substrate)
         # Table 1 at n = 2f+1, where lower and upper bound coincide
         per_key = bounds.table1_row(substrate, K, N, F)["upper"]
-        assert store.fleet.total_objects == 3 * per_key
+        assert store.fleets[0].total_objects == 3 * per_key
         store.session().put("a", 1)
-        assert store.base_objects_per_key() == {"a": per_key}
-        assert store.base_objects == per_key
+        assert store.fleets[0].objects_per_slot == per_key
+        assert _base_objects(store) == per_key
 
     def test_key_past_max_keys_is_refused_typed(self, substrate):
-        store = _store(max_keys=2, substrate=substrate)
+        store = _store(capacity=2, substrate=substrate)
         store.session().put("a", 1)
         store.session().put("b", 2)
         with pytest.raises(ShardCapacityExceeded):
@@ -64,12 +69,12 @@ class TestSharedOperations:
         store = _store()
         store.session().put("a", 1)
         store.session(writer=1).put("b", 2)
-        assert store.get("a") == 1
-        assert store.get("b") == 2
+        assert store.session(writer=None).get("a") == 1
+        assert store.session(writer=None).get("b") == 2
         assert all(store.audit().values())
 
     def test_key_capacity_enforced(self):
-        store = _store(max_keys=2)
+        store = _store(capacity=2)
         store.session().put("a", 1)
         store.session().put("b", 2)
         with pytest.raises(RuntimeError):
@@ -81,32 +86,31 @@ class TestSharedOperations:
         store.session().put("b", "y")
         store.crash_server(0)
         # The shared object map shows exactly one crashed server...
-        assert len(store.fleet.object_map.crashed_servers) == 1
+        assert len(store.fleets[0].object_map.crashed_servers) == 1
         # ...and both keys keep working.
-        assert store.get("a") == "x"
+        assert store.session(writer=None).get("a") == "x"
         store.session(writer=1).put("b", "y2")
-        assert store.get("b") == "y2"
+        assert store.session(writer=None).get("b") == "y2"
 
     def test_space_accounting_per_key(self):
         store = _store()
         store.session().put("a", 1)
-        per_key = store.base_objects_per_key()
         # k=2 writers, n=5, f=2 at n=2f+1: k(2f+1) = 10 per key.
-        assert per_key["a"] == 10
-        assert store.base_objects == 10
+        assert store.fleets[0].objects_per_slot == 10
+        assert _base_objects(store) == 10
         store.session().put("b", 2)
-        assert store.base_objects == 20
+        assert _base_objects(store) == 20
 
     def test_fleet_total_provisioned_up_front(self):
-        store = _store(max_keys=3)
-        assert store.fleet.total_objects == 3 * 10
+        store = _store(capacity=3)
+        assert store.fleets[0].total_objects == 3 * 10
 
     def test_snapshot_and_audit(self):
         store = _store(seed=5)
         store.session().put("k1", "v1")
         store.session().put("k2", "v2")
         store.session(writer=1).put("k1", "v1b")
-        assert store.snapshot() == {"k1": "v1b", "k2": "v2"}
+        assert store.session(writer=None).scan() == {"k1": "v1b", "k2": "v2"}
         assert all(store.audit().values())
 
     def test_survives_f_crashes(self):
@@ -114,7 +118,7 @@ class TestSharedOperations:
         store.session().put("a", "before")
         store.crash_server(1)
         store.crash_server(3)
-        assert store.get("a") == "before"
+        assert store.session(writer=None).get("a") == "before"
         store.session(writer=1).put("a", "after")
-        assert store.get("a") == "after"
+        assert store.session(writer=None).get("a") == "after"
         assert all(store.audit().values())

@@ -1,6 +1,6 @@
 """Bounded state per run: the KV service's kernel forgets finished ops.
 
-A ``ShardFleet`` (and so every KV front door) does not record its op
+A ``ShardFleet`` (and so ``ShardedKVService``) does not record its op
 log: once the network is drained, the only ``LowLevelOp`` objects left
 alive are the kernel's pending ones, on every transport, however long
 the run.  The op ids stay the dense trigger count.  A ``Deployment`` is

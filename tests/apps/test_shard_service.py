@@ -19,8 +19,8 @@ from repro.apps.shard import (
     stable_key_hash,
 )
 from repro.errors import (
+    InvalidConfig,
     ShardCapacityExceeded,
-    StaleShardMap,
     TransportUnavailable,
     WriterBoundExceeded,
 )
@@ -57,14 +57,6 @@ class TestRouter:
         assert sorted(k for ks in parts for k in ks) == sorted(keys)
         for shard, ks in enumerate(parts):
             assert all(router.shard_of(k) == shard for k in ks)
-
-    def test_version_bump_and_check(self):
-        router = ShardRouter(3)
-        held = router.version
-        router.check_version(held)
-        assert router.bump() == held + 1
-        with pytest.raises(StaleShardMap):
-            router.check_version(held)
 
     def test_needs_at_least_one_shard(self):
         with pytest.raises(ValueError):
@@ -192,14 +184,19 @@ class TestTypedFailures:
             with pytest.raises(ShardCapacityExceeded):
                 s.put("c", 3)
 
-    def test_stale_map_until_refresh(self):
-        service = ShardedKVService(service_config())
+    def test_submit_refuses_an_unknown_kind(self):
+        """A typo such as ``"pt"`` neither overwrites an existing key nor
+        acknowledges a new one: it is refused before a slot is claimed."""
+        service = ShardedKVService(service_config(shards=1))
         s = service.session(writer=0)
         s.put("alpha", 1)
-        service.bump_map()
-        with pytest.raises(StaleShardMap):
-            s.get("alpha")
-        s.refresh()
+        for kind in ("pt", "GET", "read"):
+            for key in ("alpha", "fresh"):
+                with pytest.raises(InvalidConfig, match=r"put\|get\|delete"):
+                    service.submit(s, kind, key, "typo", token=kind)
+        service.step()
+        assert service.drain_completions() == []
+        assert service.keys() == ["alpha"]
         assert s.get("alpha") == 1
 
     def test_transport_count_must_match_shards(self):

@@ -7,13 +7,15 @@ the kernel-level tests.  ``reference_run`` is :meth:`Kernel.run` spelled
 out with public, from-scratch calls — what the differential tests and
 the kernel bench hold the production loop against; ``reference_settled``
 is the same for ``Kernel.clients_settled``.  ``IncrementalChecker`` runs
-``Kernel.check_incremental`` after every step.
+``Kernel.check_incremental`` after every step.  ``one_shard_service``
+builds the single-fleet KV store: a ``ShardedKVService`` with one shard.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.apps.shard import ShardedKVService, ShardServiceConfig
 from repro.sim.client import ClientProtocol
 from repro.sim.events import EventListener
 from repro.sim.ids import ObjectId
@@ -109,3 +111,22 @@ def drive_concurrent(system, invocations, max_steps: int = 200_000):
     result = system.run_to_quiescence(max_steps=max_steps)
     assert result.satisfied, f"concurrent round did not complete: {result}"
     return system.history
+
+
+def one_shard_service(
+    substrate="max-register", *, n=5, f=2, k_writers=4, capacity=16, seed=0
+):
+    """A one-shard ``ShardedKVService``: every key on one fleet of ``n``
+    servers, provisioned for ``capacity`` keys, its schedule seeded
+    ``seed * 7919``."""
+    return ShardedKVService(
+        ShardServiceConfig.make(
+            shards=1,
+            substrate=substrate,
+            n=n,
+            f=f,
+            k_writers=k_writers,
+            capacity=capacity,
+            seed=seed,
+        )
+    )

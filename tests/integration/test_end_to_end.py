@@ -3,7 +3,6 @@
 import pytest
 
 from repro.apps.epoch import EpochService
-from repro.apps.kv import ReplicatedKVStore
 from repro.consistency.register_atomicity import is_register_history_atomic
 from repro.consistency.ws import check_ws_regular, check_ws_safe
 from repro.core.lemma1 import Lemma1Runner
@@ -14,6 +13,8 @@ from repro.sim.kernel import Environment
 from repro.sim.scheduling import RandomScheduler
 from repro.workloads.generators import write_sequential_workload
 from repro.workloads.runner import run_workload
+
+from tests.conftest import one_shard_service
 
 
 class TestFigure1Configuration:
@@ -90,14 +91,13 @@ class TestKVReconfigurationScenario:
 
     def test_epoch_guarded_store(self):
         epochs = EpochService(n=5, f=2, scheduler=RandomScheduler(21))
-        store = ReplicatedKVStore(
-            substrate="max-register", n=5, f=2, k_writers=2, seed=21
-        )
+        store = one_shard_service("max-register", k_writers=2, seed=21)
+        reads = store.session(writer=None)
 
         # Normal operation in epoch 1.
         config_epoch = epochs.advance(process=0)
         store.session(writer=0).put("profile", {"name": "ada"})
-        assert store.get("profile") == {"name": "ada"}
+        assert reads.get("profile") == {"name": "ada"}
 
         # Reconfiguration: another process moves to epoch 2.
         epochs.advance(process=1)
@@ -110,7 +110,7 @@ class TestKVReconfigurationScenario:
         epochs.crash_server(4)
         store.crash_server(4)
         store.session(writer=1).put("profile", {"name": "ada", "epoch": observed})
-        assert store.get("profile")["epoch"] == 2
+        assert reads.get("profile")["epoch"] == 2
         assert epochs.current(process=9) == 2
         assert all(store.audit().values())
 
@@ -118,16 +118,15 @@ class TestKVReconfigurationScenario:
 @pytest.mark.parametrize("substrate", ["register", "max-register", "cas"])
 class TestKVSoak:
     def test_many_keys_many_crashes(self, substrate):
-        store = ReplicatedKVStore(
-            substrate=substrate, n=5, f=2, k_writers=3, seed=5
-        )
+        store = one_shard_service(substrate, k_writers=3, seed=5)
+        reads = store.session(writer=None)
         for index in range(6):
             store.session(writer=index % 3).put(f"key{index}", index * 10)
         store.crash_server(1)
         for index in range(6):
-            assert store.get(f"key{index}") == index * 10
+            assert reads.get(f"key{index}") == index * 10
         store.crash_server(3)
         for index in range(6):
             store.session(writer=(index + 1) % 3).put(f"key{index}", index * 10 + 1)
-            assert store.get(f"key{index}") == index * 10 + 1
+            assert reads.get(f"key{index}") == index * 10 + 1
         assert all(store.audit().values())

@@ -9,8 +9,9 @@ verification sweep over every piece.
 from types import SimpleNamespace
 
 from repro.apps.config import ConfigService, InstallRaced
-from repro.apps.kv import ReplicatedKVStore
 from repro.verify import verify_run
+
+from tests.conftest import one_shard_service
 
 
 class TestReconfigurationStory:
@@ -19,17 +20,14 @@ class TestReconfigurationStory:
         config = ConfigService(
             n=5, f=2, initial_config={"members": 5, "version": 1}, seed=31
         )
-        store = ReplicatedKVStore(
-            substrate="register",
-            n=5,
-            f=2,
-            k_writers=2,
-            seed=31,
-            max_keys=4,
+        store = one_shard_service(
+            "register", n=5, f=2, k_writers=2, capacity=4, seed=31
         )
+        fleet = store.fleets[0]
+        reads = store.session(writer=None)
         # The epilogue audits the substrate, which reads every op: a
         # KV store's kernel keeps only its pending ops unless asked.
-        store.fleet.kernel.ops.record()
+        fleet.kernel.ops.record()
         store.session().put("orders", ["o1"])
         store.session(writer=1).put("users", {"u1": "ada"})
         assert config.fetch() == (0, {"members": 5, "version": 1})
@@ -42,7 +40,7 @@ class TestReconfigurationStory:
         for server in (0, 4):
             config.crash_server(server)
             store.crash_server(server)
-        assert store.get("orders") == ["o1"]
+        assert reads.get("orders") == ["o1"]
         assert config.fetch(process=3)[1]["version"] == 2
 
         # Act 4: a lagging operator loses an install race and is told so.
@@ -67,11 +65,10 @@ class TestReconfigurationStory:
         # Act 5: business as usual on the degraded fleet.
         store.session(writer=1).put("orders", ["o1", "o2"])
         store.session().delete("users")
-        assert store.snapshot() == {"orders": ["o1", "o2"]}
+        assert reads.scan() == {"orders": ["o1", "o2"]}
 
         # Epilogue: verify everything that ran.
         assert all(store.audit().values())
-        fleet = store.fleet
         for slot in fleet.slots[: len(store.keys())]:
             run = SimpleNamespace(history=slot.history, kernel=fleet.kernel)
             report = verify_run(run, condition="ws-regular")

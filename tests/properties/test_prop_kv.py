@@ -1,5 +1,7 @@
 """Property tests: the KV store behaves like a dict under sequential ops.
 
+The store is a one-shard ``ShardedKVService``.
+
 Because the runner drives every operation to quiescence, the per-key
 histories are sequential: ``get`` must return exactly the last ``put``
 value (the sequential specification), on every substrate, under random
@@ -9,7 +11,7 @@ operation sequences, seeds and crash points (at most f crashes).
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.kv import ReplicatedKVStore
+from tests.conftest import one_shard_service
 
 KEYS = ["a", "b", "c"]
 
@@ -40,9 +42,8 @@ def kv_scripts(draw):
 @settings(max_examples=25, deadline=None)
 def test_kv_matches_dict_model(script):
     substrate, seed, ops = script
-    store = ReplicatedKVStore(
-        substrate=substrate, n=5, f=2, k_writers=2, seed=seed
-    )
+    store = one_shard_service(substrate, n=5, f=2, k_writers=2, seed=seed)
+    reads = store.session(writer=None)
     model = {}
     crashed = set()
     for kind, key, payload, writer in ops:
@@ -50,12 +51,12 @@ def test_kv_matches_dict_model(script):
             store.session(writer=writer).put(key, payload)
             model[key] = payload
         elif kind == "get":
-            assert store.get(key) == model.get(key)
+            assert reads.get(key) == model.get(key)
         else:
             if len(crashed | {payload}) <= 2:  # stay within f = 2
                 crashed.add(payload)
                 store.crash_server(payload)
     # Post-conditions: final reads agree with the model, histories clean.
     for key in model:
-        assert store.get(key) == model[key]
+        assert reads.get(key) == model[key]
     assert all(store.audit().values())

@@ -2,7 +2,8 @@
 
 Hypothesis drives arbitrary interleavings of puts, gets, crashes (within
 the f budget) and snapshots against a model dict; every read must match
-the model and the final audit must be clean, on every substrate.
+the model and the final audit must be clean, on every substrate.  The
+store is a one-shard ``ShardedKVService``.
 """
 
 from hypothesis import settings
@@ -15,7 +16,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.apps.kv import ReplicatedKVStore
+from tests.conftest import one_shard_service
 
 KEYS = ("alpha", "beta", "gamma")
 
@@ -24,6 +25,7 @@ class KVStoreMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.store = None
+        self.reads = None
         self.model = {}
         self.crashed = set()
         self.f = 2
@@ -34,9 +36,10 @@ class KVStoreMachine(RuleBasedStateMachine):
         seed=st.integers(min_value=0, max_value=1_000),
     )
     def setup(self, substrate, seed):
-        self.store = ReplicatedKVStore(
-            substrate=substrate, n=5, f=self.f, k_writers=2, seed=seed
+        self.store = one_shard_service(
+            substrate, n=5, f=self.f, k_writers=2, seed=seed
         )
+        self.reads = self.store.session(writer=None)
 
     @rule(key=st.sampled_from(KEYS), writer=st.integers(min_value=0, max_value=1))
     def put(self, key, writer):
@@ -47,7 +50,7 @@ class KVStoreMachine(RuleBasedStateMachine):
 
     @rule(key=st.sampled_from(KEYS))
     def get(self, key):
-        assert self.store.get(key) == self.model.get(key)
+        assert self.reads.get(key) == self.model.get(key)
 
     @precondition(lambda self: len(self.crashed) < 2)
     @rule(server=st.integers(min_value=0, max_value=4))
@@ -58,7 +61,7 @@ class KVStoreMachine(RuleBasedStateMachine):
 
     @rule()
     def snapshot(self):
-        assert self.store.snapshot() == {
+        assert self.reads.scan() == {
             key: self.model[key] for key in sorted(self.model)
         }
 

@@ -17,7 +17,6 @@ from repro.errors import (
     ReproError,
     SessionClosed,
     ShardCapacityExceeded,
-    StaleShardMap,
     TransportUnavailable,
     UnknownExperiment,
     WireDecodeError,
@@ -31,7 +30,7 @@ from repro.sim.scheduling import RandomScheduler
 from repro.sim.server import ObjectMap, Server
 from repro.sim.system import build_system
 
-from tests.conftest import ToyProtocol
+from tests.conftest import ToyProtocol, one_shard_service
 
 
 class TestHierarchy:
@@ -39,7 +38,6 @@ class TestHierarchy:
     CASES = [
         (WriterBoundExceeded, ValueError),
         (QuorumUnavailable, RuntimeError),
-        (StaleShardMap, RuntimeError),
         (ShardCapacityExceeded, RuntimeError),
         (WireDecodeError, ValueError),
         (InvalidConfig, ValueError),
@@ -77,11 +75,11 @@ class TestHierarchy:
 
 
 #: every class's CLI exit code; ReproError itself is a generic usage error.
+#: 5 is retired (it belonged to the versioned shard map) and stays unused.
 EXIT_CODES = {
     ReproError: 2,
     WriterBoundExceeded: 3,
     QuorumUnavailable: 4,
-    StaleShardMap: 5,
     ShardCapacityExceeded: 6,
     WireDecodeError: 7,
     InvalidConfig: 8,
@@ -109,6 +107,7 @@ class TestExitCodes:
             if isinstance(value, type) and issubclass(value, ReproError)
         }
         assert classes == set(EXIT_CODES)
+        assert 5 not in EXIT_CODES.values()
         assert {
             error_class: exit_code_for(error_class("x"))
             for error_class in classes
@@ -155,8 +154,7 @@ class TestExitCodes:
         # PR 8 migrations: the compat pattern means pre-existing
         # ``except ValueError``/``except RuntimeError`` handlers and
         # pytest.raises assertions keep passing unchanged.
-        from repro.apps.kv import KVConfig, ReplicatedKVStore
-        from repro.apps.shard.config import ShardConfig
+        from repro.apps.shard.config import ShardConfig, ShardServiceConfig
         from repro.core import bounds
 
         with pytest.raises(InvalidConfig):
@@ -164,13 +162,13 @@ class TestExitCodes:
         with pytest.raises(ValueError):  # legacy shape still works
             ShardConfig(n=1, f=3)
         with pytest.raises(InvalidConfig):
-            KVConfig(k_writers=0)
+            ShardServiceConfig.make(shards=1, k_writers=0)
         with pytest.raises(BoundViolation):
             bounds.register_upper_bound(0, 5, 2)
         with pytest.raises(ValueError):  # legacy shape still works
             bounds.min_servers(0)
-        store = ReplicatedKVStore(KVConfig())
-        session = store.session()
+        service = one_shard_service()
+        session = service.session()
         session.close()
         with pytest.raises(SessionClosed):
             session.get("k")
