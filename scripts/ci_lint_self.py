@@ -1,16 +1,16 @@
-"""CI lint-self smoke: the linter lints this repo and its SARIF is valid.
+"""CI lint-self smoke: the SARIF ``repro lint`` emits for ``src/`` is valid.
 
-Two assertions, end to end through the real CLI surface:
+One run of the real CLI, ``repro lint src/ --format sarif``; the script
+asserts that it exits 0, that the log passes
+``repro.lint.validate_sarif``, that every result's ``ruleId`` resolves
+into the rule catalog, and that every suppressed finding carries an
+``inSource`` suppression whose ``justification`` is the directive's
+reason (GitHub's code-scanning UI shows these as suppressed, with the
+reason, instead of open alerts).
 
-1. ``repro lint src/`` exits 0 — no active findings (the same gate as
-   ``tests/lint/test_self_clean.py``, run here against the installed
-   package rather than the source tree).
-2. The SARIF the CLI emits for ``src/`` passes
-   ``repro.lint.validate_sarif``, every result's ``ruleId`` resolves into
-   the rule catalog, and every suppressed finding carries an ``inSource``
-   suppression whose ``justification`` is the directive's reason
-   (GitHub's code-scanning UI shows these as suppressed, with the
-   reason, instead of open alerts).
+The lint gate itself is ``repro lint src/`` (the step before this one
+in CI's ``lint`` job) and ``tests/lint/test_self_clean.py`` at tier 1;
+this script does not run it a second time.
 
 Usage::
 
@@ -23,14 +23,6 @@ import subprocess
 import sys
 
 
-def run_lint(*argv: str) -> "subprocess.CompletedProcess":
-    return subprocess.run(
-        [sys.executable, "-m", "repro", "lint", "src/", *argv],
-        capture_output=True,
-        text=True,
-    )
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -39,12 +31,11 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    gate = run_lint()
-    assert gate.returncode == 0, (
-        f"repro lint src/ exited {gate.returncode}:\n{gate.stdout}"
+    sarif = subprocess.run(
+        [sys.executable, "-m", "repro", "lint", "src/", "--format", "sarif"],
+        capture_output=True,
+        text=True,
     )
-
-    sarif = run_lint("--format", "sarif")
     assert sarif.returncode == 0, (
         f"--format sarif exited {sarif.returncode}:\n{sarif.stderr}"
     )

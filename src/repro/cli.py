@@ -289,13 +289,8 @@ def cmd_lint(args) -> int:
                 handle.write(payload + "\n")
     if args.format == "sarif":
         print(render_sarif(result))
-    elif args.format == "json":
-        if args.json != "-":
-            print(render_json(result))
-    else:
-        text = render_text(result, verbose=args.verbose)
-        if args.json != "-":
-            print(text)
+    elif args.json != "-":
+        print(render_text(result, verbose=args.verbose))
     return 0 if result.ok else 1
 
 
@@ -981,7 +976,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_lint.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "sarif"),
         default="text",
         help="report format on stdout (sarif = SARIF 2.1.0 for CI"
         " annotations)",

@@ -1,6 +1,6 @@
 """A small intraprocedural dataflow engine for the v2 lint rules.
 
-The R001-R006 rules are single-pass AST pattern matchers; the rule
+The pattern rules (R001, R002, R004-R006) are single-pass AST matchers; the rule
 families introduced with them in place (R007-R010) ask questions a
 pattern cannot answer — *does this name hold a string when it is
 hashed?  does the task handle ever reach an exception sink?  does a

@@ -11,15 +11,14 @@ module is the rule-agnostic machinery:
   package-relative path and the normalized source line, not the line
   number), so code-scanning alerts keep their identity across
   unrelated edits;
-* :class:`ModuleInfo` / :class:`ProjectIndex` — parsed modules plus
-  cross-module name resolution (rules like R003 follow ``from x import
-  Y`` chains to the class definition);
+* :class:`ModuleInfo` — one parsed module plus its package-relative
+  path, which scopes each rule to its directories;
 * :class:`Suppressions` — per-line ``# repro-lint: disable=R00x
   <reason>`` directives (on the flagged line or the line above), the
   one way to silence a finding;
 * :class:`Rule` and the rule registry — rules self-register via
   :func:`register_rule`; the concrete rules live in
-  :mod:`repro.lint.rules`;
+  :mod:`repro.lint.rules` and :mod:`repro.lint.rules_flow`;
 * :func:`lint_paths` — collect, check, suppress.
 """
 
@@ -123,7 +122,7 @@ class Suppressions:
 
 @dataclass
 class ModuleInfo:
-    """One parsed source file plus its package coordinates."""
+    """One parsed source file plus its package-relative path."""
 
     path: Path
     display_path: str
@@ -131,8 +130,6 @@ class ModuleInfo:
     lines: "List[str]"
     tree: "Optional[ast.Module]"
     relpath: str  # "repro/sim/kernel.py", or the bare filename
-    module_name: "Optional[str]"  # "repro.sim.kernel" when derivable
-    root: "Optional[Path]"  # directory containing the top-level package
     suppressions: Suppressions = field(init=False)
 
     def __post_init__(self) -> None:
@@ -171,35 +168,22 @@ class ModuleInfo:
         return ""
 
 
-def _package_coordinates(
-    path: Path,
-) -> "Tuple[str, Optional[str], Optional[Path]]":
-    """Derive (relpath, module name, package root) from a file path.
+def _package_relpath(path: Path) -> str:
+    """The path from the last ``repro`` component on, posix-style.
 
-    The last ``repro`` path component anchors the package; fixture files
-    outside any ``repro`` directory fall back to their bare filename.
+    Fixture files outside any ``repro`` directory fall back to their
+    bare filename.
     """
     parts = path.parts
-    anchor = None
     for index in range(len(parts) - 1, -1, -1):
         if parts[index] == "repro":
-            anchor = index
-            break
-    if anchor is None:
-        return path.name, path.stem, path.parent
-    rel_parts = parts[anchor:]
-    relpath = "/".join(rel_parts)
-    module_parts = list(rel_parts)
-    module_parts[-1] = module_parts[-1][: -len(".py")]
-    if module_parts[-1] == "__init__":
-        module_parts.pop()
-    return relpath, ".".join(module_parts), Path(*parts[:anchor]) or Path(".")
+            return "/".join(parts[index:])
+    return path.name
 
 
 def load_module(path: Path, display_path: "Optional[str]" = None) -> ModuleInfo:
     """Read and parse one file (``tree`` is None on syntax errors)."""
     text = path.read_text(encoding="utf-8")
-    relpath, module_name, root = _package_coordinates(path)
     try:
         tree: "Optional[ast.Module]" = ast.parse(text, filename=str(path))
     except SyntaxError:
@@ -210,102 +194,8 @@ def load_module(path: Path, display_path: "Optional[str]" = None) -> ModuleInfo:
         text=text,
         lines=text.splitlines(),
         tree=tree,
-        relpath=relpath,
-        module_name=module_name,
-        root=root,
+        relpath=_package_relpath(path),
     )
-
-
-class ProjectIndex:
-    """Cross-module lookups over the linted file set (plus lazy extras).
-
-    ``module(dotted)`` prefers modules already in the linted set and
-    falls back to parsing the file from any known package root, so rules
-    can resolve imports that point outside the paths being linted (e.g.
-    linting only ``core/emulation.py`` still resolves the emulation
-    classes it imports).
-    """
-
-    def __init__(self, modules: "Sequence[ModuleInfo]") -> None:
-        self.modules = list(modules)
-        self.by_name: "Dict[str, ModuleInfo]" = {}
-        self.roots: "List[Path]" = []
-        for module in modules:
-            if module.module_name and module.module_name not in self.by_name:
-                self.by_name[module.module_name] = module
-            for root in (module.root, module.path.parent):
-                if root is not None and root not in self.roots:
-                    self.roots.append(root)
-        self._extra: "Dict[str, Optional[ModuleInfo]]" = {}
-
-    def module(self, dotted: str) -> "Optional[ModuleInfo]":
-        found = self.by_name.get(dotted)
-        if found is not None:
-            return found
-        if dotted in self._extra:
-            return self._extra[dotted]
-        resolved: "Optional[ModuleInfo]" = None
-        tail = Path(*dotted.split("."))
-        for root in self.roots:
-            for candidate in (
-                root / tail.with_suffix(".py"),
-                root / tail / "__init__.py",
-            ):
-                if candidate.is_file():
-                    resolved = load_module(candidate)
-                    break
-            if resolved is not None:
-                break
-        self._extra[dotted] = resolved
-        return resolved
-
-    # -- name resolution ---------------------------------------------------
-
-    def resolve_class(
-        self, module: ModuleInfo, name: str, _depth: int = 0
-    ) -> "Optional[Tuple[ast.ClassDef, ModuleInfo]]":
-        """Find the ClassDef bound to ``name`` in ``module``.
-
-        Follows ``from x import Y [as Z]`` chains (including imports
-        nested inside function bodies, the registry's lazy-import idiom)
-        up to a small depth; returns None when the definition cannot be
-        located statically.
-        """
-        if module.tree is None or _depth > 8:
-            return None
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ClassDef) and node.name == name:
-                return node, module
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ImportFrom):
-                continue
-            for alias in node.names:
-                if (alias.asname or alias.name) != name:
-                    continue
-                target = self._absolute_module(module, node)
-                if target is None:
-                    return None
-                imported = self.module(target)
-                if imported is None:
-                    return None
-                return self.resolve_class(imported, alias.name, _depth + 1)
-        return None
-
-    @staticmethod
-    def _absolute_module(
-        module: ModuleInfo, node: ast.ImportFrom
-    ) -> "Optional[str]":
-        if not node.level:
-            return node.module
-        if module.module_name is None:
-            return None
-        base = module.module_name.split(".")
-        if node.level > len(base):
-            return None
-        base = base[: len(base) - node.level]
-        if node.module:
-            base.append(node.module)
-        return ".".join(base)
 
 
 # -- rules ------------------------------------------------------------------
@@ -329,9 +219,7 @@ class Rule:
     id = ""
     title = ""
 
-    def check(
-        self, module: ModuleInfo, project: ProjectIndex
-    ) -> "Iterator[Finding]":
+    def check(self, module: ModuleInfo) -> "Iterator[Finding]":
         raise NotImplementedError
 
     def finding(
@@ -407,7 +295,6 @@ def run_rules(
         RULES[rule_id]
         for rule_id in (rule_ids if rule_ids is not None else RULES)
     ]
-    project = ProjectIndex(modules)
     findings: "List[Finding]" = []
     for module in modules:
         if module.tree is None:
@@ -423,7 +310,7 @@ def run_rules(
             )
             continue
         for rule in selected:
-            findings.extend(rule.check(module, project))
+            findings.extend(rule.check(module))
     findings.sort(key=lambda f: (f.relpath, f.line, f.col, f.rule))
     occurrences: "Dict[Tuple[str, str, str], int]" = {}
     stamped: "List[Finding]" = []

@@ -1,12 +1,10 @@
-"""The built-in ``repro lint`` rules, R001–R006.
+"""The built-in ``repro lint`` pattern rules: R001, R002 and R004–R006.
 
 Each rule is a small AST visitor enforcing one piece of the simulation
 discipline (docs/LINTING.md ties each rule to the claim it protects):
 
 * R001 — no unseeded randomness in deterministic code;
 * R002 — no wall-clock or environment reads in deterministic code;
-* R003 — classes handed to the algorithm registry must implement the
-  full :class:`~repro.core.emulation.Emulation` surface;
 * R004 — emulation code touches base objects only through the kernel's
   trigger/respond interface (the paper's model assumption);
 * R005 — listener subscriptions inside a function must be released in a
@@ -20,13 +18,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Optional, Set, Tuple
 
-from repro.lint.engine import (
-    Finding,
-    ModuleInfo,
-    ProjectIndex,
-    Rule,
-    register_rule,
-)
+from repro.lint.engine import Finding, ModuleInfo, Rule, register_rule
 
 #: directories holding code that must be deterministic and model-faithful.
 #: repro/net is included: fault injection is seed-derived by design (the
@@ -37,16 +29,6 @@ DETERMINISTIC_DIRS = (
     "repro/core",
     "repro/consistency",
     "repro/net",
-)
-
-#: the Emulation protocol surface (see repro/core/emulation.py).
-EMULATION_SURFACE = (
-    "kernel",
-    "object_map",
-    "history",
-    "system",
-    "add_writer",
-    "add_reader",
 )
 
 
@@ -81,9 +63,7 @@ class UnseededRandomnessRule(Rule):
     id = "R001"
     title = "no unseeded randomness in deterministic code"
 
-    def check(
-        self, module: ModuleInfo, project: ProjectIndex
-    ) -> "Iterator[Finding]":
+    def check(self, module: ModuleInfo) -> "Iterator[Finding]":
         if not module.in_package_dirs(DETERMINISTIC_DIRS):
             return
         assert module.tree is not None
@@ -166,9 +146,7 @@ class WallClockRule(Rule):
         "os": {"environ", "getenv", "urandom"},
     }
 
-    def check(
-        self, module: ModuleInfo, project: ProjectIndex
-    ) -> "Iterator[Finding]":
+    def check(self, module: ModuleInfo) -> "Iterator[Finding]":
         if module.in_exempt_dirs(self.EXEMPT):
             return
         assert module.tree is not None
@@ -200,138 +178,6 @@ class WallClockRule(Rule):
 
 
 @register_rule
-class ProtocolConformanceRule(Rule):
-    """R003: registry-registered classes must be full Emulations."""
-
-    id = "R003"
-    title = "algorithm-registry classes implement the Emulation surface"
-
-    def check(
-        self, module: ModuleInfo, project: ProjectIndex
-    ) -> "Iterator[Finding]":
-        assert module.tree is not None
-        for node in ast.walk(module.tree):
-            if not isinstance(
-                node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
-            ):
-                continue
-            algorithm = self._registered_name(node)
-            if algorithm is None:
-                continue
-            for anchor, class_name, classdef, home in self._registered_classes(
-                node, module, project
-            ):
-                surface = _class_surface(classdef, home, project)
-                if surface is None:
-                    continue  # unresolvable base class: inconclusive
-                missing = [
-                    name for name in EMULATION_SURFACE if name not in surface
-                ]
-                if missing:
-                    yield self.finding(
-                        module,
-                        anchor,
-                        f"class {class_name} registered as algorithm"
-                        f" {algorithm!r} is missing Emulation surface:"
-                        f" {', '.join(missing)}",
-                    )
-
-    @staticmethod
-    def _registered_classes(node, module: ModuleInfo, project: ProjectIndex):
-        """``(anchor, name, classdef, home module)`` of every class the
-        decorated ``node`` registers: the class itself, or each class a
-        decorated builder function returns an instance of."""
-        if isinstance(node, ast.ClassDef):
-            yield node, node.name, node, module
-            return
-        for ret in ast.walk(node):
-            if not isinstance(ret, ast.Return) or ret.value is None:
-                continue
-            call = ret.value
-            if not (
-                isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
-            ):
-                continue
-            resolved = project.resolve_class(module, call.func.id)
-            if resolved is not None:  # else: cannot locate it statically
-                yield (ret, call.func.id) + resolved
-
-    @staticmethod
-    def _registered_name(
-        node: "ast.ClassDef | ast.FunctionDef | ast.AsyncFunctionDef",
-    ) -> "Optional[str]":
-        for decorator in node.decorator_list:
-            if not isinstance(decorator, ast.Call):
-                continue
-            chain = attribute_chain(decorator.func)
-            if chain and chain[-1] == "register_algorithm":
-                if decorator.args and isinstance(
-                    decorator.args[0], ast.Constant
-                ):
-                    return str(decorator.args[0].value)
-                return "<dynamic>"
-        return None
-
-
-def _class_surface(
-    classdef: ast.ClassDef,
-    module: ModuleInfo,
-    project: ProjectIndex,
-    _depth: int = 0,
-) -> "Optional[Set[str]]":
-    """Names a class provides (methods, class vars, ``self.x`` assigns).
-
-    Returns None when a base class cannot be resolved — the class may
-    inherit the rest of the surface, so the check stays conservative.
-    """
-    if _depth > 8:
-        return None
-    provided: "Set[str]" = set()
-    for stmt in classdef.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            provided.add(stmt.name)
-            for inner in ast.walk(stmt):
-                target_list = []
-                if isinstance(inner, ast.Assign):
-                    target_list = inner.targets
-                elif isinstance(inner, (ast.AnnAssign, ast.AugAssign)):
-                    target_list = [inner.target]
-                for target in target_list:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                    ):
-                        provided.add(target.attr)
-        elif isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    provided.add(target.id)
-        elif isinstance(stmt, ast.AnnAssign):
-            if isinstance(stmt.target, ast.Name):
-                provided.add(stmt.target.id)
-    for base in classdef.bases:
-        if isinstance(base, ast.Attribute):
-            if base.attr in ("Protocol", "object"):
-                continue
-            return None
-        if not isinstance(base, ast.Name):
-            return None
-        if base.id in ("object", "Protocol"):
-            continue
-        resolved = project.resolve_class(module, base.id)
-        if resolved is None:
-            return None
-        base_surface = _class_surface(
-            resolved[0], resolved[1], project, _depth + 1
-        )
-        if base_surface is None:
-            return None
-        provided |= base_surface
-    return provided
-
-
-@register_rule
 class BaseObjectDisciplineRule(Rule):
     """R004: the paper's base-object access model, made executable.
 
@@ -358,9 +204,7 @@ class BaseObjectDisciplineRule(Rule):
     DELIVERY_SEAM = {"arrive", "deliver"}
     SEAM_SCOPE = ("repro/core",)
 
-    def check(
-        self, module: ModuleInfo, project: ProjectIndex
-    ) -> "Iterator[Finding]":
+    def check(self, module: ModuleInfo) -> "Iterator[Finding]":
         if not module.in_package_dirs(self.SCOPE):
             return
         seam_scoped = module.in_package_dirs(self.SEAM_SCOPE)
@@ -436,9 +280,7 @@ class ListenerHygieneRule(Rule):
     id = "R005"
     title = "add_listener is paired with remove_listener in finally"
 
-    def check(
-        self, module: ModuleInfo, project: ProjectIndex
-    ) -> "Iterator[Finding]":
+    def check(self, module: ModuleInfo) -> "Iterator[Finding]":
         assert module.tree is not None
         # Map every function to its (optional) enclosing class, so an
         # __enter__ subscription can be paired with an __exit__ release.
@@ -564,9 +406,7 @@ class IterationOrderRule(Rule):
     SET_METHODS = {"image", "preimage"}
     SET_ATTRS = {"crashed_servers", "correct_servers"}
 
-    def check(
-        self, module: ModuleInfo, project: ProjectIndex
-    ) -> "Iterator[Finding]":
+    def check(self, module: ModuleInfo) -> "Iterator[Finding]":
         if not module.in_package_dirs(self.SCOPE):
             return
         assert module.tree is not None

@@ -1,7 +1,7 @@
 """Dataflow-aware ``repro lint`` rules, R007–R010.
 
-Where R001–R006 are single-pass AST pattern matchers, these four rule
-families query the intraprocedural engine in
+Where the pattern rules of :mod:`repro.lint.rules` are single-pass AST
+matchers, these four rule families query the intraprocedural engine in
 :mod:`repro.lint.dataflow` — reaching definitions, literal value
 kinds, and taint propagation — so they can follow a value through
 assignments instead of only recognising it at the point of use:
@@ -34,13 +34,7 @@ from repro.lint.dataflow import (
     may_be_kind,
     resolves_to_builtin,
 )
-from repro.lint.engine import (
-    Finding,
-    ModuleInfo,
-    ProjectIndex,
-    Rule,
-    register_rule,
-)
+from repro.lint.engine import Finding, ModuleInfo, Rule, register_rule
 from repro.lint.rules import attribute_chain
 
 
@@ -163,9 +157,7 @@ class EventLoopDisciplineRule(Rule):
     #: quiescence is a CPU-bound loop, not awaitable work.
     BLOCKING_LOCAL = {"run_to_quiescence"}
 
-    def check(
-        self, module: ModuleInfo, project: ProjectIndex
-    ) -> "Iterator[Finding]":
+    def check(self, module: ModuleInfo) -> "Iterator[Finding]":
         assert module.tree is not None
         for func, stack in functions_with_enclosing(module.tree):
             if not isinstance(func, ast.AsyncFunctionDef):
@@ -260,9 +252,7 @@ class FireAndForgetRule(Rule):
 
     SPAWNERS = {"create_task", "ensure_future"}
 
-    def check(
-        self, module: ModuleInfo, project: ProjectIndex
-    ) -> "Iterator[Finding]":
+    def check(self, module: ModuleInfo) -> "Iterator[Finding]":
         assert module.tree is not None
         async_defs = {
             node.name
@@ -376,6 +366,7 @@ class ReplayDeterminismRule(Rule):
         "repro/consistency",
         "repro/net",
         "repro/apps",
+        "repro/exec",
     )
 
     #: call names that consume replay-relevant values.
@@ -383,7 +374,7 @@ class ReplayDeterminismRule(Rule):
         "fate",
         "draw_fate",
         "compiled",
-        "cache_key",
+        "cell_key",
         "encode_request",
         "encode_response",
         "encode_requests",
@@ -392,13 +383,10 @@ class ReplayDeterminismRule(Rule):
         "encode_binary_response",
         "encode_binary_requests",
         "encode_binary_responses",
-        "encode_frame",
         "Random",
     }
 
-    def check(
-        self, module: ModuleInfo, project: ProjectIndex
-    ) -> "Iterator[Finding]":
+    def check(self, module: ModuleInfo) -> "Iterator[Finding]":
         if not module.in_package_dirs(self.SCOPE):
             return
         assert module.tree is not None
@@ -631,9 +619,7 @@ class TypedErrorRule(Rule):
         ),
     }
 
-    def check(
-        self, module: ModuleInfo, project: ProjectIndex
-    ) -> "Iterator[Finding]":
+    def check(self, module: ModuleInfo) -> "Iterator[Finding]":
         if module.in_exempt_dirs(self.EXEMPT):
             return
         assert module.tree is not None

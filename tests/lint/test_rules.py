@@ -1,4 +1,4 @@
-"""Fixture tests for the built-in rules R001-R006.
+"""Fixture tests for the built-in pattern rules R001, R002, R004-R006.
 
 Every rule gets (a) a fixture it fires on, (b) a fixture a suppression
 directive silences, and (c) negative fixtures it must stay quiet on.
@@ -264,201 +264,6 @@ class TestR002:
             seed = os.urandom(4)  # repro-lint: disable=R002 fixture
             """,
             "R002",
-        )
-        assert result.active == []
-        assert len(result.suppressed) == 1
-
-
-# -- R003: Emulation-protocol conformance -----------------------------------
-
-_REGISTRY_PRELUDE = """
-def register_algorithm(name):
-    def wrap(fn):
-        return fn
-    return wrap
-"""
-
-_CONFORMING_CLASS = """
-class GoodEmulation:
-    def __init__(self):
-        self.kernel = None
-        self.object_map = None
-        self.history = None
-        self.system = None
-
-    def add_writer(self, writer_index):
-        pass
-
-    def add_reader(self):
-        pass
-"""
-
-
-class TestR003:
-    def test_missing_surface_fires(self, tmp_path):
-        result = lint_source(
-            tmp_path,
-            _REGISTRY_PRELUDE
-            + textwrap.dedent(
-                """
-                class PartialEmulation:
-                    def __init__(self):
-                        self.kernel = None
-
-                @register_algorithm("partial")
-                def build(**kwargs):
-                    return PartialEmulation(**kwargs)
-                """
-            ),
-            "R003",
-        )
-        assert rules_fired(result) == ["R003"]
-        message = result.active[0].message
-        assert "add_writer" in message and "object_map" in message
-        assert "kernel" not in message.split("missing")[1]
-
-    def test_conforming_class_is_clean(self, tmp_path):
-        result = lint_source(
-            tmp_path,
-            _REGISTRY_PRELUDE
-            + _CONFORMING_CLASS
-            + textwrap.dedent(
-                """
-                @register_algorithm("good")
-                def build(**kwargs):
-                    return GoodEmulation(**kwargs)
-                """
-            ),
-            "R003",
-        )
-        assert result.active == []
-
-    def test_surface_via_base_class_is_clean(self, tmp_path):
-        result = lint_source(
-            tmp_path,
-            _REGISTRY_PRELUDE
-            + _CONFORMING_CLASS
-            + textwrap.dedent(
-                """
-                class Derived(GoodEmulation):
-                    pass
-
-                @register_algorithm("derived")
-                def build(**kwargs):
-                    return Derived(**kwargs)
-                """
-            ),
-            "R003",
-        )
-        assert result.active == []
-
-    def test_cross_module_resolution_fires(self, tmp_path):
-        (tmp_path / "emu_impl.py").write_text(
-            textwrap.dedent(
-                """
-                class RemotePartial:
-                    def __init__(self):
-                        self.kernel = None
-                        self.history = None
-                """
-            ),
-            encoding="utf-8",
-        )
-        result = lint_source(
-            tmp_path,
-            _REGISTRY_PRELUDE
-            + textwrap.dedent(
-                """
-                from emu_impl import RemotePartial
-
-                @register_algorithm("remote")
-                def build(**kwargs):
-                    return RemotePartial(**kwargs)
-                """
-            ),
-            "R003",
-            name="registry.py",
-        )
-        assert rules_fired(result) == ["R003"]
-
-    def test_unresolvable_class_is_inconclusive(self, tmp_path):
-        result = lint_source(
-            tmp_path,
-            _REGISTRY_PRELUDE
-            + textwrap.dedent(
-                """
-                from nowhere_to_be_found import MysteryEmulation
-
-                @register_algorithm("mystery")
-                def build(**kwargs):
-                    return MysteryEmulation(**kwargs)
-                """
-            ),
-            "R003",
-        )
-        assert result.active == []
-
-    def test_decorated_class_missing_surface_fires(self, tmp_path):
-        result = lint_source(
-            tmp_path,
-            _REGISTRY_PRELUDE
-            + textwrap.dedent(
-                """
-                @register_algorithm("partial")
-                class PartialEmulation:
-                    def __init__(self):
-                        self.kernel = None
-                """
-            ),
-            "R003",
-        )
-        assert rules_fired(result) == ["R003"]
-        assert "add_reader" in result.active[0].message
-
-    def test_decorated_class_inheriting_surface_is_clean(self, tmp_path):
-        result = lint_source(
-            tmp_path,
-            _REGISTRY_PRELUDE
-            + _CONFORMING_CLASS
-            + textwrap.dedent(
-                """
-                @register_algorithm("derived")
-                class Derived(GoodEmulation):
-                    pass
-                """
-            ),
-            "R003",
-        )
-        assert result.active == []
-
-    def test_real_registry_is_clean(self):
-        # The shipped algorithm registry must satisfy its own protocol:
-        # the classes register themselves, across repro/core.
-        from pathlib import Path
-
-        import repro.core.emulation as emulation_module
-
-        core = Path(emulation_module.__file__).parent
-        result = lint_paths([str(core)], rule_ids=["R003"])
-        assert result.active == []
-
-    def test_suppression_silences(self, tmp_path):
-        result = lint_source(
-            tmp_path,
-            _REGISTRY_PRELUDE
-            + textwrap.dedent(
-                """
-                class PartialEmulation:
-                    def __init__(self):
-                        self.kernel = None
-
-                @register_algorithm("partial")
-                def build(**kwargs):
-                    # repro-lint: disable=R003 fixture
-                    return PartialEmulation(**kwargs)
-                """
-            ),
-            "R003",
         )
         assert result.active == []
         assert len(result.suppressed) == 1

@@ -372,12 +372,14 @@ class TestR009:
         result = lint_source(
             tmp_path,
             """
-            def frame(codec, servers):
+            from repro.net.wire import encode_binary_requests
+
+            def frame(servers):
                 pending = set(servers)
                 order = []
                 for server in pending:
                     order = order + [server]
-                return codec.encode_frame(order)
+                return encode_binary_requests(order)
             """,
             "R009",
         )
@@ -459,11 +461,13 @@ class TestR009:
         result = lint_source(
             tmp_path,
             """
-            def frame(codec, servers):
+            from repro.net.wire import encode_binary_requests
+
+            def frame(servers):
                 order = []
                 for server in sorted(set(servers)):
                     order = order + [server]
-                return codec.encode_frame(order)
+                return encode_binary_requests(order)
             """,
             "R009",
         )
@@ -496,9 +500,49 @@ class TestR009:
                 return hash(str(name)) % 8
             """,
             "R009",
-            name="repro/exec/fixture.py",
+            name="repro/analysis/fixture.py",
         )
         assert rules_fired(result) == []
+
+    def test_every_sink_names_a_live_binding(self):
+        # A sink renamed or deleted in src/ leaves its flow unchecked.
+        import ast
+        from pathlib import Path
+
+        import repro
+        from repro.lint.rules_flow import ReplayDeterminismRule
+
+        bound = {"Random"}
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(
+                    node,
+                    (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef),
+                ):
+                    bound.add(node.name)
+                elif isinstance(node, ast.Name) and isinstance(
+                    node.ctx, ast.Store
+                ):
+                    bound.add(node.id)
+        assert sorted(ReplayDeterminismRule.SINKS - bound) == []
+
+    def test_result_cache_key_is_in_scope(self, tmp_path):
+        result = lint_source(
+            tmp_path,
+            """
+            from repro.exec.cache import cell_key
+
+            def key(cell, name):
+                salt = hash(str(name))
+                return cell_key(cell, salt)
+            """,
+            "R009",
+            name="repro/exec/fixture.py",
+        )
+        assert any(
+            "flows into cell_key" in item.message for item in result.active
+        ), [item.message for item in result.active]
 
 
 # -- R010: typed-error discipline --------------------------------------------

@@ -57,7 +57,7 @@ class TestRendering:
             for rule in payload["runs"][0]["tool"]["driver"]["rules"]
         }
         for rule_id in (
-            "R001", "R002", "R003", "R004", "R005",
+            "R001", "R002", "R004", "R005",
             "R006", "R007", "R008", "R009", "R010",
         ):
             assert rule_id in rule_ids

@@ -230,6 +230,13 @@ class TestLintSurfaceCensus:
         ]
         assert options == self.OPTIONS
         assert positionals == ["paths"]
+        (fmt,) = [
+            action
+            for action in lint._actions
+            if "--format" in action.option_strings
+        ]
+        # JSON on stdout is `--json -`, so `--format` has no json choice.
+        assert tuple(fmt.choices) == ("text", "sarif")
 
     def test_lint_paths_parameters(self):
         import inspect
