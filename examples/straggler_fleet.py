@@ -2,23 +2,27 @@
 """Wait-freedom under stragglers: skewed fleets, same guarantees.
 
 Asynchrony in the paper is adversarial; in production it looks like a
-straggler — one server answering 50x slower than the rest.  This demo
-runs the same write/read workload on a uniform fleet and on a fleet with
-two heavy stragglers, showing operations complete either way (wait-
-freedom never waits on specific servers) while the step cost shifts.
+straggler — a server whose messages take 25-50x longer than the rest.
+This demo runs the same write/read workload on a uniform fleet and, over
+a lossy transport whose fault plan (``straggler_plan``) puts long delays
+on every link to two servers, on a fleet with two heavy stragglers.
+Operations complete either way at about the same step cost: wait-freedom
+never waits on specific servers, and each round finishes on the n - f
+fast ones.
 
 Run:  python examples/straggler_fleet.py
 """
 
-from repro import WSRegisterEmulation, check_ws_regular
+from repro import EmulationSpec, check_ws_regular
 from repro.analysis.resources import StepMeter
 from repro.analysis.tables import render_table
-from repro.sim.latency import straggler_fleet
-from repro.sim.scheduling import RandomScheduler
+from repro.net import TransportConfig, straggler_plan
 
 
-def run_fleet(name, scheduler):
-    emu = WSRegisterEmulation(k=2, n=5, f=2, scheduler=scheduler)
+def run_fleet(name, transport=None):
+    emu = EmulationSpec.make(
+        "ws-register", k=2, n=5, f=2, seed=3, transport=transport
+    ).build()
     meter = StepMeter()
     emu.kernel.add_listener(meter)
     writers = [emu.add_writer(i) for i in range(2)]
@@ -44,10 +48,12 @@ def run_fleet(name, scheduler):
 
 def main() -> None:
     rows = [
-        run_fleet("uniform fleet", RandomScheduler(seed=3)),
+        run_fleet("uniform fleet"),
         run_fleet(
-            "2 stragglers (50x, 20x)",
-            straggler_fleet(5, {1: 0.02, 4: 0.05}, seed=3),
+            "2 stragglers (delay 50-100)",
+            TransportConfig.lossy(
+                straggler_plan([1, 4], slow_delay=(50, 100)), seed=3
+            ),
         ),
     ]
     print(
@@ -59,8 +65,8 @@ def main() -> None:
     )
     print(
         "\nOperations never wait on a named server — only on any n-f —"
-        "\nso stragglers stretch schedules without breaking wait-freedom"
-        " or WS-Regularity."
+        "\nso slow links to stragglers break neither wait-freedom"
+        " nor WS-Regularity."
     )
 
 

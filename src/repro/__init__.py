@@ -45,8 +45,6 @@ from repro.consistency import (
     is_linearizable,
     is_register_history_atomic,
 )
-from repro.apps.config import ConfigService, InstallRaced
-from repro.apps.epoch import EpochService
 from repro.apps.shard import (
     ShardConfig,
     ShardedKVService,
@@ -67,15 +65,12 @@ __all__ = [
     "CASABDEmulation",
     "Cell",
     "CollectMaxRegister",
-    "ConfigService",
     "CoveringTracker",
     "Emulation",
     "EmulationSpec",
-    "EpochService",
     "ExperimentResult",
     "FTMaxRegister",
     "Grid",
-    "InstallRaced",
     "Lemma1Runner",
     "MultiRegisterDeployment",
     "RegisterLayout",

@@ -10,14 +10,8 @@ such services end to end:
   max-registers / CAS) with per-key consistency auditing, served
   in-process or over sockets, driven by an open-loop Zipfian load
   generator.
-* :mod:`repro.apps.epoch` — a monotone epoch (configuration version)
-  service on the f-tolerant max-register.
-* :mod:`repro.apps.config` — an epoch-guarded configuration store (the
-  reconfiguration kernel the paper's citations consume).
 """
 
-from repro.apps.config import ConfigService, InstallRaced
-from repro.apps.epoch import EpochService
 from repro.apps.shard import (
     ShardConfig,
     ShardedKVService,
@@ -28,9 +22,6 @@ from repro.apps.shard import (
 )
 
 __all__ = [
-    "ConfigService",
-    "EpochService",
-    "InstallRaced",
     "ShardConfig",
     "ShardFleet",
     "ShardRouter",

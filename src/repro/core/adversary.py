@@ -39,23 +39,16 @@ class AdversaryAdi(Environment):
 
     def __init__(self, tracker: CoveringTracker):
         self.tracker = tracker
-        #: number of vetoes issued (observability/testing)
+        #: vetoing :meth:`allows` consultations (observability/testing);
+        #: the kernel consults on every step, so an op held for several
+        #: steps counts once per step, as ``ChaosEnvironment.vetoes`` does
         self.vetoes = 0
         # Memoized decision inputs (C(t) and Q_i(t) u G_i(t)), valid for
-        # one tracker version; recomputing them per consulted op is the
-        # dominant cost of the adversary in long constructed runs.
+        # one tracker version: the only cache of the veto path.
+        # Recomputing them per consulted op is the dominant cost of the
+        # adversary in long constructed runs.
         self._memo_version: "Optional[int]" = None
         self._memo = None
-
-    def veto_epoch(self, kernel: Kernel):
-        """Verdicts only change when the tracker's state does.
-
-        ``BlockedWrites_i(t)`` is a pure function of the tracker (which
-        versions itself on every state change), so the kernel may cache
-        per-op verdicts between tracker changes instead of re-consulting
-        the adversary for ops it already blocked.
-        """
-        return getattr(self.tracker, "version", None)
 
     def _decision_state(self):
         version = getattr(self.tracker, "version", None)

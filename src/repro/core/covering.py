@@ -73,8 +73,8 @@ class CoveringTracker(EventListener):
         self.write_name = "write"
         self._lemma2_prev: "Optional[dict]" = None
         #: monotone state-version counter, bumped on every change that can
-        #: affect the Definition 1 sets; consumers (the adversary's veto
-        #: cache) use it to memoize derived state between changes.
+        #: affect the Definition 1 sets; consumers (the adversary's
+        #: decision memo) use it to memoize derived state between changes.
         self.version = 0
 
     # -- global quantities -------------------------------------------------

@@ -29,11 +29,10 @@ eventual delivery to ``n - f`` servers, which
 :meth:`~repro.net.lossy.LossyTransport.flush_idle` realizes
 (docs/MODEL.md, "Transports and the paper's assumptions").
 
-The message-level concerns previously expressed as scheduler weights
-(:mod:`repro.sim.latency`) and veto storms (:mod:`repro.sim.chaos`)
-have direct fault-plan analogues here: :func:`straggler_plan` gives a
-slow server long request delays instead of a small scheduling weight,
-and :func:`chaos_faults` turns the veto-window idea into delivery
+Two canned plans cover the usual weather: :func:`straggler_plan` is
+the straggler model (a slow server gets long message delays), and
+:func:`chaos_faults` is the channel-level analogue of the veto storms
+of :mod:`repro.sim.chaos`, turning the veto-window idea into delivery
 jitter plus reordering.
 """
 
@@ -368,11 +367,13 @@ def straggler_plan(
     slow_delay: "Tuple[int, int]" = (20, 60),
     base_delay: "Tuple[int, int]" = (0, 2),
 ) -> "FaultPlan":
-    """A fleet with slow links to some servers — the network-level
-    analogue of :func:`repro.sim.latency.straggler_fleet` (which skews
-    the scheduler instead of the channel).
+    """A fleet with slow links to some servers: the straggler model.
 
-    ``slow_servers`` is an iterable of server indices.
+    Every message to or from a server in ``slow_servers`` (an iterable
+    of server indices) is delayed by ``slow_delay`` steps, every other
+    message by ``base_delay``.  Nothing is dropped, so wait-free
+    emulations still finish: they wait on any ``n - f`` servers, never
+    on a named one.
     """
     slow = LinkFaults(delay=Delay(*slow_delay))
     return FaultPlan(

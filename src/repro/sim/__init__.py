@@ -49,7 +49,6 @@ from repro.sim.history import History, HistoryOp
 from repro.sim.failures import CrashPlan
 from repro.sim.chaos import ChaosEnvironment
 from repro.sim.forking import ForkError, fork_kernel, fork_many
-from repro.sim.latency import WeightedScheduler, straggler_fleet
 from repro.sim.replay import (
     RecordingScheduler,
     ReplayDivergence,
@@ -100,12 +99,10 @@ __all__ = [
     "TriggerEvent",
     "TSVal",
     "TraceRecorder",
-    "WeightedScheduler",
     "bottom_tsval",
     "build_system",
     "fork_kernel",
     "fork_many",
     "render_event_log",
     "render_timeline",
-    "straggler_fleet",
 ]

@@ -77,15 +77,28 @@ class ChaosEnvironment(Environment):
 
     def on_stall(self, kernel: Kernel) -> bool:
         """All enabled responds momentarily vetoed: release the oldest
-        pending operation so the run keeps moving (liveness)."""
+        pending operation that could respond so the run keeps moving
+        (liveness).
+
+        Only an op on a live object whose request has reached its server
+        and that is not already released qualifies; over a lossy
+        transport the oldest pending op may still be in flight, or
+        dropped.  With none left, return False so the kernel hands the
+        stall to the transport (``flush_idle``) instead of re-filtering
+        the same vetoed set.
+        """
+        arrived = kernel.transport.request_arrived
+        forced = self._forced
         respondable = [
             op
             for op in kernel.pending.values()
-            if not kernel.object_map.object(op.object_id).crashed
+            if op.op_id.value not in forced
+            and not kernel.object_map.object(op.object_id).crashed
+            and arrived(op)
         ]
         if not respondable:
             return False
         self.stalls += 1
         oldest = min(respondable, key=lambda op: op.trigger_time)
-        self._forced.add(oldest.op_id.value)
+        forced.add(oldest.op_id.value)
         return True

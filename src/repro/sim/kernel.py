@@ -147,21 +147,6 @@ class Environment:
     def allows(self, action: Action, kernel: "Kernel") -> bool:
         return True
 
-    def veto_epoch(self, kernel: "Kernel") -> Optional[Any]:
-        """Cache token for veto verdicts, or None to disable caching.
-
-        Environments whose verdict for a given pending operation is a pure
-        function of some slowly-changing internal state may return a
-        hashable token identifying that state; while the token is
-        unchanged the kernel reuses each operation's cached
-        :meth:`allows` verdict instead of re-consulting.  The token MUST
-        change whenever any verdict could change (including inside
-        :meth:`on_stall`).  The default returns None: the environment is
-        consulted afresh on every step (required for verdicts that depend
-        on the current time, such as the chaos environment's).
-        """
-        return None
-
     def on_stall(self, kernel: "Kernel") -> bool:
         """Called when every enabled action is vetoed.
 
@@ -295,8 +280,6 @@ class Kernel:
       live objects, kept in ascending op-id order.  Always mutated in
       place (never rebound) so the reference hoisted by :meth:`run`
       stays valid;
-    * ``_veto_cache`` — per-op environment verdicts, valid for one
-      :meth:`Environment.veto_epoch` token;
     * ``_crashed_mid_op`` — how many clients crashed with a high-level
       operation in flight.  With ``_candidates`` it answers
       :meth:`clients_quiescent` without visiting a client.
@@ -341,10 +324,6 @@ class Kernel:
         #: ascending op-id order and deletions preserve it, so iteration
         #: order always equals sorted order.
         self._respond_actions: "Dict[OpId, Action]" = {}
-        # Per-op environment verdicts, valid for one veto epoch.
-        self._veto_cache: "Dict[OpId, bool]" = {}
-        self._veto_env = None
-        self._veto_epoch: Any = None
         # Pre-bound listener hooks (populated by add_listener).
         self._subs_trigger: "List[Callable]" = []
         self._subs_respond: "List[Callable]" = []
@@ -586,8 +565,6 @@ class Kernel:
         op.respond_time = self.time
         del self.pending[op.op_id]
         self._respond_actions.pop(op.op_id, None)
-        if self._veto_cache:
-            self._veto_cache.pop(op.op_id, None)
         if self._subs_respond:
             event = RespondEvent(self.time, op)
             for emit in self._subs_respond:
@@ -707,38 +684,21 @@ class Kernel:
         """Drop the RESPOND actions the environment vetoes.
 
         The single veto-filtering path shared by :meth:`run` and
-        :meth:`allowed_actions`.  When the environment publishes a
-        :meth:`~Environment.veto_epoch`, per-op verdicts are cached
-        until the epoch changes; the default environment (which never
-        vetoes) short-circuits entirely.
+        :meth:`allowed_actions`: the environment is consulted for every
+        candidate respond on every call (an environment that wants to
+        memoize its verdicts does so itself, as the lower-bound adversary
+        does per covering-state version).  The default environment, which
+        never vetoes, short-circuits entirely.
         """
         env = self.environment
         if type(env).allows is Environment.allows:
             return actions  # the default environment vetoes nothing
-        epoch = env.veto_epoch(self)
-        if epoch is None:
-            allows = env.allows
-            return [
-                action
-                for action in actions
-                if action.kind is ActionKind.CLIENT or allows(action, self)
-            ]
-        if self._veto_env is not env or self._veto_epoch != epoch:
-            self._veto_cache.clear()
-            self._veto_env = env
-            self._veto_epoch = epoch
-        cache = self._veto_cache
-        allowed: "List[Action]" = []
-        for action in actions:
-            if action.kind is ActionKind.CLIENT:
-                allowed.append(action)
-                continue
-            verdict = cache.get(action.op_id)
-            if verdict is None:
-                verdict = cache[action.op_id] = env.allows(action, self)
-            if verdict:
-                allowed.append(action)
-        return allowed
+        allows = env.allows
+        return [
+            action
+            for action in actions
+            if action.kind is ActionKind.CLIENT or allows(action, self)
+        ]
 
     def allowed_actions(self) -> "List[Action]":
         """Enabled actions that the environment does not veto."""
@@ -845,7 +805,6 @@ class Kernel:
         send_response = self.transport.send_response
         inproc = self._inproc
         respond_actions = self._respond_actions
-        veto_cache = self._veto_cache
         pending = self.pending
         clients = self.clients
         choose = self.scheduler.choose
@@ -905,8 +864,6 @@ class Kernel:
                         op.respond_time = time
                         del pending[op_id]
                         respond_actions.pop(op_id, None)
-                        if veto_cache:
-                            veto_cache.pop(op_id, None)
                         if subs_respond:
                             event = RespondEvent(time, op)
                             for emit in subs_respond:

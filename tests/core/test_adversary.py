@@ -5,6 +5,7 @@ from tests.conftest import ToyProtocol
 from repro.core.adversary import AdversaryAdi
 from repro.core.covering import CoveringTracker
 from repro.sim.ids import ClientId, ObjectId, ServerId
+from repro.sim.kernel import ActionKind
 from repro.sim.scheduling import RandomScheduler
 from repro.sim.system import build_system
 
@@ -92,3 +93,58 @@ class TestNoPhase:
         client.enqueue("read")
         result = system.run_to_quiescence(max_steps=1_000)
         assert result.satisfied
+
+
+class TestDecisionMemo:
+    """``AdversaryAdi`` memoizes ``C(t)`` and ``Q_i(t) u G_i(t)`` once per
+    tracker version: the only cache on the veto path."""
+
+    @staticmethod
+    def _count_tracker_reads(tracker):
+        calls = {"completed": 0, "qi": 0, "gi": 0}
+        for name in calls:
+            original = getattr(tracker, name)
+
+            def counted(original=original, name=name):
+                calls[name] += 1
+                return original()
+
+            setattr(tracker, name, counted)
+        return calls
+
+    @staticmethod
+    def _verdicts(adversary, kernel):
+        return {
+            action.op_id: adversary.allows(action, kernel)
+            for action in kernel.enabled_actions()
+            if action.kind is ActionKind.RESPOND
+        }
+
+    def test_tracker_read_once_per_version(self):
+        system, tracker, _ = _setup()
+        tracker.start_phase(1, {ServerId(2), ServerId(3), ServerId(4)}, 0)
+        for index in (0, 1):  # two covering writes outside F: Q_i = {0, 1}
+            client = system.add_client(
+                ClientId(index), ToyProtocol(ObjectId(index))
+            )
+            client.enqueue("write", 1)
+        assert system.kernel.run(max_steps=1_000).reason == "blocked"
+        kernel = system.kernel
+        calls = self._count_tracker_reads(tracker)
+        adversary = AdversaryAdi(tracker)
+        for _ in range(10):
+            verdicts = self._verdicts(adversary, kernel)
+        assert list(verdicts.values()) == [False, False]
+        assert calls == {"completed": 1, "qi": 1, "gi": 1}
+        assert adversary.vetoes == 20  # every vetoing consultation counts
+
+        # A write on an F server bumps the version: the memo is rebuilt.
+        version = tracker.version
+        third = system.add_client(ClientId(2), ToyProtocol(ObjectId(3)))
+        third.enqueue("write", 1)
+        kernel.force_client_step(ClientId(2))
+        assert tracker.version > version
+        verdicts = self._verdicts(adversary, kernel)
+        assert calls == {"completed": 2, "qi": 2, "gi": 2}
+        assert list(verdicts.values()) == [False, False, True]
+        assert verdicts == self._verdicts(AdversaryAdi(tracker), kernel)

@@ -1,52 +1,18 @@
-"""Integration: the applications survive chaotic environments.
+"""Integration: the emulations under the KV store survive chaotic
+environments.
 
-The KV store and epoch service are driven with chaotic respond delays
-plus crashes — the weather the substrate hands real deployments — and
-must stay correct.
+The register and max-register emulations are driven with chaotic respond
+delays plus crashes — the weather the substrate hands real deployments —
+and must stay correct.
 """
 
 import pytest
 
-from repro.apps.epoch import EpochService
 from repro.core.ft_maxreg import FTMaxRegister
 from repro.core.ws_register import WSRegisterEmulation
 from repro.sim.chaos import ChaosEnvironment
 from repro.sim.scheduling import RandomScheduler
 from repro.verify import verify_run
-
-
-class TestEpochUnderChaos:
-    @pytest.mark.parametrize("seed", [3, 13, 23])
-    def test_epochs_monotone(self, seed):
-        service = EpochService(
-            n=5,
-            f=2,
-            scheduler=RandomScheduler(seed),
-            environment=ChaosEnvironment(
-                seed=seed, veto_probability=0.6, max_delay=50
-            ),
-        )
-        observed = [service.current()]
-        for process in range(4):
-            service.advance(process=process)
-            observed.append(service.current(process=9))
-        assert observed == sorted(observed)
-        assert observed[-1] >= 4 - 1  # advances may coalesce, but move
-
-    def test_epoch_with_crashes_and_chaos(self):
-        service = EpochService(
-            n=5,
-            f=2,
-            scheduler=RandomScheduler(4),
-            environment=ChaosEnvironment(
-                seed=4, veto_probability=0.5, max_delay=40
-            ),
-        )
-        service.advance()
-        service.crash_server(0)
-        service.advance(process=1)
-        service.crash_server(2)
-        assert service.current(process=5) == 2
 
 
 class TestRegisterUnderChaosPlusCrashes:

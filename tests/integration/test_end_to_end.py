@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.apps.epoch import EpochService
 from repro.consistency.register_atomicity import is_register_history_atomic
 from repro.consistency.ws import check_ws_regular, check_ws_safe
 from repro.core.lemma1 import Lemma1Runner
@@ -83,36 +82,6 @@ class TestAdversaryThenRecovery:
         assert emu.system.run_to_quiescence().satisfied
         assert emu.history.reads[-1].result == "after-adversary"
         assert check_ws_regular(emu.history, cross_check=True) == []
-
-
-class TestKVReconfigurationScenario:
-    """A KV store guarded by an epoch service: a config change bumps the
-    epoch; stale writers detect it and stop."""
-
-    def test_epoch_guarded_store(self):
-        epochs = EpochService(n=5, f=2, scheduler=RandomScheduler(21))
-        store = one_shard_service("max-register", k_writers=2, seed=21)
-        reads = store.session(writer=None)
-
-        # Normal operation in epoch 1.
-        config_epoch = epochs.advance(process=0)
-        store.session(writer=0).put("profile", {"name": "ada"})
-        assert reads.get("profile") == {"name": "ada"}
-
-        # Reconfiguration: another process moves to epoch 2.
-        epochs.advance(process=1)
-        observed = epochs.current(process=0)
-        assert observed > config_epoch  # the old primary must notice
-
-        # Crash f servers of both services; everything still works.
-        epochs.crash_server(0)
-        store.crash_server(0)
-        epochs.crash_server(4)
-        store.crash_server(4)
-        store.session(writer=1).put("profile", {"name": "ada", "epoch": observed})
-        assert reads.get("profile")["epoch"] == 2
-        assert epochs.current(process=9) == 2
-        assert all(store.audit().values())
 
 
 @pytest.mark.parametrize("substrate", ["register", "max-register", "cas"])

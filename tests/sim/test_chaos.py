@@ -5,7 +5,10 @@ import pytest
 from repro.consistency.register_atomicity import is_register_history_atomic
 from repro.consistency.ws import check_ws_regular
 from repro.core.abd import ABDEmulation
+from repro.core.emulation import EmulationSpec
 from repro.core.ws_register import WSRegisterEmulation
+from repro.net.config import TransportConfig
+from repro.net.faults import chaos_faults
 from repro.sim.chaos import ChaosEnvironment
 from repro.sim.scheduling import RandomScheduler
 
@@ -77,6 +80,46 @@ class TestLivenessUnderChaos:
         writer.enqueue("write", "x")
         result = emu.system.run_to_quiescence(max_steps=2_000_000)
         assert result.satisfied
+
+
+class TestStallOverLossyTransport:
+    """A stall release must pick an op that can respond.
+
+    Over a lossy transport the oldest pending op's request may have been
+    dropped or still be in flight; releasing it frees nothing, and the
+    run used to end ``"blocked"`` with arrived ops still vetoed.
+    """
+
+    @staticmethod
+    def _run(seed):
+        emu = EmulationSpec.make(
+            "abd",
+            n=5,
+            f=2,
+            seed=seed,
+            transport=TransportConfig.lossy(
+                chaos_faults(drop=0.1, duplicate=0.0, reorder=0.0, max_delay=4),
+                seed=seed,
+            ),
+            environment=ChaosEnvironment(
+                seed=seed, veto_probability=0.5, max_delay=50
+            ),
+        ).build()
+        writer, reader = emu.add_client(), emu.add_client()
+        for value in range(6):
+            writer.enqueue("write", value)
+            reader.enqueue("read")
+        return emu.kernel, emu.system.run_to_quiescence(max_steps=200_000)
+
+    def test_no_run_ends_blocked(self):
+        for seed in range(40):
+            kernel, result = self._run(seed)
+            assert result.reason != "blocked", seed
+            if result.reason == "quiescent":
+                # Only requests lost in the channel remain (out of model
+                # beyond f): nothing that reached its server is pending.
+                arrived = kernel.transport.request_arrived
+                assert not any(arrived(op) for op in kernel.pending.values())
 
 
 class TestDeterminism:

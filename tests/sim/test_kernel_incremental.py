@@ -10,8 +10,9 @@ scheduler they choose the exact same action sequence and leave
 byte-identical histories and event traces — under a vetoing, stalling
 environment, server and client crashes, an active lossy transport, and
 all of these at once, for every algorithm in the registry.  The unit tests cover the
-fast-path machinery (pre-bound listener dispatch, veto-verdict caching,
-the O(1) round-robin queues).
+fast-path machinery (pre-bound listener dispatch, the O(1) round-robin
+queues) and the one veto path (the environment is consulted on every
+call).
 """
 
 import hashlib
@@ -55,15 +56,6 @@ SCHEDULES = ("plain", "chaos", "crash", "lossy", "combined")
 CRASHING = ("crash", "combined")
 
 
-class _EpochedChaos(ChaosEnvironment):
-    """Chaos whose verdicts the kernel caches for one step: they depend
-    only on the time and on the operations released by a stall, so
-    ``(time, stalls)`` is a valid veto epoch."""
-
-    def veto_epoch(self, kernel):
-        return (kernel.time, self.stalls)
-
-
 def _lossy(seed):
     return TransportConfig.lossy(
         chaos_faults(drop=0.0, duplicate=0.05, reorder=0.3, max_delay=20),
@@ -104,10 +96,10 @@ def _fingerprint(
     elif schedule == "lossy":
         kernel.set_transport(_lossy(seed))
     elif schedule == "combined":
-        # every respond takes the inlined local-transport branch with a
-        # veto cache to prune and a respond subscriber (the recorder).
+        # every respond takes the inlined local-transport branch under a
+        # vetoing environment, with a respond subscriber (the recorder).
         kernel.set_transport(_lossy(seed))
-        kernel.environment = _EpochedChaos(
+        kernel.environment = ChaosEnvironment(
             seed=seed + 17, veto_probability=0.4, max_delay=60
         )
         CrashPlan().crash_server_at(25, ServerId(0)).install(kernel)
@@ -178,7 +170,7 @@ def test_differential_over_lossy_transport(seed):
 
 @pytest.mark.parametrize("seed", [0, 8, 31])
 def test_differential_combined_schedule(seed):
-    """Lossy delivery, cached chaos vetoes, a server crash mid-run and a
+    """Lossy delivery, chaos vetoes, a server crash mid-run and a
     respond subscriber, all in one run."""
     _assert_run_matches_reference(seed, "combined")
 
@@ -411,55 +403,22 @@ def test_trace_recorder_rejects_unknown_kinds():
         TraceRecorder(kinds={"invoke", "teleport"})
 
 
-# -- veto-verdict caching --------------------------------------------------
+# -- veto consultation ------------------------------------------------------
 
 
-class _EpochedEnvironment(Environment):
-    """Vetoes every respond; counts consultations; manual epoch bumps."""
+class _VetoAll(Environment):
+    """Vetoes every respond; counts consultations."""
 
     def __init__(self):
-        self.epoch = 0
         self.consultations = 0
-
-    def veto_epoch(self, kernel):
-        return self.epoch
 
     def allows(self, action, kernel):
         self.consultations += 1
         return False
 
 
-def test_veto_verdicts_cached_within_an_epoch():
-    env = _EpochedEnvironment()
-    system = build_system(
-        1, [(0, "register", None)], environment=env
-    )
-    client = system.add_client(ClientId(0), ToyProtocol())
-    client.enqueue("write", 1)
-    system.kernel.force_client_step(ClientId(0))  # trigger the low-level op
-    assert len(system.kernel.pending) == 1
-    system.kernel.allowed_actions()
-    assert env.consultations == 1
-    # Same epoch: the cached verdict is reused, no re-consultation.
-    system.kernel.allowed_actions()
-    system.kernel.allowed_actions()
-    assert env.consultations == 1
-    # A new epoch invalidates the cache.
-    env.epoch += 1
-    system.kernel.allowed_actions()
-    assert env.consultations == 2
-
-
-def test_default_epoch_none_disables_caching():
-    class Vetoer(Environment):
-        def __init__(self):
-            self.consultations = 0
-
-        def allows(self, action, kernel):
-            self.consultations += 1
-            return False
-
-    env = Vetoer()
+def test_environment_consulted_on_every_call():
+    env = _VetoAll()
     system = build_system(1, [(0, "register", None)], environment=env)
     client = system.add_client(ClientId(0), ToyProtocol())
     client.enqueue("write", 1)
@@ -470,7 +429,7 @@ def test_default_epoch_none_disables_caching():
 
 
 def test_vetoed_run_blocks_like_before():
-    env = _EpochedEnvironment()
+    env = _VetoAll()
     system = build_system(1, [(0, "register", None)], environment=env)
     client = system.add_client(ClientId(0), ToyProtocol())
     client.enqueue("write", 1)
@@ -488,7 +447,7 @@ def test_environment_and_scheduler_swapped_between_runs_are_honoured():
     client = system.add_client(ClientId(0), ToyProtocol())
     client.enqueue("write", 1)
     assert system.run_to_quiescence().satisfied  # default: no veto hook
-    kernel.environment = _EpochedEnvironment()  # default -> vetoing
+    kernel.environment = _VetoAll()  # default -> vetoing
     client.enqueue("write", 2)
     assert kernel.run(max_steps=100).reason == "blocked"
     kernel.environment = Environment()  # vetoing -> default
@@ -514,7 +473,7 @@ def test_active_transport_reason_matches_reference(veto, reason):
         system = build_system(
             1,
             [(0, "register", None)],
-            environment=_EpochedEnvironment() if veto else None,
+            environment=_VetoAll() if veto else None,
             transport=transport,
         )
         system.add_client(ClientId(0), ToyProtocol()).enqueue("write", 1)

@@ -1,57 +1,28 @@
-"""Tests for the weighted (straggler) scheduler."""
+"""Emulations stay correct under stragglers: slow links to some servers.
 
-import pytest
+The straggler model is :func:`repro.net.faults.straggler_plan` over a
+:class:`~repro.net.lossy.LossyTransport`: every message to or from a
+straggler is delayed far longer than the rest, and nothing is dropped.
+"""
 
 from repro.consistency.register_atomicity import is_register_history_atomic
 from repro.consistency.ws import check_ws_regular
-from repro.core.abd import ABDEmulation
-from repro.core.ws_register import WSRegisterEmulation
-from repro.sim.ids import ClientId, ServerId
-from repro.sim.latency import WeightedScheduler, straggler_fleet
-from repro.sim.kernel import Action, ActionKind
+from repro.core.emulation import EmulationSpec
+from repro.net.config import TransportConfig
+from repro.net.faults import straggler_plan
 
 
-class TestWeightedScheduler:
-    def test_rejects_nonpositive_weights(self):
-        with pytest.raises(ValueError):
-            WeightedScheduler(server_weights={ServerId(0): 0.0})
-        with pytest.raises(ValueError):
-            WeightedScheduler(client_weights={ClientId(0): -1.0})
-
-    def test_deterministic_given_seed(self):
-        actions = [
-            Action(ActionKind.CLIENT, client_id=ClientId(i)) for i in range(4)
-        ]
-        a = WeightedScheduler(seed=5)
-        b = WeightedScheduler(seed=5)
-        assert [a.choose(actions, None) for _ in range(20)] == [
-            b.choose(actions, None) for _ in range(20)
-        ]
-
-    def test_weights_bias_selection(self):
-        heavy = ClientId(0)
-        light = ClientId(1)
-        scheduler = WeightedScheduler(
-            seed=1, client_weights={heavy: 10.0, light: 0.1}
-        )
-        actions = [
-            Action(ActionKind.CLIENT, client_id=heavy),
-            Action(ActionKind.CLIENT, client_id=light),
-        ]
-        picks = [scheduler.choose(actions, None) for _ in range(200)]
-        heavy_count = sum(1 for a in picks if a.client_id == heavy)
-        assert heavy_count > 150
-
-    def test_straggler_fleet_bounds_indices(self):
-        scheduler = straggler_fleet(3, {0: 0.1, 7: 0.1})
-        assert ServerId(0) in scheduler.server_weights
-        assert ServerId(7) not in scheduler.server_weights
+def _stragglers(slow_servers, seed):
+    return TransportConfig.lossy(
+        straggler_plan(slow_servers, slow_delay=(50, 100)), seed=seed
+    )
 
 
 class TestEmulationsUnderStragglers:
     def test_ws_register_survives_straggler(self):
-        scheduler = straggler_fleet(5, {0: 0.02, 4: 0.05}, seed=3)
-        emu = WSRegisterEmulation(k=2, n=5, f=2, scheduler=scheduler)
+        emu = EmulationSpec.make(
+            "ws-register", k=2, n=5, f=2, seed=3, transport=_stragglers([0, 4], 3)
+        ).build()
         writers = [emu.add_writer(i) for i in range(2)]
         reader = emu.add_reader()
         for index in range(3):
@@ -62,8 +33,9 @@ class TestEmulationsUnderStragglers:
         assert check_ws_regular(emu.history, cross_check=True) == []
 
     def test_abd_atomic_under_straggler(self):
-        scheduler = straggler_fleet(5, {2: 0.02}, seed=4)
-        emu = ABDEmulation(n=5, f=2, scheduler=scheduler)
+        emu = EmulationSpec.make(
+            "abd", n=5, f=2, seed=4, transport=_stragglers([2], 4)
+        ).build()
         a, b = emu.add_client(), emu.add_client()
         a.enqueue("write", "x")
         b.enqueue("write", "y")

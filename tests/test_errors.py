@@ -479,12 +479,6 @@ def _fork_none():
     fork_many(_kernel(), 0)
 
 
-def _non_positive_weight():
-    from repro.sim.latency import WeightedScheduler
-
-    WeightedScheduler(server_weights={ServerId(0): 0})
-
-
 def _unknown_action_descriptor():
     from repro.sim.replay import materialize
 
@@ -564,7 +558,6 @@ class TestSimulationRaiseSites:
         (_step_without_runnable_task, ModelViolation, RuntimeError),
         (_spawn_outside_operation, ModelViolation, RuntimeError),
         (_fork_none, InvalidConfig, ValueError),
-        (_non_positive_weight, InvalidConfig, ValueError),
         (_unknown_action_descriptor, InvalidConfig, ValueError),
         (_unknown_trace_kind, InvalidConfig, ValueError),
         (_max_of_no_tsvals, InvalidConfig, ValueError),

@@ -12,15 +12,12 @@ class TestTopLevelSurface:
         "CASABDEmulation",
         "Cell",
         "CollectMaxRegister",
-        "ConfigService",
         "CoveringTracker",
         "Emulation",
         "EmulationSpec",
-        "EpochService",
         "ExperimentResult",
         "FTMaxRegister",
         "Grid",
-        "InstallRaced",
         "Lemma1Runner",
         "MultiRegisterDeployment",
         "RegisterLayout",
@@ -246,6 +243,40 @@ class TestLintSurfaceCensus:
         parameters = inspect.signature(lint_paths).parameters
         assert tuple(parameters) == ("paths", "rule_ids")
         assert parameters["rule_ids"].default is None
+
+
+class TestVetoSeamCensus:
+    """The environment's hooks into a run, by name.  The kernel asks
+    ``allows`` for every candidate respond on every step and calls
+    ``on_stall`` when all are vetoed; an environment that wants to
+    memoize its verdicts does so itself (``AdversaryAdi`` keeps one memo
+    per covering-state version).  A second cache on the kernel side, or a
+    hook to key one, shows up in review as an edit to this test."""
+
+    HOOKS = ("allows", "on_stall")
+
+    def test_environment_hooks_are_exactly_allows_and_on_stall(self):
+        from repro.sim.kernel import Environment
+
+        hooks = tuple(
+            sorted(
+                name
+                for name, value in vars(Environment).items()
+                if callable(value) and not name.startswith("_")
+            )
+        )
+        assert hooks == self.HOOKS
+
+    def test_kernel_keeps_no_veto_cache(self):
+        from repro.core.abd import ABDEmulation
+        from repro.sim.chaos import ChaosEnvironment
+
+        emu = ABDEmulation(n=3, f=1, environment=ChaosEnvironment(seed=1))
+        emu.add_client().enqueue("write", "x")
+        assert emu.system.run_to_quiescence().satisfied
+        kernel = emu.kernel
+        names = set(vars(kernel)) | set(dir(type(kernel)))
+        assert not [name for name in names if "veto" in name]
 
 
 class TestEventRecordCensus:

@@ -46,15 +46,18 @@ class TestExamplesRun:
     def test_expected_examples_present(self):
         assert EXAMPLES == [
             "cloud_kv_demo.py",
-            "config_service.py",
             "covering_attack.py",
-            "epoch_service.py",
             "figure2_trace.py",
             "layout_explorer.py",
             "quickstart.py",
             "shared_fleet.py",
             "straggler_fleet.py",
         ]
+
+    @pytest.mark.parametrize("doc", ["README.md", "DESIGN.md"])
+    def test_doc_names_every_example(self, doc):
+        text = (REPO_ROOT / doc).read_text(encoding="utf-8")
+        assert [name for name in EXAMPLES if f"`{name}`" not in text] == []
 
     @pytest.mark.parametrize("example", EXAMPLES)
     def test_example_executes(self, example, capsys):
