@@ -52,7 +52,7 @@ from repro.apps.shard import (
     run_loadgen,
 )
 from repro.errors import ReproError
-from repro.exec import Cell, Grid, run_experiment_grid
+from repro.exec import Cell, run_experiment_grid
 from repro.experiments import ExperimentResult, run_experiment
 from repro.verify import VerificationReport, verify_run
 from repro.workloads import run_workload, write_sequential_workload
@@ -70,7 +70,6 @@ __all__ = [
     "EmulationSpec",
     "ExperimentResult",
     "FTMaxRegister",
-    "Grid",
     "Lemma1Runner",
     "MultiRegisterDeployment",
     "RegisterLayout",

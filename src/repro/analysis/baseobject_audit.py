@@ -76,11 +76,6 @@ def object_projections(kernel: Kernel) -> "Dict[ObjectId, List[HistoryOp]]":
     return projections
 
 
-def object_projection(kernel: Kernel, object_id: ObjectId) -> "List[HistoryOp]":
-    """One object's projection ``r|b`` (see :func:`object_projections`)."""
-    return object_projections(kernel).get(object_id, [])
-
-
 def audit_base_objects(
     kernel: Kernel, max_ops_per_object: "Optional[int]" = 40
 ) -> "Dict[ObjectId, bool]":
@@ -104,10 +99,3 @@ def audit_base_objects(
             continue
         verdicts[obj.object_id] = is_linearizable(projection, spec_for(obj))
     return verdicts
-
-
-def assert_base_objects_atomic(kernel: Kernel, **kwargs) -> None:
-    """Raise if any base object projection fails linearizability."""
-    verdicts = audit_base_objects(kernel, **kwargs)
-    bad = [str(oid) for oid, ok in verdicts.items() if not ok]
-    assert not bad, f"non-linearizable base object histories: {bad}"

@@ -21,7 +21,7 @@ from repro.sim.events import (
     ReturnEvent,
     TriggerEvent,
 )
-from repro.sim.ids import ObjectId, ServerId
+from repro.sim.ids import ObjectId
 from repro.sim.server import ObjectMap
 
 
@@ -59,13 +59,6 @@ class ResourceMeter(EventListener):
     def covered_now(self) -> int:
         """Registers currently covered by a pending write."""
         return sum(1 for c in self._pending_mutators.values() if c > 0)
-
-    def used_per_server(self) -> "Dict[ServerId, int]":
-        profile: "Dict[ServerId, int]" = {}
-        for oid in self.used:
-            sid = self.object_map.server_of(oid)
-            profile[sid] = profile.get(sid, 0) + 1
-        return profile
 
 
 class PointContentionMeter(EventListener):

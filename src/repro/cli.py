@@ -476,16 +476,31 @@ def cmd_serve(args) -> int:
     return 0
 
 
+#: Seconds a spawned ``repro serve --shards`` process has to announce
+#: every shard listener before the spawn fails.
+SPAWN_ANNOUNCE_DEADLINE_S = 30.0
+
+
 def _spawn_shard_node(args, server_index: int, ports=None):
     """Start one `repro serve --shards` process; returns (proc, ports).
 
-    Blocks until the process announces every shard listener; ``ports``
-    pins the listener ports (process restart must reuse them so the
-    transports' reconnect loops find the replica again).
+    Blocks until the process announces every shard listener, for at most
+    :data:`SPAWN_ANNOUNCE_DEADLINE_S` seconds (then
+    :class:`~repro.errors.TransportUnavailable`); on any error the
+    process is killed and reaped before the error propagates.  Only
+    stdout, which carries nothing but the announcements, is piped: the
+    child's stderr is inherited, so a chatty child never fills a pipe
+    nobody reads.  ``ports`` pins the listener ports (process restart
+    must reuse them so the transports' reconnect loops find the replica
+    again).
     """
     import os
     import re
+    import select
     import subprocess
+    import time
+
+    from repro.errors import QuorumUnavailable, TransportUnavailable
 
     command = [
         sys.executable,
@@ -513,29 +528,41 @@ def _spawn_shard_node(args, server_index: int, ports=None):
             ",".join(str(ports[j]) for j in sorted(ports)),
         ]
     proc = subprocess.Popen(
-        command,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        env=dict(os.environ),
+        command, stdout=subprocess.PIPE, env=dict(os.environ)
     )
     announced = {}
-    pattern = re.compile(r"serving s(\d+)/shard(\d+) on ([\d.]+):(\d+)")
-    while len(announced) < args.shards:
-        line = proc.stdout.readline()
-        if not line:
-            from repro.errors import QuorumUnavailable
-
-            raise QuorumUnavailable(
-                f"serve process for server {server_index} exited before"
-                " announcing its listeners"
-            )
-        match = pattern.search(line)
-        if match:
-            announced[int(match.group(2))] = (
-                match.group(3),
-                int(match.group(4)),
-            )
+    pattern = re.compile(rb"serving s(\d+)/shard(\d+) on ([\d.]+):(\d+)")
+    deadline = time.monotonic() + SPAWN_ANNOUNCE_DEADLINE_S
+    unread = b""
+    try:
+        while len(announced) < args.shards:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not select.select(
+                [proc.stdout], [], [], remaining
+            )[0]:
+                raise TransportUnavailable(
+                    f"serve process for server {server_index} announced"
+                    f" {len(announced)} of {args.shards} listener(s) in"
+                    f" {SPAWN_ANNOUNCE_DEADLINE_S} s: start-up deadline passed"
+                )
+            chunk = os.read(proc.stdout.fileno(), 4096)
+            if not chunk:
+                raise QuorumUnavailable(
+                    f"serve process for server {server_index} exited before"
+                    " announcing its listeners"
+                )
+            *lines, unread = (unread + chunk).split(b"\n")
+            for line in lines:
+                match = pattern.search(line)
+                if match:
+                    announced[int(match.group(2))] = (
+                        match.group(3).decode(),
+                        int(match.group(4)),
+                    )
+    except BaseException:
+        proc.kill()
+        proc.wait()
+        raise
     return proc, announced
 
 

@@ -26,8 +26,6 @@ from repro.consistency.ws import (
     WSViolation,
     check_ws_regular,
     check_ws_safe,
-    valid_read_values_ws_regular,
-    valid_read_values_ws_safe,
 )
 from repro.consistency.mw_regularity import (
     check_mw_regular_strong,
@@ -37,8 +35,6 @@ from repro.consistency.register_atomicity import is_register_history_atomic
 from repro.consistency.schedule import (
     is_well_formed,
     project_client,
-    project_ops,
-    to_event_sequence,
 )
 
 __all__ = [
@@ -56,8 +52,4 @@ __all__ = [
     "is_register_history_atomic",
     "is_well_formed",
     "project_client",
-    "project_ops",
-    "to_event_sequence",
-    "valid_read_values_ws_regular",
-    "valid_read_values_ws_safe",
 ]

@@ -93,37 +93,6 @@ def _read_fits_order(
     return False
 
 
-def classify_history(
-    history: History,
-    initial_value: Any = None,
-    max_writes: int = 7,
-) -> str:
-    """The strongest condition a register history satisfies.
-
-    Returns one of ``"atomic"``, ``"mw-strong"``, ``"mw-weak"`` (which
-    is WS-Regularity on write-sequential histories), ``"ws-safe"`` or
-    ``"none"`` — in that order of strength.  Useful for triaging a
-    failing emulation: the classification names exactly how far its
-    guarantees degraded.
-    """
-    from repro.consistency.register_atomicity import (
-        is_register_history_atomic,
-    )
-    from repro.consistency.ws import check_ws_safe
-
-    if is_register_history_atomic(history, initial_value=initial_value):
-        return "atomic"
-    if not check_mw_regular_strong(
-        history, initial_value=initial_value, max_writes=max_writes
-    ):
-        return "mw-strong"
-    if not check_mw_regular_weak(history, initial_value=initial_value):
-        return "mw-weak"
-    if not check_ws_safe(history, initial_value=initial_value):
-        return "ws-safe"
-    return "none"
-
-
 def check_mw_regular_strong(
     history: History,
     initial_value: Any = None,

@@ -132,28 +132,6 @@ class ReadWindows:
         )
 
 
-def valid_read_values_ws_safe(
-    history: History, read: HistoryOp, initial_value: Any = None
-) -> "List[Any]":
-    """Values WS-Safety allows ``read`` to return (singleton or empty).
-
-    Only meaningful for reads not concurrent with any write; for other
-    reads WS-Safety imposes no constraint and every value is allowed —
-    signalled by returning ``None``.
-    """
-    windows = ReadWindows(history, initial_value)
-    if windows.overlapped(read):
-        return None  # unconstrained
-    return windows.allowed(read)
-
-
-def valid_read_values_ws_regular(
-    history: History, read: HistoryOp, initial_value: Any = None
-) -> "List[Any]":
-    """Values WS-Regularity allows ``read`` to return."""
-    return ReadWindows(history, initial_value).allowed(read)
-
-
 def check_ws_safe(
     history: History, initial_value: Any = None
 ) -> "List[WSViolation]":

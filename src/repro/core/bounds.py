@@ -1,7 +1,8 @@
 """Closed-form bounds from the paper.
 
-Every bound in Table 1 and Theorems 1, 2, 3, 5, 6, 7 as a checked Python
-function.  Parameter names follow the paper:
+Every bound in Table 1 and Theorems 1, 2, 3, 5, 7 as a checked Python
+function (Theorem 6's per-server count is measured by the ``TH6``
+experiment).  Parameter names follow the paper:
 
 * ``k`` — number of writers of the emulated register (k > 0),
 * ``n`` — number of servers, ``n = |S|`` (n >= 2f + 1),
@@ -93,27 +94,11 @@ def register_bound_gap(k: int, n: int, f: int) -> int:
     return register_upper_bound(k, n, f) - register_lower_bound(k, n, f)
 
 
-def bounds_coincide(k: int, n: int, f: int) -> bool:
-    """True where the paper's bounds meet (e.g. n = 2f+1, n >= kf+f+1)."""
-    return register_bound_gap(k, n, f) == 0
-
-
 def k_max_register_lower_bound(k: int) -> int:
     """Theorem 2: a wait-free k-writer max-register needs >= k registers."""
     if k <= 0:
         raise BoundViolation(f"k must be positive, got {k}")
     return k
-
-
-def per_server_lower_bound(k: int, n: int, f: int) -> int:
-    """Theorem 6: with n = 2f+1 servers, every server stores >= k registers.
-
-    For n > 2f+1 the theorem gives no per-server bound (returns 0).
-    """
-    _validate(k, n, f)
-    if n == 2 * f + 1:
-        return k
-    return 0
 
 
 def servers_needed_bounded_storage(k: int, f: int, m: int) -> int:
@@ -166,31 +151,6 @@ def table1_row(base_object: str, k: int, n: int, f: int) -> "Dict[str, int]":
             "upper": register_upper_bound(k, n, f),
         }
     raise BoundViolation(f"unknown base object type {base_object!r}")
-
-
-def max_writers_within_budget(n: int, f: int, budget: int) -> int:
-    """Largest k whose Theorem 3 register count fits in ``budget``.
-
-    The planning inverse of :func:`register_upper_bound`: given a fleet
-    of ``n`` servers and a register budget, how many writers can Algorithm
-    2 support?  Returns 0 if not even one writer fits.
-    """
-    _validate(1, n, f)
-    if budget <= 0:
-        raise BoundViolation(f"budget must be positive, got {budget}")
-    # register_upper_bound is non-decreasing in k: binary search.
-    if register_upper_bound(1, n, f) > budget:
-        return 0
-    low, high = 1, 2
-    while register_upper_bound(high, n, f) <= budget:
-        low, high = high, high * 2
-    while high - low > 1:
-        mid = (low + high) // 2
-        if register_upper_bound(mid, n, f) <= budget:
-            low = mid
-        else:
-            high = mid
-    return low
 
 
 def saturation_n(k: int, f: int) -> int:

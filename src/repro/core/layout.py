@@ -138,10 +138,6 @@ class RegisterLayout:
         start = set_index * self.z
         return list(range(start, min(start + self.z, self.k)))
 
-    def write_quorum_size(self, set_index: int) -> int:
-        """``|R_i| - f``: responses a writer must await."""
-        return len(self.sets[set_index]) - self.f
-
     def registers_on_server(self, server_id: ServerId) -> "List[ObjectId]":
         """This layout's registers hosted on ``server_id`` (scans read
         exactly these — relevant when several emulations share a fleet)."""

@@ -95,8 +95,3 @@ def capacitated_layout(
         f"no capacitated layout within {max_servers} servers for"
         f" k={k}, f={f}, capacity={capacity}"
     )
-
-
-def capacity_frontier(k: int, f: int, capacities) -> "list[CapacitatedPlan]":
-    """Plans for a list of capacities (the Theorem 7 frontier, achieved)."""
-    return [capacitated_layout(k, f, m) for m in capacities]

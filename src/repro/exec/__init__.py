@@ -4,10 +4,9 @@ Turns the experiment registry (:mod:`repro.experiments`) into a
 parallel, resumable, cached grid runner with one result store and one
 executor:
 
-* :mod:`repro.exec.grid` — :class:`Cell` / :class:`Grid`: expand a
-  parameter space (including replicate seeds) into independent,
-  picklable work units; :func:`expand_experiment` shards registered
-  sweep experiments along their declared axis.
+* :mod:`repro.exec.grid` — :class:`Cell`, the independent, picklable
+  work unit; :func:`expand_experiment` shards registered sweep
+  experiments along their declared axis.
 * :mod:`repro.exec.cache` — :func:`cell_key`: the content hash of
   experiment id + normalized kwargs + seed + code version that keys a
   cell's row.
@@ -39,7 +38,7 @@ from repro.exec.engine import (
     run_cells,
     run_experiment_grid,
 )
-from repro.exec.grid import Cell, Grid, expand_experiment
+from repro.exec.grid import Cell, expand_experiment
 from repro.exec.queue import (
     QueueCell,
     QueueWorker,
@@ -53,7 +52,6 @@ __all__ = [
     "Cell",
     "CellOutcome",
     "EngineReport",
-    "Grid",
     "QueueCell",
     "QueueWorker",
     "SqliteQueue",

@@ -1,27 +1,21 @@
-"""Grids and cells: the unit of parallel experiment execution.
+"""Cells: the unit of parallel experiment execution.
 
 A :class:`Cell` is one independent experiment invocation — experiment id,
 keyword arguments, and an optional scheduler seed.  Cells are immutable,
 hashable and picklable; each one keys a row of the cell table, from
 which a queue worker rebuilds it.
 
-A :class:`Grid` is a cartesian parameter space over one experiment: base
-kwargs shared by every cell, named axes (kwarg name -> sequence of
-values), and optional replicate seeds.  ``Grid.cells()`` expands it into
-the cell list in deterministic order (axis insertion order, seeds
-innermost), which is also the merge order downstream.
-
-:func:`expand_experiment` covers the common case of sharding a registered
-sweep experiment (one declaring ``axis=...`` — see
-:func:`repro.experiments.experiment`) into one cell per axis value, so
-``T1-sweep`` fans out across ``k`` and ``TH1`` across ``n``.
+:func:`expand_experiment` shards one experiment call into cells: a
+registered sweep experiment (one declaring ``axis=...`` — see
+:func:`repro.experiments.experiment`) becomes one cell per axis value,
+in axis order (also the merge order downstream), so ``T1-sweep`` fans
+out across ``k`` and ``TH1`` across ``n``.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 
 def _freeze(value: Any) -> Any:
@@ -73,37 +67,6 @@ class Cell:
             parts.append(f"seed={self.seed}")
         suffix = f" [{', '.join(parts)}]" if parts else ""
         return f"{self.experiment_id}{suffix}"
-
-
-@dataclass
-class Grid:
-    """A cartesian parameter space over one experiment."""
-
-    experiment_id: str
-    base: "Dict[str, Any]" = field(default_factory=dict)
-    axes: "Dict[str, Sequence[Any]]" = field(default_factory=dict)
-    seeds: "Optional[Sequence[int]]" = None
-
-    def cells(self) -> "List[Cell]":
-        """Expand to cells, axes in insertion order, seeds innermost."""
-        names = list(self.axes)
-        value_lists = [list(self.axes[name]) for name in names]
-        seeds: "Sequence[Optional[int]]" = (
-            list(self.seeds) if self.seeds else [None]
-        )
-        cells = []
-        for combo in itertools.product(*value_lists):
-            params = dict(self.base)
-            params.update(zip(names, combo))
-            for seed in seeds:
-                cells.append(Cell.make(self.experiment_id, params, seed))
-        return cells
-
-    def __len__(self) -> int:
-        total = 1
-        for values in self.axes.values():
-            total *= len(values)
-        return total * (len(self.seeds) if self.seeds else 1)
 
 
 def expand_experiment(

@@ -22,7 +22,7 @@ hits and drain the rest with ``--jobs`` workers
   detection (:class:`~repro.errors.CellClaimLost`).
 * :mod:`repro.exec.queue.export` — per-experiment merge in enqueue
   order plus ``table|csv|md|latex`` renderers (also backing the
-  ``--export`` flag of local runs) and a pandas bridge.
+  ``--export`` flag of local runs).
 
 The CLI face is ``repro queue create|work|status|reset|export``;
 programmatically, :func:`enqueue_cells` + :meth:`QueueWorker.run` +
@@ -50,7 +50,6 @@ from repro.exec.queue.export import (
     render_export,
     render_latex,
     render_markdown,
-    to_dataframe,
 )
 from repro.exec.queue.sqlite import SqliteQueue
 from repro.exec.queue.worker import (
@@ -81,5 +80,4 @@ __all__ = [
     "render_export",
     "render_latex",
     "render_markdown",
-    "to_dataframe",
 ]

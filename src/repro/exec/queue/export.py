@@ -1,4 +1,4 @@
-"""Result export: one ExperimentResult, four formats (and a DataFrame).
+"""Result export: one ExperimentResult, four formats.
 
 ``table`` is byte-identical to :meth:`ExperimentResult.render` — the
 format every CLI command has always printed — so a drained queue's
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.errors import QueueError
 from repro.exec.queue.backend import CLAIMED, DONE, OPEN
@@ -124,21 +124,6 @@ def render_export(result: "ExperimentResult", fmt: str) -> str:
     raise QueueError(
         f"unknown export format {fmt!r};"
         f" known: {', '.join(EXPORT_FORMATS)}"
-    )
-
-
-def to_dataframe(result: "ExperimentResult") -> Any:
-    """The result as a ``pandas.DataFrame`` (typed error when pandas is
-    not installed — the queue itself never needs it)."""
-    try:
-        import pandas
-    except ImportError:
-        raise QueueError(
-            "exporting to a DataFrame needs pandas, which is not"
-            " installed; use render_csv() and read the CSV instead"
-        ) from None
-    return pandas.DataFrame(
-        list(result.rows), columns=list(result.headers)
     )
 
 

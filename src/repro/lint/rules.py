@@ -16,7 +16,7 @@ discipline (docs/LINTING.md ties each rule to the claim it protects):
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.lint.engine import Finding, ModuleInfo, Rule, register_rule
 
@@ -56,6 +56,21 @@ def attribute_chain(node: ast.AST) -> "List[str]":
     return parts
 
 
+def import_aliases(tree: ast.Module) -> "Dict[str, str]":
+    """Local names bound by ``import <module> as <name>``, to the module.
+
+    Lets a rule see ``rng.choice()`` after ``import random as rng`` as
+    the ``random.choice()`` it is.
+    """
+    return {
+        alias.asname: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.asname
+    }
+
+
 @register_rule
 class UnseededRandomnessRule(Rule):
     """R001: the shared module-level RNG breaks seeded replay."""
@@ -67,6 +82,7 @@ class UnseededRandomnessRule(Rule):
         if not module.in_package_dirs(DETERMINISTIC_DIRS):
             return
         assert module.tree is not None
+        aliases = import_aliases(module.tree)
         for node in ast.walk(module.tree):
             if isinstance(node, ast.ImportFrom) and node.module == "random":
                 for alias in node.names:
@@ -83,7 +99,7 @@ class UnseededRandomnessRule(Rule):
                 if not (
                     isinstance(func, ast.Attribute)
                     and isinstance(func.value, ast.Name)
-                    and func.value.id == "random"
+                    and aliases.get(func.value.id, func.value.id) == "random"
                 ):
                     continue
                 if func.attr == "Random":
@@ -142,7 +158,14 @@ class WallClockRule(Rule):
 
     #: from-import names that smuggle the same reads in.
     FORBIDDEN_IMPORTS = {
-        "time": {"time", "time_ns", "monotonic", "perf_counter"},
+        "time": {
+            "time",
+            "time_ns",
+            "monotonic",
+            "monotonic_ns",
+            "perf_counter",
+            "perf_counter_ns",
+        },
         "os": {"environ", "getenv", "urandom"},
     }
 
@@ -150,9 +173,12 @@ class WallClockRule(Rule):
         if module.in_exempt_dirs(self.EXEMPT):
             return
         assert module.tree is not None
+        aliases = import_aliases(module.tree)
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Attribute):
                 parts = attribute_chain(node)
+                if parts:
+                    parts[0] = aliases.get(parts[0], parts[0])
                 if len(parts) >= 2 and tuple(parts[-2:]) in self.FORBIDDEN:
                     dotted = ".".join(parts[-2:])
                     yield self.finding(

@@ -50,6 +50,7 @@ step counter.
 from __future__ import annotations
 
 import asyncio
+import sys
 from operator import itemgetter
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -639,6 +640,7 @@ def _serve_all(listeners, host: str, announce=print) -> None:
             bound = server.sockets[0].getsockname()
             # repro-lint: disable=R007 one bootstrap line, printed before any traffic
             announce(f"serving {label} on {bound[0]}:{bound[1]}")
+            sys.stdout.flush()  # a supervisor reads this line from a pipe
             servers.append(server)
         await asyncio.gather(*(server.serve_forever() for server in servers))
 

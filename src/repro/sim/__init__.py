@@ -48,7 +48,7 @@ from repro.sim.client import ClientProtocol, ClientRuntime, Context, TaskHandle
 from repro.sim.history import History, HistoryOp
 from repro.sim.failures import CrashPlan
 from repro.sim.chaos import ChaosEnvironment
-from repro.sim.forking import ForkError, fork_kernel, fork_many
+from repro.sim.forking import ForkError, fork_kernel
 from repro.sim.replay import (
     RecordingScheduler,
     ReplayDivergence,
@@ -102,7 +102,6 @@ __all__ = [
     "bottom_tsval",
     "build_system",
     "fork_kernel",
-    "fork_many",
     "render_event_log",
     "render_timeline",
 ]

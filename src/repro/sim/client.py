@@ -153,10 +153,6 @@ class Context:
         return self._runtime.spawn(coroutine, name)
 
     @staticmethod
-    def all_done(handles: "List[TaskHandle]") -> Callable[[], bool]:
-        return lambda: all(h.done for h in handles)
-
-    @staticmethod
     def count_done(handles: "List[TaskHandle]", count: int) -> Callable[[], bool]:
         def enough_done():
             remaining = count

@@ -17,8 +17,7 @@ from repro.sim.ids import ClientId, ServerId
 @dataclass
 class _PredicateCrash:
     predicate: Callable[[object], bool]
-    server_id: Optional[ServerId]
-    client_id: Optional[ClientId]
+    server_id: ServerId
     fired: bool = False
 
 
@@ -50,13 +49,7 @@ class CrashPlan(EventListener):
     def crash_server_when(
         self, predicate: Callable[[object], bool], server_id: ServerId
     ) -> "CrashPlan":
-        self._on_predicate.append(_PredicateCrash(predicate, server_id, None))
-        return self
-
-    def crash_client_when(
-        self, predicate: Callable[[object], bool], client_id: ClientId
-    ) -> "CrashPlan":
-        self._on_predicate.append(_PredicateCrash(predicate, None, client_id))
+        self._on_predicate.append(_PredicateCrash(predicate, server_id))
         return self
 
     # -- wiring --------------------------------------------------------------
@@ -82,7 +75,7 @@ class CrashPlan(EventListener):
         for entry in self._on_predicate:
             if not entry.fired and entry.predicate(self._kernel):
                 entry.fired = True
-                self._fire(entry.server_id, entry.client_id)
+                self._kernel.crash_server(entry.server_id)
 
     def _fire(
         self, server_id: Optional[ServerId], client_id: Optional[ClientId]

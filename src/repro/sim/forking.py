@@ -17,9 +17,7 @@ interesting configurations (end of each Lemma 1 phase) are all forkable.
 from __future__ import annotations
 
 import copy
-from typing import List
 
-from repro.errors import InvalidConfig
 from repro.sim.kernel import Kernel
 
 
@@ -51,11 +49,3 @@ def fork_kernel(kernel: Kernel) -> Kernel:
     """
     assert_forkable(kernel)
     return copy.deepcopy(kernel)
-
-
-def fork_many(kernel: Kernel, count: int) -> "List[Kernel]":
-    """``count`` independent futures of the same configuration."""
-    if count < 1:
-        raise InvalidConfig("count must be at least 1")
-    assert_forkable(kernel)
-    return [copy.deepcopy(kernel) for _ in range(count)]

@@ -111,12 +111,6 @@ class History(EventListener):
     def is_write_only(self) -> bool:
         return not self.reads
 
-    def completed_writes_before(self, time: int) -> "List[HistoryOp]":
-        """Writes whose return happened at or before ``time``."""
-        return [
-            w for w in self.writes if w.complete and w.return_time <= time
-        ]
-
     def __len__(self) -> int:
         return len(self.ops)
 

@@ -136,30 +136,3 @@ class OpId(int):
 
     def __str__(self) -> str:
         return f"op{int(self)}"
-
-
-def as_client_id(value: Any) -> ClientId:
-    """Coerce an ``int`` or :class:`ClientId` to a :class:`ClientId`."""
-    if isinstance(value, ClientId):
-        return value
-    if isinstance(value, int):
-        return ClientId(value)
-    raise TypeError(f"cannot interpret {value!r} as a ClientId")
-
-
-def as_server_id(value: Any) -> ServerId:
-    """Coerce an ``int`` or :class:`ServerId` to a :class:`ServerId`."""
-    if isinstance(value, ServerId):
-        return value
-    if isinstance(value, int):
-        return ServerId(value)
-    raise TypeError(f"cannot interpret {value!r} as a ServerId")
-
-
-def as_object_id(value: Any) -> ObjectId:
-    """Coerce an ``int`` or :class:`ObjectId` to an :class:`ObjectId`."""
-    if isinstance(value, ObjectId):
-        return value
-    if isinstance(value, int):
-        return ObjectId(value)
-    raise TypeError(f"cannot interpret {value!r} as an ObjectId")

@@ -3,9 +3,8 @@
 import pytest
 
 from repro.analysis.baseobject_audit import (
-    assert_base_objects_atomic,
     audit_base_objects,
-    object_projection,
+    object_projections,
     spec_for,
 )
 from repro.consistency.specs import CASSpec, MaxRegisterSpec, RegisterSpec
@@ -39,7 +38,7 @@ class TestProjection:
         client = emu.add_client()
         client.enqueue("write", "x")
         assert emu.system.run_to_quiescence().satisfied
-        projection = object_projection(emu.kernel, ObjectId(0))
+        projection = object_projections(emu.kernel)[ObjectId(0)]
         assert projection, "server 0 saw no operations?"
         for record in projection:
             assert record.invoke_time < (record.return_time or 10**9)
@@ -54,7 +53,8 @@ class TestAudit:
             client.enqueue("write", f"v{index}")
             client.enqueue("read")
         assert emu.system.run_to_quiescence().satisfied
-        assert_base_objects_atomic(emu.kernel, max_ops_per_object=None)
+        verdicts = audit_base_objects(emu.kernel, max_ops_per_object=None)
+        assert all(verdicts.values()), verdicts
 
     def test_ws_register_run_base_objects_atomic(self):
         emu = WSRegisterEmulation(k=1, n=3, f=1, scheduler=RandomScheduler(2))
@@ -63,7 +63,8 @@ class TestAudit:
         writer.enqueue("write", "a")
         reader.enqueue("read")
         assert emu.system.run_to_quiescence().satisfied
-        assert_base_objects_atomic(emu.kernel, max_ops_per_object=None)
+        verdicts = audit_base_objects(emu.kernel, max_ops_per_object=None)
+        assert all(verdicts.values()), verdicts
 
     def test_cas_run_base_objects_atomic(self):
         mreg = SingleCASMaxRegister(initial_value=0, scheduler=RandomScheduler(3))
@@ -72,7 +73,8 @@ class TestAudit:
         clients[1].enqueue("write_max", 8)
         clients[0].enqueue("read_max")
         assert mreg.system.run_to_quiescence().satisfied
-        assert_base_objects_atomic(mreg.kernel, max_ops_per_object=None)
+        verdicts = audit_base_objects(mreg.kernel, max_ops_per_object=None)
+        assert all(verdicts.values()), verdicts
 
     def test_size_cap_skips_large_projections(self):
         emu = ABDEmulation(n=3, f=1, scheduler=RandomScheduler(4))

@@ -43,20 +43,6 @@ class TestResourceMeter:
         assert meter.covered_now == 0
         assert meter.max_covered == 1
 
-    def test_used_per_server(self):
-        system = build_system(
-            2,
-            [(0, "register", None), (1, "register", None)],
-            scheduler=RandomScheduler(0),
-        )
-        meter = ResourceMeter(system.object_map)
-        system.kernel.add_listener(meter)
-        client = system.add_client(ClientId(0), ToyProtocol(ObjectId(1)))
-        client.enqueue("write", 1)
-        system.run_to_quiescence()
-        profile = meter.used_per_server()
-        assert sum(profile.values()) == 1
-
 
 class TestPointContentionMeter:
     def test_sequential_ops_contention_one(self):

@@ -1,8 +1,15 @@
-"""Tests for the consistency-strength classifier."""
+"""The consistency-strength ladder: atomic, MW-Strong, MW-Weak, WS-Safe.
 
-import pytest
+Each history sits at exactly one rung: it satisfies the named condition
+and fails the next stronger one.
+"""
 
-from repro.consistency.mw_regularity import classify_history
+from repro.consistency.mw_regularity import (
+    check_mw_regular_strong,
+    check_mw_regular_weak,
+)
+from repro.consistency.register_atomicity import is_register_history_atomic
+from repro.consistency.ws import check_ws_safe
 from repro.sim.history import History, HistoryOp
 from repro.sim.ids import ClientId
 
@@ -34,7 +41,7 @@ class TestClassification:
                 _op(1, "read", 3, 4, (), "a"),
             ]
         )
-        assert classify_history(history) == "atomic"
+        assert is_register_history_atomic(history)
 
     def test_mw_weak_but_not_strong(self):
         """Concurrent writes; sequential reads disagree on their order:
@@ -48,7 +55,9 @@ class TestClassification:
                 _op(4, "read", 15, 16, (), "a", client=2),
             ]
         )
-        assert classify_history(history) == "mw-weak"
+        assert not is_register_history_atomic(history)
+        assert check_mw_regular_strong(history) != []
+        assert check_mw_regular_weak(history) == []
 
     def test_regular_but_not_atomic(self):
         """A new-old read inversion under a concurrent write: every read
@@ -62,7 +71,8 @@ class TestClassification:
                 _op(3, "read", 6, 7, (), "a", client=1),
             ]
         )
-        assert classify_history(history) == "mw-strong"
+        assert not is_register_history_atomic(history)
+        assert check_mw_regular_strong(history) == []
 
     def test_ws_safe_only(self):
         """A read concurrent with a write returning garbage: WS-Safety
@@ -73,7 +83,9 @@ class TestClassification:
                 _op(1, "read", 2, 9, (), "garbage", client=1),
             ]
         )
-        assert classify_history(history, initial_value="v0") == "ws-safe"
+        assert check_mw_regular_strong(history, initial_value="v0") != []
+        assert check_mw_regular_weak(history, initial_value="v0") != []
+        assert check_ws_safe(history, initial_value="v0") == []
 
     def test_none(self):
         """An isolated read returning garbage violates even WS-Safety."""
@@ -83,7 +95,7 @@ class TestClassification:
                 _op(1, "read", 3, 4, (), "garbage", client=1),
             ]
         )
-        assert classify_history(history, initial_value="v0") == "none"
+        assert check_ws_safe(history, initial_value="v0") != []
 
     def test_strength_order_on_emulations(self):
         from repro.core.abd import ABDEmulation
@@ -94,4 +106,4 @@ class TestClassification:
         a.enqueue("write", "x")
         b.enqueue("read")
         assert emu.system.run_to_quiescence().satisfied
-        assert classify_history(emu.history) == "atomic"
+        assert is_register_history_atomic(emu.history)

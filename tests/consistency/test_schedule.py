@@ -1,17 +1,9 @@
 """Tests for the Appendix A.1 schedule utilities."""
 
-import pytest
-
 from repro.consistency.schedule import (
-    complete,
     is_sequential,
     is_well_formed,
-    ops,
-    pending,
     project_client,
-    project_ops,
-    to_event_sequence,
-    validate_event_sequence,
 )
 from repro.sim.history import History, HistoryOp
 from repro.sim.ids import ClientId
@@ -37,14 +29,6 @@ def _history(entries):
 
 
 class TestProjections:
-    def test_ops_complete_pending(self):
-        history = _history(
-            [_op(0, "write", 1, 2), _op(1, "read", 3, None)]
-        )
-        assert len(ops(history)) == 2
-        assert [o.seq for o in complete(history)] == [0]
-        assert [o.seq for o in pending(history)] == [1]
-
     def test_project_client(self):
         history = _history(
             [
@@ -55,13 +39,6 @@ class TestProjections:
         )
         mine = project_client(history, ClientId(0))
         assert [o.seq for o in mine] == [0, 2]
-
-    def test_project_ops(self):
-        history = _history(
-            [_op(0, "write", 1, 2), _op(1, "read", 3, 4), _op(2, "read", 5, 6)]
-        )
-        subset = project_ops(history, [history.ops[2], history.ops[0]])
-        assert [o.seq for o in subset] == [0, 2]
 
 
 class TestWellFormedness:
@@ -99,38 +76,3 @@ class TestWellFormedness:
             client.enqueue("read")
         assert emu.system.run_to_quiescence().satisfied
         assert is_well_formed(emu.history)
-
-
-class TestEventSequence:
-    def test_round_trip(self):
-        history = _history(
-            [_op(0, "write", 1, 4, client=0), _op(1, "read", 2, 3, client=1)]
-        )
-        events = to_event_sequence(history)
-        kinds = [(e.time, e.kind) for e in events]
-        assert kinds == [
-            (1, "invoke"),
-            (2, "invoke"),
-            (3, "response"),
-            (4, "response"),
-        ]
-        validate_event_sequence(events)
-
-    def test_validation_rejects_double_in_flight(self):
-        from repro.consistency.schedule import ScheduleEvent
-
-        first = _op(0, "write", 1, 5, client=0)
-        second = _op(1, "read", 2, 3, client=0)
-        events = [
-            ScheduleEvent(1, "invoke", first),
-            ScheduleEvent(2, "invoke", second),
-        ]
-        with pytest.raises(AssertionError):
-            validate_event_sequence(events)
-
-    def test_pending_ops_have_no_response_event(self):
-        history = _history([_op(0, "write", 1, None)])
-        events = to_event_sequence(history)
-        assert len(events) == 1
-        assert events[0].kind == "invoke"
-        validate_event_sequence(events)

@@ -1,11 +1,6 @@
 """Tests for WS-Regular / WS-Safe checkers."""
 
-from repro.consistency.ws import (
-    check_ws_regular,
-    check_ws_safe,
-    valid_read_values_ws_regular,
-    valid_read_values_ws_safe,
-)
+from repro.consistency.ws import ReadWindows, check_ws_regular, check_ws_safe
 from repro.sim.history import History, HistoryOp
 from repro.sim.ids import ClientId
 
@@ -155,7 +150,9 @@ class TestAllowedValueSets:
             ]
         )
         read = history.reads[0]
-        assert valid_read_values_ws_safe(history, read) == ["a"]
+        windows = ReadWindows(history)
+        assert not windows.overlapped(read)  # WS-Safety constrains it
+        assert windows.allowed(read) == ["a"]
 
     def test_ws_safe_none_for_concurrent(self):
         history = _history(
@@ -165,7 +162,7 @@ class TestAllowedValueSets:
             ]
         )
         read = history.reads[0]
-        assert valid_read_values_ws_safe(history, read) is None
+        assert ReadWindows(history).overlapped(read)  # WS-Safety: unconstrained
 
     def test_ws_regular_window(self):
         history = _history(
@@ -176,4 +173,4 @@ class TestAllowedValueSets:
             ]
         )
         read = history.reads[0]
-        assert set(valid_read_values_ws_regular(history, read)) == {"a", "b"}
+        assert set(ReadWindows(history).allowed(read)) == {"a", "b"}

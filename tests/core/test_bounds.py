@@ -51,7 +51,6 @@ class TestRegisterBounds:
                 expected = k * (2 * f + 1)
                 assert bounds.register_lower_bound(k, n, f) == expected
                 assert bounds.register_upper_bound(k, n, f) == expected
-                assert bounds.bounds_coincide(k, n, f)
 
     def test_coincide_at_saturation(self):
         """n >= kf+f+1: both bounds equal kf+f+1."""
@@ -167,49 +166,10 @@ class TestLayoutArithmetic:
                 ) == z
 
 
-class TestBudgetInverse:
-    def test_round_trip(self):
-        for n, f in [(5, 2), (7, 2), (9, 4), (13, 3)]:
-            for k in range(1, 12):
-                budget = bounds.register_upper_bound(k, n, f)
-                recovered = bounds.max_writers_within_budget(n, f, budget)
-                assert recovered >= k
-                # And the recovered k really fits.
-                assert (
-                    bounds.register_upper_bound(recovered, n, f) <= budget
-                )
-
-    def test_tightness(self):
-        """One register below the k-writer cost supports at most k-1."""
-        n, f = 7, 2
-        for k in range(2, 10):
-            budget = bounds.register_upper_bound(k, n, f) - 1
-            assert bounds.max_writers_within_budget(n, f, budget) < k
-
-    def test_zero_when_budget_too_small(self):
-        # One writer needs f + (f+1) = 2f+1 registers at best.
-        assert bounds.max_writers_within_budget(7, 2, 4) == 0
-
-    def test_budget_validated(self):
-        with pytest.raises(ValueError):
-            bounds.max_writers_within_budget(5, 2, 0)
-
-    def test_monotone_in_budget(self):
-        values = [
-            bounds.max_writers_within_budget(7, 2, budget)
-            for budget in range(5, 60)
-        ]
-        assert values == sorted(values)
-
-
 class TestOtherTheorems:
     def test_theorem2_k_max_register(self):
         for k in range(1, 10):
             assert bounds.k_max_register_lower_bound(k) == k
-
-    def test_theorem6_per_server(self):
-        assert bounds.per_server_lower_bound(4, 5, 2) == 4
-        assert bounds.per_server_lower_bound(4, 6, 2) == 0
 
     def test_theorem7_bounded_storage(self):
         # ceil(kf/m) + f + 1

@@ -115,10 +115,6 @@ class TestLayoutProperties:
 
     def test_quorum_sizes(self):
         layout = RegisterLayout(3, 7, 2)
-        for set_index in range(len(layout.sets)):
-            assert layout.write_quorum_size(set_index) == (
-                len(layout.sets[set_index]) - 2
-            )
         assert layout.read_quorum_servers() == 5
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import bounds
-from repro.core.layout_opt import capacitated_layout, capacity_frontier
+from repro.core.layout_opt import capacitated_layout
 
 
 class TestCapacitatedLayout:
@@ -60,16 +60,3 @@ class TestCapacitatedLayout:
             capacitated_layout(1, 0, 1)
         with pytest.raises(ValueError):
             capacitated_layout(1, 1, 0)
-
-
-class TestCapacityFrontier:
-    def test_monotone_in_capacity(self):
-        plans = capacity_frontier(6, 2, [1, 2, 3, 6, 12])
-        servers = [plan.servers for plan in plans]
-        assert servers == sorted(servers, reverse=True)
-
-    def test_frontier_matches_direct_calls(self):
-        plans = capacity_frontier(4, 1, [2, 4])
-        for plan in plans:
-            direct = capacitated_layout(4, 1, plan.capacity)
-            assert direct.servers == plan.servers

@@ -1,10 +1,10 @@
-"""Grid/Cell expansion semantics."""
+"""Cell and expand_experiment semantics."""
 
 import pickle
 
 import pytest
 
-from repro.exec.grid import Cell, Grid, expand_experiment
+from repro.exec.grid import Cell, expand_experiment
 
 
 class TestCell:
@@ -25,26 +25,6 @@ class TestCell:
     def test_describe(self):
         assert Cell.make("T1", {}, seed=3).describe() == "T1 [seed=3]"
         assert Cell.make("T1").describe() == "T1"
-
-
-class TestGrid:
-    def test_cartesian_expansion_order(self):
-        grid = Grid("T1", base={"f": 1}, axes={"k": [1, 2], "n": [3, 4]})
-        cells = grid.cells()
-        assert len(cells) == len(grid) == 4
-        combos = [(c.kwargs["k"], c.kwargs["n"]) for c in cells]
-        assert combos == [(1, 3), (1, 4), (2, 3), (2, 4)]
-        assert all(c.kwargs["f"] == 1 for c in cells)
-
-    def test_replicate_seeds_innermost(self):
-        grid = Grid("T1", axes={"k": [1, 2]}, seeds=[10, 11])
-        cells = grid.cells()
-        assert [(c.kwargs["k"], c.seed) for c in cells] == [
-            (1, 10),
-            (1, 11),
-            (2, 10),
-            (2, 11),
-        ]
 
 
 class TestExpandExperiment:

@@ -14,7 +14,6 @@ from repro.exec.queue import (
     render_export,
     render_latex,
     render_markdown,
-    to_dataframe,
 )
 from repro.experiments import ExperimentResult, run_experiment
 
@@ -77,17 +76,6 @@ class TestFormats:
     def test_unknown_format_is_typed(self, result):
         with pytest.raises(QueueError):
             render_export(result, "yaml")
-
-    def test_dataframe_needs_pandas(self, result):
-        try:
-            import pandas  # noqa: F401
-        except ImportError:
-            with pytest.raises(QueueError) as info:
-                to_dataframe(result)
-            assert "pandas" in str(info.value)
-        else:  # pragma: no cover — environment-dependent
-            frame = to_dataframe(result)
-            assert list(frame.columns) == [str(h) for h in result.headers]
 
 
 class TestQueueExport:

@@ -168,11 +168,14 @@ class TestLoadgenCLI:
         assert "asyncio" in captured.err and "spawn" in captured.err
         assert "blackholed" not in captured.out + captured.err
 
-    def test_spawn_gauntlet_one_shard(self, tmp_path, capsys):
+    def test_spawn_gauntlet_one_shard(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main
 
         # One `repro serve` process per replica, real sockets, SIGKILL
-        # and restart on the old ports, all mid-traffic.
+        # and restart on the old ports, all mid-traffic.  The serve
+        # processes' stdout is a block-buffered pipe: each must flush its
+        # announcement itself.
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
         out = tmp_path / "spawn.json"
         code = main(
             [
@@ -251,3 +254,45 @@ class TestLoadgenCLI:
         assert code == exit_code
         assert len(started) == spawned
         assert all(proc.terminated for proc in started)
+
+    @pytest.mark.parametrize(
+        "script, error",
+        [
+            ("exec sleep 60", "TransportUnavailable"),
+            ("echo not an announcement; exit 3", "QuorumUnavailable"),
+        ],
+        ids=["never-announces", "exits-early"],
+    )
+    def test_spawn_without_announcement_kills_the_child(
+        self, tmp_path, monkeypatch, script, error
+    ):
+        import subprocess
+        import sys
+        import types
+
+        import repro.cli
+        import repro.errors
+
+        # A stand-in interpreter that never announces a listener.
+        stub = tmp_path / "python"
+        stub.write_text(f"#!/bin/sh\n{script}\n")
+        stub.chmod(0o755)
+        monkeypatch.setattr(sys, "executable", str(stub))
+        monkeypatch.setattr(repro.cli, "SPAWN_ANNOUNCE_DEADLINE_S", 0.5)
+        spawned = []
+        popen = subprocess.Popen
+
+        def recording_popen(*args, **kwargs):
+            spawned.append(popen(*args, **kwargs))
+            return spawned[-1]
+
+        monkeypatch.setattr(subprocess, "Popen", recording_popen)
+        args = types.SimpleNamespace(
+            shards=1, substrate="max-register", n=3, f=1, k=4, capacity=16
+        )
+        started = time.monotonic()
+        with pytest.raises(getattr(repro.errors, error)):
+            repro.cli._spawn_shard_node(args, 0)
+        assert time.monotonic() - started < 10
+        (proc,) = spawned
+        assert proc.poll() is not None

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.analysis.baseobject_audit import assert_base_objects_atomic
+from repro.analysis.baseobject_audit import audit_base_objects
 from repro.analysis.invariants import (
     MonotoneTimestampInvariant,
     WriterCoverInvariant,
@@ -64,7 +64,8 @@ class TestAlgorithm2Soak:
                 ).satisfied
         assert check_ws_regular(emu.history, cross_check=True) == []
         # Substrate self-audit on the smaller per-object projections.
-        assert_base_objects_atomic(emu.kernel, max_ops_per_object=20)
+        verdicts = audit_base_objects(emu.kernel, max_ops_per_object=20)
+        assert all(verdicts.values()), verdicts
 
 
 class TestABDSoak:

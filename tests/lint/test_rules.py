@@ -42,6 +42,19 @@ class TestR001:
         )
         assert rules_fired(result) == ["R001"]
         assert "shared" in result.active[0].message
+        # The same shared RNG under an alias.
+        result = lint_source(
+            tmp_path,
+            """
+            import random as rng
+
+            def pick(items):
+                return rng.choice(items)
+            """,
+            "R001",
+            name="aliased.py",
+        )
+        assert rules_fired(result) == ["R001"]
 
     def test_seedless_random_instance_fires(self, tmp_path):
         result = lint_source(
@@ -166,6 +179,19 @@ class TestR002:
             "R002",
         )
         assert rules_fired(result) == ["R002"]
+        # The same clock under an alias.
+        result = lint_source(
+            tmp_path,
+            """
+            import time as clock
+
+            def stamp():
+                return clock.monotonic()
+            """,
+            "R002",
+            name="aliased.py",
+        )
+        assert rules_fired(result) == ["R002"]
 
     def test_os_environ_fires(self, tmp_path):
         result = lint_source(
@@ -188,6 +214,15 @@ class TestR002:
             "R002",
         )
         assert rules_fired(result) == ["R002"]
+        result = lint_source(
+            tmp_path,
+            """
+            from time import perf_counter_ns, monotonic_ns
+            """,
+            "R002",
+            name="nanoseconds.py",
+        )
+        assert rules_fired(result) == ["R002", "R002"]
 
     def test_exec_package_is_exempt(self, tmp_path):
         result = lint_source(

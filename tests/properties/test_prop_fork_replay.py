@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ws_register import WSRegisterEmulation
-from repro.sim.forking import fork_many
+from repro.sim.forking import fork_kernel
 from repro.sim.ids import ClientId
 from repro.sim.replay import RecordingScheduler, ReplayScheduler
 from repro.sim.scheduling import RandomScheduler
@@ -43,7 +43,7 @@ def test_fork_then_replay_matches(prefix_seed, branch_seed):
     writer0.enqueue("write", "prefix")
     assert emu.system.run_to_quiescence(max_steps=500_000).satisfied
 
-    branch_a, branch_b = fork_many(emu.kernel, 2)
+    branch_a, branch_b = fork_kernel(emu.kernel), fork_kernel(emu.kernel)
 
     # Drive branch A under a fresh recorded random schedule.
     recorder = RecordingScheduler(RandomScheduler(branch_seed))

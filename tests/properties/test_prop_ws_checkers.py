@@ -13,11 +13,7 @@ from hypothesis import strategies as st
 from repro.consistency.linearizability import is_linearizable
 from repro.consistency.register_atomicity import is_register_history_atomic
 from repro.consistency.specs import RegisterSpec
-from repro.consistency.ws import (
-    check_ws_regular,
-    check_ws_safe,
-    valid_read_values_ws_regular,
-)
+from repro.consistency.ws import ReadWindows, check_ws_regular, check_ws_safe
 from repro.sim.history import History, HistoryOp
 from repro.sim.ids import ClientId
 
@@ -112,12 +108,11 @@ def test_fast_atomicity_agrees_with_search(history):
 def test_regular_window_values_accepted_by_search(history):
     """Every value the fast window allows is indeed linearizable."""
     writes = history.writes
+    windows = ReadWindows(history, initial_value="v0")
     for read in history.reads:
         if not read.complete:
             continue
-        for value in valid_read_values_ws_regular(
-            history, read, initial_value="v0"
-        ):
+        for value in windows.allowed(read):
             candidate = HistoryOp(
                 seq=read.seq,
                 client_id=read.client_id,

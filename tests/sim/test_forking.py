@@ -6,7 +6,7 @@ from tests.conftest import ToyProtocol
 
 from repro.core.lemma1 import Lemma1Runner
 from repro.core.ws_register import WSRegisterEmulation
-from repro.sim.forking import ForkError, assert_forkable, fork_kernel, fork_many
+from repro.sim.forking import ForkError, assert_forkable, fork_kernel
 from repro.sim.ids import ClientId, ObjectId, ServerId
 from repro.sim.kernel import Environment
 from repro.sim.scheduling import RandomScheduler
@@ -25,11 +25,6 @@ class TestForkability:
         system.kernel.force_client_step(ClientId(0))  # now mid-operation
         with pytest.raises(ForkError):
             fork_kernel(system.kernel)
-
-    def test_fork_many_validates_count(self):
-        system = build_system(1, [(0, "register", None)])
-        with pytest.raises(ValueError):
-            fork_many(system.kernel, 0)
 
 
 class TestIndependence:
@@ -61,7 +56,7 @@ class TestIndependence:
         pending_before = len(kernel.pending)
         assert pending_before >= f
 
-        branch_a, branch_b = fork_many(kernel, 2)
+        branch_a, branch_b = fork_kernel(kernel), fork_kernel(kernel)
         for branch in (branch_a, branch_b):
             branch.environment = Environment()  # lift the adversary
 
@@ -86,7 +81,7 @@ class TestIndependence:
         writer0.enqueue("write", "base")
         assert emu.system.run_to_quiescence().satisfied
 
-        branch_a, branch_b = fork_many(emu.kernel, 2)
+        branch_a, branch_b = fork_kernel(emu.kernel), fork_kernel(emu.kernel)
         # Branch A: read immediately.
         reader_a = branch_a.clients[reader.client_id]
         reader_a.enqueue("read")

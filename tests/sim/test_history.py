@@ -82,13 +82,6 @@ class TestQueries:
         history = _history([_op(0, "write", 1, 2)])
         assert history.is_write_only()
 
-    def test_completed_writes_before(self):
-        history = _history(
-            [_op(0, "write", 1, 2), _op(1, "write", 3, 10)]
-        )
-        assert len(history.completed_writes_before(5)) == 1
-        assert len(history.completed_writes_before(10)) == 2
-
     def test_len(self):
         history = _history([_op(0, "write", 1, 2), _op(1, "read", 3, 4)])
         assert len(history) == 2

@@ -1,16 +1,6 @@
 """Tests for typed identifiers."""
 
-import pytest
-
-from repro.sim.ids import (
-    ClientId,
-    ObjectId,
-    OpId,
-    ServerId,
-    as_client_id,
-    as_object_id,
-    as_server_id,
-)
+from repro.sim.ids import ClientId, ObjectId, OpId, ServerId
 
 
 class TestIdentity:
@@ -41,22 +31,3 @@ class TestIdentity:
         assert str(ServerId(2)) == "s2"
         assert str(ObjectId(7)) == "b7"
         assert str(OpId(9)) == "op9"
-
-
-class TestCoercions:
-    def test_from_int(self):
-        assert as_client_id(5) == ClientId(5)
-        assert as_server_id(5) == ServerId(5)
-        assert as_object_id(5) == ObjectId(5)
-
-    def test_identity_passthrough(self):
-        cid = ClientId(2)
-        assert as_client_id(cid) is cid
-
-    def test_rejects_wrong_type(self):
-        with pytest.raises(TypeError):
-            as_client_id("c1")
-        with pytest.raises(TypeError):
-            as_server_id(ServerId)
-        with pytest.raises(TypeError):
-            as_object_id(1.5)

@@ -104,8 +104,6 @@ class TestContextHelpers:
     def test_all_done_and_count_done(self):
         done = TaskHandle("a", done=True)
         pending = TaskHandle("b", done=False)
-        assert Context.all_done([done])()
-        assert not Context.all_done([done, pending])()
         assert Context.count_done([done, pending], 1)()
         assert not Context.count_done([done, pending], 2)()
 

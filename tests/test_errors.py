@@ -473,12 +473,6 @@ def _spawn_outside_operation():
     _runtime().spawn(iter(()), "orphan")
 
 
-def _fork_none():
-    from repro.sim.forking import fork_many
-
-    fork_many(_kernel(), 0)
-
-
 def _unknown_action_descriptor():
     from repro.sim.replay import materialize
 
@@ -557,7 +551,6 @@ class TestSimulationRaiseSites:
         (_step_crashed_client, ModelViolation, RuntimeError),
         (_step_without_runnable_task, ModelViolation, RuntimeError),
         (_spawn_outside_operation, ModelViolation, RuntimeError),
-        (_fork_none, InvalidConfig, ValueError),
         (_unknown_action_descriptor, InvalidConfig, ValueError),
         (_unknown_trace_kind, InvalidConfig, ValueError),
         (_max_of_no_tsvals, InvalidConfig, ValueError),

@@ -17,7 +17,6 @@ class TestTopLevelSurface:
         "EmulationSpec",
         "ExperimentResult",
         "FTMaxRegister",
-        "Grid",
         "Lemma1Runner",
         "MultiRegisterDeployment",
         "RegisterLayout",
@@ -74,6 +73,84 @@ class TestTopLevelSurface:
                 assert getattr(module, name) is not None, (
                     f"{module.__name__}.{name} missing"
                 )
+
+
+class TestExportCensus:
+    """Every name a ``repro.*`` package exports has a shipped caller: it
+    is loaded or imported somewhere in ``src/`` (outside ``__init__.py``),
+    ``examples/``, ``scripts/`` or ``benchmarks/``.  A name only tests
+    reach is a deletion candidate; the exceptions are the instruments
+    tests drive runs with, kept on purpose, each with its reason."""
+
+    KEPT = {
+        "FTMaxRegister": "reached by registry name",
+        "ChaosEnvironment": "seeded respond-delay environment of the chaos tests",
+        "chaos_faults": "drop/duplicate/reorder fault-plan preset of the lossy tests",
+        "CrashPlan": "step- and predicate-triggered crashes for fault tests",
+        "ClientPriorityScheduler": "drives emulations straight to their wait points",
+        "RecordingScheduler": "records a schedule for the replay tests",
+        "ReplayScheduler": "replays a recorded schedule in the replay tests",
+        "fork_kernel": "branches a run, as the lower-bound proofs do",
+        "MonotoneTimestampInvariant": "runtime invariant monitor of the soak tests",
+        "QuorumResponseInvariant": "runtime invariant monitor of the soak tests",
+        "WriterCoverInvariant": "runtime invariant monitor of the soak tests",
+        "concurrent_workload": "concurrent writes for the wait-freedom tests",
+    }
+
+    @staticmethod
+    def _shipped_uses():
+        import ast
+        import pathlib
+
+        root = pathlib.Path(__file__).resolve().parents[1]
+        files = [
+            path
+            for path in (root / "src" / "repro").rglob("*.py")
+            if path.name != "__init__.py"
+        ]
+        for directory in ("examples", "scripts", "benchmarks"):
+            files.extend((root / directory).rglob("*.py"))
+        used = set()
+        for path in files:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(
+                    node.ctx, ast.Load
+                ):
+                    used.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    used.update(alias.name for alias in node.names)
+        return used
+
+    @staticmethod
+    def _exports():
+        """``{name: [package, ...]}`` over every ``repro.*`` ``__all__``."""
+        import importlib
+        import pathlib
+
+        package = pathlib.Path(repro.__file__).parent
+        exports = {}
+        for init in sorted(package.rglob("__init__.py")):
+            parts = init.relative_to(package.parent).parent.parts
+            module = importlib.import_module(".".join(parts))
+            for name in module.__all__:
+                exports.setdefault(name, []).append(module.__name__)
+        return exports
+
+    def test_every_export_has_a_shipped_caller(self):
+        used = self._shipped_uses()
+        unused = sorted(
+            f"{package}.{name}"
+            for name, packages in self._exports().items()
+            if name not in used and name not in self.KEPT
+            for package in packages
+        )
+        assert not unused, unused
+
+    def test_kept_names_are_exported_and_still_unused(self):
+        assert set(self.KEPT) <= set(self._exports())
+        assert not self._shipped_uses() & set(self.KEPT)
 
 
 class TestKnobCensus:
