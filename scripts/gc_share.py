@@ -15,8 +15,11 @@ flagged.
 
 Output is one JSON line: the workload, seed and epochs, the worker's
 wall seconds, per generation the automatic collections and their
-seconds, and the explicit calls and their seconds.  The counts depend
-on the host only through the run's length; the seconds are this host's.
+seconds, the explicit calls and their seconds, and the process's peak
+resident set (``peak_rss_mb``, ``ru_maxrss`` as the harness reads it),
+so one command shows both what the collector costs and the footprint
+it works on.  The counts depend on the host only through the run's
+length; the seconds are this host's.
 
 Usage (the harness package puts this checkout's ``src`` first on
 ``sys.path``)::
@@ -27,6 +30,7 @@ Usage (the harness package puts this checkout's ``src`` first on
 import argparse
 import gc
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -109,6 +113,9 @@ def measure(workload: str, seed: int, epochs: int) -> dict:
         "auto_total_s": round(sum(clock.auto_s), 4),
         "explicit_collects": clock.explicit_count,
         "explicit_s": round(clock.explicit_s, 4),
+        "peak_rss_mb": round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1
+        ),
     }
 
 

@@ -22,14 +22,12 @@ from repro.sim.events import (
     TriggerEvent,
 )
 from repro.sim.ids import ObjectId
-from repro.sim.server import ObjectMap
 
 
 class ResourceMeter(EventListener):
     """Counts base objects used and covered in a run."""
 
-    def __init__(self, object_map: ObjectMap):
-        self.object_map = object_map
+    def __init__(self) -> None:
         self.used: "Set[ObjectId]" = set()
         self._pending_mutators: "Dict[ObjectId, int]" = {}
         self.max_covered = 0

@@ -144,8 +144,9 @@ class Deployment:
             history=History(write_name=self.WRITE, read_name=self.READ),
         )
         self.kernel = self.system.kernel
-        # A deployment is an analysis object: verify_run, the lower-bound
-        # constructions and the substrate audit read every op of its run.
+        # A deployment is an analysis object: its kernel keeps each base
+        # object's ops while it has at most RECORDED_OPS_PER_OBJECT, the
+        # projections the substrate audit (verify_run's too) reads.
         self.kernel.ops.record()
         self.history: History = self.system.history
         self.object_map = self.system.object_map

@@ -355,8 +355,9 @@ class MultiRegisterDeployment(SlotFleet):
         super().__init__(
             "register", m, k, n, f, initial_value, scheduler, environment
         )
-        # An analysis object, like a Deployment: its run's ops are read
-        # back afterwards (a KV service fleet keeps only pending ops).
+        # An analysis object, like a Deployment: it keeps each base
+        # object's ops up to RECORDED_OPS_PER_OBJECT for the substrate
+        # audit (a KV service fleet keeps only pending ops).
         self.kernel.ops.record()
 
     def register(self, index: int) -> Slot:

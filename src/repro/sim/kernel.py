@@ -29,10 +29,14 @@ step a kernel through it one action at a time, and
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from heapq import merge
+from operator import attrgetter
+from typing import Any, Callable, DefaultDict, Dict, Iterator, List, Optional
 
 from repro.errors import InvalidConfig, ModelViolation
 from repro.sim.client import (
@@ -159,6 +163,18 @@ class Environment:
         return False
 
 
+#: A recording log keeps a base object's ops while it has at most this
+#: many.  The substrate audit reads a projection ``r|b`` only up to its
+#: cap (:data:`repro.analysis.baseobject_audit.MAX_AUDITED_OPS`, well
+#: below this), so past the limit the log drops that object's ops and
+#: counts its triggers only: a long run's log stays bounded by
+#: ``objects * RECORDED_OPS_PER_OBJECT``.
+RECORDED_OPS_PER_OBJECT = 512
+
+_op_id = attrgetter("op_id")
+_Projections = DefaultDict[int, Optional[List[LowLevelOp]]]
+
+
 class OpLog(Mapping):
     """The low-level operations a kernel triggered, keyed by op id.
 
@@ -169,56 +185,87 @@ class OpLog(Mapping):
     (``Kernel.pending``) and a finished op is freed as soon as its
     client is done with it.
 
-    A recording log is a read-only ``Mapping[OpId, LowLevelOp]`` over a
-    list (an op's id is its list index).  Iteration, ``keys()``,
-    ``values()`` and ``items()`` run in op-id order.  Any key that is not
-    a triggered op id (unknown, negative, not an ``int``) raises
-    ``KeyError``, as a dict would.  On a log that does not record, every
-    lookup and iteration raises ``ModelViolation``: an empty answer
+    A recording log keeps each base object's projection ``r|b`` (its ops
+    in id order, :meth:`projection`) while it has at most
+    :data:`RECORDED_OPS_PER_OBJECT` ops; one more trigger drops that
+    object's ops for the rest of the run.  While nothing was dropped the
+    log is a read-only ``Mapping[OpId, LowLevelOp]``: iteration,
+    ``keys()``, ``values()`` and ``items()`` run in op-id order, and any
+    key that is not a triggered op id (unknown, negative, not an
+    ``int``) raises ``KeyError``, as a dict would.  On a log that does
+    not record, or that dropped any object's ops, every lookup and
+    iteration raises ``ModelViolation``: an empty or partial answer
     would let an audit over it pass vacuously.
     """
 
-    __slots__ = ("_ops", "_count")
+    __slots__ = ("_projections", "_count")
 
     def __init__(self) -> None:
-        #: the triggered ops in id order, or None while not recording
-        self._ops: "Optional[List[LowLevelOp]]" = None
+        #: object index -> its triggered ops in id order (None once
+        #: dropped: the trigger hook tells the two apart with one identity
+        #: test), or None while not recording.  Keyed by the plain int,
+        #: which hashes in C, not by the ObjectId, whose ``__hash__`` is a
+        #: Python call on every trigger (3% of ``kernel_ws_medium``'s
+        #: ``unloaded_ms``).
+        self._projections: "Optional[_Projections]" = None
         self._count = 0
 
     def record(self) -> None:
-        """Keep every op the kernel triggers: the whole run, so it is
-        refused once anything was triggered."""
+        """Keep the ops the kernel triggers (per object, up to
+        :data:`RECORDED_OPS_PER_OBJECT`): the run from its start, so it
+        is refused once anything was triggered."""
         if self._count:
             raise ModelViolation(
                 "OpLog.record after operations were triggered; recording"
                 " must start before the run does"
             )
-        self._ops = []
+        self._projections = defaultdict(list)
 
     @property
     def recording(self) -> bool:
-        return self._ops is not None
+        return self._projections is not None
 
-    def _recorded(self) -> "List[LowLevelOp]":
-        ops = self._ops
-        if ops is None:
+    def _recorded(self) -> "_Projections":
+        projections = self._projections
+        if projections is None:
             raise ModelViolation(
                 "this kernel's op log does not record: it keeps only the"
                 " pending ops (call kernel.ops.record() before the run)"
             )
-        return ops
+        return projections
+
+    def projection(self, object_id: ObjectId) -> "Optional[List[LowLevelOp]]":
+        """The ops triggered on ``object_id`` in op-id order (a copy), or
+        None once there were more than :data:`RECORDED_OPS_PER_OBJECT`
+        and the log dropped them.  Raises ``ModelViolation`` on a log
+        that does not record."""
+        ops = self._recorded().get(object_id.index, ())
+        return None if ops is None else list(ops)
+
+    def _whole(self) -> "List[List[LowLevelOp]]":
+        """Every projection, refused unless the log kept every op."""
+        projections = self._recorded()
+        dropped = [index for index, ops in projections.items() if ops is None]
+        if dropped:
+            raise ModelViolation(
+                f"this kernel's op log dropped the ops of {ObjectId(dropped[0])}"
+                f" after its first {RECORDED_OPS_PER_OBJECT}"
+                f" ({len(dropped)} object(s) dropped): it no longer holds"
+                " the whole run"
+            )
+        return list(projections.values())
 
     def __getitem__(self, op_id: Any) -> LowLevelOp:
-        ops = self._recorded()
-        if isinstance(op_id, int) and op_id >= 0:
-            try:
-                return ops[op_id]
-            except IndexError:
-                pass
+        projections = self._whole()
+        if isinstance(op_id, int) and 0 <= op_id < self._count:
+            for ops in projections:
+                index = bisect_left(ops, op_id, key=_op_id)
+                if index < len(ops) and ops[index].op_id == op_id:
+                    return ops[index]
         raise KeyError(op_id)
 
     def __iter__(self) -> "Iterator[OpId]":
-        return (op.op_id for op in self._recorded())
+        return (op.op_id for op in merge(*self._whole(), key=_op_id))
 
     def __len__(self) -> int:
         return self._count
@@ -495,8 +542,14 @@ class Kernel:
             highlevel_seq,
         )
         op.obj = obj  # cache the kernel-local object for the respond step
-        if log._ops is not None:
-            log._ops.append(op)
+        projections = log._projections
+        if projections is not None:
+            index = object_id.index
+            kept = projections[index]
+            if kept is not None:
+                kept.append(op)
+                if len(kept) > RECORDED_OPS_PER_OBJECT:
+                    projections[index] = None  # drop, free its ops
         self.pending[op_id] = op
         # The request leg belongs to the transport: the op becomes
         # respondable when (and if) the transport delivers it via

@@ -9,7 +9,8 @@
    ``"max-register-atomic"`` (the keys of
    :data:`repro.consistency.conditions.CONDITIONS`, re-exported here).
 3. **Substrate self-audit** — every base object's low-level projection is
-   linearizable (skippable; capped by projection size).
+   linearizable (skippable; capped by projection size, and ``details()``
+   says how many objects were checked and how many were over the cap).
 
 Returns a :class:`VerificationReport`; ``report.ok`` is the single bit,
 ``report.details()`` the human-readable summary.  The examples and the
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.analysis.baseobject_audit import audit_base_objects
+from repro.analysis.baseobject_audit import MAX_AUDITED_OPS, audit_base_objects
 from repro.consistency.conditions import CONDITIONS
 from repro.consistency.schedule import is_well_formed
 from repro.errors import InvalidConfig
@@ -35,6 +36,9 @@ class VerificationReport:
     condition: str
     checks: "Dict[str, bool]" = field(default_factory=dict)
     violations: "List[str]" = field(default_factory=list)
+    #: a check's scope, printed after its name (the substrate audit's
+    #: checked and skipped object counts)
+    notes: "Dict[str, str]" = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -43,7 +47,8 @@ class VerificationReport:
     def details(self) -> str:
         lines = [f"verification against {self.condition!r}:"]
         for name, passed in self.checks.items():
-            lines.append(f"  {'PASS' if passed else 'FAIL'}  {name}")
+            note = f" ({self.notes[name]})" if name in self.notes else ""
+            lines.append(f"  {'PASS' if passed else 'FAIL'}  {name}{note}")
         for violation in self.violations:
             lines.append(f"    - {violation}")
         return "\n".join(lines)
@@ -54,7 +59,7 @@ def verify_run(
     condition: str = "ws-regular",
     initial_value: Any = None,
     audit_substrate: bool = True,
-    max_ops_per_object: "Optional[int]" = 30,
+    max_ops_per_object: "Optional[int]" = MAX_AUDITED_OPS,
 ) -> VerificationReport:
     """Run all applicable checks over a finished emulation run."""
     if condition not in CONDITIONS:
@@ -77,6 +82,11 @@ def verify_run(
         )
         bad = [str(oid) for oid, passed in verdicts.items() if not passed]
         report.checks["base objects atomic"] = not bad
+        skipped = len(verdicts.skipped)
+        note = f"{len(verdicts) - skipped} checked"
+        if max_ops_per_object is not None:
+            note += f", {skipped} over the {max_ops_per_object}-op cap"
+        report.notes["base objects atomic"] = note
         report.violations.extend(
             f"non-linearizable base object {oid}" for oid in bad
         )

@@ -73,7 +73,7 @@ def run_workload(
     kernel = emulation.kernel
     if crash_plan is not None:
         crash_plan.install(kernel)
-    resource = ResourceMeter(emulation.object_map)
+    resource = ResourceMeter()
     contention = PointContentionMeter()
     steps = StepMeter()
     meters = (resource, contention, steps)

@@ -1,8 +1,11 @@
 """Tests for the base-object atomicity self-audit."""
 
+import inspect
+
 import pytest
 
 from repro.analysis.baseobject_audit import (
+    MAX_AUDITED_OPS,
     audit_base_objects,
     object_projections,
     spec_for,
@@ -12,8 +15,10 @@ from repro.core.abd import ABDEmulation
 from repro.core.cas_maxreg import SingleCASMaxRegister
 from repro.core.ws_register import WSRegisterEmulation
 from repro.sim.ids import ClientId, ObjectId
+from repro.sim.kernel import RECORDED_OPS_PER_OBJECT
 from repro.sim.objects import AtomicRegister, CASObject, MaxRegister
 from repro.sim.scheduling import RandomScheduler
+from repro.verify import verify_run
 
 
 class TestSpecSelection:
@@ -84,6 +89,12 @@ class TestAudit:
         assert emu.system.run_to_quiescence().satisfied
         verdicts = audit_base_objects(emu.kernel, max_ops_per_object=1)
         assert all(verdicts.values())  # skipped, reported as unchecked-OK
+        assert verdicts.skipped == [
+            oid
+            for oid in emu.object_map.object_ids
+            if len(emu.kernel.ops.projection(oid)) > 1
+        ]
+        assert verdicts.skipped, "no projection over the cap of 1?"
 
     def test_detects_corrupted_projection(self):
         """Tamper with a recorded result: the audit must notice."""
@@ -102,3 +113,15 @@ class TestAudit:
                 break
         verdicts = audit_base_objects(emu.kernel, max_ops_per_object=None)
         assert not all(verdicts.values())
+
+
+class TestDefaultCap:
+    def test_verify_run_and_the_audit_share_one_default_cap(self):
+        for function in (audit_base_objects, verify_run):
+            default = inspect.signature(function).parameters[
+                "max_ops_per_object"
+            ].default
+            assert default == MAX_AUDITED_OPS == 40
+
+    def test_the_default_cap_reads_only_projections_the_log_keeps(self):
+        assert MAX_AUDITED_OPS <= RECORDED_OPS_PER_OBJECT

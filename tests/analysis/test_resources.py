@@ -20,7 +20,7 @@ def _system(n_objects=3, seed=0):
 class TestResourceMeter:
     def test_counts_distinct_objects_used(self):
         system = _system(3)
-        meter = ResourceMeter(system.object_map)
+        meter = ResourceMeter()
         system.kernel.add_listener(meter)
         c0 = system.add_client(ClientId(0), ToyProtocol(ObjectId(0)))
         c1 = system.add_client(ClientId(1), ToyProtocol(ObjectId(1)))
@@ -32,7 +32,7 @@ class TestResourceMeter:
 
     def test_covered_now_tracks_pending_mutators(self):
         system = _system(1)
-        meter = ResourceMeter(system.object_map)
+        meter = ResourceMeter()
         system.kernel.add_listener(meter)
         client = system.add_client(ClientId(0), ToyProtocol(ObjectId(0)))
         client.enqueue("write", 1)

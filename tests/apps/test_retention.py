@@ -4,7 +4,9 @@ A ``ShardFleet`` (and so ``ShardedKVService``) does not record its op
 log: once the network is drained, the only ``LowLevelOp`` objects left
 alive are the kernel's pending ones, on every transport, however long
 the run.  The op ids stay the dense trigger count.  A ``Deployment`` is
-an analysis object and still records its whole run.
+an analysis object: it keeps each base object's ops only while the
+object has at most ``RECORDED_OPS_PER_OBJECT`` of them, which is all the
+substrate audit reads, so its live ops are bounded too.
 """
 
 import gc
@@ -12,9 +14,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.analysis.baseobject_audit import audit_base_objects
+from repro.analysis.baseobject_audit import MAX_AUDITED_OPS, audit_base_objects
 from repro.apps.shard import ShardedKVService, ShardServiceConfig
 from repro.core.emulation import EmulationSpec
+from repro.core.ws_register import WSRegisterEmulation
 from repro.errors import ModelViolation
 from repro.net.asyncio_transport import AsyncioTransport
 from repro.net.faults import (
@@ -30,7 +33,9 @@ from repro.net.lossy import LossyTransport
 from repro.sim.events import EventListener
 from repro.sim.forking import fork_kernel
 from repro.sim.ids import ClientId, ObjectId, OpId
+from repro.sim.kernel import RECORDED_OPS_PER_OBJECT
 from repro.sim.objects import LowLevelOp, OpKind
+from repro.sim.scheduling import RandomScheduler
 from repro.verify import verify_run
 
 KV_OPS = 2400
@@ -108,6 +113,38 @@ def test_a_kv_fleet_keeps_only_its_pending_ops(kind):
         assert all(service.audit().values())
     finally:
         service.close()
+
+
+def test_a_deployment_keeps_each_objects_ops_only_up_to_the_limit():
+    emulation = WSRegisterEmulation(5, 6, 2, scheduler=RandomScheduler(9))
+    kernel = emulation.kernel
+    writers = [emulation.add_writer(index) for index in range(5)]
+    readers = [emulation.add_reader() for _ in range(2)]
+    objects = kernel.object_map.object_ids
+    for round_index in range(600):
+        for writer in writers:
+            writer.enqueue("write", (round_index, writer.client_id.index))
+        for reader in readers:
+            reader.enqueue("read")
+        assert emulation.system.run_to_quiescence().satisfied
+        if all(kernel.ops.projection(oid) is None for oid in objects):
+            break
+    else:
+        pytest.fail("some register never passed the limit")
+    assert len(kernel.ops) > 2 * len(objects) * RECORDED_OPS_PER_OBJECT
+    assert _live_lowlevel_ops() <= (
+        len(objects) * RECORDED_OPS_PER_OBJECT + len(kernel.pending)
+    )
+    report = verify_run(emulation)
+    assert report.ok, report.details()
+    assert (
+        f"(0 checked, {len(objects)} over the {MAX_AUDITED_OPS}-op cap)"
+        in report.details()
+    )
+    with pytest.raises(ModelViolation, match=r"cannot audit b\d+"):
+        audit_base_objects(kernel, max_ops_per_object=None)
+    with pytest.raises(ModelViolation, match="dropped the ops of"):
+        list(kernel.ops)
 
 
 def test_a_deployment_records_every_op_and_so_does_its_fork():

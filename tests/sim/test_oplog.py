@@ -1,16 +1,18 @@
-"""``Kernel.ops``: the triggered-op count, and on a recording kernel the
-log of every triggered op as a read-only mapping."""
+"""``Kernel.ops``: the triggered-op count, and on a recording kernel each
+base object's ops up to ``RECORDED_OPS_PER_OBJECT``, read as a
+read-only mapping while nothing was dropped."""
 
 from collections.abc import Mapping
 
 import pytest
 
+from repro.analysis.baseobject_audit import audit_base_objects
 from repro.core.emulation import EmulationSpec
 from repro.errors import ModelViolation
 from repro.sim.events import EventListener
 from repro.sim.forking import fork_kernel
 from repro.sim.ids import ClientId, ObjectId, OpId, ServerId
-from repro.sim.kernel import OpLog
+from repro.sim.kernel import RECORDED_OPS_PER_OBJECT, OpLog
 from repro.sim.objects import OpKind
 from repro.sim.scheduling import RandomScheduler
 from repro.sim.system import build_system
@@ -51,6 +53,19 @@ def _bare_kernel():
 
 def _write(kernel):
     return kernel.trigger(ClientId(0), ObjectId(0), OpKind.WRITE, (1,), None)
+
+
+#: every way to read a log's ops by op id, refused on a log that does
+#: not record or that dropped an object's ops
+_READS = [
+    lambda log: log[0],
+    lambda log: 0 in log,
+    lambda log: log.get(0),
+    lambda log: list(log),
+    lambda log: list(log.values()),
+    lambda log: dict(log),
+]
+_READ_IDS = ["getitem", "contains", "get", "iter", "values", "dict"]
 
 
 class TestOpLog:
@@ -139,15 +154,8 @@ class TestUnrecordedLog:
 
     @pytest.mark.parametrize(
         "read",
-        [
-            lambda log: log[0],
-            lambda log: 0 in log,
-            lambda log: log.get(0),
-            lambda log: list(log),
-            lambda log: list(log.values()),
-            lambda log: dict(log),
-        ],
-        ids=["getitem", "contains", "get", "iter", "values", "dict"],
+        [*_READS, lambda log: log.projection(ObjectId(0))],
+        ids=[*_READ_IDS, "projection"],
     )
     def test_lookup_and_iteration_raise_model_violation(self, read):
         kernel = _bare_kernel()
@@ -161,3 +169,68 @@ class TestUnrecordedLog:
         with pytest.raises(ModelViolation, match="record after operations"):
             kernel.ops.record()
         assert not kernel.ops.recording
+
+
+class TestPerObjectLimit:
+    """A recording log keeps an object's ops while it has at most
+    ``RECORDED_OPS_PER_OBJECT``; one more drops them."""
+
+    LIMIT = RECORDED_OPS_PER_OBJECT
+
+    def _kernel_with(self, writes):
+        """Two registers; ``writes`` sequential writes on b0 (each
+        responded before the next), one on b1."""
+        kernel = build_system(
+            1,
+            [(0, "register", None), (0, "register", None)],
+            scheduler=RandomScheduler(0),
+        ).kernel
+        kernel.ops.record()
+        for _ in range(writes):
+            kernel.force_respond(_write(kernel).op_id)
+        other = kernel.trigger(
+            ClientId(0), ObjectId(1), OpKind.WRITE, (0,), None
+        )
+        kernel.force_respond(other.op_id)
+        return kernel
+
+    def test_an_object_at_the_limit_is_kept_and_audited(self):
+        kernel = self._kernel_with(self.LIMIT)
+        ops = kernel.ops.projection(ObjectId(0))
+        assert [op.op_id for op in ops] == [OpId(i) for i in range(self.LIMIT)]
+        assert len(kernel.ops) == self.LIMIT + 1
+        assert list(kernel.ops) == [OpId(i) for i in range(self.LIMIT + 1)]
+        assert kernel.ops[OpId(self.LIMIT)].object_id == ObjectId(1)
+        verdicts = audit_base_objects(kernel, max_ops_per_object=self.LIMIT)
+        assert verdicts == {ObjectId(0): True, ObjectId(1): True}
+        assert verdicts.skipped == []
+        assert all(audit_base_objects(kernel, max_ops_per_object=None).values())
+
+    def test_one_more_op_drops_the_object(self):
+        kernel = self._kernel_with(self.LIMIT + 1)
+        assert kernel.ops.projection(ObjectId(0)) is None
+        assert len(kernel.ops.projection(ObjectId(1))) == 1
+        assert len(kernel.ops) == self.LIMIT + 2
+        verdicts = audit_base_objects(kernel, max_ops_per_object=self.LIMIT)
+        assert verdicts == {ObjectId(0): True, ObjectId(1): True}
+        assert verdicts.skipped == [ObjectId(0)]
+        for cap in (None, self.LIMIT + 1):
+            with pytest.raises(ModelViolation, match="cannot audit b0"):
+                audit_base_objects(kernel, max_ops_per_object=cap)
+
+    def test_a_dropped_object_stays_dropped_in_a_fork(self):
+        kernel = self._kernel_with(self.LIMIT + 1)
+        _write(kernel)
+        assert kernel.ops.projection(ObjectId(0)) is None
+        fork = fork_kernel(kernel)
+        _write(fork)
+        assert fork.ops.projection(ObjectId(0)) is None
+        assert len(fork.ops) == len(kernel.ops) + 1
+
+    @pytest.mark.parametrize("read", _READS, ids=_READ_IDS)
+    def test_lookup_and_iteration_raise_once_an_object_was_dropped(
+        self, read
+    ):
+        kernel = self._kernel_with(self.LIMIT + 1)
+        with pytest.raises(ModelViolation, match="dropped the ops of b0"):
+            read(kernel.ops)

@@ -88,6 +88,27 @@ class TestVerifyRun:
         with pytest.raises(ValueError):
             verify_run(_clean_ws_run(seed=3), condition="serializable")
 
+    def test_details_count_checked_and_skipped_objects(self):
+        emu = _clean_ws_run(seed=5)
+        sizes = [
+            len(emu.kernel.ops.projection(oid))
+            for oid in emu.object_map.object_ids
+        ]
+        cap = min(sizes)
+        skipped = sum(1 for size in sizes if size > cap)
+        assert 0 < skipped < len(sizes)
+        report = verify_run(emu, max_ops_per_object=cap)
+        assert report.checks["base objects atomic"]
+        assert (
+            f"PASS  base objects atomic ({len(sizes) - skipped} checked,"
+            f" {skipped} over the {cap}-op cap)"
+        ) in report.details()
+        unbounded = verify_run(emu, max_ops_per_object=None)
+        assert (
+            f"PASS  base objects atomic ({len(sizes)} checked)"
+            in unbounded.details()
+        )
+
     def test_substrate_audit_optional(self):
         report = verify_run(
             _clean_ws_run(seed=4), condition="ws-regular",
