@@ -5,9 +5,11 @@ hash to shards, each shard is an independent emulated register fleet
 (any Table 1 substrate), shards serve either in-process or over real
 sockets, and an open-loop generator drives Zipfian traffic from
 thousands of concurrent sessions while per-key consistency is audited
-with the paper's checkers.
+with the paper's checkers.  :class:`ShardCluster` is a service with the
+replicas behind it: the cluster ``repro loadgen`` runs.
 """
 
+from repro.apps.shard.cluster import ShardCluster
 from repro.apps.shard.config import ShardConfig, ShardServiceConfig
 from repro.apps.shard.fleet import ShardFleet, shard_placements
 from repro.apps.shard.loadgen import Scenario, run_loadgen
@@ -19,6 +21,7 @@ from repro.apps.shard.service import (
 )
 
 __all__ = [
+    "ShardCluster",
     "ShardConfig",
     "ShardServiceConfig",
     "ShardFleet",

@@ -58,11 +58,6 @@ class ShardConfig:
         if self.capacity <= 0:
             raise InvalidConfig("capacity must be positive")
 
-    @classmethod
-    def make(cls, substrate: str = "max-register", **params) -> "ShardConfig":
-        """Build a shard config, mirroring ``EmulationSpec.make``."""
-        return cls(substrate=substrate, **params)
-
     def cache_payload(self) -> "Dict[str, Any]":
         return asdict(self)
 
@@ -89,14 +84,13 @@ class ShardServiceConfig:
     def make(
         cls,
         shards: int = 3,
-        substrate: str = "max-register",
         seed: int = 0,
         **shard_params,
     ) -> "ShardServiceConfig":
         """A uniform service: ``shards`` identical :class:`ShardConfig`."""
         if shards <= 0:
             raise InvalidConfig("need at least one shard")
-        shard = ShardConfig.make(substrate=substrate, **shard_params)
+        shard = ShardConfig(**shard_params)
         return cls(shards=(shard,) * shards, seed=seed)
 
     @property

@@ -11,7 +11,15 @@ Commands:
   Algorithm 2 and print the covering growth.
 * ``ablate``                  — break Algorithm 2's mechanisms and show
   the resulting WS-Safety violations (one cell per variant).
+* ``theorem5 -f F``           — the split-brain run on ``2f`` servers.
 * ``experiment <id>``         — regenerate paper tables/figures by id.
+* ``lint [PATH ...]``         — the simulation-discipline static analysis.
+* ``cluster``                 — an emulation over real localhost sockets.
+* ``serve``                   — host one sim server's replicas (of every
+  shard with ``--shards S``) for ``cluster`` / ``loadgen``.
+* ``loadgen``                 — open-loop Zipfian load against a
+  :class:`~repro.apps.shard.ShardCluster`, optionally through the
+  partition/crash ``--scenario gauntlet``.
 * ``queue <verb>``            — the distributed experiment queue:
   ``create`` enqueues a grid into a shared sqlite table, ``work`` runs
   a claim/execute/write-back worker (any number of them, any machine),
@@ -37,6 +45,8 @@ import sys
 from typing import List, Optional
 
 from repro.analysis.tables import render_table
+from repro.apps.shard.cluster import CLUSTER_TRANSPORTS
+from repro.apps.shard.config import SHARD_SUBSTRATES
 from repro.core import bounds
 from repro.core.emulation import algorithm_names
 from repro.core.layout import RegisterLayout
@@ -377,86 +387,68 @@ def cmd_cluster(args) -> int:
     return 0 if ok else 1
 
 
+def _shard_params(args):
+    """The shard flags given on the command line; ``ShardServiceConfig.make``
+    and :class:`ShardConfig` hold every default."""
+    given = dict(
+        shards=args.shards,
+        substrate=args.substrate,
+        n=args.n,
+        f=args.f,
+        k_writers=args.k,
+        capacity=args.capacity,
+    )
+    return {name: value for name, value in given.items() if value is not None}
+
+
 def _shard_service_config(args):
     from repro.apps.shard import ShardServiceConfig
 
     return ShardServiceConfig.make(
-        shards=args.shards,
-        substrate=args.substrate,
-        n=args.n if args.n is not None else 3,
-        f=args.f if args.f is not None else 1,
-        k_writers=args.k if args.k is not None else 4,
-        capacity=args.capacity,
-        seed=getattr(args, "seed", 0) or 0,
+        seed=getattr(args, "seed", 0), **_shard_params(args)
     )
-
-
-def _serve_shards(args) -> int:
-    """``repro serve --shards S``: host one node of a sharded service.
-
-    The process serves sim server ``--server`` of *every* shard — one
-    listener per shard, announced as ``serving s<i>/shard<j> on h:p``.
-    Placements are a pure function of the shard config, so the load
-    generator and every serve process rebuild identical base objects
-    from the same flags.
-    """
-    from repro.apps.shard import shard_placements
-    from repro.net.asyncio_transport import run_shard_servers
-
-    config = _shard_service_config(args)
-    shard_replicas = {}
-    for shard_index, shard in enumerate(config.shards):
-        placements, _ = shard_placements(shard)
-        replicas = [
-            (object_index, type_name, initial)
-            for object_index, (server_index, type_name, initial) in enumerate(
-                placements
-            )
-            if server_index == args.server
-        ]
-        if not replicas:
-            print(
-                f"error: no replicas for server {args.server} in shard"
-                f" {shard_index} (servers: 0..{shard.n - 1})",
-                file=sys.stderr,
-            )
-            return 2
-        shard_replicas[shard_index] = replicas
-    ports = None
-    if args.ports:
-        values = [int(port) for port in args.ports.split(",")]
-        if len(values) != len(shard_replicas):
-            print(
-                f"error: --ports names {len(values)} port(s) for"
-                f" {len(shard_replicas)} shards",
-                file=sys.stderr,
-            )
-            return 2
-        ports = dict(enumerate(values))
-    try:
-        run_shard_servers(
-            args.server,
-            shard_replicas,
-            host=args.host,
-            ports=ports,
-        )
-    except KeyboardInterrupt:
-        pass
-    return 0
 
 
 def cmd_serve(args) -> int:
+    """Host sim server ``--server``'s replicas: of the ``--algorithm``
+    layout, or with ``--shards S`` of every shard of the KV service the
+    shard flags describe (one listener per shard, announced as ``serving
+    s<i>/shard<j> on h:p``).  Placements are a pure function of the
+    flags, so the load generator and every serve process rebuild
+    identical base objects."""
+    from repro.apps.shard import shard_placements
     from repro.net.asyncio_transport import (
         run_replica_server,
+        run_shard_servers,
         snapshot_placements,
     )
 
-    if args.shards is not None:
-        return _serve_shards(args)
-    emulation = _build_emulation(args, seed=0)
-    if emulation is None:
-        return 2
-    placements = snapshot_placements(emulation.kernel.object_map)
+    if args.shards is None:
+        emulation = _build_emulation(args, seed=0)
+        if emulation is None:
+            return 2
+        placements = snapshot_placements(emulation.kernel.object_map)
+    else:
+        config = _shard_service_config(args)
+        ports = (
+            [int(port) for port in args.ports.split(",")]
+            if args.ports
+            else [0] * config.n_shards
+        )
+        if len(ports) != config.n_shards:
+            print(
+                f"error: --ports names {len(ports)} port(s) for"
+                f" {config.n_shards} shards",
+                file=sys.stderr,
+            )
+            return 2
+        placements = {}
+        for object_index, (server_index, type_name, initial) in enumerate(
+            shard_placements(config.shards[0])[0]  # flag-built: uniform
+        ):
+            placements.setdefault(server_index, []).append(
+                (object_index, type_name, initial)
+            )
     if args.server not in placements:
         print(
             f"error: no server {args.server} in this layout"
@@ -465,163 +457,20 @@ def cmd_serve(args) -> int:
         )
         return 2
     try:
-        run_replica_server(
-            args.server,
-            placements[args.server],
-            host=args.host,
-            port=args.port,
-        )
+        if args.shards is None:
+            run_replica_server(
+                args.server,
+                placements[args.server],
+                host=args.host,
+                port=args.port,
+            )
+        else:
+            run_shard_servers(
+                args.server, placements[args.server], ports, host=args.host
+            )
     except KeyboardInterrupt:
         pass
     return 0
-
-
-#: Seconds a spawned ``repro serve --shards`` process has to announce
-#: every shard listener before the spawn fails.
-SPAWN_ANNOUNCE_DEADLINE_S = 30.0
-
-
-def _spawn_shard_node(args, server_index: int, ports=None):
-    """Start one `repro serve --shards` process; returns (proc, ports).
-
-    Blocks until the process announces every shard listener, for at most
-    :data:`SPAWN_ANNOUNCE_DEADLINE_S` seconds (then
-    :class:`~repro.errors.TransportUnavailable`); on any error the
-    process is killed and reaped before the error propagates.  Only
-    stdout, which carries nothing but the announcements, is piped: the
-    child's stderr is inherited, so a chatty child never fills a pipe
-    nobody reads.  ``ports`` pins the listener ports (process restart
-    must reuse them so the transports' reconnect loops find the replica
-    again).
-    """
-    import os
-    import re
-    import select
-    import subprocess
-    import time
-
-    from repro.errors import QuorumUnavailable, TransportUnavailable
-
-    command = [
-        sys.executable,
-        "-m",
-        "repro",
-        "serve",
-        "--shards",
-        str(args.shards),
-        "--substrate",
-        args.substrate,
-        "-n",
-        str(args.n if args.n is not None else 3),
-        "-f",
-        str(args.f if args.f is not None else 1),
-        "-k",
-        str(args.k if args.k is not None else 4),
-        "--capacity",
-        str(args.capacity),
-        "--server",
-        str(server_index),
-    ]
-    if ports:
-        command += [
-            "--ports",
-            ",".join(str(ports[j]) for j in sorted(ports)),
-        ]
-    proc = subprocess.Popen(
-        command, stdout=subprocess.PIPE, env=dict(os.environ)
-    )
-    announced = {}
-    pattern = re.compile(rb"serving s(\d+)/shard(\d+) on ([\d.]+):(\d+)")
-    deadline = time.monotonic() + SPAWN_ANNOUNCE_DEADLINE_S
-    unread = b""
-    try:
-        while len(announced) < args.shards:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0 or not select.select(
-                [proc.stdout], [], [], remaining
-            )[0]:
-                raise TransportUnavailable(
-                    f"serve process for server {server_index} announced"
-                    f" {len(announced)} of {args.shards} listener(s) in"
-                    f" {SPAWN_ANNOUNCE_DEADLINE_S} s: start-up deadline passed"
-                )
-            chunk = os.read(proc.stdout.fileno(), 4096)
-            if not chunk:
-                raise QuorumUnavailable(
-                    f"serve process for server {server_index} exited before"
-                    " announcing its listeners"
-                )
-            *lines, unread = (unread + chunk).split(b"\n")
-            for line in lines:
-                match = pattern.search(line)
-                if match:
-                    announced[int(match.group(2))] = (
-                        match.group(3).decode(),
-                        int(match.group(4)),
-                    )
-    except BaseException:
-        proc.kill()
-        proc.wait()
-        raise
-    return proc, announced
-
-
-def _loadgen_scenarios(args, service, procs, ports_by_server):
-    """Build the mid-run fault schedule for `repro loadgen`."""
-    import signal
-
-    from repro.apps.shard import Scenario
-
-    if args.scenario == "none":
-        return []
-    n = args.n if args.n is not None else 3
-    duration = args.duration
-    partition_target = 1 % n
-    crash_target = n - 1
-    events = []
-
-    def _partition():
-        service.partition({partition_target})
-        return f"blackholed server {partition_target} on every shard"
-
-    def _heal():
-        service.heal()
-        return "partition healed"
-
-    if procs:  # external serve processes: a crash is a real SIGKILL
-
-        def _crash():
-            procs[crash_target].send_signal(signal.SIGKILL)
-            procs[crash_target].wait()
-            return f"SIGKILLed serve process for server {crash_target}"
-
-        def _restart():
-            proc, _ = _spawn_shard_node(
-                args, crash_target, ports=ports_by_server[crash_target]
-            )
-            procs[crash_target] = proc
-            return (
-                f"restarted serve process for server {crash_target}"
-                " on its old ports"
-            )
-
-    else:  # self-hosted replicas: crash retains state (stable storage)
-
-        def _crash():
-            for fleet in service.fleets:
-                fleet.transport.crash_replica(crash_target)
-            return f"crashed self-hosted replica {crash_target}"
-
-        def _restart():
-            for fleet in service.fleets:
-                fleet.transport.restart_replica(crash_target)
-            return f"restarted replica {crash_target}"
-
-    events.append(Scenario(0.20 * duration, "partition", _partition))
-    events.append(Scenario(0.40 * duration, "heal", _heal))
-    events.append(Scenario(0.55 * duration, "crash", _crash))
-    events.append(Scenario(0.75 * duration, "restart", _restart))
-    return events
 
 
 def cmd_loadgen(args) -> int:
@@ -629,10 +478,8 @@ def cmd_loadgen(args) -> int:
     import json
     import time
 
-    from repro.apps.shard import ShardedKVService, run_loadgen
+    from repro.apps.shard import ShardCluster, ShardConfig, run_loadgen
 
-    n = args.n if args.n is not None else 3
-    f = args.f if args.f is not None else 1
     if args.transport == "sim" and args.scenario == "gauntlet":
         # The gauntlet blackholes and crashes socket replicas; in-process
         # shards have neither a blackhole nor a replica to crash.
@@ -645,9 +492,12 @@ def cmd_loadgen(args) -> int:
         return 2
     if args.transport == "spawn" and args.scenario == "gauntlet":
         # A SIGKILLed serve process restarts with empty replicas —
-        # amnesia consumes failure budget beyond the f crash-stop
-        # allowance.  Every read quorum must still intersect every
-        # write quorum in a non-amnesiac server: n >= 2f + 2.
+        # amnesia consumes failure budget beyond the f crash allowance.
+        # Every read quorum must still intersect every write quorum in a
+        # non-amnesiac server: n >= 2f + 2.  Checked before the config
+        # is validated, so this refusal wins over InvalidConfig.
+        params = _shard_params(args)
+        n, f = params.get("n", ShardConfig.n), params.get("f", ShardConfig.f)
         if n < 2 * f + 2:
             print(
                 f"error: the spawn-mode crash+restart scenario needs"
@@ -657,44 +507,11 @@ def cmd_loadgen(args) -> int:
                 file=sys.stderr,
             )
             return 2
-    config = _shard_service_config(args)
-    transports = None
-    procs = {}
-    ports_by_server = {}
-    service = None
-    try:
-        # Spawning and construction sit inside the ``try``: a serve
-        # process that never announces, or a constructor that raises,
-        # must not leave the already started processes running.
-        if args.transport in ("asyncio", "spawn"):
-            from repro.net.asyncio_transport import AsyncioTransport
-
-            if args.transport == "spawn":
-                for server_index in range(n):
-                    proc, announced = _spawn_shard_node(args, server_index)
-                    procs[server_index] = proc
-                    ports_by_server[server_index] = {
-                        shard: port for shard, (_, port) in announced.items()
-                    }
-                transports = [
-                    AsyncioTransport(
-                        addresses=tuple(
-                            f"127.0.0.1:{ports_by_server[i][shard_index]}"
-                            for i in range(n)
-                        ),
-                        idle_timeout=args.idle_timeout,
-                    )
-                    for shard_index in range(args.shards)
-                ]
-            else:
-                transports = [
-                    AsyncioTransport(idle_timeout=args.idle_timeout)
-                    for _ in range(args.shards)
-                ]
-        service = ShardedKVService(config, transports=transports)
-        scenarios = _loadgen_scenarios(args, service, procs, ports_by_server)
+    with ShardCluster(
+        _shard_service_config(args), args.transport, args.idle_timeout
+    ) as cluster:
         report = run_loadgen(
-            service,
+            cluster.service,
             clock=time.perf_counter,
             sleep=time.sleep,
             rate=args.rate,
@@ -703,17 +520,12 @@ def cmd_loadgen(args) -> int:
             keys=args.keys,
             zipf_s=args.zipf,
             read_fraction=args.read_fraction,
-            seed=args.seed if args.seed is not None else 0,
-            scenarios=scenarios,
+            seed=args.seed,
+            scenarios=cluster.gauntlet(args.duration)
+            if args.scenario == "gauntlet"
+            else (),
             drain_timeout=args.drain_timeout,
         )
-    finally:
-        if service is not None:
-            service.close()
-        for proc in procs.values():
-            if proc.poll() is None:
-                proc.terminate()
-                proc.wait()
     report["transport"] = args.transport
     payload = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
@@ -1100,14 +912,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--substrate",
-        default="max-register",
-        choices=("register", "max-register", "cas"),
+        choices=SHARD_SUBSTRATES,
         help="shard substrate for --shards mode (default: max-register)",
     )
     p_serve.add_argument(
         "--capacity",
         type=int,
-        default=8,
         metavar="SLOTS",
         help="register slots per shard in --shards mode (default: 8)",
     )
@@ -1125,12 +935,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="open-loop Zipfian load against a sharded KV service",
     )
     p_loadgen.add_argument(
-        "--shards", type=int, default=3, help="shard count (default: 3)"
+        "--shards", type=int, help="shard count (default: 3)"
     )
     p_loadgen.add_argument(
         "--substrate",
-        default="max-register",
-        choices=("register", "max-register", "cas"),
+        choices=SHARD_SUBSTRATES,
         help="shard substrate (default: max-register)",
     )
     p_loadgen.add_argument("-k", type=int, default=None, help="writer bound")
@@ -1185,7 +994,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_loadgen.add_argument(
         "--transport",
         default="sim",
-        choices=("sim", "asyncio", "spawn"),
+        choices=CLUSTER_TRANSPORTS,
         help="sim: in-process kernels; asyncio: self-hosted localhost"
         " sockets; spawn: real `repro serve` subprocesses, one per"
         " server (default: sim)",

@@ -661,27 +661,26 @@ def run_replica_server(
 
 def run_shard_servers(
     server_index: int,
-    shard_replicas: "Dict[int, List[ReplicaSpec]]",
+    replicas: "List[ReplicaSpec]",
+    ports: "List[int]",
     host: str = "127.0.0.1",
-    ports: "Optional[Dict[int, int]]" = None,
-    announce=print,
 ) -> None:
     """Host sim server ``server_index`` of *every* shard in one process.
 
     A sharded service is S independent fleets; a physical node hosts its
-    replica of each fleet.  Each shard gets its own listener (shards are
-    independent quorum systems — one socket per shard keeps their request
-    streams isolated), announced as ``serving s<i>/shard<j> on h:p`` so a
-    supervisor can collect the per-shard address lists.  ``ports`` pins
-    each shard's listener port — a restarted process must come back on
-    the ports its clients' reconnect loops are dialling.
+    replica of each fleet.  Each shard gets its own listener on its entry
+    of ``ports`` (0: ephemeral; shards are independent quorum systems —
+    one socket per shard keeps their request streams isolated), announced
+    as ``serving s<i>/shard<j> on h:p`` so a supervisor can collect the
+    per-shard address lists.  A restarted process must come back on the
+    ports its clients' reconnect loops are dialling.
     """
     listeners = [
         (
             ReplicaServer(server_index, replicas),
-            ports.get(shard_index, 0) if ports else 0,
+            port,
             f"s{server_index}/shard{shard_index}",
         )
-        for shard_index, replicas in sorted(shard_replicas.items())
+        for shard_index, port in enumerate(ports)
     ]
-    _serve_all(listeners, host, announce)
+    _serve_all(listeners, host)

@@ -1,12 +1,14 @@
 """End-to-end: the sharded service over real localhost sockets.
 
-Three shards, each served by its own self-hosted
-:class:`~repro.net.asyncio_transport.AsyncioTransport` (replicas live in
-the transport's event-loop thread, reached through actual TCP
-connections), driven by the open-loop generator while the fault
-gauntlet runs — a partition that heals, then a replica crash and
-restart mid-traffic.  Every key's history must still satisfy its
-substrate's consistency condition.
+A :class:`~repro.apps.shard.ShardCluster` of three shards, each served by
+its own self-hosted :class:`~repro.net.asyncio_transport.AsyncioTransport`
+(replicas reached through actual TCP connections), driven by the
+open-loop generator while the cluster's fault gauntlet runs — a
+partition that heals, then a replica crash and restart mid-traffic.
+Every key's history must still satisfy its substrate's consistency
+condition.  ``repro loadgen`` drives the same cluster in-process,
+self-hosted and spawned, and the serve command line the spawner writes
+must rebuild the load generator's shards.
 """
 
 import json
@@ -15,28 +17,28 @@ import time
 import pytest
 
 from repro.apps.shard import (
-    Scenario,
-    ShardedKVService,
+    ShardCluster,
+    ShardConfig,
     ShardServiceConfig,
     run_loadgen,
+    shard_placements,
 )
-from repro.net.asyncio_transport import AsyncioTransport
+from repro.apps.shard.cluster import serve_argv
+from repro.apps.shard.config import SHARD_SUBSTRATES
+from repro.errors import InvalidConfig
 
 
-def socket_service(shards=3, substrate="max-register", n=3, f=1, seed=0):
+def socket_cluster(shards=3, substrate="max-register", n=3, f=1, seed=0):
     config = ShardServiceConfig.make(
         shards=shards, substrate=substrate, n=n, f=f, capacity=16, seed=seed
     )
-    transports = [
-        AsyncioTransport(idle_timeout=0.02) for _ in range(shards)
-    ]
-    return ShardedKVService(config, transports=transports)
+    return ShardCluster(config, "asyncio", idle_timeout=0.02)
 
 
 class TestSocketCluster:
     def test_sync_sessions_over_sockets(self):
-        service = socket_service(seed=1)
-        try:
+        with socket_cluster(seed=1) as cluster:
+            service = cluster.service
             with service.session(writer=0) as s:
                 for i in range(9):
                     s.put(f"key-{i}", f"v{i}")
@@ -50,33 +52,13 @@ class TestSocketCluster:
                     for server in fleet.transport.servers.values()
                 )
                 assert served > 0
-        finally:
-            service.close()
 
     def test_loadgen_survives_crash_restart_mid_traffic(self):
-        service = socket_service(seed=2)
-
-        def crash():
-            for fleet in service.fleets:
-                fleet.transport.crash_replica(2)
-            return "crashed replica 2 (state retained)"
-
-        def restart():
-            for fleet in service.fleets:
-                fleet.transport.restart_replica(2)
-            return "restarted replica 2"
-
-        def partition():
-            service.partition([0])
-            return "blackholed replica 0"
-
-        def heal():
-            service.heal()
-            return "healed"
-
-        try:
+        # The library's gauntlet: partition, heal, then a self-hosted
+        # replica crash (state retained) and restart, all mid-traffic.
+        with socket_cluster(seed=2) as cluster:
             report = run_loadgen(
-                service,
+                cluster.service,
                 clock=time.perf_counter,
                 sleep=time.sleep,
                 rate=150.0,
@@ -84,16 +66,9 @@ class TestSocketCluster:
                 sessions=60,
                 keys=24,
                 seed=13,
-                scenarios=[
-                    Scenario(0.4, "partition", partition),
-                    Scenario(0.8, "heal", heal),
-                    Scenario(1.2, "crash", crash),
-                    Scenario(1.6, "restart", restart),
-                ],
+                scenarios=cluster.gauntlet(2.0),
                 drain_timeout=20.0,
             )
-        finally:
-            service.close()
         assert [s["name"] for s in report["scenarios"]] == [
             "partition", "heal", "crash", "restart",
         ]
@@ -102,7 +77,7 @@ class TestSocketCluster:
         assert report["audit"]["all_ok"], report["audit"]
         # The partition really dropped traffic on the floor.
         dropped = sum(
-            fleet.transport.dropped_frames for fleet in service.fleets
+            fleet.transport.dropped_frames for fleet in cluster.service.fleets
         )
         assert dropped > 0
 
@@ -204,6 +179,38 @@ class TestLoadgenCLI:
         latency = report["latency_ms"]
         assert 0 < latency["p50"] <= latency["p95"] <= latency["p99"]
 
+    def test_asyncio_gauntlet_one_shard(self, tmp_path, capsys):
+        from repro.cli import main
+
+        # Self-hosted replicas: the crash closes a replica's listener and
+        # keeps its state, the restart re-serves it on the same port.
+        out = tmp_path / "asyncio.json"
+        code = main(
+            [
+                "loadgen",
+                "--transport", "asyncio",
+                "--scenario", "gauntlet",
+                "--shards", "1",
+                "-n", "3",
+                "-f", "1",
+                "--rate", "100",
+                "--duration", "2",
+                "--sessions", "40",
+                "--keys", "16",
+                "--seed", "7",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0, capsys.readouterr().err
+        report = json.loads(out.read_text())
+        assert [(s["name"], s["detail"]) for s in report["scenarios"]] == [
+            ("partition", "blackholed server 1 on every shard"),
+            ("heal", "partition healed"),
+            ("crash", "crashed self-hosted replica 2"),
+            ("restart", "restarted replica 2"),
+        ]
+        assert report["audit"]["all_ok"], report["audit"]
+
     @pytest.mark.parametrize(
         "failing, exit_code, spawned",
         [("third serve process", 4, 2), ("service", 8, 4)],
@@ -211,7 +218,7 @@ class TestLoadgenCLI:
     def test_spawn_failure_terminates_started_serve_processes(
         self, monkeypatch, capsys, failing, exit_code, spawned
     ):
-        import repro.apps.shard
+        import repro.apps.shard.cluster
         import repro.cli
         from repro.errors import InvalidConfig, QuorumUnavailable
 
@@ -229,18 +236,19 @@ class TestLoadgenCLI:
 
         started = []
 
-        def spawn(args, server_index, ports=None):
+        def spawn(config, server_index, ports=None):
             if failing == "third serve process" and server_index == 2:
                 raise QuorumUnavailable("serve process exited early")
             started.append(FakeProc())
-            return started[-1], {0: ("127.0.0.1", 40000 + server_index)}
+            return started[-1], {0: 40000 + server_index}
 
         def service(config, transports=None):
             raise InvalidConfig("service constructor failed")
 
-        monkeypatch.setattr(repro.cli, "_spawn_shard_node", spawn)
+        cluster = repro.apps.shard.cluster
+        monkeypatch.setattr(cluster, "spawn_shard_node", spawn)
         if failing == "service":
-            monkeypatch.setattr(repro.apps.shard, "ShardedKVService", service)
+            monkeypatch.setattr(cluster, "ShardedKVService", service)
         code = repro.cli.main(
             [
                 "loadgen",
@@ -268,9 +276,8 @@ class TestLoadgenCLI:
     ):
         import subprocess
         import sys
-        import types
 
-        import repro.cli
+        import repro.apps.shard.cluster as cluster
         import repro.errors
 
         # A stand-in interpreter that never announces a listener.
@@ -278,7 +285,7 @@ class TestLoadgenCLI:
         stub.write_text(f"#!/bin/sh\n{script}\n")
         stub.chmod(0o755)
         monkeypatch.setattr(sys, "executable", str(stub))
-        monkeypatch.setattr(repro.cli, "SPAWN_ANNOUNCE_DEADLINE_S", 0.5)
+        monkeypatch.setattr(cluster, "SPAWN_ANNOUNCE_DEADLINE_S", 0.5)
         spawned = []
         popen = subprocess.Popen
 
@@ -287,12 +294,55 @@ class TestLoadgenCLI:
             return spawned[-1]
 
         monkeypatch.setattr(subprocess, "Popen", recording_popen)
-        args = types.SimpleNamespace(
-            shards=1, substrate="max-register", n=3, f=1, k=4, capacity=16
+        config = ShardServiceConfig.make(
+            shards=1, substrate="max-register", n=3, f=1, k_writers=4,
+            capacity=16,
         )
         started = time.monotonic()
         with pytest.raises(getattr(repro.errors, error)):
-            repro.cli._spawn_shard_node(args, 0)
+            cluster.spawn_shard_node(config, 0)
         assert time.monotonic() - started < 10
         (proc,) = spawned
         assert proc.poll() is not None
+
+
+class TestServeArgv:
+    """What the spawner writes, ``repro serve`` reads: the serve process
+    rebuilds the load generator's shards and placements."""
+
+    @pytest.mark.parametrize("substrate", SHARD_SUBSTRATES)
+    def test_serve_argv_rebuilds_the_loadgen_config(self, substrate):
+        from repro.cli import _shard_service_config, build_parser, cmd_serve
+
+        parser = build_parser()
+        loadgen = parser.parse_args(
+            [
+                "loadgen",
+                "--shards", "2",
+                "--substrate", substrate,
+                "-n", "5",
+                "-f", "2",
+                "-k", "3",
+                "--capacity", "6",
+                "--seed", "9",
+            ]
+        )
+        config = _shard_service_config(loadgen)
+        serve = parser.parse_args(
+            serve_argv(config, 4, ports={0: 41001, 1: 41002})
+        )
+        assert serve.fn is cmd_serve
+        assert (serve.server, serve.ports) == (4, "41001,41002")
+        rebuilt = _shard_service_config(serve)
+        assert rebuilt.shards == config.shards
+        assert rebuilt.shards[0] == ShardConfig(substrate, 5, 2, 3, 6)
+        assert [shard_placements(s)[0] for s in rebuilt.shards] == [
+            shard_placements(s)[0] for s in config.shards
+        ]
+
+    def test_heterogeneous_shards_have_no_serve_argv(self):
+        config = ShardServiceConfig(
+            shards=(ShardConfig(n=3, f=1), ShardConfig(n=5, f=2))
+        )
+        with pytest.raises(InvalidConfig):
+            serve_argv(config, 0)
