@@ -2,24 +2,30 @@
 
 The socket transport codes whole segments (one outbox flush, one TCP
 read) with the binary segment functions of ``repro.net.wire``, which it
-imports by name, so the harness's ``--trace`` run, whose
-``spans.TracedCodec`` wraps only the per-frame calls, no longer sees
-socket-path frames: codec time counts under ``net.transport``.  This
-restores the split.  It runs the workload in this process through the
-harness's own worker (``benchmarks.e2e.worker.run``: one warm-up epoch,
+imports by name: the client encodes its requests and decodes the
+answers, and a replica answers each read in one pass
+(``serve_binary_requests``: parse, apply, pack).  The harness's
+``--trace`` run, whose ``spans.TracedCodec`` wraps only the per-frame
+calls, does not see socket-path frames: codec time counts under
+``net.transport``.  This restores the split.  It runs the workload in
+this process through the harness's own worker (``benchmarks.e2e.worker.run``: one warm-up epoch,
 then ``--epochs`` measured ones, untraced), which builds and drives the
 service through ``benchmarks.e2e.workloads``.  The harness files are not
-edited: for this process only, the four segment functions the transport
+edited: for this process only, the three wire functions the transport
 module calls are replaced by timed wrappers, and
 ``_KVEpoch.closed_slice`` (the body of every ``sat`` slice) by one that
 marks the window.  Codec calls outside a ``sat`` slice (set-up,
 unloaded, open-loop load) are not counted.
 
 Output is one JSON line: the workload, seed and epochs, the seconds
-inside the ``sat`` slices, and per segment function its calls, frames,
-seconds and share of the ``sat`` seconds, plus the four together.  The
-shares include the timing wrappers' own cost; the seconds are this
-host's.
+inside the ``sat`` slices, and per wire function its calls, frames,
+seconds and share of the ``sat`` seconds, plus the three together.  The
+replica's share includes applying the requests to its objects, which
+the serve pass does between parsing and packing.  The shares include
+the timing wrappers' own cost; the seconds are this host's.  The exit
+status is 1 when a listed function is never called inside the ``sat``
+window: the transport no longer calls it by that name, and its share
+would silently read 0.
 
 Usage (the harness package puts this checkout's ``src`` first on
 ``sys.path``)::
@@ -42,12 +48,13 @@ from repro.net import asyncio_transport  # noqa: E402
 
 #: the one workload whose sat slices run the codec.
 WORKLOAD = "kv_sock_read"
-SEGMENT_FUNCTIONS = (
-    "encode_binary_requests",
-    "decode_binary_requests",
-    "encode_binary_responses",
-    "decode_binary_responses",
-)
+#: each wire function the transport calls, and how many frames one
+#: call coded, from its arguments and result.
+SEGMENT_FUNCTIONS = {
+    "encode_binary_requests": lambda args, result: len(args[0]),
+    "decode_binary_responses": lambda args, result: len(result[0]),
+    "serve_binary_requests": lambda args, result: result[2],
+}
 
 
 class _Window:
@@ -74,16 +81,16 @@ class _Window:
         return timed_slice
 
     def codec(self, name: str, function):
-        encodes = name.startswith("encode")
+        frames = SEGMENT_FUNCTIONS[name]
 
-        def timed(items):
+        def timed(*args):
             if not self.open:
-                return function(items)
+                return function(*args)
             start = time.perf_counter()
-            result = function(items)
+            result = function(*args)
             self.seconds[name] += time.perf_counter() - start
             self.calls[name] += 1
-            self.frames[name] += len(items) if encodes else len(result[0])
+            self.frames[name] += frames(args, result)
             return result
 
         return timed
@@ -134,7 +141,17 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--epochs", type=int, default=1)
     args = parser.parse_args()
-    print(json.dumps(measure(args.seed, args.epochs)))
+    report = measure(args.seed, args.epochs)
+    print(json.dumps(report))
+    idle = [
+        name for name, row in report["functions"].items() if not row["calls"]
+    ]
+    if idle:
+        print(
+            f"wire_share: never called inside the sat window: {idle}",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 

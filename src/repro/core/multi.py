@@ -170,18 +170,15 @@ class SlotHistoryRouter(EventListener):
     deployment, so recording costs the same however many slots exist.
 
     The slot's :class:`FilteredHistory` still applies its ``admit``
-    filter; an id outside every slot's range is dropped here.
+    filter; an id outside every slot's range is dropped here.  A
+    :class:`SlotFleet` hands it to ``build_system`` as the system's
+    recorder, subscribed for the kernel's lifetime: per-slot histories
+    are part of the deployment and must span every run, crash and
+    restart.
     """
 
     def __init__(self, histories: "List[FilteredHistory]"):
         self._histories = histories
-
-    def install(self, kernel) -> None:
-        """Subscribe for the kernel's lifetime: per-slot histories are
-        part of the deployment and must span every run, crash and
-        restart."""
-        # repro-lint: disable=R005 deployment-lifetime listener
-        kernel.add_listener(self)
 
     def on_invoke(self, event) -> None:
         slot = event.client_id.index // SLOT_STRIDE
@@ -199,13 +196,15 @@ class Slot:
     workload runner and checkers expect (kernel / object_map / system /
     history / add_writer / add_reader)."""
 
-    def __init__(self, fleet: "SlotFleet", index: int):
+    def __init__(
+        self, fleet: "SlotFleet", index: int, history: FilteredHistory
+    ):
         self.fleet = fleet
         self.index = index
         self.system = fleet.system
         self.kernel = fleet.kernel
         self.object_map = fleet.object_map
-        self.history = FilteredHistory(())
+        self.history = history
         #: by offset in the slot's id range (readers from READER_BASE)
         self.clients: "Dict[int, ClientRuntime]" = {}
         self._next_reader = 0
@@ -273,19 +272,23 @@ class SlotFleet:
                 f"{per_slot} {substrate} object(s) per slot at k={k}, n={n},"
                 f" f={f}: below Table 1's lower bound of {lower}"
             )
+        histories = [FilteredHistory(()) for _ in range(m)]
+        # The router is the fleet's one recorder: each op is recorded
+        # once, in its slot's history (a fleet-wide History beside it
+        # would hold every op a second time, read by nobody).
         self.system: SimSystem = build_system(
             n,
             placements,
             scheduler=scheduler,
             environment=environment,
+            history=SlotHistoryRouter(histories),
             transport=transport,
         )
         self.kernel = self.system.kernel
         self.object_map = self.system.object_map
-        self.slots = [Slot(self, index) for index in range(m)]
-        SlotHistoryRouter([slot.history for slot in self.slots]).install(
-            self.kernel
-        )
+        self.slots = [
+            Slot(self, index, history) for index, history in enumerate(histories)
+        ]
 
     def client(
         self, slot_index: int, offset: int, writer_index: "Optional[int]"

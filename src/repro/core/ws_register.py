@@ -105,6 +105,10 @@ class WSRegisterClient(ClientProtocol):
 
     def _collect(self, ctx: Context):
         self.rd_set = []  # line 21
+        # Every earlier scan is dead by now (the n - f needed ones ended,
+        # the rest were abandoned): the ids of their reads are never
+        # waited on again.
+        self._read_done.clear()
         server_ids = self._server_ids
         if server_ids is None:
             server_ids = self._server_ids = tuple(self.object_map.server_ids)

@@ -383,6 +383,7 @@ class ReplayDeterminismRule(Rule):
         "encode_binary_response",
         "encode_binary_requests",
         "encode_binary_responses",
+        "serve_binary_requests",
         "Random",
     }
 

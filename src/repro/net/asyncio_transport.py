@@ -32,7 +32,8 @@ the loop until a response has been parsed or ``idle_timeout`` expires;
 ``pump`` hands parsed responses to ``kernel.arrive``.  Both ends code a
 segment per call (an outbox, a TCP read, the answers to one read) with
 the binary segment functions of :mod:`repro.net.wire`, the one wire
-format.  Everything else the loop hosts —
+format (a replica parses, applies and answers a read in one pass,
+``serve_binary_requests``).  Everything else the loop hosts —
 self-hosted replicas, redial timers after a lost link, stray late
 responses — advances only inside ``start`` / ``flush_idle`` / ``close``
 / ``crash_replica`` / ``restart_replica``, never while the caller
@@ -57,10 +58,9 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.errors import InvalidConfig, TransportUnavailable, WireDecodeError
 from repro.net.transport import Transport
 from repro.net.wire import (
-    decode_binary_requests,
     decode_binary_responses,
     encode_binary_requests,
-    encode_binary_responses,
+    serve_binary_requests,
 )
 from repro.sim.ids import ObjectId, OpId
 from repro.sim.objects import make_object
@@ -152,7 +152,15 @@ class _BufferedReader(asyncio.BufferedProtocol):
 
 
 class _ReplicaConnection(_BufferedReader):
-    """The replica end of one accepted connection."""
+    """The replica end of one accepted connection.
+
+    Each TCP read is answered in one pass by
+    :func:`~repro.net.wire.serve_binary_requests`: every complete request
+    frame is parsed to its fields (no op is built), applied with
+    ``replica._apply(kind, args)`` and answered into one buffer, which
+    leaves in one ``write``; a malformed frame, an unknown object or an
+    unsupported kind cuts the peer off after the answers it is owed.
+    """
 
     def __init__(self, server: ReplicaServer):
         super().__init__()
@@ -168,25 +176,12 @@ class _ReplicaConnection(_BufferedReader):
 
     def data_received(self, data: "bytes | memoryview") -> None:
         server = self._server
-        malformed = False
-        try:
-            ops, self._tail = decode_binary_requests(self._tail + data)
-        except WireDecodeError as error:
-            # the frames before the bad one are still owed their answers
-            ops, malformed = error.decoded, True
-        replicas = server.replicas
-        answers = []
-        for op in ops:
-            replica = replicas.get(op.object_id.index)
-            if replica is None or op.kind not in replica.SUPPORTED:
-                # well framed, but not a request this replica can
-                # apply: the peer is as broken as one sending junk.
-                malformed = True
-                break
-            answers.append((op.op_id, replica.apply(op)))
-        if answers:
-            server.requests_served += len(answers)
-            self._transport.write(encode_binary_responses(answers))
+        answers, self._tail, served, malformed = serve_binary_requests(
+            self._tail + data, server.replicas
+        )
+        if served:
+            server.requests_served += served
+            self._transport.write(answers)
         if malformed:
             # cut the peer off, after the answers it is owed (close
             # flushes them first) for the frames that did apply.
@@ -278,6 +273,8 @@ class AsyncioTransport(Transport):
         self.ports: "Dict[int, int]" = {}
         self.servers: "Dict[int, ReplicaServer]" = {}
         self._placements: "Dict[int, List[ReplicaSpec]]" = {}
+        #: object index -> index of the server hosting it, set at bind.
+        self._server_of: "Dict[int, int]" = {}
         self._loop: "Optional[asyncio.AbstractEventLoop]" = None
         self._started = False
         #: True while flush_idle runs the loop waiting for a response.
@@ -322,7 +319,12 @@ class AsyncioTransport(Transport):
 
     def bind(self, kernel) -> None:
         super().bind(kernel)
-        self._placements = snapshot_placements(kernel.object_map)
+        object_map = kernel.object_map
+        self._placements = snapshot_placements(object_map)
+        self._server_of = {
+            object_id.index: object_map.server_of(object_id).index
+            for object_id in object_map.object_ids
+        }
         if self.addresses and len(self.addresses) != len(self._placements):
             raise InvalidConfig(
                 f"asyncio transport got {len(self.addresses)} address(es)"
@@ -534,8 +536,8 @@ class AsyncioTransport(Transport):
         :meth:`flush_idle`."""
         if not self._started:
             self.start()
-        server_index = self._kernel.object_map.server_of(op.object_id).index
-        self._inflight.add(op.op_id.value)
+        server_index = self._server_of[op.object_id.index]
+        self._inflight.add(op.op_id)
         self._outbox.setdefault(server_index, []).append(op)
 
     def _flush_outbox(self) -> None:

@@ -9,18 +9,28 @@ be split without scanning for delimiters.  See ``docs/API.md`` ("Wire
 format") for the exact frame layout.  ``tests/net/test_wire_oracle.py``
 holds it to the plain codec it replaced, byte for byte.
 
-Frames are coded at two grains.  The segment functions are what the
-socket path calls, once per outbox flush or TCP read:
+Frames are coded at two grains.  The segment functions code every
+frame of one outbox flush or TCP read per call:
 ``encode_binary_requests(ops)`` and ``encode_binary_responses(pairs)``
 return every frame back to back; ``decode_binary_requests(data)`` and
 ``decode_binary_responses(data)`` return every complete frame of
 ``data`` decoded (ops, or ``(op, result)`` pairs) and the truncated tail
-to prepend to the next read.  Each is one loop over the frames that
-packs and parses the shapes the registry protocols ship (args ``()``,
-``(TSVal,)``, ``(TSVal, TSVal)``; results ``TSVal``, ``"ok"`` /
-``"ack"``, ``None``) inline, and hands any other value to the general
-tagged packer and parser; both decoders share one walk over the length
-prefixes (``_decode_frames``).  On a malformed frame they
+to prepend to the next read.  The client end of a socket calls
+``encode_binary_requests`` and ``decode_binary_responses``; the replica
+end calls ``serve_binary_requests(data, replicas)``, which answers a
+read in one pass: it parses every complete request frame to its fields
+(no ``LowLevelOp`` is built), applies each with ``replica._apply(kind,
+args)`` and packs the response frames into one ``bytearray``, returning
+``(answers, tail, served, malformed)`` — the same bytes, tail and
+replica states as decode, ``BaseObject.apply``, encode.  Each is one
+loop over the frames that packs and parses the shapes the registry
+protocols ship (args ``()``, ``(TSVal,)``, ``(TSVal, TSVal)``; results
+``TSVal``, ``"ok"`` / ``"ack"``, ``None``) inline, and hands any other
+value to the general tagged packer and parser.  There is one request
+parser (``_parse_request_fields``), one response parser and one writer
+per frame kind, shared by the segment functions and the serve path;
+the decoders share one walk over the length prefixes
+(``_decode_frames``).  On a malformed frame the decoders
 raise :class:`~repro.errors.WireDecodeError` with ``decoded`` set to the
 frames before it, which the socket protocols still apply or deliver;
 an oversized length prefix refuses the whole read.  The per-frame
@@ -57,7 +67,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import InvalidConfig, WireDecodeError
 from repro.sim.ids import ClientId, ObjectId, OpId
-from repro.sim.objects import LowLevelOp, OpKind
+from repro.sim.objects import BaseObject, LowLevelOp, OpKind
 from repro.sim.values import TSVal
 
 
@@ -362,10 +372,13 @@ def _unpack_value(buf: bytes, pos: int) -> "Tuple[Any, int]":
 # ``_unpack_varint``: op ids, client ids and timestamps run to two or
 # three bytes, and a call per varint cost ``kv_sock_read`` about 7% of
 # its saturated throughput (5 alternating pairs, 2-vCPU VM).  The
-# decoders share one walk over the length prefixes, ``_decode_frames``,
-# with one body parser per frame kind.
-# The per-frame functions below are the one-frame case of the same
-# code, so the layout has one writer and one parser per frame kind.
+# decoders and the replica's serve path share one walk over the length
+# prefixes, ``_decode_frames``, with one body parser per frame kind
+# (``_parse_request_fields`` / ``_parse_response``); the response
+# encoder and the serve path share one response writer,
+# ``_write_response``.  The per-frame functions below are the one-frame
+# case of the same code, so the layout has one writer and one parser
+# per frame kind.
 
 
 def _frame(out: bytearray, start: int = 0) -> None:
@@ -462,7 +475,9 @@ def encode_binary_requests(ops: "Iterable[LowLevelOp]") -> bytes:
     return bytes(out)
 
 
-def _parse_request(data: bytes, p: int) -> "Tuple[LowLevelOp, int]":
+def _parse_request_fields(data: bytes, p: int) -> "Tuple[tuple, int]":
+    """One request body's fields: ``(op id, client index, object index,
+    OpKind, args)`` as plain values, and where the body stopped."""
     ids = []
     for _ in range(3):
         value = data[p]
@@ -470,11 +485,13 @@ def _parse_request(data: bytes, p: int) -> "Tuple[LowLevelOp, int]":
         if value >= 0x80:
             value &= 0x7F
             shift = 7
-            while data[p] >= 0x80:
-                value |= (data[p] & 0x7F) << shift
+            byte = data[p]
+            while byte >= 0x80:
+                value |= (byte & 0x7F) << shift
                 p += 1
                 shift += 7
-            value |= data[p] << shift
+                byte = data[p]
+            value |= byte << shift
             p += 1
         ids.append(value)
     op_value, client_index, object_index = ids
@@ -497,6 +514,13 @@ def _parse_request(data: bytes, p: int) -> "Tuple[LowLevelOp, int]":
         args, p = _unpack_value(data, p)
         if not isinstance(args, tuple):
             raise WireDecodeError("request args must decode as a tuple")
+    return (op_value, client_index, object_index, kind, args), p
+
+
+def _parse_request(data: bytes, p: int) -> "Tuple[LowLevelOp, int]":
+    (op_value, client_index, object_index, kind, args), p = (
+        _parse_request_fields(data, p)
+    )
     op = LowLevelOp(
         OpId(op_value),
         _client_id(client_index),
@@ -514,31 +538,77 @@ def decode_binary_requests(data: bytes) -> "Tuple[List[LowLevelOp], bytes]":
     return _decode_frames(data, _FRAME_REQUEST, "request", _parse_request)
 
 
-def encode_binary_responses(pairs: "Iterable[Tuple[int, Any]]") -> bytes:
-    """Every ``(op, result)`` pair's response frame, back to back: the
-    answers to one TCP read."""
-    out = bytearray()
+def _write_response(out: bytearray, value: int, result: Any) -> None:
+    """Pack the response frame of op ``value`` answering ``result`` at
+    the end of ``out``."""
+    start = len(out)
+    out += _RESPONSE_HEAD
     append = out.append
+    if value < 0:
+        raise InvalidConfig(f"varint cannot encode negative {value}")
+    while value >= 0x80:
+        append((value & 0x7F) | 0x80)
+        value >>= 7
+    append(value)
+    kind = type(result)
+    if kind is TSVal:
+        _pack_tsval(result, out)
+    elif kind is str:
+        _pack_str(result, out)
+    elif result is None:
+        append(_T_NONE)
+    else:
+        _pack_value(result, out)
+    _frame(out, start)
+
+
+def encode_binary_responses(pairs: "Iterable[Tuple[int, Any]]") -> bytes:
+    """Every ``(op, result)`` pair's response frame, back to back."""
+    out = bytearray()
     for value, result in pairs:
-        start = len(out)
-        out += _RESPONSE_HEAD
-        if value < 0:
-            raise InvalidConfig(f"varint cannot encode negative {value}")
-        while value >= 0x80:
-            append((value & 0x7F) | 0x80)
-            value >>= 7
-        append(value)
-        kind = type(result)
-        if kind is TSVal:
-            _pack_tsval(result, out)
-        elif kind is str:
-            _pack_str(result, out)
-        elif result is None:
-            append(_T_NONE)
-        else:
-            _pack_value(result, out)
-        _frame(out, start)
+        _write_response(out, value, result)
     return bytes(out)
+
+
+def serve_binary_requests(
+    data: bytes, replicas: "Dict[int, BaseObject]"
+) -> "Tuple[bytearray, bytes, int, bool]":
+    """A replica's answer to one TCP read, in one pass: ``(answers,
+    tail, served, malformed)``.
+
+    ``replicas`` maps object indices to the base objects hosted.  Every
+    complete request frame of ``data`` is parsed first (an oversized
+    length prefix refuses the whole read, as :func:`_decode_frames`
+    does, so nothing is applied), then each request is applied with
+    ``replica._apply(kind, args)`` in frame order and its response frame
+    packed into ``answers``.  ``served`` counts the requests applied and
+    ``tail`` is the truncated frame to prepend to the next read.
+    ``malformed`` is set by a frame that does not parse, or that names
+    an object not in ``replicas`` or a kind the object does not
+    support: the requests before it are applied and answered, none
+    after it, and ``tail`` is empty, for the peer is to be cut off.  The
+    same as :func:`decode_binary_requests`, ``BaseObject.apply`` on each
+    op, then :func:`encode_binary_responses`, without building an op.
+    """
+    malformed = False
+    try:
+        requests, tail = _decode_frames(
+            data, _FRAME_REQUEST, "request", _parse_request_fields
+        )
+    except WireDecodeError as error:
+        requests, tail, malformed = error.decoded, b"", True
+    answers = bytearray()
+    served = 0
+    for op_value, _, object_index, kind, args in requests:
+        replica = replicas.get(object_index)
+        if replica is None or kind not in replica.SUPPORTED:
+            # well framed, but not a request this replica can apply:
+            # the peer is as broken as one sending junk.
+            tail, malformed = b"", True
+            break
+        _write_response(answers, op_value, replica._apply(kind, args))
+        served += 1
+    return answers, tail, served, malformed
 
 
 def _parse_response(data: bytes, p: int) -> "Tuple[Tuple[int, Any], int]":

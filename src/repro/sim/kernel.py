@@ -840,12 +840,13 @@ class Kernel:
         the two optional hooks: the veto filter and ``on_stall`` run
         only when the environment overrides :meth:`Environment.allows`,
         ``pump`` / ``flush_idle`` only when the transport is ``active``.
-        Action execution is :meth:`execute` inlined.  A respond on any
-        transport that is not ``remote`` applies the op to its local
-        object and does :meth:`_respond`'s bookkeeping here, then hands
-        the response leg to ``transport.send_response`` — or, for the
-        plain in-process transport, delivers it inline; remote
-        transports go through :meth:`_respond`, as :meth:`execute` does.
+        Action execution is :meth:`execute` inlined, :meth:`_respond`
+        included: a respond takes its result from the local object (or,
+        on a ``remote`` transport, from ``transport.result_for``), does
+        the bookkeeping here, then hands the response leg to
+        ``transport.send_response`` — or, for the plain in-process
+        transport, delivers it inline.  :meth:`_respond` itself serves
+        :meth:`execute`.
         The structures hoisted here are mutated in place by the event
         handlers, never rebound, so the locals stay current as crash
         plans and listeners fire mid-run.  See ``docs/MODEL.md``,
@@ -855,6 +856,7 @@ class Kernel:
         vetoing = type(environment).allows is not Environment.allows
         transport = self.transport if self.transport.active else None
         remote = self.transport.remote
+        result_for = self.transport.result_for
         send_response = self.transport.send_response
         inproc = self._inproc
         respond_actions = self._respond_actions
@@ -906,30 +908,30 @@ class Kernel:
                         obj = self.object_map.object(op.object_id)
                     if obj.crashed:
                         raise ModelViolation(f"respond on crashed object: {op}")
+                    # Inlined _respond().  A remote replica applied the
+                    # op already; otherwise support was checked at
+                    # trigger and crash just above, so the wrapper
+                    # re-checks in BaseObject.apply are redundant.
                     if remote:
-                        self._respond(op)
+                        op.result = result_for(op)
                     else:
-                        # Inlined _respond() for every local transport.
-                        # Support was checked at trigger and crash just
-                        # above, so the wrapper re-checks in
-                        # BaseObject.apply are redundant.
-                        op.result = obj._apply(op)
-                        op.respond_time = time
-                        del pending[op_id]
-                        respond_actions.pop(op_id, None)
-                        if subs_respond:
-                            event = RespondEvent(time, op)
-                            for emit in subs_respond:
-                                emit(event)
-                        if inproc:
-                            # Inlined InProcTransport.send_response ->
-                            # deliver(), which explains the dirty mark.
-                            client = clients.get(op.client_id)
-                            if client is not None:
-                                client.deliver_response(op)
-                                client._poll_dirty = True
-                        else:
-                            send_response(op)
+                        op.result = obj._apply(op.kind, op.args)
+                    op.respond_time = time
+                    del pending[op_id]
+                    respond_actions.pop(op_id, None)
+                    if subs_respond:
+                        event = RespondEvent(time, op)
+                        for emit in subs_respond:
+                            emit(event)
+                    if inproc:
+                        # Inlined InProcTransport.send_response ->
+                        # deliver(), which explains the dirty mark.
+                        client = clients.get(op.client_id)
+                        if client is not None:
+                            client.deliver_response(op)
+                            client._poll_dirty = True
+                    else:
+                        send_response(op)
                 if subs_step:
                     for emit in subs_step:
                         emit(time)

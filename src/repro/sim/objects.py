@@ -117,7 +117,10 @@ class BaseObject:
 
     Subclasses define :attr:`SUPPORTED` (the op kinds they accept) and
     :meth:`_apply`, which mutates state and returns the result at respond
-    time.  ``SUPPORTED`` is a tuple: ``kind in SUPPORTED`` runs on every
+    time.  ``_apply(kind, args)`` takes the op's kind and arguments, not
+    the op: it checks neither support nor crash, so its callers (the
+    kernel's inlined respond, a socket replica) check first.
+    ``SUPPORTED`` is a tuple: ``kind in SUPPORTED`` runs on every
     trigger, and tuple containment matches the enum member by identity
     where a set would first call ``Enum.__hash__``.
     """
@@ -148,9 +151,9 @@ class BaseObject:
             raise ModelViolation(
                 f"applying {op} to crashed object {self.object_id}"
             )
-        return self._apply(op)
+        return self._apply(op.kind, op.args)
 
-    def _apply(self, op: LowLevelOp) -> Any:
+    def _apply(self, kind: OpKind, args: tuple) -> Any:
         raise NotImplementedError
 
     def reset(self) -> None:
@@ -175,9 +178,9 @@ class AtomicRegister(BaseObject):
     SUPPORTED = (OpKind.READ, OpKind.WRITE)
     TYPE_NAME = "register"
 
-    def _apply(self, op: LowLevelOp) -> Any:
-        if op.kind is OpKind.WRITE:
-            (new_value,) = op.args
+    def _apply(self, kind: OpKind, args: tuple) -> Any:
+        if kind is OpKind.WRITE:
+            (new_value,) = args
             self.value = new_value
             return "ack"
         return self.value
@@ -197,9 +200,9 @@ class MaxRegister(BaseObject):
     SUPPORTED = (OpKind.READ_MAX, OpKind.WRITE_MAX)
     TYPE_NAME = "max-register"
 
-    def _apply(self, op: LowLevelOp) -> Any:
-        if op.kind is OpKind.WRITE_MAX:
-            (new_value,) = op.args
+    def _apply(self, kind: OpKind, args: tuple) -> Any:
+        if kind is OpKind.WRITE_MAX:
+            (new_value,) = args
             if self.value is None or new_value > self.value:
                 self.value = new_value
             return "ok"
@@ -218,8 +221,8 @@ class CASObject(BaseObject):
     SUPPORTED = (OpKind.CAS,)
     TYPE_NAME = "cas"
 
-    def _apply(self, op: LowLevelOp) -> Any:
-        expected, new_value = op.args
+    def _apply(self, kind: OpKind, args: tuple) -> Any:
+        expected, new_value = args
         previous = self.value
         if previous == expected:
             self.value = new_value

@@ -12,6 +12,7 @@ from typing import Any, Optional, Sequence, Tuple
 
 from repro.errors import InvalidConfig
 from repro.sim.client import ClientProtocol, ClientRuntime
+from repro.sim.events import EventListener
 from repro.sim.history import History
 from repro.sim.ids import ClientId, ObjectId, ServerId
 from repro.sim.kernel import Environment, Kernel
@@ -25,11 +26,16 @@ Placement = Tuple[int, str, Any]
 
 @dataclass
 class SimSystem:
-    """A wired simulation: object map, kernel and history recorder."""
+    """A wired simulation: object map, kernel and history recorder.
+
+    ``history`` is the listener :func:`build_system` subscribed: a
+    :class:`~repro.sim.history.History`, unless the caller passed
+    another recorder (a slot fleet's per-slot router).
+    """
 
     object_map: ObjectMap
     kernel: Kernel
-    history: History
+    history: EventListener
 
     def add_client(
         self, client_id: ClientId, protocol: ClientProtocol
@@ -61,14 +67,16 @@ def build_system(
     placements: "Sequence[Placement]",
     scheduler: Optional[Scheduler] = None,
     environment: Optional[Environment] = None,
-    history: Optional[History] = None,
+    history: Optional[EventListener] = None,
     transport=None,
 ) -> SimSystem:
     """Build a simulation from a placement list.
 
     ``placements[i]`` places object ``b_i`` (ids are assigned in order) on
-    the given server with the given type and initial value.  ``transport``
-    is a ready :class:`~repro.net.transport.Transport` instance (``None``
+    the given server with the given type and initial value.  ``history``
+    is the recorder subscribed for the kernel's lifetime (``None``: a
+    fresh :class:`~repro.sim.history.History`).  ``transport`` is a
+    ready :class:`~repro.net.transport.Transport` instance (``None``
     selects direct in-process delivery).
     """
     if n_servers <= 0:

@@ -21,6 +21,7 @@ from repro.core.multi import (
     slot_client_id,
 )
 from repro.sim.events import InvokeEvent, ReturnEvent
+from repro.sim.history import History
 from repro.sim.ids import ClientId
 from repro.sim.scheduling import RandomScheduler
 
@@ -41,6 +42,8 @@ class TestSlotRouting:
         per_slot = [FilteredHistory(()) for _ in range(3)]
         for history in per_slot:
             fleet.kernel.add_listener(history)
+        everything = History()  # every invocation, whatever its slot
+        fleet.kernel.add_listener(everything)
         clients = []
         for slot in range(3):
             for writer in range(2):
@@ -64,9 +67,7 @@ class TestSlotRouting:
             assert routed == per_slot[slot].to_dicts()
             assert fleet.audit_slot(slot)
         # Every operation landed in exactly one slot.
-        assert sum(len(s.history) for s in fleet.slots) == len(
-            fleet.system.history
-        )
+        assert sum(len(s.history) for s in fleet.slots) == len(everything)
 
     def test_one_listener_however_many_slots(self):
         small, large = _fleet(2), _fleet(64)

@@ -12,7 +12,11 @@ from repro.core.ws_register import WSRegisterClient, WSRegisterEmulation
 from repro.sim.ids import ClientId, ObjectId
 from repro.sim.kernel import ActionKind
 from repro.sim.objects import OpKind
-from repro.sim.scheduling import ClientPriorityScheduler, RoundRobinScheduler
+from repro.sim.scheduling import (
+    ClientPriorityScheduler,
+    RandomScheduler,
+    RoundRobinScheduler,
+)
 from repro.sim.values import TSVal
 
 
@@ -176,3 +180,22 @@ class TestScans:
         reader.enqueue("read")
         assert emu.system.run_to_quiescence().satisfied
         assert [r.result for r in emu.history.reads] == ["w1", "w1"]
+
+    def test_read_ids_of_abandoned_scans_are_forgotten(self):
+        """Scans past the ``n - f`` a collect needs are abandoned and
+        never resumed; the ids of the reads they triggered must not pile
+        up over a long run.  Each collect starts afresh, so a client
+        holds at most one id per register."""
+        emu = WSRegisterEmulation(5, 6, 2, scheduler=RandomScheduler(9))
+        writers = [emu.add_writer(index) for index in range(5)]
+        readers = [emu.add_reader() for _ in range(2)]
+        clients = writers + readers
+        registers = emu.layout.total_registers
+        for round_index in range(150):
+            for writer in writers:
+                writer.enqueue("write", round_index)
+            for reader in readers:
+                reader.enqueue("read")
+            assert emu.system.run_to_quiescence().satisfied
+            held = max(len(_protocol(c)._read_done) for c in clients)
+            assert held <= registers, (round_index, held)

@@ -388,6 +388,28 @@ class TestR009:
             for item in result.active
         )
 
+    def test_set_iteration_into_the_replica_serve_pass_fires(self, tmp_path):
+        # the replica packs its answer frames inside the serve pass: a
+        # read assembled in set order would answer in a salted order.
+        result = lint_source(
+            tmp_path,
+            """
+            from repro.net.wire import serve_binary_requests
+
+            def answer(replicas, frames):
+                pending = set(frames)
+                data = b""
+                for frame in pending:
+                    data = data + frame
+                return serve_binary_requests(data, replicas)
+            """,
+            "R009",
+        )
+        assert any(
+            "flows into serve_binary_requests" in item.message
+            for item in result.active
+        ), [item.message for item in result.active]
+
     def test_float_accumulation_into_fate_fires(self, tmp_path):
         result = lint_source(
             tmp_path,

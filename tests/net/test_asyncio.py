@@ -441,8 +441,8 @@ class TestFailuresAreLoud:
         class ReplicaBug(Exception):
             pass
 
-        def apply(op):
-            raise ReplicaBug(op)
+        def apply(kind, args):
+            raise ReplicaBug(kind, args)
 
         try:
             cluster.round()
@@ -451,7 +451,7 @@ class TestFailuresAreLoud:
             # request the replica cannot apply is the peer's fault; see
             # tests/net/test_wire_errors.py.)
             for replica in cluster.transport.servers[0].replicas.values():
-                replica.apply = apply
+                replica._apply = apply
             start = time.monotonic()
             with pytest.raises(ReplicaBug):
                 cluster.round()

@@ -17,6 +17,7 @@ from repro.errors import WireDecodeError
 from repro.net.wire import MAX_FRAME_BYTES, BinaryWireCodec
 from repro.sim.ids import ClientId, ObjectId, OpId
 from repro.sim.objects import LowLevelOp, OpKind
+from repro.sim.values import TSVal
 
 from tests.net.test_asyncio import _AbdCluster
 from tests.net.test_wire_binary import _read_all_frames
@@ -193,20 +194,24 @@ def test_a_replica_answers_what_precedes_an_undecodable_frame():
         (hosted,) = server.replicas
         replica = server.replicas[hosted]
         applied = []
-        apply = replica.apply
+        apply = replica._apply
 
-        def recording_apply(op):
-            if op.client_id == ClientId(7):
-                applied.append(int(op.op_id))
-            return apply(op)
+        def recording_apply(kind, args):
+            # the peer's requests: writes by writer id 7 whose payload
+            # is their op id (timestamp 0 leaves the register as it is)
+            if args and args[0].wid == 7:
+                applied.append(args[0].val)
+            return apply(kind, args)
 
-        replica.apply = recording_apply
+        replica._apply = recording_apply
         peer = socket.create_connection(("127.0.0.1", transport.ports[0]))
         try:
             peer.sendall(
-                _request(1000, hosted, OpKind.READ_MAX, ())
+                _request(1000, hosted, OpKind.WRITE_MAX, (TSVal(0, 7, 1000),))
                 + _frame(BAD_UTF8_REQUEST)
-                + _request(1002, hosted, OpKind.READ_MAX, ())
+                + _request(
+                    1002, hosted, OpKind.WRITE_MAX, (TSVal(0, 7, 1002),)
+                )
             )
             peer.setblocking(False)
             cluster.rounds_until(

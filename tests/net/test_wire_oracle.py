@@ -24,12 +24,14 @@ from repro.net.wire import (
     MAX_FRAME_BYTES,
     BinaryWireCodec,
     decode_binary_request,
+    decode_binary_requests,
     decode_binary_response,
     encode_binary_request,
     encode_binary_response,
+    serve_binary_requests,
 )
 from repro.sim.ids import ClientId, ObjectId, OpId
-from repro.sim.objects import LowLevelOp, OpKind
+from repro.sim.objects import LowLevelOp, OpKind, make_object
 from repro.sim.values import TSVal, bottom_tsval
 
 from tests.net import wire_reference as reference
@@ -392,3 +394,177 @@ def test_an_oversized_length_prefix_fails_before_its_body(decode):
         with pytest.raises(WireDecodeError) as failure:
             decode(data)
         assert not failure.value.decoded
+
+
+# -- the replica's serve path --------------------------------------------------
+#
+# A replica answers a TCP read in one pass with ``serve_binary_requests``.
+# The reference is the path it replaced, on a copy of the replicas:
+# decode the read, ``BaseObject.apply`` each op, encode the answers (with
+# the reference codec's frames, so the shared response writer is checked
+# too).  The answer bytes, the carried tail, the served count, the
+# malformed flag and the replica states must all agree, read after read.
+
+
+def _hosted():
+    """A replica of each base object type, at object indices 0, 1, 2."""
+    return {
+        0: make_object("register", ObjectId(0), "initial"),
+        1: make_object("max-register", ObjectId(1), bottom_tsval()),
+        2: make_object("cas", ObjectId(2), [None, -1]),
+    }
+
+
+def _reference_serve(data, replicas):
+    malformed = False
+    try:
+        ops, tail = decode_binary_requests(data)
+    except WireDecodeError as error:
+        ops, tail, malformed = error.decoded, b"", True
+    answers = []
+    for op in ops:
+        replica = replicas.get(op.object_id.index)
+        if replica is None or op.kind not in replica.SUPPORTED:
+            tail, malformed = b"", True
+            break
+        result = replica.apply(op)
+        answers.append(reference.encode_binary_response(op.op_id, result))
+    return b"".join(answers), tail, len(answers), malformed
+
+
+def _request_frame(kind, args, op, obj):
+    return encode_binary_request(_request(args, kind, op, 1, obj))
+
+
+def _good_frames(values):
+    """Requests an object at index 0-2 supports, with well-shaped args:
+    timestamps and payloads off the fast path included."""
+    tsvals = st.builds(
+        TSVal,
+        ts=st.integers(min_value=-(2**40), max_value=2**70),
+        wid=st.integers(min_value=-(2**40), max_value=2**40),
+        val=values,
+    )
+    return st.one_of(
+        st.builds(_request_frame, st.just(OpKind.READ), st.just(()), _IDS, st.just(0)),
+        st.builds(
+            _request_frame,
+            st.just(OpKind.WRITE),
+            st.tuples(values),
+            _IDS,
+            st.just(0),
+        ),
+        st.builds(
+            _request_frame, st.just(OpKind.READ_MAX), st.just(()), _IDS, st.just(1)
+        ),
+        st.builds(
+            _request_frame,
+            st.just(OpKind.WRITE_MAX),
+            st.tuples(st.one_of(_SHIPPED_TSVALS, tsvals)),
+            _IDS,
+            st.just(1),
+        ),
+        st.builds(
+            _request_frame,
+            st.just(OpKind.CAS),
+            st.tuples(values, values),
+            _IDS,
+            st.just(2),
+        ),
+    )
+
+
+def _reframed(payload):
+    return struct.pack(">I", len(payload)) + payload
+
+
+#: frames a replica must refuse, and the peer with them.
+_BAD_FRAMES = st.one_of(
+    # well framed, but an object not hosted or a kind not supported
+    st.builds(
+        _request_frame,
+        st.sampled_from(list(OpKind)),
+        st.just(()),
+        _IDS,
+        st.integers(min_value=3, max_value=2**40),
+    ),
+    st.builds(
+        _request_frame,
+        st.sampled_from([OpKind.CAS, OpKind.READ_MAX]),
+        st.just((None, 1)),
+        _IDS,
+        st.just(0),
+    ),
+    st.builds(
+        _request_frame,
+        st.sampled_from([OpKind.READ, OpKind.WRITE, OpKind.CAS]),
+        st.just((1, 2)),
+        _IDS,
+        st.just(1),
+    ),
+    st.sampled_from(
+        [
+            _reframed(bytes.fromhex("01 07 02 00 63 08 00")),  # kind code 0x63
+            _reframed(bytes.fromhex("01 07 02 03 03 08 01 05 01 ff")),  # not UTF-8
+            _reframed(bytes.fromhex("01 07 02 00 00 08 00 00")),  # trailing byte
+            _reframed(bytes.fromhex("01 07 02 00 00 08")),  # truncated body
+            struct.pack(">I", 0),  # an empty frame
+            encode_binary_response(7, "ok"),  # not a request
+        ]
+    ),
+    # an oversized length prefix, alone or before more bytes
+    st.builds(
+        lambda extra: struct.pack(">I", MAX_FRAME_BYTES + 1) + extra,
+        st.binary(max_size=6),
+    ),
+)
+
+
+def _served_reads(serve, blob, cuts, replicas):
+    """``blob`` cut at ``cuts`` and served read by read, the tail of each
+    read prepended to the next, until a read cuts the peer off."""
+    edges = [0, *sorted(cut % (len(blob) + 1) for cut in cuts), len(blob)]
+    reads, tail = [], b""
+    for start, end in zip(edges, edges[1:]):
+        answers, tail, served, malformed = serve(tail + blob[start:end], replicas)
+        reads.append((bytes(answers), tail, served, malformed))
+        if malformed:
+            break
+    return reads
+
+
+def _states(replicas):
+    return [(index, replica.value) for index, replica in sorted(replicas.items())]
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_serve_answers_as_decode_apply_encode(data):
+    values = _values(max_leaves=6)
+    good = _good_frames(values)
+    frames = data.draw(
+        st.lists(
+            st.one_of(good, good, good, _BAD_FRAMES), min_size=1, max_size=8
+        )
+    )
+    blob = b"".join(frames)
+    cuts = data.draw(_CUTS)
+    served, reference = _hosted(), _hosted()
+    got = _served_reads(serve_binary_requests, blob, cuts, served)
+    want = _served_reads(_reference_serve, blob, cuts, reference)
+    assert got == want
+    assert _same(_states(served), _states(reference))
+
+
+def test_serve_refuses_a_read_with_an_oversized_prefix_whole():
+    """Good frames before an oversized length prefix in one read are not
+    applied: the prefix refuses the read before anything is served."""
+    replicas = _hosted()
+    before = _states(replicas)
+    write = _request_frame(OpKind.WRITE, ("v",), 5, 0)
+    oversized = struct.pack(">I", MAX_FRAME_BYTES + 1)
+    answers, tail, served, malformed = serve_binary_requests(
+        write + write + oversized, replicas
+    )
+    assert (bytes(answers), tail, served, malformed) == (b"", b"", 0, True)
+    assert _states(replicas) == before
