@@ -15,7 +15,6 @@ such services end to end:
 from repro.apps.shard import (
     ShardConfig,
     ShardedKVService,
-    ShardFleet,
     ShardRouter,
     ShardServiceConfig,
     run_loadgen,
@@ -23,7 +22,6 @@ from repro.apps.shard import (
 
 __all__ = [
     "ShardConfig",
-    "ShardFleet",
     "ShardRouter",
     "ShardServiceConfig",
     "ShardedKVService",

@@ -11,7 +11,6 @@ replicas behind it: the cluster ``repro loadgen`` runs.
 
 from repro.apps.shard.cluster import ShardCluster
 from repro.apps.shard.config import ShardConfig, ShardServiceConfig
-from repro.apps.shard.fleet import ShardFleet, shard_placements
 from repro.apps.shard.loadgen import Scenario, run_loadgen
 from repro.apps.shard.router import ShardRouter, stable_key_hash
 from repro.apps.shard.service import (
@@ -24,8 +23,6 @@ __all__ = [
     "ShardCluster",
     "ShardConfig",
     "ShardServiceConfig",
-    "ShardFleet",
-    "shard_placements",
     "Scenario",
     "run_loadgen",
     "ShardRouter",

@@ -2,9 +2,10 @@
 
 Keys route by stable hash to one of ``S`` shards
 (:class:`~repro.apps.shard.router.ShardRouter`); each shard is an
-independent :class:`~repro.apps.shard.fleet.ShardFleet` with its own
-quorum layout, scheduler stream and (optionally) its own socket
-transport.  Clients interact through :class:`ServiceSession` handles:
+independent :class:`~repro.core.multi.SlotFleet` (one slot per key, up
+to the shard's ``capacity``) with its own quorum layout, scheduler
+stream and (optionally) its own socket transport.  Clients interact
+through :class:`ServiceSession` handles:
 
 * synchronous ``put/get/delete/scan`` — each drives the owning shard to
   quiescence (on a one-shard service this is the whole store: every key
@@ -30,8 +31,8 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.shard.config import ShardServiceConfig
-from repro.apps.shard.fleet import ShardFleet
 from repro.apps.shard.router import ShardRouter
+from repro.core.multi import SlotFleet
 from repro.errors import (
     InvalidConfig,
     QuorumUnavailable,
@@ -40,6 +41,7 @@ from repro.errors import (
     TransportUnavailable,
     WriterBoundExceeded,
 )
+from repro.sim.scheduling import RandomScheduler
 
 #: Deletion sentinel (registers cannot shrink, so a delete writes it).
 #: A *string* so it crosses the wire format unchanged — shard values
@@ -71,11 +73,15 @@ class ShardedKVService:
             )
         self.config = config
         self.router = ShardRouter(config.n_shards)
-        self.fleets: "List[ShardFleet]" = [
-            ShardFleet(
-                shard,
+        self.fleets: "List[SlotFleet]" = [
+            SlotFleet(
+                shard.substrate,
+                shard.capacity,
+                shard.k_writers,
+                shard.n,
+                shard.f,
                 # independent, deterministic scheduler stream per shard
-                seed=config.seed * 7919 + shard_index,
+                scheduler=RandomScheduler(config.seed * 7919 + shard_index),
                 transport=transports[shard_index] if transports else None,
             )
             for shard_index, shard in enumerate(config.shards)
@@ -271,14 +277,14 @@ class ShardedKVService:
         """Per-key consistency audit with the substrate's checker.
 
         Key ↔ slot is one-to-one, so each key's audit is its slot's
-        filtered history run through ``check_ws_regular`` (register) or
+        history run through ``check_ws_regular`` (register) or
         ``is_register_history_atomic`` (max-register / cas).
         """
         results: "Dict[str, bool]" = {}
         for shard_index, assignment in enumerate(self._assignments):
             fleet = self.fleets[shard_index]
             for key, slot in assignment.items():
-                results[key] = fleet.audit_slot(slot)
+                results[key] = fleet.slots[slot].audit()
         return results
 
     # -- control plane ---------------------------------------------------------

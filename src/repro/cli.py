@@ -416,22 +416,24 @@ def cmd_serve(args) -> int:
     s<i>/shard<j> on h:p``).  Placements are a pure function of the
     flags, so the load generator and every serve process rebuild
     identical base objects."""
-    from repro.apps.shard import shard_placements
+    from repro.core.multi import SlotFleet
     from repro.net.asyncio_transport import (
+        check_port,
         run_replica_server,
         run_shard_servers,
         snapshot_placements,
     )
 
     if args.shards is None:
+        check_port(args.port, "--port")
         emulation = _build_emulation(args, seed=0)
         if emulation is None:
             return 2
-        placements = snapshot_placements(emulation.kernel.object_map)
+        object_map = emulation.kernel.object_map
     else:
         config = _shard_service_config(args)
         ports = (
-            [int(port) for port in args.ports.split(",")]
+            [check_port(int(port), "--ports") for port in args.ports.split(",")]
             if args.ports
             else [0] * config.n_shards
         )
@@ -442,13 +444,11 @@ def cmd_serve(args) -> int:
                 file=sys.stderr,
             )
             return 2
-        placements = {}
-        for object_index, (server_index, type_name, initial) in enumerate(
-            shard_placements(config.shards[0])[0]  # flag-built: uniform
-        ):
-            placements.setdefault(server_index, []).append(
-                (object_index, type_name, initial)
-            )
+        shard = config.shards[0]  # flag-built: every shard is alike
+        object_map = SlotFleet(
+            shard.substrate, shard.capacity, shard.k_writers, shard.n, shard.f
+        ).object_map
+    placements = snapshot_placements(object_map)
     if args.server not in placements:
         print(
             f"error: no server {args.server} in this layout"

@@ -45,6 +45,9 @@ from repro.sim.events import EventListener
 from repro.sim.ids import ServerId
 from repro.sim.scheduling import RoundRobinScheduler
 
+#: step bound on a phase's write and on its drain
+MAX_STEPS_PER_PHASE = 500_000
+
 
 @dataclass
 class PhaseReport:
@@ -94,7 +97,6 @@ class Lemma1Runner:
         f: int,
         F: "Optional[Set[ServerId]]" = None,
         check_lemma2: bool = True,
-        max_steps_per_phase: int = 500_000,
         scheduler=None,
     ):
         self.k = k
@@ -109,7 +111,6 @@ class Lemma1Runner:
         if not F <= set(self.emulation.object_map.server_ids):
             raise InvalidConfig("F must be a subset of the servers")
         self.F = F
-        self.max_steps_per_phase = max_steps_per_phase
         self.tracker = CoveringTracker(self.emulation.object_map, f)
         # repro-lint: disable=R005 the tracker sees every phase of this single-use run
         self.emulation.kernel.add_listener(self.tracker)
@@ -138,7 +139,7 @@ class Lemma1Runner:
             return writer.idle and not writer.program
 
         result = kernel.run(
-            max_steps=self.max_steps_per_phase, until=write_returned
+            max_steps=MAX_STEPS_PER_PHASE, until=write_returned
         )
         if not result.satisfied:
             raise AssertionError(
@@ -152,7 +153,7 @@ class Lemma1Runner:
 
         # Extension of the proof: drain all non-blocked responds so that
         # delta(Cov_i(t_i)) cap F = empty.
-        drain = kernel.run(max_steps=self.max_steps_per_phase)
+        drain = kernel.run(max_steps=MAX_STEPS_PER_PHASE)
         if drain.reason == "max_steps":
             raise AssertionError(f"phase {index}: drain did not stabilize")
 

@@ -19,14 +19,15 @@ event, one schedule, ``m`` consistency-checked registers:
 * ``cas`` — ABD whose per-server max-register is Algorithm 1 over a
   single CAS object.
 
-Two fronts share it.  :class:`MultiRegisterDeployment` is the engine on
-the register substrate, handing out its slots as ``register(i)`` (a
-:class:`Slot` has the emulation surface the workload runner expects);
-:class:`~repro.apps.shard.fleet.ShardFleet` builds it from a
-``ShardConfig`` for the KV service.  Placements are a pure function of
-the parameters (:func:`slot_placements`), so a replica process in
-another machine image rebuilds byte-identical base objects from the
-same numbers.
+The KV service builds one :class:`SlotFleet` per shard from its
+``ShardConfig`` and keeps only pending ops.
+:class:`MultiRegisterDeployment` is the recording front: the engine on
+the register substrate, recording its op log for the substrate audit
+and handing out its slots as ``register(i)`` (a :class:`Slot` has the
+emulation surface the workload runner expects).  Placements are a pure
+function of the parameters (:func:`slot_placements`), so a replica
+process in another machine image rebuilds byte-identical base objects
+from the same numbers.
 """
 
 from __future__ import annotations
@@ -130,27 +131,6 @@ def slot_placements(
     ], None
 
 
-class FilteredHistory(History):
-    """A History that records only operations of selected clients: the
-    building block of any multi-register deployment (each register
-    audits only its own clients' operations)."""
-
-    def __init__(self, client_ids):
-        super().__init__()
-        self.client_ids = set(client_ids)
-
-    def admit(self, client_id: ClientId) -> None:
-        self.client_ids.add(client_id)
-
-    def on_invoke(self, event) -> None:
-        if event.client_id in self.client_ids:
-            super().on_invoke(event)
-
-    def on_return(self, event) -> None:
-        if event.seq in self.ops:
-            super().on_return(event)
-
-
 #: Client-id partitioning of every multi-slot deployment: slot ``s``
 #: (a register here, a key's slot in :mod:`repro.apps.shard`) owns ids
 #: ``[s*SLOT_STRIDE, (s+1)*SLOT_STRIDE)``; writers at the bottom,
@@ -169,15 +149,15 @@ class SlotHistoryRouter(EventListener):
     the client, found from the id partitioning: one listener per
     deployment, so recording costs the same however many slots exist.
 
-    The slot's :class:`FilteredHistory` still applies its ``admit``
-    filter; an id outside every slot's range is dropped here.  A
-    :class:`SlotFleet` hands it to ``build_system`` as the system's
-    recorder, subscribed for the kernel's lifetime: per-slot histories
-    are part of the deployment and must span every run, crash and
-    restart.
+    The id partition is the one decision of which slot owns a client:
+    only the fleet creates clients in a slot's range, and an id outside
+    every slot's range is dropped here.  A :class:`SlotFleet` hands it
+    to ``build_system`` as the system's recorder, subscribed for the
+    kernel's lifetime: per-slot histories are part of the deployment
+    and must span every run, crash and restart.
     """
 
-    def __init__(self, histories: "List[FilteredHistory]"):
+    def __init__(self, histories: "List[History]"):
         self._histories = histories
 
     def on_invoke(self, event) -> None:
@@ -196,9 +176,7 @@ class Slot:
     workload runner and checkers expect (kernel / object_map / system /
     history / add_writer / add_reader)."""
 
-    def __init__(
-        self, fleet: "SlotFleet", index: int, history: FilteredHistory
-    ):
+    def __init__(self, fleet: "SlotFleet", index: int, history: History):
         self.fleet = fleet
         self.index = index
         self.system = fleet.system
@@ -220,12 +198,12 @@ class Slot:
                 f"writer {writer_index} already added to register"
                 f" {self.index}"
             )
-        return self.fleet.client(self.index, writer_index, writer_index)
+        return self.fleet.writer(self.index, writer_index)
 
     def add_reader(self) -> ClientRuntime:
-        offset = READER_BASE + self._next_reader
+        reader_index = self._next_reader
         self._next_reader += 1
-        return self.fleet.client(self.index, offset, None)
+        return self.fleet.reader(self.index, reader_index)
 
     def audit(self) -> bool:
         """Check the slot's history against its substrate's condition."""
@@ -265,14 +243,15 @@ class SlotFleet:
         # Table 1 as a runtime check: no slot may use fewer base objects
         # than the lower bound allows.  The upper bound is not checked:
         # the quorum substrates place one object per server, n >= 2f+1.
-        per_slot = len(placements) // m
+        #: base objects behind one slot: every slot has the same layout
+        self.objects_per_slot = per_slot = len(placements) // m
         lower = table1_row(substrate, k, n, f)["lower"]
         if per_slot < lower:
             raise BoundViolation(
                 f"{per_slot} {substrate} object(s) per slot at k={k}, n={n},"
                 f" f={f}: below Table 1's lower bound of {lower}"
             )
-        histories = [FilteredHistory(()) for _ in range(m)]
+        histories = [History() for _ in range(m)]
         # The router is the fleet's one recorder: each op is recorded
         # once, in its slot's history (a fleet-wide History beside it
         # would hold every op a second time, read by nobody).
@@ -290,7 +269,22 @@ class SlotFleet:
             Slot(self, index, history) for index, history in enumerate(histories)
         ]
 
-    def client(
+    @property
+    def transport(self):
+        return self.kernel.transport
+
+    def writer(self, slot_index: int, writer_index: int) -> ClientRuntime:
+        """The slot's writer client ``writer_index``, created on first
+        use.  The *caller* (the KV service's session layer) raises
+        :class:`~repro.errors.WriterBoundExceeded` past ``k``."""
+        return self._client(slot_index, writer_index, writer_index)
+
+    def reader(self, slot_index: int, reader_index: int = 0) -> ClientRuntime:
+        """The slot's reader client ``reader_index``, created on first
+        use."""
+        return self._client(slot_index, READER_BASE + reader_index, None)
+
+    def _client(
         self, slot_index: int, offset: int, writer_index: "Optional[int]"
     ) -> ClientRuntime:
         """The slot's client at ``offset`` of its id range, created on
@@ -319,9 +313,11 @@ class SlotFleet:
                     ],
                 )
             runtime = self.kernel.add_client(client_id, protocol)
-            slot.history.admit(client_id)
             slot.clients[offset] = runtime
         return runtime
+
+    def run_to_quiescence(self, max_steps: int = 200_000):
+        return self.system.run_to_quiescence(max_steps=max_steps)
 
     def crash_server(self, server_index: int) -> None:
         """One crash event: every slot loses that server at once."""

@@ -14,7 +14,7 @@ Concurrency notes:
   mutation is atomic on its own, and the multi-statement operations
   (:meth:`reset`) take ``BEGIN IMMEDIATE`` so the select-then-update
   pair holds the write lock throughout.
-* ``busy_timeout`` makes concurrent writers queue instead of erroring.
+* ``BUSY_TIMEOUT`` makes concurrent writers queue instead of erroring.
 * WAL journaling is attempted (readers don't block the writer on local
   disks) but failure to switch is tolerated — some network filesystems
   refuse WAL, and rollback journaling is still correct there.
@@ -49,6 +49,9 @@ from repro.exec.queue.backend import (
 
 #: bump on schema changes; a mismatched file refuses to open.
 SCHEMA_VERSION = 1
+
+#: seconds a statement waits for another writer's lock
+BUSY_TIMEOUT = 30.0
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS queue_meta (
@@ -102,25 +105,21 @@ class SqliteQueue:
     Reads may be stale; CAS failures are the truth.
     """
 
-    def __init__(
-        self,
-        path: "Union[str, os.PathLike]",
-        busy_timeout: float = 30.0,
-    ):
+    def __init__(self, path: "Union[str, os.PathLike]"):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         # check_same_thread=False + _lock: the heartbeat thread shares
         # this handle (each statement is serialized below).
         self._conn = sqlite3.connect(
             str(self.path),
-            timeout=busy_timeout,
+            timeout=BUSY_TIMEOUT,
             check_same_thread=False,
             isolation_level=None,  # autocommit; explicit BEGIN where needed
         )
         self._lock = threading.Lock()
         with self._lock:
             self._conn.execute(
-                f"PRAGMA busy_timeout = {int(busy_timeout * 1000)}"
+                f"PRAGMA busy_timeout = {int(BUSY_TIMEOUT * 1000)}"
             )
             try:
                 self._conn.execute("PRAGMA journal_mode = WAL")

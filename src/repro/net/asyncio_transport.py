@@ -68,6 +68,25 @@ from repro.sim.objects import make_object
 #: (object index, object type name, initial value) — one replica.
 ReplicaSpec = Tuple[int, str, Any]
 
+#: seconds ``start`` waits for every listener and connection to come up
+STARTUP_TIMEOUT = 10.0
+
+
+def check_port(port: int, what: str) -> int:
+    """``port`` if a TCP socket can bind or dial it (0: ephemeral), else
+    :class:`~repro.errors.InvalidConfig`."""
+    if not 0 <= port <= 65535:
+        raise InvalidConfig(f"{what} {port} is outside 0-65535")
+    return port
+
+
+def _parse_address(address: str, default_host: str) -> "Tuple[str, int]":
+    """``(host, port)`` of a ``[host]:port`` address."""
+    host, _, port = address.rpartition(":")
+    if not port.isdigit():
+        raise InvalidConfig(f"address {address!r} is not HOST:PORT")
+    return host or default_host, check_port(int(port), f"{address!r}: port")
+
 
 def snapshot_placements(object_map) -> "Dict[int, List[ReplicaSpec]]":
     """Per-server replica specs, read off a wired object map.
@@ -257,7 +276,6 @@ class AsyncioTransport(Transport):
         self,
         addresses: "Tuple[str, ...]" = (),
         host: str = "127.0.0.1",
-        startup_timeout: float = 10.0,
         idle_timeout: float = 5.0,
         codec: Any = "binary",
     ):
@@ -268,11 +286,12 @@ class AsyncioTransport(Transport):
         super().__init__()
         self.addresses = tuple(addresses)
         self.host = host
-        self.startup_timeout = startup_timeout
         self.idle_timeout = idle_timeout
         self.ports: "Dict[int, int]" = {}
         self.servers: "Dict[int, ReplicaServer]" = {}
         self._placements: "Dict[int, List[ReplicaSpec]]" = {}
+        #: ``(host, port)`` of each external server, parsed at bind.
+        self._dial: "List[Tuple[str, int]]" = []
         #: object index -> index of the server hosting it, set at bind.
         self._server_of: "Dict[int, int]" = {}
         self._loop: "Optional[asyncio.AbstractEventLoop]" = None
@@ -333,6 +352,9 @@ class AsyncioTransport(Transport):
                 " to self-host every server); mixing external and"
                 " self-hosted servers is not supported"
             )
+        self._dial = [
+            _parse_address(address, self.host) for address in self.addresses
+        ]
 
     def start(self) -> None:
         """Bring the event loop and the cluster up (idempotent).
@@ -348,7 +370,7 @@ class AsyncioTransport(Transport):
         loop.set_exception_handler(self._on_loop_error)
         try:
             loop.run_until_complete(
-                asyncio.wait_for(self._open(), self.startup_timeout)
+                asyncio.wait_for(self._open(), STARTUP_TIMEOUT)
             )
         except (OSError, ValueError, asyncio.TimeoutError) as error:
             self.close()
@@ -387,10 +409,8 @@ class AsyncioTransport(Transport):
             self._loop.stop()
 
     async def _open(self) -> None:
-        if self.addresses:
-            for server_index, address in enumerate(self.addresses):
-                host, _, port = address.rpartition(":")
-                self._endpoints[server_index] = (host or self.host, int(port))
+        if self._dial:
+            self._endpoints.update(enumerate(self._dial))
         else:
             for server_index, replicas in self._placements.items():
                 if server_index not in self.servers:
@@ -636,9 +656,16 @@ def _serve_all(listeners, host: str, announce=print) -> None:
         loop = asyncio.get_running_loop()
         servers = []
         for replica_server, port, label in listeners:
-            server = await loop.create_server(
-                replica_server.connection, host, port
-            )
+            try:
+                server = await loop.create_server(
+                    replica_server.connection, host, port
+                )
+            except OSError as error:
+                for opened in servers:
+                    opened.close()
+                raise TransportUnavailable(
+                    f"cannot serve {label}: {error}"
+                ) from error
             bound = server.sockets[0].getsockname()
             # repro-lint: disable=R007 one bootstrap line, printed before any traffic
             announce(f"serving {label} on {bound[0]}:{bound[1]}")

@@ -60,7 +60,6 @@ harness (``benchmarks/e2e``) and nothing else.
 
 from __future__ import annotations
 
-import functools
 import json
 import struct
 from typing import Any, Dict, Iterable, List, Optional, Tuple
@@ -118,13 +117,6 @@ _F64_STRUCT = struct.Struct(">d")
 #: packed in place, one after another in the buffer of their segment.
 _REQUEST_HEAD = bytes((0, 0, 0, 0, _FRAME_REQUEST))
 _RESPONSE_HEAD = bytes((0, 0, 0, 0, _FRAME_RESPONSE))
-
-#: ``ClientId`` / ``ObjectId`` of a decoded request.  Both are immutable
-#: and carry their hash, so requests may share them; the bound keeps a
-#: peer sending ever-new indices from growing the cache.
-_client_id = functools.lru_cache(maxsize=4096)(ClientId)
-_object_id = functools.lru_cache(maxsize=4096)(ObjectId)
-
 
 def _pack_varint(value: int, out: bytearray) -> None:
     """Unsigned LEB128 (7 bits per byte, high bit = continuation)."""
@@ -523,8 +515,8 @@ def _parse_request(data: bytes, p: int) -> "Tuple[LowLevelOp, int]":
     )
     op = LowLevelOp(
         OpId(op_value),
-        _client_id(client_index),
-        _object_id(object_index),
+        ClientId(client_index),
+        ObjectId(object_index),
         kind,
         args,
         0,  # trigger time: the client-side kernel keeps the timing

@@ -24,6 +24,9 @@ from repro.workloads.generators import Workload
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.emulation import Emulation, EmulationSpec
 
+#: step bound on one round of a workload
+MAX_STEPS_PER_ROUND = 200_000
+
 
 @dataclass
 class RunReport:
@@ -51,7 +54,6 @@ class RunReport:
 def run_workload(
     emulation: "Union[Emulation, EmulationSpec]",
     workload: Workload,
-    max_steps_per_round: int = 200_000,
     crash_plan=None,
 ) -> RunReport:
     """Run every round of ``workload`` to quiescence on ``emulation``.
@@ -115,7 +117,7 @@ def run_workload(
                 runtime.enqueue(invocation.name, *invocation.args)
 
             result = kernel.run(
-                max_steps=max_steps_per_round, until=_round_done
+                max_steps=MAX_STEPS_PER_ROUND, until=_round_done
             )
             total_steps += result.steps
             if not result.satisfied:

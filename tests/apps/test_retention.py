@@ -1,9 +1,9 @@
 """Bounded state per run: the KV service's kernel forgets finished ops.
 
-A ``ShardFleet`` (and so ``ShardedKVService``) does not record its op
-log: once the network is drained, the only ``LowLevelOp`` objects left
-alive are the kernel's pending ones, on every transport, however long
-the run.  The op ids stay the dense trigger count.  A ``Deployment`` is
+A KV shard's ``SlotFleet`` (and so ``ShardedKVService``) does not
+record its op log: once the network is drained, the only ``LowLevelOp``
+objects left alive are the kernel's pending ones, on every transport,
+however long the run.  The op ids stay the dense trigger count.  A ``Deployment`` is
 an analysis object: it keeps each base object's ops only while the
 object has at most ``RECORDED_OPS_PER_OBJECT`` of them, which is all the
 substrate audit reads, so its live ops are bounded too.

@@ -11,12 +11,12 @@ import time
 
 import pytest
 
-from repro.apps.shard import ShardConfig, ShardFleet
+from repro.apps.shard import ShardConfig
 from repro.core.multi import (
     READER_BASE,
     SLOT_STRIDE,
-    FilteredHistory,
     MultiRegisterDeployment,
+    SlotFleet,
     SlotHistoryRouter,
     slot_client_id,
 )
@@ -27,10 +27,33 @@ from repro.sim.scheduling import RandomScheduler
 
 
 def _fleet(capacity, substrate="max-register", seed=5):
-    return ShardFleet(
-        ShardConfig(substrate=substrate, n=3, f=1, capacity=capacity),
-        seed=seed,
+    """The fleet ``ShardedKVService`` builds for one shard."""
+    shard = ShardConfig(substrate=substrate, n=3, f=1, capacity=capacity)
+    return SlotFleet(
+        shard.substrate,
+        shard.capacity,
+        shard.k_writers,
+        shard.n,
+        shard.f,
+        scheduler=RandomScheduler(seed),
     )
+
+
+class _AdmittedHistory(History):
+    """A history that records only the operations of the clients
+    admitted to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.client_ids = set()
+
+    def on_invoke(self, event) -> None:
+        if event.client_id in self.client_ids:
+            super().on_invoke(event)
+
+    def on_return(self, event) -> None:
+        if event.seq in self.ops:
+            super().on_return(event)
 
 
 class TestSlotRouting:
@@ -39,7 +62,7 @@ class TestSlotRouting:
         fleet = _fleet(3, substrate, seed=11)
         # The recording scheme the router replaced: one filtered history
         # per slot, each subscribed to the kernel and offered every event.
-        per_slot = [FilteredHistory(()) for _ in range(3)]
+        per_slot = [_AdmittedHistory() for _ in range(3)]
         for history in per_slot:
             fleet.kernel.add_listener(history)
         everything = History()  # every invocation, whatever its slot
@@ -51,7 +74,7 @@ class TestSlotRouting:
             for reader in range(2):
                 clients.append((slot, fleet.reader(slot, reader)))
         for slot, runtime in clients:
-            per_slot[slot].admit(runtime.client_id)
+            per_slot[slot].client_ids.add(runtime.client_id)
         value = 0
         for _ in range(3):  # concurrent rounds across all three slots
             for slot, runtime in clients:
@@ -65,7 +88,7 @@ class TestSlotRouting:
             routed = fleet.slots[slot].history.to_dicts()
             assert len(routed) == 12
             assert routed == per_slot[slot].to_dicts()
-            assert fleet.audit_slot(slot)
+            assert fleet.slots[slot].audit()
         # Every operation landed in exactly one slot.
         assert sum(len(s.history) for s in fleet.slots) == len(everything)
 
@@ -76,22 +99,20 @@ class TestSlotRouting:
         assert len(deployment.kernel.listeners) == len(small.kernel.listeners)
 
     def test_unowned_and_unadmitted_clients_are_dropped(self):
-        histories = [FilteredHistory(()) for _ in range(3)]
+        histories = [History() for _ in range(3)]
         router = SlotHistoryRouter(histories)
-        admitted = slot_client_id(1, 4)
-        histories[1].admit(admitted)
+        owned = slot_client_id(1, 4)
 
         def invoke(seq, client_id):
             router.on_invoke(InvokeEvent(seq, client_id, seq, "write", (seq,)))
             router.on_return(ReturnEvent(seq + 1, client_id, seq, "write", "ack"))
 
-        invoke(0, admitted)
-        invoke(1, slot_client_id(1, 5))  # slot 1's range, never admitted
+        invoke(0, owned)
         invoke(2, slot_client_id(3, 0))  # past the last slot
         invoke(3, ClientId(-1))  # below the first
         assert [len(h) for h in histories] == [0, 1, 0]
         [op] = histories[1].all_ops()
-        assert op.client_id == admitted and op.complete
+        assert op.client_id == owned and op.complete
 
     def test_multi_register_views_share_the_partitioning(self):
         deployment = MultiRegisterDeployment(

@@ -4,7 +4,7 @@ here by name (client ids, op names, conditions, error types)."""
 
 import pytest
 
-from repro.apps.shard import ShardConfig, ShardFleet, shard_placements
+from repro.apps.shard import ShardConfig
 from repro.core import EmulationSpec, algorithm_names
 from repro.core.ablation import (
     NoCoverAvoidanceClient,
@@ -13,7 +13,7 @@ from repro.core.ablation import (
     SmallQuorumEmulation,
 )
 from repro.core.collect_maxreg import PerWriterLayout
-from repro.core.multi import MultiRegisterDeployment, slot_placements
+from repro.core.multi import MultiRegisterDeployment, SlotFleet
 from repro.core.ws_register import WSRegisterClient
 from repro.errors import BoundViolation, InvalidConfig, WriterBoundExceeded
 from repro.sim.ids import ClientId, ObjectId
@@ -182,10 +182,14 @@ class TestOneEngineTwoFronts:
             n=self.N,
             f=self.F,
         )
-        fleet = ShardFleet(config, scheduler=RandomScheduler(self.SEED))
-        assert shard_placements(config)[0] == slot_placements(
-            "register", self.M, self.K, self.N, self.F
-        )[0]
+        fleet = SlotFleet(
+            config.substrate,
+            config.capacity,
+            config.k_writers,
+            config.n,
+            config.f,
+            scheduler=RandomScheduler(self.SEED),
+        )
         assert _deployed(fleet.object_map) == _deployed(deployment.object_map)
         assert fleet.storage_profile() == deployment.storage_profile()
         assert fleet.total_objects == deployment.total_registers
@@ -214,4 +218,4 @@ class TestOneEngineTwoFronts:
             theirs = fleet.slots[slot]
             assert len(ours.history) == 6
             assert ours.history.to_dicts() == theirs.history.to_dicts()
-            assert ours.audit() and fleet.audit_slot(slot)
+            assert ours.audit() and theirs.audit()

@@ -21,10 +21,10 @@ from repro.apps.shard import (
     ShardConfig,
     ShardServiceConfig,
     run_loadgen,
-    shard_placements,
 )
 from repro.apps.shard.cluster import serve_argv
 from repro.apps.shard.config import SHARD_SUBSTRATES
+from repro.core.multi import slot_placements
 from repro.errors import InvalidConfig
 
 
@@ -336,8 +336,13 @@ class TestServeArgv:
         rebuilt = _shard_service_config(serve)
         assert rebuilt.shards == config.shards
         assert rebuilt.shards[0] == ShardConfig(substrate, 5, 2, 3, 6)
-        assert [shard_placements(s)[0] for s in rebuilt.shards] == [
-            shard_placements(s)[0] for s in config.shards
+        def placements(shard):
+            return slot_placements(
+                shard.substrate, shard.capacity, shard.k_writers, shard.n, shard.f
+            )[0]
+
+        assert [placements(s) for s in rebuilt.shards] == [
+            placements(s) for s in config.shards
         ]
 
     def test_heterogeneous_shards_have_no_serve_argv(self):

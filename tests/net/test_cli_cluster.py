@@ -1,9 +1,15 @@
 """`repro cluster` / `repro serve`: the socket backend from the CLI."""
 
+import os
 import socket
 import struct
+import subprocess
+import sys
 import threading
 
+import pytest
+
+import repro
 from repro.cli import build_parser, main
 from repro.net.wire import decode_binary_response, encode_binary_request
 from repro.sim.ids import ClientId, ObjectId, OpId
@@ -45,6 +51,55 @@ class TestClusterCommand:
         assert main(["serve"]) == 2  # abd needs -n/-f
         err = capsys.readouterr().err
         assert "pass -k/-n/-f" in err
+
+
+def _repro(*args):
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def _assert_typed_failure(run, code):
+    assert run.returncode == code, run.stderr
+    assert "Traceback" not in run.stderr
+    lines = run.stderr.splitlines()
+    assert [line for line in lines if line.startswith("error:")] == lines
+    assert len(lines) == 1
+
+
+class TestPortsFailTyped:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("serve", "-n", "3", "-f", "1", "--port", "99999"),
+            ("serve", "-n", "3", "-f", "1", "--port", "-1"),
+            ("serve", "--shards", "2", "--ports", "7000,-5"),
+            (
+                "cluster", "-n", "3", "-f", "1",
+                "--address", "127.0.0.1:99999",
+                "--address", "127.0.0.1:1",
+                "--address", "127.0.0.1:2",
+            ),
+        ],
+        ids=["port-high", "port-negative", "shard-ports", "cluster-address"],
+    )
+    def test_a_port_outside_the_range_is_invalid_config(self, args):
+        _assert_typed_failure(_repro(*args), 8)
+
+    def test_a_port_in_use_is_transport_unavailable(self):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            run = _repro("serve", "-n", "3", "-f", "1", "--port", str(port))
+        _assert_typed_failure(run, 17)
 
 
 def _start_replica_thread():

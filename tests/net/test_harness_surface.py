@@ -4,13 +4,15 @@ The end-to-end harness is frozen between benchmark re-cuts, so the few
 library names it alone still calls must not move under it: the codec
 lookup (``repro.net.wire.get_codec``), the JSON cost reference it times
 as ``net.wire.json_encode_us_per_frame``, the ``codec=`` argument of
-``AsyncioTransport`` that its traced run passes, and
-``Kernel.run_batched``.  Tier-1 never imports the harness itself; this
+``AsyncioTransport`` that its traced run passes,
+``Kernel.run_batched``, and what it reads off each fleet of a
+``ShardedKVService``.  Tier-1 never imports the harness itself; this
 checks its surface from the library side.
 """
 
 import pytest
 
+from repro.apps.shard import ShardedKVService, ShardServiceConfig
 from repro.errors import InvalidConfig
 from repro.net.asyncio_transport import AsyncioTransport
 from repro.net.wire import BinaryWireCodec, get_codec
@@ -28,7 +30,6 @@ TRACED_ATTRIBUTES = (
     "decode_request",
     "decode_response",
 )
-
 
 
 class _Named:
@@ -77,3 +78,42 @@ def test_the_transport_refuses_any_other_codec(codec):
 
 def test_kernel_keeps_run_batched():
     assert callable(Kernel.run_batched)
+
+
+def _service():
+    return ShardedKVService(
+        ShardServiceConfig.make(shards=2, n=3, f=1, capacity=4, seed=3)
+    )
+
+
+def test_each_fleet_exposes_what_the_harness_reads():
+    service = _service()
+    service.session(writer=0).put("k", "v")
+    for fleet in service.fleets:
+        assert fleet.kernel is not None
+        assert fleet.transport is fleet.kernel.transport
+        assert fleet.total_objects == 4 * 3
+        assert fleet.objects_per_slot == 3
+    histories = [slot.history for f in service.fleets for slot in f.slots]
+    assert sum(len(history) for history in histories) == 1
+
+
+def test_step_and_put_look_up_run_to_quiescence_on_the_instance():
+    # the harness's ``spans.Tracer.wrap`` shadows ``run_to_quiescence``
+    # with an instance attribute; its span lives only if the service
+    # calls through the fleet instance.
+    service = _service()
+    calls = []
+    for fleet in service.fleets:
+        inner = fleet.run_to_quiescence
+
+        def counted(*args, _inner=inner, _fleet=fleet, **kwargs):
+            calls.append(_fleet)
+            return _inner(*args, **kwargs)
+
+        fleet.run_to_quiescence = counted
+    service.step()
+    assert calls == service.fleets
+    del calls[:]
+    service.session(writer=0).put("k", "v")
+    assert calls == [service.fleets[service.shard_of("k")]]

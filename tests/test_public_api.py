@@ -424,13 +424,11 @@ class TestDeploymentCensus:
         "SmallQuorumEmulation": _WS,
         "TwoFQuorumEmulation": ("f", "initial_value", "environment"),
         "MultiRegisterDeployment": ("m",) + _WS,
-        "ShardFleet": ("config", "seed", "scheduler", "transport"),
     }
 
     def test_constructor_parameters_are_unchanged(self):
         import inspect
 
-        from repro.apps.shard import ShardFleet
         from repro.core.ablation import (
             NoCoverAvoidanceEmulation,
             SmallQuorumEmulation,
@@ -449,7 +447,6 @@ class TestDeploymentCensus:
             SmallQuorumEmulation,
             TwoFQuorumEmulation,
             repro.MultiRegisterDeployment,
-            ShardFleet,
         ]
         census = {
             cls.__name__: tuple(inspect.signature(cls).parameters)
