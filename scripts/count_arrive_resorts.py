@@ -1,9 +1,10 @@
-"""How often ``Kernel.arrive`` re-sorts its respond actions, per transport.
+"""How often ``Kernel.arrive`` inserts below the tail of its ready list,
+per transport.
 
-``Kernel.arrive`` keeps the respond actions in ascending op-id order; an
-op that becomes respondable below the largest respondable one makes it
-rebuild the whole table with ``sorted()``.  This drives the two
-``benchmarks/e2e`` KV shapes that deliver through ``arrive`` in a
+``Kernel.arrive`` keeps the respondable ops in ascending op-id order; an
+op that becomes respondable below the largest ready one is inserted in
+the middle of the list (by ``bisect``) instead of appended.  This drives
+the two ``benchmarks/e2e`` KV shapes that deliver through ``arrive`` in a
 32-deep closed loop and counts those arrivals:
 
 * ``sock``  — max-register ABD, n = 4, f = 1, one shard over
@@ -13,8 +14,10 @@ rebuild the whole table with ``sorted()``.  This drives the two
   ``LossyTransport`` with delay, reorder, duplicates and 20% drops on
   server 1 (the weather of ``kv_lossy_faults``, without its partition).
 
-Output is one JSON line per transport: arrivals, re-sorts, operations.
-Every count is exact for a given ``--seed``.
+Output is one JSON line per transport: arrivals, inserts below the tail
+(``resorts``), operations.  Every count is exact for a given ``--seed``.
+The socket transport hands each batch of answers over in op-id order, so
+``sock`` must read 0 resorts: the script exits 1 when it reads any.
 
 Usage::
 
@@ -24,6 +27,7 @@ Usage::
 import argparse
 import json
 import random
+import sys
 
 from repro.apps.shard.config import ShardConfig, ShardServiceConfig
 from repro.apps.shard.service import ShardedKVService
@@ -68,18 +72,15 @@ def _service(transport: str, seed: int) -> ShardedKVService:
 
 
 def _count(kernel, counts) -> None:
-    """Wrap ``kernel.arrive`` to count arrivals and re-sorts."""
+    """Wrap ``kernel.arrive`` to count arrivals and the ones that insert
+    below the tail of the ready list (a pending, not yet ready op below
+    the largest ready one)."""
     arrive = kernel.arrive
 
     def counting_arrive(op_id):
-        actions = kernel._respond_actions
+        op, ready = kernel.pending.get(op_id), kernel._ready
         counts["arrivals"] += 1
-        if (
-            op_id in kernel.pending
-            and op_id not in actions
-            and actions
-            and op_id < next(reversed(actions))
-        ):
+        if op is not None and not op.ready and ready and op_id < ready[-1].op_id:
             counts["resorts"] += 1
         arrive(op_id)
 
@@ -115,14 +116,25 @@ def measure(transport: str, ops: int, seed: int) -> dict:
     return counts
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--ops", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=11)
     args = parser.parse_args()
+    status = 0
     for transport in ("sock", "lossy"):
-        print(json.dumps(measure(transport, args.ops, args.seed)))
+        counts = measure(transport, args.ops, args.seed)
+        print(json.dumps(counts))
+        if transport == "sock" and counts["resorts"]:
+            print(
+                f"sock: {counts['resorts']} arrival(s) below the tail of the"
+                " ready list; the socket transport must hand answers over in"
+                " op-id order",
+                file=sys.stderr,
+            )
+            status = 1
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

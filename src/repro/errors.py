@@ -211,7 +211,8 @@ class ModelViolation(ReproError, ValueError, RuntimeError):
     a crashed object, an op kind the object does not support, a
     transport swapped in after operations were triggered, and
     incremental scheduling state that diverged from its from-scratch
-    oracle.  Raised by the client runtime for a step of a crashed
+    oracle.  Raised by ``Scheduler.pick`` when a policy's ``choose``
+    returns an action it was not offered.  Raised by the client runtime for a step of a crashed
     client, a step with no runnable task, a ``spawn`` outside a
     high-level operation and an unknown high-level operation; by the
     sequential specs for an unknown operation; and by the covering

@@ -596,8 +596,9 @@ class AsyncioTransport(Transport):
 
         Replicas answer in per-server batches, so the ready list
         interleaves op ids; an arrival below the largest respondable op
-        makes ``Kernel.arrive`` re-sort its respond actions.  Sorting the
-        batch first leaves the kernel in the same (sorted) state.
+        makes ``Kernel.arrive`` insert it in the middle of the kernel's
+        ready list.  Sorting the batch first leaves the kernel in the
+        same (sorted) state and makes every arrival an append.
         """
         ready = self._ready
         if not ready:

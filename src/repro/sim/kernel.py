@@ -29,7 +29,7 @@ step a kernel through it one action at a time, and
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -67,14 +67,14 @@ class ActionKind(Enum):
 class Action:
     """One executable action: a client step or a low-level respond.
 
-    Used to be a frozen dataclass; now a hand-written ``__slots__`` value
-    type — schedulers key queues on actions and one action is allocated
-    per arriving request, so construction and hashing sit on the hot
-    path.  Construction is three plain slot stores (no immutability
-    guard: a ``__setattr__`` override taxes ``__init__`` on every
-    trigger; actions are immutable by convention — nothing in the
-    kernel mutates one after construction).  Equality, ordering and
-    ``str`` are unchanged from the dataclass.
+    The vocabulary of the ``Action``-keyed interfaces: a scheduler's
+    :meth:`~repro.sim.scheduling.Scheduler.choose`, an environment's
+    :meth:`Environment.allows`, :meth:`Kernel.execute` and recorded
+    schedules.  :meth:`Kernel.run` itself steps runtimes and ready ops
+    and builds actions only for those interfaces (see
+    :func:`actions_of`).  A hand-written ``__slots__`` value type:
+    construction is three plain slot stores, actions are immutable by
+    convention.
     """
 
     __slots__ = ("kind", "client_id", "op_id", "_hash")
@@ -88,9 +88,8 @@ class Action:
         self.kind = kind
         self.client_id = client_id
         self.op_id = op_id
-        # ``_hash`` stays unset until first use: most RESPOND actions are
-        # never hashed (the random scheduler only indexes), but
-        # round-robin queues key on actions.
+        # ``_hash`` stays unset until first use: only the round-robin
+        # queues key on actions.
 
     def __hash__(self) -> int:
         try:
@@ -136,6 +135,17 @@ class Action:
         if self.kind is ActionKind.CLIENT:
             return (0, self.client_id.index, 0)
         return (1, 0, self.op_id.value)
+
+
+def actions_of(clients, responds) -> "List[Action]":
+    """The actions for enabled runtimes ``clients`` and ready ops
+    ``responds``, in the kernel's order: client steps by client id, then
+    responds by op id.  What :meth:`Scheduler.pick
+    <repro.sim.scheduling.Scheduler.pick>` hands an ``Action``-keyed
+    policy's ``choose``."""
+    actions = [runtime.action for runtime in clients]
+    actions.extend([Action(ActionKind.RESPOND, None, op.op_id) for op in responds])
+    return actions
 
 
 class Environment:
@@ -320,16 +330,22 @@ class Kernel:
       (everything except crashed / idle-with-empty-program clients), in
       ascending client-id order.  Each candidate carries its own
       scheduling category (``runtime._category``: definitely steppable
-      vs. blocked on wait predicates re-evaluated lazily) and its
-      reusable ``CLIENT`` action (``runtime.action``), so collecting the
-      enabled actions touches no hash tables at all;
-    * ``_respond_actions`` — cached ``RESPOND`` actions of pending ops on
-      live objects, kept in ascending op-id order.  Always mutated in
-      place (never rebound) so the reference hoisted by :meth:`run`
-      stays valid;
+      vs. blocked on wait predicates re-evaluated lazily), so collecting
+      the enabled runtimes touches no hash tables at all;
+    * ``_ready`` — the respondable ops (pending, request arrived, object
+      live) in ascending op-id order, each with ``op.ready`` set.  A
+      trigger on the in-process transport appends, :meth:`arrive`
+      inserts with ``bisect``, a respond or a server crash removes in
+      place (never rebound, so the reference hoisted by :meth:`run`
+      stays valid);
     * ``_crashed_mid_op`` — how many clients crashed with a high-level
       operation in flight.  With ``_candidates`` it answers
       :meth:`clients_quiescent` without visiting a client.
+
+    Each step of :meth:`run` hands the enabled runtimes and the allowed
+    ready ops to ``scheduler.pick``, which returns an index into the two
+    lists laid end to end; no :class:`Action` is built unless the
+    scheduler or the environment speaks in actions.
     """
 
     def __init__(
@@ -367,10 +383,9 @@ class Kernel:
         self._candidates: "List[ClientRuntime]" = []
         # Clients that crashed with a high-level operation in flight.
         self._crashed_mid_op = 0
-        #: RESPOND actions for pending ops on live objects; insertion is in
-        #: ascending op-id order and deletions preserve it, so iteration
-        #: order always equals sorted order.
-        self._respond_actions: "Dict[OpId, Action]" = {}
+        #: Respondable ops (pending, arrived, on a live object), in
+        #: ascending op-id order; each has ``op.ready`` set.
+        self._ready: "List[LowLevelOp]" = []
         # Pre-bound listener hooks (populated by add_listener).
         self._subs_trigger: "List[Callable]" = []
         self._subs_respond: "List[Callable]" = []
@@ -559,9 +574,8 @@ class Kernel:
         # order), and a crashed object silently swallows the request.
         if self._inproc:
             if not obj.crashed:
-                self._respond_actions[op_id] = Action(
-                    ActionKind.RESPOND, None, op_id
-                )
+                op.ready = True
+                self._ready.append(op)
         else:
             self.transport.send_request(op)
         if self._subs_trigger:
@@ -575,34 +589,21 @@ class Kernel:
 
         Transport-facing.  Tolerates duplicate arrivals, arrivals for ops
         that already responded, and arrivals at crashed objects (all
-        no-ops).  The in-process transport calls this inside
-        :meth:`trigger` with strictly increasing op ids, preserving the
-        append-in-sorted-order fast path; a lossy transport may deliver
-        out of order, in which case the sorted ``_respond_actions``
-        invariant is restored by rebuilding.
+        no-ops).  The op joins the ready list at its op-id position by
+        ``bisect``: an in-order arrival lands at the tail, one that a
+        lossy transport delivers late lands below it.  (The in-process
+        transport's immediate arrival is inlined in :meth:`trigger`.)
         """
         op = self.pending.get(op_id)
-        if op is None:
-            return  # already responded (duplicate or stale delivery)
-        actions = self._respond_actions
-        if op_id in actions:
-            return  # duplicate delivery
+        if op is None or op.ready:
+            return  # already responded, or a duplicate delivery
         obj = op.obj
         if obj is None:
             obj = self.object_map.object(op.object_id)
         if obj.crashed:
             return  # arrived at a dead server: never respondable
-        action = Action(ActionKind.RESPOND, None, op_id)
-        if actions and op_id < next(reversed(actions)):
-            # Out-of-order arrival: re-establish ascending op-id order.
-            # Mutated in place (clear + update, never rebound) so that
-            # run()'s hoisted reference stays valid.
-            actions[op_id] = action
-            ordered = sorted(actions.items())
-            actions.clear()
-            actions.update(ordered)
-        else:
-            actions[op_id] = action
+        op.ready = True
+        insort(self._ready, op, key=_op_id)
 
     def _respond(self, op: LowLevelOp) -> None:
         transport = self.transport
@@ -617,7 +618,9 @@ class Kernel:
             op.result = obj.apply(op)
         op.respond_time = self.time
         del self.pending[op.op_id]
-        self._respond_actions.pop(op.op_id, None)
+        if op.ready:
+            op.ready = False
+            self._ready.remove(op)
         if self._subs_respond:
             event = RespondEvent(self.time, op)
             for emit in self._subs_respond:
@@ -667,13 +670,11 @@ class Kernel:
         crashed = self.object_map.crash_server(server_id)
         if crashed:
             gone = set(crashed)
-            pending = self.pending
-            for op_id in [
-                op_id
-                for op_id in self._respond_actions
-                if pending[op_id].object_id in gone
-            ]:
-                del self._respond_actions[op_id]
+            ready = self._ready
+            for op in ready:
+                if op.object_id in gone:
+                    op.ready = False
+            ready[:] = [op for op in ready if op.ready]
             self.transport.on_server_crash(server_id, crashed)
         if self._subs_crash:
             event = CrashEvent(self.time, server_id=server_id)
@@ -711,37 +712,47 @@ class Kernel:
                 actions.append(Action(ActionKind.RESPOND, op_id=op_id))
         return actions
 
-    def _collect_enabled(self) -> "List[Action]":
-        """The enabled actions, from the incremental state (fast path).
+    def _enabled_clients(self) -> "List[ClientRuntime]":
+        """The enabled client runtimes, from the incremental state, in
+        ascending client-id order.
 
-        Returns the same deterministically-ordered list as
-        :meth:`enabled_actions` whenever wait predicates are functions of
-        client-local state (the model's contract — see
+        With :attr:`_ready` this is the same enabled set, in the same
+        order, as :meth:`enabled_actions` whenever wait predicates are
+        functions of client-local state (the model's contract — see
         :mod:`repro.sim.client`).
         """
-        actions: "List[Action]" = []
+        enabled: "List[ClientRuntime]" = []
         for runtime in self._candidates:
             if runtime._category == SCHED_ENABLED:
-                actions.append(runtime.action)
+                enabled.append(runtime)
             else:  # polling: blocked on wait predicates
                 if runtime._poll_dirty:
                     runtime._poll_cache = runtime._poll_now()
                     runtime._poll_dirty = False
                 if runtime._poll_cache:
-                    actions.append(runtime.action)
-        if self._respond_actions:
-            actions.extend(self._respond_actions.values())
-        return actions
+                    enabled.append(runtime)
+        return enabled
+
+    def _allowed_ready(self) -> "List[LowLevelOp]":
+        """The ready ops the environment does not veto, in op-id order.
+
+        :meth:`run`'s veto filter: the environment is consulted, with a
+        ``RESPOND`` action, for every ready op on every call (an
+        environment that wants to memoize its verdicts does so itself, as
+        the lower-bound adversary does per covering-state version).
+        """
+        allows = self.environment.allows
+        return [
+            op
+            for op in self._ready
+            if allows(Action(ActionKind.RESPOND, None, op.op_id), self)
+        ]
 
     def _filter_allowed(self, actions: "List[Action]") -> "List[Action]":
-        """Drop the RESPOND actions the environment vetoes.
-
-        The single veto-filtering path shared by :meth:`run` and
-        :meth:`allowed_actions`: the environment is consulted for every
-        candidate respond on every call (an environment that wants to
-        memoize its verdicts does so itself, as the lower-bound adversary
-        does per covering-state version).  The default environment, which
-        never vetoes, short-circuits entirely.
+        """Drop the RESPOND actions the environment vetoes (the oracle
+        path behind :meth:`allowed_actions`; :meth:`run` filters its
+        ready ops with :meth:`_allowed_ready`).  The default environment,
+        which never vetoes, short-circuits entirely.
         """
         env = self.environment
         if type(env).allows is Environment.allows:
@@ -761,17 +772,24 @@ class Kernel:
         """Assert the incremental state matches the from-scratch oracles.
 
         Raises ModelViolation when the incrementally-maintained enabled
-        list (including order) diverges from a from-scratch
-        :meth:`enabled_actions` rebuild, or when :meth:`clients_settled`
-        / :meth:`clients_quiescent` diverge from a scan of every client.
-        Used by the property tests; safe to call between steps of a run.
+        set — the enabled runtimes plus the ready list, in order —
+        diverges from a from-scratch :meth:`enabled_actions` rebuild, when
+        the ops flagged ``ready`` are not exactly the ready list, or when
+        :meth:`clients_settled` / :meth:`clients_quiescent` diverge from a
+        scan of every client.  Used by the property tests; safe to call
+        between steps of a run.
         """
         clients = self.clients.values()
         views = (
             (
                 "enabled-action state",
-                [str(a) for a in self._collect_enabled()],
+                [str(a) for a in actions_of(self._enabled_clients(), self._ready)],
                 [str(a) for a in self.enabled_actions()],
+            ),
+            (
+                "ready flags",
+                [op.op_id for op in self._ready],
+                sorted(op_id for op_id, op in self.pending.items() if op.ready),
             ),
             (
                 "clients_settled()",
@@ -835,12 +853,16 @@ class Kernel:
         (``"quiescent"``), when every enabled action is vetoed
         (``"blocked"``), or after ``max_steps`` steps.
 
-        The scheduler, environment and transport are read once per call
+        Each step collects the enabled runtimes (:meth:`_enabled_clients`)
+        and takes the ready list as is, or filtered through the
+        environment's veto (:meth:`_allowed_ready`), then runs the
+        runtime or op at the index ``scheduler.pick`` returns.  The
+        scheduler, environment and transport are read once per call
         (swap them between calls, not from inside one), which decides
         the two optional hooks: the veto filter and ``on_stall`` run
         only when the environment overrides :meth:`Environment.allows`,
         ``pump`` / ``flush_idle`` only when the transport is ``active``.
-        Action execution is :meth:`execute` inlined, :meth:`_respond`
+        Executing the pick is :meth:`execute` inlined, :meth:`_respond`
         included: a respond takes its result from the local object (or,
         on a ``remote`` transport, from ``transport.result_for``), does
         the bookkeeping here, then hands the response leg to
@@ -859,15 +881,15 @@ class Kernel:
         result_for = self.transport.result_for
         send_response = self.transport.send_response
         inproc = self._inproc
-        respond_actions = self._respond_actions
+        ready = self._ready
         pending = self.pending
         clients = self.clients
-        choose = self.scheduler.choose
+        pick = self.scheduler.pick
         recategorize = self._recategorize
-        collect = self._collect_enabled
+        collect = self._enabled_clients
+        allowed_ready = self._allowed_ready
         subs_step = self._subs_step
         subs_respond = self._subs_respond
-        client_kind = ActionKind.CLIENT
         steps = 0
         try:
             while steps < max_steps:
@@ -875,39 +897,42 @@ class Kernel:
                     return RunResult(steps, "until")
                 if transport is not None:
                     transport.pump()
-                actions = collect()
-                if not actions:
+                enabled = collect()
+                responds = ready
+                if not enabled and not ready:
                     if transport is not None and transport.flush_idle():
                         continue  # a delivery landed: re-evaluate
                     return RunResult(steps, "quiescent")
                 if vetoing:
-                    actions = self._filter_allowed(actions)
-                    if not actions:
+                    responds = allowed_ready()
+                    if not enabled and not responds:
                         if environment.on_stall(self):
-                            actions = self._filter_allowed(collect())
-                        if not actions:
+                            enabled = collect()
+                            responds = allowed_ready()
+                        if not enabled and not responds:
                             if transport is not None and transport.flush_idle():
                                 continue  # an in-flight delivery may unblock
                             return RunResult(steps, "blocked")
-                action = choose(actions, self)
-                # Inlined execute().
+                index = pick(enabled, responds, self)
                 time = self.time = self.time + 1
-                if action.kind is client_kind:
-                    runtime = clients[action.client_id]
+                count = len(enabled)
+                if index < count:
+                    runtime = enabled[index]
                     try:
                         runtime.step()
                     finally:
                         recategorize(runtime)
                 else:
-                    op_id = action.op_id
-                    op = pending.get(op_id)
-                    if op is None:
-                        raise ModelViolation(f"{op_id} is not pending")
+                    index -= count
+                    op = responds[index]
                     obj = op.obj
-                    if obj is None:
-                        obj = self.object_map.object(op.object_id)
                     if obj.crashed:
                         raise ModelViolation(f"respond on crashed object: {op}")
+                    if responds is ready:
+                        del ready[index]
+                    else:
+                        ready.remove(op)
+                    op.ready = False
                     # Inlined _respond().  A remote replica applied the
                     # op already; otherwise support was checked at
                     # trigger and crash just above, so the wrapper
@@ -917,8 +942,7 @@ class Kernel:
                     else:
                         op.result = obj._apply(op.kind, op.args)
                     op.respond_time = time
-                    del pending[op_id]
-                    respond_actions.pop(op_id, None)
+                    del pending[op.op_id]
                     if subs_respond:
                         event = RespondEvent(time, op)
                         for emit in subs_respond:

@@ -55,7 +55,10 @@ class LowLevelOp:
     arrive/respond, so attribute storage is flat.  ``obj`` caches the
     kernel-local base object the op targets (filled in by
     ``Kernel.trigger``; ``None`` for ops rebuilt from the wire, whose
-    effect is applied to a replica's object instead).
+    effect is applied to a replica's object instead).  ``ready`` is True
+    while the op sits in its kernel's ready list (its request reached a
+    live object and it has not responded yet), so a duplicate arrival
+    costs one attribute test.
     """
 
     __slots__ = (
@@ -69,6 +72,7 @@ class LowLevelOp:
         "result",
         "highlevel_seq",
         "obj",
+        "ready",
     )
 
     def __init__(
@@ -95,6 +99,7 @@ class LowLevelOp:
         #: behalf this low-level op was triggered, if any.  Analysis only.
         self.highlevel_seq = highlevel_seq
         self.obj = None
+        self.ready = False
 
     @property
     def pending(self) -> bool:

@@ -1,6 +1,6 @@
 """Scheduler policies.
 
-A scheduler picks the next action among the allowed ones.  The paper's
+A scheduler picks the next step among the allowed ones.  The paper's
 liveness definitions are stated over *fair* runs; we provide:
 
 * :class:`RandomScheduler` — seeded uniform choice; probabilistically fair
@@ -15,13 +15,36 @@ liveness definitions are stated over *fair* runs; we provide:
 from __future__ import annotations
 
 import random
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
-from repro.sim.kernel import Action, ActionKind
+from repro.errors import ModelViolation
+from repro.sim.kernel import Action, ActionKind, actions_of
 
 
 class Scheduler:
-    """Interface: choose one action among the allowed ones."""
+    """Interface: pick one step among the allowed ones.
+
+    :meth:`Kernel.run <repro.sim.kernel.Kernel.run>` calls :meth:`pick`
+    with the enabled client runtimes (by client id) and the allowed
+    ready low-level ops (by op id), and runs the one at the returned
+    index into the two laid end to end.  A policy that reads only the
+    count overrides :meth:`pick` (:class:`RandomScheduler`); one keyed
+    on :class:`~repro.sim.kernel.Action` values overrides :meth:`choose`
+    and inherits :meth:`pick`, the one adapter between the two.
+    """
+
+    def pick(self, clients: Sequence, responds: Sequence, kernel) -> int:
+        """Build the action list, :meth:`choose` from it, return the
+        chosen action's index; an action not offered is refused."""
+        actions = actions_of(clients, responds)
+        action = self.choose(actions, kernel)
+        try:
+            return actions.index(action)
+        except ValueError:
+            raise ModelViolation(
+                f"scheduler chose {action}, which is not among the"
+                f" {len(actions)} allowed actions"
+            ) from None
 
     def choose(self, actions: "List[Action]", kernel) -> Action:
         raise NotImplementedError
@@ -30,15 +53,17 @@ class Scheduler:
 class RandomScheduler(Scheduler):
     """Seeded uniform random choice among allowed actions.
 
-    ``choose`` draws the index the way ``Random._randbelow`` does, inline:
-    ``n.bit_length()`` bits from ``getrandbits``, redrawn until below
-    ``n`` (``Random._randbelow_with_getrandbits`` on every supported
-    Python).  For a positive bound that is exactly what ``randrange``
-    reduces to, so the seeded stream is consumed identically and
-    recorded schedules and golden fingerprints are unchanged, without
-    ``_randbelow``'s frame on every step.  The generator is looked up
-    on each call rather than cached as a bound builtin method, which
-    ``copy.deepcopy`` would share between a forked kernel and its
+    :meth:`pick` draws the index the way ``Random._randbelow`` does,
+    inline: ``n.bit_length()`` bits from ``getrandbits``, redrawn until
+    below ``n`` (``Random._randbelow_with_getrandbits`` on every
+    supported Python).  For a positive bound that is exactly what
+    ``randrange`` reduces to, so the seeded stream is consumed
+    identically and recorded schedules and golden fingerprints are
+    unchanged, without ``_randbelow``'s frame on every step.  The draw
+    needs only the count, so the kernel's step builds no action list;
+    :meth:`choose` makes the same draw over a list.  The generator is
+    looked up on each call rather than cached as a bound builtin method,
+    which ``copy.deepcopy`` would share between a forked kernel and its
     origin.
     """
 
@@ -46,14 +71,17 @@ class RandomScheduler(Scheduler):
         self.seed = seed
         self._rng = random.Random(seed)
 
-    def choose(self, actions: "List[Action]", kernel) -> Action:
-        n = len(actions)
+    def pick(self, clients: Sequence, responds: Sequence, kernel) -> int:
+        n = len(clients) + len(responds)
         k = n.bit_length()
         rng = self._rng
         r = rng.getrandbits(k)
         while r >= n:
             r = rng.getrandbits(k)
-        return actions[r]
+        return r
+
+    def choose(self, actions: "List[Action]", kernel) -> Action:
+        return actions[self.pick(actions, (), kernel)]
 
 
 class RoundRobinScheduler(Scheduler):

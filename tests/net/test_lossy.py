@@ -317,19 +317,18 @@ class TestCompiledLinkTable:
         )
         emulation = spec.build()
         scheduler, script = emulation.kernel.scheduler, []
-        choose = scheduler.choose
+        pick = scheduler.pick
 
-        def recording_choose(actions, kernel):
-            action = choose(actions, kernel)
-            client = action.client_id
-            script.append((
-                action.kind.name,
-                None if client is None else client.index,
-                None if action.op_id is None else int(action.op_id),
-            ))
-            return action
+        def recording_pick(clients, responds, kernel):
+            index = pick(clients, responds, kernel)
+            if index < len(clients):
+                script.append(("CLIENT", clients[index].client_id.index, None))
+            else:
+                op = responds[index - len(clients)]
+                script.append(("RESPOND", None, int(op.op_id)))
+            return index
 
-        scheduler.choose = recording_choose
+        scheduler.pick = recording_pick
         writer, reader = emulation.add_writer(0), emulation.add_reader()
         for i in range(4):
             writer.enqueue("write", f"v{i}")

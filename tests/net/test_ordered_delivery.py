@@ -2,11 +2,11 @@
 op-id order.
 
 Replicas answer per server, so a batch parsed from n connections
-interleaves op ids; ``Kernel.arrive`` keeps its respond actions sorted
-and re-sorts them whenever an op arrives below the largest respondable
-one.  ``AsyncioTransport`` sorts the batch first: the kernel ends in the
-same state as one-by-one delivery in any order, and a closed loop over
-real sockets never takes the re-sort branch.
+interleaves op ids; ``Kernel.arrive`` keeps its ready list in op-id
+order and inserts an op that arrives below the largest ready one by
+``bisect``, in the middle of the list.  ``AsyncioTransport`` sorts the
+batch first: the kernel ends in the same state as one-by-one delivery in
+any order, and a closed loop over real sockets only ever appends.
 """
 
 import random
@@ -56,26 +56,23 @@ def _receive(transport, answers):
 
 
 def _respond_state(kernel):
-    return [
-        (op_id, str(action))
-        for op_id, action in kernel._respond_actions.items()
-    ]
+    return [(op.op_id, str(op)) for op in kernel._ready]
 
 
 def _count_resorts(kernel):
-    """Wrap ``kernel.arrive``: count the arrivals that take its re-sort
-    branch (a live, pending, not yet respondable op below the largest
-    respondable one)."""
+    """Wrap ``kernel.arrive``: count the arrivals that insert below the
+    tail of its ready list (a pending, not yet ready op below the largest
+    ready one)."""
     resorts = [0]
     arrive = kernel.arrive
 
     def counting_arrive(op_id):
-        actions = kernel._respond_actions
+        op, ready = kernel.pending.get(op_id), kernel._ready
         if (
-            op_id in kernel.pending
-            and op_id not in actions
-            and actions
-            and op_id < next(reversed(actions))
+            op is not None
+            and not op.ready
+            and ready
+            and op_id < ready[-1].op_id
         ):
             resorts[0] += 1
         arrive(op_id)
@@ -94,7 +91,7 @@ class TestBatchOrder:
             _receive(transport, answers)
             assert not any(map(transport.request_arrived, ops))
             transport.pump()
-            assert list(kernel._respond_actions) == [op.op_id for op in ops]
+            assert kernel._ready == ops
             assert resorts[0] == 0
             assert all(map(transport.request_arrived, ops))
         finally:
@@ -122,7 +119,7 @@ class TestBatchOrder:
 def test_closed_loop_over_binary_sockets_never_resorts():
     """32 operations in flight on max-register ABD (n = 4 = 2f + 2), the
     shape ``kv_sock_read`` drives: every step checked against the
-    from-scratch oracles, no arrival below a pending respond action,
+    from-scratch oracles, no arrival below the tail of the ready list,
     every key's history audited."""
     depth, total, keys = 32, 400, [f"key-{index}" for index in range(16)]
     transport = AsyncioTransport(idle_timeout=1.0)

@@ -108,7 +108,7 @@ class TestArrival:
 
         transport.release(OpId(1))  # later op arrives first
         transport.release(OpId(0))
-        assert list(kernel._respond_actions) == [OpId(0), OpId(1)]
+        assert [op.op_id for op in kernel._ready] == [OpId(0), OpId(1)]
         kernel.check_incremental()  # incremental view matches the oracle
 
     def test_duplicate_and_stale_arrivals_are_noops(self):
@@ -119,10 +119,10 @@ class TestArrival:
         kernel.force_client_step(ClientId(0))
         transport.release(OpId(0))
         kernel.arrive(OpId(0))  # duplicate arrival
-        assert list(kernel._respond_actions) == [OpId(0)]
+        assert [op.op_id for op in kernel._ready] == [OpId(0)]
         kernel.force_respond(OpId(0))
         kernel.arrive(OpId(0))  # stale arrival after the respond
-        assert list(kernel._respond_actions) == []
+        assert [op.op_id for op in kernel._ready] == []
 
     def test_oracle_excludes_unarrived_requests(self):
         transport = _ManualTransport()

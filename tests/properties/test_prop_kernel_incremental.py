@@ -1,6 +1,7 @@
 """Property tests: incremental enabled-action state equals the oracle.
 
-The kernel's incremental bookkeeping (``_collect_enabled``) must agree
+The kernel's incremental bookkeeping (``_enabled_clients`` and the
+ready list ``_ready``) must agree
 with a from-scratch ``enabled_actions()`` rebuild — element for element,
 in order — in *every* reachable configuration: after client steps,
 responds, enqueues, crashes, and environment stalls.  So must its O(1)

@@ -64,7 +64,8 @@ _BOUNDS = sorted(
 
 
 class TestInlineDraw:
-    """``choose`` consumes the seeded stream exactly as ``_randbelow``."""
+    """``choose`` and ``pick`` consume the seeded stream exactly as
+    ``_randbelow``."""
 
     @pytest.mark.parametrize("seed", [0, 11, 29, 2**40 + 3])
     def test_picks_the_index_randbelow_picks(self, seed):
@@ -74,6 +75,21 @@ class TestInlineDraw:
             expected = [reference._randbelow(n) for _ in range(3)]
             picked = [scheduler.choose(range(n), None) for _ in range(3)]
             assert picked == expected, f"n={n}"
+
+    @pytest.mark.parametrize("seed", [0, 11, 29, 2**40 + 3])
+    def test_pick_draws_the_index_choose_draws(self, seed):
+        # The kernel's step asks ``pick`` for an index into c enabled
+        # runtimes followed by m ready ops; it must consume the stream
+        # as ``choose`` over the c + m actions, and ``_randbelow``, do.
+        picker, chooser = RandomScheduler(seed), RandomScheduler(seed)
+        reference = random.Random(seed)
+        for c in range(65):
+            for m in range(65):
+                if not c + m:
+                    continue
+                index = picker.pick(range(c), range(m), None)
+                assert index == chooser.choose(range(c + m), None), (c, m)
+                assert index == reference._randbelow(c + m), (c, m)
 
     def test_a_deep_copy_draws_on_its_own_generator(self):
         # fork_kernel deep-copies the scheduler: the copy must not share

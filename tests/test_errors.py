@@ -26,7 +26,7 @@ from repro.net.transport import InProcTransport
 from repro.sim.ids import ClientId, ObjectId, OpId, ServerId
 from repro.sim.kernel import Action, ActionKind
 from repro.sim.objects import LowLevelOp, OpKind, make_object
-from repro.sim.scheduling import RandomScheduler
+from repro.sim.scheduling import RandomScheduler, Scheduler
 from repro.sim.server import ObjectMap, Server
 from repro.sim.system import build_system
 
@@ -195,7 +195,7 @@ def _respond(op_id):
     return Action(ActionKind.RESPOND, None, op_id)
 
 
-class _Picks:
+class _Picks(Scheduler):
     """A scheduler that picks ``action`` whatever is enabled."""
 
     def __init__(self, action):
@@ -263,7 +263,7 @@ def _transport_swapped_after_triggers():
 def _incremental_state_diverged():
     kernel = _kernel()
     _write(kernel)
-    kernel._respond_actions.clear()  # the respond vanishes from the fast view
+    kernel._ready.clear()  # the respond vanishes from the fast view
     kernel.check_incremental()
 
 
