@@ -31,7 +31,7 @@ from repro.core.ws_register import WSRegisterClient, WSRegisterEmulation
 from repro.errors import WriterBoundExceeded
 from repro.sim.client import Context
 from repro.sim.ids import ObjectId
-from repro.sim.kernel import Action, ActionKind, Environment, Kernel
+from repro.sim.kernel import Environment, Kernel
 from repro.sim.objects import LowLevelOp, OpKind
 from repro.sim.scheduling import RoundRobinScheduler
 from repro.sim.values import TSVal
@@ -97,11 +97,8 @@ class ScriptedWriteBlocker(Environment):
         self.rules.pop(object_id, None)
         return self
 
-    def allows(self, action: Action, kernel: Kernel) -> bool:
-        if action.kind is not ActionKind.RESPOND:
-            return True
-        op = kernel.pending.get(action.op_id)
-        if op is None or not op.is_mutator:
+    def allows(self, op: LowLevelOp, kernel: Kernel) -> bool:
+        if not op.is_mutator:
             return True
         threshold = self.rules.get(op.object_id, "absent")
         if threshold == "absent":

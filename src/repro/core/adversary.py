@@ -11,11 +11,11 @@
 The environment *behaves like* ``Ad_i`` when, after ``t_{i-1}``, no
 blocked write responds, there are no failures, and every non-blocked
 pending operation eventually responds (handled by running a fair
-scheduler over the non-vetoed actions).
+scheduler over the non-vetoed steps).
 
 :class:`AdversaryAdi` implements this as a kernel
-:class:`~repro.sim.kernel.Environment`: it vetoes exactly the respond
-actions of blocked writes, consulting a
+:class:`~repro.sim.kernel.Environment`: it vetoes exactly the responds
+of blocked writes, consulting a
 :class:`~repro.core.covering.CoveringTracker` for ``C(t_{i-1})``,
 ``Q_i(t)`` and ``G_i(t)``.
 """
@@ -26,7 +26,7 @@ from typing import Optional, Set
 
 from repro.core.covering import CoveringTracker
 from repro.sim.ids import ServerId
-from repro.sim.kernel import Action, ActionKind, Environment, Kernel
+from repro.sim.kernel import Environment, Kernel
 from repro.sim.objects import LowLevelOp
 
 
@@ -89,12 +89,7 @@ class AdversaryAdi(Environment):
             return True
         return False
 
-    def allows(self, action: Action, kernel: Kernel) -> bool:
-        if action.kind is not ActionKind.RESPOND:
-            return True
-        op = kernel.pending.get(action.op_id)
-        if op is None:
-            return True
+    def allows(self, op: LowLevelOp, kernel: Kernel) -> bool:
         if self.blocked(op):
             self.vetoes += 1
             return False

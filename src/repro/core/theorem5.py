@@ -26,7 +26,8 @@ from repro.consistency.ws import WSViolation, check_ws_safe
 from repro.core.abd import ABDClient
 from repro.core.emulation import Deployment
 from repro.sim.ids import ClientId, ServerId
-from repro.sim.kernel import Action, ActionKind, Environment, Kernel
+from repro.sim.kernel import Environment, Kernel
+from repro.sim.objects import LowLevelOp
 from repro.sim.scheduling import RoundRobinScheduler
 from repro.sim.values import bottom_tsval
 
@@ -78,12 +79,7 @@ class _HalfBlocker(Environment):
         self.blocked = set(new_blocked)
         self.stale_mutators_before = now
 
-    def allows(self, action: Action, kernel: Kernel) -> bool:
-        if action.kind is not ActionKind.RESPOND:
-            return True
-        op = kernel.pending.get(action.op_id)
-        if op is None:
-            return True
+    def allows(self, op: LowLevelOp, kernel: Kernel) -> bool:
         if (
             self.stale_mutators_before is not None
             and op.is_mutator

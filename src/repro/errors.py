@@ -204,20 +204,23 @@ class UnknownExperiment(ReproError, ValueError):
 
 
 class ModelViolation(ReproError, ValueError, RuntimeError):
-    """An action the step model (Appendix A.4) forbids was attempted.
+    """A step the step model (Appendix A.4) forbids was attempted.
 
-    Raised by the simulation kernel and the base objects: a respond on
-    an operation that is not pending or on a crashed object, an apply on
-    a crashed object, an op kind the object does not support, a
-    transport swapped in after operations were triggered, and
-    incremental scheduling state that diverged from its from-scratch
-    oracle.  Raised by ``Scheduler.pick`` when a policy's ``choose``
-    returns an action it was not offered.  Raised by the client runtime for a step of a crashed
-    client, a step with no runnable task, a ``spawn`` outside a
-    high-level operation and an unknown high-level operation; by the
-    sequential specs for an unknown operation; and by the covering
-    tracker for ``end_phase`` with no active phase.  These sites raised
-    ``ValueError`` or ``RuntimeError`` before, hence both bases.
+    Raised by the simulation kernel and the base objects: a forced
+    respond on an operation that is not pending or on a crashed object,
+    an apply on a crashed object, an op kind the object does not
+    support, a transport swapped in after operations were triggered,
+    and incremental scheduling state that diverged from its
+    from-scratch oracle.  Raised by ``Kernel.run`` when a scheduler's
+    ``pick`` returns an index outside the steps it was offered, and (as
+    the subclass ``ReplayDivergence``) by a replay whose recorded step
+    is not offered: one "step not offered" contract.  Raised by the
+    client runtime for a step of a crashed client, a step with no
+    runnable task, a ``spawn`` outside a high-level operation and an
+    unknown high-level operation; by the sequential specs for an
+    unknown operation; and by the covering tracker for ``end_phase``
+    with no active phase.  These sites raised ``ValueError`` or
+    ``RuntimeError`` before, hence both bases.
     """
 
     exit_code = 18

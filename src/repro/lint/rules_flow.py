@@ -354,10 +354,10 @@ class ReplayDeterminismRule(Rule):
         "hash seeded the fate RNG and cross-process replay silently\n"
         "diverged.  id() is a process address; set/dict iteration order\n"
         "and float accumulation are schedule-dependent.  None of these\n"
-        "may flow into fate functions, cache keys, or wire frames.  Use\n"
-        "integer arithmetic on explicit ints for anything that feeds a\n"
-        "fate or a seed (FaultPlan.fate calls neither hash() nor\n"
-        "random), and sorted(...) before iterating."
+        "may flow into fate functions, cache keys, wire frames, or a\n"
+        "scheduler's pick.  Use integer arithmetic on explicit ints for\n"
+        "anything that feeds a fate or a seed (FaultPlan.fate calls\n"
+        "neither hash() nor random), and sorted(...) before iterating."
     )
 
     SCOPE = (
@@ -384,6 +384,7 @@ class ReplayDeterminismRule(Rule):
         "encode_binary_requests",
         "encode_binary_responses",
         "serve_binary_requests",
+        "pick",
         "Random",
     }
 

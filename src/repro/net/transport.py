@@ -75,7 +75,7 @@ class Transport:
     def request_arrived(self, op: "LowLevelOp") -> bool:
         """Oracle query: has the request reached the server?  Must agree
         with the incremental state the transport maintains through
-        ``kernel.arrive`` (``Kernel.enabled_actions`` consults this)."""
+        ``kernel.arrive`` (``Kernel.enabled_steps`` consults this)."""
         raise NotImplementedError
 
     # -- respond step ------------------------------------------------------
@@ -104,7 +104,7 @@ class Transport:
         time (called at the top of every run-loop iteration)."""
 
     def flush_idle(self) -> bool:
-        """No action is enabled but messages may be in flight: force the
+        """No step is enabled but messages may be in flight: force the
         earliest pending delivery.  Return True if progress was made
         (the kernel then re-collects); False ends the run as quiescent.
         This is what makes delivery *eventual*: any message not dropped

@@ -37,7 +37,7 @@ from repro.sim.events import (
     ReturnEvent,
     TriggerEvent,
 )
-from repro.sim.kernel import Action, ActionKind, Environment, Kernel, OpLog
+from repro.sim.kernel import Environment, Kernel, OpLog
 from repro.sim.scheduling import (
     ClientPriorityScheduler,
     RandomScheduler,
@@ -58,8 +58,6 @@ from repro.sim.tracing import TraceRecorder, render_event_log, render_timeline
 from repro.sim.system import SimSystem, build_system
 
 __all__ = [
-    "Action",
-    "ActionKind",
     "AtomicRegister",
     "BaseObject",
     "CASObject",

@@ -24,7 +24,8 @@ from __future__ import annotations
 import random
 
 from repro.errors import InvalidConfig
-from repro.sim.kernel import Action, ActionKind, Environment, Kernel
+from repro.sim.kernel import Environment, Kernel
+from repro.sim.objects import LowLevelOp
 
 
 class ChaosEnvironment(Environment):
@@ -54,12 +55,7 @@ class ChaosEnvironment(Environment):
         self.stalls = 0
         self._forced: "set[int]" = set()
 
-    def allows(self, action: Action, kernel: Kernel) -> bool:
-        if action.kind is not ActionKind.RESPOND:
-            return True
-        op = kernel.pending.get(action.op_id)
-        if op is None:
-            return True
+    def allows(self, op: LowLevelOp, kernel: Kernel) -> bool:
         if op.op_id.value in self._forced:
             return True  # released on a stall: stays released
         pending_for = kernel.time - op.trigger_time
@@ -68,7 +64,7 @@ class ChaosEnvironment(Environment):
         # hash() of an int tuple is deterministic across processes (only
         # str hashing is salted), so runs replay exactly per seed.
         decision = random.Random(
-            hash((self.seed, action.op_id.value, kernel.time))
+            hash((self.seed, op.op_id.value, kernel.time))
         ).random()
         if decision < self.veto_probability:
             self.vetoes += 1

@@ -174,9 +174,10 @@ class ClientRuntime:
     :meth:`enabled`, :meth:`step` and :meth:`deliver_response`.
 
     A ``__slots__`` class: one instance lives per client and its
-    scheduling fields (``_category``, ``_poll_dirty``/``_poll_cache``,
-    ``action``) are read on every kernel step, so attribute storage is
-    flat and the kernel's collect loop touches no hash tables.
+    scheduling fields (``_category``, ``_poll_dirty``/``_poll_cache``)
+    are read on every kernel step, so attribute storage is flat and the
+    kernel's collect loop touches no hash tables.  The runtime itself is
+    what a scheduler is offered as a client step.
     """
 
     __slots__ = (
@@ -196,7 +197,6 @@ class ClientRuntime:
         "_poll_dirty",
         "_poll_cache",
         "_category",
-        "action",
     )
 
     def __init__(self, client_id: ClientId, protocol: ClientProtocol):
@@ -231,10 +231,8 @@ class ClientRuntime:
         self._poll_dirty = True
         self._poll_cache = False
         # Scheduling category (SCHED_*) as last published to the kernel's
-        # candidate list, and this client's reusable CLIENT action.  Both
-        # owned by the kernel (filled in at registration).
+        # candidate list.  Owned by the kernel (filled in at registration).
         self._category = SCHED_DISABLED
-        self.action = None
 
     # -- wiring ------------------------------------------------------------
 
@@ -261,7 +259,7 @@ class ClientRuntime:
         """True if no high-level operation is in flight."""
         return self.active_seq is None
 
-    # -- actions visible to the kernel --------------------------------------
+    # -- steps visible to the kernel ----------------------------------------
 
     def enabled(self) -> bool:
         """Can this client take a step right now?"""

@@ -1,28 +1,32 @@
-"""The simulation kernel: configurations, actions, steps.
+"""The simulation kernel: configurations, steps.
 
 A run of an emulation algorithm is an alternating sequence of
-configurations and actions (Appendix A.4).  The kernel executes one action
-per step; the step counter is the paper's notion of time ``t``.  Two action
-kinds exist:
+configurations and steps (Appendix A.4).  The kernel executes one step
+at a time; the step counter is the paper's notion of time ``t``.  A step
+is one of two things:
 
-* ``CLIENT`` — a client takes a step: it invokes its next high-level
-  operation, or advances one of its runnable coroutines (triggering
-  low-level operations and/or executing a return action).
-* ``RESPOND`` — a pending low-level operation on a correct base object
+* a client step — a client invokes its next high-level operation, or
+  advances one of its runnable coroutines (triggering low-level
+  operations and/or executing a return action);
+* a respond — a pending low-level operation on a correct base object
   responds, *taking effect at that instant* (Assumption 1).
 
-An :class:`Environment` may veto ``RESPOND`` actions — this is exactly the
-adversary's power in the lower-bound proof (Definition 3: a blocked write
-"does not respond at t").  Fairness (Definition of fair runs) is then a
-property of the scheduler plus environment: every non-vetoed enabled action
-is eventually executed.
+Each step of :meth:`Kernel.run` offers its scheduler the enabled client
+runtimes and the ready low-level ops, and runs the one at the index
+:meth:`Scheduler.pick <repro.sim.scheduling.Scheduler.pick>` returns into
+the two laid end to end; there is no other name for a step.  An
+:class:`Environment` may veto ready ops — exactly the adversary's power
+in the lower-bound proof (Definition 3: a blocked write "does not
+respond at t").  Fairness (Definition of fair runs) is then a property
+of the scheduler plus environment: every non-vetoed enabled step is
+eventually taken.
 
 Scheduling is *incremental*: the kernel maintains the enabled client set
 and the respondable pending-op set as live data structures, updated at the
 events that change them (trigger, respond, enqueue, crash, coroutine
 wait/wake) instead of recomputing them from scratch every step.
-:meth:`Kernel.enabled_actions` remains the from-scratch oracle — tests
-step a kernel through it one action at a time, and
+:meth:`Kernel.enabled_steps` remains the from-scratch oracle — tests
+step a kernel through it one step at a time, and
 :meth:`Kernel.check_incremental` asserts the two views agree (see
 ``docs/MODEL.md``, "Performance", for the invariants).
 """
@@ -33,10 +37,9 @@ from bisect import bisect_left, insort
 from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
-from enum import Enum
 from heapq import merge
 from operator import attrgetter
-from typing import Any, Callable, DefaultDict, Dict, Iterator, List, Optional
+from typing import Any, Callable, DefaultDict, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import InvalidConfig, ModelViolation
 from repro.sim.client import (
@@ -59,110 +62,22 @@ from repro.sim.objects import LowLevelOp, OpKind
 from repro.sim.server import ObjectMap
 
 
-class ActionKind(Enum):
-    CLIENT = "client"
-    RESPOND = "respond"
-
-
-class Action:
-    """One executable action: a client step or a low-level respond.
-
-    The vocabulary of the ``Action``-keyed interfaces: a scheduler's
-    :meth:`~repro.sim.scheduling.Scheduler.choose`, an environment's
-    :meth:`Environment.allows`, :meth:`Kernel.execute` and recorded
-    schedules.  :meth:`Kernel.run` itself steps runtimes and ready ops
-    and builds actions only for those interfaces (see
-    :func:`actions_of`).  A hand-written ``__slots__`` value type:
-    construction is three plain slot stores, actions are immutable by
-    convention.
-    """
-
-    __slots__ = ("kind", "client_id", "op_id", "_hash")
-
-    def __init__(
-        self,
-        kind: ActionKind,
-        client_id: Optional[ClientId] = None,
-        op_id: Optional[OpId] = None,
-    ):
-        self.kind = kind
-        self.client_id = client_id
-        self.op_id = op_id
-        # ``_hash`` stays unset until first use: only the round-robin
-        # queues key on actions.
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            cached = self._hash = hash(
-                (self.kind, self.client_id, self.op_id)
-            )
-            return cached
-
-    def __eq__(self, other: Any) -> bool:
-        if other.__class__ is not Action:
-            return NotImplemented
-        return (
-            self.kind is other.kind
-            and self.client_id == other.client_id
-            and self.op_id == other.op_id
-        )
-
-    def __ne__(self, other: Any) -> bool:
-        if other.__class__ is not Action:
-            return NotImplemented
-        return not self.__eq__(other)
-
-    def __repr__(self) -> str:
-        return (
-            f"Action(kind={self.kind!r}, client_id={self.client_id!r},"
-            f" op_id={self.op_id!r})"
-        )
-
-    def __reduce__(self):
-        return (Action, (self.kind, self.client_id, self.op_id))
-
-    def __str__(self) -> str:
-        if self.kind is ActionKind.CLIENT:
-            return f"step({self.client_id})"
-        return f"respond({self.op_id})"
-
-    def __lt__(self, other: "Action") -> bool:
-        return self._sort_key() < other._sort_key()
-
-    def _sort_key(self) -> tuple:
-        if self.kind is ActionKind.CLIENT:
-            return (0, self.client_id.index, 0)
-        return (1, 0, self.op_id.value)
-
-
-def actions_of(clients, responds) -> "List[Action]":
-    """The actions for enabled runtimes ``clients`` and ready ops
-    ``responds``, in the kernel's order: client steps by client id, then
-    responds by op id.  What :meth:`Scheduler.pick
-    <repro.sim.scheduling.Scheduler.pick>` hands an ``Action``-keyed
-    policy's ``choose``."""
-    actions = [runtime.action for runtime in clients]
-    actions.extend([Action(ActionKind.RESPOND, None, op.op_id) for op in responds])
-    return actions
-
-
 class Environment:
     """Hook allowing an adversary to constrain the run.
 
     The default environment allows everything (failure-free, fully
-    asynchronous).  Subclasses override :meth:`allows` to veto respond
-    actions — vetoing client steps is not permitted by the model (clients
-    always get opportunities to take steps in fair runs), so the kernel
-    only consults the environment for ``RESPOND`` actions.
+    asynchronous).  Subclasses override :meth:`allows` to veto responds:
+    the kernel hands it each ready low-level op (pending, its request
+    arrived, its object live).  Vetoing client steps is not permitted by
+    the model (clients always get opportunities to take steps in fair
+    runs), so the environment is never asked about them.
     """
 
-    def allows(self, action: Action, kernel: "Kernel") -> bool:
+    def allows(self, op: LowLevelOp, kernel: "Kernel") -> bool:
         return True
 
     def on_stall(self, kernel: "Kernel") -> bool:
-        """Called when every enabled action is vetoed.
+        """Called when no client is enabled and every ready op is vetoed.
 
         Return True to have the kernel re-evaluate (the environment should
         have relaxed something); False means the block is intentional and
@@ -319,10 +234,10 @@ _HOOK_ATTRS = (
 class Kernel:
     """Executes runs over an :class:`~repro.sim.server.ObjectMap`.
 
-    Responsibilities: track pending low-level operations, compute the set
-    of enabled actions, apply the scheduler/environment, execute actions,
-    publish events, and provide imperative controls (crashes, forced
-    actions) used by the lower-bound run constructions.
+    Responsibilities: track pending low-level operations, compute the
+    enabled steps, apply the scheduler/environment, take steps, publish
+    events, and provide imperative controls (crashes, forced steps) used
+    by the lower-bound run constructions.
 
     Incremental bookkeeping (see ``docs/MODEL.md``, "Performance"):
 
@@ -344,8 +259,7 @@ class Kernel:
 
     Each step of :meth:`run` hands the enabled runtimes and the allowed
     ready ops to ``scheduler.pick``, which returns an index into the two
-    lists laid end to end; no :class:`Action` is built unless the
-    scheduler or the environment speaks in actions.
+    lists laid end to end.
     """
 
     def __init__(
@@ -378,8 +292,8 @@ class Kernel:
         self.pending: "Dict[OpId, LowLevelOp]" = {}
         self.listeners: "List[EventListener]" = []
         self._next_seq = 0
-        # Incremental enabled-action state: candidate runtimes in
-        # ascending client-id order (category/action live on the runtime).
+        # Incremental enabled-step state: candidate runtimes in ascending
+        # client-id order (the category lives on the runtime).
         self._candidates: "List[ClientRuntime]" = []
         # Clients that crashed with a high-level operation in flight.
         self._crashed_mid_op = 0
@@ -423,7 +337,6 @@ class Kernel:
         runtime = ClientRuntime(client_id, protocol)
         runtime.attach(self)
         self.clients[client_id] = runtime
-        runtime.action = Action(ActionKind.CLIENT, client_id=client_id)
         self._recategorize(runtime)
         return runtime
 
@@ -689,36 +602,37 @@ class Kernel:
             for emit in self._subs_crash:
                 emit(event)
 
-    # -- enabled actions ---------------------------------------------------------------
+    # -- enabled steps ---------------------------------------------------------------
 
-    def enabled_actions(self) -> "List[Action]":
-        """All actions executable in the current configuration.
+    def enabled_steps(self) -> "Tuple[List[ClientRuntime], List[LowLevelOp]]":
+        """The enabled client runtimes and the respondable pending ops.
 
-        Deterministically ordered (clients by id, responds by op id) so a
+        Deterministically ordered (clients by id, ops by op id) so a
         seeded scheduler yields reproducible runs.  This is the
-        from-scratch *oracle*: it rebuilds the set by inspecting every
-        client and pending op, independent of the incremental state.
+        from-scratch *oracle*: it rebuilds both lists by inspecting every
+        client and pending op, independent of the incremental state, and
+        consults no environment.
         """
-        actions: "List[Action]" = []
-        for client_id in sorted(self.clients):
-            if self.clients[client_id].enabled():
-                actions.append(Action(ActionKind.CLIENT, client_id=client_id))
-        transport = self.transport
-        for op_id in sorted(self.pending):
-            op = self.pending[op_id]
-            if not self.object_map.object(
-                op.object_id
-            ).crashed and transport.request_arrived(op):
-                actions.append(Action(ActionKind.RESPOND, op_id=op_id))
-        return actions
+        clients = [
+            runtime
+            for _, runtime in sorted(self.clients.items())
+            if runtime.enabled()
+        ]
+        arrived = self.transport.request_arrived
+        responds = [
+            op
+            for _, op in sorted(self.pending.items())
+            if not self.object_map.object(op.object_id).crashed and arrived(op)
+        ]
+        return clients, responds
 
     def _enabled_clients(self) -> "List[ClientRuntime]":
         """The enabled client runtimes, from the incremental state, in
         ascending client-id order.
 
-        With :attr:`_ready` this is the same enabled set, in the same
-        order, as :meth:`enabled_actions` whenever wait predicates are
-        functions of client-local state (the model's contract — see
+        With :attr:`_ready` these are the same steps, in the same order,
+        as :meth:`enabled_steps` whenever wait predicates are functions of
+        client-local state (the model's contract — see
         :mod:`repro.sim.client`).
         """
         enabled: "List[ClientRuntime]" = []
@@ -736,55 +650,38 @@ class Kernel:
     def _allowed_ready(self) -> "List[LowLevelOp]":
         """The ready ops the environment does not veto, in op-id order.
 
-        :meth:`run`'s veto filter: the environment is consulted, with a
-        ``RESPOND`` action, for every ready op on every call (an
-        environment that wants to memoize its verdicts does so itself, as
-        the lower-bound adversary does per covering-state version).
+        :meth:`run`'s veto filter: the environment is consulted for every
+        ready op on every call (an environment that wants to memoize its
+        verdicts does so itself, as the lower-bound adversary does per
+        covering-state version).
         """
         allows = self.environment.allows
-        return [
-            op
-            for op in self._ready
-            if allows(Action(ActionKind.RESPOND, None, op.op_id), self)
-        ]
-
-    def _filter_allowed(self, actions: "List[Action]") -> "List[Action]":
-        """Drop the RESPOND actions the environment vetoes (the oracle
-        path behind :meth:`allowed_actions`; :meth:`run` filters its
-        ready ops with :meth:`_allowed_ready`).  The default environment,
-        which never vetoes, short-circuits entirely.
-        """
-        env = self.environment
-        if type(env).allows is Environment.allows:
-            return actions  # the default environment vetoes nothing
-        allows = env.allows
-        return [
-            action
-            for action in actions
-            if action.kind is ActionKind.CLIENT or allows(action, self)
-        ]
-
-    def allowed_actions(self) -> "List[Action]":
-        """Enabled actions that the environment does not veto."""
-        return self._filter_allowed(self.enabled_actions())
+        return [op for op in self._ready if allows(op, self)]
 
     def check_incremental(self) -> None:
         """Assert the incremental state matches the from-scratch oracles.
 
         Raises ModelViolation when the incrementally-maintained enabled
-        set — the enabled runtimes plus the ready list, in order —
-        diverges from a from-scratch :meth:`enabled_actions` rebuild, when
-        the ops flagged ``ready`` are not exactly the ready list, or when
-        :meth:`clients_settled` / :meth:`clients_quiescent` diverge from a
-        scan of every client.  Used by the property tests; safe to call
-        between steps of a run.
+        steps — the enabled runtimes plus the ready list, in order —
+        diverge from a from-scratch :meth:`enabled_steps` rebuild (compared
+        by client and op id), when the ops flagged ``ready`` are not
+        exactly the ready list, or when :meth:`clients_settled` /
+        :meth:`clients_quiescent` diverge from a scan of every client.
+        Used by the property tests; safe to call between steps of a run.
         """
         clients = self.clients.values()
+        oracle_clients, oracle_responds = self.enabled_steps()
         views = (
             (
-                "enabled-action state",
-                [str(a) for a in actions_of(self._enabled_clients(), self._ready)],
-                [str(a) for a in self.enabled_actions()],
+                "enabled-step state",
+                (
+                    [runtime.client_id for runtime in self._enabled_clients()],
+                    [op.op_id for op in self._ready],
+                ),
+                (
+                    [runtime.client_id for runtime in oracle_clients],
+                    [op.op_id for op in oracle_responds],
+                ),
             ),
             (
                 "ready flags",
@@ -812,35 +709,35 @@ class Kernel:
 
     # -- execution ------------------------------------------------------------
 
-    def execute(self, action: Action) -> None:
-        """Execute one action and advance time by one step."""
+    def force_client_step(self, client_id: ClientId) -> None:
+        """Imperatively take a step of client ``client_id`` and advance
+        time by one (run-construction tool).  The runtime refuses a step
+        of a crashed client or of one with nothing runnable."""
+        runtime = self.clients[client_id]
         self.time += 1
-        if action.kind is ActionKind.CLIENT:
-            runtime = self.clients[action.client_id]
-            try:
-                runtime.step()
-            finally:
-                self._recategorize(runtime)
-        else:
-            op = self.pending.get(action.op_id)
-            if op is None:
-                raise ModelViolation(f"{action.op_id} is not pending")
-            obj = op.obj
-            if obj is None:
-                obj = self.object_map.object(op.object_id)
-            if obj.crashed:
-                raise ModelViolation(f"respond on crashed object: {op}")
-            self._respond(op)
+        try:
+            runtime.step()
+        finally:
+            self._recategorize(runtime)
         for emit in self._subs_step:
             emit(self.time)
 
     def force_respond(self, op_id: OpId) -> None:
-        """Imperatively execute a specific respond (run-construction tool)."""
-        self.execute(Action(ActionKind.RESPOND, op_id=op_id))
-
-    def force_client_step(self, client_id: ClientId) -> None:
-        """Imperatively execute a specific client step."""
-        self.execute(Action(ActionKind.CLIENT, client_id=client_id))
+        """Imperatively respond op ``op_id`` and advance time by one
+        (run-construction tool).  An op that is not pending, or that sits
+        on a crashed object, is refused with ``ModelViolation``."""
+        op = self.pending.get(op_id)
+        if op is None:
+            raise ModelViolation(f"{op_id} is not pending")
+        obj = op.obj
+        if obj is None:
+            obj = self.object_map.object(op.object_id)
+        if obj.crashed:
+            raise ModelViolation(f"respond on crashed object: {op}")
+        self.time += 1
+        self._respond(op)
+        for emit in self._subs_step:
+            emit(self.time)
 
     def run(
         self,
@@ -849,26 +746,28 @@ class Kernel:
     ) -> RunResult:
         """Run under the scheduler/environment: the one stepping loop.
 
-        Stops when ``until(kernel)`` holds, when no action is enabled
-        (``"quiescent"``), when every enabled action is vetoed
-        (``"blocked"``), or after ``max_steps`` steps.
+        Stops when ``until(kernel)`` holds, when no step is enabled
+        (``"quiescent"``), when no client is enabled and every ready op
+        is vetoed (``"blocked"``), or after ``max_steps`` steps.
 
         Each step collects the enabled runtimes (:meth:`_enabled_clients`)
         and takes the ready list as is, or filtered through the
         environment's veto (:meth:`_allowed_ready`), then runs the
-        runtime or op at the index ``scheduler.pick`` returns.  The
+        runtime or op at the index ``scheduler.pick`` returns; an index
+        outside the offered steps raises ``ModelViolation``.  The
         scheduler, environment and transport are read once per call
         (swap them between calls, not from inside one), which decides
         the two optional hooks: the veto filter and ``on_stall`` run
         only when the environment overrides :meth:`Environment.allows`,
         ``pump`` / ``flush_idle`` only when the transport is ``active``.
-        Executing the pick is :meth:`execute` inlined, :meth:`_respond`
-        included: a respond takes its result from the local object (or,
-        on a ``remote`` transport, from ``transport.result_for``), does
-        the bookkeeping here, then hands the response leg to
+        Taking the pick is :meth:`force_client_step` /
+        :meth:`force_respond` inlined, :meth:`_respond` included: a
+        respond takes its result from the local object (or, on a
+        ``remote`` transport, from ``transport.result_for``), does the
+        bookkeeping here, then hands the response leg to
         ``transport.send_response`` — or, for the plain in-process
         transport, delivers it inline.  :meth:`_respond` itself serves
-        :meth:`execute`.
+        :meth:`force_respond`.
         The structures hoisted here are mutated in place by the event
         handlers, never rebound, so the locals stay current as crash
         plans and listeners fire mid-run.  See ``docs/MODEL.md``,
@@ -916,7 +815,7 @@ class Kernel:
                 index = pick(enabled, responds, self)
                 time = self.time = self.time + 1
                 count = len(enabled)
-                if index < count:
+                if 0 <= index < count:
                     runtime = enabled[index]
                     try:
                         runtime.step()
@@ -924,6 +823,11 @@ class Kernel:
                         recategorize(runtime)
                 else:
                     index -= count
+                    if not 0 <= index < len(responds):
+                        raise ModelViolation(
+                            f"scheduler picked step {index + count}, outside"
+                            f" the {count + len(responds)} offered"
+                        )
                     op = responds[index]
                     obj = op.obj
                     if obj.crashed:

@@ -1,12 +1,20 @@
 """Scheduler policies.
 
-A scheduler picks the next step among the allowed ones.  The paper's
-liveness definitions are stated over *fair* runs; we provide:
+A scheduler picks the next step among the allowed ones.  Each step of
+:meth:`Kernel.run <repro.sim.kernel.Kernel.run>` offers the enabled
+client runtimes (by client id) and the allowed ready low-level ops (by
+op id), and takes the one at the index :meth:`Scheduler.pick` returns
+into the two laid end to end.  A policy that keys on steps names them by
+their replay descriptor (:func:`describe`): ``("client", index)`` or
+``("respond", op)``.
+
+The paper's liveness definitions are stated over *fair* runs; we
+provide:
 
 * :class:`RandomScheduler` — seeded uniform choice; probabilistically fair
   and the workhorse for randomized testing.
 * :class:`RoundRobinScheduler` — strongly fair: always picks the enabled
-  action that has waited longest (never starves anything).
+  step that has waited longest (never starves anything).
 * :class:`ClientPriorityScheduler` — prefers client steps over responds
   (drives computation forward before delivering responses); fair within
   each class.
@@ -15,43 +23,38 @@ liveness definitions are stated over *fair* runs; we provide:
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
-from repro.errors import ModelViolation
-from repro.sim.kernel import Action, ActionKind, actions_of
+#: A step named by value: ``("client", client index)`` or
+#: ``("respond", op id value)``.  Plain tuples, so recorded schedules
+#: serialize with ``json`` or ``repr``.
+StepDescriptor = Tuple[str, int]
+
+
+def describe(clients: Sequence, responds: Sequence, index: int) -> StepDescriptor:
+    """The descriptor of the step at ``index`` into ``clients`` and
+    ``responds`` laid end to end."""
+    count = len(clients)
+    if index < count:
+        return ("client", clients[index].client_id.index)
+    return ("respond", responds[index - count].op_id.value)
 
 
 class Scheduler:
     """Interface: pick one step among the allowed ones.
 
-    :meth:`Kernel.run <repro.sim.kernel.Kernel.run>` calls :meth:`pick`
-    with the enabled client runtimes (by client id) and the allowed
-    ready low-level ops (by op id), and runs the one at the returned
-    index into the two laid end to end.  A policy that reads only the
-    count overrides :meth:`pick` (:class:`RandomScheduler`); one keyed
-    on :class:`~repro.sim.kernel.Action` values overrides :meth:`choose`
-    and inherits :meth:`pick`, the one adapter between the two.
+    :meth:`pick` is the one method a policy overrides.
     """
 
     def pick(self, clients: Sequence, responds: Sequence, kernel) -> int:
-        """Build the action list, :meth:`choose` from it, return the
-        chosen action's index; an action not offered is refused."""
-        actions = actions_of(clients, responds)
-        action = self.choose(actions, kernel)
-        try:
-            return actions.index(action)
-        except ValueError:
-            raise ModelViolation(
-                f"scheduler chose {action}, which is not among the"
-                f" {len(actions)} allowed actions"
-            ) from None
-
-    def choose(self, actions: "List[Action]", kernel) -> Action:
+        """The index of the step to take, into the enabled runtimes
+        ``clients`` followed by the allowed ready ops ``responds``; the
+        kernel refuses an index outside them."""
         raise NotImplementedError
 
 
 class RandomScheduler(Scheduler):
-    """Seeded uniform random choice among allowed actions.
+    """Seeded uniform random choice among allowed steps.
 
     :meth:`pick` draws the index the way ``Random._randbelow`` does,
     inline: ``n.bit_length()`` bits from ``getrandbits``, redrawn until
@@ -60,10 +63,9 @@ class RandomScheduler(Scheduler):
     ``randrange`` reduces to, so the seeded stream is consumed
     identically and recorded schedules and golden fingerprints are
     unchanged, without ``_randbelow``'s frame on every step.  The draw
-    needs only the count, so the kernel's step builds no action list;
-    :meth:`choose` makes the same draw over a list.  The generator is
-    looked up on each call rather than cached as a bound builtin method,
-    which ``copy.deepcopy`` would share between a forked kernel and its
+    needs only the count.  The generator is looked up on each call
+    rather than cached as a bound builtin method, which
+    ``copy.deepcopy`` would share between a forked kernel and its
     origin.
     """
 
@@ -80,90 +82,84 @@ class RandomScheduler(Scheduler):
             r = rng.getrandbits(k)
         return r
 
-    def choose(self, actions: "List[Action]", kernel) -> Action:
-        return actions[self.pick(actions, (), kernel)]
-
 
 class RoundRobinScheduler(Scheduler):
-    """Strongly fair: pick the allowed action enabled-and-unserved longest.
+    """Strongly fair: pick the allowed step enabled-and-unserved longest.
 
-    Implemented as two insertion-ordered queues rather than a
-    ``min()``-scan over ever-growing bookkeeping dicts: ``_fresh`` holds
-    never-picked actions in first-seen order, ``_served`` holds picked
-    actions in last-picked order (a pick moves to the back).  The head-most
-    allowed action of ``_fresh`` (else of ``_served``) wins — exactly the
-    old "least recently executed, fresh first, ties by first-seen" policy,
-    but each pick is amortized O(1) instead of O(known actions).
+    Implemented as two insertion-ordered queues of step descriptors
+    rather than a ``min()``-scan over ever-growing bookkeeping dicts:
+    ``_fresh`` holds never-picked steps in first-seen order, ``_served``
+    holds picked steps in last-picked order (a pick moves to the back).
+    The head-most allowed step of ``_fresh`` (else of ``_served``) wins —
+    exactly the old "least recently executed, fresh first, ties by
+    first-seen" policy, but each pick is amortized O(1) instead of
+    O(known steps).
 
     Queue entries for low-level operations that already responded can
     never recur (op ids are unique), so they are pruned lazily as scans
     pass them and wholesale every ``_SWEEP_INTERVAL`` picks — the old
     implementation kept them forever and leaked memory over long runs.
-    Under this policy every continuously allowed action is eventually
-    executed, which realizes the paper's fair runs whenever the
-    environment stops vetoing.
+    Under this policy every continuously allowed step is eventually
+    taken, which realizes the paper's fair runs whenever the environment
+    stops vetoing.
     """
 
     _SWEEP_INTERVAL = 1024
 
     def __init__(self) -> None:
         # Python dicts preserve insertion order; values are unused.
-        self._fresh: "Dict[Action, None]" = {}
-        self._served: "Dict[Action, None]" = {}
+        self._fresh: "Dict[StepDescriptor, None]" = {}
+        self._served: "Dict[StepDescriptor, None]" = {}
         self._picks = 0
 
-    def choose(self, actions: "List[Action]", kernel) -> Action:
+    def pick(self, clients: Sequence, responds: Sequence, kernel) -> int:
+        offered = [("client", runtime.client_id.index) for runtime in clients]
+        offered += [("respond", op.op_id.value) for op in responds]
         fresh, served = self._fresh, self._served
-        for action in actions:
-            if action not in fresh and action not in served:
-                fresh[action] = None
+        for step in offered:
+            if step not in fresh and step not in served:
+                fresh[step] = None
         self._picks += 1
         if kernel is not None and self._picks % self._SWEEP_INTERVAL == 0:
             self._sweep(kernel)
-        allowed = set(actions)
-        pick = self._scan(fresh, allowed, kernel)
-        if pick is not None:
-            del fresh[pick]
+        allowed = {step: index for index, step in enumerate(offered)}
+        step = self._scan(fresh, allowed, kernel)
+        if step is not None:
+            del fresh[step]
         else:
-            pick = self._scan(served, allowed, kernel)
-            del served[pick]
-        served[pick] = None  # (re-)append at the back: last-picked order
-        return pick
+            step = self._scan(served, allowed, kernel)
+            del served[step]
+        served[step] = None  # (re-)append at the back: last-picked order
+        return allowed[step]
 
     @staticmethod
     def _scan(queue, allowed, kernel):
-        """First allowed action in queue order, dropping stale responds."""
+        """First allowed step in queue order, dropping stale responds."""
         pending = kernel.pending if kernel is not None else None
         pick = None
-        stale = None
-        for action in queue:
-            if action in allowed:
-                pick = action
+        stale: "List[StepDescriptor]" = []
+        for step in queue:
+            if step in allowed:
+                pick = step
                 break
-            if (
-                pending is not None
-                and action.kind is ActionKind.RESPOND
-                and action.op_id not in pending
-            ):
-                if stale is None:
-                    stale = []
-                stale.append(action)
-        if stale:
-            for action in stale:
-                del queue[action]
+            if pending is not None and _responded(step, pending):
+                stale.append(step)
+        for step in stale:
+            del queue[step]
         return pick
 
     def _sweep(self, kernel) -> None:
         """Drop every queued respond whose operation is no longer pending."""
         pending = kernel.pending
         for queue in (self._fresh, self._served):
-            for action in [
-                action
-                for action in queue
-                if action.kind is ActionKind.RESPOND
-                and action.op_id not in pending
-            ]:
-                del queue[action]
+            for step in [step for step in queue if _responded(step, pending)]:
+                del queue[step]
+
+
+def _responded(step: StepDescriptor, pending) -> bool:
+    """A respond step whose op is no longer pending (it can never recur).
+    Op ids are ``int`` subclasses, so the plain value keys ``pending``."""
+    return step[0] == "respond" and step[1] not in pending
 
 
 class ClientPriorityScheduler(Scheduler):
@@ -176,8 +172,7 @@ class ClientPriorityScheduler(Scheduler):
     def __init__(self) -> None:
         self._inner = RoundRobinScheduler()
 
-    def choose(self, actions: "List[Action]", kernel) -> Action:
-        client_steps = [a for a in actions if a.kind is ActionKind.CLIENT]
-        if client_steps:
-            return self._inner.choose(client_steps, kernel)
-        return self._inner.choose(actions, kernel)
+    def pick(self, clients: Sequence, responds: Sequence, kernel) -> int:
+        if clients:
+            return self._inner.pick(clients, (), kernel)
+        return self._inner.pick(clients, responds, kernel)

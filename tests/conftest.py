@@ -45,6 +45,14 @@ class ToyProtocol(ClientProtocol):
         self.results[op.op_id] = op.result
 
 
+def _allowed_steps(kernel):
+    """The oracle's enabled runtimes and the ready ops the environment
+    allows."""
+    clients, responds = kernel.enabled_steps()
+    allows = kernel.environment.allows
+    return clients, responds, [op for op in responds if allows(op, kernel)]
+
+
 def reference_run(kernel, max_steps=100_000, until=None):
     """``Kernel.run`` rebuilt from the oracle: no incremental state, no
     hoisting, no inlining — every step re-derives everything."""
@@ -54,16 +62,20 @@ def reference_run(kernel, max_steps=100_000, until=None):
         if until is not None and until(kernel):
             return RunResult(steps, "until")
         transport.pump()
-        allowed = kernel.allowed_actions()
-        if not allowed:
-            reason = "blocked" if kernel.enabled_actions() else "quiescent"
+        clients, responds, allowed = _allowed_steps(kernel)
+        if not clients and not allowed:
+            reason = "blocked" if responds else "quiescent"
             if reason == "blocked" and kernel.environment.on_stall(kernel):
-                allowed = kernel.allowed_actions()
-            if not allowed:
+                clients, _, allowed = _allowed_steps(kernel)
+            if not clients and not allowed:
                 if transport.flush_idle():
                     continue
                 return RunResult(steps, reason)
-        kernel.execute(kernel.scheduler.choose(allowed, kernel))
+        index = kernel.scheduler.pick(clients, allowed, kernel)
+        if index < len(clients):
+            kernel.force_client_step(clients[index].client_id)
+        else:
+            kernel.force_respond(allowed[index - len(clients)].op_id)
         steps += 1
     if until is not None and until(kernel):
         return RunResult(steps, "until")

@@ -11,7 +11,6 @@ from repro.core.ablation import (
     small_quorum_violation,
 )
 from repro.sim.ids import ObjectId
-from repro.sim.kernel import Action, ActionKind
 from repro.sim.scheduling import RandomScheduler
 
 
@@ -64,10 +63,6 @@ class TestBaseline:
 
 
 class TestScriptedWriteBlocker:
-    def _respond_action(self, kernel):
-        (op_id,) = list(kernel.pending)
-        return Action(ActionKind.RESPOND, op_id=op_id)
-
     def test_blocks_all_writes_on_object(self):
         from tests.conftest import ToyProtocol
         from repro.sim.ids import ClientId

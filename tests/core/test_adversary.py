@@ -5,7 +5,6 @@ from tests.conftest import ToyProtocol
 from repro.core.adversary import AdversaryAdi
 from repro.core.covering import CoveringTracker
 from repro.sim.ids import ClientId, ObjectId, ServerId
-from repro.sim.kernel import ActionKind
 from repro.sim.scheduling import RandomScheduler
 from repro.sim.system import build_system
 
@@ -114,11 +113,8 @@ class TestDecisionMemo:
 
     @staticmethod
     def _verdicts(adversary, kernel):
-        return {
-            action.op_id: adversary.allows(action, kernel)
-            for action in kernel.enabled_actions()
-            if action.kind is ActionKind.RESPOND
-        }
+        _, responds = kernel.enabled_steps()
+        return {op.op_id: adversary.allows(op, kernel) for op in responds}
 
     def test_tracker_read_once_per_version(self):
         system, tracker, _ = _setup()

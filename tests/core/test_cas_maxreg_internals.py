@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.cas_maxreg import SingleCASMaxRegister
 from repro.sim.ids import ClientId, ObjectId
-from repro.sim.kernel import ActionKind
 from repro.sim.objects import OpKind
 from repro.sim.scheduling import ClientPriorityScheduler, RandomScheduler
 

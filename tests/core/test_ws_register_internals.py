@@ -10,7 +10,6 @@ import pytest
 
 from repro.core.ws_register import WSRegisterClient, WSRegisterEmulation
 from repro.sim.ids import ClientId, ObjectId
-from repro.sim.kernel import ActionKind
 from repro.sim.objects import OpKind
 from repro.sim.scheduling import (
     ClientPriorityScheduler,

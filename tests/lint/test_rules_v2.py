@@ -410,6 +410,26 @@ class TestR009:
             for item in result.active
         ), [item.message for item in result.active]
 
+    def test_set_iteration_into_a_scheduler_pick_fires(self, tmp_path):
+        # a scheduler's pick decides the next step and is recorded in
+        # replay scripts: steps offered in set order replay differently
+        # per process.
+        result = lint_source(
+            tmp_path,
+            """
+            def step(kernel, clients, responds):
+                ready = set(responds)
+                offered = []
+                for op in ready:
+                    offered = offered + [op]
+                return kernel.scheduler.pick(clients, offered, kernel)
+            """,
+            "R009",
+        )
+        assert any(
+            "flows into pick" in item.message for item in result.active
+        ), [item.message for item in result.active]
+
     def test_float_accumulation_into_fate_fires(self, tmp_path):
         result = lint_source(
             tmp_path,

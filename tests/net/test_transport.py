@@ -130,19 +130,11 @@ class TestArrival:
         kernel = system.kernel
         runtime.enqueue("write", "a")
         kernel.force_client_step(ClientId(0))
-        respond_ops = [
-            action.op_id
-            for action in kernel.enabled_actions()
-            if action.op_id is not None
-        ]
-        assert respond_ops == []  # pending but not arrived: not respondable
+        _, responds = kernel.enabled_steps()
+        assert responds == []  # pending but not arrived: not respondable
         transport.release(OpId(0))
-        respond_ops = [
-            action.op_id
-            for action in kernel.enabled_actions()
-            if action.op_id is not None
-        ]
-        assert respond_ops == [OpId(0)]
+        _, responds = kernel.enabled_steps()
+        assert [op.op_id for op in responds] == [OpId(0)]
         kernel.check_incremental()
 
 
@@ -180,7 +172,7 @@ def _arrived(transport):
 
 
 class TestArrivedBookkeeping:
-    """The arrived ops serve the ``enabled_actions`` oracle, which only
+    """The arrived ops serve the ``enabled_steps`` oracle, which only
     asks about *pending* ops: a transport must forget an op when it
     responds (and a late duplicate must not bring it back), or the
     table grows by one int per low-level operation forever."""

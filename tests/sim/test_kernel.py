@@ -1,11 +1,11 @@
-"""Tests for the kernel: actions, steps, vetoes, crashes."""
+"""Tests for the kernel: enabled steps, steps, vetoes, crashes."""
 
 import pytest
 
 from tests.conftest import ToyProtocol
 
 from repro.sim.ids import ClientId, ObjectId, OpId, ServerId
-from repro.sim.kernel import Action, ActionKind, Environment
+from repro.sim.kernel import Environment
 from repro.sim.objects import OpKind
 from repro.sim.scheduling import RandomScheduler, RoundRobinScheduler
 from repro.sim.system import build_system
@@ -55,8 +55,7 @@ class TestEnabledActions:
         client.enqueue("write", 3)
         # One client step: invoke + trigger.
         system.kernel.force_client_step(ClientId(0))
-        actions = system.kernel.enabled_actions()
-        responds = [a for a in actions if a.kind is ActionKind.RESPOND]
+        _, responds = system.kernel.enabled_steps()
         assert len(responds) == 1
 
     def test_actions_deterministically_ordered(self):
@@ -64,14 +63,13 @@ class TestEnabledActions:
         client = system.add_client(ClientId(0), ToyProtocol())
         client.enqueue("write", 3)
         system.kernel.force_client_step(ClientId(0))
-        assert system.kernel.enabled_actions() == system.kernel.enabled_actions()
+        assert system.kernel.enabled_steps() == system.kernel.enabled_steps()
 
 
 class TestEnvironmentVeto:
     class BlockAllWrites(Environment):
-        def allows(self, action, kernel):
-            op = kernel.pending.get(action.op_id)
-            return op is None or not op.is_mutator
+        def allows(self, op, kernel):
+            return not op.is_mutator
 
     def test_vetoed_write_blocks_run(self):
         system = _system()

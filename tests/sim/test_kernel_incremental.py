@@ -1,12 +1,12 @@
 """Differential and unit tests for the incremental scheduling kernel.
 
 ``Kernel.run`` is the one production stepping loop: it collects from the
-incrementally maintained enabled-action state, hoists the veto and
-transport hooks once per call and inlines action execution.
+incrementally maintained enabled-step state, hoists the veto and
+transport hooks once per call and inlines taking the step.
 ``reference_run`` (``tests/conftest.py``) is the same loop spelled out
 with public, from-scratch calls only.  The differential tests here prove
 the two are *observationally identical*: driven by the same seeded
-scheduler they choose the exact same action sequence and leave
+scheduler they pick the exact same step sequence and leave
 byte-identical histories and event traces — under a vetoing, stalling
 environment, server and client crashes, an active lossy transport, and
 all of these at once, for every algorithm in the registry.  The unit tests cover the
@@ -43,7 +43,8 @@ from repro.sim.chaos import ChaosEnvironment
 from repro.sim.events import EventListener
 from repro.sim.failures import CrashPlan
 from repro.sim.ids import ClientId, ServerId
-from repro.sim.kernel import Action, ActionKind, Environment, Kernel
+from repro.sim.client import ClientRuntime
+from repro.sim.kernel import Environment, Kernel
 from repro.sim.replay import RecordingScheduler
 from repro.sim.scheduling import RandomScheduler, RoundRobinScheduler
 from repro.sim.system import build_system
@@ -412,7 +413,7 @@ class _VetoAll(Environment):
     def __init__(self):
         self.consultations = 0
 
-    def allows(self, action, kernel):
+    def allows(self, op, kernel):
         self.consultations += 1
         return False
 
@@ -423,8 +424,8 @@ def test_environment_consulted_on_every_call():
     client = system.add_client(ClientId(0), ToyProtocol())
     client.enqueue("write", 1)
     system.kernel.force_client_step(ClientId(0))
-    system.kernel.allowed_actions()
-    system.kernel.allowed_actions()
+    assert system.kernel.run(max_steps=1).reason == "blocked"
+    assert system.kernel.run(max_steps=1).reason == "blocked"
     assert env.consultations == 2  # consulted afresh each time
 
 
@@ -501,33 +502,34 @@ def test_round_robin_does_not_accumulate_responded_ops():
     assert system.run_to_quiescence().satisfied
     scheduler = system.kernel.scheduler
     tracked = len(scheduler._fresh) + len(scheduler._served)
-    # 200 writes = 200 distinct respond actions over the run; only the
-    # client action plus at most a sweep-interval of stale responds may
+    # 200 writes = 200 distinct respond steps over the run; only the
+    # client step plus at most a sweep-interval of stale responds may
     # remain tracked.
     assert tracked <= 1 + RoundRobinScheduler._SWEEP_INTERVAL
     responds = [
-        action
+        step
         for queue in (scheduler._fresh, scheduler._served)
-        for action in queue
-        if action.kind is ActionKind.RESPOND
+        for step in queue
+        if step[0] == "respond"
     ]
-    live = [a for a in responds if a.op_id in system.kernel.pending]
+    live = [step for step in responds if step[1] in system.kernel.pending]
     assert not live  # nothing pending at quiescence
 
 
 def test_round_robin_policy_fresh_first_then_least_recent():
     scheduler = RoundRobinScheduler()
-    a, b, c = (
-        Action(ActionKind.CLIENT, client_id=ClientId(i)) for i in range(3)
-    )
-    # First pass: fresh actions win in first-seen order.
-    assert scheduler.choose([a, b, c], None) == a
-    assert scheduler.choose([a, b, c], None) == b
-    assert scheduler.choose([a, b, c], None) == c
+    a, b, c, d = (ClientRuntime(ClientId(i), ToyProtocol()) for i in range(4))
+
+    def picked(clients):
+        return clients[scheduler.pick(clients, (), None)]
+
+    # First pass: fresh steps win in first-seen order.
+    assert picked([a, b, c]) is a
+    assert picked([a, b, c]) is b
+    assert picked([a, b, c]) is c
     # All served: least-recently-picked wins.
-    assert scheduler.choose([a, b, c], None) == a
-    assert scheduler.choose([b, c], None) == b
-    # A newly appearing action is fresh and preempts the served ones.
-    d = Action(ActionKind.CLIENT, client_id=ClientId(3))
-    assert scheduler.choose([c, d], None) == d
-    assert scheduler.choose([c, d], None) == c
+    assert picked([a, b, c]) is a
+    assert picked([b, c]) is b
+    # A newly appearing step is fresh and preempts the served ones.
+    assert picked([c, d]) is d
+    assert picked([c, d]) is c

@@ -1,12 +1,12 @@
-"""``Scheduler.pick`` against the ``Action`` adapter it replaces.
+"""``RecordingScheduler`` is transparent around ``RandomScheduler``.
 
 ``Kernel.run`` asks its scheduler for an index into the enabled runtimes
 and the allowed ready ops.  ``RandomScheduler.pick`` draws that index
-from the count alone; a ``RecordingScheduler`` around the same seeded
-``RandomScheduler`` reaches it through the base ``Scheduler.pick``,
-which builds the ``Action`` list and calls ``choose``.  Both must drive
-the same run, step for step: for every registry algorithm, over several
-seeds, in-process and over a ``LossyTransport`` with the weather of the
+from the count alone.  A ``RecordingScheduler`` around the same seeded
+``RandomScheduler`` forwards each pick and records the picked step's
+descriptor; it must not change the run.  The test records the bare
+scheduler's picks by patching its ``pick`` and holds the two runs equal,
+step for step: for every registry algorithm, over several seeds, in-process and over a ``LossyTransport`` with the weather of the
 ``kv_lossy_faults`` workload, with and without a vetoing environment
 (``ChaosEnvironment``, whose veto filter and ``on_stall`` release run on
 every step), the recorded schedules, the histories and ``kernel.time``
@@ -66,14 +66,14 @@ def _recording_pick(scheduler, script):
     scheduler.pick = recording_pick
 
 
-def _run(algorithm, seed, lossy, chaos, adapter):
+def _run(algorithm, seed, lossy, chaos, recording):
     params, write_op, read_op, value_kind, _ = SCENARIO_TABLE[algorithm]
     transport = TransportConfig.lossy(PLAN, seed=seed) if lossy else None
     emulation = EmulationSpec.make(
         algorithm, seed=seed, transport=transport, **params
     ).build()
     kernel = emulation.kernel
-    if adapter:
+    if recording:
         kernel.scheduler = RecordingScheduler(RandomScheduler(seed))
         script = kernel.scheduler.script
     else:
@@ -103,7 +103,7 @@ def _run(algorithm, seed, lossy, chaos, adapter):
 @pytest.mark.parametrize("algorithm", sorted(SCENARIO_TABLE))
 def test_direct_pick_and_choose_adapter_run_identically(algorithm, lossy, chaos):
     for seed in SEEDS:
-        direct = _run(algorithm, seed, lossy, chaos, adapter=False)
-        adapted = _run(algorithm, seed, lossy, chaos, adapter=True)
+        direct = _run(algorithm, seed, lossy, chaos, recording=False)
+        recorded = _run(algorithm, seed, lossy, chaos, recording=True)
         assert direct[0], (algorithm, seed)
-        assert direct == adapted, (algorithm, seed)
+        assert direct == recorded, (algorithm, seed)

@@ -5,8 +5,9 @@ import pytest
 from tests.conftest import ToyProtocol
 
 from repro.core.ws_register import WSRegisterEmulation
-from repro.sim.ids import ClientId
-from repro.sim.kernel import Action, ActionKind
+from repro.sim.client import ClientRuntime
+from repro.sim.ids import ClientId, ObjectId, OpId
+from repro.sim.objects import LowLevelOp, OpKind
 from repro.sim.replay import (
     RecordingScheduler,
     ReplayDivergence,
@@ -27,16 +28,21 @@ def _fingerprint(history):
 
 class TestDescriptors:
     def test_round_trip(self):
-        from repro.sim.ids import OpId
-
-        client_action = Action(ActionKind.CLIENT, client_id=ClientId(3))
-        respond_action = Action(ActionKind.RESPOND, op_id=OpId(9))
-        assert materialize(describe(client_action)) == client_action
-        assert materialize(describe(respond_action)) == respond_action
+        clients = [ClientRuntime(ClientId(3), ToyProtocol())]
+        responds = [
+            LowLevelOp(OpId(9), ClientId(3), ObjectId(0), OpKind.READ, (), 0)
+        ]
+        assert describe(clients, responds, 0) == ("client", 3)
+        assert describe(clients, responds, 1) == ("respond", 9)
+        for index in (0, 1):
+            descriptor = describe(clients, responds, index)
+            assert materialize(descriptor, clients, responds) == index
+        assert materialize(("client", 4), clients, responds) is None
+        assert materialize(("respond", 8), clients, responds) is None
 
     def test_unknown_descriptor(self):
         with pytest.raises(ValueError):
-            materialize(("teleport", 1))
+            materialize(("teleport", 1), [], [])
 
 
 class TestRecordReplay:

@@ -7,7 +7,6 @@ from tests.conftest import ToyProtocol
 from repro.consistency.ws import WSViolation
 from repro.sim.history import HistoryOp
 from repro.sim.ids import ClientId, ObjectId, OpId, ServerId
-from repro.sim.kernel import Action, ActionKind
 from repro.sim.objects import AtomicRegister, LowLevelOp, OpKind
 from repro.sim.scheduling import RoundRobinScheduler
 from repro.sim.server import Server
@@ -29,14 +28,6 @@ class TestStringForms:
         assert "op3" in text and "write" in text and "pending" in text
         op.respond_time = 9
         assert "responded@9" in str(op)
-
-    def test_action(self):
-        assert str(Action(ActionKind.CLIENT, client_id=ClientId(2))) == (
-            "step(c2)"
-        )
-        assert str(Action(ActionKind.RESPOND, op_id=OpId(4))) == (
-            "respond(op4)"
-        )
 
     def test_server(self):
         server = Server(ServerId(1))

@@ -7,8 +7,9 @@ import pytest
 
 from tests.conftest import ToyProtocol
 
-from repro.sim.ids import ClientId
-from repro.sim.kernel import Action, ActionKind
+from repro.sim.client import ClientRuntime
+from repro.sim.ids import ClientId, ObjectId, OpId
+from repro.sim.objects import LowLevelOp, OpKind
 from repro.sim.scheduling import (
     ClientPriorityScheduler,
     RandomScheduler,
@@ -17,23 +18,27 @@ from repro.sim.scheduling import (
 from repro.sim.system import build_system
 
 
-def _client_action(index):
-    return Action(ActionKind.CLIENT, client_id=ClientId(index))
+def _clients(count):
+    return [ClientRuntime(ClientId(i), ToyProtocol()) for i in range(count)]
+
+
+def _respond(index):
+    return LowLevelOp(OpId(index), ClientId(0), ObjectId(0), OpKind.READ, (), 0)
 
 
 class TestRandomScheduler:
     def test_deterministic_given_seed(self):
-        actions = [_client_action(i) for i in range(5)]
-        first = [RandomScheduler(7).choose(actions, None) for _ in range(20)]
-        second = [RandomScheduler(7).choose(actions, None) for _ in range(20)]
+        clients = _clients(5)
+        first = [RandomScheduler(7).pick(clients, (), None) for _ in range(20)]
+        second = [RandomScheduler(7).pick(clients, (), None) for _ in range(20)]
         assert first == second
 
     def test_different_seeds_differ(self):
-        actions = [_client_action(i) for i in range(10)]
+        clients = _clients(10)
         a = RandomScheduler(1)
         b = RandomScheduler(2)
-        picks_a = [a.choose(actions, None) for _ in range(30)]
-        picks_b = [b.choose(actions, None) for _ in range(30)]
+        picks_a = [a.pick(clients, (), None) for _ in range(30)]
+        picks_b = [b.pick(clients, (), None) for _ in range(30)]
         assert picks_a != picks_b
 
     def test_full_run_reproducible(self):
@@ -64,8 +69,8 @@ _BOUNDS = sorted(
 
 
 class TestInlineDraw:
-    """``choose`` and ``pick`` consume the seeded stream exactly as
-    ``_randbelow``."""
+    """``pick`` consumes the seeded stream exactly as ``_randbelow``,
+    however the count splits into client steps and responds."""
 
     @pytest.mark.parametrize("seed", [0, 11, 29, 2**40 + 3])
     def test_picks_the_index_randbelow_picks(self, seed):
@@ -73,14 +78,14 @@ class TestInlineDraw:
         reference = random.Random(seed)
         for n in _BOUNDS:
             expected = [reference._randbelow(n) for _ in range(3)]
-            picked = [scheduler.choose(range(n), None) for _ in range(3)]
+            picked = [scheduler.pick(range(n), (), None) for _ in range(3)]
             assert picked == expected, f"n={n}"
 
     @pytest.mark.parametrize("seed", [0, 11, 29, 2**40 + 3])
     def test_pick_draws_the_index_choose_draws(self, seed):
         # The kernel's step asks ``pick`` for an index into c enabled
         # runtimes followed by m ready ops; it must consume the stream
-        # as ``choose`` over the c + m actions, and ``_randbelow``, do.
+        # as a pick over c + m client steps, and ``_randbelow``, do.
         picker, chooser = RandomScheduler(seed), RandomScheduler(seed)
         reference = random.Random(seed)
         for c in range(65):
@@ -88,7 +93,7 @@ class TestInlineDraw:
                 if not c + m:
                     continue
                 index = picker.pick(range(c), range(m), None)
-                assert index == chooser.choose(range(c + m), None), (c, m)
+                assert index == chooser.pick(range(c + m), (), None), (c, m)
                 assert index == reference._randbelow(c + m), (c, m)
 
     def test_a_deep_copy_draws_on_its_own_generator(self):
@@ -96,43 +101,38 @@ class TestInlineDraw:
         # (and advance) the original's generator.
         original = RandomScheduler(5)
         fork = copy.deepcopy(original)
-        actions = list(range(1000))
-        fork_picks = [fork.choose(actions, None) for _ in range(10)]
-        assert [original.choose(actions, None) for _ in range(10)] == fork_picks
+        steps = range(1000)
+        fork_picks = [fork.pick(steps, (), None) for _ in range(10)]
+        assert [original.pick(steps, (), None) for _ in range(10)] == fork_picks
 
 
 class TestRoundRobinScheduler:
     def test_no_starvation(self):
-        """Every continuously enabled action is picked within a bounded
-        number of choices."""
+        """Every continuously enabled step is picked within a bounded
+        number of picks."""
         scheduler = RoundRobinScheduler()
-        actions = [_client_action(i) for i in range(4)]
-        picked = [scheduler.choose(actions, None) for _ in range(8)]
-        for action in actions:
-            assert picked.count(action) == 2
+        clients = _clients(4)
+        picked = [scheduler.pick(clients, (), None) for _ in range(8)]
+        for index in range(len(clients)):
+            assert picked.count(index) == 2
 
     def test_new_actions_integrated(self):
         scheduler = RoundRobinScheduler()
-        actions = [_client_action(0)]
-        scheduler.choose(actions, None)
-        actions.append(_client_action(1))
-        # The fresh action is served before the stale one repeats forever.
-        picks = [scheduler.choose(actions, None) for _ in range(2)]
-        assert _client_action(1) in picks
+        clients = _clients(2)
+        scheduler.pick(clients[:1], (), None)
+        # The fresh step is served before the stale one repeats forever.
+        picks = [scheduler.pick(clients, (), None) for _ in range(2)]
+        assert 1 in picks
 
 
 class TestClientPriorityScheduler:
     def test_prefers_client_steps(self):
         scheduler = ClientPriorityScheduler()
-        from repro.sim.ids import OpId
-
-        respond = Action(ActionKind.RESPOND, op_id=OpId(0))
-        client = _client_action(0)
-        assert scheduler.choose([respond, client], None) == client
+        clients, responds = _clients(1), [_respond(0), _respond(1)]
+        # Round robin alone would serve the two fresh responds next.
+        picks = [scheduler.pick(clients, responds, None) for _ in range(3)]
+        assert picks == [0, 0, 0]
 
     def test_falls_back_to_responds(self):
         scheduler = ClientPriorityScheduler()
-        from repro.sim.ids import OpId
-
-        respond = Action(ActionKind.RESPOND, op_id=OpId(0))
-        assert scheduler.choose([respond], None) == respond
+        assert scheduler.pick([], [_respond(0)], None) == 0

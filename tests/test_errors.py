@@ -24,8 +24,8 @@ from repro.errors import (
 )
 from repro.net.transport import InProcTransport
 from repro.sim.ids import ClientId, ObjectId, OpId, ServerId
-from repro.sim.kernel import Action, ActionKind
 from repro.sim.objects import LowLevelOp, OpKind, make_object
+from repro.sim.replay import ReplayDivergence
 from repro.sim.scheduling import RandomScheduler, Scheduler
 from repro.sim.server import ObjectMap, Server
 from repro.sim.system import build_system
@@ -52,6 +52,7 @@ class TestHierarchy:
         (TransportUnavailable, RuntimeError),
         (ModelViolation, ValueError),
         (LayoutSearchExhausted, RuntimeError),
+        (ReplayDivergence, RuntimeError),
     ]
 
     @pytest.mark.parametrize("error_class,legacy", CASES)
@@ -114,11 +115,15 @@ class TestExitCodes:
         } == EXIT_CODES
 
     def test_each_class_gets_a_distinct_code(self):
+        # ReplayDivergence is the one case that inherits its parent's
+        # code: a replay that is not offered its step is a ModelViolation.
         codes = [
             exit_code_for(error_class("x"))
             for error_class, _ in TestHierarchy.CASES
+            if error_class is not ReplayDivergence
         ]
         assert len(set(codes)) == len(codes)
+        assert exit_code_for(ReplayDivergence("x")) == EXIT_CODES[ModelViolation]
 
     def test_queue_subclasses_keep_distinct_codes(self):
         # The claim-protocol subclasses override the exit_code they
@@ -191,18 +196,14 @@ def _write(kernel, object_index=0):
     )
 
 
-def _respond(op_id):
-    return Action(ActionKind.RESPOND, None, op_id)
-
-
 class _Picks(Scheduler):
-    """A scheduler that picks ``action`` whatever is enabled."""
+    """A scheduler that picks ``index`` whatever is offered."""
 
-    def __init__(self, action):
-        self.action = action
+    def __init__(self, index):
+        self.index = index
 
-    def choose(self, actions, kernel):
-        return self.action
+    def pick(self, clients, responds, kernel):
+        return self.index
 
 
 def _duplicate_client():
@@ -216,13 +217,27 @@ def _unknown_object_type():
 
 
 def _execute_not_pending():
-    _kernel().execute(_respond(OpId(5)))
+    _kernel().force_respond(OpId(5))
 
 
-def _run_not_pending():
+def _one_client_one_ready_op():
+    """A kernel offering one client step and one respond."""
     kernel = _kernel()
+    kernel.add_client(ClientId(0), ToyProtocol()).enqueue("read")
     _write(kernel)
-    kernel.scheduler = _Picks(_respond(OpId(5)))
+    return kernel
+
+
+def _run_pick_past_the_end():
+    kernel = _one_client_one_ready_op()
+    kernel.scheduler = _Picks(2)
+    kernel.run(max_steps=1)
+
+
+def _run_pick_negative():
+    # Indexed as is, -1 would run the last offered step.
+    kernel = _one_client_one_ready_op()
+    kernel.scheduler = _Picks(-1)
     kernel.run(max_steps=1)
 
 
@@ -230,16 +245,7 @@ def _execute_on_crashed_object():
     kernel = _kernel()
     op = _write(kernel, 1)
     kernel.crash_server(ServerId(1))
-    kernel.execute(_respond(op.op_id))
-
-
-def _run_on_crashed_object():
-    kernel = _kernel()
-    op = _write(kernel, 1)
-    _write(kernel, 0)  # keeps a respond enabled after the crash
-    kernel.crash_server(ServerId(1))
-    kernel.scheduler = _Picks(_respond(op.op_id))
-    kernel.run(max_steps=1)
+    kernel.force_respond(op.op_id)
 
 
 def _apply_on_crashed_object():
@@ -476,7 +482,7 @@ def _spawn_outside_operation():
 def _unknown_action_descriptor():
     from repro.sim.replay import materialize
 
-    materialize(("teleport", 0))
+    materialize(("teleport", 0), [], [])
 
 
 def _unknown_trace_kind():
@@ -513,9 +519,9 @@ class TestSimulationRaiseSites:
         (_duplicate_client, InvalidConfig, ValueError),
         (_unknown_object_type, InvalidConfig, ValueError),
         (_execute_not_pending, ModelViolation, ValueError),
-        (_run_not_pending, ModelViolation, ValueError),
+        (_run_pick_past_the_end, ModelViolation, ValueError),
         (_execute_on_crashed_object, ModelViolation, RuntimeError),
-        (_run_on_crashed_object, ModelViolation, RuntimeError),
+        (_run_pick_negative, ModelViolation, RuntimeError),
         (_apply_on_crashed_object, ModelViolation, RuntimeError),
         (_unsupported_op_kind, ModelViolation, ValueError),
         (_transport_swapped_after_triggers, ModelViolation, RuntimeError),

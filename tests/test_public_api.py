@@ -322,10 +322,48 @@ class TestLintSurfaceCensus:
         assert parameters["rule_ids"].default is None
 
 
+class TestSchedulerSeamCensus:
+    """The scheduler's hook into a run, by name: ``pick``, handed the
+    enabled runtimes and the allowed ready ops, returns an index into
+    the two.  A second vocabulary for steps (an adapter method, a step
+    value type) shows up in review as an edit to this test."""
+
+    HOOKS = ("pick",)
+
+    def test_scheduler_hooks_are_exactly_pick(self):
+        from repro.sim.scheduling import Scheduler
+
+        hooks = tuple(
+            sorted(
+                name
+                for name, value in vars(Scheduler).items()
+                if callable(value) and not name.startswith("_")
+            )
+        )
+        assert hooks == self.HOOKS
+
+    def test_every_policy_overrides_only_pick(self):
+        import repro.sim
+
+        policies = [
+            value
+            for value in vars(repro.sim).values()
+            if isinstance(value, type) and issubclass(value, repro.sim.Scheduler)
+        ]
+        assert len(policies) == 6  # the base and five policies
+        for policy in policies:
+            hooks = {
+                name
+                for name, value in vars(policy).items()
+                if callable(value) and not name.startswith("_")
+            }
+            assert hooks <= set(self.HOOKS), policy
+
+
 class TestVetoSeamCensus:
     """The environment's hooks into a run, by name.  The kernel asks
-    ``allows`` for every candidate respond on every step and calls
-    ``on_stall`` when all are vetoed; an environment that wants to
+    ``allows`` about every ready op on every step and calls ``on_stall``
+    when no client is enabled and all are vetoed; an environment that wants to
     memoize its verdicts does so itself (``AdversaryAdi`` keeps one memo
     per covering-state version).  A second cache on the kernel side, or a
     hook to key one, shows up in review as an edit to this test."""
