@@ -16,8 +16,8 @@ express client algorithms as Python generators:
   client takes a step or one of its low-level operations responds.  This
   is the paper's model (clients are deterministic state machines whose
   inputs are their own transitions), and the kernel's incremental
-  scheduler relies on it: a blocked client's predicates are re-evaluated
-  when the client is next touched, not on every global step.  A predicate
+  scheduler relies on it: a blocked client's predicates are evaluated
+  at each touch of the client, not on every global step.  A predicate
   reading global state (e.g. the kernel clock) is outside the model and
   would go stale between touches.
 * ``upon receiving ... respond`` handlers are expressed by overriding
@@ -174,10 +174,9 @@ class ClientRuntime:
     :meth:`enabled`, :meth:`step` and :meth:`deliver_response`.
 
     A ``__slots__`` class: one instance lives per client and its
-    scheduling fields (``_category``, ``_poll_dirty``/``_poll_cache``)
-    are read on every kernel step, so attribute storage is flat and the
-    kernel's collect loop touches no hash tables.  The runtime itself is
-    what a scheduler is offered as a client step.
+    scheduling fields (``_category``, ``_listed``) are read at every
+    touch of the client, so attribute storage is flat.  The runtime
+    itself is what a scheduler is offered as a client step.
     """
 
     __slots__ = (
@@ -194,9 +193,8 @@ class ClientRuntime:
         "active_token",
         "on_complete",
         "_kernel",
-        "_poll_dirty",
-        "_poll_cache",
         "_category",
+        "_listed",
     )
 
     def __init__(self, client_id: ClientId, protocol: ClientProtocol):
@@ -225,14 +223,11 @@ class ClientRuntime:
         self.on_complete: Optional[Callable[[Any, str, Any], None]] = None
         # wired by the kernel at registration:
         self._kernel = None
-        # Incremental-scheduler poll state: the cached result of the last
-        # wait-predicate evaluation, and whether it needs re-evaluating
-        # (set whenever this client is touched).  Owned by the kernel.
-        self._poll_dirty = True
-        self._poll_cache = False
-        # Scheduling category (SCHED_*) as last published to the kernel's
-        # candidate list.  Owned by the kernel (filled in at registration).
+        # Scheduling category (SCHED_*) as last published to the kernel,
+        # and whether this runtime sits in the kernel's enabled list
+        # (settled at every touch).  Owned by the kernel.
         self._category = SCHED_DISABLED
+        self._listed = False
 
     # -- wiring ------------------------------------------------------------
 
@@ -252,7 +247,7 @@ class ClientRuntime:
         """
         self.program.append((name, tuple(args), token))
         if self._kernel is not None:
-            self._kernel._refresh_client(self.client_id)
+            self._kernel._recategorize(self)
 
     @property
     def idle(self) -> bool:
@@ -380,8 +375,8 @@ class ClientRuntime:
         # on predicates becomes enabled right here.  Keeping the category
         # current lets the kernel skip the full rescan after response
         # deliveries, where spawn is the only category-changing call a
-        # protocol can make.  (Candidate-list membership is unaffected:
-        # both categories are candidate states.)
+        # protocol can make.  (The candidate count is unaffected: both
+        # categories are candidate states.)
         if self._category == SCHED_POLLING:
             self._category = SCHED_ENABLED
         return handle
@@ -411,4 +406,4 @@ class ClientRuntime:
         self.tasks = []
         self.program.clear()
         if self._kernel is not None:
-            self._kernel._refresh_client(self.client_id)
+            self._kernel._recategorize(self)

@@ -97,6 +97,7 @@ class Environment:
 RECORDED_OPS_PER_OBJECT = 512
 
 _op_id = attrgetter("op_id")
+_client_index = attrgetter("client_id.index")
 _Projections = DefaultDict[int, Optional[List[LowLevelOp]]]
 
 
@@ -241,25 +242,26 @@ class Kernel:
 
     Incremental bookkeeping (see ``docs/MODEL.md``, "Performance"):
 
-    * ``_candidates`` — client runtimes that are enabled or may wake
-      (everything except crashed / idle-with-empty-program clients), in
-      ascending client-id order.  Each candidate carries its own
-      scheduling category (``runtime._category``: definitely steppable
-      vs. blocked on wait predicates re-evaluated lazily), so collecting
-      the enabled runtimes touches no hash tables at all;
+    * ``_enabled`` — the enabled client runtimes in ascending client-id
+      order, each with ``runtime._listed`` set while it is there.  Each
+      touch of a client (a step of, enqueue on, crash of or response
+      delivered to it) settles its enabledness from its category
+      (``runtime._category``), evaluating a polling client's predicates
+      there and then; a flip inserts by ``bisect`` or removes in place;
     * ``_ready`` — the respondable ops (pending, request arrived, object
       live) in ascending op-id order, each with ``op.ready`` set.  A
       trigger on the in-process transport appends, :meth:`arrive`
       inserts with ``bisect``, a respond or a server crash removes in
-      place (never rebound, so the reference hoisted by :meth:`run`
-      stays valid);
-    * ``_crashed_mid_op`` — how many clients crashed with a high-level
-      operation in flight.  With ``_candidates`` it answers
+      place;
+    * ``_candidate_count`` (clients not disabled: everything except
+      crashed / idle-with-empty-program clients) and ``_crashed_mid_op``
+      (clients crashed with a high-level operation in flight) answer
       :meth:`clients_quiescent` without visiting a client.
 
-    Each step of :meth:`run` hands the enabled runtimes and the allowed
-    ready ops to ``scheduler.pick``, which returns an index into the two
-    lists laid end to end.
+    Each step of :meth:`run` hands the two lists (never rebound, so the
+    references it hoists stay valid) to ``scheduler.pick``, the ready one
+    filtered through a vetoing environment, and takes the step at the
+    index it returns into the two laid end to end.
     """
 
     def __init__(
@@ -292,9 +294,10 @@ class Kernel:
         self.pending: "Dict[OpId, LowLevelOp]" = {}
         self.listeners: "List[EventListener]" = []
         self._next_seq = 0
-        # Incremental enabled-step state: candidate runtimes in ascending
-        # client-id order (the category lives on the runtime).
-        self._candidates: "List[ClientRuntime]" = []
+        #: Enabled client runtimes in ascending client-id order; each has
+        #: ``runtime._listed`` set.
+        self._enabled: "List[ClientRuntime]" = []
+        self._candidate_count = 0  # clients not SCHED_DISABLED
         # Clients that crashed with a high-level operation in flight.
         self._crashed_mid_op = 0
         #: Respondable ops (pending, arrived, on a live object), in
@@ -384,50 +387,47 @@ class Kernel:
 
     # -- incremental client bookkeeping ---------------------------------------
 
-    def _refresh_client(self, client_id: ClientId) -> None:
-        """Recategorize one client after an event that may change it.
-
-        Id-keyed wrapper around :meth:`_recategorize` for callers that
-        hold an id rather than the runtime (client enqueue, transports).
-        """
-        runtime = self.clients.get(client_id)
-        if runtime is not None:
-            self._recategorize(runtime)
-
     def _recategorize(self, runtime: ClientRuntime) -> None:
         """Recategorize one client after an event that may change it.
 
-        Called after every step of / response delivery to / enqueue on /
-        crash of the client.  Also marks the client's wait predicates
-        dirty, so polling clients are re-evaluated exactly when touched.
-        The category is stored on the runtime itself; the candidate list
+        Called after every step of / enqueue on / crash of the client.
+        The category is stored on the runtime itself; the candidate count
         only changes on transitions into or out of ``SCHED_DISABLED``.
+        Then settles the client's enabledness (:meth:`_settle`).
         """
-        runtime._poll_dirty = True
         category = runtime._sched_category()
         previous = runtime._category
-        if category == previous:
-            return
-        runtime._category = category
-        if previous != SCHED_DISABLED:
-            if category == SCHED_DISABLED:
-                self._candidates.remove(runtime)
+        if category != previous:
+            runtime._category = category
+            if previous == SCHED_DISABLED:
+                self._candidate_count += 1
+            elif category == SCHED_DISABLED:
+                self._candidate_count -= 1
                 if runtime.active_seq is not None:
                     # Only a crash disables a client mid-operation, and a
                     # crashed client never rejoins: counted exactly once.
                     self._crashed_mid_op += 1
-            return
-        # Joining: insert preserving ascending client-id order.
-        candidates = self._candidates
-        index = runtime.client_id.index
-        lo, hi = 0, len(candidates)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if candidates[mid].client_id.index < index:
-                lo = mid + 1
+        self._settle(runtime)
+
+    def _settle(self, runtime: ClientRuntime) -> None:
+        """Put ``runtime`` in or out of :attr:`_enabled` per its category.
+
+        A polling client's wait predicates are evaluated here, at the
+        touch: they read only client-local state (the model's contract,
+        see :mod:`repro.sim.client`), so the answer holds until the
+        client is touched again.
+        """
+        category = runtime._category
+        if category == SCHED_POLLING:
+            enabled = runtime._poll_now()
+        else:
+            enabled = category == SCHED_ENABLED
+        if enabled is not runtime._listed:
+            runtime._listed = enabled
+            if enabled:
+                insort(self._enabled, runtime, key=_client_index)
             else:
-                hi = mid
-        candidates.insert(lo, runtime)
+                self._enabled.remove(runtime)
 
     def clients_settled(self) -> bool:
         """Every client is crashed, or idle with nothing queued.  O(1).
@@ -435,7 +435,7 @@ class Kernel:
         No client will step again until something is enqueued; low-level
         operations may still be pending (they are covering).
         """
-        return not self._candidates
+        return not self._candidate_count
 
     def clients_quiescent(self) -> bool:
         """No high-level operation is in flight or queued.  O(1).
@@ -445,7 +445,7 @@ class Kernel:
         waiting on this predicate ends ``"quiescent"`` / ``"blocked"``,
         never ``"until"``.  Usable directly as ``run(until=...)``.
         """
-        return not self._candidates and not self._crashed_mid_op
+        return not self._candidate_count and not self._crashed_mid_op
 
     # -- low-level operation lifecycle ------------------------------------------
 
@@ -531,9 +531,8 @@ class Kernel:
             op.result = obj.apply(op)
         op.respond_time = self.time
         del self.pending[op.op_id]
-        if op.ready:
-            op.ready = False
-            self._ready.remove(op)
+        op.ready = False  # force_respond takes only ready ops
+        self._ready.remove(op)
         if self._subs_respond:
             event = RespondEvent(self.time, op)
             for emit in self._subs_respond:
@@ -549,13 +548,13 @@ class Kernel:
         ``on_response`` handlers only see the context, whose sole
         category-changing call — ``spawn`` — updates the category itself
         (see :meth:`ClientRuntime.spawn`).  Only the wait predicates may
-        flip, so marking them dirty suffices; the full ``_sched_category``
-        rescan is skipped.
+        flip, so settling the client (:meth:`_settle`) suffices; the full
+        ``_sched_category`` rescan is skipped.
         """
         client = self.clients.get(op.client_id)
         if client is not None:
             client.deliver_response(op)
-            client._poll_dirty = True
+            self._settle(client)
 
     # -- high-level operation recording ------------------------------------------
 
@@ -627,7 +626,7 @@ class Kernel:
         return clients, responds
 
     def _enabled_clients(self) -> "List[ClientRuntime]":
-        """The enabled client runtimes, from the incremental state, in
+        """A copy of the enabled client runtimes (:attr:`_enabled`), in
         ascending client-id order.
 
         With :attr:`_ready` these are the same steps, in the same order,
@@ -635,17 +634,7 @@ class Kernel:
         client-local state (the model's contract — see
         :mod:`repro.sim.client`).
         """
-        enabled: "List[ClientRuntime]" = []
-        for runtime in self._candidates:
-            if runtime._category == SCHED_ENABLED:
-                enabled.append(runtime)
-            else:  # polling: blocked on wait predicates
-                if runtime._poll_dirty:
-                    runtime._poll_cache = runtime._poll_now()
-                    runtime._poll_dirty = False
-                if runtime._poll_cache:
-                    enabled.append(runtime)
-        return enabled
+        return list(self._enabled)
 
     def _allowed_ready(self) -> "List[LowLevelOp]":
         """The ready ops the environment does not veto, in op-id order.
@@ -665,8 +654,10 @@ class Kernel:
         steps — the enabled runtimes plus the ready list, in order —
         diverge from a from-scratch :meth:`enabled_steps` rebuild (compared
         by client and op id), when the ops flagged ``ready`` are not
-        exactly the ready list, or when :meth:`clients_settled` /
-        :meth:`clients_quiescent` diverge from a scan of every client.
+        exactly the ready list or the runtimes flagged ``_listed`` not
+        exactly the enabled list, or when the candidate count (which
+        :meth:`clients_settled` reads) or :meth:`clients_quiescent`
+        diverge from a scan of every client.
         Used by the property tests; safe to call between steps of a run.
         """
         clients = self.clients.values()
@@ -689,9 +680,14 @@ class Kernel:
                 sorted(op_id for op_id, op in self.pending.items() if op.ready),
             ),
             (
-                "clients_settled()",
-                self.clients_settled(),
-                all(c.crashed or (c.idle and not c.program) for c in clients),
+                "enabled flags",
+                [runtime.client_id for runtime in self._enabled],
+                sorted(cid for cid, runtime in self.clients.items() if runtime._listed),
+            ),
+            (
+                "candidate count",
+                self._candidate_count,
+                sum(not (c.crashed or (c.idle and not c.program)) for c in clients),
             ),
             (
                 "clients_quiescent()",
@@ -724,16 +720,20 @@ class Kernel:
 
     def force_respond(self, op_id: OpId) -> None:
         """Imperatively respond op ``op_id`` and advance time by one
-        (run-construction tool).  An op that is not pending, or that sits
-        on a crashed object, is refused with ``ModelViolation``."""
+        (run-construction tool).  Only a ready op (:attr:`_ready`) may
+        respond: one that is not pending, whose request has not arrived,
+        or that sits on a crashed object is refused with
+        ``ModelViolation``, which names the cause."""
         op = self.pending.get(op_id)
         if op is None:
             raise ModelViolation(f"{op_id} is not pending")
-        obj = op.obj
-        if obj is None:
-            obj = self.object_map.object(op.object_id)
-        if obj.crashed:
-            raise ModelViolation(f"respond on crashed object: {op}")
+        if not op.ready:
+            obj = op.obj
+            if obj is None:
+                obj = self.object_map.object(op.object_id)
+            if obj.crashed:
+                raise ModelViolation(f"respond on crashed object: {op}")
+            raise ModelViolation(f"respond before the request arrived: {op}")
         self.time += 1
         self._respond(op)
         for emit in self._subs_step:
@@ -750,16 +750,17 @@ class Kernel:
         (``"quiescent"``), when no client is enabled and every ready op
         is vetoed (``"blocked"``), or after ``max_steps`` steps.
 
-        Each step collects the enabled runtimes (:meth:`_enabled_clients`)
-        and takes the ready list as is, or filtered through the
-        environment's veto (:meth:`_allowed_ready`), then runs the
-        runtime or op at the index ``scheduler.pick`` returns; an index
-        outside the offered steps raises ``ModelViolation``.  The
-        scheduler, environment and transport are read once per call
-        (swap them between calls, not from inside one), which decides
-        the two optional hooks: the veto filter and ``on_stall`` run
-        only when the environment overrides :meth:`Environment.allows`,
-        ``pump`` / ``flush_idle`` only when the transport is ``active``.
+        Each step hands ``scheduler.pick`` the enabled runtimes
+        (:attr:`_enabled`) and the ready list as they stand, the latter
+        filtered through the environment's veto (:meth:`_allowed_ready`)
+        when it has one, then runs the runtime or op at the index it
+        returns; an index outside the offered steps raises
+        ``ModelViolation``.  The scheduler, environment and transport
+        are read once per call (swap them between calls, not from inside
+        one), which decides the two optional hooks: the veto filter and
+        ``on_stall`` run only when the environment overrides
+        :meth:`Environment.allows`, ``pump`` / ``flush_idle`` only when
+        the transport is ``active``.
         Taking the pick is :meth:`force_client_step` /
         :meth:`force_respond` inlined, :meth:`_respond` included: a
         respond takes its result from the local object (or, on a
@@ -783,9 +784,10 @@ class Kernel:
         ready = self._ready
         pending = self.pending
         clients = self.clients
+        enabled = self._enabled
         pick = self.scheduler.pick
         recategorize = self._recategorize
-        collect = self._enabled_clients
+        settle = self._settle
         allowed_ready = self._allowed_ready
         subs_step = self._subs_step
         subs_respond = self._subs_respond
@@ -796,25 +798,24 @@ class Kernel:
                     return RunResult(steps, "until")
                 if transport is not None:
                     transport.pump()
-                enabled = collect()
+                count = len(enabled)
                 responds = ready
-                if not enabled and not ready:
+                if not count and not ready:
                     if transport is not None and transport.flush_idle():
                         continue  # a delivery landed: re-evaluate
                     return RunResult(steps, "quiescent")
                 if vetoing:
                     responds = allowed_ready()
-                    if not enabled and not responds:
+                    if not count and not responds:
                         if environment.on_stall(self):
-                            enabled = collect()
+                            count = len(enabled)
                             responds = allowed_ready()
-                        if not enabled and not responds:
+                        if not count and not responds:
                             if transport is not None and transport.flush_idle():
                                 continue  # an in-flight delivery may unblock
                             return RunResult(steps, "blocked")
                 index = pick(enabled, responds, self)
                 time = self.time = self.time + 1
-                count = len(enabled)
                 if 0 <= index < count:
                     runtime = enabled[index]
                     try:
@@ -829,9 +830,6 @@ class Kernel:
                             f" the {count + len(responds)} offered"
                         )
                     op = responds[index]
-                    obj = op.obj
-                    if obj.crashed:
-                        raise ModelViolation(f"respond on crashed object: {op}")
                     if responds is ready:
                         del ready[index]
                     else:
@@ -839,12 +837,14 @@ class Kernel:
                     op.ready = False
                     # Inlined _respond().  A remote replica applied the
                     # op already; otherwise support was checked at
-                    # trigger and crash just above, so the wrapper
-                    # re-checks in BaseObject.apply are redundant.
+                    # trigger, and a ready op sits on a live object
+                    # (crash_server drops the ops of the objects it
+                    # crashes), so the wrapper re-checks in
+                    # BaseObject.apply are redundant.
                     if remote:
                         op.result = result_for(op)
                     else:
-                        op.result = obj._apply(op.kind, op.args)
+                        op.result = op.obj._apply(op.kind, op.args)
                     op.respond_time = time
                     del pending[op.op_id]
                     if subs_respond:
@@ -852,12 +852,11 @@ class Kernel:
                         for emit in subs_respond:
                             emit(event)
                     if inproc:
-                        # Inlined InProcTransport.send_response ->
-                        # deliver(), which explains the dirty mark.
+                        # Inlined InProcTransport.send_response -> deliver().
                         client = clients.get(op.client_id)
                         if client is not None:
                             client.deliver_response(op)
-                            client._poll_dirty = True
+                            settle(client)
                     else:
                         send_response(op)
                 if subs_step:

@@ -49,7 +49,8 @@ class Scheduler:
     def pick(self, clients: Sequence, responds: Sequence, kernel) -> int:
         """The index of the step to take, into the enabled runtimes
         ``clients`` followed by the allowed ready ops ``responds``; the
-        kernel refuses an index outside them."""
+        kernel refuses an index outside them.  Both lists may be the
+        kernel's live tables: read them during the call only."""
         raise NotImplementedError
 
 

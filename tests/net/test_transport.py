@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.net import InProcTransport, TransportConfig
+from repro.errors import ModelViolation
+from repro.net import Delay, FaultPlan, InProcTransport, LinkFaults, TransportConfig
+from repro.net.lossy import LossyTransport
 from repro.net.transport import Transport
 from repro.sim.client import ClientRuntime
-from repro.sim.ids import ClientId, OpId
+from repro.sim.ids import ClientId, OpId, ServerId
 from repro.sim.system import build_system
 from tests.conftest import ToyProtocol
 
@@ -123,6 +125,32 @@ class TestArrival:
         kernel.force_respond(OpId(0))
         kernel.arrive(OpId(0))  # stale arrival after the respond
         assert [op.op_id for op in kernel._ready] == []
+
+    def test_force_respond_refuses_a_request_that_has_not_arrived(self):
+        plan = FaultPlan(default=LinkFaults(delay=Delay(50, 50)))
+        system, runtime = _toy_system(transport=LossyTransport(plan, seed=0))
+        kernel = system.kernel
+        runtime.enqueue("write", "a")
+        kernel.force_client_step(ClientId(0))  # triggers op0, 50 steps out
+        op = kernel.pending[OpId(0)]
+        assert not kernel.transport.request_arrived(op)
+        assert kernel.enabled_steps()[1] == []
+        with pytest.raises(ModelViolation, match="before the request arrived"):
+            kernel.force_respond(OpId(0))
+        assert kernel.pending[OpId(0)] is op and op.result is None
+        assert kernel.time == 1
+        kernel.check_incremental()
+
+    def test_force_respond_names_why_it_refuses(self):
+        system, runtime = _toy_system()
+        kernel = system.kernel
+        runtime.enqueue("write", "a")
+        kernel.force_client_step(ClientId(0))
+        with pytest.raises(ModelViolation, match="is not pending"):
+            kernel.force_respond(OpId(7))
+        kernel.crash_server(ServerId(0))
+        with pytest.raises(ModelViolation, match="respond on crashed object"):
+            kernel.force_respond(OpId(0))
 
     def test_oracle_excludes_unarrived_requests(self):
         transport = _ManualTransport()

@@ -42,7 +42,8 @@ from repro.net import (
 from repro.sim.chaos import ChaosEnvironment
 from repro.sim.events import EventListener
 from repro.sim.failures import CrashPlan
-from repro.sim.ids import ClientId, ServerId
+from repro.sim.ids import ClientId, OpId, ServerId
+from repro.sim.objects import OpKind
 from repro.sim.client import ClientRuntime
 from repro.sim.kernel import Environment, Kernel
 from repro.sim.replay import RecordingScheduler
@@ -273,9 +274,63 @@ def test_check_incremental_detects_divergence():
     client = system.add_client(ClientId(0), ToyProtocol())
     client.enqueue("write", 1)  # the client is now genuinely enabled
     # Corrupt the incremental state behind the kernel's back.
-    system.kernel._candidates.clear()
+    system.kernel._enabled.clear()
     with pytest.raises(RuntimeError, match="diverged"):
         system.kernel.check_incremental()
+
+
+def test_check_incremental_detects_a_stale_enabled_flag():
+    system = build_system(1, [(0, "register", None)])
+    client = system.add_client(ClientId(0), ToyProtocol())
+    client.enqueue("write", 1)
+    system.kernel.check_incremental()
+    client._listed = False  # still in the enabled list, flag cleared
+    with pytest.raises(RuntimeError, match="enabled flags"):
+        system.kernel.check_incremental()
+
+
+def test_check_incremental_detects_a_wrong_candidate_count():
+    system = build_system(1, [(0, "register", None)])
+    client = system.add_client(ClientId(0), ToyProtocol())
+    client.enqueue("write", 1)
+    system.kernel.check_incremental()
+    system.kernel._candidate_count += 1
+    with pytest.raises(RuntimeError, match="candidate count"):
+        system.kernel.check_incremental()
+
+
+class _SpawnsOnResponse(ToyProtocol):
+    """A write parks on a flag its own respond never sets; the respond
+    handler spawns the task that sets it."""
+
+    def op_write(self, ctx, value):
+        ctx.trigger(self.object_id, OpKind.WRITE, value)
+        self.finished = False
+        yield lambda: self.finished
+        return "ack"
+
+    def on_response(self, ctx, op):
+        def finish():
+            self.finished = True
+            yield None
+
+        ctx.spawn(finish(), name="finish")
+
+
+def test_a_spawn_in_a_respond_handler_enables_a_parked_client():
+    """A delivery is a touch: the spawned task is runnable at once, though
+    every wait predicate of the client still reads False."""
+    system = build_system(1, [(0, "register", None)])
+    kernel = system.kernel
+    client = system.add_client(ClientId(0), _SpawnsOnResponse())
+    client.enqueue("write", 1)
+    kernel.force_client_step(client.client_id)  # trigger, park on the flag
+    assert kernel._enabled_clients() == []
+    kernel.force_respond(OpId(0))  # delivered inline: on_response spawns
+    assert kernel._enabled_clients() == [client]
+    kernel.check_incremental()
+    assert system.run_to_quiescence().satisfied
+    kernel.check_incremental()
 
 
 def test_check_incremental_detects_a_wrong_quiescence_answer():
