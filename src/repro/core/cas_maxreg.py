@@ -168,10 +168,7 @@ class CASABDClient(ABDClient):
             else:
                 yield from self.ops.write_max(ctx, obj, *args, self.v0)
 
-        handles = [
-            ctx.spawn(server_task(obj), name=f"srv-{server_index}")
-            for server_index, obj in enumerate(self.object_ids)
-        ]
+        handles = [ctx.spawn(server_task(obj)) for obj in self.object_ids]
         yield ctx.count_done(handles, self.n - self.f)
         return results
 

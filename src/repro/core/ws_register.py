@@ -24,13 +24,13 @@ the property the lower bound shows is unavoidable.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Set
+from typing import Any, List, Optional, Sequence, Set, Tuple
 
 from repro.core.emulation import Deployment, register_algorithm
 from repro.core.layout import RegisterLayout
 from repro.errors import WriterBoundExceeded
 from repro.sim.client import ClientProtocol, Context
-from repro.sim.ids import ClientId, ObjectId, OpId, ServerId
+from repro.sim.ids import ClientId, ObjectId, OpId
 from repro.sim.kernel import Environment
 from repro.sim.objects import LowLevelOp, OpKind
 from repro.sim.scheduling import Scheduler
@@ -65,10 +65,11 @@ class WSRegisterClient(ClientProtocol):
         self.cover_set: "Set[ObjectId]" = set()
         # Kernel-facing bookkeeping (not part of the paper's state): which
         # of our read ops responded, to advance the per-server scans, and
-        # the server fleet snapshot (fixed once the system is built)
-        # taken at the first collect.
+        # the scan plan: per server of the fleet (fixed once the system
+        # is built), in server order, the tuple of registers its scan
+        # reads, built at the first collect.
         self._read_done: "Set[OpId]" = set()
-        self._server_ids: "Optional[tuple]" = None
+        self._scan_plan: "Optional[Tuple[Tuple[ObjectId, ...], ...]]" = None
 
     # -- high-level operations -------------------------------------------------
 
@@ -109,12 +110,14 @@ class WSRegisterClient(ClientProtocol):
         # the rest were abandoned): the ids of their reads are never
         # waited on again.
         self._read_done.clear()
-        server_ids = self._server_ids
-        if server_ids is None:
-            server_ids = self._server_ids = tuple(self.object_map.server_ids)
+        plan = self._scan_plan
+        if plan is None:
+            plan = self._scan_plan = tuple(
+                tuple(self.layout.registers_on_server(server_id))
+                for server_id in self.object_map.server_ids
+            )
         handles = [
-            ctx.spawn(self._scan(ctx, server_id), name=f"scan-{server_id}")
-            for server_id in server_ids  # line 22
+            ctx.spawn(self._scan(ctx, registers)) for registers in plan  # line 22
         ]
         needed = self.layout.read_quorum_servers()
         yield ctx.count_done(handles, needed)  # line 24
@@ -124,14 +127,15 @@ class WSRegisterClient(ClientProtocol):
                 best = candidate
         return best
 
-    def _scan(self, ctx: Context, server_id: ServerId):
+    def _scan(self, ctx: Context, registers: "Tuple[ObjectId, ...]"):
         """Lines 13-16: read every register of one server, sequentially.
 
-        "Every register" means every register *of this emulation* — when
+        ``registers`` is the server's entry of the scan plan.  "Every
+        register" means every register *of this emulation* — when
         several emulations share a server fleet, delta^-1(s) is taken
         within the emulation's own base-object set.
         """
-        for register in self.layout.registers_on_server(server_id):
+        for register in registers:
             op_id = ctx.trigger(register, OpKind.READ)  # line 15
             yield lambda op_id=op_id: op_id in self._read_done  # line 16
             self._read_done.discard(op_id)

@@ -210,17 +210,20 @@ class ModelViolation(ReproError, ValueError, RuntimeError):
     respond on an operation that is not pending or on a crashed object,
     an apply on a crashed object, an op kind the object does not
     support, a transport swapped in after operations were triggered,
-    and incremental scheduling state that diverged from its
-    from-scratch oracle.  Raised by ``Kernel.run`` when a scheduler's
-    ``pick`` returns an index outside the steps it was offered, and (as
-    the subclass ``ReplayDivergence``) by a replay whose recorded step
-    is not offered: one "step not offered" contract.  Raised by the
-    client runtime for a step of a crashed client, a step with no
-    runnable task, a ``spawn`` outside a high-level operation and an
-    unknown high-level operation; by the sequential specs for an
-    unknown operation; and by the covering tracker for ``end_phase``
-    with no active phase.  These sites raised ``ValueError`` or
-    ``RuntimeError`` before, hence both bases.
+    an unknown object, client or server id at the kernel's entry points
+    (``trigger``, ``force_client_step``, ``crash_client``,
+    ``crash_server``), and incremental scheduling state that diverged
+    from its from-scratch oracle.  Raised by ``Kernel.run`` when a
+    scheduler's ``pick`` returns an index outside the steps it was
+    offered, and (as the subclass ``ReplayDivergence``) by a replay
+    whose recorded step is not offered: one "step not offered"
+    contract.  Raised by the client runtime for a step of a crashed
+    client, a step with no runnable task, a ``spawn`` outside a
+    high-level operation and an unknown high-level operation; by the
+    sequential specs for an unknown operation; and by the covering
+    tracker for ``end_phase`` with no active phase.  These sites raised
+    ``ValueError`` or ``RuntimeError`` before, hence both bases (the
+    unknown-id sites raised a bare ``KeyError``).
     """
 
     exit_code = 18

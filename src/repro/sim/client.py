@@ -139,10 +139,11 @@ class Context:
     def trigger(self, object_id: ObjectId, kind: OpKind, *args: Any) -> OpId:
         """Trigger a low-level operation; returns immediately."""
         # Straight to the kernel: one call frame per low-level op is
-        # measurable on protocol-heavy runs.
+        # measurable on protocol-heavy runs.  The runtime rides on the op,
+        # so its respond is delivered here without a client-id lookup.
         runtime = self._runtime
         op = runtime._kernel.trigger(
-            runtime.client_id, object_id, kind, args, runtime.active_seq
+            runtime.client_id, object_id, kind, args, runtime.active_seq, runtime
         )
         op_id = op.op_id
         runtime.pending_ops.add(op_id)

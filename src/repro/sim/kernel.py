@@ -285,9 +285,10 @@ class Kernel:
         # send_request / send_response (kept current by set_transport).
         self._inproc = type(transport) is InProcTransport
         self.time = 0
-        # Direct alias of the object map's id->object table (mutated in
-        # place, never rebound): trigger() resolves the target object on
-        # every low-level op, so the lookup skips a method call.
+        # Direct alias of the object map's index->object table (mutated
+        # in place, never rebound): trigger() resolves the target object
+        # on every low-level op, so the lookup skips a method call and
+        # hashes the plain int, not the ObjectId.
         self._objects = object_map._objects
         self.clients: "Dict[ClientId, ClientRuntime]" = {}
         self.ops = OpLog()
@@ -456,9 +457,20 @@ class Kernel:
         kind: OpKind,
         args: tuple,
         highlevel_seq: Optional[int],
+        runtime: Optional[ClientRuntime] = None,
     ) -> LowLevelOp:
-        """Trigger a low-level operation (called from client runtimes)."""
-        obj = self._objects[object_id]
+        """Trigger a low-level operation (called from client runtimes).
+
+        ``runtime`` is the triggering client's runtime, kept as
+        ``op.runtime`` so the respond reaches it by reference; without it
+        the response is delivered to ``self.clients.get(client_id)``.  An
+        ``object_id`` this kernel's object map does not hold raises
+        ``ModelViolation``.
+        """
+        try:
+            obj = self._objects[object_id.index]
+        except KeyError:
+            raise ModelViolation(f"trigger on unknown object {object_id}") from None
         if kind not in obj.SUPPORTED:
             obj.check_supported(kind)  # raises with the precise message
         log = self.ops
@@ -470,6 +482,7 @@ class Kernel:
             highlevel_seq,
         )
         op.obj = obj  # cache the kernel-local object for the respond step
+        op.runtime = runtime
         projections = log._projections
         if projections is not None:
             index = object_id.index
@@ -549,12 +562,17 @@ class Kernel:
         category-changing call — ``spawn`` — updates the category itself
         (see :meth:`ClientRuntime.spawn`).  Only the wait predicates may
         flip, so settling the client (:meth:`_settle`) suffices; the full
-        ``_sched_category`` rescan is skipped.
+        ``_sched_category`` rescan is skipped.  The client is
+        ``op.runtime``; only an op triggered without one is looked up by
+        its client id.
         """
-        client = self.clients.get(op.client_id)
-        if client is not None:
-            client.deliver_response(op)
-            self._settle(client)
+        client = op.runtime
+        if client is None:
+            client = self.clients.get(op.client_id)
+            if client is None:
+                return
+        client.deliver_response(op)
+        self._settle(client)
 
     # -- high-level operation recording ------------------------------------------
 
@@ -578,8 +596,12 @@ class Kernel:
     # -- failures -------------------------------------------------------------------
 
     def crash_server(self, server_id: ServerId) -> None:
-        """Crash a server and all base objects mapped to it."""
-        crashed = self.object_map.crash_server(server_id)
+        """Crash a server and all base objects mapped to it; an unknown
+        server raises ``ModelViolation``."""
+        try:
+            crashed = self.object_map.crash_server(server_id)
+        except KeyError:
+            raise ModelViolation(f"crash of unknown server {server_id}") from None
         if crashed:
             gone = set(crashed)
             ready = self._ready
@@ -594,8 +616,13 @@ class Kernel:
                 emit(event)
 
     def crash_client(self, client_id: ClientId) -> None:
-        """Crash a client; its pending low-level ops remain pending."""
-        self.clients[client_id].crash()
+        """Crash a client; its pending low-level ops remain pending.  An
+        unknown client raises ``ModelViolation``."""
+        try:
+            runtime = self.clients[client_id]
+        except KeyError:
+            raise ModelViolation(f"crash of unknown client {client_id}") from None
+        runtime.crash()
         if self._subs_crash:
             event = CrashEvent(self.time, client_id=client_id)
             for emit in self._subs_crash:
@@ -708,8 +735,12 @@ class Kernel:
     def force_client_step(self, client_id: ClientId) -> None:
         """Imperatively take a step of client ``client_id`` and advance
         time by one (run-construction tool).  The runtime refuses a step
-        of a crashed client or of one with nothing runnable."""
-        runtime = self.clients[client_id]
+        of a crashed client or of one with nothing runnable; an unknown
+        client raises ``ModelViolation``."""
+        try:
+            runtime = self.clients[client_id]
+        except KeyError:
+            raise ModelViolation(f"step of unknown client {client_id}") from None
         self.time += 1
         try:
             runtime.step()
@@ -767,7 +798,8 @@ class Kernel:
         ``remote`` transport, from ``transport.result_for``), does the
         bookkeeping here, then hands the response leg to
         ``transport.send_response`` — or, for the plain in-process
-        transport, delivers it inline.  :meth:`_respond` itself serves
+        transport, delivers it inline to ``op.runtime`` (as
+        :meth:`deliver` does).  :meth:`_respond` itself serves
         :meth:`force_respond`.
         The structures hoisted here are mutated in place by the event
         handlers, never rebound, so the locals stay current as crash
@@ -853,7 +885,9 @@ class Kernel:
                             emit(event)
                     if inproc:
                         # Inlined InProcTransport.send_response -> deliver().
-                        client = clients.get(op.client_id)
+                        client = op.runtime
+                        if client is None:
+                            client = clients.get(op.client_id)
                         if client is not None:
                             client.deliver_response(op)
                             settle(client)

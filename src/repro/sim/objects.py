@@ -58,7 +58,11 @@ class LowLevelOp:
     effect is applied to a replica's object instead).  ``ready`` is True
     while the op sits in its kernel's ready list (its request reached a
     live object and it has not responded yet), so a duplicate arrival
-    costs one attribute test.
+    costs one attribute test.  ``runtime`` is the client runtime that
+    triggered the op (set by ``Kernel.trigger`` when a runtime triggers
+    it, as ``Context.trigger`` does), so a respond hands the response to
+    its client by reference; ``None`` for an op triggered by a bare
+    client id or rebuilt from the wire.
     """
 
     __slots__ = (
@@ -73,6 +77,7 @@ class LowLevelOp:
         "highlevel_seq",
         "obj",
         "ready",
+        "runtime",
     )
 
     def __init__(
@@ -100,6 +105,7 @@ class LowLevelOp:
         self.highlevel_seq = highlevel_seq
         self.obj = None
         self.ready = False
+        self.runtime = None
 
     @property
     def pending(self) -> bool:

@@ -50,7 +50,12 @@ class ObjectMap:
 
     def __init__(self) -> None:
         self._servers: "Dict[ServerId, Server]" = {}
-        self._objects: "Dict[ObjectId, BaseObject]" = {}
+        #: The objects keyed by ``object_id.index`` (mutated in place,
+        #: never rebound), in the order they were added: a plain int
+        #: hashes in C, where an ``ObjectId`` key costs a Python
+        #: ``__hash__`` and ``__eq__`` per lookup.  The kernel resolves
+        #: every trigger through it.
+        self._objects: "Dict[int, BaseObject]" = {}
         self._delta: "Dict[ObjectId, ServerId]" = {}
 
     # -- construction -----------------------------------------------------
@@ -63,11 +68,11 @@ class ObjectMap:
         return server
 
     def add_object(self, obj: BaseObject, server_id: ServerId) -> None:
-        if obj.object_id in self._objects:
+        if obj.object_id.index in self._objects:
             raise InvalidConfig(f"duplicate object {obj.object_id}")
         if server_id not in self._servers:
             raise InvalidConfig(f"unknown server {server_id}")
-        self._objects[obj.object_id] = obj
+        self._objects[obj.object_id.index] = obj
         self._delta[obj.object_id] = server_id
         self._servers[server_id].host(obj.object_id)
 
@@ -87,7 +92,7 @@ class ObjectMap:
 
     @property
     def object_ids(self) -> "List[ObjectId]":
-        return list(self._objects.keys())
+        return [obj.object_id for obj in self._objects.values()]
 
     @property
     def n_servers(self) -> int:
@@ -101,7 +106,7 @@ class ObjectMap:
         return self._servers[server_id]
 
     def object(self, object_id: ObjectId) -> BaseObject:
-        return self._objects[object_id]
+        return self._objects[object_id.index]
 
     def server_of(self, object_id: ObjectId) -> ServerId:
         """``delta(b)``: the server hosting ``b``."""
@@ -136,7 +141,7 @@ class ObjectMap:
         server.crashed = True
         crashed = []
         for oid in server.object_ids:
-            obj = self._objects[oid]
+            obj = self._objects[oid.index]
             if not obj.crashed:
                 obj.crashed = True
                 crashed.append(oid)

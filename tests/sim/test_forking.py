@@ -102,3 +102,48 @@ class TestIndependence:
 
         assert last_read(branch_a) == "base"
         assert last_read(branch_b) == "branched"
+
+
+class TestForkedOpsKnowTheirClient:
+    """Each pending op carries the runtime that triggered it
+    (``op.runtime``); a fork's copies must point at the fork's runtimes,
+    or a respond in the fork would run the origin's protocol."""
+
+    def test_a_respond_in_a_fork_reaches_the_forks_runtime(self):
+        k, n, f = 1, 3, 1
+
+        def factory(scheduler):
+            return WSRegisterEmulation(k=k, n=n, f=f, scheduler=scheduler)
+
+        runner = Lemma1Runner(factory, k=k, f=f)
+        runner.run()  # one write, f covering writes pending
+        kernel = runner.emulation.kernel
+        ready = [op for op in kernel.pending.values() if op.ready]
+        assert ready
+        writer = ready[0].runtime
+        assert writer is kernel.clients[ready[0].client_id]
+
+        def state(runtime):
+            protocol = runtime.protocol
+            return (
+                set(runtime.pending_ops),
+                set(protocol.cover_set),
+                set(protocol.wr_set),
+                protocol.ts_val,
+            )
+
+        before = state(writer)
+        fork = fork_kernel(kernel)
+        for op in fork.pending.values():
+            assert op.runtime is fork.clients[op.client_id]
+            assert op.runtime is not kernel.clients[op.client_id]
+        forked_writer = fork.clients[writer.client_id]
+        for op in ready:
+            fork.force_respond(op.op_id)
+            assert op.op_id not in forked_writer.pending_ops
+        assert state(forked_writer) != before
+        # The origin's pending ops and quorum state are untouched.
+        assert state(writer) == before
+        assert [op.op_id for op in ready] == [
+            op.op_id for op in kernel.pending.values() if op.ready
+        ]

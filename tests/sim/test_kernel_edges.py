@@ -6,7 +6,10 @@ from tests.conftest import ToyProtocol
 
 from repro.sim.client import ClientProtocol, Context, TaskHandle
 from repro.sim.events import EventListener
-from repro.sim.ids import ClientId, ObjectId
+from repro.errors import ModelViolation
+from repro.net.faults import Delay, Duplicate, FaultPlan, LinkFaults
+from repro.net.lossy import LossyTransport
+from repro.sim.ids import ClientId, ObjectId, ServerId
 from repro.sim.kernel import Environment, RunResult
 from repro.sim.objects import OpKind
 from repro.sim.scheduling import RandomScheduler
@@ -59,6 +62,78 @@ class TestTriggerValidation:
         client.enqueue("go")
         with pytest.raises(ValueError):
             system.kernel.run(max_steps=5)
+
+
+class TestUnknownIds:
+    """The kernel's entry points name an id they do not know, typed,
+    instead of leaking a bare ``KeyError``; nothing happens first."""
+
+    def test_trigger_on_an_unknown_object(self):
+        kernel = _system().kernel
+        with pytest.raises(ModelViolation, match="unknown object b999"):
+            kernel.trigger(ClientId(0), ObjectId(999), OpKind.READ, (), None)
+        assert len(kernel.ops) == 0 and not kernel.pending
+
+    def test_force_client_step_of_an_unknown_client(self):
+        kernel = _system().kernel
+        with pytest.raises(ModelViolation, match="unknown client c7"):
+            kernel.force_client_step(ClientId(7))
+        assert kernel.time == 0
+
+    def test_crash_of_an_unknown_client(self):
+        kernel = _system().kernel
+        with pytest.raises(ModelViolation, match="unknown client c7"):
+            kernel.crash_client(ClientId(7))
+
+    def test_crash_of_an_unknown_server(self):
+        system = _system()
+        with pytest.raises(ModelViolation, match="unknown server s9"):
+            system.kernel.crash_server(ServerId(9))
+        assert not system.object_map.crashed_servers
+
+
+def _lossy():
+    link = LinkFaults(delay=Delay(1, 4), duplicate=Duplicate(0.5))
+    return LossyTransport(FaultPlan(default=link), seed=3)
+
+
+class TestResponseDelivery:
+    """A respond reaches the runtime that triggered the op by reference
+    (``op.runtime``); an op triggered through ``Kernel.trigger`` with a
+    bare client id has none and is delivered to the client registered
+    under that id."""
+
+    def test_a_context_trigger_records_its_runtime(self):
+        system = _system()
+        runtime = system.add_client(ClientId(0), ToyProtocol())
+        runtime.enqueue("write", 1)
+        system.kernel.force_client_step(ClientId(0))
+        (op,) = system.kernel.pending.values()
+        assert op.runtime is runtime
+
+    @pytest.mark.parametrize("transport", [None, _lossy], ids=["inproc", "lossy"])
+    def test_an_op_triggered_by_client_id_is_delivered_by_lookup(self, transport):
+        system = build_system(
+            1,
+            [(0, "register", None)],
+            scheduler=RandomScheduler(0),
+            transport=transport() if transport else None,
+        )
+        protocol = ToyProtocol()
+        runtime = system.add_client(ClientId(4), protocol)
+        kernel = system.kernel
+        ops = [
+            kernel.trigger(ClientId(4), ObjectId(0), OpKind.WRITE, (value,), None)
+            for value in range(3)
+        ]
+        for op in ops:
+            assert op.runtime is None
+            runtime.pending_ops.add(op.op_id)  # as Context.trigger does
+        kernel.run()
+        assert protocol.results == {op.op_id: "ack" for op in ops}
+        assert not runtime.pending_ops
+        if transport:
+            assert runtime.duplicate_responses  # duplicates found it too
 
 
 class TestListeners:
