@@ -462,11 +462,15 @@ class Kernel:
         """Trigger a low-level operation (called from client runtimes).
 
         ``runtime`` is the triggering client's runtime, kept as
-        ``op.runtime`` so the respond reaches it by reference; without it
-        the response is delivered to ``self.clients.get(client_id)``.  An
-        ``object_id`` this kernel's object map does not hold raises
-        ``ModelViolation``.
+        ``op.runtime`` so the respond reaches it by reference; left
+        ``None`` (a trigger by bare client id), it is resolved here, once,
+        as ``self.clients.get(client_id)``.  The object is resolved by
+        ``object_id.index`` alone, the type not checked on this path:
+        pass an ``ObjectId``.  An index this kernel's object map does not
+        hold raises ``ModelViolation``.
         """
+        if runtime is None:
+            runtime = self.clients.get(client_id)
         try:
             obj = self._objects[object_id.index]
         except KeyError:
@@ -563,16 +567,13 @@ class Kernel:
         (see :meth:`ClientRuntime.spawn`).  Only the wait predicates may
         flip, so settling the client (:meth:`_settle`) suffices; the full
         ``_sched_category`` rescan is skipped.  The client is
-        ``op.runtime``; only an op triggered without one is looked up by
-        its client id.
+        ``op.runtime``; an op whose client id named no registered client
+        at its trigger has none, and its response is dropped.
         """
         client = op.runtime
-        if client is None:
-            client = self.clients.get(op.client_id)
-            if client is None:
-                return
-        client.deliver_response(op)
-        self._settle(client)
+        if client is not None:
+            client.deliver_response(op)
+            self._settle(client)
 
     # -- high-level operation recording ------------------------------------------
 
@@ -815,7 +816,6 @@ class Kernel:
         inproc = self._inproc
         ready = self._ready
         pending = self.pending
-        clients = self.clients
         enabled = self._enabled
         pick = self.scheduler.pick
         recategorize = self._recategorize
@@ -886,8 +886,6 @@ class Kernel:
                     if inproc:
                         # Inlined InProcTransport.send_response -> deliver().
                         client = op.runtime
-                        if client is None:
-                            client = clients.get(op.client_id)
                         if client is not None:
                             client.deliver_response(op)
                             settle(client)

@@ -54,7 +54,10 @@ class ObjectMap:
         #: never rebound), in the order they were added: a plain int
         #: hashes in C, where an ``ObjectId`` key costs a Python
         #: ``__hash__`` and ``__eq__`` per lookup.  The kernel resolves
-        #: every trigger through it.
+        #: every trigger through it.  An int key does not tell an
+        #: ``ObjectId`` from another id of the same index, so
+        #: :meth:`object` checks the type (``_delta`` keeps ``ObjectId``
+        #: keys, off the step path).
         self._objects: "Dict[int, BaseObject]" = {}
         self._delta: "Dict[ObjectId, ServerId]" = {}
 
@@ -106,6 +109,10 @@ class ObjectMap:
         return self._servers[server_id]
 
     def object(self, object_id: ObjectId) -> BaseObject:
+        """The object ``object_id`` names; ``KeyError`` for an id this
+        map does not hold, or one that is not an ``ObjectId``."""
+        if object_id.__class__ is not ObjectId:
+            raise KeyError(object_id)
         return self._objects[object_id.index]
 
     def server_of(self, object_id: ObjectId) -> ServerId:

@@ -91,6 +91,13 @@ class TestUnknownIds:
             system.kernel.crash_server(ServerId(9))
         assert not system.object_map.crashed_servers
 
+    def test_object_map_refuses_another_id_type_of_a_held_index(self):
+        object_map = _system().object_map
+        assert object_map.object(ObjectId(0)).object_id == ObjectId(0)
+        for other in (ServerId(0), ClientId(0)):
+            with pytest.raises(KeyError):
+                object_map.object(other)
+
 
 def _lossy():
     link = LinkFaults(delay=Delay(1, 4), duplicate=Duplicate(0.5))
@@ -99,9 +106,8 @@ def _lossy():
 
 class TestResponseDelivery:
     """A respond reaches the runtime that triggered the op by reference
-    (``op.runtime``); an op triggered through ``Kernel.trigger`` with a
-    bare client id has none and is delivered to the client registered
-    under that id."""
+    (``op.runtime``); ``Kernel.trigger`` with a bare client id resolves
+    that runtime from the registered clients when it triggers."""
 
     def test_a_context_trigger_records_its_runtime(self):
         system = _system()
@@ -112,7 +118,7 @@ class TestResponseDelivery:
         assert op.runtime is runtime
 
     @pytest.mark.parametrize("transport", [None, _lossy], ids=["inproc", "lossy"])
-    def test_an_op_triggered_by_client_id_is_delivered_by_lookup(self, transport):
+    def test_an_op_triggered_by_client_id_is_delivered_to_its_client(self, transport):
         system = build_system(
             1,
             [(0, "register", None)],
@@ -127,13 +133,21 @@ class TestResponseDelivery:
             for value in range(3)
         ]
         for op in ops:
-            assert op.runtime is None
+            assert op.runtime is runtime
             runtime.pending_ops.add(op.op_id)  # as Context.trigger does
         kernel.run()
         assert protocol.results == {op.op_id: "ack" for op in ops}
         assert not runtime.pending_ops
         if transport:
             assert runtime.duplicate_responses  # duplicates found it too
+
+    def test_an_op_of_an_unregistered_client_is_dropped(self):
+        system = _system()
+        kernel = system.kernel
+        op = kernel.trigger(ClientId(9), ObjectId(0), OpKind.WRITE, (1,), None)
+        assert op.runtime is None
+        kernel.run()
+        assert op.respond_time is not None  # responded, delivered to no one
 
 
 class TestListeners:
