@@ -46,22 +46,18 @@ from repro.sim.objects import LowLevelOp, OpKind
 #: predicate (resume when it returns True).
 ClientCoroutine = Generator[Optional[Callable[[], bool]], None, Any]
 
-#: Scheduling categories a client reports to the kernel
-#: (:meth:`ClientRuntime._sched_category`): permanently or temporarily
-#: unable to step / definitely able to step / blocked on wait predicates
-#: that must be (re-)evaluated to know.
-SCHED_DISABLED, SCHED_ENABLED, SCHED_POLLING = 0, 1, 2
-
 
 class TaskHandle:
-    """Handle on a spawned sub-coroutine."""
+    """Handle on a spawned sub-coroutine.  ``tallies``: the counters of
+    the :meth:`Context.count_done` predicates it feeds."""
 
-    __slots__ = ("name", "done", "result")
+    __slots__ = ("name", "done", "result", "tallies")
 
     def __init__(self, name: str, done: bool = False, result: Any = None):
         self.name = name
         self.done = done
         self.result = result
+        self.tallies: "Tuple[List[int], ...]" = ()
 
     def wait(self) -> Callable[[], bool]:
         """Predicate usable as ``yield handle.wait()``."""
@@ -83,14 +79,6 @@ class _Task:
         self.coroutine = coroutine
         self.handle = handle
         self.waiting: Optional[Callable[[], bool]] = None
-
-    @property
-    def runnable(self) -> bool:
-        if self.handle.done:
-            return False
-        if self.waiting is None:
-            return True
-        return bool(self.waiting())
 
 
 class ClientProtocol:
@@ -155,14 +143,21 @@ class Context:
 
     @staticmethod
     def count_done(handles: "List[TaskHandle]", count: int) -> Callable[[], bool]:
+        """Predicate: at least ``count`` of ``handles`` are done.  A handle
+        done now counts at once, any other when its task finishes (it
+        bumps the tally), so an evaluation walks no handle."""
+        tally = [0]
+        feeds = (tally,)
+        for handle in handles:
+            if handle.done:
+                tally[0] += 1
+            elif handle.tallies:
+                handle.tallies += feeds
+            else:
+                handle.tallies = feeds
+
         def enough_done():
-            remaining = count
-            for handle in handles:
-                if handle.done:
-                    remaining -= 1
-                    if remaining <= 0:
-                        return True
-            return remaining <= 0
+            return tally[0] >= count
 
         return enough_done
 
@@ -172,12 +167,16 @@ class ClientRuntime:
 
     Holds the protocol instance, the queue of not-yet-invoked high-level
     operations, and the active coroutines.  The kernel drives it through
-    :meth:`enabled`, :meth:`step` and :meth:`deliver_response`.
+    :meth:`step` and :meth:`deliver_response`; :meth:`enabled` is the
+    from-scratch answer its oracle checks against.
 
     A ``__slots__`` class: one instance lives per client and its
-    scheduling fields (``_category``, ``_listed``) are read at every
-    touch of the client, so attribute storage is flat.  The runtime
-    itself is what a scheduler is offered as a client step.
+    scheduling flags, owned by the kernel, are read at every touch of
+    the client: ``_candidate`` (not crashed, an op in flight or queued),
+    ``_fresh`` (an op in flight and a task awaiting no predicate) and
+    ``_listed`` (in the kernel's enabled list).  A finished task leaves
+    ``tasks`` at once.  The runtime itself is what a scheduler is
+    offered as a client step.
     """
 
     __slots__ = (
@@ -194,7 +193,8 @@ class ClientRuntime:
         "active_token",
         "on_complete",
         "_kernel",
-        "_category",
+        "_candidate",
+        "_fresh",
         "_listed",
     )
 
@@ -224,10 +224,9 @@ class ClientRuntime:
         self.on_complete: Optional[Callable[[Any, str, Any], None]] = None
         # wired by the kernel at registration:
         self._kernel = None
-        # Scheduling category (SCHED_*) as last published to the kernel,
-        # and whether this runtime sits in the kernel's enabled list
-        # (settled at every touch).  Owned by the kernel.
-        self._category = SCHED_DISABLED
+        # Scheduling flags, settled by the kernel at every touch.
+        self._candidate = False
+        self._fresh = False
         self._listed = False
 
     # -- wiring ------------------------------------------------------------
@@ -248,7 +247,7 @@ class ClientRuntime:
         """
         self.program.append((name, tuple(args), token))
         if self._kernel is not None:
-            self._kernel._recategorize(self)
+            self._kernel._touch(self)
 
     @property
     def idle(self) -> bool:
@@ -263,60 +262,35 @@ class ClientRuntime:
             return False
         if self.idle:
             return bool(self.program)
-        return any(task.runnable for task in self.tasks)
-
-    def _sched_category(self) -> int:
-        """How the kernel should track this client (incremental scheduling).
-
-        ``SCHED_ENABLED``/``SCHED_DISABLED`` answer :meth:`enabled`
-        definitively without touching wait predicates; ``SCHED_POLLING``
-        means every task is parked on a predicate, so enabledness requires
-        evaluation (:meth:`_poll_now`).
-        """
-        if self.crashed:
-            return SCHED_DISABLED
-        if self.active_seq is None:  # idle
-            return SCHED_ENABLED if self.program else SCHED_DISABLED
-        for task in self.tasks:
-            if task.waiting is None and not task.handle.done:
-                return SCHED_ENABLED
-        return SCHED_POLLING if self.tasks else SCHED_DISABLED
-
-    def _poll_now(self) -> bool:
-        """Evaluate the wait predicates of a ``SCHED_POLLING`` client."""
-        # _Task.runnable, inlined: every task of a polling client is
-        # parked on a predicate (waiting is never None here).
-        for task in self.tasks:
-            if not task.handle.done and task.waiting():
-                return True
-        return False
+        return any(task.waiting is None or task.waiting() for task in self.tasks)
 
     def step(self) -> None:
         """Execute one client step: start the next op, or advance one task."""
         if self.crashed:
             raise ModelViolation(f"step on crashed client {self.client_id}")
         if self.active_seq is None:  # idle
+            # The invocation also runs the operation's first segment (up
+            # to its first wait), so triggers issued unconditionally at
+            # the start of an operation happen atomically with it.
             self._start_next_operation()
-            return
-        # First runnable task (_Task.runnable and _advance inlined — this
-        # scan plus one coroutine resume runs on every client step).
+        # First runnable task: this scan plus one coroutine resume runs
+        # on every client step.
         for task in self.tasks:
-            if not task.handle.done:
-                waiting = task.waiting
-                if waiting is None or waiting():
-                    task.waiting = None
-                    try:
-                        yielded = next(task.coroutine)
-                    except StopIteration as stop:
-                        self._finish_task(task, stop.value)
-                        return
-                    if yielded is not None and not callable(yielded):
-                        raise TypeError(
-                            f"client coroutine yielded {yielded!r}; expected"
-                            " a predicate or None"
-                        )
-                    task.waiting = yielded
+            waiting = task.waiting
+            if waiting is None or waiting():
+                task.waiting = None
+                try:
+                    yielded = next(task.coroutine)
+                except StopIteration as stop:
+                    self._finish_task(task, stop.value)
                     return
+                if yielded is not None and not callable(yielded):
+                    raise TypeError(
+                        f"client coroutine yielded {yielded!r}; expected"
+                        " a predicate or None"
+                    )
+                task.waiting = yielded
+                return
         raise ModelViolation(f"no runnable task on {self.client_id}")
 
     def _start_next_operation(self) -> None:
@@ -326,31 +300,14 @@ class ClientRuntime:
         self.active_name = name
         self.active_token = token
         coroutine = self.protocol.make_operation(self.context, name, args)
-        handle = TaskHandle(name=f"{name}#{seq}")
-        task = _Task(coroutine, handle)
-        self.tasks = [task]
-        # The invocation action also runs the operation's first segment
-        # (up to its first wait), so triggers issued unconditionally at the
-        # start of an operation happen atomically with the invocation.
-        self._advance(task)
-
-    def _advance(self, task: _Task) -> None:
-        task.waiting = None
-        try:
-            yielded = next(task.coroutine)
-        except StopIteration as stop:
-            self._finish_task(task, stop.value)
-            return
-        if yielded is not None and not callable(yielded):
-            raise TypeError(
-                f"client coroutine yielded {yielded!r}; expected a predicate"
-                " or None"
-            )
-        task.waiting = yielded
+        self.tasks = [_Task(coroutine, TaskHandle(name=f"{name}#{seq}"))]
 
     def _finish_task(self, task: _Task, result: Any) -> None:
-        task.handle.done = True
-        task.handle.result = result
+        handle = task.handle
+        handle.done = True
+        handle.result = result
+        for tally in handle.tallies:
+            tally[0] += 1
         if self.tasks and task is self.tasks[0]:
             # Main task: the high-level operation returns.
             seq, name = self.active_seq, self.active_name
@@ -363,23 +320,20 @@ class ClientRuntime:
             if self.on_complete is not None:
                 self.on_complete(token, name, result)
         else:
-            self.tasks = [t for t in self.tasks if t is not task]
+            self.tasks.remove(task)
 
     # -- low-level operations ------------------------------------------------
 
     def spawn(self, coroutine: ClientCoroutine, name: str) -> TaskHandle:
+        """Add a task; the client is fresh from here on (the new task
+        awaits no predicate).  Spawn is the only flag-changing call a
+        respond handler can make, so ``Kernel._settle`` settles a
+        delivery from ``_fresh`` and the predicates alone."""
         if self.active_seq is None:  # idle
             raise ModelViolation("spawn outside a high-level operation")
         handle = TaskHandle(name=name)
         self.tasks.append(_Task(coroutine, handle))
-        # A fresh task is runnable (waiting is None), so a client parked
-        # on predicates becomes enabled right here.  Keeping the category
-        # current lets the kernel skip the full rescan after response
-        # deliveries, where spawn is the only category-changing call a
-        # protocol can make.  (The candidate count is unaffected: both
-        # categories are candidate states.)
-        if self._category == SCHED_POLLING:
-            self._category = SCHED_ENABLED
+        self._fresh = True
         return handle
 
     def deliver_response(self, op: LowLevelOp) -> None:
@@ -407,4 +361,4 @@ class ClientRuntime:
         self.tasks = []
         self.program.clear()
         if self._kernel is not None:
-            self._kernel._recategorize(self)
+            self._kernel._touch(self)

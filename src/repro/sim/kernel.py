@@ -42,13 +42,7 @@ from operator import attrgetter
 from typing import Any, Callable, DefaultDict, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import InvalidConfig, ModelViolation
-from repro.sim.client import (
-    SCHED_DISABLED,
-    SCHED_ENABLED,
-    SCHED_POLLING,
-    ClientProtocol,
-    ClientRuntime,
-)
+from repro.sim.client import ClientProtocol, ClientRuntime
 from repro.sim.events import (
     CrashEvent,
     EventListener,
@@ -244,17 +238,19 @@ class Kernel:
 
     * ``_enabled`` — the enabled client runtimes in ascending client-id
       order, each with ``runtime._listed`` set while it is there.  Each
-      touch of a client (a step of, enqueue on, crash of or response
-      delivered to it) settles its enabledness from its category
-      (``runtime._category``), evaluating a polling client's predicates
-      there and then; a flip inserts by ``bisect`` or removes in place;
+      touch of a client settles it in one frame: a step of, enqueue on,
+      crash of or registration of it in :meth:`_touch`, a response
+      delivered to it in :meth:`_settle`.  A client that is
+      ``runtime._fresh`` (a task awaits no predicate) is enabled without
+      evaluating one; otherwise its predicates are evaluated there and
+      then.  A flip inserts by ``bisect`` or removes in place;
     * ``_ready`` — the respondable ops (pending, request arrived, object
       live) in ascending op-id order, each with ``op.ready`` set.  A
       trigger on the in-process transport appends, :meth:`arrive`
       inserts with ``bisect``, a respond or a server crash removes in
       place;
-    * ``_candidate_count`` (clients not disabled: everything except
-      crashed / idle-with-empty-program clients) and ``_crashed_mid_op``
+    * ``_candidate_count`` (clients flagged ``runtime._candidate``: all
+      but crashed / idle-with-empty-program ones) and ``_crashed_mid_op``
       (clients crashed with a high-level operation in flight) answer
       :meth:`clients_quiescent` without visiting a client.
 
@@ -298,7 +294,7 @@ class Kernel:
         #: Enabled client runtimes in ascending client-id order; each has
         #: ``runtime._listed`` set.
         self._enabled: "List[ClientRuntime]" = []
-        self._candidate_count = 0  # clients not SCHED_DISABLED
+        self._candidate_count = 0  # clients flagged runtime._candidate
         # Clients that crashed with a high-level operation in flight.
         self._crashed_mid_op = 0
         #: Respondable ops (pending, arrived, on a live object), in
@@ -341,7 +337,7 @@ class Kernel:
         runtime = ClientRuntime(client_id, protocol)
         runtime.attach(self)
         self.clients[client_id] = runtime
-        self._recategorize(runtime)
+        self._touch(runtime)
         return runtime
 
     def add_listener(self, listener: EventListener) -> None:
@@ -388,41 +384,62 @@ class Kernel:
 
     # -- incremental client bookkeeping ---------------------------------------
 
-    def _recategorize(self, runtime: ClientRuntime) -> None:
-        """Recategorize one client after an event that may change it.
-
-        Called after every step of / enqueue on / crash of the client.
-        The category is stored on the runtime itself; the candidate count
-        only changes on transitions into or out of ``SCHED_DISABLED``.
-        Then settles the client's enabledness (:meth:`_settle`).
+    def _touch(self, runtime: ClientRuntime) -> None:
+        """Settle a client after a step of, enqueue on, crash or
+        registration of it: its flags, the two counts and its place in
+        :attr:`_enabled`.  A fresh client is enabled; otherwise its wait
+        predicates are evaluated in task order until one holds.  They
+        read only client-local state (see :mod:`repro.sim.client`), so
+        the answer holds until the client is touched again.
         """
-        category = runtime._sched_category()
-        previous = runtime._category
-        if category != previous:
-            runtime._category = category
-            if previous == SCHED_DISABLED:
+        fresh = enabled = False
+        if runtime.crashed:
+            candidate = False
+        elif runtime.active_seq is None:
+            candidate = enabled = bool(runtime.program)
+        else:
+            candidate = True
+            for task in runtime.tasks:
+                if task.waiting is None:
+                    fresh = enabled = True
+                    break
+            else:
+                for task in runtime.tasks:
+                    if task.waiting():
+                        enabled = True
+                        break
+        runtime._fresh = fresh
+        if candidate is not runtime._candidate:
+            runtime._candidate = candidate
+            if candidate:
                 self._candidate_count += 1
-            elif category == SCHED_DISABLED:
+            else:
                 self._candidate_count -= 1
                 if runtime.active_seq is not None:
                     # Only a crash disables a client mid-operation, and a
                     # crashed client never rejoins: counted exactly once.
                     self._crashed_mid_op += 1
-        self._settle(runtime)
+        if enabled is not runtime._listed:
+            runtime._listed = enabled
+            if enabled:
+                insort(self._enabled, runtime, key=_client_index)
+            else:
+                self._enabled.remove(runtime)
 
     def _settle(self, runtime: ClientRuntime) -> None:
-        """Put ``runtime`` in or out of :attr:`_enabled` per its category.
-
-        A polling client's wait predicates are evaluated here, at the
-        touch: they read only client-local state (the model's contract,
-        see :mod:`repro.sim.client`), so the answer holds until the
-        client is touched again.
-        """
-        category = runtime._category
-        if category == SCHED_POLLING:
-            enabled = runtime._poll_now()
+        """Settle a client after a response was delivered to it.  A
+        delivery flips no flag but ``_fresh`` (a respond handler's
+        ``spawn`` sets it) and leaves an idle client as it was."""
+        if runtime._fresh:
+            enabled = True
+        elif runtime.active_seq is None:
+            return
         else:
-            enabled = category == SCHED_ENABLED
+            enabled = False
+            for task in runtime.tasks:
+                if task.waiting():
+                    enabled = True
+                    break
         if enabled is not runtime._listed:
             runtime._listed = enabled
             if enabled:
@@ -561,14 +578,12 @@ class Kernel:
     def deliver(self, op: LowLevelOp) -> None:
         """A response leg reached its client (transport-facing).
 
-        Delivery cannot change the client's scheduling category:
-        ``on_response`` handlers only see the context, whose sole
-        category-changing call — ``spawn`` — updates the category itself
-        (see :meth:`ClientRuntime.spawn`).  Only the wait predicates may
-        flip, so settling the client (:meth:`_settle`) suffices; the full
-        ``_sched_category`` rescan is skipped.  The client is
-        ``op.runtime``; an op whose client id named no registered client
-        at its trigger has none, and its response is dropped.
+        A delivery can flip only the client's wait predicates and, by a
+        respond handler's ``spawn``, its ``_fresh`` flag (see
+        :meth:`ClientRuntime.spawn`), so :meth:`_settle` re-reads just
+        those.  The client is ``op.runtime``; an op whose client id named
+        no registered client at its trigger has none, and its response is
+        dropped.
         """
         client = op.runtime
         if client is not None:
@@ -683,12 +698,14 @@ class Kernel:
         diverge from a from-scratch :meth:`enabled_steps` rebuild (compared
         by client and op id), when the ops flagged ``ready`` are not
         exactly the ready list or the runtimes flagged ``_listed`` not
-        exactly the enabled list, or when the candidate count (which
-        :meth:`clients_settled` reads) or :meth:`clients_quiescent`
-        diverge from a scan of every client.
+        exactly the enabled list, when the candidate count (which
+        :meth:`clients_settled` reads), :meth:`clients_quiescent` or the
+        runtimes flagged ``_candidate`` / ``_fresh`` diverge from a scan
+        of every client, or when a runtime holds a done task.
         Used by the property tests; safe to call between steps of a run.
         """
         clients = self.clients.values()
+        live = [c for c in clients if not c.crashed]
         oracle_clients, oracle_responds = self.enabled_steps()
         views = (
             (
@@ -722,6 +739,25 @@ class Kernel:
                 self.clients_quiescent(),
                 all(c.idle and not c.program for c in clients),
             ),
+            (
+                "candidate flags",
+                [c.client_id for c in clients if c._candidate],
+                [c.client_id for c in live if c.program or not c.idle],
+            ),
+            (
+                "fresh flags",
+                [c.client_id for c in clients if c._fresh],
+                [
+                    c.client_id
+                    for c in live
+                    if not c.idle and any(t.waiting is None for t in c.tasks)
+                ],
+            ),
+            (
+                "done tasks",
+                [t.handle for c in clients for t in c.tasks if t.handle.done],
+                [],
+            ),
         )
         for name, fast, oracle in views:
             if fast != oracle:
@@ -746,7 +782,7 @@ class Kernel:
         try:
             runtime.step()
         finally:
-            self._recategorize(runtime)
+            self._touch(runtime)
         for emit in self._subs_step:
             emit(self.time)
 
@@ -818,7 +854,7 @@ class Kernel:
         pending = self.pending
         enabled = self._enabled
         pick = self.scheduler.pick
-        recategorize = self._recategorize
+        touch = self._touch
         settle = self._settle
         allowed_ready = self._allowed_ready
         subs_step = self._subs_step
@@ -853,7 +889,7 @@ class Kernel:
                     try:
                         runtime.step()
                     finally:
-                        recategorize(runtime)
+                        touch(runtime)
                 else:
                     index -= count
                     if not 0 <= index < len(responds):

@@ -25,7 +25,7 @@ from repro.core.emulation import EmulationSpec
 from repro.core.ws_register import WSRegisterEmulation
 from repro.net import Delay, Duplicate, FaultPlan, LinkFaults, Reorder, TransportConfig
 from repro.sim.chaos import ChaosEnvironment
-from repro.sim.client import SCHED_POLLING, ClientRuntime
+from repro.sim.client import ClientRuntime
 from repro.sim.failures import CrashPlan
 from repro.sim.ids import ClientId, ServerId
 from repro.sim.kernel import Kernel
@@ -198,8 +198,8 @@ def test_incremental_matches_oracle_when_spawn_wakes_a_polling_client(
     seed, rounds, crash_step
 ):
     """cas-abd spawns each quorum round's per-server tasks from a step of
-    a client parked on ``count_done``: ``spawn`` turns it from polling to
-    enabled mid-step."""
+    a client parked on ``count_done``: ``spawn`` makes it fresh (enabled
+    without a predicate) mid-step."""
     _cas_abd_checked_run(seed, rounds, crash_step)
 
 
@@ -208,7 +208,7 @@ def test_cas_abd_spawns_from_a_polling_client(monkeypatch):
     woken = []
 
     def counting_spawn(runtime, coroutine, name):
-        woken.append(runtime._category == SCHED_POLLING)
+        woken.append(not runtime._fresh)
         return spawn(runtime, coroutine, name)
 
     monkeypatch.setattr(ClientRuntime, "spawn", counting_spawn)

@@ -1,4 +1,4 @@
-"""No typed-id dunder runs on the step path.
+"""No typed-id dunder runs on the step path, and one frame settles a client.
 
 A respond reaches its client through ``op.runtime``, a trigger finds its
 object through the object map's int-keyed table, and an Algorithm 2
@@ -9,18 +9,29 @@ for the test only, so a regression shows here and not just in a
 profile.  Each scenario is warmed up first (every client has run an
 operation, built its scan plan, and every pending op has responded)
 and then counted over further operations run by ``Kernel.run``.
+
+The settle census counts, with a ``sys.setprofile`` hook installed for
+the test only, the Python frames the kernel and the client runtime
+enter while ``Kernel.run`` steps: after a client step the kernel settles
+the client in exactly one ``_touch`` frame, after a delivery in exactly
+one ``_settle``, and no other bookkeeping frame runs.  It counts frames
+by function name, so it holds whether or not a Python inlines
+comprehensions.
 """
 
 import sys
+import types
 from collections import Counter
 
 import pytest
 
 from repro.core.multi import SlotFleet
-from repro.core.ws_register import WSRegisterEmulation
+from repro.core.ws_register import WSRegisterClient, WSRegisterEmulation
 from repro.net.faults import Delay, Duplicate, FaultPlan, LinkFaults
 from repro.net.lossy import LossyTransport
+from repro.sim import client as client_module
 from repro.sim import ids
+from repro.sim import kernel as kernel_module
 from repro.sim.scheduling import RandomScheduler
 
 #: (class, dunder) pairs counted by the census.
@@ -55,11 +66,12 @@ def census(monkeypatch):
     return start
 
 
-def _abd_shard(transport=None):
-    """A KV shard's fleet: ABD over max-registers, 4 slots, n=3, f=1,
-    one writer and one reader per slot, warmed up."""
+def _abd_shard(transport=None, substrate="max-register"):
+    """A KV shard's fleet: ABD over max-registers (or, on the ``cas``
+    substrate, over Algorithm 1 on CAS objects), 4 slots, n=3, f=1, one
+    writer and one reader per slot, warmed up."""
     fleet = SlotFleet(
-        "max-register", 4, 2, 3, 1,
+        substrate, 4, 2, 3, 1,
         scheduler=RandomScheduler(3), transport=transport,
     )
     writers = [fleet.writer(slot, 0) for slot in range(4)]
@@ -147,3 +159,92 @@ def test_algorithm2_writes_pay_only_the_protocols_own_sets(census):
     # writes (the retriggers of covered registers).
     per_write = 2 * registers + 2 * (registers + emu.layout.f)
     assert 0 < sum(calls.values()) <= writes * per_write
+
+
+#: Frames of ``sim/kernel.py`` and ``sim/client.py`` that do a step's own
+#: work (the loop and its stop test, the step, the trigger, the records,
+#: the delivery, what a protocol calls on its context), not bookkeeping.
+_STEP_WORK = frozenset({
+    "run", "clients_quiescent", "clients_settled", "trigger",
+    "record_invoke", "record_return", "step", "_start_next_operation",
+    "_finish_task", "deliver_response", "spawn", "count_done",
+    "enough_done", "make_operation", "on_response", "client_id", "time",
+    "kernel_time", "__init__",
+})
+_SIM_FILES = frozenset({kernel_module.__file__, client_module.__file__})
+#: Algorithm 2's line-16 wait, the predicate each scan parks on.
+_SCAN_PREDICATE = next(
+    const
+    for const in WSRegisterClient._scan.__code__.co_consts
+    if isinstance(const, types.CodeType)
+)
+
+
+class _SettleCensus:
+    """While entered, counts by function name the frames entered in the
+    kernel and client modules, and as ``"scan predicate"`` the Algorithm
+    2 scan waits evaluated."""
+
+    def __init__(self):
+        self.frames = Counter()
+
+    def _hook(self, frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            if code.co_filename in _SIM_FILES:
+                self.frames[code.co_name] += 1
+            elif code is _SCAN_PREDICATE:
+                self.frames["scan predicate"] += 1
+
+    def __enter__(self):
+        sys.setprofile(self._hook)
+
+    def __exit__(self, *exc):
+        sys.setprofile(None)
+
+
+def _assert_one_settle_per_touch(frames, steps):
+    client_steps, deliveries = frames["step"], frames["deliver_response"]
+    assert client_steps + deliveries == steps  # in-process: one delivery per respond
+    bookkeeping = {
+        name: count
+        for name, count in frames.items()
+        if name not in _STEP_WORK and name != "scan predicate"
+        and not (name.startswith("<") and name != "<lambda>")
+    }
+    assert bookkeeping == {"_touch": client_steps, "_settle": deliveries}
+
+
+def test_algorithm2_rounds_settle_each_touch_in_one_frame():
+    emu, writers, readers = _ws_register()
+    census, start = _SettleCensus(), emu.kernel.time
+    for value in range(3):
+        for runtime in writers:
+            runtime.enqueue("write", value)
+        for runtime in readers:
+            runtime.enqueue("read")
+        with census:
+            emu.kernel.run()
+    frames = census.frames
+    _assert_one_settle_per_touch(frames, emu.kernel.time - start)
+    # The wait predicates are evaluated exactly as often as when each
+    # touch took four frames (the counts are that tree's): an eager walk
+    # to the first runnable task at every touch would evaluate more
+    # line-16 scan predicates, since it polls right after a step.
+    assert (frames["enough_done"], frames["scan predicate"]) == (484, 764)
+
+
+def test_cas_abd_shard_settles_each_touch_in_one_frame():
+    fleet, writers, readers = _abd_shard(substrate="cas")
+    census, start = _SettleCensus(), fleet.kernel.time
+    for value in range(3):
+        for runtime in writers:
+            runtime.enqueue("write", value)
+        for runtime in readers:
+            runtime.enqueue("read")
+        with census:
+            fleet.run_to_quiescence()
+    frames = census.frames
+    _assert_one_settle_per_touch(frames, fleet.kernel.time - start)
+    assert frames["spawn"] and frames["_finish_task"]
+    assert frames["enough_done"] == 517

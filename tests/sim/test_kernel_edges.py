@@ -196,6 +196,53 @@ class TestContextHelpers:
         assert Context.count_done([done, pending], 1)()
         assert not Context.count_done([done, pending], 2)()
 
+    def test_count_done_evaluations_walk_no_handle(self):
+        class CountingList(list):
+            iterations = 0
+
+            def __iter__(self):
+                CountingList.iterations += 1
+                return super().__iter__()
+
+        handles = CountingList(
+            [TaskHandle("a", done=True), TaskHandle("b"), TaskHandle("c")]
+        )
+        predicate = Context.count_done(handles, 2)
+        CountingList.iterations = 0
+        for _ in range(5):
+            assert not predicate()
+        assert CountingList.iterations == 0
+
+    def test_count_done_predicates_over_shared_handles_flip_as_tasks_finish(self):
+        """Two predicates fed by the same handles, one of them done before
+        either was built, both flip when the later tasks finish."""
+        system = _system()
+        seen = []
+
+        class Quorums(ClientProtocol):
+            def child(self):
+                return "ok"
+                yield  # pragma: no cover
+
+            def op_go(self, ctx):
+                first = ctx.spawn(self.child())
+                yield first.wait()
+                handles = [first, ctx.spawn(self.child()), ctx.spawn(self.child())]
+                two = ctx.count_done(handles, 2)
+                three = ctx.count_done(handles, 3)
+                seen.append((two(), three()))
+                yield two
+                seen.append((two(), three()))
+                yield three
+                seen.append((two(), three()))
+                return sum(handle.done for handle in handles)
+
+        client = system.add_client(ClientId(0), Quorums())
+        client.enqueue("go")
+        assert system.run_to_quiescence().satisfied
+        assert seen == [(False, False), (True, False), (True, True)]
+        assert system.history.all_ops()[0].result == 3
+
     def test_task_handle_wait(self):
         handle = TaskHandle("t")
         predicate = handle.wait()

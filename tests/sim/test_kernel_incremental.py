@@ -299,6 +299,38 @@ def test_check_incremental_detects_a_wrong_candidate_count():
         system.kernel.check_incremental()
 
 
+def test_check_incremental_detects_a_stale_candidate_flag():
+    system = build_system(1, [(0, "register", None)])
+    client = system.add_client(ClientId(0), ToyProtocol())
+    client.enqueue("write", 1)
+    system.kernel.check_incremental()
+    client._candidate = False  # the count still holds it
+    with pytest.raises(RuntimeError, match="candidate flags"):
+        system.kernel.check_incremental()
+
+
+def test_check_incremental_detects_a_stale_fresh_flag():
+    system = build_system(1, [(0, "register", None)])
+    client = system.add_client(ClientId(0), ToyProtocol())
+    client.enqueue("write", 1)
+    system.kernel.force_client_step(client.client_id)  # parked on its write
+    system.kernel.check_incremental()
+    client._fresh = True
+    with pytest.raises(RuntimeError, match="fresh flags"):
+        system.kernel.check_incremental()
+
+
+def test_check_incremental_detects_a_done_task_left_in_the_list():
+    system = build_system(1, [(0, "register", None)])
+    client = system.add_client(ClientId(0), ToyProtocol())
+    client.enqueue("write", 1)
+    system.kernel.force_client_step(client.client_id)
+    system.kernel.check_incremental()
+    client.tasks[0].handle.done = True
+    with pytest.raises(RuntimeError, match="done tasks"):
+        system.kernel.check_incremental()
+
+
 class _SpawnsOnResponse(ToyProtocol):
     """A write parks on a flag its own respond never sets; the respond
     handler spawns the task that sets it."""
