@@ -204,13 +204,31 @@ def test_incremental_matches_oracle_when_spawn_wakes_a_polling_client(
 
 
 def test_cas_abd_spawns_from_a_polling_client(monkeypatch):
+    """Some cas-abd spawn comes from a client that, at its last touch, was
+    mid-operation with every task parked on a predicate, and makes it
+    fresh.  Whether the client was mid-operation is read on entry to the
+    step: an idle client's invocation step starts an operation and
+    spawns too, and does not count.  A spawn after the first in one step
+    finds the client fresh already, and does not count either."""
+    step = ClientRuntime.step
     spawn = ClientRuntime.spawn
+    mid_op_at_entry = {}
     woken = []
 
+    def recording_step(runtime):
+        mid_op_at_entry[runtime] = not runtime.idle
+        try:
+            step(runtime)
+        finally:
+            del mid_op_at_entry[runtime]
+
     def counting_spawn(runtime, coroutine, name):
-        woken.append(not runtime._fresh)
+        mid_op = mid_op_at_entry.get(runtime, not runtime.idle)
+        woken.append(mid_op and not runtime._fresh)
         return spawn(runtime, coroutine, name)
 
+    monkeypatch.setattr(ClientRuntime, "step", recording_step)
     monkeypatch.setattr(ClientRuntime, "spawn", counting_spawn)
     _cas_abd_checked_run(3, 2, crash_step=None)
     assert any(woken)
+    assert not all(woken)
