@@ -128,6 +128,10 @@ class ReplicaServer:
             for object_index, type_name, initial_value in replicas
         }
         self.requests_served = 0
+        #: object index -> the last ``TSVal`` it answered and its packed
+        #: bytes (``serve_binary_requests``'s ``answered``): a read of an
+        #: unchanged object copies the bytes instead of packing again.
+        self.answered: "Dict[int, Tuple[Any, bytes]]" = {}
         #: transports of the connections accepted and not yet lost.
         self.connections: "Set[asyncio.BaseTransport]" = set()
 
@@ -196,7 +200,7 @@ class _ReplicaConnection(_BufferedReader):
     def data_received(self, data: "bytes | memoryview") -> None:
         server = self._server
         answers, self._tail, served, malformed = serve_binary_requests(
-            self._tail + data, server.replicas
+            self._tail + data, server.replicas, server.answered
         )
         if served:
             server.requests_served += served
@@ -234,7 +238,9 @@ class _ReplicaLink(_BufferedReader):
         owner = self._owner
         ready = owner._ready
         try:
-            pairs, self._tail = decode_binary_responses(self._tail + data)
+            pairs, self._tail = decode_binary_responses(
+                self._tail + data, owner._parsed
+            )
         except WireDecodeError as error:
             # the answers before the bad frame still arrive; the stream
             # cannot be resynchronised: count it and drop the link
@@ -302,12 +308,15 @@ class AsyncioTransport(Transport):
         #: ``request_arrived`` oracle is membership here.
         self._results: "Dict[int, Any]" = {}
         #: server indices being blackholed (partition injection): request
-        #: frames to them are silently dropped, so no response ever comes
-        #: back — the protocol sees an unresponsive server, which is
-        #: exactly what a network partition looks like from one side.
+        #: frames to them are held, so no response comes back until the
+        #: partition heals — the protocol sees an unresponsive server,
+        #: which is exactly what a network partition looks like from one
+        #: side, on a channel that loses nothing.
         self._blackhole: "frozenset[int]" = frozenset()
-        #: frames dropped on down or blackholed links (diagnostics).
+        #: frames dropped on down links: never sent (diagnostics).
         self.dropped_frames = 0
+        #: frames held for a blackholed server (diagnostics).
+        self.held_frames = 0
         #: links dropped because a response frame failed to decode.
         self.decode_errors = 0
         self._reset_run()
@@ -328,6 +337,12 @@ class AsyncioTransport(Transport):
         self._background_error: "Optional[BaseException]" = None
         #: requests queued per server index since the last idle flush.
         self._outbox: "Dict[int, List[Any]]" = {}
+        #: requests to each blackholed server, in op-id order, held
+        #: until the partition heals.
+        self._held: "Dict[int, List[Any]]" = {}
+        #: the last flush's memo of parsed answers
+        #: (``decode_binary_responses``'s ``parsed``).
+        self._parsed: "Dict[bytes, Any]" = {}
         #: decoded (op, result) responses not yet pumped.
         self._ready: "List[Tuple[int, Any]]" = []
         #: ops sent (or dropped) and not answered; a restart forgets
@@ -495,14 +510,24 @@ class AsyncioTransport(Transport):
             del self._redials[server_index]
 
     def set_blackhole(self, server_indices) -> None:
-        """Partition injection: drop every frame to these servers.
+        """Partition injection: hold every frame to these servers.
 
         From the protocol's point of view a blackholed server is
         unresponsive; operations routed to it stay pending (they are
         covering, per the model) while quorums complete on the rest.
-        ``set_blackhole(())`` heals the partition.
+        A server that leaves the partition (``set_blackhole(())`` heals
+        it) gets the frames held for it at the next flush, in op-id
+        order and ahead of newer frames: the channel is reliable, only
+        slow.
         """
-        self._blackhole = frozenset(server_indices)
+        blackhole = frozenset(server_indices)
+        outbox = self._outbox
+        for server_index in sorted(self._blackhole - blackhole):
+            held = self._held.pop(server_index, None)
+            if held:
+                held += outbox.get(server_index, ())
+                outbox[server_index] = held
+        self._blackhole = blackhole
 
     # -- self-hosted replica crash/restart ----------------------------------
 
@@ -561,20 +586,28 @@ class AsyncioTransport(Transport):
         self._outbox.setdefault(server_index, []).append(op)
 
     def _flush_outbox(self) -> None:
-        # Frames to down or blackholed servers are dropped, never
-        # buffered: replaying stale requests after a heal would reorder
-        # the request leg, and the quorum protocols neither need nor
-        # expect retransmission.  A failing write surfaces in
-        # connection_lost, not here.
+        # Frames to a down server are dropped; frames to a blackholed
+        # one are held until set_blackhole heals it.  The held frames
+        # were queued in trigger order, so they stay in op-id order.  A
+        # failing write surfaces in connection_lost, not here.
         # The outbox is taken before anything is encoded: an unencodable
         # request raises here once, and no segment is written twice.
+        # One memo per flush codes each value the segments share once,
+        # and the answers to the flush are parsed through another.
         down, blackhole, links = self._down, self._blackhole, self._links
         outbox, self._outbox = self._outbox, {}
+        packed: "Dict[tuple, bytearray]" = {}
+        self._parsed = {}
         for server_index, ops in outbox.items():
-            if server_index in down or server_index in blackhole:
+            if server_index in down:
                 self.dropped_frames += len(ops)
+            elif server_index in blackhole:
+                self.held_frames += len(ops)
+                self._held.setdefault(server_index, []).extend(ops)
             else:
-                links[server_index].transport.write(encode_binary_requests(ops))
+                links[server_index].transport.write(
+                    encode_binary_requests(ops, packed)
+                )
 
     def request_arrived(self, op) -> bool:
         return op.op_id in self._results
@@ -646,6 +679,7 @@ class AsyncioTransport(Transport):
             "ports": dict(self.ports),
             "addresses": list(self.addresses),
             "dropped_frames": self.dropped_frames,
+            "held_frames": self.held_frames,
             "decode_errors": self.decode_errors,
         }
 

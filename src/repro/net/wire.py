@@ -38,6 +38,22 @@ functions (``encode_binary_request`` / ``decode_binary_request`` /
 ``encode_binary_response`` / ``decode_binary_response``) are the
 one-frame case of the same code.
 
+A ``TSVal`` is immutable, and one round of ABD ships one value to every
+server and gets n mostly equal answers back, so the socket path codes
+such a value once per round trip instead of once per server.  Three
+optional trailing arguments carry the memos: ``encode_binary_requests(
+ops, packed)`` copies the bytes of a value that an earlier segment of
+the same flush packed (keyed by ``(ts, wid, val)``);
+``serve_binary_requests(data, replicas, answered)`` copies the bytes of
+the value an object last answered when ``_apply`` returns that same
+object (one entry per hosted object, kept by the replica server); and
+``decode_binary_responses(data, parsed)`` builds one ``TSVal`` for equal
+answers of one flush (keyed by the value's raw bytes), which the
+responses then share.  Only a ``TSVal`` with int ``ts`` and ``wid``
+and a ``str`` or ``None`` payload is memoised (:func:`_reusable`); a
+list or dict payload may change in place and is coded every time.  The
+bytes on the wire are the same with or without the memos.
+
 :class:`BinaryWireCodec` bundles the eight functions with
 ``read_frame``, which reads one frame from an ``asyncio``
 ``StreamReader``; the segment decoders are tested against it.
@@ -197,6 +213,20 @@ def _pack_tsval(value: TSVal, out: bytearray) -> None:
         append(_T_NONE)
     else:
         _pack_value(val, out)
+
+
+def _reusable(value: TSVal) -> bool:
+    """True for a ``TSVal`` whose bytes stand for it as long as it
+    lives: int ``ts`` and ``wid`` and a ``str`` or ``None`` payload, the
+    shapes :func:`_pack_tsval` and :func:`_unpack_tsval` code inline.
+    Any other payload (a list, say) can change in place, so it is packed
+    and parsed every time."""
+    val = value.val
+    return (
+        type(value.ts) is int
+        and type(value.wid) is int
+        and (val is None or type(val) is str)
+    )
 
 
 def _pack_value(value: Any, out: bytearray) -> None:
@@ -391,16 +421,17 @@ def _oversized(length: int) -> WireDecodeError:
 
 
 def _decode_frames(
-    data: bytes, kind: int, what: str, parse
+    data: bytes, kind: int, what: str, parse, memo: "Optional[dict]" = None
 ) -> "Tuple[list, bytes]":
     """Every complete ``kind`` frame of ``data`` parsed, and the
     truncated tail to prepend to the next read.
 
-    ``parse(data, pos)`` reads one frame body from ``pos`` (just past the
-    frame-kind byte) and returns its item and where it stopped, which
-    must be the frame's end.  A malformed frame raises
-    :class:`WireDecodeError` whose ``decoded`` lists the items of the
-    frames before it.  A length prefix above :data:`MAX_FRAME_BYTES`
+    ``parse(data, pos, end, memo)`` reads one frame body from ``pos``
+    (just past the frame-kind byte) to the frame's ``end`` and returns
+    its item and where it stopped, which must be ``end``; ``memo`` is
+    the caller's, passed through (see :func:`decode_binary_responses`).
+    A malformed frame raises :class:`WireDecodeError` whose ``decoded``
+    lists the items of the frames before it.  A length prefix above :data:`MAX_FRAME_BYTES`
     refuses the whole read as soon as its four bytes are in, before any
     of the body is buffered.
     """
@@ -419,7 +450,7 @@ def _decode_frames(
         try:
             if not length or data[pos + 4] != kind:
                 raise WireDecodeError(f"not a binary {what} frame")
-            item, stop = parse(data, pos + 5)
+            item, stop = parse(data, pos + 5, end, memo)
             if stop > end:
                 raise WireDecodeError(f"truncated {what} frame on the wire")
             if stop < end:
@@ -436,8 +467,18 @@ def _decode_frames(
     return items, data[pos:]
 
 
-def encode_binary_requests(ops: "Iterable[LowLevelOp]") -> bytes:
-    """Every op's request frame, back to back: one outbox flush."""
+def encode_binary_requests(
+    ops: "Iterable[LowLevelOp]", packed: "Optional[dict]" = None
+) -> bytes:
+    """Every op's request frame, back to back: one outbox flush.
+
+    ``packed``, when given, is a memo of ``TSVal`` argument bytes keyed
+    by ``(ts, wid, val)``, shared by the segments of one flush: a
+    value that several segments carry (a write sent to every server) is
+    packed once and its bytes copied into each frame.  Only the shapes
+    :func:`_reusable` admits are memoised.  The bytes are the same as
+    without it.
+    """
     out = bytearray()
     append = out.append
     kind_code = _KIND_TO_CODE
@@ -457,19 +498,32 @@ def encode_binary_requests(ops: "Iterable[LowLevelOp]") -> bytes:
             append(_T_TUPLE)
             append(len(args))
             for item in args:
-                if type(item) is TSVal:
-                    _pack_tsval(item, out)
-                else:
+                if type(item) is not TSVal:
                     _pack_value(item, out)
+                    continue
+                if packed is None or not _reusable(item):
+                    _pack_tsval(item, out)
+                    continue
+                key = (item.ts, item.wid, item.val)
+                raw = packed.get(key)
+                if raw is None:
+                    mark = len(out)
+                    _pack_tsval(item, out)
+                    packed[key] = out[mark:]
+                else:
+                    out += raw
         else:
             _pack_value(args, out)
         _frame(out, start)
     return bytes(out)
 
 
-def _parse_request_fields(data: bytes, p: int) -> "Tuple[tuple, int]":
+def _parse_request_fields(
+    data: bytes, p: int, end: int = 0, memo: Any = None
+) -> "Tuple[tuple, int]":
     """One request body's fields: ``(op id, client index, object index,
-    OpKind, args)`` as plain values, and where the body stopped."""
+    OpKind, args)`` as plain values, and where the body stopped.
+    ``end`` and ``memo`` are unused (the response parser's)."""
     ids = []
     for _ in range(3):
         value = data[p]
@@ -509,7 +563,9 @@ def _parse_request_fields(data: bytes, p: int) -> "Tuple[tuple, int]":
     return (op_value, client_index, object_index, kind, args), p
 
 
-def _parse_request(data: bytes, p: int) -> "Tuple[LowLevelOp, int]":
+def _parse_request(
+    data: bytes, p: int, end: int, memo: Any
+) -> "Tuple[LowLevelOp, int]":
     (op_value, client_index, object_index, kind, args), p = (
         _parse_request_fields(data, p)
     )
@@ -530,9 +586,12 @@ def decode_binary_requests(data: bytes) -> "Tuple[List[LowLevelOp], bytes]":
     return _decode_frames(data, _FRAME_REQUEST, "request", _parse_request)
 
 
-def _write_response(out: bytearray, value: int, result: Any) -> None:
+def _write_response(
+    out: bytearray, value: int, result: Any, raw: "Optional[bytes]" = None
+) -> int:
     """Pack the response frame of op ``value`` answering ``result`` at
-    the end of ``out``."""
+    the end of ``out``, and return where the result's bytes start.
+    ``raw``, when given, is ``result`` already packed: it is copied."""
     start = len(out)
     out += _RESPONSE_HEAD
     append = out.append
@@ -542,8 +601,11 @@ def _write_response(out: bytearray, value: int, result: Any) -> None:
         append((value & 0x7F) | 0x80)
         value >>= 7
     append(value)
+    mark = len(out)
     kind = type(result)
-    if kind is TSVal:
+    if raw is not None:
+        out += raw
+    elif kind is TSVal:
         _pack_tsval(result, out)
     elif kind is str:
         _pack_str(result, out)
@@ -552,6 +614,7 @@ def _write_response(out: bytearray, value: int, result: Any) -> None:
     else:
         _pack_value(result, out)
     _frame(out, start)
+    return mark
 
 
 def encode_binary_responses(pairs: "Iterable[Tuple[int, Any]]") -> bytes:
@@ -563,7 +626,9 @@ def encode_binary_responses(pairs: "Iterable[Tuple[int, Any]]") -> bytes:
 
 
 def serve_binary_requests(
-    data: bytes, replicas: "Dict[int, BaseObject]"
+    data: bytes,
+    replicas: "Dict[int, BaseObject]",
+    answered: "Optional[Dict[int, Tuple[TSVal, bytes]]]" = None,
 ) -> "Tuple[bytearray, bytes, int, bool]":
     """A replica's answer to one TCP read, in one pass: ``(answers,
     tail, served, malformed)``.
@@ -581,6 +646,13 @@ def serve_binary_requests(
     after it, and ``tail`` is empty, for the peer is to be cut off.  The
     same as :func:`decode_binary_requests`, ``BaseObject.apply`` on each
     op, then :func:`encode_binary_responses`, without building an op.
+
+    ``answered``, when given, maps an object index to the last ``TSVal``
+    that object answered and its packed bytes (one entry per hosted
+    object; the caller keeps it across reads).  A result that *is* that
+    value is answered with a copy of its bytes; any other ``TSVal`` is
+    packed, and recorded if :func:`_reusable`.  The answers are the same
+    bytes as without it.
     """
     malformed = False
     try:
@@ -598,12 +670,24 @@ def serve_binary_requests(
             # the peer is as broken as one sending junk.
             tail, malformed = b"", True
             break
-        _write_response(answers, op_value, replica._apply(kind, args))
+        result = replica._apply(kind, args)
+        if answered is None or type(result) is not TSVal:
+            _write_response(answers, op_value, result)
+        else:
+            last = answered.get(object_index)
+            if last is not None and last[0] is result:
+                _write_response(answers, op_value, result, last[1])
+            else:
+                mark = _write_response(answers, op_value, result)
+                if _reusable(result):
+                    answered[object_index] = (result, answers[mark:])
         served += 1
     return answers, tail, served, malformed
 
 
-def _parse_response(data: bytes, p: int) -> "Tuple[Tuple[int, Any], int]":
+def _parse_response(
+    data: bytes, p: int, end: int = 0, parsed: "Optional[dict]" = None
+) -> "Tuple[Tuple[int, Any], int]":
     op_value = data[p]
     p += 1
     if op_value >= 0x80:
@@ -617,7 +701,18 @@ def _parse_response(data: bytes, p: int) -> "Tuple[Tuple[int, Any], int]":
         p += 1
     tag = data[p]
     if tag == _T_TSVAL:
-        result, p = _unpack_tsval(data, p + 1)
+        if parsed is None:
+            result, p = _unpack_tsval(data, p + 1)
+        else:
+            # the result runs to the frame's end: its raw bytes are the key.
+            raw = data[p:end]
+            result = parsed.get(raw)
+            if result is None:
+                result, p = _unpack_tsval(data, p + 1)
+                if p == end and _reusable(result):
+                    parsed[raw] = result
+            else:
+                p = end
     elif tag == _T_STR and data[p + 1] < 0x80:
         stop = p + 2 + data[p + 1]
         if stop > len(data):
@@ -631,11 +726,21 @@ def _parse_response(data: bytes, p: int) -> "Tuple[Tuple[int, Any], int]":
 
 
 def decode_binary_responses(
-    data: bytes,
+    data: bytes, parsed: "Optional[dict]" = None
 ) -> "Tuple[List[Tuple[int, Any]], bytes]":
     """Every complete response frame of ``data`` as an ``(op, result)``
-    pair, and the truncated tail; failures as :func:`_decode_frames`."""
-    return _decode_frames(data, _FRAME_RESPONSE, "response", _parse_response)
+    pair, and the truncated tail; failures as :func:`_decode_frames`.
+
+    ``parsed``, when given, is a memo of ``TSVal`` results keyed by
+    their raw bytes (tag to frame end), which the caller shares between
+    the reads of one flush: equal answers from several servers are
+    parsed once and share one ``TSVal``.  Only the shapes
+    :func:`_reusable` admits are memoised, so a list payload is parsed
+    into a fresh list every time.
+    """
+    return _decode_frames(
+        data, _FRAME_RESPONSE, "response", _parse_response, parsed
+    )
 
 
 def _one_frame(payload: bytes) -> bytes:

@@ -75,11 +75,11 @@ class TestSocketCluster:
         assert report["incomplete_ops"] == 0, report
         assert report["sustained_fraction"] == 1.0
         assert report["audit"]["all_ok"], report["audit"]
-        # The partition really dropped traffic on the floor.
-        dropped = sum(
-            fleet.transport.dropped_frames for fleet in cluster.service.fleets
-        )
-        assert dropped > 0
+        # The partition held traffic and sent it at heal: every op above
+        # completed, and nothing is left held.
+        transports = [fleet.transport for fleet in cluster.service.fleets]
+        assert sum(transport.held_frames for transport in transports) > 0
+        assert not any(transport._held for transport in transports)
 
 
 class TestLoadgenCLI:
@@ -210,6 +210,7 @@ class TestLoadgenCLI:
             ("restart", "restarted replica 2"),
         ]
         assert report["audit"]["all_ok"], report["audit"]
+        assert report["incomplete_ops"] == 0, report
 
     @pytest.mark.parametrize(
         "failing, exit_code, spawned",

@@ -340,18 +340,30 @@ class TestCoalescing:
         finally:
             transport.close()
 
-    def test_blackholed_burst_is_dropped_and_the_idle_wait_times_out(self):
+    def test_blackholed_burst_is_held_until_heal(self):
         kernel, transport = self._single_server(idle_timeout=0.2)
         try:
+            (server,) = transport.servers.values()
             transport.set_blackhole([0])
-            self._trigger(kernel, self.BURST)
+            burst = self._trigger(kernel, self.BURST)
             start = time.monotonic()
             assert transport.flush_idle() is False
             waited = time.monotonic() - start
             assert 0.15 <= waited < 2.0
-            assert transport.dropped_frames == self.BURST
-            (server,) = transport.servers.values()
             assert server.requests_served == 0
+            assert not any(map(transport.request_arrived, burst))
+            assert transport.held_frames == self.BURST
+            transport.set_blackhole(())
+            # a request queued after the heal leaves behind the held ones
+            later = self._trigger(kernel, 1)
+            transport.idle_timeout = 5.0
+            assert transport.flush_idle()
+            assert server.requests_served == self.BURST + 1
+            # cas(i, i + 1) from 0 succeeds only in op-id order
+            assert [transport.result_for(op) for op in burst + later] == list(
+                range(self.BURST + 1)
+            )
+            assert transport.dropped_frames == 0
         finally:
             transport.close()
 
