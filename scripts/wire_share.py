@@ -19,10 +19,14 @@ unloaded, open-loop load) are not counted.
 
 Output is one JSON line: the workload, seed and epochs, the seconds
 inside the ``sat`` slices, and per wire function its calls, frames,
-seconds and share of the ``sat`` seconds, plus the three together.  The
-replica's share includes applying the requests to its objects, which
-the serve pass does between parsing and packing.  The shares include
-the timing wrappers' own cost; the seconds are this host's.  The exit
+seconds, microseconds per frame (``us_per_frame``) and share of the
+``sat`` seconds, plus the three together.  The ``sat`` seconds spread
+widely between identical runs (0.29-0.66 s), so a share moves with
+them; ``us_per_frame`` does not depend on the window, and one run
+reads a codec change from it.  The replica's rows include applying
+the requests to its objects, which the serve pass does between parsing
+and packing.  Both include the timing wrappers' own cost; the seconds
+are this host's.  The exit
 status is 1 when a listed function is never called inside the ``sat``
 window: the transport no longer calls it by that name, and its share
 would silently read 0.
@@ -127,6 +131,9 @@ def measure(seed: int, epochs: int) -> dict:
                 "calls": window.calls[name],
                 "frames": window.frames[name],
                 "s": round(window.seconds[name], 4),
+                "us_per_frame": round(
+                    window.seconds[name] * 1e6 / max(window.frames[name], 1), 3
+                ),
                 "share": round(window.seconds[name] / window.sat_s, 4),
             }
             for name in SEGMENT_FUNCTIONS

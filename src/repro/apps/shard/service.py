@@ -41,6 +41,7 @@ from repro.errors import (
     TransportUnavailable,
     WriterBoundExceeded,
 )
+from repro.sim.client import ClientRuntime
 from repro.sim.scheduling import RandomScheduler
 
 #: Deletion sentinel (registers cannot shrink, so a delete writes it).
@@ -55,6 +56,21 @@ READER_POOL = 2
 class _SyncToken(int):
     """Completion token of one synchronous call: a type no caller's
     opaque async token can be mistaken for."""
+
+
+class _Placement:
+    """Where a placed key lives: its shard, its slot, and the slot's
+    clients the service has enqueued on so far (readers by pool index,
+    writers by writer index), so an operation on a placed key reaches
+    its client by lookups alone."""
+
+    __slots__ = ("shard_index", "slot", "readers", "writers")
+
+    def __init__(self, shard_index: int, slot: int, k_writers: int):
+        self.shard_index = shard_index
+        self.slot = slot
+        self.readers: "List[Optional[ClientRuntime]]" = [None] * READER_POOL
+        self.writers: "List[Optional[ClientRuntime]]" = [None] * k_writers
 
 
 class ShardedKVService:
@@ -86,10 +102,11 @@ class ShardedKVService:
             )
             for shard_index, shard in enumerate(config.shards)
         ]
-        #: per shard: key -> slot index (lazy, first-come placement)
-        self._assignments: "List[Dict[str, int]]" = [
-            {} for _ in config.shards
-        ]
+        #: key -> its placement (lazy, first-come: a key takes its
+        #: shard's next slot at its first put)
+        self._placements: "Dict[str, _Placement]" = {}
+        #: per shard: slots taken so far
+        self._placed: "List[int]" = [0] * config.n_shards
         self._completions: "Deque[Tuple[Any, str, Any, Any]]" = deque()
         self._results: "Dict[Any, Any]" = {}
         self._sync_counter = 0
@@ -123,19 +140,26 @@ class ShardedKVService:
     def shard_of(self, key: str) -> int:
         return self.router.shard_of(key)
 
-    def _slot_for(self, shard_index: int, key: str, create: bool):
-        assignment = self._assignments[shard_index]
-        slot = assignment.get(key)
-        if slot is None and create:
-            capacity = self.config.shards[shard_index].capacity
-            if len(assignment) >= capacity:
-                raise ShardCapacityExceeded(
-                    f"shard {shard_index} is full ({capacity} slots);"
-                    f" cannot place key {key!r}"
-                )
-            slot = len(assignment)
-            assignment[key] = slot
-        return slot
+    def _place(self, shard_index: int, key: str) -> _Placement:
+        """Give ``key`` its shard's next slot, or raise
+        :class:`~repro.errors.ShardCapacityExceeded` when none is left."""
+        shard = self.config.shards[shard_index]
+        slot = self._placed[shard_index]
+        if slot >= shard.capacity:
+            raise ShardCapacityExceeded(
+                f"shard {shard_index} is full ({shard.capacity} slots);"
+                f" cannot place key {key!r}"
+            )
+        self._placed[shard_index] = slot + 1
+        placement = _Placement(shard_index, slot, shard.k_writers)
+        self._placements[key] = placement
+        return placement
+
+    def _hooked(self, runtime: ClientRuntime) -> ClientRuntime:
+        """``runtime``, reporting its completions to this service."""
+        if runtime.on_complete is None:
+            runtime.on_complete = self._on_complete
+        return runtime
 
     def _writer_index(self, shard_index: int, writer: "Optional[int]") -> int:
         """Which of the slot's ``k_writers`` writer clients serves
@@ -170,34 +194,49 @@ class ShardedKVService:
         synchronous and asynchronous paths: enqueue ``kind`` on the
         client that serves it and return the shard to drive, or complete
         at once (``None``) when the key was never written — no slot, so
-        no quorum round."""
-        shard_index = self.router.shard_of(key)
-        fleet = self.fleets[shard_index]
+        no quorum round.  Only a key's first put routes it; later
+        operations find its placement, and the client once used, in
+        ``_placements``."""
+        placement = self._placements.get(key)
         if kind == "get":
-            slot = self._slot_for(shard_index, key, create=False)
-            if slot is None:
+            if placement is None:
                 self._on_complete(token, "read", None)
                 return None
-            runtime = fleet.reader(slot, session.session_index % READER_POOL)
-            name, args = "read", ()
-        else:
-            # Before the slot: a refused write must not claim one.
-            if kind != "put" and kind != "delete":
-                raise InvalidConfig(
-                    f"unknown operation kind {kind!r}: expected"
-                    " put|get|delete"
+            index = session.session_index % READER_POOL
+            runtime = placement.readers[index]
+            if runtime is None:
+                fleet = self.fleets[placement.shard_index]
+                runtime = placement.readers[index] = self._hooked(
+                    fleet.reader(placement.slot, index)
                 )
+            runtime.enqueue("read", token=token)
+            return placement.shard_index
+        # Before the slot: a refused write must not claim one.
+        if kind != "put" and kind != "delete":
+            raise InvalidConfig(
+                f"unknown operation kind {kind!r}: expected put|get|delete"
+            )
+        if placement is None:
+            shard_index = self.router.shard_of(key)
             writer_index = self._writer_index(shard_index, session.writer)
-            slot = self._slot_for(shard_index, key, create=kind == "put")
-            if slot is None:  # delete of an unknown key
+            if kind == "delete":  # of an unknown key
                 self._on_complete(token, "write", "ack")
                 return None
-            runtime = fleet.writer(slot, writer_index)
-            name, args = "write", (TOMBSTONE if kind == "delete" else value,)
-        if runtime.on_complete is None:
-            runtime.on_complete = self._on_complete
-        runtime.enqueue(name, *args, token=token)
-        return shard_index
+            placement = self._place(shard_index, key)
+        else:
+            writer_index = self._writer_index(
+                placement.shard_index, session.writer
+            )
+        runtime = placement.writers[writer_index]
+        if runtime is None:
+            fleet = self.fleets[placement.shard_index]
+            runtime = placement.writers[writer_index] = self._hooked(
+                fleet.writer(placement.slot, writer_index)
+            )
+        runtime.enqueue(
+            "write", TOMBSTONE if kind == "delete" else value, token=token
+        )
+        return placement.shard_index
 
     def _on_complete(self, token: Any, name: str, result: Any) -> None:
         if token is None:
@@ -267,11 +306,7 @@ class ShardedKVService:
     # -- whole-service views ---------------------------------------------------
 
     def keys(self) -> "List[str]":
-        return sorted(
-            key
-            for assignment in self._assignments
-            for key in assignment
-        )
+        return sorted(self._placements)
 
     def audit(self) -> "Dict[str, bool]":
         """Per-key consistency audit with the substrate's checker.
@@ -280,12 +315,10 @@ class ShardedKVService:
         history run through ``check_ws_regular`` (register) or
         ``is_register_history_atomic`` (max-register / cas).
         """
-        results: "Dict[str, bool]" = {}
-        for shard_index, assignment in enumerate(self._assignments):
-            fleet = self.fleets[shard_index]
-            for key, slot in assignment.items():
-                results[key] = fleet.slots[slot].audit()
-        return results
+        return {
+            key: self.fleets[placement.shard_index].slots[placement.slot].audit()
+            for key, placement in self._placements.items()
+        }
 
     # -- control plane ---------------------------------------------------------
 

@@ -56,10 +56,9 @@ class NoCoverAvoidanceClient(WSRegisterClient):
         registers = self.layout.registers_for_writer(self.writer_index)
         self.cover_set = set()  # ablated: no avoidance, no retrigger
         self.wr_set = set()
-        current_ops = set()
-        for register in registers:
-            current_ops.add(ctx.trigger(register, OpKind.WRITE, self.ts_val))
-        self._current_write_ops = current_ops
+        self._current_write_ops = set(
+            ctx.trigger_each(registers, OpKind.WRITE, self.ts_val)
+        )
         quorum = self._write_quorum(registers)
         yield lambda: len(self.wr_set) >= quorum
         return "ack"

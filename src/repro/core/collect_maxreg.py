@@ -56,6 +56,7 @@ class CollectMaxRegisterClient(ClientProtocol):
         self.initial_value = initial_value
         self._local_max = initial_value
         self._results: "Dict[OpId, Any]" = {}
+        self._registers = [ObjectId(i) for i in range(k)]
 
     def op_write_max(self, ctx: Context, value: Any):
         if self.writer_index is None:
@@ -69,9 +70,7 @@ class CollectMaxRegisterClient(ClientProtocol):
         return "ok"
 
     def op_read_max(self, ctx: Context):
-        ops = [
-            ctx.trigger(ObjectId(i), OpKind.READ) for i in range(self.k)
-        ]
+        ops = ctx.trigger_each(self._registers, OpKind.READ)
         yield lambda: all(op in self._results for op in ops)
         values = [self._results.pop(op) for op in ops]
         best = self.initial_value

@@ -77,9 +77,7 @@ class QuorumClient(ClientProtocol):
 
     def _quorum(self, ctx: Context, kind: OpKind, args: tuple):
         """Trigger ``kind(args)`` on every server's object, await n-f."""
-        ops = [
-            ctx.trigger(oid, kind, *args) for oid in self.object_ids
-        ]
+        ops = ctx.trigger_each(self.object_ids, kind, *args)
         self._round = frozenset(ops)
         needed = self.n - self.f
         results = self._results

@@ -86,9 +86,11 @@ class WSRegisterClient(ClientProtocol):
         # realizes the "do not handle responds between lines 6 to 10" note.
         self.cover_set = set(registers) - self.wr_set  # line 6
         self.wr_set = set()  # line 7
+        uncovered = []
         for register in registers:  # lines 8-10
             if register not in self.cover_set:
-                ctx.trigger(register, OpKind.WRITE, self.ts_val)
+                uncovered.append(register)
+        ctx.trigger_each(uncovered, OpKind.WRITE, self.ts_val)
         quorum = self._write_quorum(registers)
         yield lambda: len(self.wr_set) >= quorum  # line 11
         return "ack"  # line 12

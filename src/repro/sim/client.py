@@ -9,6 +9,9 @@ express client algorithms as Python generators:
 * ``ctx.trigger(...)`` triggers a low-level operation and returns
   immediately — clients never block on base objects (base objects are
   crash-prone, so waiting on one would forfeit fault tolerance).
+  ``ctx.trigger_each(object_ids, kind, *args)`` triggers the same
+  operation on each object of a set, in order, in one call (a quorum
+  round, Algorithm 2's lines 8-10).
 * ``yield predicate`` suspends the coroutine until ``predicate()`` holds
   (the paper's ``wait until ...``); ``yield None`` yields one step.
   Wait predicates must be functions of *client-local* state — the
@@ -36,7 +39,9 @@ requires.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
+from typing import (
+    Any, Callable, Deque, Dict, Generator, List, Optional, Sequence, Tuple,
+)
 
 from repro.errors import ModelViolation
 from repro.sim.ids import ClientId, ObjectId, OpId
@@ -48,8 +53,9 @@ ClientCoroutine = Generator[Optional[Callable[[], bool]], None, Any]
 
 
 class TaskHandle:
-    """Handle on a spawned sub-coroutine.  ``tallies``: the counters of
-    the :meth:`Context.count_done` predicates it feeds."""
+    """Handle on a spawned sub-coroutine (or, named by its operation
+    alone, an operation's main task).  ``tallies``: the counters of the
+    :meth:`Context.count_done` predicates it feeds."""
 
     __slots__ = ("name", "done", "result", "tallies")
 
@@ -81,6 +87,11 @@ class _Task:
         self.waiting: Optional[Callable[[], bool]] = None
 
 
+#: high-level operation name -> its method's attribute name, built once
+#: per name rather than formatted per invocation
+_OP_ATTRIBUTES: "Dict[str, str]" = {}
+
+
 class ClientProtocol:
     """Base class for the client side of an emulation algorithm.
 
@@ -93,7 +104,10 @@ class ClientProtocol:
     def make_operation(
         self, ctx: "Context", name: str, args: tuple
     ) -> ClientCoroutine:
-        method = getattr(self, f"op_{name}", None)
+        attribute = _OP_ATTRIBUTES.get(name)
+        if attribute is None:
+            attribute = _OP_ATTRIBUTES[name] = "op_" + name
+        method = getattr(self, attribute, None)
         if method is None:
             raise ModelViolation(
                 f"{type(self).__name__} has no high-level operation {name!r}"
@@ -136,6 +150,27 @@ class Context:
         op_id = op.op_id
         runtime.pending_ops.add(op_id)
         return op_id
+
+    def trigger_each(
+        self, object_ids: "Sequence[ObjectId]", kind: OpKind, *args: Any
+    ) -> "List[OpId]":
+        """Trigger ``kind(args)`` on each of ``object_ids``, in order, in
+        one step; returns the op ids in that order.  The same ops, ids
+        and events as one :meth:`trigger` per object, for one call.  An
+        object the kernel refuses raises ``ModelViolation`` after the
+        ops before it were triggered; those stay pending here too."""
+        runtime = self._runtime
+        trigger = runtime._kernel.trigger
+        client_id, seq = runtime.client_id, runtime.active_seq
+        op_ids = []
+        try:
+            for object_id in object_ids:
+                op_ids.append(
+                    trigger(client_id, object_id, kind, args, seq, runtime).op_id
+                )
+        finally:
+            runtime.pending_ops.update(op_ids)
+        return op_ids
 
     def spawn(self, coroutine: ClientCoroutine, name: str = "task") -> TaskHandle:
         """Run a sub-coroutine concurrently within this client."""
@@ -300,7 +335,7 @@ class ClientRuntime:
         self.active_name = name
         self.active_token = token
         coroutine = self.protocol.make_operation(self.context, name, args)
-        self.tasks = [_Task(coroutine, TaskHandle(name=f"{name}#{seq}"))]
+        self.tasks = [_Task(coroutine, TaskHandle(name))]
 
     def _finish_task(self, task: _Task, result: Any) -> None:
         handle = task.handle

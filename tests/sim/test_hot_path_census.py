@@ -17,14 +17,22 @@ the client in exactly one ``_touch`` frame, after a delivery in exactly
 one ``_settle``, and no other bookkeeping frame runs.  It counts frames
 by function name, so it holds whether or not a Python inlines
 comprehensions.
+
+The KV census counts, the same way, every Python frame a warmed async
+get enters over a 3-shard max-register service: one ``trigger_each``
+call per quorum round, no routing for a placed key, and the exact
+total.
 """
 
+import gc
 import sys
 import types
 from collections import Counter
 
 import pytest
 
+from repro.apps.shard.config import ShardServiceConfig
+from repro.apps.shard.service import ShardedKVService
 from repro.core.multi import SlotFleet
 from repro.core.ws_register import WSRegisterClient, WSRegisterEmulation
 from repro.net.faults import Delay, Duplicate, FaultPlan, LinkFaults
@@ -165,7 +173,7 @@ def test_algorithm2_writes_pay_only_the_protocols_own_sets(census):
 #: work (the loop and its stop test, the step, the trigger, the records,
 #: the delivery, what a protocol calls on its context), not bookkeeping.
 _STEP_WORK = frozenset({
-    "run", "clients_quiescent", "clients_settled", "trigger",
+    "run", "clients_quiescent", "clients_settled", "trigger", "trigger_each",
     "record_invoke", "record_return", "step", "_start_next_operation",
     "_finish_task", "deliver_response", "spawn", "count_done",
     "enough_done", "make_operation", "on_response", "client_id", "time",
@@ -248,3 +256,69 @@ def test_cas_abd_shard_settles_each_touch_in_one_frame():
     _assert_one_settle_per_touch(frames, fleet.kernel.time - start)
     assert frames["spawn"] and frames["_finish_task"]
     assert frames["enough_done"] == 517
+
+
+#: keys of the KV census, all placed before it counts
+_KV_KEYS = [f"k{index}" for index in range(24)]
+
+
+def _kv_gets(service, sessions, rounds):
+    """``rounds`` rounds of one async get per key, each stepped until
+    every get completed; returns the gets run."""
+    gets = 0
+    for _ in range(rounds):
+        for index, key in enumerate(_KV_KEYS):
+            sessions[index % len(sessions)].submit_get(key, gets)
+            gets += 1
+        while service.step():
+            pass
+        assert len(service.drain_completions()) == len(_KV_KEYS)
+    return gets
+
+
+def test_kv_get_triggers_each_round_in_one_call_and_routes_no_placed_key():
+    """Per warmed async get on a 3-shard max-register service (n = 4,
+    f = 1): two ``trigger_each`` frames (the read round and the
+    write-back round of ABD), no ``shard_of`` / ``_slot_for`` frame nor
+    ``SlotFleet.reader`` / ``_client``, and an exact frame total.  The
+    total leaves out comprehension frames (a Python that inlines
+    comprehensions has none); with its 2 ``<listcomp>`` frames it reads
+    128.29 per get, against 141.29 when each op of a round took a
+    ``Context.trigger`` frame, each get routed its key and each
+    operation formatted two strings."""
+    service = ShardedKVService(
+        ShardServiceConfig.make(
+            shards=3, seed=11, substrate="max-register", n=4, f=1, capacity=16
+        )
+    )
+    sessions = [service.session(writer=index % 2) for index in range(8)]
+    for key in _KV_KEYS:
+        sessions[0].put(key, key)
+    _kv_gets(service, sessions, 2)  # every reader runtime used once
+    frames = Counter()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            frames[frame.f_code.co_name] += 1
+
+    # No collection inside the window: one would finalize what earlier
+    # tests left behind (their suspended generators, say) in its frames.
+    gc.collect()
+    gc.disable()
+    sys.setprofile(hook)
+    try:
+        gets = _kv_gets(service, sessions, 4)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    assert gets == 96
+    assert frames["trigger_each"] == 2 * gets
+    assert frames["trigger"] == 8 * gets  # n = 4 per round, in the kernel
+    assert frames["shard_of"] == frames["_slot_for"] == 0
+    assert frames["reader"] == frames["_client"] == 0  # no fleet lookup
+    total = sum(
+        count
+        for name, count in frames.items()
+        if not (name.startswith("<") and name != "<lambda>")
+    )
+    assert total == 12124  # 126.29 per get
